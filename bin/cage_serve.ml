@@ -75,8 +75,10 @@ let report_table ppf label (r : Serve.Server.report) =
   Format.fprintf ppf "  exact percentiles (nearest-rank): p50 %d  p99 %d@."
     r.Serve.Server.rp_p50_exact r.Serve.Server.rp_p99_exact;
   Format.fprintf ppf
-    "  restores %d  heals %d (deferred %d)  injections %d  queue hwm %d@."
-    r.Serve.Server.rp_restores r.Serve.Server.rp_heals
+    "  restores %d (copied %d of %d image bytes)  heals %d (deferred %d)  \
+     injections %d  queue hwm %d@."
+    r.Serve.Server.rp_restores r.Serve.Server.rp_restore_copied_bytes
+    r.Serve.Server.rp_restore_image_bytes r.Serve.Server.rp_heals
     r.Serve.Server.rp_heals_deferred r.Serve.Server.rp_injections
     r.Serve.Server.rp_max_ready
 
@@ -107,7 +109,7 @@ let tenant_json b (cmp : Harness.Serve_bench.comparison)
        on_.Serve.Server.tr_p50_exact on_.Serve.Server.tr_p99_exact)
 
 let write_json path requests seed (cmp : Harness.Serve_bench.comparison)
-    ~wall_off ~wall_on ~gate_pass =
+    ~gate_pass =
   let off = cmp.Harness.Serve_bench.cmp_off
   and on_ = cmp.Harness.Serve_bench.cmp_on in
   let b = Buffer.create 2048 in
@@ -121,7 +123,9 @@ let write_json path requests seed (cmp : Harness.Serve_bench.comparison)
           %d,\n\
          \    \"sanitized\": %d, \"crashes\": %d, \"retries\": %d, \
           \"timeouts\": %d,\n\
-         \    \"breaker_trips\": %d, \"restores\": %d, \"heals\": %d,\n\
+         \    \"breaker_trips\": %d, \"heals\": %d,\n\
+         \    \"restores\": %d, \"restore_copied_bytes\": %d, \
+          \"restore_image_bytes\": %d,\n\
          \    \"injections\": %d, \"p50_cycles\": %d, \"p99_cycles\": %d,\n\
          \    \"p50_exact_cycles\": %d, \"p99_exact_cycles\": %d,\n\
          \    \"makespan_cycles\": %d, \"ok_per_mcycle\": %.4f, \
@@ -130,14 +134,15 @@ let write_json path requests seed (cmp : Harness.Serve_bench.comparison)
          r.Serve.Server.rp_shed r.Serve.Server.rp_escaped
          r.Serve.Server.rp_sanitized r.Serve.Server.rp_crashes
          r.Serve.Server.rp_retries r.Serve.Server.rp_timeouts
-         r.Serve.Server.rp_breaker_trips r.Serve.Server.rp_restores
-         r.Serve.Server.rp_heals r.Serve.Server.rp_injections
+         r.Serve.Server.rp_breaker_trips r.Serve.Server.rp_heals
+         r.Serve.Server.rp_restores r.Serve.Server.rp_restore_copied_bytes
+         r.Serve.Server.rp_restore_image_bytes r.Serve.Server.rp_injections
          r.Serve.Server.rp_p50 r.Serve.Server.rp_p99
          r.Serve.Server.rp_p50_exact r.Serve.Server.rp_p99_exact
          r.Serve.Server.rp_makespan (throughput r) wall)
   in
-  side "chaos_off" off wall_off;
-  side "chaos_on" on_ wall_on;
+  side "chaos_off" off cmp.Harness.Serve_bench.cmp_off_wall_s;
+  side "chaos_on" on_ cmp.Harness.Serve_bench.cmp_on_wall_s;
   Buffer.add_string b "  \"tenants\": [\n";
   List.iteri
     (fun i tr ->
@@ -172,19 +177,9 @@ let () =
   let collect =
     if slo_report then Some (Serve.Slo.collector ()) else None
   in
-  let time f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, Sys.time () -. t0)
+  let cmp =
+    Harness.Serve_bench.compare ~requests ~seed ~engine ?recorder ?collect ()
   in
-  let (cmp, wall) =
-    time (fun () ->
-        Harness.Serve_bench.compare ~requests ~seed ~engine ?recorder
-          ?collect ())
-  in
-  (* one wall figure per side is approximated by an even split; the
-     simulated-cycle makespans are the meaningful clocks *)
-  let wall_off = wall /. 2.0 and wall_on = wall /. 2.0 in
   let ppf = Format.std_formatter in
   report_table ppf "chaos off" cmp.Harness.Serve_bench.cmp_off;
   report_table ppf "chaos on" cmp.Harness.Serve_bench.cmp_on;
@@ -245,7 +240,9 @@ let () =
         attributed served
         (if attributed = served then "exact" else "MISMATCH"));
   if json <> "" then begin
-    write_json json requests seed cmp ~wall_off ~wall_on ~gate_pass;
-    Format.fprintf ppf "  wrote %s (%.2fs total)@." json wall
+    write_json json requests seed cmp ~gate_pass;
+    Format.fprintf ppf "  wrote %s (wall %.2fs chaos off, %.2fs chaos on)@."
+      json cmp.Harness.Serve_bench.cmp_off_wall_s
+      cmp.Harness.Serve_bench.cmp_on_wall_s
   end;
   if not gate_pass then exit 1

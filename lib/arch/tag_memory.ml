@@ -3,13 +3,28 @@ let granule_bytes = 16
 type t = {
   mutable tags : Bytes.t;  (* one byte per granule; low nibble is the tag *)
   mutable size : int;
+  mutable dirty : Bytes.t;
+      (* one byte per 256 granules of [tags]; nonzero = retagged since
+         [tags] last equalled [base] *)
+  mutable base : Bytes.t option;
+      (* the snapshot image [dirty] is relative to, by identity *)
 }
 
 let granules_for size = (size + granule_bytes - 1) / granule_bytes
 
+(* Dirty chunks ([Dirty]) of 256 granules: the tags of one 4 KiB chunk
+   of linear memory. *)
+let chunk_bits = 8
+
 let create ~size_bytes =
   if size_bytes < 0 then invalid_arg "Tag_memory.create: negative size";
-  { tags = Bytes.make (granules_for size_bytes) '\000'; size = size_bytes }
+  let granules = granules_for size_bytes in
+  {
+    tags = Bytes.make granules '\000';
+    size = size_bytes;
+    dirty = Dirty.create ~bits:chunk_bits ~dirty:false granules;
+    base = None;
+  }
 
 let size_bytes t = t.size
 let tag_storage_bytes t = (granules_for t.size + 1) / 2
@@ -68,6 +83,8 @@ let set_region t ~addr ~len tag =
       let first = granule_of_addr addr in
       let count = Int64.to_int (Int64.div len 16L) in
       Bytes.fill t.tags first count (Char.chr (Tag.to_int tag));
+      (* marked after the checked fill: a bad region never reaches here *)
+      Dirty.mark_range t.dirty ~bits:chunk_bits first count;
       Ok ()
 
 let matches t ~addr ~len tag =
@@ -118,7 +135,8 @@ let grow t ~new_size_bytes =
   if new_granules > old_granules then begin
     let tags = Bytes.make new_granules '\000' in
     Bytes.blit t.tags 0 tags 0 old_granules;
-    t.tags <- tags
+    t.tags <- tags;
+    t.dirty <- Dirty.create ~bits:chunk_bits ~dirty:true new_granules
   end;
   t.size <- new_size_bytes;
   t
@@ -130,19 +148,42 @@ let iteri t ~f =
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Same dirty-map discipline as [Wasm.Memory]: taking or restoring an
+   image makes it the base; restoring the base at the same granule count
+   copies back only the dirty chunks ([set_region] marks exactly the
+   granules it wrote, so there is no spill), anything else is one full
+   copy, and the map ends clear. *)
+
 type snapshot = { snap_tags : Bytes.t; snap_size : int }
 
-let snapshot t = { snap_tags = Bytes.copy t.tags; snap_size = t.size }
+let storage_bytes granules = (granules + 1) / 2
+
+let snapshot t =
+  let s = { snap_tags = Bytes.copy t.tags; snap_size = t.size } in
+  t.dirty <- Dirty.clear t.dirty ~bits:chunk_bits (Bytes.length t.tags);
+  t.base <- Some s.snap_tags;
+  s
 
 (* Restore in place — the [t] bound into an [Mte.t] keeps its identity
    (growth also mutates in place, so the binding never goes stale). *)
 let restore t s =
-  if Bytes.length t.tags = Bytes.length s.snap_tags then
-    Bytes.blit s.snap_tags 0 t.tags 0 (Bytes.length s.snap_tags)
-  else t.tags <- Bytes.copy s.snap_tags;
-  t.size <- s.snap_size
+  let img = s.snap_tags in
+  let len = Bytes.length img in
+  t.size <- s.snap_size;
+  match t.base with
+  | Some b when b == img && Bytes.length t.tags = len ->
+      Dirty.drain t.dirty ~bits:chunk_bits ~f:(fun lo hi ->
+          let hi = min len hi in
+          Bytes.blit img lo t.tags lo (hi - lo);
+          storage_bytes (hi - lo))
+  | _ ->
+      if Bytes.length t.tags = len then Bytes.blit img 0 t.tags 0 len
+      else t.tags <- Bytes.copy img;
+      t.dirty <- Dirty.clear t.dirty ~bits:chunk_bits len;
+      t.base <- Some img;
+      storage_bytes len
 
-let snapshot_bytes s = (Bytes.length s.snap_tags + 1) / 2
+let snapshot_bytes s = storage_bytes (Bytes.length s.snap_tags)
 let snapshot_to_string s = Bytes.to_string s.snap_tags
 
 let to_string t = Bytes.to_string t.tags

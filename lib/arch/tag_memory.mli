@@ -74,14 +74,27 @@ val iteri : t -> f:(int -> Tag.t -> unit) -> unit
 (** {1 Snapshots}
 
     A frozen copy of the whole tag space, for instance pools that
-    freeze tags alongside linear memory and restore per request. *)
+    freeze tags alongside linear memory and restore per request.
+
+    {!set_region} marks the 256-granule chunks it retags in a dirty
+    map, after its validity checks pass; a {!grow} that adds granules
+    marks every chunk. The map is relative to the last image taken or
+    restored, identified physically. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
+(** Freeze the tags and size; the image becomes the dirty map's base
+    and the map is cleared. *)
+
+val restore : t -> snapshot -> int
 (** Restore in place: the [t] bound into an MTE checker keeps its
-    identity, so the checker's binding never goes stale. *)
+    identity, so the checker's binding never goes stale. Restoring the
+    map's base at an unchanged granule count copies back only the dirty
+    chunks; any other image is one full copy and becomes the base. The
+    map ends clear. Returns the tag storage copied, in the units of
+    {!snapshot_bytes} (4 bits per granule), so a full copy returns
+    exactly [snapshot_bytes]. *)
 
 val snapshot_bytes : snapshot -> int
 (** Modeled tag-storage payload of the image (4 bits per granule). *)

@@ -128,6 +128,8 @@ let chaos_policy ~seed =
 type comparison = {
   cmp_off : Serve.Server.report;
   cmp_on : Serve.Server.report;
+  cmp_off_wall_s : float;  (** host wall time of each side (monotonic) *)
+  cmp_on_wall_s : float;
 }
 
 (** Per-tenant goodput ratio chaos-on / chaos-off (1.0 when the tenant
@@ -170,16 +172,25 @@ let compare ?(requests = 100_000) ?(seed = 42)
   let mk () =
     tenants ~cfg:(Cage.Config.with_engine engine Cage.Config.full) ~seed ()
   in
-  let cmp_off = Serve.Server.run config (mk ()) in
+  (* each side's clock covers building its tenants and the replay *)
+  let timed f =
+    let t0 = Monotonic_clock.now () in
+    let r = f () in
+    (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
+  in
+  let cmp_off, cmp_off_wall_s =
+    timed (fun () -> Serve.Server.run config (mk ()))
+  in
   let run_on () =
     Serve.Server.run ~chaos:(chaos_policy ~seed) ?collect config (mk ())
   in
-  let cmp_on =
-    match recorder with
-    | Some r -> Obs.Span.with_recorder r run_on
-    | None -> run_on ()
+  let cmp_on, cmp_on_wall_s =
+    timed (fun () ->
+        match recorder with
+        | Some r -> Obs.Span.with_recorder r run_on
+        | None -> run_on ())
   in
-  { cmp_off; cmp_on }
+  { cmp_off; cmp_on; cmp_off_wall_s; cmp_on_wall_s }
 
 (* ------------------------------------------------------------------ *)
 (* The detection matrix's "served" column                               *)

@@ -73,6 +73,8 @@ type t = {
   pl_slots : slot array;
   pl_heal : Policy.bucket;
   mutable pl_restores : int;
+  mutable pl_restore_copied : int;  (* image bytes the restores copied *)
+  mutable pl_restore_image : int;   (* ... and what full copies would have *)
   mutable pl_heals : int;
   mutable pl_heals_deferred : int;
       (* heal attempts the token bucket refused (restart-storm guard) *)
@@ -128,6 +130,8 @@ let create ?(fuel = 2_000_000) ?max_quarantined ~lane_base ~size ~seed
       Policy.bucket_create ~capacity:policy.Policy.heal_capacity
         ~refill_every:policy.Policy.heal_refill;
     pl_restores = 0;
+    pl_restore_copied = 0;
+    pl_restore_image = 0;
     pl_heals = 0;
     pl_heals_deferred = 0;
     pl_served_cycles = 0;
@@ -135,6 +139,8 @@ let create ?(fuel = 2_000_000) ?max_quarantined ~lane_base ~size ~seed
 
 let size t = Array.length t.pl_slots
 let restores t = t.pl_restores
+let restore_copied_bytes t = t.pl_restore_copied
+let restore_image_bytes t = t.pl_restore_image
 let heals t = t.pl_heals
 let heals_deferred t = t.pl_heals_deferred
 
@@ -150,10 +156,12 @@ let idle_count = count Idle
 let quarantined_count = count Quarantined
 
 let restore_slot t s =
-  Snapshot.restore s.sl_snapshot s.sl_inst;
+  let copied = Snapshot.restore_copied s.sl_snapshot s.sl_inst in
   s.sl_reset ();
   s.sl_dirty <- false;
-  t.pl_restores <- t.pl_restores + 1
+  t.pl_restores <- t.pl_restores + 1;
+  t.pl_restore_copied <- t.pl_restore_copied + copied;
+  t.pl_restore_image <- t.pl_restore_image + Snapshot.bytes s.sl_snapshot
 
 (** Take an idle slot for a request, restoring the frozen image first
     if a previous request dirtied it. *)

@@ -115,6 +115,8 @@ type report = {
   rp_timeouts : int;
   rp_breaker_trips : int;
   rp_restores : int;
+  rp_restore_copied_bytes : int;  (** image bytes the restores copied *)
+  rp_restore_image_bytes : int;   (** bytes full-image copies would move *)
   rp_heals : int;
   rp_heals_deferred : int;
   rp_injections : int;
@@ -664,6 +666,10 @@ let run ?chaos ?collect config tenants =
     rp_timeouts = sum (fun tr -> tr.tr_timeouts);
     rp_breaker_trips = sum (fun tr -> tr.tr_breaker_trips);
     rp_restores = Array.fold_left (fun n st -> n + Pool.restores st.pool) 0 ts;
+    rp_restore_copied_bytes =
+      Array.fold_left (fun n st -> n + Pool.restore_copied_bytes st.pool) 0 ts;
+    rp_restore_image_bytes =
+      Array.fold_left (fun n st -> n + Pool.restore_image_bytes st.pool) 0 ts;
     rp_heals = Array.fold_left (fun n st -> n + Pool.heals st.pool) 0 ts;
     rp_heals_deferred =
       Array.fold_left (fun n st -> n + Pool.heals_deferred st.pool) 0 ts;

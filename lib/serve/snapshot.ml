@@ -4,9 +4,10 @@
     [_start]-style initialisation, and freezes the result: linear
     memory, the MTE tag map, globals, the indirect-call table, and the
     instance's tag-draw PRNG. Every request then begins from this
-    image — restore is a [Bytes.blit] per plane, so a crashed or
-    merely-dirty instance is returned to a known-good state without
-    re-running instantiation or the guest's init code.
+    image — restore copies back the chunks of each plane the request
+    wrote (dirty maps kept by [Wasm.Memory] and [Arch.Tag_memory]), so
+    a crashed or merely-dirty instance is returned to a known-good state
+    without re-running instantiation or the guest's init code.
 
     Restoring the PRNG matters for determinism: a restored instance
     must draw the same [irg] tag sequence the frozen one would have,
@@ -50,24 +51,35 @@ let capture (inst : Wasm.Instance.t) =
 
 let bytes t = t.sn_bytes
 
-(** Rewind [inst] to the frozen image. Also clears the transient crash
-    state a previous request may have left behind (latched fault, call
-    stack, pending TFSR report), so a restored slot is indistinguishable
-    from a freshly initialised one. *)
-let restore t (inst : Wasm.Instance.t) =
-  (match (inst.Wasm.Instance.mem, t.sn_mem) with
-  | Some m, Some s -> Wasm.Memory.restore m s
-  | _ -> ());
-  (match (inst.Wasm.Instance.mte, t.sn_tags) with
-  | Some m, Some s ->
-      Arch.Tag_memory.restore (Arch.Mte.tag_memory m) s;
-      ignore (Arch.Mte.take_pending m)
-  | _ -> ());
-  Array.blit t.sn_globals 0 inst.Wasm.Instance.globals 0
-    (min (Array.length t.sn_globals)
-       (Array.length inst.Wasm.Instance.globals));
-  Array.blit t.sn_table 0 inst.Wasm.Instance.table 0
-    (min (Array.length t.sn_table) (Array.length inst.Wasm.Instance.table));
+(** Rewind [inst] to the frozen image and return the image bytes
+    actually copied (in {!bytes}' units: a restore that has to copy
+    every plane in full returns exactly [bytes t]). Also clears the
+    transient crash state a previous request may have left behind
+    (latched fault, call stack, pending TFSR report), so a restored slot
+    is indistinguishable from a freshly initialised one. *)
+let restore_copied t (inst : Wasm.Instance.t) =
+  let mem =
+    match (inst.Wasm.Instance.mem, t.sn_mem) with
+    | Some m, Some s -> Wasm.Memory.restore m s
+    | _ -> 0
+  in
+  let tags =
+    match (inst.Wasm.Instance.mte, t.sn_tags) with
+    | Some m, Some s ->
+        let n = Arch.Tag_memory.restore (Arch.Mte.tag_memory m) s in
+        ignore (Arch.Mte.take_pending m);
+        n
+    | _ -> 0
+  in
+  let globals =
+    min (Array.length t.sn_globals) (Array.length inst.Wasm.Instance.globals)
+  in
+  Array.blit t.sn_globals 0 inst.Wasm.Instance.globals 0 globals;
+  let table =
+    min (Array.length t.sn_table) (Array.length inst.Wasm.Instance.table)
+  in
+  Array.blit t.sn_table 0 inst.Wasm.Instance.table 0 table;
+  let copied = mem + tags + (8 * (globals + table)) in
   inst.Wasm.Instance.rng <- Random.State.copy t.sn_rng;
   inst.Wasm.Instance.last_fault <- None;
   inst.Wasm.Instance.call_stack <- [];
@@ -80,8 +92,13 @@ let restore t (inst : Wasm.Instance.t) =
     Obs.Span.instant ~tid:Obs.Span.runtime_tid
       ~args:
         [ ("instance", Obs.Span.I inst.Wasm.Instance.id);
-          ("bytes", Obs.Span.I t.sn_bytes) ]
-      "snapshot.restore"
+          ("bytes", Obs.Span.I t.sn_bytes);
+          ("copied", Obs.Span.I copied) ]
+      "snapshot.restore";
+  copied
+
+(** {!restore_copied} without the count. *)
+let restore t inst = ignore (restore_copied t inst)
 
 (** Modeled restore cost in simulated cycles — the same cost the
     tracer charges a [Snapshot_restore] event, so scheduler demand and

@@ -102,17 +102,27 @@ val copy : t -> dst:int64 -> src:int64 -> len:int64 -> unit
 (** {1 Snapshots}
 
     A frozen copy of the whole memory state, for instance pools that
-    instantiate once and restore per request. *)
+    instantiate once and restore per request.
+
+    Every write entry point above marks the 4 KiB chunk it wrote in a
+    dirty map, after its range check succeeds; {!grow} marks every
+    chunk. The map is relative to one image — the last one taken or
+    restored — identified physically. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
-(** Freeze the current contents and size. *)
+(** Freeze the current contents and size; the image becomes the dirty
+    map's base and the map is cleared. *)
 
-val restore : t -> snapshot -> unit
-(** Restore contents and size from a frozen image. When the size is
-    unchanged this is one in-place blit — no allocation. Handles both
-    grown and shrunk memories by replacing the backing store. *)
+val restore : t -> snapshot -> int
+(** Restore contents and size from a frozen image; returns the bytes
+    copied. Restoring the map's base at an unchanged size copies back
+    only the dirty chunks (plus the at most 7 bytes a scalar store can
+    spill past a chunk's end) — in place, no allocation. Any other image
+    (taken from a different memory, or of a different size, e.g. after
+    {!grow}) is one full copy, replacing the backing store when the size
+    differs, and becomes the base. Either way the map ends clear. *)
 
 val snapshot_bytes : snapshot -> int
 (** Payload size in bytes (restore-cost accounting). *)

@@ -7,7 +7,8 @@
     under any Table 3 configuration is a toolchain bug.
 
     The subset is 64-bit integer arithmetic (two's-complement wrap,
-    matching the compiler's semantics), fixed-size arrays indexed
+    matching the compiler's semantics; all-constant subtrees are C
+    [int] and wrap at 32 bits), fixed-size arrays indexed
     in-bounds via [% N], bounded counted loops, and branches — enough to
     stress expression lowering, register/slot allocation, the optimiser
     and the sanitizers, while staying trivially terminating. *)
@@ -211,41 +212,62 @@ type state = { vars : int64 array; arrs : int64 array array }
 
 let idx_of v = Int64.to_int (Int64.unsigned_rem v (Int64.of_int array_size))
 
+let apply op xv yv =
+  match op with
+  | Add -> Int64.add xv yv
+  | Sub -> Int64.sub xv yv
+  | Mul -> Int64.mul xv yv
+  | And -> Int64.logand xv yv
+  | Or -> Int64.logor xv yv
+  | Xor -> Int64.logxor xv yv
+  | ShrMask -> Int64.shift_right xv (Int64.to_int (Int64.logand yv 7L))
+  | ModSmall -> Int64.unsigned_rem xv (Int64.add (Int64.logand yv 7L) 1L)
+
+(** Every node evaluated as a 64-bit [long], ignoring C's [int] typing
+    of constant subtrees; comparing with {!eval_c} shows where such a
+    subtree overflows [int]. *)
 let rec eval_expr st = function
   | Const v -> v
   | Var i -> st.vars.(i)
   | ArrGet (a, i) -> st.arrs.(a).(idx_of (eval_expr st i))
-  | Bin (op, x, y) -> (
-      let xv = eval_expr st x and yv = eval_expr st y in
-      match op with
-      | Add -> Int64.add xv yv
-      | Sub -> Int64.sub xv yv
-      | Mul -> Int64.mul xv yv
-      | And -> Int64.logand xv yv
-      | Or -> Int64.logor xv yv
-      | Xor -> Int64.logxor xv yv
-      | ShrMask ->
-          Int64.shift_right xv (Int64.to_int (Int64.logand yv 7L))
-      | ModSmall ->
-          Int64.unsigned_rem xv
-            (Int64.add (Int64.logand yv 7L) 1L))
+  | Bin (op, x, y) -> apply op (eval_expr st x) (eval_expr st y)
+
+(* Constants render as C [int] literals, so a subtree of them joined
+   only by [+ - * & | ^] has type [int]: it wraps at 32 bits and is
+   sign-extended where it meets a [long]. (The shift and modulus
+   renderings cast their operands to 64 bits.) *)
+let rec int_typed = function
+  | Const _ -> true
+  | Bin ((Add | Sub | Mul | And | Or | Xor), x, y) -> int_typed x && int_typed y
+  | Var _ | ArrGet _ | Bin ((ShrMask | ModSmall), _, _) -> false
+
+(** What the rendered C computes. The low 32 bits of [+ - * & | ^]
+    depend only on the operands' low 32 bits, so an int-typed subtree
+    is its 64-bit value wrapped once. *)
+let rec eval_c st e =
+  match e with
+  | _ when int_typed e -> Int64.of_int32 (Int64.to_int32 (eval_expr st e))
+  | Const v -> v
+  | Var i -> st.vars.(i)
+  | ArrGet (a, i) -> st.arrs.(a).(idx_of (eval_c st i))
+  | Bin (op, x, y) -> apply op (eval_c st x) (eval_c st y)
 
 let rec eval_stmt st = function
-  | Assign (v, e) -> st.vars.(v) <- eval_expr st e
+  | Assign (v, e) -> st.vars.(v) <- eval_c st e
   | ArrSet (a, i, e) ->
-      let idx = idx_of (eval_expr st i) in
-      st.arrs.(a).(idx) <- eval_expr st e
+      let idx = idx_of (eval_c st i) in
+      st.arrs.(a).(idx) <- eval_c st e
   | For (v, n, body) ->
       for _ = 1 to n do
         st.vars.(v) <- Int64.add st.vars.(v) 1L;
         List.iter (eval_stmt st) body
       done
   | IfPos (c, t, e) ->
-      if Int64.compare (eval_expr st c) 0L > 0 then List.iter (eval_stmt st) t
+      if Int64.compare (eval_c st c) 0L > 0 then List.iter (eval_stmt st) t
       else List.iter (eval_stmt st) e
   | SwitchMod (e, bodies) ->
       let n = Int64.of_int (List.length bodies) in
-      let i = Int64.to_int (Int64.unsigned_rem (eval_expr st e) n) in
+      let i = Int64.to_int (Int64.unsigned_rem (eval_c st e) n) in
       List.iter (eval_stmt st) (List.nth bodies i)
 
 (** The reference result the compiled program must reproduce. *)

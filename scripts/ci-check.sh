@@ -72,6 +72,16 @@ grep -q "escaped under chaos : 0" _build/serve_smoke.out || {
   echo "FAIL: serving smoke reported escapes"; cat _build/serve_smoke.out
   exit 1; }
 
+echo "== dirty-chunk restore engaged (copied < restores x image bytes, per side)"
+sed -n 's/.*"restore_copied_bytes": \([0-9]*\), "restore_image_bytes": \([0-9]*\).*/\1 \2/p' \
+  _build/BENCH_serve_smoke.json > _build/restore_bytes.out
+[ "$(wc -l < _build/restore_bytes.out)" -eq 2 ] || {
+  echo "FAIL: restore byte counts missing from the smoke JSON"; exit 1; }
+awk '{ print "   copied " $1 " of " $2 " image bytes"; if (!($1 < $2)) bad = 1 }
+  END { exit bad }' _build/restore_bytes.out || {
+  echo "FAIL: restores copied whole images (dirty-chunk path not engaged)"
+  exit 1; }
+
 echo "== request observability smoke (SLO report + stitched chrome trace)"
 grep -q "burn" _build/serve_smoke.out || {
   echo "FAIL: SLO report missing burn rates"; exit 1; }

@@ -1000,6 +1000,18 @@ let prop_fuzz_unoptimised_agrees =
       | [ Wasm.Values.I32 v ] -> Int32.equal v expected
       | _ -> false)
 
+(* Program seeds whose constant-only subtrees overflow C int: the
+   oracle must wrap them at 32 bits, as the compiled code does. *)
+let test_fuzz_oracle_int_wrap () =
+  List.iter
+    (fun seed ->
+      let prog = Workloads.Fuzzgen.generate ~seed in
+      Alcotest.(check int32)
+        (Printf.sprintf "program seed %d" seed)
+        (Workloads.Fuzzgen.reference prog)
+        (ret ~cfg:Cage.Config.baseline_wasm64 (Workloads.Fuzzgen.render prog)))
+    [ 7361; 203929; 554766110 ]
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_arith_matches_ocaml; prop_loop_sum; prop_configs_agree;
@@ -1107,5 +1119,6 @@ let () =
           tc "addr of rvalue" test_error_addr_of_rvalue;
           tc "errors carry lines" test_error_located_line;
         ] );
+      ("fuzz-oracle", [ tc "int-typed constants wrap" test_fuzz_oracle_int_wrap ]);
       ("minic-properties", qtests);
     ]

@@ -114,6 +114,187 @@ let test_crashed_then_restored () =
     (pm2.Cage.Supervisor.pm_class <> Cage.Supervisor.Quarantine)
 
 (* ------------------------------------------------------------------ *)
+(* Dirty-chunk restore fidelity                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A 2-page CAGE instance (growable to 4) whose planes the property
+   writes directly. *)
+let dirty_guest ?(seed = 5) () =
+  let m =
+    { const_module with
+      Ast.memory =
+        Some { mem64 with Types.mem_limits = { Types.min = 2L; max = Some 4L } } }
+  in
+  let proc = Cage.Process.create ~config:Cage.Config.full ~seed () in
+  Cage.Supervisor.spawn (Cage.Supervisor.create proc) m
+
+(* One write through a [Memory] or [Tag_memory] entry point. The [int]
+   selectors pick among the entry points of a kind. *)
+type wop =
+  | Set of int * int * int64    (* native setters: u8 u16 32 64 f32 f64 *)
+  | Store of int * int * int64  (* int64-address stores, incl. store_n *)
+  | Fill of int * int * int
+  | Copy of int * int * int
+  | Write of int * string
+  | Retag of int * int * int    (* addr, granules, tag *)
+  | Grow
+
+let show_wop = function
+  | Set (k, a, v) -> Printf.sprintf "set%d @%d %Ld" k a v
+  | Store (k, a, v) -> Printf.sprintf "store%d @%d %Ld" k a v
+  | Fill (a, n, v) -> Printf.sprintf "fill @%d +%d %d" a n v
+  | Copy (d, s, n) -> Printf.sprintf "copy @%d <- @%d +%d" d s n
+  | Write (a, str) -> Printf.sprintf "write @%d %S" a str
+  | Retag (a, g, t) -> Printf.sprintf "retag @%d %dg tag %d" a g t
+  | Grow -> "grow"
+
+let apply_wop (inst : Instance.t) op =
+  let mem = Option.get inst.Instance.mem in
+  let tm = Arch.Mte.tag_memory (Option.get inst.Instance.mte) in
+  let a64 = Int64.of_int in
+  try
+    match op with
+    | Set (k, a, v) -> (
+        match k mod 6 with
+        | 0 -> Memory.set_u8 mem a (Int64.to_int v)
+        | 1 -> Memory.set_u16 mem a (Int64.to_int v)
+        | 2 -> Memory.set_32 mem a (Int64.to_int v)
+        | 3 -> Memory.set_64 mem a v
+        | 4 -> Memory.set_f32' mem a (Int64.to_float v)
+        | _ -> Memory.set_f64' mem a (Int64.float_of_bits v))
+    | Store (k, a, v) -> (
+        let addr = a64 a in
+        match k mod 8 with
+        | 0 -> Memory.store_byte mem addr (Int64.to_int v)
+        | 1 -> Memory.store_i32 mem addr (Int64.to_int32 v)
+        | 2 -> Memory.store_i64 mem addr v
+        | 3 -> Memory.store_f32 mem addr (Int64.to_float v)
+        | 4 -> Memory.store_f64 mem addr (Int64.float_of_bits v)
+        | k -> Memory.store_n mem addr (1 lsl (k - 4)) v)
+    | Fill (a, n, v) -> Memory.fill mem ~addr:(a64 a) ~len:(a64 n) v
+    | Copy (d, s, n) -> Memory.copy mem ~dst:(a64 d) ~src:(a64 s) ~len:(a64 n)
+    | Write (a, str) -> Memory.write_string mem ~addr:(a64 a) str
+    | Retag (a, g, t) ->
+        ignore
+          (Arch.Tag_memory.set_region tm ~addr:(a64 (a land lnot 15))
+             ~len:(a64 (16 * g)) (Arch.Tag.of_int t))
+    | Grow -> ignore (Rt.memory_grow inst 1L)
+  with Memory.Out_of_bounds _ | Invalid_argument _ -> ()
+
+(* Addresses cluster just below 4 KiB chunk edges, so 2/4/8-byte stores
+   straddle them; some fall past the end of memory and must trap
+   without marking anything. *)
+let gen_wop =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [ (3, map2 (fun k d -> (k * 4096) - d) (1 -- 64) (0 -- 8));
+        (1, 0 -- ((4 * 65536) + 16)) ]
+  in
+  frequency
+    [ (4, map3 (fun k a v -> Set (k, a, v)) (0 -- 5) addr ui64);
+      (4, map3 (fun k a v -> Store (k, a, v)) (0 -- 7) addr ui64);
+      (1, map3 (fun a n v -> Fill (a, n, v)) addr (0 -- 10_000) (0 -- 255));
+      (1, map3 (fun d s n -> Copy (d, s, n)) addr addr (0 -- 10_000));
+      (1, map2 (fun a str -> Write (a, str)) addr (string_size (0 -- 12)));
+      (2, map3 (fun a g t -> Retag (a, g, t)) addr (0 -- 600) (0 -- 15));
+      (1, return Grow) ]
+
+let arb_rounds =
+  let ops = QCheck.Gen.(list_size (0 -- 25) gen_wop) in
+  QCheck.make
+    ~print:(fun (pre, rounds) ->
+      String.concat " | "
+        (List.map (fun ops -> String.concat "; " (List.map show_wop ops))
+           (pre :: rounds)))
+    QCheck.Gen.(pair ops (list_size (1 -- 4) ops))
+
+let prop_dirty_restore_matches =
+  QCheck.Test.make ~name:"restore after any write sequence matches the image"
+    ~count:150 arb_rounds (fun (pre, rounds) ->
+      let inst = dirty_guest () in
+      List.iter (apply_wop inst) pre;
+      let snap = Serve.Snapshot.capture inst in
+      List.for_all
+        (fun ops ->
+          List.iter (apply_wop inst) ops;
+          let copied = Serve.Snapshot.restore_copied snap inst in
+          Serve.Snapshot.matches snap inst
+          && copied <= Serve.Snapshot.bytes snap)
+        rounds)
+
+let test_restore_fallback_full_copy () =
+  let a = dirty_guest ~seed:1 () and b = dirty_guest ~seed:2 () in
+  apply_wop b (Set (3, 4090, 0x1122334455667788L));
+  let snap = Serve.Snapshot.capture a in
+  Alcotest.(check int) "a clean restore copies only globals and table"
+    (8 * (Array.length a.Instance.globals + Array.length a.Instance.table))
+    (Serve.Snapshot.restore_copied snap a);
+  Alcotest.(check int) "onto another instance: full copy"
+    (Serve.Snapshot.bytes snap)
+    (Serve.Snapshot.restore_copied snap b);
+  Alcotest.(check bool) "and it matches" true (Serve.Snapshot.matches snap b);
+  apply_wop a Grow;
+  apply_wop a (Retag (200_000, 4, 9));
+  Alcotest.(check bool) "grown" true (Memory.size_pages (Option.get a.Instance.mem) = 3L);
+  Alcotest.(check int) "after grow: full copy" (Serve.Snapshot.bytes snap)
+    (Serve.Snapshot.restore_copied snap a);
+  Alcotest.(check bool) "and it matches, at the image's size" true
+    (Serve.Snapshot.matches snap a)
+
+(* Chaos on, every fault site in turn: heap scribbles and tag flips
+   write outside guest stores, and every restore must still reproduce
+   the image exactly. *)
+let test_chaos_restores_match () =
+  let policy = Serve.Server.default_config.Serve.Server.policy in
+  List.iteri
+    (fun i site ->
+      let name = Arch.Fault_inject.site_to_string site in
+      let tenant =
+        Harness.Serve_bench.tenant_of_source Cage.Config.full ~name ~weight:1
+          ~seed:(7 + i) Harness.Detection_matrix.victim_source
+      in
+      let pool =
+        Serve.Pool.create ~lane_base:0 ~size:2 ~seed:(7 + i) ~policy tenant
+      in
+      let restored_match () =
+        Array.iter
+          (fun (s : Serve.Pool.slot) ->
+            if s.Serve.Pool.sl_state = Serve.Pool.Idle && not s.Serve.Pool.sl_dirty
+            then
+              Alcotest.(check bool) (name ^ ": restored slot matches") true
+                (Serve.Snapshot.matches s.Serve.Pool.sl_snapshot s.Serve.Pool.sl_inst))
+          pool.Serve.Pool.pl_slots
+      in
+      let engine =
+        Arch.Fault_inject.create
+          (Harness.Detection_matrix.policy_for site ~seed:(7 + (31 * i)))
+      in
+      Arch.Fault_inject.with_engine engine (fun () ->
+          for call = 1 to 24 do
+            restored_match ();
+            match Serve.Pool.acquire pool with
+            | None -> Alcotest.failf "%s: no idle slot" name
+            | Some slot -> (
+                Alcotest.(check bool) (name ^ ": acquired slot matches") true
+                  (Serve.Snapshot.matches slot.Serve.Pool.sl_snapshot
+                     slot.Serve.Pool.sl_inst);
+                match fst (Serve.Pool.serve pool slot) with
+                | Cage.Supervisor.Finished _ -> Serve.Pool.settle_ok slot
+                | Cage.Supervisor.Crashed _ ->
+                    Serve.Pool.settle_crashed slot;
+                    ignore
+                      (Serve.Pool.heal pool
+                         ~now:(call * policy.Serve.Policy.heal_refill)))
+          done);
+      restored_match ();
+      Alcotest.(check bool) (name ^ " fired") true
+        (Arch.Fault_inject.count engine > 0);
+      Alcotest.(check bool) (name ^ ": restores ran") true
+        (Serve.Pool.restores pool > 0))
+    Arch.Fault_inject.all_sites
+
+(* ------------------------------------------------------------------ *)
 (* Per-lane chaos streams: scheduling-order independence                *)
 (* ------------------------------------------------------------------ *)
 
@@ -685,6 +866,11 @@ let () =
           Alcotest.test_case "replay exact" `Quick test_snapshot_replay_is_exact;
           Alcotest.test_case "crashed then restored" `Quick
             test_crashed_then_restored;
+          Alcotest.test_case "foreign or grown image: full copy" `Quick
+            test_restore_fallback_full_copy;
+          Alcotest.test_case "chaos restores match" `Quick
+            test_chaos_restores_match;
+          QCheck_alcotest.to_alcotest prop_dirty_restore_matches;
         ] );
       ( "lanes",
         [

@@ -1202,6 +1202,97 @@ let test_meter_total_consistency () =
   ignore (run_f0 ~config m []);
   Alcotest.(check int) "total = consts + alu" 3 (Meter.total meter)
 
+(* ------------------------------------------------------------------ *)
+(* Dirty-chunk snapshot restore                                         *)
+(* ------------------------------------------------------------------ *)
+
+let chunk = 4096
+
+let restored_exactly name m s =
+  Alcotest.(check bool) name true
+    (String.equal (Memory.to_string m) (Memory.snapshot_to_string s))
+
+let test_dirty_restore_copies_touched_chunks () =
+  let m = Memory.create { mem64 with Types.mem_limits = { Types.min = 2L; max = Some 4L } } in
+  Memory.fill m ~addr:0L ~len:(Memory.size_bytes m) 0x5a;
+  let s = Memory.snapshot m in
+  Alcotest.(check int) "nothing written: nothing copied" 0 (Memory.restore m s);
+  (* an 8-byte store straddling chunks 2/3 marks chunk 2 only; the
+     spill tail brings chunk 3's first bytes back too *)
+  Memory.set_64 m ((3 * chunk) - 3) (-1L);
+  Alcotest.(check int) "one chunk plus the spill" (chunk + 7) (Memory.restore m s);
+  restored_exactly "straddling store undone" m s;
+  Memory.store_n m (Int64.of_int ((6 * chunk) - 1)) 2 0xbeefL;
+  Memory.store_byte m 0L 1;
+  Alcotest.(check int) "two separate runs" (2 * (chunk + 7)) (Memory.restore m s);
+  restored_exactly "packed stores undone" m s;
+  (* bulk writes mark every chunk they cover *)
+  Memory.fill m ~addr:(Int64.of_int (chunk + 10)) ~len:(Int64.of_int (2 * chunk)) 0;
+  Memory.copy m ~dst:(Int64.of_int (20 * chunk)) ~src:0L ~len:5L;
+  Memory.write_string m ~addr:(Int64.of_int ((16 * chunk) - 2)) "abcd";
+  ignore (Memory.restore m s);
+  restored_exactly "fill/copy/write_string undone" m s;
+  (* a store that traps never reaches the map *)
+  (match Memory.store_i64 m (Int64.sub (Memory.size_bytes m) 4L) 7L with
+  | () -> Alcotest.fail "store past the end succeeded"
+  | exception Memory.Out_of_bounds _ -> ());
+  (match Memory.set_32 m (Memory.length_bytes m - 2) 7 with
+  | () -> Alcotest.fail "set past the end succeeded"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "a trapped store marks nothing" 0 (Memory.restore m s);
+  (* the last chunk's spill is clamped to the buffer *)
+  Memory.set_u8 m (Memory.length_bytes m - 1) 0;
+  Alcotest.(check int) "last chunk clamped" chunk (Memory.restore m s);
+  restored_exactly "last byte undone" m s
+
+let test_restore_fallback_full_copy () =
+  let mt = { mem64 with Types.mem_limits = { Types.min = 1L; max = Some 4L } } in
+  let m = Memory.create mt and other = Memory.create mt in
+  Memory.store_i64 other 64L 42L;
+  let s = Memory.snapshot m and foreign = Memory.snapshot other in
+  let full = Memory.snapshot_bytes s in
+  Alcotest.(check int) "an image from another memory is a full copy" full
+    (Memory.restore m foreign);
+  restored_exactly "foreign image restored" m foreign;
+  Alcotest.(check int) "which then becomes the base" 0 (Memory.restore m foreign);
+  Alcotest.(check int) "switching back is a full copy again" full (Memory.restore m s);
+  restored_exactly "own image restored" m s;
+  Alcotest.(check int64) "grow" 1L (Memory.grow m 2L);
+  Memory.set_u8 m 100_000 1;
+  Alcotest.(check int) "after grow: full copy" full (Memory.restore m s);
+  restored_exactly "grown memory shrinks back to the image" m s;
+  Alcotest.(check int64) "size restored" 1L (Memory.size_pages m);
+  Alcotest.(check int) "and the dirty path resumes" 0 (Memory.restore m s)
+
+let test_tag_restore_dirty_runs () =
+  let tm = Arch.Tag_memory.create ~size_bytes:(16 * chunk) in
+  let s = Arch.Tag_memory.snapshot tm in
+  let tagged addr len t =
+    match Arch.Tag_memory.set_region tm ~addr ~len (Arch.Tag.of_int t) with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  in
+  let same () =
+    Alcotest.(check bool) "tags restored" true
+      (String.equal (Arch.Tag_memory.to_string tm)
+         (Arch.Tag_memory.snapshot_to_string s))
+  in
+  Alcotest.(check int) "clean: nothing copied" 0 (Arch.Tag_memory.restore tm s);
+  (* one chunk's tags are 256 granules = 128 bytes of tag storage *)
+  tagged (Int64.of_int ((2 * chunk) - 32)) 64L 5;
+  Alcotest.(check int) "a region across a chunk edge marks both" 256
+    (Arch.Tag_memory.restore tm s);
+  same ();
+  (match Arch.Tag_memory.set_region tm ~addr:8L ~len:16L (Arch.Tag.of_int 1) with
+  | Ok () -> Alcotest.fail "misaligned retag accepted"
+  | Error _ -> ());
+  Alcotest.(check int) "a rejected retag marks nothing" 0
+    (Arch.Tag_memory.restore tm s);
+  ignore (Arch.Tag_memory.grow tm ~new_size_bytes:(32 * chunk));
+  Alcotest.(check int) "after grow: full copy" (Arch.Tag_memory.snapshot_bytes s)
+    (Arch.Tag_memory.restore tm s);
+  same ()
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_i64_binop_matches_ocaml; prop_store_load_identity;
@@ -1315,6 +1406,13 @@ let () =
             test_zero_length_bulk_at_boundary;
           tc "memory.grow 0 queries" test_memory_grow_zero_queries;
           tc "br_table bad label hard-traps" test_br_table_bad_label_traps;
+        ] );
+      ( "snapshot",
+        [
+          tc "dirty restore copies touched chunks"
+            test_dirty_restore_copies_touched_chunks;
+          tc "foreign or resized image: full copy" test_restore_fallback_full_copy;
+          tc "tag plane dirty runs" test_tag_restore_dirty_runs;
         ] );
       ("wasm-properties", qtests);
     ]
