@@ -624,81 +624,6 @@ let run_obsoverhead () =
   Format.fprintf (!ppf_ref) "  wrote BENCH_obsoverhead.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Static check elision (BENCH_elide.json)                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The tag-safety analyzer proves many PolyBench accesses in-bounds on
-   definitely-live segments; those skip the MTE granule check at
-   runtime. Measure the elided fraction and the modeled speedup per
-   kernel, with a built-in differential (checksums must not change). *)
-let run_elide () =
-  Harness.Report.title (!ppf_ref)
-    "Static check elision: PolyBench under Cage-mem-safety (Cortex-X3 model)";
-  let core = Arch.Cpu_model.cortex_x3 in
-  let cfg = Cage.Config.mem_safety in
-  let rows =
-    List.map
-      (fun (k : Workloads.Polybench.kernel) ->
-        let m0 = Wasm.Meter.create () and m1 = Wasm.Meter.create () in
-        let v0 =
-          Libc.Run.ret_i32 (Libc.Run.run ~cfg ~meter:m0 k.k_source)
-        in
-        let v1 =
-          Libc.Run.ret_i32
-            (Libc.Run.run ~cfg:(Cage.Config.with_elision cfg) ~meter:m1
-               k.k_source)
-        in
-        if v0 <> v1 then
-          failwith
-            (Printf.sprintf "%s: elision changed the checksum (%ld vs %ld)"
-               k.k_name v0 v1);
-        let accesses = Wasm.Meter.mem_accesses m1 in
-        let frac =
-          if accesses = 0 then 0.0
-          else
-            float_of_int m1.Wasm.Meter.elided_checks /. float_of_int accesses
-        in
-        let base = Cage.Lowering.seconds core cfg m0 in
-        let elided = Cage.Lowering.seconds core cfg m1 in
-        let speedup = 100.0 *. (1.0 -. (elided /. base)) in
-        (k.k_name, frac, speedup))
-      Workloads.Polybench.all
-  in
-  Harness.Report.table (!ppf_ref)
-    ~header:[ "kernel"; "checks elided"; "modeled speedup" ]
-    (List.map
-       (fun (name, frac, speedup) ->
-         [
-           name;
-           Printf.sprintf "%.1f%%" (100.0 *. frac);
-           Printf.sprintf "%.2f%%" speedup;
-         ])
-       rows);
-  let mean f = List.fold_left (fun a r -> a +. f r) 0.0 rows
-               /. float_of_int (List.length rows) in
-  let mean_frac = mean (fun (_, f, _) -> f) in
-  let mean_speedup = mean (fun (_, _, s) -> s) in
-  Format.fprintf (!ppf_ref)
-    "  mean: %.1f%% of checked accesses elided, %.2f%% modeled speedup \
-     (target: nonzero, checksums unchanged)@."
-    (100.0 *. mean_frac) mean_speedup;
-  let oc = open_out "BENCH_elide.json" in
-  Printf.fprintf oc "{\n  \"config\": %S,\n  \"core\": %S,\n  \"kernels\": [\n"
-    cfg.Cage.Config.name core.Arch.Cpu_model.name;
-  List.iteri
-    (fun i (name, frac, speedup) ->
-      Printf.fprintf oc
-        "    { \"name\": %S, \"elided_frac\": %.4f, \"speedup_pct\": %.3f }%s\n"
-        name frac speedup
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc
-    "  ],\n  \"mean_elided_frac\": %.4f,\n  \"mean_speedup_pct\": %.3f\n}\n"
-    mean_frac mean_speedup;
-  close_out oc;
-  Format.fprintf (!ppf_ref) "  wrote BENCH_elide.json@."
-
-(* ------------------------------------------------------------------ *)
 (* Interprocedural analysis (BENCH_analysis.json)                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1066,7 +991,6 @@ let experiments =
     ("escape", run_escape);
     ("memfast", run_memfast);
     ("obsoverhead", run_obsoverhead);
-    ("elide", run_elide);
     ("analysis", run_analysis);
     ("exec", run_exec);
     ("bechamel", run_bechamel);
@@ -1076,7 +1000,7 @@ let default_order =
   [
     "table1"; "fig4"; "fig14"; "fig15"; "fig16"; "table2"; "mem"; "startup";
     "collision"; "ablation"; "modes"; "escape"; "memfast"; "obsoverhead";
-    "elide"; "analysis"; "exec"; "bechamel";
+    "analysis"; "exec"; "bechamel";
   ]
 
 let () =

@@ -137,9 +137,8 @@ let run input config entry args show_meter trace_out show_metrics profile_out
                 (In_channel.with_open_text input In_channel.input_all)
             else Wasm.Binary.read_file input
           in
-          (match Wasm.Validate.validate m with
-          | Ok () -> ()
-          | Error e -> failwith ("invalid module: " ^ e));
+          (* the analyzer plans only validated modules *)
+          Wasm.Validate.check m;
           let iconfig = Cage.Config.instance_config ~meter ~seed config in
           let iconfig =
             if config.Cage.Config.elide_checks then begin
@@ -179,6 +178,7 @@ let run input config entry args show_meter trace_out show_metrics profile_out
       Ok values
     with
     | Wasm.Instance.Trap msg -> Error ("trap: " ^ msg)
+    | Wasm.Validate.Invalid msg -> Error ("invalid module: " ^ msg)
     | Libc.Wasi.Proc_exit code -> Ok [ Wasm.Values.I32 (Int32.of_int code) ]
     | Minic.Driver.Compile_error msg -> Error msg
     | Wasm.Text.Parse_error msg -> Error ("wat parse error: " ^ msg)

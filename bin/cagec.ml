@@ -186,8 +186,8 @@ let run input output config emit_wat no_libc instrument_all stats wstack
         in
         List.iter
           (fun (s : Wasm.Xcode.stats) ->
-            if s.Wasm.Xcode.st_instrs > 0 || not s.Wasm.Xcode.st_supported
-            then Format.eprintf "%a@." Wasm.Xcode.pp_stats s)
+            if s.Wasm.Xcode.st_instrs > 0 then
+              Format.eprintf "%a@." Wasm.Xcode.pp_stats s)
           fstats;
         let total f =
           List.fold_left (fun acc s -> acc + f s) 0 fstats

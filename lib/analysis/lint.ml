@@ -109,26 +109,13 @@ let pp ppf t =
 (* JSON export                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let json_string_list b key items ~indent =
   Buffer.add_string b (Printf.sprintf "%s\"%s\": [" indent key);
   List.iteri
     (fun i s ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b (Printf.sprintf "\n%s  \"" indent);
-      json_escape b s;
+      Obs.Trace.json_escape b s;
       Buffer.add_char b '"')
     items;
   if items <> [] then Buffer.add_string b (Printf.sprintf "\n%s" indent);

@@ -154,32 +154,19 @@ let records t = List.rev t.recs
 (* Chrome trace_event JSON                                             *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let args_json b args =
   Buffer.add_char b '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_char b '"';
-      json_escape b k;
+      Trace.json_escape b k;
       Buffer.add_string b "\":";
       match v with
       | I n -> Buffer.add_string b (string_of_int n)
       | S s ->
           Buffer.add_char b '"';
-          json_escape b s;
+          Trace.json_escape b s;
           Buffer.add_char b '"')
     args;
   Buffer.add_char b '}'
@@ -198,7 +185,7 @@ let record_json b r =
         ("f", Printf.sprintf ",\"bp\":\"e\",\"id\":%d" id)
   in
   Buffer.add_string b "{\"name\":\"";
-  json_escape b r.r_name;
+  Trace.json_escape b r.r_name;
   Buffer.add_string b
     (Printf.sprintf
        "\",\"cat\":\"serve\",\"ph\":\"%s\",\"ts\":%d,\"pid\":1,\"tid\":%d%s"
@@ -224,7 +211,7 @@ let to_chrome_json t =
         (Printf.sprintf
            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\""
            tid);
-      json_escape b name;
+      Trace.json_escape b name;
       Buffer.add_string b "\"}}";
       Buffer.add_string b
         (Printf.sprintf

@@ -66,6 +66,8 @@ let recent t k =
 (* Chrome trace_event JSON                                             *)
 (* ------------------------------------------------------------------ *)
 
+(** Append [s] to [b] as the body of a JSON string literal — the one
+    escaper every JSON exporter in the tree uses. *)
 let json_escape b s =
   String.iter
     (fun c ->

@@ -88,7 +88,7 @@ let resolve_addr (idx : Values.t) (offset : int64) =
   match idx with
   | Values.I32 i -> (resolve_addr_i32 i offset, Arch.Tag.zero)
   | Values.I64 p -> resolve_addr_i64 p offset
-  | v -> trap "bad address operand %a" Values.pp v
+  | Values.F32 _ | Values.F64 _ -> assert false (* validated: integer *)
 
 (* The tag-check verdict for one span. [Deferred] faults are latched in
    the engine's sticky TFSR by [Mte.check]; the interpreter drains them

@@ -8,17 +8,12 @@
 
     This module resolves all of that once, at instantiation: every
     branch carries its target depth {e and} the label's arity; br_table
-    target lists become arrays (O(1) selection); a label index with no
-    matching enclosing block compiles to {!Bad_label}, which traps hard
-    at execution instead of guessing arity 0. Non-control instructions
-    are embedded unchanged as {!Basic}, so the numeric/memory dispatch
-    in the interpreter is untouched. *)
+    target lists become arrays (O(1) selection). Bodies are validated
+    before they are prepared, so every label index names an enclosing
+    block. Non-control instructions are embedded unchanged as {!Basic},
+    so the numeric/memory dispatch in the interpreter is untouched. *)
 
-type label =
-  | L of { depth : int; arity : int }
-  | Bad_label of int
-      (** the label index had no enclosing block: executing it is a
-          hard trap, never a silent arity-0 branch *)
+type label = { depth : int; arity : int }
 
 type instr =
   | Basic of Ast.instr * int
@@ -61,10 +56,7 @@ let block_arity : Ast.block_type -> int = function
 
 (* [arities] is the static label stack, innermost first; its base entry
    is the function's result arity (the function-body label). *)
-let resolve arities n =
-  match List.nth_opt arities n with
-  | Some arity -> L { depth = n; arity }
-  | None -> Bad_label n
+let resolve arities n = { depth = n; arity = List.nth arities n }
 
 (* Explicit left-to-right recursion: the id counter in [next] makes the
    traversal order part of the numbering contract. *)
@@ -105,7 +97,8 @@ let elidable elide id =
   byte < Bytes.length elide
   && Char.code (Bytes.unsafe_get elide byte) land (1 lsl (id land 7)) <> 0
 
-(** Prepare a function body whose type has [result_arity] results.
+(** Prepare a validated function body whose type has [result_arity]
+    results.
     [elide]/[belide]/[arena], when given, are the per-function bitsets
     produced by the static analyzer (see {!elidable}). *)
 let prepare ?(elide = Bytes.empty) ?(belide = Bytes.empty)

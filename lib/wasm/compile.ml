@@ -12,38 +12,28 @@
     targets, elision bits, numeric specialisations — into closure
     environments at instantiation time.
 
-    {2 When lowering declines}
+    {2 Lowering is total}
 
-    The interpreter executes unvalidated modules with lenient dynamic
-    semantics (typed-value traps like ["expected i32"], operand-stack
-    underflow traps, leftover values on branches). Compiling those
-    faithfully would re-introduce the dynamic checks the threaded engine
-    exists to remove, so the compiler runs a small static validator as
-    it walks the body; any function that needs a dynamic answer —
-    a type mismatch, a stack-height mismatch between branch paths, an
-    out-of-range index — raises {!Unsupported} and falls back to the
-    interpreter {e for that function only}. Validated wasm always
-    compiles; the fallback exists for the adversarial inputs the fuzz
-    and chaos suites feed the engine.
+    {!Exec.instantiate} validates every module before it lowers it, so
+    the compiler never meets an ill-typed body: operand types, label
+    indices and stack heights are guaranteed, and it tracks only the
+    static operand-stack {e height}, which fixes every slot index.
+    Every function of a [Threaded] instance is compiled; there is no
+    per-function interpreter fallback.
 
-    {2 Branches are plain jumps}
+    {2 Branches are jumps}
 
-    The interpreter's branch semantics keep any extra operand-stack
-    values a branch jumps over (it pops the label's arity, unwinds by
-    exception, and re-pushes — the stack below is untouched). The
-    compiler therefore requires every path into a join point to carry
-    the {e same} static operand stack; when that holds, a branch moves
-    no values at all and compiles to a bare [fun _ -> target]. Function
-    exit is the one join with value movement: leftovers below the
-    result values are discarded at the frame boundary (unobservable), so
-    [return]/exit ops blit the top [arity] slots down to the operand
-    base and jump to the exit index. *)
+    A branch to a block carries the label's values to the block's entry
+    height, dropping any operands the body left below them (the spec's
+    semantics, which the interpreter implements by restoring its entry
+    stack). When nothing lies below the carried values — the shape every
+    branch in compiled MiniC has — the branch moves no values and
+    compiles to a bare [fun _ -> target]; otherwise it blits the top
+    [arity] slots down first. Loop labels carry nothing, and [return] is
+    a branch to the function label, whose entry height is the operand
+    base. *)
 
 open Xcode
-
-exception Unsupported of string
-
-let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Runtime helpers shared by the emitted closures                      *)
@@ -156,15 +146,6 @@ let[@inline] resolve64p (s : float) (off : int) : int =
       ((b land 0xffff_ffff_ffff) + off) lor (((b lsr 56) land 0xf) lsl 50)
   | Some _ -> resolve64_chaos s off
 
-(* The interpreter bridge, installed by [Exec] at link time: invoke
-   function [fi] through the tree-walker with the given callee depth.
-   [Exec.invoke_idx] performs its own depth check and fuel burn, so the
-   threaded caller must not pre-pay them on this arm. *)
-let interp_call :
-    (Instance.t -> int -> int -> Values.t list -> Values.t list) ref =
-  ref (fun _ _ _ _ ->
-      raise (Instance.Trap "threaded engine: interpreter bridge not installed"))
-
 (* The call protocol. Caller arguments occupy the top of the caller's
    operand area, at absolute slots [argp .. argp + nargs - 1]; the
    callee's frame starts exactly there (arguments become parameters in
@@ -173,7 +154,7 @@ let interp_call :
    The caller's base/opbase/depth live on the OCaml stack across the
    nested dispatch loop. *)
 let call_function (st : Instance.t Xcode.state) fi argp
-    (param_tys : Types.val_type array) (_result_tys : Types.val_type array) =
+    (param_tys : Types.val_type array) =
   let inst = st.inst in
   match inst.funcs.(fi) with
   | Instance.Wasm_func { xcode = Some xf; _ } ->
@@ -216,17 +197,8 @@ let call_function (st : Instance.t Xcode.state) fi argp
       st.opbase <- save_opbase;
       st.depth <- save_depth
   | Instance.Wasm_func { xcode = None; _ } ->
-      (* Per-function interpreter fallback: box the arguments, let the
-         tree-walker run the callee (it does its own depth/fuel/obs/sync
-         bookkeeping), and reinterpret the results as slots. *)
-      let nargs = Array.length param_tys in
-      let args =
-        List.init nargs (fun j ->
-            Xcode.value_of_slot param_tys.(j) st.stk.(argp + j))
-      in
-      let results = !interp_call inst (st.depth + 1) fi args in
-      List.iteri (fun j v -> st.stk.(argp + j) <- Xcode.slot_of_value v) results
-  | Instance.Host_func { fn; ty = _; name } ->
+      assert false (* every local function of a threaded instance is compiled *)
+  | Instance.Host_func { fn; ty; name } ->
       let d = st.depth + 1 in
       if d > Rt.max_call_depth then
         Rt.trap "stack: call stack exhausted (depth %d)" d;
@@ -243,14 +215,12 @@ let call_function (st : Instance.t Xcode.state) fi argp
         List.init nargs (fun j ->
             Xcode.value_of_slot param_tys.(j) st.stk.(argp + j))
       in
-      let results =
-        try fn inst args
-        with Invalid_argument msg -> Rt.trap "host %s: %s" name msg
-      in
-      List.iteri (fun j v -> st.stk.(argp + j) <- Xcode.slot_of_value v) results
+      List.iteri
+        (fun j v -> st.stk.(argp + j) <- Xcode.slot_of_value v)
+        (Rt.host_call inst ~name ~ty fn args)
 
-(** Run a compiled body from the interpreter side (entry calls and the
-    interp-to-threaded bridge). The caller — [Exec.invoke_idx] — has
+(** Run a compiled body from an entry call. The caller —
+    [Exec.invoke_idx] — has
     already done the depth check, fuel burn, call-stack push and
     [Func_enter] event, and will drain deferred faults and pop the
     frame afterwards; this only executes the body. [depth] is the
@@ -344,59 +314,55 @@ let fbinop_bump (op : Ast.fbinop) : Meter.t -> unit =
   | FDiv -> fun m -> m.fdiv <- m.fdiv + 1
   | _ -> fun m -> m.falu <- m.falu + 1
 
-(* Conversion ops as (source type, result type, slot transform). *)
-let cvt_sig (op : Ast.cvtop) :
-    Types.val_type * Types.val_type * (float -> float) =
-  let open Types in
+(* Conversion ops as slot transforms. *)
+let cvt_fn (op : Ast.cvtop) : float -> float =
   match op with
   | I32WrapI64 ->
-      (I64, I32, fun s -> Xcode.slot_of_i32 (Int64.to_int32 (Xcode.i64_of_slot s)))
+      fun s -> Xcode.slot_of_i32 (Int64.to_int32 (Xcode.i64_of_slot s))
   | I64ExtendI32S ->
       (* an i32 slot already holds the sign-extended 64-bit pattern *)
-      (I32, I64, fun s -> s)
+      fun s -> s
   | I64ExtendI32U ->
-      ( I32,
-        I64,
-        fun s ->
-          Xcode.slot_of_i64 (Int64.logand (Int64.bits_of_float s) 0xffffffffL) )
+      fun s ->
+          Xcode.slot_of_i64 (Int64.logand (Int64.bits_of_float s) 0xffffffffL)
   | I32TruncF32S ->
-      (F32, I32, fun s -> Xcode.slot_of_i32 (Numerics.trunc_to_i32 ~signed:true s))
+      fun s -> Xcode.slot_of_i32 (Numerics.trunc_to_i32 ~signed:true s)
   | I32TruncF32U ->
-      (F32, I32, fun s -> Xcode.slot_of_i32 (Numerics.trunc_to_i32 ~signed:false s))
+      fun s -> Xcode.slot_of_i32 (Numerics.trunc_to_i32 ~signed:false s)
   | I32TruncF64S ->
-      (F64, I32, fun s -> Xcode.slot_of_i32 (Numerics.trunc_to_i32 ~signed:true s))
+      fun s -> Xcode.slot_of_i32 (Numerics.trunc_to_i32 ~signed:true s)
   | I32TruncF64U ->
-      (F64, I32, fun s -> Xcode.slot_of_i32 (Numerics.trunc_to_i32 ~signed:false s))
+      fun s -> Xcode.slot_of_i32 (Numerics.trunc_to_i32 ~signed:false s)
   | I64TruncF32S ->
-      (F32, I64, fun s -> Xcode.slot_of_i64 (Numerics.trunc_to_i64 ~signed:true s))
+      fun s -> Xcode.slot_of_i64 (Numerics.trunc_to_i64 ~signed:true s)
   | I64TruncF32U ->
-      (F32, I64, fun s -> Xcode.slot_of_i64 (Numerics.trunc_to_i64 ~signed:false s))
+      fun s -> Xcode.slot_of_i64 (Numerics.trunc_to_i64 ~signed:false s)
   | I64TruncF64S ->
-      (F64, I64, fun s -> Xcode.slot_of_i64 (Numerics.trunc_to_i64 ~signed:true s))
+      fun s -> Xcode.slot_of_i64 (Numerics.trunc_to_i64 ~signed:true s)
   | I64TruncF64U ->
-      (F64, I64, fun s -> Xcode.slot_of_i64 (Numerics.trunc_to_i64 ~signed:false s))
+      fun s -> Xcode.slot_of_i64 (Numerics.trunc_to_i64 ~signed:false s)
   | F32ConvertI32S ->
-      (I32, F32, fun s -> Values.to_f32 (float_of_int (int_of_slot s)))
+      fun s -> Values.to_f32 (float_of_int (int_of_slot s))
   | F32ConvertI32U ->
-      (I32, F32, fun s -> Values.to_f32 (Numerics.u32_to_float (Xcode.i32_of_slot s)))
+      fun s -> Values.to_f32 (Numerics.u32_to_float (Xcode.i32_of_slot s))
   | F32ConvertI64S ->
-      (I64, F32, fun s -> Values.to_f32 (Int64.to_float (Xcode.i64_of_slot s)))
+      fun s -> Values.to_f32 (Int64.to_float (Xcode.i64_of_slot s))
   | F32ConvertI64U ->
-      (I64, F32, fun s -> Values.to_f32 (Numerics.u64_to_float (Xcode.i64_of_slot s)))
-  | F64ConvertI32S -> (I32, F64, fun s -> float_of_int (int_of_slot s))
+      fun s -> Values.to_f32 (Numerics.u64_to_float (Xcode.i64_of_slot s))
+  | F64ConvertI32S -> fun s -> float_of_int (int_of_slot s)
   | F64ConvertI32U ->
-      (I32, F64, fun s -> Numerics.u32_to_float (Xcode.i32_of_slot s))
-  | F64ConvertI64S -> (I64, F64, fun s -> Int64.to_float (Xcode.i64_of_slot s))
+      fun s -> Numerics.u32_to_float (Xcode.i32_of_slot s)
+  | F64ConvertI64S -> fun s -> Int64.to_float (Xcode.i64_of_slot s)
   | F64ConvertI64U ->
-      (I64, F64, fun s -> Numerics.u64_to_float (Xcode.i64_of_slot s))
-  | F32DemoteF64 -> (F64, F32, Values.to_f32)
-  | F64PromoteF32 -> (F32, F64, fun s -> s)
+      fun s -> Numerics.u64_to_float (Xcode.i64_of_slot s)
+  | F32DemoteF64 -> Values.to_f32
+  | F64PromoteF32 -> fun s -> s
   | I32ReinterpretF32 ->
-      (F32, I32, fun s -> Xcode.slot_of_i32 (Int32.bits_of_float s))
-  | I64ReinterpretF64 -> (F64, I64, fun s -> s)
+      fun s -> Xcode.slot_of_i32 (Int32.bits_of_float s)
+  | I64ReinterpretF64 -> fun s -> s
   | F32ReinterpretI32 ->
-      (I32, F32, fun s -> Int32.float_of_bits (Xcode.i32_of_slot s))
-  | F64ReinterpretI64 -> (I64, F64, fun s -> s)
+      fun s -> Int32.float_of_bits (Xcode.i32_of_slot s)
+  | F64ReinterpretI64 -> fun s -> s
 
 (* Scalar load specialisation: (access width, width/extension kind).
    A packed i32 load's slot pattern coincides with the i64 one for
@@ -413,7 +379,7 @@ let load_kind (ty : Types.num_type)
   | (Types.I32 | Types.I64), Some (p, ext) ->
       let n = match p with Ast.Pack8 -> 1 | Pack16 -> 2 | Pack32 -> 4 in
       (n, Lk_pack (n, ext = Ast.SX))
-  | (Types.F32 | Types.F64), Some _ -> unsupported "packed load of float"
+  | (Types.F32 | Types.F64), Some _ -> assert false (* validated *)
 
 (* Scalar store specialisation. Packed stores write the slot's low
    bytes directly: the slot pattern of an i32 equals [Int64.of_int32]
@@ -429,16 +395,15 @@ let store_kind (ty : Types.num_type) (pack : Ast.pack_size option) :
   | (Types.I32 | Types.I64), Some p ->
       let n = match p with Ast.Pack8 -> 1 | Pack16 -> 2 | Pack32 -> 4 in
       (n, Sk_pack n)
-  | (Types.F32 | Types.F64), Some _ -> unsupported "packed float store"
+  | (Types.F32 | Types.F64), Some _ -> assert false (* validated *)
 
 (* Static memarg offsets on the native path must keep the effective
    address within the packed 50-bit address field; wasm encodes them
-   as u32 (u64 under memory64), so anything above 2^31 — always out of
-   bounds of the 1 GiB cap anyway — falls back to the interpreter. *)
-let native_off (off : int64) : int =
-  if off < 0L || off > 0x7fff_ffffL then
-    unsupported "memarg offset out of native range";
-  Int64.to_int off
+   as u32 (u64 under memory64). Any offset of 2^31 or more puts every
+   access out of bounds of the 1 GiB memory cap, so it is clamped to
+   2^31: the access traps with the same message, after the same
+   metering, as it does at its full offset. *)
+let native_off (off : int64) : int = Int64.to_int (Int64.min off 0x8000_0000L)
 
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                        *)
@@ -446,63 +411,54 @@ let native_off (off : int64) : int =
 
 type frame = {
   l_target : int ref;  (** op index branches to this label jump to *)
-  l_kind : [ `Block | `Loop | `Func ];
+  l_loop : bool;       (** a loop label: branches go back, carrying nothing *)
   l_arity : int;
-  l_entry : Types.val_type list;
-      (** [`Loop]: the static stack a back-edge must reproduce;
-          [`Func]: the function's result types, topmost first *)
-  mutable l_merge : Types.val_type list option;
-      (** [`Block]: the static stack every path into the join agreed
-          on; [None] until the first inbound path *)
+  l_height : int;      (** static operand height at the label's entry *)
+  mutable l_reached : bool;
+      (** a branch targets this (non-loop) label, so its end is live
+          even when the body's fall-through is not *)
 }
 
 let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     ~(func : Ast.func) ~(code : Code.func) ~(mtr : Meter.t) :
-    Instance.t Xcode.func option * Xcode.stats =
+    Instance.t Xcode.func * Xcode.stats =
   let nparams = List.length ty.params in
-  let local_tys = Array.of_list (ty.params @ func.locals) in
-  let nlocals = Array.length local_tys - nparams in
+  let nlocals = List.length func.locals in
   let result_arity = code.result_arity in
-  let rev_results = List.rev ty.results in
   let global_tys =
-    Array.of_list
-      (List.map (fun (g : Ast.global) -> Values.type_of g.g_init) m.globals)
+    Array.of_list (List.map (fun (g : Ast.global) -> g.g_type.Types.g_type) m.globals)
   in
-  let n_funcs = Ast.num_imports m + List.length m.funcs in
+  (* A validated module without a memory has no memory instructions, so
+     the [None] default is never consulted. *)
   let mem_idx =
-    match m.memory with
-    | Some mt -> Some mt.Types.mem_idx
-    | None -> None
+    match m.memory with Some mt -> mt.Types.mem_idx | None -> Types.Idx32
   in
-  (* --- static state --- *)
-  let ts : Types.val_type list ref = ref [] in
+  let addr_ty = Types.addr_type mem_idx in
+  (* Page counts and bulk lengths are unsigned in the memory's index
+     type; bulk-op addresses resolve as [Checked.resolve_addr] does. *)
+  let idx_of_slot, slot_of_idx =
+    match mem_idx with
+    | Types.Idx32 ->
+        ( (fun s -> Int64.logand (Int64.of_int32 (Xcode.i32_of_slot s)) 0xffffffffL),
+          fun v -> Xcode.slot_of_i32 (Int64.to_int32 v) )
+    | Types.Idx64 -> (Xcode.i64_of_slot, Xcode.slot_of_i64)
+  in
+  let resolve_bulk =
+    match mem_idx with
+    | Types.Idx32 ->
+        fun s -> (Checked.resolve_addr_i32 (Xcode.i32_of_slot s) 0L, Arch.Tag.zero)
+    | Types.Idx64 -> fun s -> Checked.resolve_addr_i64 (Xcode.i64_of_slot s) 0L
+  in
+  (* --- static state: the operand-stack height --- *)
   let h = ref 0 in
   let max_h = ref 0 in
-  let push t =
-    ts := t :: !ts;
+  let push () =
     incr h;
     if !h > !max_h then max_h := !h
   in
-  let pop () =
-    match !ts with
-    | [] -> unsupported "operand stack underflow"
-    | t :: r ->
-        ts := r;
-        decr h;
-        t
-  in
-  let pop_ty t =
-    let t' = pop () in
-    if t' <> t then
-      unsupported "expected %s, got %s"
-        (Types.string_of_num_type t)
-        (Types.string_of_num_type t')
-  in
-  let pop_addr () =
-    match pop () with
-    | (Types.I32 | Types.I64) as t -> t
-    | t -> unsupported "bad address operand %s" (Types.string_of_num_type t)
-  in
+  let pop () = decr h in
+  let pop_n n = h := !h - n in
+  let push_n n = for _ = 1 to n do push () done in
   (* --- op builder --- *)
   let rev_ops : Instance.t Xcode.op list ref = ref [] in
   let count = ref 0 in
@@ -551,7 +507,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
      text is [Checked]'s verbatim. The tag check exists only on the
      checked arms, guarded on [enforce_tags] so untagged configs never
      box the address. *)
-  let load_body ~(addr_ty : Types.val_type) ~elide ~ebounds ~len ~(lk : lkind)
+  let load_body ~elide ~ebounds ~len ~(lk : lkind)
       ~(off : int) ~(src : slotref) ~(dst : slotref) :
       Instance.t Xcode.state -> unit =
     (* The fully-elided arms drop the span compare too; the raw memory
@@ -677,7 +633,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
           mtr.Meter.load_bytes <- mtr.Meter.load_bytes + len;
           write_slot st dst (do_load lk mem addr)
   in
-  let store_body ~(addr_ty : Types.val_type) ~elide ~ebounds ~len ~(sk : skind)
+  let store_body ~elide ~ebounds ~len ~(sk : skind)
       ~(off : int) ~(src : slotref) ~(vsrc : slotref) :
       Instance.t Xcode.state -> unit =
     match (addr_ty, elide, ebounds) with
@@ -799,73 +755,32 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
   (* ---------------------------------------------------------------- *)
   (* Branch actions                                                    *)
   (* ---------------------------------------------------------------- *)
-  (* Validate a branch to [l] from the current static stack and return
-     the runtime "take the branch" continuation. Loop back-edges pay
-     the loop label's catch-clause [meter_br] on top of the branch's
-     own (the interpreter's [Loop] handler re-meters on every
-     iteration); function-label branches blit the top [arity] slots to
-     the operand base, discarding leftovers at the frame boundary. *)
-  let branch_action labels (l : Code.label) : Instance.t Xcode.state -> int =
-    match l with
-    | Code.Bad_label n -> fun _ -> Rt.trap "branch depth %d out of range" n
-    | Code.L { depth; _ } -> (
-        let fr =
-          match List.nth_opt labels depth with
-          | Some fr -> fr
-          | None -> assert false (* Code.resolve bounds label depths *)
-        in
-        let tgt = fr.l_target in
-        match fr.l_kind with
-        | `Loop ->
-            if !ts <> fr.l_entry then
-              unsupported "loop back-edge stack mismatch";
-            fun st ->
-              meter_br st.inst;
-              !tgt
-        | `Block ->
-            if !h < fr.l_arity then unsupported "operand stack underflow";
-            (match fr.l_merge with
-            | None -> fr.l_merge <- Some !ts
-            | Some s -> if s <> !ts then unsupported "branch join stack mismatch");
-            fun _ -> !tgt
-        | `Func ->
-            let arity = fr.l_arity in
-            if !h < arity then unsupported "operand stack underflow";
-            let rec firstn n = function
-              | _ when n = 0 -> []
-              | [] -> []
-              | x :: r -> x :: firstn (n - 1) r
-            in
-            if firstn arity !ts <> fr.l_entry then
-              unsupported "result type mismatch at function exit";
-            let k = !h - arity in
-            if k = 0 || arity = 0 then fun _ -> !tgt
-            else if arity = 1 then fun st ->
-              let stk = st.stk in
-              Array.unsafe_set stk st.opbase
-                (Array.unsafe_get stk (st.opbase + k));
-              !tgt
-            else fun st ->
-              Array.blit st.stk (st.opbase + k) st.stk st.opbase arity;
-              !tgt)
-  in
-  (* The blit-at-exit for [return] and end-of-body fall-through. *)
-  let exit_move () =
-    if !h < result_arity then unsupported "operand stack underflow";
-    let rec firstn n = function
-      | _ when n = 0 -> []
-      | [] -> []
-      | x :: r -> x :: firstn (n - 1) r
-    in
-    if firstn result_arity !ts <> rev_results then
-      unsupported "result type mismatch at function exit";
-    let k = !h - result_arity in
-    let arity = result_arity in
-    if k = 0 || arity = 0 then fun (_ : Instance.t Xcode.state) -> ()
-    else if arity = 1 then fun st ->
-      let stk = st.stk in
-      Array.unsafe_set stk st.opbase (Array.unsafe_get stk (st.opbase + k))
-    else fun st -> Array.blit st.stk (st.opbase + k) st.stk st.opbase arity
+  (* The runtime "take the branch" continuation for a branch to [l]
+     from the current static height. Loop back-edges pay the loop
+     label's catch-clause [meter_br] on top of the branch's own (the
+     interpreter's [Loop] handler re-meters on every iteration); any
+     other label's values are carried down to its entry height. *)
+  let branch_action labels ({ depth; _ } : Code.label) :
+      Instance.t Xcode.state -> int =
+    let fr = List.nth labels depth in
+    let tgt = fr.l_target in
+    if fr.l_loop then fun st ->
+      meter_br st.inst;
+      !tgt
+    else begin
+      fr.l_reached <- true;
+      let arity = fr.l_arity and dst = fr.l_height in
+      let k = !h - dst - arity in
+      if k = 0 || arity = 0 then fun _ -> !tgt
+      else if arity = 1 then fun st ->
+        let stk = st.stk in
+        Array.unsafe_set stk (st.opbase + dst)
+          (Array.unsafe_get stk (st.opbase + dst + k));
+        !tgt
+      else fun st ->
+        Array.blit st.stk (st.opbase + dst + k) st.stk (st.opbase + dst) arity;
+        !tgt
+    end
   in
   (* ---------------------------------------------------------------- *)
   (* Singleton instruction compilation                                 *)
@@ -886,17 +801,14 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.Drop ->
-        ignore (pop ());
+        pop ();
         emit1 (fun next st ->
             tick st.inst;
             next);
         `Live
     | Ast.Select ->
-        pop_ty Types.I32;
-        let t2 = pop () in
-        let t1 = pop () in
-        if t1 <> t2 then unsupported "select arm type mismatch";
-        push t1;
+        pop_n 3;
+        push ();
         let hres = !h - 1 in
         emit1 (fun next st ->
             tick st.inst;
@@ -908,8 +820,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.LocalGet i ->
-        if i >= Array.length local_tys then unsupported "local index out of range";
-        push local_tys.(i);
+        push ();
         let hres = !h - 1 in
         emit1 (fun next st ->
             tick st.inst;
@@ -920,8 +831,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.LocalSet i ->
-        if i >= Array.length local_tys then unsupported "local index out of range";
-        pop_ty local_tys.(i);
+        pop ();
         let hsrc = !h in
         emit1 (fun next st ->
             tick st.inst;
@@ -932,9 +842,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.LocalTee i ->
-        if i >= Array.length local_tys then unsupported "local index out of range";
-        pop_ty local_tys.(i);
-        push local_tys.(i);
+        pop ();
+        push ();
         let hsrc = !h - 1 in
         emit1 (fun next st ->
             tick st.inst;
@@ -945,9 +854,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.GlobalGet i ->
-        if i >= Array.length global_tys then
-          unsupported "global index out of range";
-        push global_tys.(i);
+        push ();
         let hres = !h - 1 in
         emit1 (fun next st ->
             tick st.inst;
@@ -957,10 +864,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.GlobalSet i ->
-        if i >= Array.length global_tys then
-          unsupported "global index out of range";
         let gty = global_tys.(i) in
-        pop_ty gty;
+        pop ();
         let hsrc = !h in
         emit1 (fun next st ->
             tick st.inst;
@@ -971,7 +876,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.I32Const v ->
-        push Types.I32;
+        push ();
         let hres = !h - 1 in
         let sc = Xcode.slot_of_i32 v in
         emit1 (fun next st ->
@@ -981,7 +886,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.I64Const v ->
-        push Types.I64;
+        push ();
         let hres = !h - 1 in
         let sc = Xcode.slot_of_i64 v in
         emit1 (fun next st ->
@@ -991,7 +896,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.F32Const v ->
-        push Types.F32;
+        push ();
         let hres = !h - 1 in
         let sc = Values.to_f32 v in
         emit1 (fun next st ->
@@ -1001,7 +906,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.F64Const v ->
-        push Types.F64;
+        push ();
         let hres = !h - 1 in
         emit1 (fun next st ->
             tick st.inst;
@@ -1012,8 +917,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     | Ast.IUnop (w, op) -> (
         match w with
         | Ast.W32 ->
-            pop_ty Types.I32;
-            push Types.I32;
+            pop ();
+            push ();
             let hres = !h - 1 in
             emit1 (fun next st ->
                 tick st.inst;
@@ -1027,8 +932,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                 next);
             `Live
         | Ast.W64 ->
-            pop_ty Types.I64;
-            push Types.I64;
+            pop ();
+            push ();
             let hres = !h - 1 in
             emit1 (fun next st ->
                 tick st.inst;
@@ -1045,9 +950,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         let bump = ibinop_bump op in
         match w with
         | Ast.W32 -> (
-            pop_ty Types.I32;
-            pop_ty Types.I32;
-            push Types.I32;
+            pop ();
+            pop ();
+            push ();
             let hres = !h - 1 in
             (* the non-trapping operators are written out so the whole
                slot-decode / compute / re-encode chain is one straight
@@ -1168,9 +1073,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                     next);
                 `Live)
         | Ast.W64 -> (
-            pop_ty Types.I64;
-            pop_ty Types.I64;
-            push Types.I64;
+            pop ();
+            pop ();
+            push ();
             let hres = !h - 1 in
             (* Int64 primitives are unboxed externals, so an in-body
                bits_of_float → op → float_of_bits chain never boxes *)
@@ -1271,11 +1176,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                       (Xcode.slot_of_i64 (Numerics.eval_ibinop64 op x y));
                     next);
                 `Live))
-    | Ast.ITestop w ->
-        (match w with
-        | Ast.W32 -> pop_ty Types.I32
-        | Ast.W64 -> pop_ty Types.I64);
-        push Types.I32;
+    | Ast.ITestop _ ->
+        pop ();
+        push ();
         let hres = !h - 1 in
         emit1 (fun next st ->
             tick st.inst;
@@ -1289,9 +1192,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     | Ast.IRelop (w, op) -> (
         match w with
         | Ast.W32 -> (
-            pop_ty Types.I32;
-            pop_ty Types.I32;
-            push Types.I32;
+            pop ();
+            pop ();
+            push ();
             let hres = !h - 1 in
             match op with
             | Ast.Eq ->
@@ -1373,9 +1276,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                     next);
                 `Live)
         | Ast.W64 ->
-            pop_ty Types.I64;
-            pop_ty Types.I64;
-            push Types.I32;
+            pop ();
+            pop ();
+            push ();
             let hres = !h - 1 in
             emit1 (fun next st ->
                 tick st.inst;
@@ -1391,8 +1294,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     | Ast.FUnop (w, op) -> (
         match w with
         | Ast.W32 ->
-            pop_ty Types.F32;
-            push Types.F32;
+            pop ();
+            push ();
             let hres = !h - 1 in
             emit1 (fun next st ->
                 tick st.inst;
@@ -1404,8 +1307,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                 next);
             `Live
         | Ast.W64 -> (
-            pop_ty Types.F64;
-            push Types.F64;
+            pop ();
+            push ();
             let hres = !h - 1 in
             match op with
             | Ast.Neg ->
@@ -1451,9 +1354,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
            body; min/max/copysign keep the generic (boxing) call. *)
         match w with
         | Ast.W32 -> (
-            pop_ty Types.F32;
-            pop_ty Types.F32;
-            push Types.F32;
+            pop ();
+            pop ();
+            push ();
             let hres = !h - 1 in
             match op with
             | Ast.FAdd ->
@@ -1522,9 +1425,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                     next);
                 `Live)
         | Ast.W64 -> (
-            pop_ty Types.F64;
-            pop_ty Types.F64;
-            push Types.F64;
+            pop ();
+            pop ();
+            push ();
             let hres = !h - 1 in
             match op with
             | Ast.FAdd ->
@@ -1579,15 +1482,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                     Array.unsafe_set stk p (Numerics.eval_fbinop op x y);
                     next);
                 `Live))
-    | Ast.FRelop (w, op) ->
-        (match w with
-        | Ast.W32 ->
-            pop_ty Types.F32;
-            pop_ty Types.F32
-        | Ast.W64 ->
-            pop_ty Types.F64;
-            pop_ty Types.F64);
-        push Types.I32;
+    | Ast.FRelop (_, op) ->
+        pop_n 2;
+        push ();
         let hres = !h - 1 in
         (* written out per-operator: a typed float compare never boxes,
            and NaN falls out of the IEEE compare exactly as
@@ -1655,9 +1552,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                 next));
         `Live
     | Ast.Cvtop op ->
-        let src, dst, fn = cvt_sig op in
-        pop_ty src;
-        push dst;
+        let fn = cvt_fn op in
+        pop ();
+        push ();
         let hres = !h - 1 in
         emit1 (fun next st ->
             tick st.inst;
@@ -1668,17 +1565,15 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.Load (lty, pack, ma) ->
-        if mem_idx = None then unsupported "load without memory";
-        let addr_ty = pop_addr () in
-        let res_ty : Types.val_type = lty in
-        push res_ty;
+        pop ();
+        push ();
         let hres = !h - 1 in
         let len, lk = load_kind lty pack in
         let off = native_off ma.Ast.offset in
         let elide = elide_of id in
         let ebounds = belide_of id in
         let body =
-          load_body ~addr_ty ~elide ~ebounds ~len ~lk ~off ~src:(Sop hres)
+          load_body ~elide ~ebounds ~len ~lk ~off ~src:(Sop hres)
             ~dst:(Sop hres)
         in
         emit1 (fun next st ->
@@ -1687,16 +1582,15 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.Store (sty, pack, ma) ->
-        if mem_idx = None then unsupported "store without memory";
-        pop_ty sty;
-        let addr_ty = pop_addr () in
+        pop ();
+        pop ();
         let ha = !h in
         let len, sk = store_kind sty pack in
         let off = native_off ma.Ast.offset in
         let elide = elide_of id in
         let ebounds = belide_of id in
         let body =
-          store_body ~addr_ty ~elide ~ebounds ~len ~sk ~off ~src:(Sop ha)
+          store_body ~elide ~ebounds ~len ~sk ~off ~src:(Sop ha)
             ~vsrc:(Sop (ha + 1))
         in
         emit1 (fun next st ->
@@ -1704,125 +1598,63 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             body st;
             next);
         `Live
-    | Ast.MemorySize -> (
-        match mem_idx with
-        | None -> unsupported "memory.size without memory"
-        | Some idx ->
-            push (Types.addr_type idx);
-            let hres = !h - 1 in
-            let mk =
-              match idx with
-              | Types.Idx32 ->
-                  fun pages -> Xcode.slot_of_i32 (Int64.to_int32 pages)
-              | Types.Idx64 -> fun pages -> Xcode.slot_of_i64 pages
-            in
-            emit1 (fun next st ->
-                tick st.inst;
-                Array.unsafe_set st.stk (st.opbase + hres)
-                  (mk (Memory.size_pages (gm st.inst)));
-                next);
-            `Live)
-    | Ast.MemoryGrow -> (
-        match mem_idx with
-        | None -> unsupported "memory.grow without memory"
-        | Some idx ->
-            pop_ty (Types.addr_type idx);
-            push (Types.addr_type idx);
-            let hres = !h - 1 in
-            let dec, mk =
-              match idx with
-              | Types.Idx32 ->
-                  ( (fun s ->
-                      Int64.logand
-                        (Int64.of_int32 (Xcode.i32_of_slot s))
-                        0xffffffffL),
-                    fun old -> Xcode.slot_of_i32 (Int64.to_int32 old) )
-              | Types.Idx64 -> ((fun s -> Xcode.i64_of_slot s), Xcode.slot_of_i64)
-            in
-            emit1 (fun next st ->
-                tick st.inst;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                let old = Rt.memory_grow st.inst (dec (Array.unsafe_get stk p)) in
-                Array.unsafe_set stk p (mk old);
-                next);
-            `Live)
-    | Ast.MemoryFill -> (
-        match mem_idx with
-        | None -> unsupported "memory.fill without memory"
-        | Some idx ->
-            pop_ty (Types.addr_type idx);
-            pop_ty Types.I32;
-            let dst_ty = pop_addr () in
-            let hdst = !h in
-            let dec_len =
-              match idx with
-              | Types.Idx32 ->
-                  fun s ->
-                    Int64.logand (Int64.of_int32 (Xcode.i32_of_slot s)) 0xffffffffL
-              | Types.Idx64 -> fun s -> Xcode.i64_of_slot s
-            in
-            let resolve_dst =
-              match dst_ty with
-              | Types.I32 ->
-                  fun s ->
-                    (Checked.resolve_addr_i32 (Xcode.i32_of_slot s) 0L, Arch.Tag.zero)
-              | _ -> fun s -> Checked.resolve_addr_i64 (Xcode.i64_of_slot s) 0L
-            in
-            emit1 (fun next st ->
-                tick st.inst;
-                let inst = st.inst in
-                let stk = st.stk in
-                let p = st.opbase + hdst in
-                let len = dec_len (Array.unsafe_get stk (p + 2)) in
-                let v = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                let dst, dtag = resolve_dst (Array.unsafe_get stk p) in
-                mtr.bulk_fill <- mtr.bulk_fill + 1;
-                Checked.fill inst (gm inst) ~addr:dst ~tag:dtag ~len v;
-                next);
-            `Live)
-    | Ast.MemoryCopy -> (
-        match mem_idx with
-        | None -> unsupported "memory.copy without memory"
-        | Some idx ->
-            pop_ty (Types.addr_type idx);
-            let src_ty = pop_addr () in
-            let dst_ty = pop_addr () in
-            let hdst = !h in
-            let dec_len =
-              match idx with
-              | Types.Idx32 ->
-                  fun s ->
-                    Int64.logand (Int64.of_int32 (Xcode.i32_of_slot s)) 0xffffffffL
-              | Types.Idx64 -> fun s -> Xcode.i64_of_slot s
-            in
-            let resolve ty =
-              match (ty : Types.val_type) with
-              | Types.I32 ->
-                  fun s ->
-                    (Checked.resolve_addr_i32 (Xcode.i32_of_slot s) 0L, Arch.Tag.zero)
-              | _ -> fun s -> Checked.resolve_addr_i64 (Xcode.i64_of_slot s) 0L
-            in
-            let resolve_src = resolve src_ty in
-            let resolve_dst = resolve dst_ty in
-            emit1 (fun next st ->
-                tick st.inst;
-                let inst = st.inst in
-                let stk = st.stk in
-                let p = st.opbase + hdst in
-                let len = dec_len (Array.unsafe_get stk (p + 2)) in
-                (* the interpreter resolves source before destination:
-                   chaos draws must land in that order *)
-                let src, stag = resolve_src (Array.unsafe_get stk (p + 1)) in
-                let dst, dtag = resolve_dst (Array.unsafe_get stk p) in
-                mtr.bulk_copy <- mtr.bulk_copy + 1;
-                Checked.copy inst (gm inst) ~dst ~dtag ~src ~stag ~len;
-                next);
-            `Live)
+    | Ast.MemorySize ->
+        push ();
+        let hres = !h - 1 in
+        emit1 (fun next st ->
+            tick st.inst;
+            Array.unsafe_set st.stk (st.opbase + hres)
+              (slot_of_idx (Memory.size_pages (gm st.inst)));
+            next);
+        `Live
+    | Ast.MemoryGrow ->
+        pop ();
+        push ();
+        let hres = !h - 1 in
+        emit1 (fun next st ->
+            tick st.inst;
+            let stk = st.stk in
+            let p = st.opbase + hres in
+            let old = Rt.memory_grow st.inst (idx_of_slot (Array.unsafe_get stk p)) in
+            Array.unsafe_set stk p (slot_of_idx old);
+            next);
+        `Live
+    | Ast.MemoryFill ->
+        pop_n 3;
+        let hdst = !h in
+        emit1 (fun next st ->
+            tick st.inst;
+            let inst = st.inst in
+            let stk = st.stk in
+            let p = st.opbase + hdst in
+            let len = idx_of_slot (Array.unsafe_get stk (p + 2)) in
+            let v = int_of_slot (Array.unsafe_get stk (p + 1)) in
+            let dst, dtag = resolve_bulk (Array.unsafe_get stk p) in
+            mtr.bulk_fill <- mtr.bulk_fill + 1;
+            Checked.fill inst (gm inst) ~addr:dst ~tag:dtag ~len v;
+            next);
+        `Live
+    | Ast.MemoryCopy ->
+        pop_n 3;
+        let hdst = !h in
+        emit1 (fun next st ->
+            tick st.inst;
+            let inst = st.inst in
+            let stk = st.stk in
+            let p = st.opbase + hdst in
+            let len = idx_of_slot (Array.unsafe_get stk (p + 2)) in
+            (* the interpreter resolves source before destination:
+               chaos draws must land in that order *)
+            let src, stag = resolve_bulk (Array.unsafe_get stk (p + 1)) in
+            let dst, dtag = resolve_bulk (Array.unsafe_get stk p) in
+            mtr.bulk_copy <- mtr.bulk_copy + 1;
+            Checked.copy inst (gm inst) ~dst ~dtag ~src ~stag ~len;
+            next);
+        `Live
     | Ast.SegmentNew o ->
-        pop_ty Types.I64;
-        pop_ty Types.I64;
-        push Types.I64;
+        pop ();
+        pop ();
+        push ();
         let hres = !h - 1 in
         let arena = arena_of id in
         emit1 (fun next st ->
@@ -1836,9 +1668,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.SegmentSetTag o ->
-        pop_ty Types.I64;
-        pop_ty Types.I64;
-        pop_ty Types.I64;
+        pop ();
+        pop ();
+        pop ();
         let hk = !h in
         emit1 (fun next st ->
             tick st.inst;
@@ -1851,8 +1683,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.SegmentFree o ->
-        pop_ty Types.I64;
-        pop_ty Types.I64;
+        pop ();
+        pop ();
         let hk = !h in
         let arena = arena_of id in
         emit1 (fun next st ->
@@ -1865,8 +1697,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.PointerSign ->
-        pop_ty Types.I64;
-        push Types.I64;
+        pop ();
+        push ();
         let hres = !h - 1 in
         emit1 (fun next st ->
             tick st.inst;
@@ -1879,8 +1711,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.PointerAuth ->
-        pop_ty Types.I64;
-        push Types.I64;
+        pop ();
+        push ();
         let hres = !h - 1 in
         emit1 (fun next st ->
             tick st.inst;
@@ -1893,29 +1725,25 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.Call fi ->
-        if fi >= n_funcs then unsupported "call index out of range";
         let cty = Ast.type_of_func m fi in
-        List.iter pop_ty (List.rev cty.params);
+        pop_n (List.length cty.params);
         let hbase = !h in
-        List.iter push cty.results;
+        push_n (List.length cty.results);
         let param_tys = Array.of_list cty.params in
-        let result_tys = Array.of_list cty.results in
         emit1 (fun next st ->
             tick st.inst;
             mtr.call <- mtr.call + 1;
-            call_function st fi (st.opbase + hbase) param_tys result_tys;
+            call_function st fi (st.opbase + hbase) param_tys;
             next);
         `Live
     | Ast.CallIndirect ti ->
-        if ti >= List.length m.types then unsupported "type index out of range";
         let ety = List.nth m.types ti in
-        pop_ty Types.I32;
-        List.iter pop_ty (List.rev ety.params);
+        pop ();
+        pop_n (List.length ety.params);
         let hbase = !h in
-        List.iter push ety.results;
+        push_n (List.length ety.results);
         let nargs = List.length ety.params in
         let param_tys = Array.of_list ety.params in
-        let result_tys = Array.of_list ety.results in
         emit1 (fun next st ->
             tick st.inst;
             let inst = st.inst in
@@ -1930,7 +1758,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                 let actual = Instance.func_type inst.funcs.(fi) in
                 if not (Types.func_type_equal ety actual) then
                   Rt.trap "indirect call type mismatch";
-                call_function st fi (st.opbase + hbase) param_tys result_tys);
+                call_function st fi (st.opbase + hbase) param_tys);
             next);
         `Live
   in
@@ -1942,9 +1770,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
      consumed (0 = no match). Constituent side effects — ticks, meter
      bumps, elision decisions — are batched but numerically identical
      to the singleton sequence; static stack updates reuse the same
-     push/pop helpers so typing and frame-height accounting are exactly
-     what the singletons would have produced. *)
-  let local_ok i = i < Array.length local_tys in
+     push/pop helpers so frame-height accounting is exactly what the
+     singletons would have produced. *)
   let try_fuse labels (body : Code.instr array) i : int =
     let n = Array.length body in
     let at k = if i + k < n then Some body.(i + k) else None in
@@ -1955,18 +1782,15 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.LocalGet bl, _)),
         Some (Code.Basic (Ast.IRelop (Ast.W32, op), _)),
         Some (Code.Basic (Ast.ITestop Ast.W32, _)),
-        Some (Code.BrIf l) )
-      when local_ok a && local_ok bl
-           && local_tys.(a) = Types.I32
-           && local_tys.(bl) = Types.I32 ->
-        push Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
+        Some (Code.BrIf l) ) ->
+        push ();
+        push ();
+        pop ();
+        pop ();
+        push ();
+        pop ();
+        push ();
+        pop ();
         let act = branch_action labels l in
         let fn = i32_relop_fn op in
         emit1 (fun next st ->
@@ -1989,16 +1813,13 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.LocalGet bl, _)),
         Some (Code.Basic (Ast.IRelop (Ast.W32, op), _)),
         Some (Code.BrIf l),
-        _ )
-      when local_ok a && local_ok bl
-           && local_tys.(a) = Types.I32
-           && local_tys.(bl) = Types.I32 ->
-        push Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
+        _ ) ->
+        push ();
+        push ();
+        pop ();
+        pop ();
+        push ();
+        pop ();
         let act = branch_action labels l in
         let fn = i32_relop_fn op in
         emit1 (fun next st ->
@@ -2024,17 +1845,14 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.LocalGet bl, _)),
         Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
         _ )
-      when local_ok v0 && local_ok a && local_ok bl
-           && local_tys.(a) = Types.I32
-           && local_tys.(bl) = Types.I32
-           && i32_binop_fusable op ->
+      when i32_binop_fusable op ->
         let h0 = !h in
-        push local_tys.(v0);
-        push Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
+        push ();
+        push ();
+        push ();
+        pop ();
+        pop ();
+        push ();
         let fn = i32_binop_fn op in
         let bump = ibinop_bump op in
         emit1 (fun next st ->
@@ -2060,15 +1878,12 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
         _,
         _ )
-      when local_ok a && local_ok bl
-           && local_tys.(a) = Types.I32
-           && local_tys.(bl) = Types.I32
-           && i32_binop_fusable op ->
-        push Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
+      when i32_binop_fusable op ->
+        push ();
+        push ();
+        pop ();
+        pop ();
+        push ();
         let hres = !h - 1 in
         let fn = i32_binop_fn op in
         let bump = ibinop_bump op in
@@ -2092,15 +1907,12 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.LocalGet bl, _)),
         Some (Code.Basic (Ast.FBinop (Ast.W64, op), _)),
         _,
-        _ )
-      when local_ok a && local_ok bl
-           && local_tys.(a) = Types.F64
-           && local_tys.(bl) = Types.F64 ->
-        push Types.F64;
-        push Types.F64;
-        pop_ty Types.F64;
-        pop_ty Types.F64;
-        push Types.F64;
+        _ ) ->
+        push ();
+        push ();
+        pop ();
+        pop ();
+        push ();
         let hres = !h - 1 in
         (match op with
         | Ast.FAdd ->
@@ -2170,23 +1982,17 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.LocalGet bl, _)),
         Some (Code.Basic (Ast.Store (sty, pack, ma), sid)),
         _,
-        _ )
-      when local_ok a && local_ok bl && mem_idx <> None
-           && (local_tys.(a) = Types.I32 || local_tys.(a) = Types.I64)
-           && local_tys.(bl) = sty
-           && (match store_kind sty pack with
-              | _ -> true
-              | exception Unsupported _ -> false) ->
-        push local_tys.(a);
-        push local_tys.(bl);
-        pop_ty local_tys.(bl);
-        pop_ty local_tys.(a);
+        _ ) ->
+        push ();
+        push ();
+        pop ();
+        pop ();
         let len, sk = store_kind sty pack in
         let off = native_off ma.Ast.offset in
         let elide = elide_of sid in
         let ebounds = belide_of sid in
         let body =
-          store_body ~addr_ty:local_tys.(a) ~elide ~ebounds ~len ~sk ~off ~src:(Sloc a)
+          store_body ~elide ~ebounds ~len ~sk ~off ~src:(Sloc a)
             ~vsrc:(Sloc bl)
         in
         emit1 (fun next st ->
@@ -2206,16 +2012,13 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
         Some (Code.Basic (Ast.LocalSet d, _)),
         _ )
-      when local_ok a && local_ok d
-           && local_tys.(a) = Types.I32
-           && local_tys.(d) = Types.I32
-           && i32_binop_fusable op ->
-        push Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
+      when i32_binop_fusable op ->
+        push ();
+        push ();
+        pop ();
+        pop ();
+        push ();
+        pop ();
         let y = norm32 (Int32.to_int c) in
         (match op with
         | Ast.Add ->
@@ -2254,12 +2057,12 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
         _,
         _ )
-      when local_ok a && local_tys.(a) = Types.I32 && i32_binop_fusable op ->
-        push Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
+      when i32_binop_fusable op ->
+        push ();
+        push ();
+        pop ();
+        pop ();
+        push ();
         let hres = !h - 1 in
         let y = norm32 (Int32.to_int c) in
         let fn = i32_binop_fn op in
@@ -2283,22 +2086,17 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.Load (lty, pack, ma), lid)),
         _,
         _,
-        _ )
-      when local_ok a && mem_idx <> None
-           && (local_tys.(a) = Types.I32 || local_tys.(a) = Types.I64)
-           && (match load_kind lty pack with
-              | _ -> true
-              | exception Unsupported _ -> false) ->
-        push local_tys.(a);
-        pop_ty local_tys.(a);
-        push lty;
+        _ ) ->
+        push ();
+        pop ();
+        push ();
         let hres = !h - 1 in
         let len, lk = load_kind lty pack in
         let off = native_off ma.Ast.offset in
         let elide = elide_of lid in
         let ebounds = belide_of lid in
         let body =
-          load_body ~addr_ty:local_tys.(a) ~elide ~ebounds ~len ~lk ~off ~src:(Sloc a)
+          load_body ~elide ~ebounds ~len ~lk ~off ~src:(Sloc a)
             ~dst:(Sop hres)
         in
         emit1 (fun next st ->
@@ -2316,10 +2114,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.LocalSet d, _)),
         _,
         _,
-        _ )
-      when local_ok a && local_ok d && local_tys.(a) = local_tys.(d) ->
-        push local_tys.(a);
-        pop_ty local_tys.(d);
+        _ ) ->
+        push ();
+        pop ();
         emit1 (fun next st ->
             tick_n st.inst 2;
             mtr.local_access <- mtr.local_access + 2;
@@ -2337,14 +2134,11 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         _,
         _,
         _ )
-      when local_ok bl
-           && local_tys.(bl) = Types.I32
-           && i32_binop_fusable op
-           && (match !ts with Types.I32 :: _ -> true | _ -> false) ->
-        push Types.I32;
-        pop_ty Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
+      when i32_binop_fusable op ->
+        push ();
+        pop ();
+        pop ();
+        push ();
         let hres = !h - 1 in
         (match op with
         | Ast.Add ->
@@ -2394,14 +2188,11 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.FBinop (Ast.W64, op), _)),
         _,
         _,
-        _ )
-      when local_ok bl
-           && local_tys.(bl) = Types.F64
-           && (match !ts with Types.F64 :: _ -> true | _ -> false) ->
-        push Types.F64;
-        pop_ty Types.F64;
-        pop_ty Types.F64;
-        push Types.F64;
+        _ ) ->
+        push ();
+        pop ();
+        pop ();
+        push ();
         let hres = !h - 1 in
         (match op with
         | Ast.FAdd ->
@@ -2475,16 +2266,11 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.LocalSet v, _)),
         _,
         _,
-        _ )
-      when local_ok v
-           && local_tys.(v) = Types.F64
-           && (match !ts with
-              | Types.F64 :: Types.F64 :: _ -> true
-              | _ -> false) ->
-        pop_ty Types.F64;
-        pop_ty Types.F64;
-        push Types.F64;
-        pop_ty Types.F64;
+        _ ) ->
+        pop ();
+        pop ();
+        push ();
+        pop ();
         let hx = !h in
         (match fop with
         | Ast.FAdd ->
@@ -2553,25 +2339,17 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.Store (sty, pack, ma), sid)),
         _,
         _,
-        _ )
-      when local_ok v && mem_idx <> None
-           && local_tys.(v) = sty
-           && (match !ts with
-              | (Types.I32 | Types.I64) :: _ -> true
-              | _ -> false)
-           && (match store_kind sty pack with
-              | _ -> true
-              | exception Unsupported _ -> false) ->
-        push local_tys.(v);
-        pop_ty sty;
-        let addr_ty = pop_addr () in
+        _ ) ->
+        push ();
+        pop ();
+        pop ();
         let ha = !h in
         let len, sk = store_kind sty pack in
         let off = native_off ma.Ast.offset in
         let elide = elide_of sid in
         let ebounds = belide_of sid in
         let body =
-          store_body ~addr_ty ~elide ~ebounds ~len ~sk ~off ~src:(Sop ha)
+          store_body ~elide ~ebounds ~len ~sk ~off ~src:(Sop ha)
             ~vsrc:(Sloc v)
         in
         emit1 (fun next st ->
@@ -2591,28 +2369,24 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.FBinop (Ast.W64, fop), _)),
         _,
         _ )
-      when mem_idx <> None
-           && (match fop with
+      when (match fop with
               | Ast.FAdd | Ast.FSub | Ast.FMul | Ast.FDiv -> true
-              | _ -> false)
-           && (match !ts with
-              | Types.I32 :: Types.I32 :: Types.F64 :: _ -> true
               | _ -> false) ->
-        pop_ty Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
-        push Types.F64;
-        pop_ty Types.F64;
-        pop_ty Types.F64;
-        push Types.F64;
+        pop ();
+        pop ();
+        push ();
+        pop ();
+        push ();
+        pop ();
+        pop ();
+        push ();
         let hres = !h - 1 in
         let hadd = hres + 1 in
         let off = native_off ma.Ast.offset in
         let elide = elide_of lid in
         let ebounds = belide_of lid in
         let body =
-          load_body ~addr_ty:Types.I32 ~elide ~ebounds ~len:8 ~lk:Lk_f64 ~off
+          load_body ~elide ~ebounds ~len:8 ~lk:Lk_f64 ~off
             ~src:(Sop hadd) ~dst:(Sop hadd)
         in
         (match fop with
@@ -2690,28 +2464,20 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.LocalGet v, _)),
         Some (Code.Basic (Ast.Store (sty, pack, ma), sid)),
         _,
-        _ )
-      when local_ok v && mem_idx <> None
-           && local_tys.(v) = sty
-           && (match !ts with
-              | Types.I32 :: Types.I32 :: _ -> true
-              | _ -> false)
-           && (match store_kind sty pack with
-              | _ -> true
-              | exception Unsupported _ -> false) ->
-        pop_ty Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
-        push local_tys.(v);
-        pop_ty sty;
-        let addr_ty = pop_addr () in
+        _ ) ->
+        pop ();
+        pop ();
+        push ();
+        push ();
+        pop ();
+        pop ();
         let ha = !h in
         let len, sk = store_kind sty pack in
         let off = native_off ma.Ast.offset in
         let elide = elide_of sid in
         let ebounds = belide_of sid in
         let body =
-          store_body ~addr_ty ~elide ~ebounds ~len ~sk ~off ~src:(Sop ha)
+          store_body ~elide ~ebounds ~len ~sk ~off ~src:(Sop ha)
             ~vsrc:(Sloc v)
         in
         emit1 (fun next st ->
@@ -2735,26 +2501,19 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.Load (lty, pack, ma), lid)),
         _,
         _,
-        _ )
-      when mem_idx <> None
-           && (match !ts with
-              | Types.I32 :: Types.I32 :: _ -> true
-              | _ -> false)
-           && (match load_kind lty pack with
-              | _ -> true
-              | exception Unsupported _ -> false) ->
-        pop_ty Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
-        push lty;
+        _ ) ->
+        pop ();
+        pop ();
+        push ();
+        pop ();
+        push ();
         let hres = !h - 1 in
         let len, lk = load_kind lty pack in
         let off = native_off ma.Ast.offset in
         let elide = elide_of lid in
         let ebounds = belide_of lid in
         let body =
-          load_body ~addr_ty:Types.I32 ~elide ~ebounds ~len ~lk ~off ~src:(Sop hres)
+          load_body ~elide ~ebounds ~len ~lk ~off ~src:(Sop hres)
             ~dst:(Sop hres)
         in
         emit1 (fun next st ->
@@ -2777,25 +2536,17 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.LocalSet j, _)),
         _,
         _,
-        _ )
-      when local_ok j && mem_idx <> None
-           && local_tys.(j) = lty
-           && (match load_kind lty pack with
-              | _ -> true
-              | exception Unsupported _ -> false)
-           && (match !ts with
-              | (Types.I32 | Types.I64) :: _ -> true
-              | _ -> false) ->
-        let addr_ty = pop_addr () in
-        push lty;
-        pop_ty local_tys.(j);
+        _ ) ->
+        pop ();
+        push ();
+        pop ();
         let ha = !h in
         let len, lk = load_kind lty pack in
         let off = native_off ma.Ast.offset in
         let elide = elide_of lid in
         let ebounds = belide_of lid in
         let body =
-          load_body ~addr_ty ~elide ~ebounds ~len ~lk ~off ~src:(Sop ha)
+          load_body ~elide ~ebounds ~len ~lk ~off ~src:(Sop ha)
             ~dst:(Sloc j)
         in
         emit1 (fun next st ->
@@ -2814,12 +2565,11 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         _,
         _,
         _ )
-      when i32_binop_fusable op
-           && (match !ts with Types.I32 :: _ -> true | _ -> false) ->
-        push Types.I32;
-        pop_ty Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
+      when i32_binop_fusable op ->
+        push ();
+        pop ();
+        pop ();
+        push ();
         let hres = !h - 1 in
         let y = norm32 (Int32.to_int c) in
         let fn = i32_binop_fn op in
@@ -2843,14 +2593,11 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.BrIf l),
         _,
         _,
-        _ )
-      when match !ts with
-           | Types.I32 :: Types.I32 :: _ -> true
-           | _ -> false ->
-        pop_ty Types.I32;
-        pop_ty Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
+        _ ) ->
+        pop ();
+        pop ();
+        push ();
+        pop ();
         let hx = !h in
         let act = branch_action labels l in
         let fn = i32_relop_fn op in
@@ -2873,13 +2620,10 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.BrIf l),
         _,
         _,
-        _ )
-      when match !ts with
-           | Types.I32 :: _ -> true
-           | _ -> false ->
-        pop_ty Types.I32;
-        push Types.I32;
-        pop_ty Types.I32;
+        _ ) ->
+        pop ();
+        push ();
+        pop ();
         let hx = !h in
         let act = branch_action labels l in
         emit1 (fun next st ->
@@ -2924,34 +2668,20 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     | Code.Basic (b, id) ->
         incr n_instrs;
         compile_basic b id
-    | Code.Block (arity, inner) -> (
+    | Code.Block (arity, inner) ->
         incr n_instrs;
         let fr =
-          {
-            l_target = ref (-1);
-            l_kind = `Block;
-            l_arity = arity;
-            l_entry = !ts;
-            l_merge = None;
-          }
+          { l_target = ref (-1); l_loop = false; l_arity = arity;
+            l_height = !h; l_reached = false }
         in
         (* the Block node itself ticks once when entered *)
         emit1 (fun next st ->
             tick st.inst;
             next);
         let ft = compile_seq (fr :: labels) inner in
-        if ft then begin
-          match fr.l_merge with
-          | None -> fr.l_merge <- Some !ts
-          | Some s -> if s <> !ts then unsupported "block end stack mismatch"
-        end;
         fr.l_target := !count;
-        match fr.l_merge with
-        | Some s ->
-            ts := s;
-            h := List.length s;
-            `Live
-        | None -> `Dead)
+        h := fr.l_height + arity;
+        if ft || fr.l_reached then `Live else `Dead
     | Code.Loop inner ->
         incr n_instrs;
         emit1 (fun next st ->
@@ -2960,30 +2690,18 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         (* back-edges land after the entry tick: the interpreter ticks a
            Loop node once, not per iteration *)
         let fr =
-          {
-            l_target = ref !count;
-            l_kind = `Loop;
-            l_arity = 0;
-            l_entry = !ts;
-            l_merge = None;
-          }
+          { l_target = ref !count; l_loop = true; l_arity = 0;
+            l_height = !h; l_reached = false }
         in
         let ft = compile_seq (fr :: labels) inner in
         if ft then `Live else `Dead
-    | Code.If (arity, then_, else_) -> (
+    | Code.If (arity, then_, else_) ->
         incr n_instrs;
-        pop_ty Types.I32;
-        let entry_ts = !ts in
-        let entry_h = !h in
+        pop ();
         let hcond = !h in
         let fr =
-          {
-            l_target = ref (-1);
-            l_kind = `Block;
-            l_arity = arity;
-            l_entry = entry_ts;
-            l_merge = None;
-          }
+          { l_target = ref (-1); l_loop = false; l_arity = arity;
+            l_height = hcond; l_reached = false }
         in
         let else_ref = ref (-1) in
         emit1 (fun next st ->
@@ -2995,30 +2713,15 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             then next
             else !else_ref);
         let ft_then = compile_seq (fr :: labels) then_ in
-        if ft_then then begin
-          (match fr.l_merge with
-          | None -> fr.l_merge <- Some !ts
-          | Some s -> if s <> !ts then unsupported "if join stack mismatch");
-          (* jump over the else arm (no tick: synthetic control) *)
-          if Array.length else_ > 0 then
-            emit1 (fun _next _st -> !(fr.l_target))
-        end;
+        (* jump over the else arm (no tick: synthetic control) *)
+        if ft_then && Array.length else_ > 0 then
+          emit1 (fun _next _st -> !(fr.l_target));
         else_ref := !count;
-        ts := entry_ts;
-        h := entry_h;
+        h := hcond;
         let ft_else = compile_seq (fr :: labels) else_ in
-        if ft_else then begin
-          match fr.l_merge with
-          | None -> fr.l_merge <- Some !ts
-          | Some s -> if s <> !ts then unsupported "if join stack mismatch"
-        end;
         fr.l_target := !count;
-        match fr.l_merge with
-        | Some s ->
-            ts := s;
-            h := List.length s;
-            `Live
-        | None -> `Dead)
+        h := hcond + arity;
+        if ft_then || ft_else || fr.l_reached then `Live else `Dead
     | Code.Br l ->
         incr n_instrs;
         let act = branch_action labels l in
@@ -3029,7 +2732,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         `Dead
     | Code.BrIf l ->
         incr n_instrs;
-        pop_ty Types.I32;
+        pop ();
         let hcond = !h in
         let act = branch_action labels l in
         emit1 (fun next st ->
@@ -3043,7 +2746,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         `Live
     | Code.BrTable (targets, default) ->
         incr n_instrs;
-        pop_ty Types.I32;
+        pop ();
         let hidx = !h in
         let acts = Array.map (branch_action labels) targets in
         let default_act = branch_action labels default in
@@ -3060,15 +2763,15 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             in
             act st);
         `Dead
-    | Code.Return _arity ->
+    | Code.Return arity ->
         incr n_instrs;
-        let move = exit_move () in
-        let exit_ref = (List.nth labels (List.length labels - 1)).l_target in
+        let act =
+          branch_action labels { Code.depth = List.length labels - 1; arity }
+        in
         emit1 (fun _next st ->
             tick st.inst;
             mtr.return_ <- mtr.return_ + 1;
-            move st;
-            !exit_ref);
+            act st);
         `Dead
   in
   (* ---------------------------------------------------------------- *)
@@ -3076,60 +2779,32 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
   (* ---------------------------------------------------------------- *)
   let exit_ref = ref (-1) in
   let func_frame =
+    { l_target = exit_ref; l_loop = false; l_arity = result_arity;
+      l_height = 0; l_reached = false }
+  in
+  (* a validated body that falls through leaves exactly its results *)
+  ignore (compile_seq [ func_frame ] code.body);
+  exit_ref := !count;
+  let stats =
     {
-      l_target = exit_ref;
-      l_kind = `Func;
-      l_arity = result_arity;
-      l_entry = rev_results;
-      l_merge = None;
+      st_name = name;
+      st_instrs = !n_instrs;
+      st_fused = !n_fused;
+      st_idioms = List.map (fun (k, r) -> (k, !r)) !idioms;
+      st_accesses = !n_acc;
+      st_elided = !n_elided;
     }
   in
-  try
-    let ft = compile_seq [ func_frame ] code.body in
-    if ft then begin
-      let move = exit_move () in
-      if !h > result_arity && result_arity > 0 then
-        emit1 (fun next st ->
-            move st;
-            next)
-    end;
-    exit_ref := !count;
-    let ops = Array.of_list (List.rev !rev_ops) in
-    let stats =
-      {
-        st_name = name;
-        st_instrs = !n_instrs;
-        st_fused = !n_fused;
-        st_idioms = List.map (fun (k, r) -> (k, !r)) !idioms;
-        st_accesses = !n_acc;
-        st_elided = !n_elided;
-        st_supported = true;
-      }
-    in
-    ( Some
-        {
-          ops;
-          nparams;
-          nlocals;
-          result_arity;
-          result_tys = Array.of_list ty.results;
-          frame_slots = nparams + nlocals + !max_h;
-          stats;
-        },
-      stats )
-  with Unsupported _ ->
-    let stats =
-      {
-        st_name = name;
-        st_instrs = 0;
-        st_fused = 0;
-        st_idioms = [];
-        st_accesses = 0;
-        st_elided = 0;
-        st_supported = false;
-      }
-    in
-    (None, stats)
+  ( {
+      ops = Array.of_list (List.rev !rev_ops);
+      nparams;
+      nlocals;
+      result_arity;
+      result_tys = Array.of_list ty.results;
+      frame_slots = nparams + nlocals + !max_h;
+      stats;
+    },
+    stats )
 
 (** Compile every local function of an instantiated module, filling the
     [xcode] slots of its [Wasm_func]s in place. Called by
@@ -3151,7 +2826,7 @@ let compile_instance (inst : Instance.t) =
               ~name:(Instance.func_name inst i)
               ~ty ~func ~code ~mtr
           in
-          w.xcode <- xf)
+          w.xcode <- Some xf)
     inst.funcs
 
 (** Compile all functions of a module without instantiating it — the

@@ -6,9 +6,13 @@
     services (obs ticks, fuel, deferred-fault draining, Cage segment
     instruction bodies) in {!Rt}, checked memory access in {!Checked},
     and the hot path of a [Threaded]-engine instance in {!Compile}. The
-    tree walker below remains the reference semantics — it executes any
-    module, validated or not — and the per-function fallback for bodies
-    the threaded compiler declines.
+    tree walker below remains the reference semantics the threaded
+    engine is differentially tested against.
+
+    Instantiation validates the module first ({!Validate}), so every
+    body the interpreter walks is well typed: operand types and stack
+    heights are guaranteed statically, and the [assert false] arms
+    below are unreachable.
 
     Loads and stores check allocation tags when the instance was
     instantiated with [enforce_tags] (Eqs. 1-4); the five Cage
@@ -30,7 +34,7 @@ let max_call_depth = Rt.max_call_depth
 
 let pop stack =
   match !stack with
-  | [] -> trap "operand stack underflow (unvalidated module?)"
+  | [] -> assert false
   | v :: rest ->
       stack := rest;
       v
@@ -38,14 +42,10 @@ let pop stack =
 let push stack v = stack := v :: !stack
 
 let pop_i32 stack =
-  match pop stack with
-  | Values.I32 v -> v
-  | v -> trap "expected i32, got %a" Values.pp v
+  match pop stack with Values.I32 v -> v | _ -> assert false
 
 let pop_i64 stack =
-  match pop stack with
-  | Values.I64 v -> v
-  | v -> trap "expected i64, got %a" Values.pp v
+  match pop stack with Values.I64 v -> v | _ -> assert false
 
 let popn stack n =
   let rec go acc n = if n = 0 then acc else go (pop stack :: acc) (n - 1) in
@@ -90,7 +90,7 @@ let do_load ?elide ?ebounds (inst : Instance.t) stack (ty : Types.num_type)
                 Int64.shift_right (Int64.shift_left raw (64 - bits)) (64 - bits)
           in
           if ty = I32 then Values.I32 (Int64.to_int32 v) else Values.I64 v
-      | _ -> trap "packed load of float"
+      | (F32 | F64), Some _ -> assert false
     with Memory.Out_of_bounds _ -> trap "bounds: out of bounds memory access"
   in
   push stack v
@@ -118,7 +118,7 @@ let do_store ?elide ?ebounds (inst : Instance.t) stack (ty : Types.num_type)
     | I64, Some p, Values.I64 x ->
         let n = match p with Ast.Pack8 -> 1 | Pack16 -> 2 | Pack32 -> 4 in
         Memory.store_n mem addr n x
-    | _ -> trap "store operand type mismatch"
+    | _ -> assert false
   with Memory.Out_of_bounds _ -> trap "bounds: out of bounds memory access"
 
 (* ------------------------------------------------------------------ *)
@@ -126,11 +126,9 @@ let do_store ?elide ?ebounds (inst : Instance.t) stack (ty : Types.num_type)
 (* ------------------------------------------------------------------ *)
 
 (* Take a prepared branch: the target depth and the label's arity were
-   resolved at instantiation (O(1) here); a label index that had no
-   enclosing block is a hard trap, never a silent arity-0 branch. *)
-let take_branch stack : Code.label -> 'a = function
-  | Code.L { depth; arity } -> raise (Branch (depth, popn stack arity))
-  | Code.Bad_label n -> trap "branch depth %d out of range" n
+   resolved at instantiation (O(1) here). *)
+let take_branch stack ({ depth; arity } : Code.label) =
+  raise (Branch (depth, popn stack arity))
 
 (* [fn] is the current prepared function, threaded down so the
    Load/Store and segment dispatches can test its elision bitsets
@@ -145,27 +143,26 @@ and eval_instr (inst : Instance.t) ~depth ~fn locals stack
   Rt.obs_tick inst;
   match ins with
   | Code.Basic (i, id) -> eval_basic inst ~depth ~fn locals stack i id
-  | Code.Block (_, body) -> (
-      try eval inst ~depth ~fn locals stack body with
-      | Branch (0, vs) -> List.iter (push stack) vs
-      | Branch (n, vs) -> raise (Branch (n - 1, vs)))
+  | Code.Block (_, body) -> block inst ~depth ~fn locals stack body
   | Code.Loop body ->
+      (* a back-edge drops whatever the body left above the entry
+         stack, exactly as a branch to a block does *)
+      let entry = !stack in
       let rec iter () =
         match eval inst ~depth ~fn locals stack body with
         | () -> ()
         | exception Branch (0, _) ->
             Rt.meter_br inst;
+            stack := entry;
             iter ()
         | exception Branch (n, vs) -> raise (Branch (n - 1, vs))
       in
       iter ()
-  | Code.If (_, then_, else_) -> (
+  | Code.If (_, then_, else_) ->
       Rt.meter_br inst;
       let c = pop_i32 stack in
       let body = if not (Int32.equal c 0l) then then_ else else_ in
-      try eval inst ~depth ~fn locals stack body with
-      | Branch (0, vs) -> List.iter (push stack) vs
-      | Branch (n, vs) -> raise (Branch (n - 1, vs)))
+      block inst ~depth ~fn locals stack body
   | Code.Br l ->
       Rt.meter_br inst;
       take_branch stack l
@@ -186,6 +183,18 @@ and eval_instr (inst : Instance.t) ~depth ~fn locals stack
       | Some m -> m.return_ <- m.return_ + 1
       | None -> ());
       raise (Ret (popn stack arity))
+
+(* A branch out of a block carries the label's values to the block's
+   entry stack: operands a validated body left below them are dropped,
+   as the spec requires. The stack is an immutable list, so the entry
+   stack is restored by reference. *)
+and block inst ~depth ~fn locals stack body =
+  let entry = !stack in
+  try eval inst ~depth ~fn locals stack body with
+  | Branch (0, vs) ->
+      stack := entry;
+      List.iter (push stack) vs
+  | Branch (n, vs) -> raise (Branch (n - 1, vs))
 
 and eval_basic (inst : Instance.t) ~depth ~fn locals stack
     (ins : Ast.instr) (id : int) =
@@ -297,7 +306,7 @@ and eval_basic (inst : Instance.t) ~depth ~fn locals stack
       | W32, Values.F32 x ->
           push stack (Values.F32 (Values.to_f32 (Numerics.eval_funop op x)))
       | W64, Values.F64 x -> push stack (Values.F64 (Numerics.eval_funop op x))
-      | _ -> trap "funop operand mismatch")
+      | _ -> assert false)
   | FBinop (w, op) ->
       meter (fun m ->
           match op with
@@ -311,7 +320,7 @@ and eval_basic (inst : Instance.t) ~depth ~fn locals stack
           push stack (Values.F32 (Values.to_f32 (Numerics.eval_fbinop op x y)))
       | W64, Values.F64 x, Values.F64 y ->
           push stack (Values.F64 (Numerics.eval_fbinop op x y))
-      | _ -> trap "fbinop operand mismatch")
+      | _ -> assert false)
   | FRelop (w, op) ->
       meter (fun m -> m.falu <- m.falu + 1);
       let v2 = pop stack in
@@ -320,7 +329,7 @@ and eval_basic (inst : Instance.t) ~depth ~fn locals stack
         match (w, v1, v2) with
         | W32, Values.F32 x, Values.F32 y -> Numerics.eval_frelop op x y
         | W64, Values.F64 x, Values.F64 y -> Numerics.eval_frelop op x y
-        | _ -> trap "frelop operand mismatch"
+        | _ -> assert false
       in
       push stack (Values.I32 (if b then 1l else 0l))
   | Cvtop op ->
@@ -416,11 +425,7 @@ and invoke_idx (inst : Instance.t) ~depth stack i =
          fault latched before control leaves wasm. *)
       Rt.drain_deferred inst;
       let args = popn stack (List.length ty.params) in
-      let results =
-        try fn inst args
-        with Invalid_argument msg -> trap "host %s: %s" name msg
-      in
-      List.iter (push stack) results
+      List.iter (push stack) (Rt.host_call inst ~name ~ty fn args)
   | Wasm_func { func; ty; code; xcode; _ } ->
       let args = popn stack (List.length ty.params) in
       inst.call_stack <- i :: inst.call_stack;
@@ -430,17 +435,9 @@ and invoke_idx (inst : Instance.t) ~depth stack i =
           (Obs.Event.Func_enter { idx = i; name = Instance.func_name inst i })
       end;
       let results =
-        (* the threaded body assumes arguments of the declared types;
-           an unvalidated caller can push anything, so mis-typed
-           argument lists take the interpreter path, which reproduces
-           the lenient dynamic ("expected i32"-style) semantics *)
         match xcode with
-        | Some xf
-          when List.for_all2
-                 (fun v t -> Values.type_of v = t)
-                 args ty.params ->
-            Compile.run_body inst ~depth xf args
-        | _ ->
+        | Some xf -> Compile.run_body inst ~depth xf args
+        | None ->
             let locals =
               Array.of_list (args @ List.map Values.default func.locals)
             in
@@ -468,25 +465,15 @@ and invoke_idx (inst : Instance.t) ~depth stack i =
       | [] -> ());
       List.iter (push stack) results
 
-(* The interpreter side of the engine bridge: a threaded frame calling
-   a function the compiler declined routes through here. [invoke_idx]
-   performs the depth check and fuel burn itself, which is why
-   [Compile.call_function] does not pre-pay them on this arm. *)
-let () =
-  Compile.interp_call :=
-    fun inst depth fi args ->
-      let stack = ref [] in
-      List.iter (push stack) args;
-      invoke_idx inst ~depth stack fi;
-      List.rev !stack
-
 (* ------------------------------------------------------------------ *)
 (* Instantiation                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let instance_counter = ref 0
 
-(** Instantiate a validated module. [imports] supplies host functions by
+(** Validate and instantiate a module. A module that fails validation
+    raises {!Validate.Invalid} before any instance state exists (it
+    consumes no instance id). [imports] supplies host functions by
     (module, name); missing imports raise {!Instance.Trap}. Data and
     element segments are applied and the start function runs before the
     instance is returned, as the spec requires. Under the [Threaded]
@@ -497,6 +484,7 @@ let instance_counter = ref 0
 let instantiate ?(config = Instance.default_config)
     ?(imports : (string * string * Instance.host_func) list = [])
     (m : Ast.module_) : Instance.t =
+  Validate.check m;
   incr instance_counter;
   let id = !instance_counter in
   let rng = Random.State.make [| config.seed; id |] in
@@ -592,12 +580,9 @@ let instantiate ?(config = Instance.default_config)
   (* data segments *)
   List.iter
     (fun (d : Ast.data) ->
-      match inst.mem with
-      | None -> raise (Trap "data segment without memory")
-      | Some mem -> (
-          try Memory.write_string mem ~addr:d.d_offset d.d_bytes
-          with Memory.Out_of_bounds _ ->
-            raise (Trap "data segment out of memory bounds")))
+      try Memory.write_string (memory inst) ~addr:d.d_offset d.d_bytes
+      with Memory.Out_of_bounds _ ->
+        raise (Trap "data segment out of memory bounds"))
     m.datas;
   (* start function *)
   Option.iter
@@ -607,19 +592,19 @@ let instantiate ?(config = Instance.default_config)
     m.start;
   inst
 
-(** Call an exported function by name. *)
-let invoke inst name args =
-  match Instance.exported_func inst name with
-  | None -> raise (Trap (Printf.sprintf "no exported function %S" name))
-  | Some i ->
-      let stack = ref [] in
-      List.iter (push stack) args;
-      invoke_idx inst ~depth:0 stack i;
-      List.rev !stack
-
-(** Call a function by index (used by the libc shims). *)
+(** Call a function by index (used by the libc shims). The arguments
+    come from the embedder, so they are checked against the function's
+    declared parameters before either engine sees them. *)
 let invoke_function inst i args =
+  Rt.check_boundary "invoke" (Instance.func_name inst i)
+    (func_type inst.funcs.(i)).params args;
   let stack = ref [] in
   List.iter (push stack) args;
   invoke_idx inst ~depth:0 stack i;
   List.rev !stack
+
+(** Call an exported function by name. *)
+let invoke inst name args =
+  match Instance.exported_func inst name with
+  | None -> raise (Trap (Printf.sprintf "no exported function %S" name))
+  | Some i -> invoke_function inst i args

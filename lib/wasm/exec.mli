@@ -1,7 +1,7 @@
-(** The execution driver: instantiation and invocation over both
-    engines — the tree-walking interpreter (the reference semantics and
-    the per-function fallback) and the threaded-code engine
-    ({!Compile}), selected per instance by {!Instance.config.engine}.
+(** The execution driver: validation-gated instantiation and
+    invocation over both engines — the tree-walking interpreter (the
+    reference semantics) and the threaded-code engine ({!Compile}),
+    selected per instance by {!Instance.config.engine}.
 
     Loads and stores check allocation tags when the instance was
     instantiated with [enforce_tags] (Eqs. 1-4); the five Cage
@@ -24,15 +24,19 @@ val instantiate :
   ?imports:(string * string * Instance.host_func) list ->
   Ast.module_ ->
   Instance.t
-(** Instantiate a {e validated} module: resolve imports by
-    (module, name), create and zero the memory and its tag space, apply
-    data and element segments, and run the start function.
+(** Validate a module ({!Validate.check}), then instantiate it: resolve
+    imports by (module, name), create and zero the memory and its tag
+    space, apply data and element segments, and run the start function.
+    @raise Validate.Invalid when the module is rejected, before any
+    instance state exists.
     @raise Instance.Trap on unresolved imports, segment range errors, or
     a trapping start function. *)
 
 val invoke : Instance.t -> string -> Values.t list -> Values.t list
 (** Call an exported function by name.
-    @raise Instance.Trap on traps or a missing export. *)
+    @raise Instance.Trap on traps, a missing export, or arguments that
+    do not match the function's parameter types. *)
 
 val invoke_function : Instance.t -> int -> Values.t list -> Values.t list
-(** Call a function by index in the instance's function index space. *)
+(** Call a function by index in the instance's function index space;
+    arguments are type-checked as in {!invoke}. *)

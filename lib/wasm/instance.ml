@@ -9,11 +9,10 @@
 exception Trap of string
 
 (** Which execution engine drives an instance. [Threaded] (the default)
-    lowers every validated function into flat threaded code at
-    instantiation ({!Compile}) and falls back to the tree-walking
-    interpreter per function when lowering declines; [Interp] forces
-    the interpreter everywhere. Both are observationally identical —
-    same results, traps, meter totals, obs events and chaos draws. *)
+    lowers every function of the validated module into flat threaded
+    code at instantiation ({!Compile}); [Interp] runs the tree-walking
+    reference interpreter. Both are observationally identical — same
+    results, traps, meter totals, obs events and chaos draws. *)
 type engine = Interp | Threaded
 
 (** A host function receives the calling instance (so WASI-style
@@ -30,9 +29,9 @@ and func_inst =
           (** body prepared at instantiation: label arities and
               br_table targets resolved, O(1) at branch time *)
       mutable xcode : t Xcode.func option;
-          (** the same body lowered to threaded code ([None] when the
-              engine is [Interp] or the function is not lowerable);
-              filled in at instantiation, after the instance exists *)
+          (** the same body lowered to threaded code ([None] exactly
+              when the engine is [Interp]); filled in at instantiation,
+              after the instance exists *)
     }
   | Host_func of { fn : host_func; ty : Types.func_type; name : string }
 

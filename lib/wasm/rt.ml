@@ -99,6 +99,31 @@ let drain_deferred (inst : Instance.t) =
           trap "deferred: %a" Arch.Mte.pp_fault f)
 
 (* ------------------------------------------------------------------ *)
+(* The embedder boundary                                               *)
+(* ------------------------------------------------------------------ *)
+
+(** Check values arriving from the embedder against the types the
+    module declares. Instantiation validates every body, so entry-call
+    arguments and host-function results are the only operands whose
+    types nothing has vouched for; neither engine types values at run
+    time. *)
+let check_boundary kind name (tys : Types.val_type list) vs =
+  let got = List.map Values.type_of vs in
+  if got <> tys then
+    let pp = Format.(pp_print_list ~pp_sep:pp_print_space Types.pp_val_type) in
+    trap "%s %s: expected [%a], got [%a]" kind name pp tys pp got
+
+(** Call host function [name]: a host-side [Invalid_argument] becomes a
+    trap, and ill-typed results are rejected before either engine
+    consumes them. *)
+let host_call (inst : Instance.t) ~name ~(ty : Types.func_type) fn args =
+  let results =
+    try fn inst args with Invalid_argument msg -> trap "host %s: %s" name msg
+  in
+  check_boundary "host" name ty.results results;
+  results
+
+(* ------------------------------------------------------------------ *)
 (* Cage segment instructions (Eqs. 5-13) on raw operands               *)
 (* ------------------------------------------------------------------ *)
 

@@ -455,9 +455,7 @@ let validate_module (m : Ast.module_) ~cage =
     m.exports;
   List.iter (validate_func m ~cage) m.funcs
 
-(** Validate a module. [cage] enables the Cage extension instructions
-    (default true, as this toolchain exists to exercise them). *)
-let validate ?(cage = true) m =
-  match validate_module m ~cage with
-  | () -> Ok ()
-  | exception Invalid msg -> Error msg
+let check ?(cage = true) m = validate_module m ~cage
+
+let validate ?cage m =
+  match check ?cage m with () -> Ok () | exception Invalid msg -> Error msg

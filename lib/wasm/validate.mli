@@ -17,10 +17,15 @@
     (the extension builds on memory64, paper §4.2). *)
 
 exception Invalid of string
-(** Raised internally; {!validate} catches it and returns [Error]. *)
+(** A module rejected by validation, with the reason. *)
 
-val validate : ?cage:bool -> Ast.module_ -> (unit, string) result
+val check : ?cage:bool -> Ast.module_ -> unit
 (** Validate a module: memory/table limits, global initialisers,
     import/export/element/start indices, and every function body under
     its declared type. [cage] (default [true]) enables the extension
-    instructions. *)
+    instructions. {!Exec.instantiate} runs this on every module, so
+    both engines only ever execute validated code.
+    @raise Invalid when the module is rejected. *)
+
+val validate : ?cage:bool -> Ast.module_ -> (unit, string) result
+(** {!check} with the rejection as an [Error]. *)

@@ -53,7 +53,6 @@ type stats = {
   st_idioms : (string * int) list;  (** idiom name -> times matched *)
   st_accesses : int;    (** scalar loads/stores compiled *)
   st_elided : int;      (** of which compiled check-free (baked elision) *)
-  st_supported : bool;  (** false: function fell back to the interpreter *)
 }
 
 type 'inst func = {
@@ -112,19 +111,14 @@ let ensure (st : 'inst state) need =
 (** The per-function fused/elided summary [cagec --Wfusion] prints. *)
 let pp_stats ppf (s : stats) =
   let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b in
-  if not s.st_supported then
-    Format.fprintf ppf "@[<v2>%s: interpreter fallback (not threaded)@]"
-      s.st_name
-  else begin
-    Format.fprintf ppf
-      "@[<v2>%s: %d instrs, %d fused (%.1f%%), %d accesses, %d check-free \
-       (%.1f%%)"
-      s.st_name s.st_instrs s.st_fused
-      (pct s.st_fused s.st_instrs)
-      s.st_accesses s.st_elided
-      (pct s.st_elided s.st_accesses);
-    List.iter
-      (fun (idiom, n) -> Format.fprintf ppf "@ %-24s %d" idiom n)
-      (List.sort compare s.st_idioms);
-    Format.fprintf ppf "@]"
-  end
+  Format.fprintf ppf
+    "@[<v2>%s: %d instrs, %d fused (%.1f%%), %d accesses, %d check-free \
+     (%.1f%%)"
+    s.st_name s.st_instrs s.st_fused
+    (pct s.st_fused s.st_instrs)
+    s.st_accesses s.st_elided
+    (pct s.st_elided s.st_accesses);
+  List.iter
+    (fun (idiom, n) -> Format.fprintf ppf "@ %-24s %d" idiom n)
+    (List.sort compare s.st_idioms);
+  Format.fprintf ppf "@]"

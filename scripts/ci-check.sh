@@ -14,6 +14,15 @@ dune build
 echo "== dune runtest"
 dune runtest
 
+echo "== validation at the door (cage_run rejects an ill-typed module)"
+printf '(module\n  (type (func (result i64)))\n  (func (type 0)\n    i32.const 1\n  )\n  (export "main" (func 0))\n)\n' \
+  > _build/ill_typed.wat
+if dune exec bin/cage_run.exe -- _build/ill_typed.wat > _build/ill_typed.out 2>&1; then
+  echo "FAIL: cage_run executed an ill-typed module"; exit 1; fi
+grep -q "^invalid module: .*type mismatch" _build/ill_typed.out || {
+  echo "FAIL: rejection not reported as an invalid module"; cat _build/ill_typed.out
+  exit 1; }
+
 echo "== chaos detection matrix (golden diff, seed 7)"
 dune exec bin/cage_chaos.exe -- matrix --seed 7 > _build/detection_matrix.out
 diff test/golden/detection_matrix.golden _build/detection_matrix.out

@@ -83,9 +83,14 @@ let mask_tags msg =
   done;
   Buffer.contents b
 
-(* Assert both engines trapped with the same message (modulo tags). *)
+(* Assert both engines trapped with the same message (modulo tags)
+   after bit-identical meters. *)
 let check_both_trap ?config ~substring m name args =
   let results = on_both ?config m name args in
+  (match results with
+  | [ (_, _, m_i); (_, _, m_t) ] ->
+      Alcotest.(check bool) "meters bit-identical" true (m_i = m_t)
+  | _ -> assert false);
   let msgs =
     List.map
       (fun (label, outcome, _) ->
@@ -109,18 +114,53 @@ let check_both_trap ?config ~substring m name args =
 (* Control-flow edge cases                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_br_table_bad_label () =
-  (* an unvalidated body whose br_table target has no enclosing block
-     must hard-trap identically through both dispatch paths — the
-     threaded compiler bakes a Bad_label op, never a guessed branch *)
+let test_branch_drops_operands () =
+  (* a validated branch may leave operands below the values it carries:
+     the spec drops them at the target, and the threaded engine (which
+     used to hand such functions to the interpreter) must agree *)
+  let i32 v = Ast.I32Const v in
   let m =
     module_of
-      [ (ft [] [], [],
+      [ (ft [ Types.I32 ] [ Types.I32 ], [],
+         [ i32 100l;
+           Ast.Block
+             (Ast.ValBlock (Some Types.I32),
+              [ i32 7l; i32 1l; Ast.LocalGet 0; Ast.BrIf 0; Ast.Drop ]);
+           Ast.IBinop (Ast.W32, Ast.Add) ]);
+        (ft [] [ Types.I32 ], [],
+         [ i32 9l;
+           Ast.Block (Ast.ValBlock None, [ i32 8l; i32 42l; Ast.Return ]) ]);
+        (ft [] [ Types.I32 ], [ Types.I32 ],
          [ Ast.Block
              (Ast.ValBlock None,
-              [ Ast.I32Const 0l; Ast.BrTable ([ 5 ], 6) ]) ]) ]
+              [ Ast.Loop
+                  (Ast.ValBlock None,
+                   [ i32 5l; Ast.LocalGet 0; i32 1l;
+                     Ast.IBinop (Ast.W32, Ast.Add); Ast.LocalTee 0;
+                     i32 3l; Ast.IRelop (Ast.W32, Ast.LtS); Ast.BrIf 0;
+                     Ast.Br 1 ]) ]);
+           Ast.LocalGet 0 ]) ]
   in
-  check_both_trap ~substring:"branch depth" m "f0" []
+  check_both m "f0" [ Values.I32 1l ] [ Values.I32 101l ];
+  check_both m "f0" [ Values.I32 0l ] [ Values.I32 107l ];
+  check_both m "f1" [] [ Values.I32 42l ];
+  check_both m "f2" [] [ Values.I32 3l ]
+
+let test_huge_offset_bounds () =
+  (* memarg offsets beyond the native address field compile too: every
+     such access is out of bounds, with the interpreter's trap and
+     meter *)
+  let ma offset = { Ast.offset; align = 0 } in
+  let m =
+    module_of
+      [ (ft [] [ Types.I64 ], [],
+         [ Ast.I64Const 8L; Ast.Load (Types.I64, None, ma 0x1_0000_0000L) ]);
+        (ft [] [], [],
+         [ Ast.I64Const 0L; Ast.I64Const 1L;
+           Ast.Store (Types.I64, None, ma Int64.max_int) ]) ]
+  in
+  check_both_trap ~substring:"bounds: out of bounds" m "f0" [];
+  check_both_trap ~substring:"bounds: out of bounds" m "f1" []
 
 let test_zero_iteration_loop () =
   (* the loop header is entered once, the back-edge never taken: the
@@ -251,8 +291,9 @@ let () =
     [
       ( "control",
         [
-          Alcotest.test_case "br_table bad label" `Quick
-            test_br_table_bad_label;
+          Alcotest.test_case "branches drop operands" `Quick
+            test_branch_drops_operands;
+          Alcotest.test_case "huge memarg offset" `Quick test_huge_offset_bounds;
           Alcotest.test_case "zero-iteration loop" `Quick
             test_zero_iteration_loop;
           Alcotest.test_case "if with empty else" `Quick test_if_empty_else;

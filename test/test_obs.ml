@@ -33,12 +33,6 @@ let module_of funcs =
         funcs;
   }
 
-let instantiate ?config m =
-  (match Validate.validate m with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "validation failed: %s" e);
-  Exec.instantiate ?config m
-
 let memarg offset = { Ast.offset; align = 0 }
 
 (* ------------------------------------------------------------------ *)
@@ -235,7 +229,7 @@ let test_profiler_partitions_meter () =
     (Obs.Hook.make ~profiler ())
     (fun () ->
       let inst =
-        instantiate
+        Exec.instantiate
           ~config:{ Instance.default_config with meter = Some meter }
           two_function_module
       in

@@ -43,14 +43,8 @@ let module_of ?(memory = Some mem64) ?(table = None) ?(globals = [])
         funcs;
   }
 
-let instantiate ?config ?imports m =
-  (match Validate.validate m with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "validation failed: %s" e);
-  Exec.instantiate ?config ?imports m
-
 let run_f0 ?config ?imports m args =
-  Exec.invoke (instantiate ?config ?imports m) "f0" args
+  Exec.invoke (Exec.instantiate ?config ?imports m) "f0" args
 
 let expect_trap ~substring f =
   match f () with
@@ -781,24 +775,70 @@ let test_memory_grow_zero_queries () =
            Ast.I64Const 0L; Ast.MemoryGrow; Ast.Drop;
            Ast.I64Const 100L; Ast.Load (Types.I64, None, memarg ()) ]) ]
   in
-  let inst = instantiate m in
+  let inst = Exec.instantiate m in
   Alcotest.(check (list value)) "grow 0 returns current size"
     [ Values.I64 1L ] (Exec.invoke inst "f0" []);
   Alcotest.(check (list value)) "contents preserved" [ Values.I64 7L ]
     (Exec.invoke inst "f1" [])
 
-let test_br_table_bad_label_traps () =
-  (* an unvalidated body whose br_table label has no enclosing block
-     must hard-trap, not silently branch with a guessed arity *)
-  let m =
-    module_of
-      [ (ft [] [], [],
-         [ Ast.Block
-             (Ast.ValBlock None,
-              [ Ast.I32Const 0l; Ast.BrTable ([ 5 ], 6) ]) ]) ]
+let test_instantiate_rejects_unvalidated () =
+  (* bodies the engines used to run with dynamic-typing traps or a
+     hard-trapping bad label are rejected before any instance exists,
+     under either engine, and consume no instance id *)
+  let bad =
+    [ ("branch depth",
+       [ Ast.Block
+           (Ast.ValBlock None, [ Ast.I32Const 0l; Ast.BrTable ([ 5 ], 6) ]) ]);
+      ("type mismatch",
+       [ Ast.I32Const 1l; Ast.I64Const 2L; Ast.IBinop (Ast.W64, Ast.Add);
+         Ast.Drop ]);
+      ("underflow", [ Ast.Drop ]) ]
   in
-  let inst = Exec.instantiate m in
-  expect_trap ~substring:"out of range" (fun () -> Exec.invoke inst "f0" [])
+  let id () = (Exec.instantiate (module_of [])).Instance.id in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun (substring, body) ->
+          let before = id () in
+          (match
+             Exec.instantiate
+               ~config:{ Instance.default_config with engine }
+               (module_of [ (ft [] [], [], body) ])
+           with
+          | _ -> Alcotest.failf "instantiated an invalid module (%s)" substring
+          | exception Validate.Invalid e ->
+              if not (Astring.String.is_infix ~affix:substring e) then
+                Alcotest.failf "rejection %S does not mention %S" e substring);
+          Alcotest.(check int) "no instance id consumed" (before + 1) (id ()))
+        bad)
+    [ Instance.Interp; Instance.Threaded ]
+
+let test_embedder_boundary_checked () =
+  (* entry arguments and host results are the operands validation
+     cannot vouch for: both are type-checked where they cross in *)
+  let m =
+    {
+      (module_of [ (ft [] [], [], []) ]) with
+      types = [ ft [ Types.I32 ] [ Types.I32 ]; ft [ Types.I32 ] [ Types.I32 ] ];
+      imports = [ { Ast.im_module = "env"; im_name = "bad"; im_type = 0 } ];
+      funcs =
+        [ { Ast.ftype = 1; locals = [];
+            body = [ Ast.LocalGet 0; Ast.Call 0 ]; fname = Some "f" } ];
+      exports = [ { Ast.ex_name = "f0"; ex_desc = Ast.Func_export 1 } ];
+    }
+  in
+  let bad _ _ = [ Values.I64 1L ] in
+  List.iter
+    (fun engine ->
+      let config = { Instance.default_config with engine } in
+      let inst = Exec.instantiate ~config ~imports:[ ("env", "bad", bad) ] m in
+      expect_trap ~substring:"invoke f: expected [i32], got [i64]" (fun () ->
+          Exec.invoke inst "f0" [ Values.I64 3L ]);
+      expect_trap ~substring:"invoke f: expected [i32], got []" (fun () ->
+          Exec.invoke inst "f0" []);
+      expect_trap ~substring:"host env.bad: expected [i32], got [i64]"
+        (fun () -> Exec.invoke inst "f0" [ Values.I32 3l ]))
+    [ Instance.Interp; Instance.Threaded ]
 
 let test_pointer_sign_auth_roundtrip () =
   let m =
@@ -848,8 +888,8 @@ let test_cross_instance_auth_fails () =
     module_of
       [ (ft [ Types.I64 ] [ Types.I64 ], [], [ Ast.LocalGet 0; Ast.PointerAuth ]) ]
   in
-  let a = instantiate sign_m in
-  let b = instantiate auth_m in
+  let a = Exec.instantiate sign_m in
+  let b = Exec.instantiate auth_m in
   match Exec.invoke a "f0" [ Values.I64 400L ] with
   | [ Values.I64 signed ] -> (
       match Exec.invoke b "f0" [ Values.I64 signed ] with
@@ -1369,6 +1409,9 @@ let () =
           tc "segment no tag space" test_validate_segment_no_tag_space;
           tc "segment operand types" test_validate_segment_operand_types;
           tc "segment requires memory" test_validate_segment_requires_memory;
+          tc "instantiate rejects unvalidated"
+            test_instantiate_rejects_unvalidated;
+          tc "embedder boundary checked" test_embedder_boundary_checked;
         ] );
       ( "cage-extension",
         [
@@ -1405,7 +1448,6 @@ let () =
           tc "zero-length fill/copy at boundary"
             test_zero_length_bulk_at_boundary;
           tc "memory.grow 0 queries" test_memory_grow_zero_queries;
-          tc "br_table bad label hard-traps" test_br_table_bad_label_traps;
         ] );
       ( "snapshot",
         [
