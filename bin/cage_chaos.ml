@@ -73,8 +73,14 @@ let () =
   | _ :: "enginediff" :: rest ->
       let seed0 = int_flag rest "--seed" ~default:0 in
       let count = int_flag rest "--count" ~default:200 in
-      let r = Harness.Engine_diff.run ~count ~seed0 () in
-      Format.printf "%a@." Harness.Engine_diff.pp r;
-      List.iter print_endline r.Harness.Engine_diff.gd_failures;
-      if not (Harness.Engine_diff.ok r) then exit 1
+      let reports =
+        List.map
+          (fun cfg ->
+            let r = Harness.Engine_diff.run ~cfg ~count ~seed0 () in
+            Format.printf "%a@." Harness.Engine_diff.pp r;
+            List.iter print_endline r.Harness.Engine_diff.gd_failures;
+            r)
+          Harness.Engine_diff.configs
+      in
+      if not (List.for_all Harness.Engine_diff.ok reports) then exit 1
   | _ -> usage ()

@@ -9,7 +9,9 @@
     trap-prefix taxonomy), the final linear-memory image (compared by
     digest), every meter counter, and the load/store access counts in
     particular. The interpreter run must also match the Fuzzgen
-    reference evaluator, anchoring both engines to the semantics. *)
+    reference evaluator, anchoring both engines to the semantics.
+    [cage_chaos enginediff] runs the sweep once under each of
+    {!configs}. *)
 
 type report = {
   gd_config : Cage.Config.t;
@@ -86,11 +88,28 @@ let run ?(cfg = Cage.Config.mem_safety) ?(count = 200) ?(seed0 = 0) () =
   done;
   { gd_config = cfg; gd_seeds = count; gd_failures = List.rev !failures }
 
+(** The configurations the CI gate runs every seed under: the
+    checked memory-safety path, the same with the analyzer's whole plan
+    (bounds elision and arena lowering) baked into both engines, and
+    the untagged 32-bit sandbox, whose accesses take the wasm32
+    address path. *)
+let configs =
+  [ Cage.Config.mem_safety;
+    Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.mem_safety);
+    Cage.Config.baseline_wasm32 ]
+
 let ok r = r.gd_failures = []
+
+let plan_name (c : Cage.Config.t) =
+  if not c.Cage.Config.elide_checks then "none"
+  else
+    String.concat " + "
+      (("tags" :: (if c.Cage.Config.elide_bounds then [ "bounds" ] else []))
+      @ if c.Cage.Config.arena then [ "arena" ] else [])
 
 let pp ppf r =
   Format.fprintf ppf
-    "@[<v>engine-diff: %d seeds under %s: %s@]" r.gd_seeds
-    r.gd_config.Cage.Config.name
+    "@[<v>engine-diff: %d seeds under %s (plan: %s): %s@]" r.gd_seeds
+    r.gd_config.Cage.Config.name (plan_name r.gd_config)
     (if ok r then "interp and threaded engines observationally identical"
      else Printf.sprintf "%d FAILURES" (List.length r.gd_failures))

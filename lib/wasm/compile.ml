@@ -21,6 +21,19 @@
     Every function of a [Threaded] instance is compiled; there is no
     per-function interpreter fallback.
 
+    {2 Three shared pieces}
+
+    Every op is a one-argument closure [fun st -> ...; next] whose
+    successor index [next] is bound when the op is emitted. Memory
+    accesses go through one access path ({!load}/{!store}), and
+    arithmetic through one operator table ({!i32_binop_m}, {!f_binop_m},
+    ...), shared by singleton and fused ops. Both are closed [@inline]
+    functions: without flambda, a flag or operator an op captures is
+    tested on every execution, while a literal argument to an inlined
+    closed function is folded away. The access path therefore
+    takes its address width and check policy as literals, picked by one
+    emit-time [match]; operators stay captured and cost one switch.
+
     {2 Branches are jumps}
 
     A branch to a block carries the label's values to the block's entry
@@ -47,6 +60,8 @@ let[@inline] gm (inst : Instance.t) =
    truncation and encode a widening — no Int32 boxing on the ALU path. *)
 let[@inline] int_of_slot s = Int64.to_int (Int64.bits_of_float s)
 let[@inline] slot_of_int v = Int64.float_of_bits (Int64.of_int v)
+let[@inline] geti stk i = int_of_slot (Array.unsafe_get stk i)
+let[@inline] seti stk i v = Array.unsafe_set stk i (slot_of_int v)
 
 (* Sign-extend from bit 31 on a 63-bit native int. *)
 let[@inline] norm32 v = (v lsl 31) asr 31
@@ -61,6 +76,12 @@ let[@inline] slot_of_bool b = if b then slot_true else slot_false
    with no hook is a no-op. *)
 let[@inline] tick inst = if !Obs.Hook.hook != None then Rt.obs_tick inst
 let[@inline] tick_n inst n = if !Obs.Hook.hook != None then Rt.obs_tick_n inst n
+
+(* [Rt.meter_br] against the baked meter: fuel first, then the branch
+   counter, exactly the interpreter's order. *)
+let[@inline] meter_br (m : Meter.t) inst =
+  Rt.burn_fuel inst;
+  m.branch <- m.branch + 1
 
 (* Where an access op finds its operands and leaves its result: an
    operand-stack slot (relative to [opbase]) or a local (relative to
@@ -78,6 +99,10 @@ let[@inline] write_slot (st : Instance.t Xcode.state) (r : slotref) v =
   match r with
   | Sop h -> Array.unsafe_set st.stk (st.opbase + h) v
   | Sloc i -> Array.unsafe_set st.stk (st.base + i) v
+
+(* ------------------------------------------------------------------ *)
+(* The access path                                                     *)
+(* ------------------------------------------------------------------ *)
 
 (* Width/type specialisation of scalar accesses, matched inside the op
    on a compile-time constant: branch-predicted and fully unboxed.
@@ -145,6 +170,256 @@ let[@inline] resolve64p (s : float) (off : int) : int =
         Rt.trap "bounds: non-canonical address 0x%Lx" (Int64.bits_of_float s);
       ((b land 0xffff_ffff_ffff) + off) lor (((b lsr 56) land 0xf) lsl 50)
   | Some _ -> resolve64_chaos s off
+
+let oob () = Rt.trap "bounds: out of bounds memory access"
+
+let[@inline] note_tag_elided (m : Meter.t) =
+  m.elided_checks <- m.elided_checks + 1;
+  if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Check_elided
+
+let[@inline] note_span_elided (m : Meter.t) =
+  m.elided_bounds <- m.elided_bounds + 1;
+  if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Bounds_elided
+
+(* Resolve the address operand [src] plus [off] and apply the check
+   policy to a [len]-byte access, in [Checked.load]'s event order; the
+   result is the native effective address. [w32] selects the wasm32
+   address path (zero-extend, tag zero), [te] elides the tag check and
+   [be] the span check; all three must be literals at every call site,
+   so that inlining folds the policy away. The single native bounds
+   check [addr + len <= length_bytes] is equivalent to the
+   interpreter's ([addr >= 0] holds by construction: a zero-extended
+   i32 or 48-bit address field plus a compile-time-bounded offset), and
+   the tag check is guarded on [enforce_tags] so untagged configs never
+   box the address. *)
+let[@inline] access w32 te be (m : Meter.t) (st : Instance.t Xcode.state) mem
+    acc len off src =
+  let s = read_slot st src in
+  let pa = if w32 then (int_of_slot s land mask32) + off else resolve64p s off in
+  let addr = if w32 then pa else pa land tag_addr_mask in
+  if be then begin
+    if te then note_tag_elided m;
+    note_span_elided m
+  end
+  else begin
+    if addr + len > Memory.length_bytes mem then oob ();
+    if te then note_tag_elided m
+    else if !Obs.Hook.hook != None then Obs.Hook.span_check len
+  end;
+  if te then ()
+  else if st.inst.enforce_tags then
+    Checked.check_tags_native st.inst acc ~addr ~len
+      ~tag:(if w32 then Arch.Tag.zero else Arch.Tag.of_int (pa lsr 50));
+  addr
+
+(* One scalar load or store through {!access}, metered after the
+   checks. With the span check elided the raw memory primitive is still
+   total (it raises), so an analyzer bug degrades to the interpreter's
+   own bounds trap rather than a crash. *)
+let[@inline] load w32 te be (m : Meter.t) st len lk off src dst =
+  let mem = gm st.inst in
+  let addr = access w32 te be m st mem Arch.Mte.Load len off src in
+  m.loads <- m.loads + 1;
+  m.load_bytes <- m.load_bytes + len;
+  write_slot st dst
+    (if be then try do_load lk mem addr with Invalid_argument _ -> oob ()
+     else do_load lk mem addr)
+
+let[@inline] store w32 te be (m : Meter.t) st len sk off src vsrc =
+  let mem = gm st.inst in
+  let addr = access w32 te be m st mem Arch.Mte.Store len off src in
+  m.stores <- m.stores + 1;
+  m.store_bytes <- m.store_bytes + len;
+  if be then
+    try do_store sk mem addr (read_slot st vsrc)
+    with Invalid_argument _ -> oob ()
+  else do_store sk mem addr (read_slot st vsrc)
+
+(* Scalar load specialisation: (access width, width/extension kind).
+   A packed i32 load's slot pattern coincides with the i64 one for
+   sub-32-bit widths, and (i32, Pack32) is exactly the plain i32 load,
+   so [lkind] needs no result-type dimension. *)
+let load_kind (ty : Types.num_type)
+    (pack : (Ast.pack_size * Ast.extension) option) : int * lkind =
+  match (ty, pack) with
+  | Types.I32, None -> (4, Lk_i32)
+  | Types.I64, None -> (8, Lk_i64)
+  | Types.F32, None -> (4, Lk_f32)
+  | Types.F64, None -> (8, Lk_f64)
+  | Types.I32, Some (Ast.Pack32, _) -> (4, Lk_i32)
+  | (Types.I32 | Types.I64), Some (p, ext) ->
+      let n = match p with Ast.Pack8 -> 1 | Pack16 -> 2 | Pack32 -> 4 in
+      (n, Lk_pack (n, ext = Ast.SX))
+  | (Types.F32 | Types.F64), Some _ -> assert false (* validated *)
+
+(* Scalar store specialisation. Packed stores write the slot's low
+   bytes directly: the slot pattern of an i32 equals [Int64.of_int32]
+   of the value, which is exactly what the interpreter hands
+   [Memory.store_n]. *)
+let store_kind (ty : Types.num_type) (pack : Ast.pack_size option) :
+    int * skind =
+  match (ty, pack) with
+  | Types.I32, None -> (4, Sk_i32)
+  | Types.I64, None -> (8, Sk_i64)
+  | Types.F32, None -> (4, Sk_f32)
+  | Types.F64, None -> (8, Sk_f64)
+  | (Types.I32 | Types.I64), Some p ->
+      let n = match p with Ast.Pack8 -> 1 | Pack16 -> 2 | Pack32 -> 4 in
+      (n, Sk_pack n)
+  | (Types.F32 | Types.F64), Some _ -> assert false (* validated *)
+
+(* Static memarg offsets on the native path must keep the effective
+   address within the packed 50-bit address field; wasm encodes them
+   as u32 (u64 under memory64). Any offset of 2^31 or more puts every
+   access out of bounds of the 1 GiB memory cap, so it is clamped to
+   2^31: the access traps with the same message, after the same
+   metering, as it does at its full offset. *)
+let native_off (off : int64) : int = Int64.to_int (Int64.min off 0x8000_0000L)
+
+(* ------------------------------------------------------------------ *)
+(* The operator table                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* One match per operator that both bumps the operator's meter counter
+   and computes, so an op pays a single switch on its captured
+   operator. The [_m] evaluators meter; the rest leave it to the caller
+   (every comparison bumps the same counter). *)
+
+let[@inline] ialu (m : Meter.t) = m.ialu <- m.ialu + 1
+let[@inline] falu (m : Meter.t) = m.falu <- m.falu + 1
+
+let[@inline] i32_binop_m (m : Meter.t) (op : Ast.ibinop) (x : int) (y : int) =
+  match op with
+  | Add -> ialu m; norm32 (x + y)
+  | Sub -> ialu m; norm32 (x - y)
+  | Mul -> m.imul <- m.imul + 1; norm32 (x * y)
+  | DivS ->
+      m.idiv <- m.idiv + 1;
+      if y = 0 then Rt.trap "integer divide by zero"
+      else if x = -0x80000000 && y = -1 then Rt.trap "integer overflow"
+      else x / y
+  | DivU ->
+      m.idiv <- m.idiv + 1;
+      if y = 0 then Rt.trap "integer divide by zero"
+      else norm32 ((x land mask32) / (y land mask32))
+  | RemS ->
+      m.idiv <- m.idiv + 1;
+      if y = 0 then Rt.trap "integer divide by zero"
+      else if x = -0x80000000 && y = -1 then 0
+      else x mod y
+  | RemU ->
+      m.idiv <- m.idiv + 1;
+      if y = 0 then Rt.trap "integer divide by zero"
+      else norm32 ((x land mask32) mod (y land mask32))
+  | And -> ialu m; x land y
+  | Or -> ialu m; x lor y
+  | Xor -> ialu m; x lxor y
+  | Shl -> ialu m; norm32 (x lsl (y land 31))
+  | ShrS -> ialu m; x asr (y land 31)
+  | ShrU -> ialu m; norm32 ((x land mask32) lsr (y land 31))
+  | Rotl ->
+      ialu m;
+      Int32.to_int (Values.rotl32 (Int32.of_int x) (Int32.of_int y))
+  | Rotr ->
+      ialu m;
+      Int32.to_int (Values.rotr32 (Int32.of_int x) (Int32.of_int y))
+
+(* Whether a fused group may absorb this ibinop (no trapping paths, so
+   the group has a single observable failure order). *)
+let i32_binop_fusable : Ast.ibinop -> bool = function
+  | Add | Sub | Mul | And | Or | Xor | Shl | ShrS | ShrU -> true
+  | DivS | DivU | RemS | RemU | Rotl | Rotr -> false
+
+(* Int64 primitives are unboxed externals, so an in-body
+   bits_of_float → op → float_of_bits chain never boxes on the common
+   arms; the trapping and rotating ones keep [Numerics]' shared body. *)
+let[@inline] i64_binop_m (m : Meter.t) (op : Ast.ibinop) x y =
+  match op with
+  | Add -> ialu m; Int64.add x y
+  | Sub -> ialu m; Int64.sub x y
+  | Mul -> m.imul <- m.imul + 1; Int64.mul x y
+  | DivS | DivU | RemS | RemU ->
+      m.idiv <- m.idiv + 1;
+      Numerics.eval_ibinop64 op x y
+  | And -> ialu m; Int64.logand x y
+  | Or -> ialu m; Int64.logor x y
+  | Xor -> ialu m; Int64.logxor x y
+  | Shl | ShrS | ShrU | Rotl | Rotr -> ialu m; Numerics.eval_ibinop64 op x y
+
+let[@inline] i32_relop (op : Ast.irelop) (x : int) (y : int) =
+  match op with
+  | Eq -> x = y
+  | Ne -> x <> y
+  | LtS -> x < y
+  | LtU -> x land mask32 < y land mask32
+  | GtS -> x > y
+  | GtU -> x land mask32 > y land mask32
+  | LeS -> x <= y
+  | LeU -> x land mask32 <= y land mask32
+  | GeS -> x >= y
+  | GeU -> x land mask32 >= y land mask32
+
+(* f64 semantics; an f32 op rounds the result through single precision
+   ([Values.to_f32]), exactly as the interpreter stores it. The
+   arithmetic arms stay unboxed; the rare ones call [Numerics]. A typed
+   float compare never boxes, and NaN falls out of the IEEE compare
+   exactly as [Numerics.eval_frelop]'s. *)
+let[@inline] f_binop_m (m : Meter.t) (op : Ast.fbinop) (x : float) y =
+  match op with
+  | FAdd -> falu m; x +. y
+  | FSub -> falu m; x -. y
+  | FMul -> m.fmul <- m.fmul + 1; x *. y
+  | FDiv -> m.fdiv <- m.fdiv + 1; x /. y
+  | FMin | FMax | Copysign -> falu m; Numerics.eval_fbinop op x y
+
+let[@inline] f_unop (op : Ast.funop) (x : float) =
+  match op with
+  | Neg -> -.x
+  | Abs -> Float.abs x
+  | Sqrt -> Float.sqrt x
+  | Ceil | Floor | Trunc | Nearest -> Numerics.eval_funop op x
+
+let[@inline] f_relop (op : Ast.frelop) (x : float) (y : float) =
+  match op with
+  | FEq -> x = y
+  | FNe -> x <> y
+  | FLt -> x < y
+  | FGt -> x > y
+  | FLe -> x <= y
+  | FGe -> x >= y
+
+(* Conversion ops as slot transforms. *)
+let[@inline] cvt (op : Ast.cvtop) (s : float) : float =
+  match op with
+  | I32WrapI64 -> slot_of_i32 (Int64.to_int32 (i64_of_slot s))
+  (* an i32 slot already holds the sign-extended 64-bit pattern *)
+  | I64ExtendI32S | F64PromoteF32 | I64ReinterpretF64 | F64ReinterpretI64 -> s
+  | I64ExtendI32U -> slot_of_i64 (Int64.logand (Int64.bits_of_float s) 0xffffffffL)
+  | I32TruncF32S | I32TruncF64S -> slot_of_i32 (Numerics.trunc_to_i32 ~signed:true s)
+  | I32TruncF32U | I32TruncF64U -> slot_of_i32 (Numerics.trunc_to_i32 ~signed:false s)
+  | I64TruncF32S | I64TruncF64S -> slot_of_i64 (Numerics.trunc_to_i64 ~signed:true s)
+  | I64TruncF32U | I64TruncF64U -> slot_of_i64 (Numerics.trunc_to_i64 ~signed:false s)
+  | F32ConvertI32S -> Values.to_f32 (float_of_int (int_of_slot s))
+  | F32ConvertI32U -> Values.to_f32 (Numerics.u32_to_float (i32_of_slot s))
+  | F32ConvertI64S -> Values.to_f32 (Int64.to_float (i64_of_slot s))
+  | F32ConvertI64U -> Values.to_f32 (Numerics.u64_to_float (i64_of_slot s))
+  | F64ConvertI32S -> float_of_int (int_of_slot s)
+  | F64ConvertI32U -> Numerics.u32_to_float (i32_of_slot s)
+  | F64ConvertI64S -> Int64.to_float (i64_of_slot s)
+  | F64ConvertI64U -> Numerics.u64_to_float (i64_of_slot s)
+  | F32DemoteF64 -> Values.to_f32 s
+  | I32ReinterpretF32 -> slot_of_i32 (Int32.bits_of_float s)
+  | F32ReinterpretI32 -> Int32.float_of_bits (i32_of_slot s)
+
+(* [i32.add] of the two operand slots at [p], [p + 1] into [p]: the
+   address-chain step the fused access forms begin with. *)
+let[@inline] add_pair (m : Meter.t) stk p =
+  ialu m;
+  seti stk p (norm32 (geti stk p + geti stk (p + 1)))
+
+(* ------------------------------------------------------------------ *)
+(* Calls                                                               *)
+(* ------------------------------------------------------------------ *)
 
 (* The call protocol. Caller arguments occupy the top of the caller's
    operand area, at absolute slots [argp .. argp + nargs - 1]; the
@@ -233,7 +508,6 @@ let run_body (inst : Instance.t) ~depth (xf : Instance.t Xcode.func)
       stk = Array.make (max Xcode.initial_slots xf.frame_slots) 0.0;
       base = 0;
       opbase = xf.nparams + xf.nlocals;
-      sp = xf.nparams + xf.nlocals;
       depth;
     }
   in
@@ -244,166 +518,6 @@ let run_body (inst : Instance.t) ~depth (xf : Instance.t Xcode.func)
   go 0;
   List.init xf.result_arity (fun j ->
       Xcode.value_of_slot xf.result_tys.(j) st.stk.(st.opbase + j))
-
-(* ------------------------------------------------------------------ *)
-(* Compile-time numeric specialisation                                 *)
-(* ------------------------------------------------------------------ *)
-
-let i32_binop_fn (op : Ast.ibinop) : int -> int -> int =
-  match op with
-  | Add -> fun x y -> norm32 (x + y)
-  | Sub -> fun x y -> norm32 (x - y)
-  | Mul -> fun x y -> norm32 (x * y)
-  | DivS ->
-      fun x y ->
-        if y = 0 then Rt.trap "integer divide by zero"
-        else if x = -0x80000000 && y = -1 then Rt.trap "integer overflow"
-        else x / y
-  | DivU ->
-      fun x y ->
-        if y = 0 then Rt.trap "integer divide by zero"
-        else norm32 ((x land mask32) / (y land mask32))
-  | RemS ->
-      fun x y ->
-        if y = 0 then Rt.trap "integer divide by zero"
-        else if x = -0x80000000 && y = -1 then 0
-        else x mod y
-  | RemU ->
-      fun x y ->
-        if y = 0 then Rt.trap "integer divide by zero"
-        else norm32 ((x land mask32) mod (y land mask32))
-  | And -> fun x y -> x land y
-  | Or -> fun x y -> x lor y
-  | Xor -> fun x y -> x lxor y
-  | Shl -> fun x y -> norm32 (x lsl (y land 31))
-  | ShrS -> fun x y -> x asr (y land 31)
-  | ShrU -> fun x y -> norm32 ((x land mask32) lsr (y land 31))
-  | Rotl ->
-      fun x y -> Int32.to_int (Values.rotl32 (Int32.of_int x) (Int32.of_int y))
-  | Rotr ->
-      fun x y -> Int32.to_int (Values.rotr32 (Int32.of_int x) (Int32.of_int y))
-
-(* Whether a fused group may absorb this ibinop (no trapping paths, so
-   the group has a single observable failure order). *)
-let i32_binop_fusable : Ast.ibinop -> bool = function
-  | Add | Sub | Mul | And | Or | Xor | Shl | ShrS | ShrU -> true
-  | DivS | DivU | RemS | RemU | Rotl | Rotr -> false
-
-let i32_relop_fn (op : Ast.irelop) : int -> int -> bool =
-  match op with
-  | Eq -> fun x y -> x = y
-  | Ne -> fun x y -> x <> y
-  | LtS -> fun x y -> x < y
-  | LtU -> fun x y -> x land mask32 < y land mask32
-  | GtS -> fun x y -> x > y
-  | GtU -> fun x y -> x land mask32 > y land mask32
-  | LeS -> fun x y -> x <= y
-  | LeU -> fun x y -> x land mask32 <= y land mask32
-  | GeS -> fun x y -> x >= y
-  | GeU -> fun x y -> x land mask32 >= y land mask32
-
-let ibinop_bump (op : Ast.ibinop) : Meter.t -> unit =
-  match op with
-  | Mul -> fun m -> m.imul <- m.imul + 1
-  | DivS | DivU | RemS | RemU -> fun m -> m.idiv <- m.idiv + 1
-  | _ -> fun m -> m.ialu <- m.ialu + 1
-
-let fbinop_bump (op : Ast.fbinop) : Meter.t -> unit =
-  match op with
-  | FMul -> fun m -> m.fmul <- m.fmul + 1
-  | FDiv -> fun m -> m.fdiv <- m.fdiv + 1
-  | _ -> fun m -> m.falu <- m.falu + 1
-
-(* Conversion ops as slot transforms. *)
-let cvt_fn (op : Ast.cvtop) : float -> float =
-  match op with
-  | I32WrapI64 ->
-      fun s -> Xcode.slot_of_i32 (Int64.to_int32 (Xcode.i64_of_slot s))
-  | I64ExtendI32S ->
-      (* an i32 slot already holds the sign-extended 64-bit pattern *)
-      fun s -> s
-  | I64ExtendI32U ->
-      fun s ->
-          Xcode.slot_of_i64 (Int64.logand (Int64.bits_of_float s) 0xffffffffL)
-  | I32TruncF32S ->
-      fun s -> Xcode.slot_of_i32 (Numerics.trunc_to_i32 ~signed:true s)
-  | I32TruncF32U ->
-      fun s -> Xcode.slot_of_i32 (Numerics.trunc_to_i32 ~signed:false s)
-  | I32TruncF64S ->
-      fun s -> Xcode.slot_of_i32 (Numerics.trunc_to_i32 ~signed:true s)
-  | I32TruncF64U ->
-      fun s -> Xcode.slot_of_i32 (Numerics.trunc_to_i32 ~signed:false s)
-  | I64TruncF32S ->
-      fun s -> Xcode.slot_of_i64 (Numerics.trunc_to_i64 ~signed:true s)
-  | I64TruncF32U ->
-      fun s -> Xcode.slot_of_i64 (Numerics.trunc_to_i64 ~signed:false s)
-  | I64TruncF64S ->
-      fun s -> Xcode.slot_of_i64 (Numerics.trunc_to_i64 ~signed:true s)
-  | I64TruncF64U ->
-      fun s -> Xcode.slot_of_i64 (Numerics.trunc_to_i64 ~signed:false s)
-  | F32ConvertI32S ->
-      fun s -> Values.to_f32 (float_of_int (int_of_slot s))
-  | F32ConvertI32U ->
-      fun s -> Values.to_f32 (Numerics.u32_to_float (Xcode.i32_of_slot s))
-  | F32ConvertI64S ->
-      fun s -> Values.to_f32 (Int64.to_float (Xcode.i64_of_slot s))
-  | F32ConvertI64U ->
-      fun s -> Values.to_f32 (Numerics.u64_to_float (Xcode.i64_of_slot s))
-  | F64ConvertI32S -> fun s -> float_of_int (int_of_slot s)
-  | F64ConvertI32U ->
-      fun s -> Numerics.u32_to_float (Xcode.i32_of_slot s)
-  | F64ConvertI64S -> fun s -> Int64.to_float (Xcode.i64_of_slot s)
-  | F64ConvertI64U ->
-      fun s -> Numerics.u64_to_float (Xcode.i64_of_slot s)
-  | F32DemoteF64 -> Values.to_f32
-  | F64PromoteF32 -> fun s -> s
-  | I32ReinterpretF32 ->
-      fun s -> Xcode.slot_of_i32 (Int32.bits_of_float s)
-  | I64ReinterpretF64 -> fun s -> s
-  | F32ReinterpretI32 ->
-      fun s -> Int32.float_of_bits (Xcode.i32_of_slot s)
-  | F64ReinterpretI64 -> fun s -> s
-
-(* Scalar load specialisation: (access width, width/extension kind).
-   A packed i32 load's slot pattern coincides with the i64 one for
-   sub-32-bit widths, and (i32, Pack32) is exactly the plain i32 load,
-   so [lkind] needs no result-type dimension. *)
-let load_kind (ty : Types.num_type)
-    (pack : (Ast.pack_size * Ast.extension) option) : int * lkind =
-  match (ty, pack) with
-  | Types.I32, None -> (4, Lk_i32)
-  | Types.I64, None -> (8, Lk_i64)
-  | Types.F32, None -> (4, Lk_f32)
-  | Types.F64, None -> (8, Lk_f64)
-  | Types.I32, Some (Ast.Pack32, _) -> (4, Lk_i32)
-  | (Types.I32 | Types.I64), Some (p, ext) ->
-      let n = match p with Ast.Pack8 -> 1 | Pack16 -> 2 | Pack32 -> 4 in
-      (n, Lk_pack (n, ext = Ast.SX))
-  | (Types.F32 | Types.F64), Some _ -> assert false (* validated *)
-
-(* Scalar store specialisation. Packed stores write the slot's low
-   bytes directly: the slot pattern of an i32 equals [Int64.of_int32]
-   of the value, which is exactly what the interpreter hands
-   [Memory.store_n]. *)
-let store_kind (ty : Types.num_type) (pack : Ast.pack_size option) :
-    int * skind =
-  match (ty, pack) with
-  | Types.I32, None -> (4, Sk_i32)
-  | Types.I64, None -> (8, Sk_i64)
-  | Types.F32, None -> (4, Sk_f32)
-  | Types.F64, None -> (8, Sk_f64)
-  | (Types.I32 | Types.I64), Some p ->
-      let n = match p with Ast.Pack8 -> 1 | Pack16 -> 2 | Pack32 -> 4 in
-      (n, Sk_pack n)
-  | (Types.F32 | Types.F64), Some _ -> assert false (* validated *)
-
-(* Static memarg offsets on the native path must keep the effective
-   address within the packed 50-bit address field; wasm encodes them
-   as u32 (u64 under memory64). Any offset of 2^31 or more puts every
-   access out of bounds of the 1 GiB memory cap, so it is clamped to
-   2^31: the access traps with the same message, after the same
-   metering, as it does at its full offset. *)
-let native_off (off : int64) : int = Int64.to_int (Int64.min off 0x8000_0000L)
 
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                        *)
@@ -433,7 +547,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
   let mem_idx =
     match m.memory with Some mt -> mt.Types.mem_idx | None -> Types.Idx32
   in
-  let addr_ty = Types.addr_type mem_idx in
+  let w32 = mem_idx = Types.Idx32 in
   (* Page counts and bulk lengths are unsigned in the memory's index
      type; bulk-op addresses resolve as [Checked.resolve_addr] does. *)
   let idx_of_slot, slot_of_idx =
@@ -452,305 +566,82 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
   (* --- static state: the operand-stack height --- *)
   let h = ref 0 in
   let max_h = ref 0 in
-  let push () =
-    incr h;
-    if !h > !max_h then max_h := !h
+  (* An op's static stack effect: it peaks [peak] slots above the
+     current height and moves the height by [net]. Returns the height
+     it started from. *)
+  let shape ~peak ~net =
+    let h0 = !h in
+    if h0 + peak > !max_h then max_h := h0 + peak;
+    h := h0 + net;
+    h0
   in
-  let pop () = decr h in
-  let pop_n n = h := !h - n in
-  let push_n n = for _ = 1 to n do push () done in
-  (* --- op builder --- *)
+  (* A singleton that pops [n] operands, then pushes [k] results: the
+     slot of its first operand, which is also its first result's. *)
+  let pops n k =
+    h := !h - n;
+    shape ~peak:k ~net:k
+  in
+  (* --- op builder: ops are emitted in order, so the op being emitted
+     has index [!count] and falls through to [!count + 1] --- *)
   let rev_ops : Instance.t Xcode.op list ref = ref [] in
   let count = ref 0 in
-  let emit f =
-    let idx = !count in
-    count := idx + 1;
-    rev_ops := f idx :: !rev_ops
+  let put (op : Instance.t Xcode.op) =
+    incr count;
+    rev_ops := op :: !rev_ops
   in
-  let emit1 mk = emit (fun idx -> mk (idx + 1)) in
   (* --- statistics --- *)
   let n_instrs = ref 0 in
   let n_fused = ref 0 in
   let n_acc = ref 0 in
   let n_elided = ref 0 in
   let idioms : (string * int ref) list ref = ref [] in
-  let bump_idiom name =
-    match List.assoc_opt name !idioms with
+  let fused idiom k =
+    n_instrs := !n_instrs + k;
+    n_fused := !n_fused + k;
+    (match List.assoc_opt idiom !idioms with
     | Some r -> incr r
-    | None -> idioms := (name, ref 1) :: !idioms
+    | None -> idioms := (idiom, ref 1) :: !idioms);
+    k
   in
-  let elide_of id =
-    let e = Code.elidable code.elide id in
-    incr n_acc;
-    if e then incr n_elided;
-    e
-  in
-  let belide_of id = Code.elidable code.belide id in
   let arena_of id = Code.elidable code.arena id in
-  (* [Rt.meter_br] against the baked meter: fuel first, then the
-     branch counter, exactly the interpreter's order. *)
-  let meter_br inst =
-    Rt.burn_fuel inst;
-    mtr.Meter.branch <- mtr.Meter.branch + 1
-  in
   (* ---------------------------------------------------------------- *)
   (* Access emission (shared by singleton and fused forms)             *)
   (* ---------------------------------------------------------------- *)
-  (* Emit-time selection of the full access path for a load: native
-     address resolution by the operand's static type (which fixes the
-     chaos draw sequence), elided vs checked verdict baked from the
-     analysis bitset, and the width-specialised memory primitive,
-     matched on a closure constant. The single native bounds check
-     [addr + len <= length_bytes] is equivalent to the interpreter's
-     ([addr >= 0] holds by construction: a zero-extended i32 or 48-bit
-     address field plus a compile-time-bounded offset), and the trap
-     text is [Checked]'s verbatim. The tag check exists only on the
-     checked arms, guarded on [enforce_tags] so untagged configs never
-     box the address. *)
-  let load_body ~elide ~ebounds ~len ~(lk : lkind)
-      ~(off : int) ~(src : slotref) ~(dst : slotref) :
-      Instance.t Xcode.state -> unit =
-    (* The fully-elided arms drop the span compare too; the raw memory
-       primitive is still total (it raises), so an analyzer bug degrades
-       to the interpreter's own bounds trap rather than a crash. *)
-    match (addr_ty, elide, ebounds) with
-    | Types.I32, true, true ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let addr = (int_of_slot (read_slot st src) land mask32) + off in
-          mtr.Meter.elided_checks <- mtr.Meter.elided_checks + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Check_elided;
-          mtr.Meter.elided_bounds <- mtr.Meter.elided_bounds + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Bounds_elided;
-          mtr.Meter.loads <- mtr.Meter.loads + 1;
-          mtr.Meter.load_bytes <- mtr.Meter.load_bytes + len;
-          write_slot st dst
-            (try do_load lk mem addr
-             with Memory.Out_of_bounds _ | Invalid_argument _ ->
-               Rt.trap "bounds: out of bounds memory access")
-    | Types.I32, false, true ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let addr = (int_of_slot (read_slot st src) land mask32) + off in
-          mtr.Meter.elided_bounds <- mtr.Meter.elided_bounds + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Bounds_elided;
-          if inst.enforce_tags then
-            Checked.check_tags_native inst Arch.Mte.Load ~addr
-              ~tag:Arch.Tag.zero ~len;
-          mtr.Meter.loads <- mtr.Meter.loads + 1;
-          mtr.Meter.load_bytes <- mtr.Meter.load_bytes + len;
-          write_slot st dst
-            (try do_load lk mem addr
-             with Memory.Out_of_bounds _ | Invalid_argument _ ->
-               Rt.trap "bounds: out of bounds memory access")
-    | _, true, true ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let addr = resolve64p (read_slot st src) off land tag_addr_mask in
-          mtr.Meter.elided_checks <- mtr.Meter.elided_checks + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Check_elided;
-          mtr.Meter.elided_bounds <- mtr.Meter.elided_bounds + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Bounds_elided;
-          mtr.Meter.loads <- mtr.Meter.loads + 1;
-          mtr.Meter.load_bytes <- mtr.Meter.load_bytes + len;
-          write_slot st dst
-            (try do_load lk mem addr
-             with Memory.Out_of_bounds _ | Invalid_argument _ ->
-               Rt.trap "bounds: out of bounds memory access")
-    | _, false, true ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let pa = resolve64p (read_slot st src) off in
-          let addr = pa land tag_addr_mask in
-          mtr.Meter.elided_bounds <- mtr.Meter.elided_bounds + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Bounds_elided;
-          if inst.enforce_tags then
-            Checked.check_tags_native inst Arch.Mte.Load ~addr
-              ~tag:(Arch.Tag.of_int (pa lsr 50))
-              ~len;
-          mtr.Meter.loads <- mtr.Meter.loads + 1;
-          mtr.Meter.load_bytes <- mtr.Meter.load_bytes + len;
-          write_slot st dst
-            (try do_load lk mem addr
-             with Memory.Out_of_bounds _ | Invalid_argument _ ->
-               Rt.trap "bounds: out of bounds memory access")
-    | Types.I32, true, false ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let addr = (int_of_slot (read_slot st src) land mask32) + off in
-          if addr + len > Memory.length_bytes mem then
-            Rt.trap "bounds: out of bounds memory access";
-          mtr.Meter.elided_checks <- mtr.Meter.elided_checks + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Check_elided;
-          mtr.Meter.loads <- mtr.Meter.loads + 1;
-          mtr.Meter.load_bytes <- mtr.Meter.load_bytes + len;
-          write_slot st dst (do_load lk mem addr)
-    | Types.I32, false, false ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let addr = (int_of_slot (read_slot st src) land mask32) + off in
-          if addr + len > Memory.length_bytes mem then
-            Rt.trap "bounds: out of bounds memory access";
-          if !Obs.Hook.hook != None then Obs.Hook.span_check len;
-          if inst.enforce_tags then
-            Checked.check_tags_native inst Arch.Mte.Load ~addr
-              ~tag:Arch.Tag.zero ~len;
-          mtr.Meter.loads <- mtr.Meter.loads + 1;
-          mtr.Meter.load_bytes <- mtr.Meter.load_bytes + len;
-          write_slot st dst (do_load lk mem addr)
-    | _, true, false ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let addr = resolve64p (read_slot st src) off land tag_addr_mask in
-          if addr + len > Memory.length_bytes mem then
-            Rt.trap "bounds: out of bounds memory access";
-          mtr.Meter.elided_checks <- mtr.Meter.elided_checks + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Check_elided;
-          mtr.Meter.loads <- mtr.Meter.loads + 1;
-          mtr.Meter.load_bytes <- mtr.Meter.load_bytes + len;
-          write_slot st dst (do_load lk mem addr)
-    | _, false, false ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let pa = resolve64p (read_slot st src) off in
-          let addr = pa land tag_addr_mask in
-          if addr + len > Memory.length_bytes mem then
-            Rt.trap "bounds: out of bounds memory access";
-          if !Obs.Hook.hook != None then Obs.Hook.span_check len;
-          if inst.enforce_tags then
-            Checked.check_tags_native inst Arch.Mte.Load ~addr
-              ~tag:(Arch.Tag.of_int (pa lsr 50))
-              ~len;
-          mtr.Meter.loads <- mtr.Meter.loads + 1;
-          mtr.Meter.load_bytes <- mtr.Meter.load_bytes + len;
-          write_slot st dst (do_load lk mem addr)
+  (* The analysis verdicts of access [id], counted for the stats. *)
+  let policy id =
+    let te = Code.elidable code.elide id in
+    incr n_acc;
+    if te then incr n_elided;
+    (w32, te, Code.elidable code.belide id)
   in
-  let store_body ~elide ~ebounds ~len ~(sk : skind)
-      ~(off : int) ~(src : slotref) ~(vsrc : slotref) :
+  (* Pick the access path's literal flags once, at emit time. *)
+  let load_body id lty pack (ma : Ast.memarg) ~src ~dst :
       Instance.t Xcode.state -> unit =
-    match (addr_ty, elide, ebounds) with
-    | Types.I32, true, true ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let addr = (int_of_slot (read_slot st src) land mask32) + off in
-          mtr.Meter.elided_checks <- mtr.Meter.elided_checks + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Check_elided;
-          mtr.Meter.elided_bounds <- mtr.Meter.elided_bounds + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Bounds_elided;
-          mtr.Meter.stores <- mtr.Meter.stores + 1;
-          mtr.Meter.store_bytes <- mtr.Meter.store_bytes + len;
-          (try do_store sk mem addr (read_slot st vsrc)
-           with Memory.Out_of_bounds _ | Invalid_argument _ ->
-             Rt.trap "bounds: out of bounds memory access")
-    | Types.I32, false, true ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let addr = (int_of_slot (read_slot st src) land mask32) + off in
-          mtr.Meter.elided_bounds <- mtr.Meter.elided_bounds + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Bounds_elided;
-          if inst.enforce_tags then
-            Checked.check_tags_native inst Arch.Mte.Store ~addr
-              ~tag:Arch.Tag.zero ~len;
-          mtr.Meter.stores <- mtr.Meter.stores + 1;
-          mtr.Meter.store_bytes <- mtr.Meter.store_bytes + len;
-          (try do_store sk mem addr (read_slot st vsrc)
-           with Memory.Out_of_bounds _ | Invalid_argument _ ->
-             Rt.trap "bounds: out of bounds memory access")
-    | _, true, true ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let addr = resolve64p (read_slot st src) off land tag_addr_mask in
-          mtr.Meter.elided_checks <- mtr.Meter.elided_checks + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Check_elided;
-          mtr.Meter.elided_bounds <- mtr.Meter.elided_bounds + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Bounds_elided;
-          mtr.Meter.stores <- mtr.Meter.stores + 1;
-          mtr.Meter.store_bytes <- mtr.Meter.store_bytes + len;
-          (try do_store sk mem addr (read_slot st vsrc)
-           with Memory.Out_of_bounds _ | Invalid_argument _ ->
-             Rt.trap "bounds: out of bounds memory access")
-    | _, false, true ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let pa = resolve64p (read_slot st src) off in
-          let addr = pa land tag_addr_mask in
-          mtr.Meter.elided_bounds <- mtr.Meter.elided_bounds + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Bounds_elided;
-          if inst.enforce_tags then
-            Checked.check_tags_native inst Arch.Mte.Store ~addr
-              ~tag:(Arch.Tag.of_int (pa lsr 50))
-              ~len;
-          mtr.Meter.stores <- mtr.Meter.stores + 1;
-          mtr.Meter.store_bytes <- mtr.Meter.store_bytes + len;
-          (try do_store sk mem addr (read_slot st vsrc)
-           with Memory.Out_of_bounds _ | Invalid_argument _ ->
-             Rt.trap "bounds: out of bounds memory access")
-    | Types.I32, true, false ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let addr = (int_of_slot (read_slot st src) land mask32) + off in
-          if addr + len > Memory.length_bytes mem then
-            Rt.trap "bounds: out of bounds memory access";
-          mtr.Meter.elided_checks <- mtr.Meter.elided_checks + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Check_elided;
-          mtr.Meter.stores <- mtr.Meter.stores + 1;
-          mtr.Meter.store_bytes <- mtr.Meter.store_bytes + len;
-          do_store sk mem addr (read_slot st vsrc)
-    | Types.I32, false, false ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let addr = (int_of_slot (read_slot st src) land mask32) + off in
-          if addr + len > Memory.length_bytes mem then
-            Rt.trap "bounds: out of bounds memory access";
-          if !Obs.Hook.hook != None then Obs.Hook.span_check len;
-          if inst.enforce_tags then
-            Checked.check_tags_native inst Arch.Mte.Store ~addr
-              ~tag:Arch.Tag.zero ~len;
-          mtr.Meter.stores <- mtr.Meter.stores + 1;
-          mtr.Meter.store_bytes <- mtr.Meter.store_bytes + len;
-          do_store sk mem addr (read_slot st vsrc)
-    | _, true, false ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let addr = resolve64p (read_slot st src) off land tag_addr_mask in
-          if addr + len > Memory.length_bytes mem then
-            Rt.trap "bounds: out of bounds memory access";
-          mtr.Meter.elided_checks <- mtr.Meter.elided_checks + 1;
-          if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Check_elided;
-          mtr.Meter.stores <- mtr.Meter.stores + 1;
-          mtr.Meter.store_bytes <- mtr.Meter.store_bytes + len;
-          do_store sk mem addr (read_slot st vsrc)
-    | _, false, false ->
-        fun st ->
-          let inst = st.inst in
-          let mem = gm inst in
-          let pa = resolve64p (read_slot st src) off in
-          let addr = pa land tag_addr_mask in
-          if addr + len > Memory.length_bytes mem then
-            Rt.trap "bounds: out of bounds memory access";
-          if !Obs.Hook.hook != None then Obs.Hook.span_check len;
-          if inst.enforce_tags then
-            Checked.check_tags_native inst Arch.Mte.Store ~addr
-              ~tag:(Arch.Tag.of_int (pa lsr 50))
-              ~len;
-          mtr.Meter.stores <- mtr.Meter.stores + 1;
-          mtr.Meter.store_bytes <- mtr.Meter.store_bytes + len;
-          do_store sk mem addr (read_slot st vsrc)
+    let len, lk = load_kind lty pack and off = native_off ma.offset in
+    let m = mtr in
+    match policy id with
+    | true, false, false -> fun st -> load true false false m st len lk off src dst
+    | true, true, false -> fun st -> load true true false m st len lk off src dst
+    | true, false, true -> fun st -> load true false true m st len lk off src dst
+    | true, true, true -> fun st -> load true true true m st len lk off src dst
+    | false, false, false -> fun st -> load false false false m st len lk off src dst
+    | false, true, false -> fun st -> load false true false m st len lk off src dst
+    | false, false, true -> fun st -> load false false true m st len lk off src dst
+    | false, true, true -> fun st -> load false true true m st len lk off src dst
+  in
+  let store_body id sty pack (ma : Ast.memarg) ~src ~vsrc :
+      Instance.t Xcode.state -> unit =
+    let len, sk = store_kind sty pack and off = native_off ma.offset in
+    let m = mtr in
+    match policy id with
+    | true, false, false -> fun st -> store true false false m st len sk off src vsrc
+    | true, true, false -> fun st -> store true true false m st len sk off src vsrc
+    | true, false, true -> fun st -> store true false true m st len sk off src vsrc
+    | true, true, true -> fun st -> store true true true m st len sk off src vsrc
+    | false, false, false -> fun st -> store false false false m st len sk off src vsrc
+    | false, true, false -> fun st -> store false true false m st len sk off src vsrc
+    | false, false, true -> fun st -> store false false true m st len sk off src vsrc
+    | false, true, true -> fun st -> store false true true m st len sk off src vsrc
   in
   (* ---------------------------------------------------------------- *)
   (* Branch actions                                                    *)
@@ -765,7 +656,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     let fr = List.nth labels depth in
     let tgt = fr.l_target in
     if fr.l_loop then fun st ->
-      meter_br st.inst;
+      meter_br mtr st.inst;
       !tgt
     else begin
       fr.l_reached <- true;
@@ -785,971 +676,310 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
   (* ---------------------------------------------------------------- *)
   (* Singleton instruction compilation                                 *)
   (* ---------------------------------------------------------------- *)
-  let compile_basic (ins : Ast.instr) (id : int) : [ `Live | `Dead ] =
+  let compile_basic (ins : Ast.instr) (id : int) =
+    let open Ast in
+    let next = !count + 1 in
     match ins with
-    | Ast.Block _ | Ast.Loop _ | Ast.If _ | Ast.Br _ | Ast.BrIf _
-    | Ast.BrTable _ | Ast.Return ->
+    | Block _ | Loop _ | If _ | Br _ | BrIf _ | BrTable _ | Return ->
         assert false (* control flow is resolved by Code.prepare *)
-    | Ast.Unreachable ->
-        emit1 (fun _next st ->
+    | Unreachable ->
+        put (fun st ->
             tick st.inst;
-            Rt.trap "unreachable executed");
-        `Dead
-    | Ast.Nop ->
-        emit1 (fun next st ->
+            Rt.trap "unreachable executed")
+    | Nop | Drop ->
+        if ins = Drop then decr h;
+        put (fun st ->
             tick st.inst;
-            next);
-        `Live
-    | Ast.Drop ->
-        pop ();
-        emit1 (fun next st ->
-            tick st.inst;
-            next);
-        `Live
-    | Ast.Select ->
-        pop_n 3;
-        push ();
-        let hres = !h - 1 in
-        emit1 (fun next st ->
+            next)
+    | Select ->
+        let p = pops 3 1 in
+        put (fun st ->
             tick st.inst;
             mtr.select <- mtr.select + 1;
-            let stk = st.stk in
-            let p = st.opbase + hres in
-            if Int64.bits_of_float (Array.unsafe_get stk (p + 2)) = 0L then
-              Array.unsafe_set stk p (Array.unsafe_get stk (p + 1));
-            next);
-        `Live
-    | Ast.LocalGet i ->
-        push ();
-        let hres = !h - 1 in
-        emit1 (fun next st ->
+            let stk = st.stk and q = st.opbase + p in
+            if Int64.bits_of_float (Array.unsafe_get stk (q + 2)) = 0L then
+              Array.unsafe_set stk q (Array.unsafe_get stk (q + 1));
+            next)
+    | LocalGet i ->
+        let p = pops 0 1 in
+        put (fun st ->
             tick st.inst;
             mtr.local_access <- mtr.local_access + 1;
             let stk = st.stk in
-            Array.unsafe_set stk (st.opbase + hres)
-              (Array.unsafe_get stk (st.base + i));
-            next);
-        `Live
-    | Ast.LocalSet i ->
-        pop ();
-        let hsrc = !h in
-        emit1 (fun next st ->
+            Array.unsafe_set stk (st.opbase + p) (Array.unsafe_get stk (st.base + i));
+            next)
+    | LocalSet i | LocalTee i ->
+        let p = if ins = LocalSet i then pops 1 0 else pops 1 1 in
+        put (fun st ->
             tick st.inst;
             mtr.local_access <- mtr.local_access + 1;
             let stk = st.stk in
-            Array.unsafe_set stk (st.base + i)
-              (Array.unsafe_get stk (st.opbase + hsrc));
-            next);
-        `Live
-    | Ast.LocalTee i ->
-        pop ();
-        push ();
-        let hsrc = !h - 1 in
-        emit1 (fun next st ->
-            tick st.inst;
-            mtr.local_access <- mtr.local_access + 1;
-            let stk = st.stk in
-            Array.unsafe_set stk (st.base + i)
-              (Array.unsafe_get stk (st.opbase + hsrc));
-            next);
-        `Live
-    | Ast.GlobalGet i ->
-        push ();
-        let hres = !h - 1 in
-        emit1 (fun next st ->
+            Array.unsafe_set stk (st.base + i) (Array.unsafe_get stk (st.opbase + p));
+            next)
+    | GlobalGet i ->
+        let p = pops 0 1 in
+        put (fun st ->
             tick st.inst;
             mtr.global_access <- mtr.global_access + 1;
-            Array.unsafe_set st.stk (st.opbase + hres)
+            Array.unsafe_set st.stk (st.opbase + p)
               (Xcode.slot_of_value (Array.unsafe_get st.inst.globals i));
-            next);
-        `Live
-    | Ast.GlobalSet i ->
+            next)
+    | GlobalSet i ->
         let gty = global_tys.(i) in
-        pop ();
-        let hsrc = !h in
-        emit1 (fun next st ->
+        let p = pops 1 0 in
+        put (fun st ->
             tick st.inst;
             mtr.global_access <- mtr.global_access + 1;
             Array.unsafe_set st.inst.globals i
-              (Xcode.value_of_slot gty
-                 (Array.unsafe_get st.stk (st.opbase + hsrc)));
-            next);
-        `Live
-    | Ast.I32Const v ->
-        push ();
-        let hres = !h - 1 in
-        let sc = Xcode.slot_of_i32 v in
-        emit1 (fun next st ->
+              (Xcode.value_of_slot gty (Array.unsafe_get st.stk (st.opbase + p)));
+            next)
+    | I32Const _ | I64Const _ | F32Const _ | F64Const _ ->
+        let sc =
+          match ins with
+          | I32Const v -> Xcode.slot_of_i32 v
+          | I64Const v -> Xcode.slot_of_i64 v
+          | F32Const v -> Values.to_f32 v
+          | F64Const v -> v
+          | _ -> assert false
+        in
+        let p = pops 0 1 in
+        put (fun st ->
             tick st.inst;
             mtr.const <- mtr.const + 1;
-            Array.unsafe_set st.stk (st.opbase + hres) sc;
-            next);
-        `Live
-    | Ast.I64Const v ->
-        push ();
-        let hres = !h - 1 in
-        let sc = Xcode.slot_of_i64 v in
-        emit1 (fun next st ->
+            Array.unsafe_set st.stk (st.opbase + p) sc;
+            next)
+    | IUnop (W32, op) ->
+        let p = pops 1 1 in
+        put (fun st ->
             tick st.inst;
-            mtr.const <- mtr.const + 1;
-            Array.unsafe_set st.stk (st.opbase + hres) sc;
-            next);
-        `Live
-    | Ast.F32Const v ->
-        push ();
-        let hres = !h - 1 in
-        let sc = Values.to_f32 v in
-        emit1 (fun next st ->
+            ialu mtr;
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk q
+              (Xcode.slot_of_i32
+                 (Numerics.eval_iunop32 op
+                    (Xcode.i32_of_slot (Array.unsafe_get stk q))));
+            next)
+    | IUnop (W64, op) ->
+        let p = pops 1 1 in
+        put (fun st ->
             tick st.inst;
-            mtr.const <- mtr.const + 1;
-            Array.unsafe_set st.stk (st.opbase + hres) sc;
-            next);
-        `Live
-    | Ast.F64Const v ->
-        push ();
-        let hres = !h - 1 in
-        emit1 (fun next st ->
+            ialu mtr;
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk q
+              (Xcode.slot_of_i64
+                 (Numerics.eval_iunop64 op
+                    (Xcode.i64_of_slot (Array.unsafe_get stk q))));
+            next)
+    | IBinop (W32, op) ->
+        let p = pops 2 1 in
+        put (fun st ->
             tick st.inst;
-            mtr.const <- mtr.const + 1;
-            Array.unsafe_set st.stk (st.opbase + hres) v;
-            next);
-        `Live
-    | Ast.IUnop (w, op) -> (
-        match w with
-        | Ast.W32 ->
-            pop ();
-            push ();
-            let hres = !h - 1 in
-            emit1 (fun next st ->
-                tick st.inst;
-                mtr.ialu <- mtr.ialu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (Xcode.slot_of_i32
-                     (Numerics.eval_iunop32 op
-                        (Xcode.i32_of_slot (Array.unsafe_get stk p))));
-                next);
-            `Live
-        | Ast.W64 ->
-            pop ();
-            push ();
-            let hres = !h - 1 in
-            emit1 (fun next st ->
-                tick st.inst;
-                mtr.ialu <- mtr.ialu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (Xcode.slot_of_i64
-                     (Numerics.eval_iunop64 op
-                        (Xcode.i64_of_slot (Array.unsafe_get stk p))));
-                next);
-            `Live)
-    | Ast.IBinop (w, op) -> (
-        let bump = ibinop_bump op in
-        match w with
-        | Ast.W32 -> (
-            pop ();
-            pop ();
-            push ();
-            let hres = !h - 1 in
-            (* the non-trapping operators are written out so the whole
-               slot-decode / compute / re-encode chain is one straight
-               line of unboxed int ops; the trapping ones keep the
-               specialised-closure call *)
-            match op with
-            | Ast.Add ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_int (norm32 (x + y)));
-                    next);
-                `Live
-            | Ast.Sub ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_int (norm32 (x - y)));
-                    next);
-                `Live
-            | Ast.Mul ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.imul <- mtr.imul + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_int (norm32 (x * y)));
-                    next);
-                `Live
-            | Ast.And ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_int (x land y));
-                    next);
-                `Live
-            | Ast.Or ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_int (x lor y));
-                    next);
-                `Live
-            | Ast.Xor ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_int (x lxor y));
-                    next);
-                `Live
-            | Ast.Shl ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p
-                      (slot_of_int (norm32 (x lsl (y land 31))));
-                    next);
-                `Live
-            | Ast.ShrS ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_int (x asr (y land 31)));
-                    next);
-                `Live
-            | Ast.ShrU ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p
-                      (slot_of_int (norm32 ((x land mask32) lsr (y land 31))));
-                    next);
-                `Live
-            | _ ->
-                let fn = i32_binop_fn op in
-                emit1 (fun next st ->
-                    tick st.inst;
-                    bump mtr;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_int (fn x y));
-                    next);
-                `Live)
-        | Ast.W64 -> (
-            pop ();
-            pop ();
-            push ();
-            let hres = !h - 1 in
-            (* Int64 primitives are unboxed externals, so an in-body
-               bits_of_float → op → float_of_bits chain never boxes *)
-            match op with
-            | Ast.Add ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Int64.float_of_bits
-                         (Int64.add
-                            (Int64.bits_of_float (Array.unsafe_get stk p))
-                            (Int64.bits_of_float
-                               (Array.unsafe_get stk (p + 1)))));
-                    next);
-                `Live
-            | Ast.Sub ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Int64.float_of_bits
-                         (Int64.sub
-                            (Int64.bits_of_float (Array.unsafe_get stk p))
-                            (Int64.bits_of_float
-                               (Array.unsafe_get stk (p + 1)))));
-                    next);
-                `Live
-            | Ast.Mul ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.imul <- mtr.imul + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Int64.float_of_bits
-                         (Int64.mul
-                            (Int64.bits_of_float (Array.unsafe_get stk p))
-                            (Int64.bits_of_float
-                               (Array.unsafe_get stk (p + 1)))));
-                    next);
-                `Live
-            | Ast.And ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Int64.float_of_bits
-                         (Int64.logand
-                            (Int64.bits_of_float (Array.unsafe_get stk p))
-                            (Int64.bits_of_float
-                               (Array.unsafe_get stk (p + 1)))));
-                    next);
-                `Live
-            | Ast.Or ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Int64.float_of_bits
-                         (Int64.logor
-                            (Int64.bits_of_float (Array.unsafe_get stk p))
-                            (Int64.bits_of_float
-                               (Array.unsafe_get stk (p + 1)))));
-                    next);
-                `Live
-            | Ast.Xor ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Int64.float_of_bits
-                         (Int64.logxor
-                            (Int64.bits_of_float (Array.unsafe_get stk p))
-                            (Int64.bits_of_float
-                               (Array.unsafe_get stk (p + 1)))));
-                    next);
-                `Live
-            | _ ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    bump mtr;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = Xcode.i64_of_slot (Array.unsafe_get stk p) in
-                    let y = Xcode.i64_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p
-                      (Xcode.slot_of_i64 (Numerics.eval_ibinop64 op x y));
-                    next);
-                `Live))
-    | Ast.ITestop _ ->
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        emit1 (fun next st ->
+            let stk = st.stk and q = st.opbase + p in
+            seti stk q (i32_binop_m mtr op (geti stk q) (geti stk (q + 1)));
+            next)
+    | IBinop (W64, op) ->
+        let p = pops 2 1 in
+        put (fun st ->
             tick st.inst;
-            mtr.ialu <- mtr.ialu + 1;
-            let stk = st.stk in
-            let p = st.opbase + hres in
-            Array.unsafe_set stk p
-              (slot_of_bool (Int64.bits_of_float (Array.unsafe_get stk p) = 0L));
-            next);
-        `Live
-    | Ast.IRelop (w, op) -> (
-        match w with
-        | Ast.W32 -> (
-            pop ();
-            pop ();
-            push ();
-            let hres = !h - 1 in
-            match op with
-            | Ast.Eq ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_bool (x = y));
-                    next);
-                `Live
-            | Ast.Ne ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_bool (x <> y));
-                    next);
-                `Live
-            | Ast.LtS ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_bool (x < y));
-                    next);
-                `Live
-            | Ast.GtS ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_bool (x > y));
-                    next);
-                `Live
-            | Ast.LeS ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_bool (x <= y));
-                    next);
-                `Live
-            | Ast.GeS ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_bool (x >= y));
-                    next);
-                `Live
-            | Ast.LtU | Ast.GtU | Ast.LeU | Ast.GeU ->
-                let fn = i32_relop_fn op in
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.ialu <- mtr.ialu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = int_of_slot (Array.unsafe_get stk p) in
-                    let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                    Array.unsafe_set stk p (slot_of_bool (fn x y));
-                    next);
-                `Live)
-        | Ast.W64 ->
-            pop ();
-            pop ();
-            push ();
-            let hres = !h - 1 in
-            emit1 (fun next st ->
-                tick st.inst;
-                mtr.ialu <- mtr.ialu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                let x = Xcode.i64_of_slot (Array.unsafe_get stk p) in
-                let y = Xcode.i64_of_slot (Array.unsafe_get stk (p + 1)) in
-                Array.unsafe_set stk p
-                  (slot_of_bool (Numerics.eval_irelop64 op x y));
-                next);
-            `Live)
-    | Ast.FUnop (w, op) -> (
-        match w with
-        | Ast.W32 ->
-            pop ();
-            push ();
-            let hres = !h - 1 in
-            emit1 (fun next st ->
-                tick st.inst;
-                mtr.falu <- mtr.falu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (Values.to_f32 (Numerics.eval_funop op (Array.unsafe_get stk p)));
-                next);
-            `Live
-        | Ast.W64 -> (
-            pop ();
-            push ();
-            let hres = !h - 1 in
-            match op with
-            | Ast.Neg ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.falu <- mtr.falu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p (-.Array.unsafe_get stk p);
-                    next);
-                `Live
-            | Ast.Abs ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.falu <- mtr.falu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p (abs_float (Array.unsafe_get stk p));
-                    next);
-                `Live
-            | Ast.Sqrt ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.falu <- mtr.falu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p (sqrt (Array.unsafe_get stk p));
-                    next);
-                `Live
-            | _ ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.falu <- mtr.falu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Numerics.eval_funop op (Array.unsafe_get stk p));
-                    next);
-                `Live))
-    | Ast.FBinop (w, op) -> (
-        (* The four arithmetic operators are written out per-operator so
-           the whole read-op-write chain stays unboxed inside one closure
-           body; min/max/copysign keep the generic (boxing) call. *)
-        match w with
-        | Ast.W32 -> (
-            pop ();
-            pop ();
-            push ();
-            let hres = !h - 1 in
-            match op with
-            | Ast.FAdd ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.falu <- mtr.falu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Int32.float_of_bits
-                         (Int32.bits_of_float
-                            (Array.unsafe_get stk p
-                            +. Array.unsafe_get stk (p + 1))));
-                    next);
-                `Live
-            | Ast.FSub ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.falu <- mtr.falu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Int32.float_of_bits
-                         (Int32.bits_of_float
-                            (Array.unsafe_get stk p
-                            -. Array.unsafe_get stk (p + 1))));
-                    next);
-                `Live
-            | Ast.FMul ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.fmul <- mtr.fmul + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Int32.float_of_bits
-                         (Int32.bits_of_float
-                            (Array.unsafe_get stk p
-                            *. Array.unsafe_get stk (p + 1))));
-                    next);
-                `Live
-            | Ast.FDiv ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.fdiv <- mtr.fdiv + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Int32.float_of_bits
-                         (Int32.bits_of_float
-                            (Array.unsafe_get stk p
-                            /. Array.unsafe_get stk (p + 1))));
-                    next);
-                `Live
-            | _ ->
-                let bump = fbinop_bump op in
-                emit1 (fun next st ->
-                    tick st.inst;
-                    bump mtr;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = Array.unsafe_get stk p in
-                    let y = Array.unsafe_get stk (p + 1) in
-                    Array.unsafe_set stk p
-                      (Values.to_f32 (Numerics.eval_fbinop op x y));
-                    next);
-                `Live)
-        | Ast.W64 -> (
-            pop ();
-            pop ();
-            push ();
-            let hres = !h - 1 in
-            match op with
-            | Ast.FAdd ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.falu <- mtr.falu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Array.unsafe_get stk p +. Array.unsafe_get stk (p + 1));
-                    next);
-                `Live
-            | Ast.FSub ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.falu <- mtr.falu + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Array.unsafe_get stk p -. Array.unsafe_get stk (p + 1));
-                    next);
-                `Live
-            | Ast.FMul ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.fmul <- mtr.fmul + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Array.unsafe_get stk p *. Array.unsafe_get stk (p + 1));
-                    next);
-                `Live
-            | Ast.FDiv ->
-                emit1 (fun next st ->
-                    tick st.inst;
-                    mtr.fdiv <- mtr.fdiv + 1;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    Array.unsafe_set stk p
-                      (Array.unsafe_get stk p /. Array.unsafe_get stk (p + 1));
-                    next);
-                `Live
-            | _ ->
-                let bump = fbinop_bump op in
-                emit1 (fun next st ->
-                    tick st.inst;
-                    bump mtr;
-                    let stk = st.stk in
-                    let p = st.opbase + hres in
-                    let x = Array.unsafe_get stk p in
-                    let y = Array.unsafe_get stk (p + 1) in
-                    Array.unsafe_set stk p (Numerics.eval_fbinop op x y);
-                    next);
-                `Live))
-    | Ast.FRelop (_, op) ->
-        pop_n 2;
-        push ();
-        let hres = !h - 1 in
-        (* written out per-operator: a typed float compare never boxes,
-           and NaN falls out of the IEEE compare exactly as
-           [Numerics.eval_frelop]'s *)
-        (match op with
-        | Ast.FEq ->
-            emit1 (fun next st ->
-                tick st.inst;
-                mtr.falu <- mtr.falu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (slot_of_bool
-                     (Array.unsafe_get stk p = Array.unsafe_get stk (p + 1)));
-                next)
-        | Ast.FNe ->
-            emit1 (fun next st ->
-                tick st.inst;
-                mtr.falu <- mtr.falu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (slot_of_bool
-                     (Array.unsafe_get stk p <> Array.unsafe_get stk (p + 1)));
-                next)
-        | Ast.FLt ->
-            emit1 (fun next st ->
-                tick st.inst;
-                mtr.falu <- mtr.falu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (slot_of_bool
-                     (Array.unsafe_get stk p < Array.unsafe_get stk (p + 1)));
-                next)
-        | Ast.FGt ->
-            emit1 (fun next st ->
-                tick st.inst;
-                mtr.falu <- mtr.falu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (slot_of_bool
-                     (Array.unsafe_get stk p > Array.unsafe_get stk (p + 1)));
-                next)
-        | Ast.FLe ->
-            emit1 (fun next st ->
-                tick st.inst;
-                mtr.falu <- mtr.falu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (slot_of_bool
-                     (Array.unsafe_get stk p <= Array.unsafe_get stk (p + 1)));
-                next)
-        | Ast.FGe ->
-            emit1 (fun next st ->
-                tick st.inst;
-                mtr.falu <- mtr.falu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (slot_of_bool
-                     (Array.unsafe_get stk p >= Array.unsafe_get stk (p + 1)));
-                next));
-        `Live
-    | Ast.Cvtop op ->
-        let fn = cvt_fn op in
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        emit1 (fun next st ->
+            let stk = st.stk and q = st.opbase + p in
+            let x = Int64.bits_of_float (Array.unsafe_get stk q) in
+            let y = Int64.bits_of_float (Array.unsafe_get stk (q + 1)) in
+            Array.unsafe_set stk q (Int64.float_of_bits (i64_binop_m mtr op x y));
+            next)
+    | ITestop _ ->
+        let p = pops 1 1 in
+        put (fun st ->
+            tick st.inst;
+            ialu mtr;
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk q
+              (slot_of_bool (Int64.bits_of_float (Array.unsafe_get stk q) = 0L));
+            next)
+    | IRelop (W32, op) ->
+        let p = pops 2 1 in
+        put (fun st ->
+            tick st.inst;
+            ialu mtr;
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk q
+              (slot_of_bool (i32_relop op (geti stk q) (geti stk (q + 1))));
+            next)
+    | IRelop (W64, op) ->
+        let p = pops 2 1 in
+        put (fun st ->
+            tick st.inst;
+            ialu mtr;
+            let stk = st.stk and q = st.opbase + p in
+            let x = Xcode.i64_of_slot (Array.unsafe_get stk q) in
+            let y = Xcode.i64_of_slot (Array.unsafe_get stk (q + 1)) in
+            Array.unsafe_set stk q (slot_of_bool (Numerics.eval_irelop64 op x y));
+            next)
+    | FUnop (W32, op) ->
+        let p = pops 1 1 in
+        put (fun st ->
+            tick st.inst;
+            falu mtr;
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk q (Values.to_f32 (f_unop op (Array.unsafe_get stk q)));
+            next)
+    | FUnop (W64, op) ->
+        let p = pops 1 1 in
+        put (fun st ->
+            tick st.inst;
+            falu mtr;
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk q (f_unop op (Array.unsafe_get stk q));
+            next)
+    | FBinop (W32, op) ->
+        let p = pops 2 1 in
+        put (fun st ->
+            tick st.inst;
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk q
+              (Values.to_f32
+                 (f_binop_m mtr op (Array.unsafe_get stk q)
+                    (Array.unsafe_get stk (q + 1))));
+            next)
+    | FBinop (W64, op) ->
+        let p = pops 2 1 in
+        put (fun st ->
+            tick st.inst;
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk q
+              (f_binop_m mtr op (Array.unsafe_get stk q)
+                 (Array.unsafe_get stk (q + 1)));
+            next)
+    | FRelop (_, op) ->
+        let p = pops 2 1 in
+        put (fun st ->
+            tick st.inst;
+            falu mtr;
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk q
+              (slot_of_bool
+                 (f_relop op (Array.unsafe_get stk q) (Array.unsafe_get stk (q + 1))));
+            next)
+    | Cvtop op ->
+        let p = pops 1 1 in
+        put (fun st ->
             tick st.inst;
             mtr.cvt <- mtr.cvt + 1;
-            let stk = st.stk in
-            let p = st.opbase + hres in
-            Array.unsafe_set stk p (fn (Array.unsafe_get stk p));
-            next);
-        `Live
-    | Ast.Load (lty, pack, ma) ->
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        let len, lk = load_kind lty pack in
-        let off = native_off ma.Ast.offset in
-        let elide = elide_of id in
-        let ebounds = belide_of id in
-        let body =
-          load_body ~elide ~ebounds ~len ~lk ~off ~src:(Sop hres)
-            ~dst:(Sop hres)
-        in
-        emit1 (fun next st ->
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk q (cvt op (Array.unsafe_get stk q));
+            next)
+    | Load (lty, pack, ma) ->
+        let p = pops 1 1 in
+        let body = load_body id lty pack ma ~src:(Sop p) ~dst:(Sop p) in
+        put (fun st ->
             tick st.inst;
             body st;
-            next);
-        `Live
-    | Ast.Store (sty, pack, ma) ->
-        pop ();
-        pop ();
-        let ha = !h in
-        let len, sk = store_kind sty pack in
-        let off = native_off ma.Ast.offset in
-        let elide = elide_of id in
-        let ebounds = belide_of id in
-        let body =
-          store_body ~elide ~ebounds ~len ~sk ~off ~src:(Sop ha)
-            ~vsrc:(Sop (ha + 1))
-        in
-        emit1 (fun next st ->
+            next)
+    | Store (sty, pack, ma) ->
+        let p = pops 2 0 in
+        let body = store_body id sty pack ma ~src:(Sop p) ~vsrc:(Sop (p + 1)) in
+        put (fun st ->
             tick st.inst;
             body st;
-            next);
-        `Live
-    | Ast.MemorySize ->
-        push ();
-        let hres = !h - 1 in
-        emit1 (fun next st ->
+            next)
+    | MemorySize ->
+        let p = pops 0 1 in
+        put (fun st ->
             tick st.inst;
-            Array.unsafe_set st.stk (st.opbase + hres)
+            Array.unsafe_set st.stk (st.opbase + p)
               (slot_of_idx (Memory.size_pages (gm st.inst)));
-            next);
-        `Live
-    | Ast.MemoryGrow ->
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        emit1 (fun next st ->
+            next)
+    | MemoryGrow ->
+        let p = pops 1 1 in
+        put (fun st ->
             tick st.inst;
-            let stk = st.stk in
-            let p = st.opbase + hres in
-            let old = Rt.memory_grow st.inst (idx_of_slot (Array.unsafe_get stk p)) in
-            Array.unsafe_set stk p (slot_of_idx old);
-            next);
-        `Live
-    | Ast.MemoryFill ->
-        pop_n 3;
-        let hdst = !h in
-        emit1 (fun next st ->
+            let stk = st.stk and q = st.opbase + p in
+            let old = Rt.memory_grow st.inst (idx_of_slot (Array.unsafe_get stk q)) in
+            Array.unsafe_set stk q (slot_of_idx old);
+            next)
+    | MemoryFill ->
+        let p = pops 3 0 in
+        put (fun st ->
             tick st.inst;
-            let inst = st.inst in
-            let stk = st.stk in
-            let p = st.opbase + hdst in
-            let len = idx_of_slot (Array.unsafe_get stk (p + 2)) in
-            let v = int_of_slot (Array.unsafe_get stk (p + 1)) in
-            let dst, dtag = resolve_bulk (Array.unsafe_get stk p) in
+            let inst = st.inst and stk = st.stk and q = st.opbase + p in
+            let len = idx_of_slot (Array.unsafe_get stk (q + 2)) in
+            let v = geti stk (q + 1) in
+            let dst, dtag = resolve_bulk (Array.unsafe_get stk q) in
             mtr.bulk_fill <- mtr.bulk_fill + 1;
             Checked.fill inst (gm inst) ~addr:dst ~tag:dtag ~len v;
-            next);
-        `Live
-    | Ast.MemoryCopy ->
-        pop_n 3;
-        let hdst = !h in
-        emit1 (fun next st ->
+            next)
+    | MemoryCopy ->
+        let p = pops 3 0 in
+        put (fun st ->
             tick st.inst;
-            let inst = st.inst in
-            let stk = st.stk in
-            let p = st.opbase + hdst in
-            let len = idx_of_slot (Array.unsafe_get stk (p + 2)) in
+            let inst = st.inst and stk = st.stk and q = st.opbase + p in
+            let len = idx_of_slot (Array.unsafe_get stk (q + 2)) in
             (* the interpreter resolves source before destination:
                chaos draws must land in that order *)
-            let src, stag = resolve_bulk (Array.unsafe_get stk (p + 1)) in
-            let dst, dtag = resolve_bulk (Array.unsafe_get stk p) in
+            let src, stag = resolve_bulk (Array.unsafe_get stk (q + 1)) in
+            let dst, dtag = resolve_bulk (Array.unsafe_get stk q) in
             mtr.bulk_copy <- mtr.bulk_copy + 1;
             Checked.copy inst (gm inst) ~dst ~dtag ~src ~stag ~len;
-            next);
-        `Live
-    | Ast.SegmentNew o ->
-        pop ();
-        pop ();
-        push ();
-        let hres = !h - 1 in
+            next)
+    | SegmentNew o ->
+        let p = pops 2 1 in
         let arena = arena_of id in
-        emit1 (fun next st ->
+        put (fun st ->
             tick st.inst;
-            let stk = st.stk in
-            let p = st.opbase + hres in
-            let l = Xcode.i64_of_slot (Array.unsafe_get stk (p + 1)) in
-            let k = Xcode.i64_of_slot (Array.unsafe_get stk p) in
-            Array.unsafe_set stk p
+            let stk = st.stk and q = st.opbase + p in
+            let l = Xcode.i64_of_slot (Array.unsafe_get stk (q + 1)) in
+            let k = Xcode.i64_of_slot (Array.unsafe_get stk q) in
+            Array.unsafe_set stk q
               (Xcode.slot_of_i64 (Rt.segment_new ~arena st.inst ~k ~l o));
-            next);
-        `Live
-    | Ast.SegmentSetTag o ->
-        pop ();
-        pop ();
-        pop ();
-        let hk = !h in
-        emit1 (fun next st ->
+            next)
+    | SegmentSetTag o ->
+        let p = pops 3 0 in
+        put (fun st ->
             tick st.inst;
-            let stk = st.stk in
-            let p = st.opbase + hk in
-            let l = Xcode.i64_of_slot (Array.unsafe_get stk (p + 2)) in
-            let t = Xcode.i64_of_slot (Array.unsafe_get stk (p + 1)) in
-            let k = Xcode.i64_of_slot (Array.unsafe_get stk p) in
+            let stk = st.stk and q = st.opbase + p in
+            let l = Xcode.i64_of_slot (Array.unsafe_get stk (q + 2)) in
+            let t = Xcode.i64_of_slot (Array.unsafe_get stk (q + 1)) in
+            let k = Xcode.i64_of_slot (Array.unsafe_get stk q) in
             Rt.segment_set_tag st.inst ~k ~t ~l o;
-            next);
-        `Live
-    | Ast.SegmentFree o ->
-        pop ();
-        pop ();
-        let hk = !h in
+            next)
+    | SegmentFree o ->
+        let p = pops 2 0 in
         let arena = arena_of id in
-        emit1 (fun next st ->
+        put (fun st ->
             tick st.inst;
-            let stk = st.stk in
-            let p = st.opbase + hk in
-            let l = Xcode.i64_of_slot (Array.unsafe_get stk (p + 1)) in
-            let k = Xcode.i64_of_slot (Array.unsafe_get stk p) in
+            let stk = st.stk and q = st.opbase + p in
+            let l = Xcode.i64_of_slot (Array.unsafe_get stk (q + 1)) in
+            let k = Xcode.i64_of_slot (Array.unsafe_get stk q) in
             Rt.segment_free ~arena st.inst ~k ~l o;
-            next);
-        `Live
-    | Ast.PointerSign ->
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        emit1 (fun next st ->
+            next)
+    | PointerSign | PointerAuth ->
+        let p = pops 1 1 in
+        let f = if ins = PointerSign then Rt.pointer_sign else Rt.pointer_auth in
+        put (fun st ->
             tick st.inst;
-            let stk = st.stk in
-            let p = st.opbase + hres in
-            Array.unsafe_set stk p
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk q
               (Xcode.slot_of_i64
-                 (Rt.pointer_sign st.inst
-                    (Xcode.i64_of_slot (Array.unsafe_get stk p))));
-            next);
-        `Live
-    | Ast.PointerAuth ->
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        emit1 (fun next st ->
-            tick st.inst;
-            let stk = st.stk in
-            let p = st.opbase + hres in
-            Array.unsafe_set stk p
-              (Xcode.slot_of_i64
-                 (Rt.pointer_auth st.inst
-                    (Xcode.i64_of_slot (Array.unsafe_get stk p))));
-            next);
-        `Live
-    | Ast.Call fi ->
+                 (f st.inst (Xcode.i64_of_slot (Array.unsafe_get stk q))));
+            next)
+    | Call fi ->
         let cty = Ast.type_of_func m fi in
-        pop_n (List.length cty.params);
-        let hbase = !h in
-        push_n (List.length cty.results);
+        let p = pops (List.length cty.params) (List.length cty.results) in
         let param_tys = Array.of_list cty.params in
-        emit1 (fun next st ->
+        put (fun st ->
             tick st.inst;
             mtr.call <- mtr.call + 1;
-            call_function st fi (st.opbase + hbase) param_tys;
-            next);
-        `Live
-    | Ast.CallIndirect ti ->
+            call_function st fi (st.opbase + p) param_tys;
+            next)
+    | CallIndirect ti ->
         let ety = List.nth m.types ti in
-        pop ();
-        pop_n (List.length ety.params);
-        let hbase = !h in
-        push_n (List.length ety.results);
         let nargs = List.length ety.params in
+        let p = pops (nargs + 1) (List.length ety.results) in
         let param_tys = Array.of_list ety.params in
-        emit1 (fun next st ->
+        put (fun st ->
             tick st.inst;
             let inst = st.inst in
             mtr.call_indirect <- mtr.call_indirect + 1;
-            let stk = st.stk in
-            let idx = int_of_slot (Array.unsafe_get stk (st.opbase + hbase + nargs)) in
+            let idx = geti st.stk (st.opbase + p + nargs) in
             if idx < 0 || idx >= Array.length inst.table then
               Rt.trap "undefined element %d in table" idx;
             (match inst.table.(idx) with
@@ -1758,9 +988,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                 let actual = Instance.func_type inst.funcs.(fi) in
                 if not (Types.func_type_equal ety actual) then
                   Rt.trap "indirect call type mismatch";
-                call_function st fi (st.opbase + hbase) param_tys);
-            next);
-        `Live
+                call_function st fi (st.opbase + p) param_tys);
+            next)
   in
   (* ---------------------------------------------------------------- *)
   (* Superinstruction fusion                                           *)
@@ -1769,882 +998,336 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
      [body.(i)] into one op. Returns the number of source instructions
      consumed (0 = no match). Constituent side effects — ticks, meter
      bumps, elision decisions — are batched but numerically identical
-     to the singleton sequence; static stack updates reuse the same
-     push/pop helpers so frame-height accounting is exactly what the
-     singletons would have produced. *)
+     to the singleton sequence, and each idiom states the static stack
+     effect of the run it replaces once, as a [shape]; operand slots are
+     named relative to the height the run starts at, which [shape]
+     returns. *)
   let try_fuse labels (body : Code.instr array) i : int =
+    let open Ast in
+    let next = !count + 1 in
     let n = Array.length body in
     let at k = if i + k < n then Some body.(i + k) else None in
     match (at 0, at 1, at 2, at 3, at 4) with
     (* local.get a; local.get b; i32 relop; i32.eqz; br_if — the
        inverted loop guard every structured while-loop compiles to *)
-    | ( Some (Code.Basic (Ast.LocalGet a, _)),
-        Some (Code.Basic (Ast.LocalGet bl, _)),
-        Some (Code.Basic (Ast.IRelop (Ast.W32, op), _)),
-        Some (Code.Basic (Ast.ITestop Ast.W32, _)),
+    | ( Some (Code.Basic (LocalGet a, _)),
+        Some (Code.Basic (LocalGet b, _)),
+        Some (Code.Basic (IRelop (W32, op), _)),
+        Some (Code.Basic (ITestop W32, _)),
         Some (Code.BrIf l) ) ->
-        push ();
-        push ();
-        pop ();
-        pop ();
-        push ();
-        pop ();
-        push ();
-        pop ();
+        ignore (shape ~peak:2 ~net:0);
         let act = branch_action labels l in
-        let fn = i32_relop_fn op in
-        emit1 (fun next st ->
-            let inst = st.inst in
+        put (fun st ->
+            let inst = st.inst and stk = st.stk in
             tick_n inst 5;
             mtr.local_access <- mtr.local_access + 2;
             mtr.ialu <- mtr.ialu + 2;
-            let stk = st.stk in
-            let b = st.base in
-            let x = int_of_slot (Array.unsafe_get stk (b + a)) in
-            let y = int_of_slot (Array.unsafe_get stk (b + bl)) in
-            meter_br inst;
-            if not (fn x y) then act st else next);
-        n_instrs := !n_instrs + 5;
-        n_fused := !n_fused + 5;
-        bump_idiom "i32.lg.lg.relop.eqz.brif";
-        5
-    (* local.get a; local.get b; i32 relop; br_if  — the loop-guard idiom *)
-    | ( Some (Code.Basic (Ast.LocalGet a, _)),
-        Some (Code.Basic (Ast.LocalGet bl, _)),
-        Some (Code.Basic (Ast.IRelop (Ast.W32, op), _)),
-        Some (Code.BrIf l),
-        _ ) ->
-        push ();
-        push ();
-        pop ();
-        pop ();
-        push ();
-        pop ();
-        let act = branch_action labels l in
-        let fn = i32_relop_fn op in
-        emit1 (fun next st ->
-            let inst = st.inst in
-            tick_n inst 4;
-            mtr.local_access <- mtr.local_access + 2;
-                mtr.ialu <- mtr.ialu + 1;
-            let stk = st.stk in
-            let b = st.base in
-            let x = int_of_slot (Array.unsafe_get stk (b + a)) in
-            let y = int_of_slot (Array.unsafe_get stk (b + bl)) in
-            meter_br inst;
-            if fn x y then act st else next);
-        n_instrs := !n_instrs + 4;
-        n_fused := !n_fused + 4;
-        bump_idiom "i32.lg.lg.relop.brif";
-        4
+            let c = i32_relop op (geti stk (st.base + a)) (geti stk (st.base + b)) in
+            meter_br mtr inst;
+            if c then next else act st);
+        fused "i32.lg.lg.relop.eqz.brif" 5
     (* local.get base; local.get a; local.get b; i32 binop — the head
        of an address chain: the base pointer rides below the combined
        index. *)
-    | ( Some (Code.Basic (Ast.LocalGet v0, _)),
-        Some (Code.Basic (Ast.LocalGet a, _)),
-        Some (Code.Basic (Ast.LocalGet bl, _)),
-        Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
+    | ( Some (Code.Basic (LocalGet v0, _)),
+        Some (Code.Basic (LocalGet a, _)),
+        Some (Code.Basic (LocalGet b, _)),
+        Some (Code.Basic (IBinop (W32, op), _)),
         _ )
       when i32_binop_fusable op ->
-        let h0 = !h in
-        push ();
-        push ();
-        push ();
-        pop ();
-        pop ();
-        push ();
-        let fn = i32_binop_fn op in
-        let bump = ibinop_bump op in
-        emit1 (fun next st ->
-            let inst = st.inst in
-            tick_n inst 4;
+        let p = shape ~peak:3 ~net:2 in
+        put (fun st ->
+            tick_n st.inst 4;
             mtr.local_access <- mtr.local_access + 3;
-            bump mtr;
-            let stk = st.stk in
-            let b = st.base in
-            let p = st.opbase + h0 in
-            Array.unsafe_set stk p (Array.unsafe_get stk (b + v0));
-            let x = int_of_slot (Array.unsafe_get stk (b + a)) in
-            let y = int_of_slot (Array.unsafe_get stk (b + bl)) in
-            Array.unsafe_set stk (p + 1) (slot_of_int (fn x y));
+            let stk = st.stk and bs = st.base and q = st.opbase + p in
+            Array.unsafe_set stk q (Array.unsafe_get stk (bs + v0));
+            seti stk (q + 1)
+              (i32_binop_m mtr op (geti stk (bs + a)) (geti stk (bs + b)));
             next);
-        n_instrs := !n_instrs + 4;
-        n_fused := !n_fused + 4;
-        bump_idiom "i32.lg.lg.lg.op";
-        4
+        fused "i32.lg.lg.lg.op" 4
     (* local.get a; local.get b; i32 binop *)
-    | ( Some (Code.Basic (Ast.LocalGet a, _)),
-        Some (Code.Basic (Ast.LocalGet bl, _)),
-        Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
+    | ( Some (Code.Basic (LocalGet a, _)),
+        Some (Code.Basic (LocalGet b, _)),
+        Some (Code.Basic (IBinop (W32, op), _)),
         _,
         _ )
       when i32_binop_fusable op ->
-        push ();
-        push ();
-        pop ();
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        let fn = i32_binop_fn op in
-        let bump = ibinop_bump op in
-        emit1 (fun next st ->
-            let inst = st.inst in
-            tick_n inst 3;
+        let p = shape ~peak:2 ~net:1 in
+        put (fun st ->
+            tick_n st.inst 3;
             mtr.local_access <- mtr.local_access + 2;
-                bump mtr;
-            let stk = st.stk in
-            let b = st.base in
-            let x = int_of_slot (Array.unsafe_get stk (b + a)) in
-            let y = int_of_slot (Array.unsafe_get stk (b + bl)) in
-            Array.unsafe_set stk (st.opbase + hres) (slot_of_int (fn x y));
+            let stk = st.stk and bs = st.base in
+            seti stk (st.opbase + p)
+              (i32_binop_m mtr op (geti stk (bs + a)) (geti stk (bs + b)));
             next);
-        n_instrs := !n_instrs + 3;
-        n_fused := !n_fused + 3;
-        bump_idiom "i32.lg.lg.op";
-        3
+        fused "i32.lg.lg.op" 3
     (* local.get a; local.get b; f64 binop *)
-    | ( Some (Code.Basic (Ast.LocalGet a, _)),
-        Some (Code.Basic (Ast.LocalGet bl, _)),
-        Some (Code.Basic (Ast.FBinop (Ast.W64, op), _)),
+    | ( Some (Code.Basic (LocalGet a, _)),
+        Some (Code.Basic (LocalGet b, _)),
+        Some (Code.Basic (FBinop (W64, op), _)),
         _,
         _ ) ->
-        push ();
-        push ();
-        pop ();
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        (match op with
-        | Ast.FAdd ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 3;
-                mtr.local_access <- mtr.local_access + 2;
-                mtr.falu <- mtr.falu + 1;
-                let stk = st.stk in
-                let b = st.base in
-                Array.unsafe_set stk (st.opbase + hres)
-                  (Array.unsafe_get stk (b + a) +. Array.unsafe_get stk (b + bl));
-                next)
-        | Ast.FSub ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 3;
-                mtr.local_access <- mtr.local_access + 2;
-                mtr.falu <- mtr.falu + 1;
-                let stk = st.stk in
-                let b = st.base in
-                Array.unsafe_set stk (st.opbase + hres)
-                  (Array.unsafe_get stk (b + a) -. Array.unsafe_get stk (b + bl));
-                next)
-        | Ast.FMul ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 3;
-                mtr.local_access <- mtr.local_access + 2;
-                mtr.fmul <- mtr.fmul + 1;
-                let stk = st.stk in
-                let b = st.base in
-                Array.unsafe_set stk (st.opbase + hres)
-                  (Array.unsafe_get stk (b + a) *. Array.unsafe_get stk (b + bl));
-                next)
-        | Ast.FDiv ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 3;
-                mtr.local_access <- mtr.local_access + 2;
-                mtr.fdiv <- mtr.fdiv + 1;
-                let stk = st.stk in
-                let b = st.base in
-                Array.unsafe_set stk (st.opbase + hres)
-                  (Array.unsafe_get stk (b + a) /. Array.unsafe_get stk (b + bl));
-                next)
-        | _ ->
-            let bump = fbinop_bump op in
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 3;
-                mtr.local_access <- mtr.local_access + 2;
-                bump mtr;
-                let stk = st.stk in
-                let b = st.base in
-                let x = Array.unsafe_get stk (b + a) in
-                let y = Array.unsafe_get stk (b + bl) in
-                Array.unsafe_set stk (st.opbase + hres)
-                  (Numerics.eval_fbinop op x y);
-                next));
-        n_instrs := !n_instrs + 3;
-        n_fused := !n_fused + 3;
-        bump_idiom "f64.lg.lg.op";
-        3
+        let p = shape ~peak:2 ~net:1 in
+        put (fun st ->
+            tick_n st.inst 3;
+            mtr.local_access <- mtr.local_access + 2;
+            let stk = st.stk and bs = st.base in
+            Array.unsafe_set stk (st.opbase + p)
+              (f_binop_m mtr op (Array.unsafe_get stk (bs + a))
+                 (Array.unsafe_get stk (bs + b)));
+            next);
+        fused "f64.lg.lg.op" 3
     (* local.get addr; local.get v; store *)
-    | ( Some (Code.Basic (Ast.LocalGet a, _)),
-        Some (Code.Basic (Ast.LocalGet bl, _)),
-        Some (Code.Basic (Ast.Store (sty, pack, ma), sid)),
+    | ( Some (Code.Basic (LocalGet a, _)),
+        Some (Code.Basic (LocalGet b, _)),
+        Some (Code.Basic (Store (sty, pack, ma), sid)),
         _,
         _ ) ->
-        push ();
-        push ();
-        pop ();
-        pop ();
-        let len, sk = store_kind sty pack in
-        let off = native_off ma.Ast.offset in
-        let elide = elide_of sid in
-        let ebounds = belide_of sid in
-        let body =
-          store_body ~elide ~ebounds ~len ~sk ~off ~src:(Sloc a)
-            ~vsrc:(Sloc bl)
-        in
-        emit1 (fun next st ->
-            let inst = st.inst in
-            tick_n inst 3;
+        ignore (shape ~peak:2 ~net:0);
+        let body = store_body sid sty pack ma ~src:(Sloc a) ~vsrc:(Sloc b) in
+        put (fun st ->
+            tick_n st.inst 3;
             mtr.local_access <- mtr.local_access + 2;
             body st;
             next);
-        n_instrs := !n_instrs + 3;
-        n_fused := !n_fused + 3;
-        bump_idiom "lg.lg.store";
-        3
+        fused "lg.lg.store" 3
     (* local.get; i32.const; i32 binop; local.set — the loop-counter
-       increment quad; the add is written out inline *)
-    | ( Some (Code.Basic (Ast.LocalGet a, _)),
-        Some (Code.Basic (Ast.I32Const c, _)),
-        Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
-        Some (Code.Basic (Ast.LocalSet d, _)),
+       increment quad *)
+    | ( Some (Code.Basic (LocalGet a, _)),
+        Some (Code.Basic (I32Const c, _)),
+        Some (Code.Basic (IBinop (W32, op), _)),
+        Some (Code.Basic (LocalSet d, _)),
         _ )
       when i32_binop_fusable op ->
-        push ();
-        push ();
-        pop ();
-        pop ();
-        push ();
-        pop ();
+        ignore (shape ~peak:2 ~net:0);
         let y = norm32 (Int32.to_int c) in
-        (match op with
-        | Ast.Add ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 4;
-                mtr.local_access <- mtr.local_access + 2;
-                mtr.const <- mtr.const + 1;
-                mtr.ialu <- mtr.ialu + 1;
-                let stk = st.stk in
-                let b = st.base in
-                let x = int_of_slot (Array.unsafe_get stk (b + a)) in
-                Array.unsafe_set stk (b + d) (slot_of_int (norm32 (x + y)));
-                next)
-        | _ ->
-            let fn = i32_binop_fn op in
-            let bump = ibinop_bump op in
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 4;
-                mtr.local_access <- mtr.local_access + 2;
-                mtr.const <- mtr.const + 1;
-                bump mtr;
-                let stk = st.stk in
-                let b = st.base in
-                let x = int_of_slot (Array.unsafe_get stk (b + a)) in
-                Array.unsafe_set stk (b + d) (slot_of_int (fn x y));
-                next));
-        n_instrs := !n_instrs + 4;
-        n_fused := !n_fused + 4;
-        bump_idiom "i32.lg.const.op.ls";
-        4
+        put (fun st ->
+            tick_n st.inst 4;
+            mtr.local_access <- mtr.local_access + 2;
+            mtr.const <- mtr.const + 1;
+            let stk = st.stk and bs = st.base in
+            seti stk (bs + d) (i32_binop_m mtr op (geti stk (bs + a)) y);
+            next);
+        fused "i32.lg.const.op.ls" 4
     (* local.get; i32.const; i32 binop *)
-    | ( Some (Code.Basic (Ast.LocalGet a, _)),
-        Some (Code.Basic (Ast.I32Const c, _)),
-        Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
+    | ( Some (Code.Basic (LocalGet a, _)),
+        Some (Code.Basic (I32Const c, _)),
+        Some (Code.Basic (IBinop (W32, op), _)),
         _,
         _ )
       when i32_binop_fusable op ->
-        push ();
-        push ();
-        pop ();
-        pop ();
-        push ();
-        let hres = !h - 1 in
+        let p = shape ~peak:2 ~net:1 in
         let y = norm32 (Int32.to_int c) in
-        let fn = i32_binop_fn op in
-        let bump = ibinop_bump op in
-        emit1 (fun next st ->
-            let inst = st.inst in
-            tick_n inst 3;
+        put (fun st ->
+            tick_n st.inst 3;
             mtr.local_access <- mtr.local_access + 1;
-                mtr.const <- mtr.const + 1;
-                bump mtr;
+            mtr.const <- mtr.const + 1;
             let stk = st.stk in
-            let x = int_of_slot (Array.unsafe_get stk (st.base + a)) in
-            Array.unsafe_set stk (st.opbase + hres) (slot_of_int (fn x y));
+            seti stk (st.opbase + p) (i32_binop_m mtr op (geti stk (st.base + a)) y);
             next);
-        n_instrs := !n_instrs + 3;
-        n_fused := !n_fused + 3;
-        bump_idiom "i32.lg.const.op";
-        3
+        fused "i32.lg.const.op" 3
     (* local.get addr; load *)
-    | ( Some (Code.Basic (Ast.LocalGet a, _)),
-        Some (Code.Basic (Ast.Load (lty, pack, ma), lid)),
+    | ( Some (Code.Basic (LocalGet a, _)),
+        Some (Code.Basic (Load (lty, pack, ma), lid)),
         _,
         _,
         _ ) ->
-        push ();
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        let len, lk = load_kind lty pack in
-        let off = native_off ma.Ast.offset in
-        let elide = elide_of lid in
-        let ebounds = belide_of lid in
-        let body =
-          load_body ~elide ~ebounds ~len ~lk ~off ~src:(Sloc a)
-            ~dst:(Sop hres)
-        in
-        emit1 (fun next st ->
-            let inst = st.inst in
-            tick_n inst 2;
+        let p = shape ~peak:1 ~net:1 in
+        let body = load_body lid lty pack ma ~src:(Sloc a) ~dst:(Sop p) in
+        put (fun st ->
+            tick_n st.inst 2;
             mtr.local_access <- mtr.local_access + 1;
             body st;
             next);
-        n_instrs := !n_instrs + 2;
-        n_fused := !n_fused + 2;
-        bump_idiom "lg.load";
-        2
+        fused "lg.load" 2
     (* local.get; local.set — a register-to-register move *)
-    | ( Some (Code.Basic (Ast.LocalGet a, _)),
-        Some (Code.Basic (Ast.LocalSet d, _)),
+    | ( Some (Code.Basic (LocalGet a, _)),
+        Some (Code.Basic (LocalSet d, _)),
         _,
         _,
         _ ) ->
-        push ();
-        pop ();
-        emit1 (fun next st ->
+        ignore (shape ~peak:1 ~net:0);
+        put (fun st ->
             tick_n st.inst 2;
             mtr.local_access <- mtr.local_access + 2;
-            let stk = st.stk in
-            let b = st.base in
-            Array.unsafe_set stk (b + d) (Array.unsafe_get stk (b + a));
+            let stk = st.stk and bs = st.base in
+            Array.unsafe_set stk (bs + d) (Array.unsafe_get stk (bs + a));
             next);
-        n_instrs := !n_instrs + 2;
-        n_fused := !n_fused + 2;
-        bump_idiom "lg.ls";
-        2
+        fused "lg.ls" 2
     (* stack-top ⊕ local.get; i32 binop — the address-chain step *)
-    | ( Some (Code.Basic (Ast.LocalGet bl, _)),
-        Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
+    | ( Some (Code.Basic (LocalGet b, _)),
+        Some (Code.Basic (IBinop (W32, op), _)),
         _,
         _,
         _ )
       when i32_binop_fusable op ->
-        push ();
-        pop ();
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        (match op with
-        | Ast.Add ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                mtr.local_access <- mtr.local_access + 1;
-                mtr.ialu <- mtr.ialu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                let x = int_of_slot (Array.unsafe_get stk p) in
-                let y = int_of_slot (Array.unsafe_get stk (st.base + bl)) in
-                Array.unsafe_set stk p (slot_of_int (norm32 (x + y)));
-                next)
-        | Ast.Mul ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                mtr.local_access <- mtr.local_access + 1;
-                mtr.imul <- mtr.imul + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                let x = int_of_slot (Array.unsafe_get stk p) in
-                let y = int_of_slot (Array.unsafe_get stk (st.base + bl)) in
-                Array.unsafe_set stk p (slot_of_int (norm32 (x * y)));
-                next)
-        | _ ->
-            let fn = i32_binop_fn op in
-            let bump = ibinop_bump op in
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                mtr.local_access <- mtr.local_access + 1;
-                bump mtr;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                let x = int_of_slot (Array.unsafe_get stk p) in
-                let y = int_of_slot (Array.unsafe_get stk (st.base + bl)) in
-                Array.unsafe_set stk p (slot_of_int (fn x y));
-                next));
-        n_instrs := !n_instrs + 2;
-        n_fused := !n_fused + 2;
-        bump_idiom "i32.lg.op";
-        2
+        let p = shape ~peak:1 ~net:0 - 1 in
+        put (fun st ->
+            tick_n st.inst 2;
+            mtr.local_access <- mtr.local_access + 1;
+            let stk = st.stk and q = st.opbase + p in
+            seti stk q (i32_binop_m mtr op (geti stk q) (geti stk (st.base + b)));
+            next);
+        fused "i32.lg.op" 2
     (* stack-top ⊕ local.get; f64 binop *)
-    | ( Some (Code.Basic (Ast.LocalGet bl, _)),
-        Some (Code.Basic (Ast.FBinop (Ast.W64, op), _)),
+    | ( Some (Code.Basic (LocalGet b, _)),
+        Some (Code.Basic (FBinop (W64, op), _)),
         _,
         _,
         _ ) ->
-        push ();
-        pop ();
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        (match op with
-        | Ast.FAdd ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                mtr.local_access <- mtr.local_access + 1;
-                mtr.falu <- mtr.falu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (Array.unsafe_get stk p
-                  +. Array.unsafe_get stk (st.base + bl));
-                next)
-        | Ast.FSub ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                mtr.local_access <- mtr.local_access + 1;
-                mtr.falu <- mtr.falu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (Array.unsafe_get stk p
-                  -. Array.unsafe_get stk (st.base + bl));
-                next)
-        | Ast.FMul ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                mtr.local_access <- mtr.local_access + 1;
-                mtr.fmul <- mtr.fmul + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (Array.unsafe_get stk p
-                  *. Array.unsafe_get stk (st.base + bl));
-                next)
-        | Ast.FDiv ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                mtr.local_access <- mtr.local_access + 1;
-                mtr.fdiv <- mtr.fdiv + 1;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                Array.unsafe_set stk p
-                  (Array.unsafe_get stk p
-                  /. Array.unsafe_get stk (st.base + bl));
-                next)
-        | _ ->
-            let bump = fbinop_bump op in
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                mtr.local_access <- mtr.local_access + 1;
-                bump mtr;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                let x = Array.unsafe_get stk p in
-                let y = Array.unsafe_get stk (st.base + bl) in
-                Array.unsafe_set stk p (Numerics.eval_fbinop op x y);
-                next));
-        n_instrs := !n_instrs + 2;
-        n_fused := !n_fused + 2;
-        bump_idiom "f64.lg.op";
-        2
+        let p = shape ~peak:1 ~net:0 - 1 in
+        put (fun st ->
+            tick_n st.inst 2;
+            mtr.local_access <- mtr.local_access + 1;
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk q
+              (f_binop_m mtr op (Array.unsafe_get stk q)
+                 (Array.unsafe_get stk (st.base + b)));
+            next);
+        fused "f64.lg.op" 2
     (* f64 binop; local.set — compute and park the result in a
        register in one step *)
-    | ( Some (Code.Basic (Ast.FBinop (Ast.W64, fop), _)),
-        Some (Code.Basic (Ast.LocalSet v, _)),
+    | ( Some (Code.Basic (FBinop (W64, op), _)),
+        Some (Code.Basic (LocalSet v, _)),
         _,
         _,
         _ ) ->
-        pop ();
-        pop ();
-        push ();
-        pop ();
-        let hx = !h in
-        (match fop with
-        | Ast.FAdd ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                mtr.falu <- mtr.falu + 1;
-                mtr.local_access <- mtr.local_access + 1;
-                let stk = st.stk in
-                let p = st.opbase + hx in
-                Array.unsafe_set stk (st.base + v)
-                  (Array.unsafe_get stk p +. Array.unsafe_get stk (p + 1));
-                next)
-        | Ast.FSub ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                mtr.falu <- mtr.falu + 1;
-                mtr.local_access <- mtr.local_access + 1;
-                let stk = st.stk in
-                let p = st.opbase + hx in
-                Array.unsafe_set stk (st.base + v)
-                  (Array.unsafe_get stk p -. Array.unsafe_get stk (p + 1));
-                next)
-        | Ast.FMul ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                mtr.fmul <- mtr.fmul + 1;
-                mtr.local_access <- mtr.local_access + 1;
-                let stk = st.stk in
-                let p = st.opbase + hx in
-                Array.unsafe_set stk (st.base + v)
-                  (Array.unsafe_get stk p *. Array.unsafe_get stk (p + 1));
-                next)
-        | Ast.FDiv ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                mtr.fdiv <- mtr.fdiv + 1;
-                mtr.local_access <- mtr.local_access + 1;
-                let stk = st.stk in
-                let p = st.opbase + hx in
-                Array.unsafe_set stk (st.base + v)
-                  (Array.unsafe_get stk p /. Array.unsafe_get stk (p + 1));
-                next)
-        | _ ->
-            let bump = fbinop_bump fop in
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 2;
-                bump mtr;
-                mtr.local_access <- mtr.local_access + 1;
-                let stk = st.stk in
-                let p = st.opbase + hx in
-                Array.unsafe_set stk (st.base + v)
-                  (Numerics.eval_fbinop fop (Array.unsafe_get stk p)
-                     (Array.unsafe_get stk (p + 1)));
-                next));
-        n_instrs := !n_instrs + 2;
-        n_fused := !n_fused + 2;
-        bump_idiom "f64.op.ls";
-        2
+        let p = shape ~peak:0 ~net:(-2) - 2 in
+        put (fun st ->
+            tick_n st.inst 2;
+            let stk = st.stk and q = st.opbase + p in
+            Array.unsafe_set stk (st.base + v)
+              (f_binop_m mtr op (Array.unsafe_get stk q)
+                 (Array.unsafe_get stk (q + 1)));
+            mtr.local_access <- mtr.local_access + 1;
+            next);
+        fused "f64.op.ls" 2
     (* local.get value; store — store straight from a register *)
-    | ( Some (Code.Basic (Ast.LocalGet v, _)),
-        Some (Code.Basic (Ast.Store (sty, pack, ma), sid)),
+    | ( Some (Code.Basic (LocalGet v, _)),
+        Some (Code.Basic (Store (sty, pack, ma), sid)),
         _,
         _,
         _ ) ->
-        push ();
-        pop ();
-        pop ();
-        let ha = !h in
-        let len, sk = store_kind sty pack in
-        let off = native_off ma.Ast.offset in
-        let elide = elide_of sid in
-        let ebounds = belide_of sid in
-        let body =
-          store_body ~elide ~ebounds ~len ~sk ~off ~src:(Sop ha)
-            ~vsrc:(Sloc v)
-        in
-        emit1 (fun next st ->
-            let inst = st.inst in
-            tick_n inst 2;
+        let p = shape ~peak:1 ~net:(-1) - 1 in
+        let body = store_body sid sty pack ma ~src:(Sop p) ~vsrc:(Sloc v) in
+        put (fun st ->
+            tick_n st.inst 2;
             mtr.local_access <- mtr.local_access + 1;
             body st;
             next);
-        n_instrs := !n_instrs + 2;
-        n_fused := !n_fused + 2;
-        bump_idiom "lg.store";
-        2
+        fused "lg.store" 2
     (* i32.add; f64.load; f64 binop — finish the address chain, pull
        the element and fold it into the running product/sum. *)
-    | ( Some (Code.Basic (Ast.IBinop (Ast.W32, Ast.Add), _)),
-        Some (Code.Basic (Ast.Load (Types.F64, None, ma), lid)),
-        Some (Code.Basic (Ast.FBinop (Ast.W64, fop), _)),
+    | ( Some (Code.Basic (IBinop (W32, Add), _)),
+        Some (Code.Basic (Load (Types.F64, None, ma), lid)),
+        Some (Code.Basic (FBinop (W64, ((FAdd | FSub | FMul | FDiv) as op)), _)),
         _,
-        _ )
-      when (match fop with
-              | Ast.FAdd | Ast.FSub | Ast.FMul | Ast.FDiv -> true
-              | _ -> false) ->
-        pop ();
-        pop ();
-        push ();
-        pop ();
-        push ();
-        pop ();
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        let hadd = hres + 1 in
-        let off = native_off ma.Ast.offset in
-        let elide = elide_of lid in
-        let ebounds = belide_of lid in
+        _ ) ->
+        let p = shape ~peak:0 ~net:(-2) - 3 in
         let body =
-          load_body ~elide ~ebounds ~len:8 ~lk:Lk_f64 ~off
-            ~src:(Sop hadd) ~dst:(Sop hadd)
+          load_body lid Types.F64 None ma ~src:(Sop (p + 1)) ~dst:(Sop (p + 1))
         in
-        (match fop with
-        | Ast.FAdd ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 3;
-                mtr.ialu <- mtr.ialu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hadd in
-                let x = int_of_slot (Array.unsafe_get stk p) in
-                let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                Array.unsafe_set stk p (slot_of_int (norm32 (x + y)));
-                body st;
-                mtr.falu <- mtr.falu + 1;
-                let q = st.opbase + hres in
-                Array.unsafe_set stk q
-                  (Array.unsafe_get stk q +. Array.unsafe_get stk (q + 1));
-                next)
-        | Ast.FSub ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 3;
-                mtr.ialu <- mtr.ialu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hadd in
-                let x = int_of_slot (Array.unsafe_get stk p) in
-                let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                Array.unsafe_set stk p (slot_of_int (norm32 (x + y)));
-                body st;
-                mtr.falu <- mtr.falu + 1;
-                let q = st.opbase + hres in
-                Array.unsafe_set stk q
-                  (Array.unsafe_get stk q -. Array.unsafe_get stk (q + 1));
-                next)
-        | Ast.FMul ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 3;
-                mtr.ialu <- mtr.ialu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hadd in
-                let x = int_of_slot (Array.unsafe_get stk p) in
-                let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                Array.unsafe_set stk p (slot_of_int (norm32 (x + y)));
-                body st;
-                mtr.fmul <- mtr.fmul + 1;
-                let q = st.opbase + hres in
-                Array.unsafe_set stk q
-                  (Array.unsafe_get stk q *. Array.unsafe_get stk (q + 1));
-                next)
-        | _ ->
-            emit1 (fun next st ->
-                let inst = st.inst in
-                tick_n inst 3;
-                mtr.ialu <- mtr.ialu + 1;
-                let stk = st.stk in
-                let p = st.opbase + hadd in
-                let x = int_of_slot (Array.unsafe_get stk p) in
-                let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                Array.unsafe_set stk p (slot_of_int (norm32 (x + y)));
-                body st;
-                mtr.fdiv <- mtr.fdiv + 1;
-                let q = st.opbase + hres in
-                Array.unsafe_set stk q
-                  (Array.unsafe_get stk q /. Array.unsafe_get stk (q + 1));
-                next));
-        n_instrs := !n_instrs + 3;
-        n_fused := !n_fused + 3;
-        bump_idiom "i32.add.load.f64.op";
-        3
+        put (fun st ->
+            tick_n st.inst 3;
+            let stk = st.stk and q = st.opbase + p in
+            add_pair mtr stk (q + 1);
+            body st;
+            Array.unsafe_set stk q
+              (f_binop_m mtr op (Array.unsafe_get stk q)
+                 (Array.unsafe_get stk (q + 1)));
+            next);
+        fused "i32.add.load.f64.op" 3
     (* i32.add; local.get v; store — finish the address chain and
        store straight from a register. *)
-    | ( Some (Code.Basic (Ast.IBinop (Ast.W32, Ast.Add), _)),
-        Some (Code.Basic (Ast.LocalGet v, _)),
-        Some (Code.Basic (Ast.Store (sty, pack, ma), sid)),
+    | ( Some (Code.Basic (IBinop (W32, Add), _)),
+        Some (Code.Basic (LocalGet v, _)),
+        Some (Code.Basic (Store (sty, pack, ma), sid)),
         _,
         _ ) ->
-        pop ();
-        pop ();
-        push ();
-        push ();
-        pop ();
-        pop ();
-        let ha = !h in
-        let len, sk = store_kind sty pack in
-        let off = native_off ma.Ast.offset in
-        let elide = elide_of sid in
-        let ebounds = belide_of sid in
-        let body =
-          store_body ~elide ~ebounds ~len ~sk ~off ~src:(Sop ha)
-            ~vsrc:(Sloc v)
-        in
-        emit1 (fun next st ->
-            let inst = st.inst in
-            tick_n inst 3;
-            mtr.ialu <- mtr.ialu + 1;
-            let stk = st.stk in
-            let p = st.opbase + ha in
-            let x = int_of_slot (Array.unsafe_get stk p) in
-            let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-            Array.unsafe_set stk p (slot_of_int (norm32 (x + y)));
+        let p = shape ~peak:0 ~net:(-2) - 2 in
+        let body = store_body sid sty pack ma ~src:(Sop p) ~vsrc:(Sloc v) in
+        put (fun st ->
+            tick_n st.inst 3;
+            add_pair mtr st.stk (st.opbase + p);
             mtr.local_access <- mtr.local_access + 1;
             body st;
             next);
-        n_instrs := !n_instrs + 3;
-        n_fused := !n_fused + 3;
-        bump_idiom "i32.add.lg.store";
-        3
+        fused "i32.add.lg.store" 3
     (* i32.add; load — fold the last address-chain step into the access *)
-    | ( Some (Code.Basic (Ast.IBinop (Ast.W32, Ast.Add), _)),
-        Some (Code.Basic (Ast.Load (lty, pack, ma), lid)),
+    | ( Some (Code.Basic (IBinop (W32, Add), _)),
+        Some (Code.Basic (Load (lty, pack, ma), lid)),
         _,
         _,
         _ ) ->
-        pop ();
-        pop ();
-        push ();
-        pop ();
-        push ();
-        let hres = !h - 1 in
-        let len, lk = load_kind lty pack in
-        let off = native_off ma.Ast.offset in
-        let elide = elide_of lid in
-        let ebounds = belide_of lid in
-        let body =
-          load_body ~elide ~ebounds ~len ~lk ~off ~src:(Sop hres)
-            ~dst:(Sop hres)
-        in
-        emit1 (fun next st ->
-            let inst = st.inst in
-            tick_n inst 2;
-            mtr.ialu <- mtr.ialu + 1;
-            let stk = st.stk in
-            let p = st.opbase + hres in
-            let x = int_of_slot (Array.unsafe_get stk p) in
-            let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-            Array.unsafe_set stk p (slot_of_int (norm32 (x + y)));
+        let p = shape ~peak:0 ~net:(-1) - 2 in
+        let body = load_body lid lty pack ma ~src:(Sop p) ~dst:(Sop p) in
+        put (fun st ->
+            tick_n st.inst 2;
+            add_pair mtr st.stk (st.opbase + p);
             body st;
             next);
-        n_instrs := !n_instrs + 2;
-        n_fused := !n_fused + 2;
-        bump_idiom "i32.add.load";
-        2
+        fused "i32.add.load" 2
     (* load; local.set *)
-    | ( Some (Code.Basic (Ast.Load (lty, pack, ma), lid)),
-        Some (Code.Basic (Ast.LocalSet j, _)),
+    | ( Some (Code.Basic (Load (lty, pack, ma), lid)),
+        Some (Code.Basic (LocalSet j, _)),
         _,
         _,
         _ ) ->
-        pop ();
-        push ();
-        pop ();
-        let ha = !h in
-        let len, lk = load_kind lty pack in
-        let off = native_off ma.Ast.offset in
-        let elide = elide_of lid in
-        let ebounds = belide_of lid in
-        let body =
-          load_body ~elide ~ebounds ~len ~lk ~off ~src:(Sop ha)
-            ~dst:(Sloc j)
-        in
-        emit1 (fun next st ->
-            let inst = st.inst in
-            tick_n inst 2;
+        let p = shape ~peak:0 ~net:(-1) - 1 in
+        let body = load_body lid lty pack ma ~src:(Sop p) ~dst:(Sloc j) in
+        put (fun st ->
+            tick_n st.inst 2;
             body st;
             mtr.local_access <- mtr.local_access + 1;
             next);
-        n_instrs := !n_instrs + 2;
-        n_fused := !n_fused + 2;
-        bump_idiom "load.ls";
-        2
+        fused "load.ls" 2
     (* i32.const; i32 binop — constant-folded RHS on the stack top *)
-    | ( Some (Code.Basic (Ast.I32Const c, _)),
-        Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
+    | ( Some (Code.Basic (I32Const c, _)),
+        Some (Code.Basic (IBinop (W32, op), _)),
         _,
         _,
         _ )
       when i32_binop_fusable op ->
-        push ();
-        pop ();
-        pop ();
-        push ();
-        let hres = !h - 1 in
+        let p = shape ~peak:1 ~net:0 - 1 in
         let y = norm32 (Int32.to_int c) in
-        let fn = i32_binop_fn op in
-        let bump = ibinop_bump op in
-        emit1 (fun next st ->
-            let inst = st.inst in
-            tick_n inst 2;
+        put (fun st ->
+            tick_n st.inst 2;
             mtr.const <- mtr.const + 1;
-                bump mtr;
-            let stk = st.stk in
-            let p = st.opbase + hres in
-            let x = int_of_slot (Array.unsafe_get stk p) in
-            Array.unsafe_set stk p (slot_of_int (fn x y));
+            let stk = st.stk and q = st.opbase + p in
+            seti stk q (i32_binop_m mtr op (geti stk q) y);
             next);
-        n_instrs := !n_instrs + 2;
-        n_fused := !n_fused + 2;
-        bump_idiom "i32.const.op";
-        2
-    (* i32 relop; br_if — the compare-branch idiom *)
-    | ( Some (Code.Basic (Ast.IRelop (Ast.W32, op), _)),
-        Some (Code.BrIf l),
-        _,
-        _,
-        _ ) ->
-        pop ();
-        pop ();
-        push ();
-        pop ();
-        let hx = !h in
-        let act = branch_action labels l in
-        let fn = i32_relop_fn op in
-        emit1 (fun next st ->
-            let inst = st.inst in
-            tick_n inst 2;
-            mtr.ialu <- mtr.ialu + 1;
-            let stk = st.stk in
-            let p = st.opbase + hx in
-            let x = int_of_slot (Array.unsafe_get stk p) in
-            let y = int_of_slot (Array.unsafe_get stk (p + 1)) in
-            meter_br inst;
-            if fn x y then act st else next);
-        n_instrs := !n_instrs + 2;
-        n_fused := !n_fused + 2;
-        bump_idiom "i32.relop.brif";
-        2
+        fused "i32.const.op" 2
     (* i32.eqz; br_if — branch on zero *)
-    | ( Some (Code.Basic (Ast.ITestop Ast.W32, _)),
+    | ( Some (Code.Basic (ITestop W32, _)),
         Some (Code.BrIf l),
         _,
         _,
         _ ) ->
-        pop ();
-        push ();
-        pop ();
-        let hx = !h in
+        let p = shape ~peak:0 ~net:(-1) - 1 in
         let act = branch_action labels l in
-        emit1 (fun next st ->
+        put (fun st ->
             let inst = st.inst in
             tick_n inst 2;
-            mtr.ialu <- mtr.ialu + 1;
-            let stk = st.stk in
+            ialu mtr;
             let z =
-              Int64.bits_of_float (Array.unsafe_get stk (st.opbase + hx)) = 0L
+              Int64.bits_of_float (Array.unsafe_get st.stk (st.opbase + p)) = 0L
             in
-            meter_br inst;
+            meter_br mtr inst;
             if z then act st else next);
-        n_instrs := !n_instrs + 2;
-        n_fused := !n_fused + 2;
-        bump_idiom "i32.eqz.brif";
-        2
+        fused "i32.eqz.brif" 2
     | _ -> 0
   in
   (* ---------------------------------------------------------------- *)
   (* Control-flow compilation                                          *)
   (* ---------------------------------------------------------------- *)
+  (* The op a structured block or loop node leaves at its entry: the
+     interpreter ticks the node once when it is entered. *)
+  let enter () =
+    let next = !count + 1 in
+    put (fun st ->
+        tick st.inst;
+        next)
+  in
   let rec compile_seq labels (body : Code.instr array) : bool =
     let n = Array.length body in
     let live = ref true in
@@ -2655,124 +1338,105 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         let consumed = try_fuse labels body !i in
         if consumed > 0 then i := !i + consumed
         else begin
-          (match compile_instr labels body.(!i) with
-          | `Live -> ()
-          | `Dead -> live := false);
+          live := compile_instr labels body.(!i);
           incr i
         end
       end
     done;
     !live
-  and compile_instr labels (ins : Code.instr) : [ `Live | `Dead ] =
+  (* Compile one instruction; false when control cannot fall through. *)
+  and compile_instr labels (ins : Code.instr) : bool =
+    incr n_instrs;
     match ins with
     | Code.Basic (b, id) ->
-        incr n_instrs;
-        compile_basic b id
+        compile_basic b id;
+        b <> Ast.Unreachable
     | Code.Block (arity, inner) ->
-        incr n_instrs;
         let fr =
           { l_target = ref (-1); l_loop = false; l_arity = arity;
             l_height = !h; l_reached = false }
         in
-        (* the Block node itself ticks once when entered *)
-        emit1 (fun next st ->
-            tick st.inst;
-            next);
+        enter ();
         let ft = compile_seq (fr :: labels) inner in
         fr.l_target := !count;
         h := fr.l_height + arity;
-        if ft || fr.l_reached then `Live else `Dead
+        ft || fr.l_reached
     | Code.Loop inner ->
-        incr n_instrs;
-        emit1 (fun next st ->
-            tick st.inst;
-            next);
+        enter ();
         (* back-edges land after the entry tick: the interpreter ticks a
            Loop node once, not per iteration *)
         let fr =
           { l_target = ref !count; l_loop = true; l_arity = 0;
             l_height = !h; l_reached = false }
         in
-        let ft = compile_seq (fr :: labels) inner in
-        if ft then `Live else `Dead
+        compile_seq (fr :: labels) inner
     | Code.If (arity, then_, else_) ->
-        incr n_instrs;
-        pop ();
+        decr h;
         let hcond = !h in
         let fr =
           { l_target = ref (-1); l_loop = false; l_arity = arity;
             l_height = hcond; l_reached = false }
         in
         let else_ref = ref (-1) in
-        emit1 (fun next st ->
+        let next = !count + 1 in
+        put (fun st ->
             tick st.inst;
-            meter_br st.inst;
-            if
-              Int64.bits_of_float (Array.unsafe_get st.stk (st.opbase + hcond))
-              <> 0L
+            meter_br mtr st.inst;
+            if Int64.bits_of_float (Array.unsafe_get st.stk (st.opbase + hcond)) <> 0L
             then next
             else !else_ref);
         let ft_then = compile_seq (fr :: labels) then_ in
         (* jump over the else arm (no tick: synthetic control) *)
-        if ft_then && Array.length else_ > 0 then
-          emit1 (fun _next _st -> !(fr.l_target));
+        if ft_then && Array.length else_ > 0 then put (fun _ -> !(fr.l_target));
         else_ref := !count;
         h := hcond;
         let ft_else = compile_seq (fr :: labels) else_ in
         fr.l_target := !count;
         h := hcond + arity;
-        if ft_then || ft_else || fr.l_reached then `Live else `Dead
+        ft_then || ft_else || fr.l_reached
     | Code.Br l ->
-        incr n_instrs;
         let act = branch_action labels l in
-        emit1 (fun _next st ->
+        put (fun st ->
             tick st.inst;
-            meter_br st.inst;
+            meter_br mtr st.inst;
             act st);
-        `Dead
+        false
     | Code.BrIf l ->
-        incr n_instrs;
-        pop ();
+        decr h;
         let hcond = !h in
         let act = branch_action labels l in
-        emit1 (fun next st ->
+        let next = !count + 1 in
+        put (fun st ->
             tick st.inst;
-            meter_br st.inst;
-            if
-              Int64.bits_of_float (Array.unsafe_get st.stk (st.opbase + hcond))
-              <> 0L
+            meter_br mtr st.inst;
+            if Int64.bits_of_float (Array.unsafe_get st.stk (st.opbase + hcond)) <> 0L
             then act st
             else next);
-        `Live
+        true
     | Code.BrTable (targets, default) ->
-        incr n_instrs;
-        pop ();
+        decr h;
         let hidx = !h in
         let acts = Array.map (branch_action labels) targets in
         let default_act = branch_action labels default in
         let nt = Array.length acts in
-        emit1 (fun _next st ->
+        put (fun st ->
             tick st.inst;
-            meter_br st.inst;
-            let idx =
-              int_of_slot (Array.unsafe_get st.stk (st.opbase + hidx))
-            in
+            meter_br mtr st.inst;
+            let idx = geti st.stk (st.opbase + hidx) in
             let act =
-              if idx >= 0 && idx < nt then Array.unsafe_get acts idx
-              else default_act
+              if idx >= 0 && idx < nt then Array.unsafe_get acts idx else default_act
             in
             act st);
-        `Dead
+        false
     | Code.Return arity ->
-        incr n_instrs;
         let act =
           branch_action labels { Code.depth = List.length labels - 1; arity }
         in
-        emit1 (fun _next st ->
+        put (fun st ->
             tick st.inst;
             mtr.return_ <- mtr.return_ + 1;
             act st);
-        `Dead
+        false
   in
   (* ---------------------------------------------------------------- *)
   (* Drive it                                                          *)

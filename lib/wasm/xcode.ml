@@ -37,7 +37,6 @@ type 'inst state = {
                                   whole call chain; grown on demand *)
   mutable base : int;    (** current frame: first local slot *)
   mutable opbase : int;  (** current frame: first operand slot *)
-  mutable sp : int;      (** next free operand slot *)
   mutable depth : int;   (** call depth of the current frame (top = 0) *)
 }
 

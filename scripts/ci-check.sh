@@ -42,7 +42,7 @@ dune exec bin/cage_chaos.exe -- elidediff --count 200
 echo "== full-elision differential (200 seeded programs, bounds + arena)"
 dune exec bin/cage_chaos.exe -- elidediff --count 200 --full
 
-echo "== engine differential (200 seeded programs, interp vs threaded)"
+echo "== engine differential (200 seeded programs x 3 configurations, interp vs threaded)"
 dune exec bin/cage_chaos.exe -- enginediff --count 200
 
 echo "== detection matrix with elision (must match the golden byte-for-byte)"

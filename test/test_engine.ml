@@ -235,6 +235,191 @@ let test_asymmetric_store_sync_load_deferred () =
   check_both_trap ~config ~substring:"deferred" load_m "f0" []
 
 (* ------------------------------------------------------------------ *)
+(* Check policies forced onto every access                              *)
+(* ------------------------------------------------------------------ *)
+
+(* An analyzer plan only marks accesses it proved, so no other test
+   meets a bounds-elided access at an out-of-bounds address. Marking
+   every access forces each policy onto in-bounds and out-of-bounds
+   addresses alike: with the span check elided, the tag check must
+   still fault; with both checks elided, the raw memory primitive must
+   still raise and become the interpreter's bounds trap. *)
+let policies =
+  [ ("checked", false, false); ("tag-elided", true, false);
+    ("bounds-elided", false, true); ("fully elided", true, true) ]
+
+let access_module idx =
+  let i32 = Types.I32 and i64 = Types.I64 and f64 = Types.F64 in
+  let at = Types.addr_type idx in
+  let ma offset = { Ast.offset; align = 0 } in
+  (* [addr + 0] as an address chain: on wasm32 the add fuses into the
+     access that follows it *)
+  let chain =
+    match idx with
+    | Types.Idx32 ->
+        [ Ast.LocalGet 0; Ast.Nop; Ast.I32Const 0l; Ast.Nop;
+          Ast.IBinop (Ast.W32, Ast.Add) ]
+    | Types.Idx64 ->
+        [ Ast.LocalGet 0; Ast.Nop; Ast.I64Const 0L; Ast.Nop;
+          Ast.IBinop (Ast.W64, Ast.Add) ]
+  in
+  let data =
+    "\x81\x82\x83\x84\x85\x86\x87\x88\x00\x00\x00\x00\x00\x00\x00\x40"
+  in
+  {
+    (module_of
+       ~memory:(Some { Types.mem_idx = idx;
+                       mem_limits = { Types.min = 1L; max = Some 1L } })
+       [ (ft [ at ] [ i64 ], [],
+          [ Ast.LocalGet 0; Ast.Load (i64, None, ma 0L) ]);
+         (ft [ at ] [ i32 ], [],
+          [ Ast.LocalGet 0; Ast.Nop; Ast.Load (i32, Some (Ast.Pack8, Ast.SX), ma 0L) ]);
+         (ft [ at ] [ i64 ], [ i64 ],
+          [ Ast.LocalGet 0; Ast.Nop;
+            Ast.Load (i64, Some (Ast.Pack32, Ast.ZX), ma 4L); Ast.LocalSet 1;
+            Ast.LocalGet 1 ]);
+         (ft [ at; i64 ] [ i64 ], [],
+          [ Ast.LocalGet 0; Ast.LocalGet 1; Ast.Store (i64, None, ma 0L);
+            Ast.LocalGet 0; Ast.Load (i64, None, ma 0L) ]);
+         (ft [ at ] [ i32 ], [],
+          [ Ast.LocalGet 0; Ast.Nop; Ast.I32Const 0x12345l;
+            Ast.Store (i32, Some Ast.Pack16, ma 2L); Ast.LocalGet 0; Ast.Nop;
+            Ast.Load (i32, Some (Ast.Pack16, Ast.ZX), ma 2L) ]);
+         (ft [ at; f64 ] [ f64 ], [],
+          [ Ast.LocalGet 0; Ast.Nop; Ast.LocalGet 1; Ast.Store (f64, None, ma 8L);
+            Ast.LocalGet 0; Ast.Load (f64, None, ma 8L) ]);
+         (ft [ at ] [ f64 ], [],
+          (Ast.F64Const 0.5 :: chain)
+          @ [ Ast.Load (f64, None, ma 8L); Ast.FBinop (Ast.W64, Ast.FAdd) ]);
+         (ft [ at; i64 ] [ i64 ], [],
+          chain
+          @ [ Ast.LocalGet 1; Ast.Store (i64, Some Ast.Pack32, ma 0L);
+              Ast.LocalGet 0; Ast.Load (i64, Some (Ast.Pack32, Ast.SX), ma 0L) ]) ])
+    with
+    Ast.datas = [ { Ast.d_offset = 64L; d_bytes = data } ];
+  }
+
+let test_access_policies () =
+  List.iter
+    (fun idx ->
+      let m = access_module idx in
+      let addr a =
+        match idx with
+        | Types.Idx32 -> Values.I32 (Int64.to_int32 a)
+        | Types.Idx64 -> Values.I64 a
+      in
+      (* (function, extra arguments, in-bounds result at address 64,
+         end of its first access past the address) *)
+      let cases =
+        [ ("f0", [], Values.I64 0x8887868584838281L, 8L);
+          ("f1", [], Values.I32 (-127l), 1L);
+          ("f2", [], Values.I64 0x88878685L, 8L);
+          ("f3", [ Values.I64 0x0102030405060708L ],
+           Values.I64 0x0102030405060708L, 8L);
+          ("f4", [], Values.I32 0x2345l, 4L);
+          ("f5", [ Values.F64 (-2.25) ], Values.F64 (-2.25), 16L);
+          ("f6", [], Values.F64 2.5, 16L);
+          ("f7", [ Values.I64 0x80000001L ], Values.I64 (-0x7fffffffL), 4L) ]
+      in
+      (* one byte past the end of memory, far past it, and (wasm32) an
+         address with the sign bit set, which must zero-extend *)
+      let oob reach =
+        [ Int64.sub 0x10001L reach; 0x12345678L ]
+        @ (match idx with Types.Idx32 -> [ 0xfffffff0L ] | Types.Idx64 -> [])
+      in
+      List.iter
+        (fun (policy, elide, belide) ->
+          let marks on = if on then Array.make 8 (Bytes.make 4 '\xff') else [||] in
+          let config =
+            { Instance.default_config with elide = marks elide; belide = marks belide }
+          in
+          let substring =
+            if belide && not elide then "tag fault"
+            else "bounds: out of bounds memory access"
+          in
+          List.iter
+            (fun (f, extra, expected, reach) ->
+              (* shown in the test's log when a check fails *)
+              Printf.printf "%s memory, %s, %s\n"
+                (Types.string_of_idx_type idx) policy f;
+              check_both ~config m f (addr 64L :: extra) [ expected ];
+              List.iter
+                (fun a -> check_both_trap ~config ~substring m f (addr a :: extra))
+                (oob reach))
+            cases)
+        policies)
+    [ Types.Idx32; Types.Idx64 ]
+
+(* ------------------------------------------------------------------ *)
+(* Superinstruction coverage on PolyBench                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Lowering statistics summed over the 26 PolyBench kernels: how many
+   instructions, accesses and elided accesses the compiler saw, and how
+   often each fused idiom matched. Pinned so that a change to the
+   lowerer cannot silently lose a superinstruction or an elision. *)
+let polybench_fusion (cfg : Cage.Config.t) =
+  let idioms = Hashtbl.create 32 in
+  let totals = [| 0; 0; 0; 0 |] in
+  List.iter
+    (fun (k : Workloads.Polybench.kernel) ->
+      let opts = Minic.Driver.options_of_config cfg in
+      let prelude = Libc.Source.prelude_of_config cfg in
+      let m = (Minic.Driver.compile ~opts ~prelude k.k_source).Minic.Driver.co_module in
+      let stats =
+        if cfg.Cage.Config.elide_checks then
+          let p =
+            Analysis.Elide.plan ~spec_safe:cfg.Cage.Config.spec_safe_only
+              ~arena:cfg.Cage.Config.arena m
+          in
+          Compile.module_stats ~elide:p.Analysis.Elide.bitsets
+            ~belide:
+              (if cfg.Cage.Config.elide_bounds then p.Analysis.Elide.bbitsets
+               else [||])
+            ~arena:p.Analysis.Elide.arena m
+        else Compile.module_stats m
+      in
+      List.iter
+        (fun (s : Xcode.stats) ->
+          List.iteri
+            (fun i n -> totals.(i) <- totals.(i) + n)
+            [ s.st_instrs; s.st_fused; s.st_accesses; s.st_elided ];
+          List.iter
+            (fun (name, n) ->
+              Hashtbl.replace idioms name
+                (n + Option.value ~default:0 (Hashtbl.find_opt idioms name)))
+            s.st_idioms)
+        stats)
+    Workloads.Polybench.all;
+  (Array.to_list totals, List.sort compare (List.of_seq (Hashtbl.to_seq idioms)))
+
+let test_fusion_pinned () =
+  let check name cfg totals idioms =
+    let t, i = polybench_fusion cfg in
+    Alcotest.(check (list int))
+      (name ^ ": instrs, fused, accesses, elided") totals t;
+    Alcotest.(check (list (pair string int))) (name ^ ": idiom matches") idioms i
+  in
+  check "baseline wasm32" Cage.Config.baseline_wasm32 [ 25065; 10748; 1441; 0 ]
+    [ ("f64.lg.lg.op", 30); ("f64.lg.op", 35); ("f64.op.ls", 140);
+      ("i32.add.lg.store", 258); ("i32.add.load", 490);
+      ("i32.add.load.f64.op", 91); ("i32.const.op", 303);
+      ("i32.eqz.brif", 205); ("i32.lg.const.op", 158);
+      ("i32.lg.const.op.ls", 181); ("i32.lg.lg.lg.op", 231);
+      ("i32.lg.lg.op", 35); ("i32.lg.lg.relop.eqz.brif", 150);
+      ("i32.lg.op", 298); ("lg.lg.store", 184); ("lg.load", 106);
+      ("lg.ls", 1230); ("lg.store", 130); ("load.ls", 104) ];
+  check "CAGE, full plan"
+    (Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.full))
+    [ 24384; 8695; 1467; 372 ]
+    [ ("f64.lg.lg.op", 30); ("f64.lg.op", 35); ("f64.op.ls", 152);
+      ("i32.const.op", 26); ("i32.eqz.brif", 205); ("i32.lg.const.op", 62);
+      ("i32.lg.const.op.ls", 181); ("i32.lg.lg.lg.op", 231);
+      ("i32.lg.lg.op", 35); ("i32.lg.lg.relop.eqz.brif", 150);
+      ("i32.lg.op", 298); ("lg.lg.store", 184); ("lg.load", 132);
+      ("lg.ls", 1256); ("lg.store", 388); ("load.ls", 190) ]
+
+(* ------------------------------------------------------------------ *)
 (* Fuel watchdog parity                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -304,6 +489,16 @@ let () =
             test_async_deferred_same_sync_point;
           Alcotest.test_case "asymmetric store sync, load deferred" `Quick
             test_asymmetric_store_sync_load_deferred;
+        ] );
+      ( "access",
+        [
+          Alcotest.test_case "every policy, every access" `Quick
+            test_access_policies;
+        ] );
+      ( "fusion",
+        [
+          Alcotest.test_case "polybench idiom counts pinned" `Quick
+            test_fusion_pinned;
         ] );
       ( "fuel",
         [
