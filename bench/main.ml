@@ -577,7 +577,7 @@ let run_obsoverhead () =
   let t_serve_off = time (fun () -> serve_run ()) in
   let t_serve_on =
     time (fun () ->
-        Obs.Span.with_recorder (Obs.Span.create ()) (fun () ->
+        Obs.Span.with_recorder (Obs.Trace.create ()) (fun () ->
             serve_run ~collect:(Serve.Slo.collector ()) ()))
   in
   let serve_spans_pct = 100.0 *. ((t_serve_on /. t_serve_off) -. 1.0) in

@@ -60,27 +60,23 @@ let () =
       let rows = Harness.Serve_bench.served_matrix ~seed ~engine ~full () in
       Harness.Serve_bench.render_served ~seed Format.std_formatter rows;
       if Harness.Serve_bench.served_violations rows <> [] then exit 1
-  | _ :: "elidediff" :: rest ->
+  | _ :: (("elidediff" | "enginediff") as gate) :: rest ->
       let seed0 = int_flag rest "--seed" ~default:0 in
       let count = int_flag rest "--count" ~default:200 in
       (* --full arms bounds elision and arena lowering on the elided
          side, so the differential covers the whole analysis pipeline *)
-      let full = List.mem "--full" rest in
-      let r = Harness.Elide_diff.run ~count ~seed0 ~full () in
-      Format.printf "%a@." Harness.Elide_diff.pp r;
-      List.iter print_endline r.Harness.Elide_diff.ed_failures;
-      if not (Harness.Elide_diff.ok r) then exit 1
-  | _ :: "enginediff" :: rest ->
-      let seed0 = int_flag rest "--seed" ~default:0 in
-      let count = int_flag rest "--count" ~default:200 in
+      let pairs =
+        if gate = "enginediff" then Harness.Differential.engine_pairs
+        else [ Harness.Differential.elision_pair ~full:(List.mem "--full" rest) ]
+      in
       let reports =
         List.map
-          (fun cfg ->
-            let r = Harness.Engine_diff.run ~cfg ~count ~seed0 () in
-            Format.printf "%a@." Harness.Engine_diff.pp r;
-            List.iter print_endline r.Harness.Engine_diff.gd_failures;
+          (fun pair ->
+            let r = Harness.Differential.run ~count ~seed0 pair in
+            Format.printf "%a@." Harness.Differential.pp r;
+            List.iter print_endline r.Harness.Differential.df_failures;
             r)
-          Harness.Engine_diff.configs
+          pairs
       in
-      if not (List.for_all Harness.Engine_diff.ok reports) then exit 1
+      if not (List.for_all Harness.Differential.ok reports) then exit 1
   | _ -> usage ()

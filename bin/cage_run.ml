@@ -139,25 +139,7 @@ let run input config entry args show_meter trace_out show_metrics profile_out
           in
           (* the analyzer plans only validated modules *)
           Wasm.Validate.check m;
-          let iconfig = Cage.Config.instance_config ~meter ~seed config in
-          let iconfig =
-            if config.Cage.Config.elide_checks then begin
-              let plan =
-                Analysis.Elide.plan
-                  ~spec_safe:config.Cage.Config.spec_safe_only
-                  ~arena:config.Cage.Config.arena m
-              in
-              { iconfig with
-                Wasm.Instance.elide = plan.Analysis.Elide.bitsets;
-                belide =
-                  (if config.Cage.Config.elide_bounds then
-                     plan.Analysis.Elide.bbitsets
-                   else [||]);
-                arena = plan.Analysis.Elide.arena;
-              }
-            end
-            else iconfig
-          in
+          let iconfig = Cage.Config.instance_config ~meter ~seed ~m config in
           let inst =
             Wasm.Exec.instantiate ~config:iconfig
               ~imports:(Libc.Wasi.imports wasi) m

@@ -62,18 +62,16 @@ let report_table ppf label (r : Serve.Server.report) =
            string_of_int tr.Serve.Server.tr_crashes;
            string_of_int tr.Serve.Server.tr_retries;
            string_of_int tr.Serve.Server.tr_breaker_trips;
-           string_of_int tr.Serve.Server.tr_p50;
-           string_of_int tr.Serve.Server.tr_p99;
+           string_of_int tr.Serve.Server.tr_p50_exact;
+           string_of_int tr.Serve.Server.tr_p99_exact;
          ])
        r.Serve.Server.rp_tenants);
   Format.fprintf ppf
     "  ok %d/%d (%.1f%%)  p50 %d  p99 %d  makespan %d cycles  %.2f ok/Mcycle@."
     r.Serve.Server.rp_ok r.Serve.Server.rp_requests
     (pct r.Serve.Server.rp_ok r.Serve.Server.rp_requests)
-    r.Serve.Server.rp_p50 r.Serve.Server.rp_p99 r.Serve.Server.rp_makespan
-    (throughput r);
-  Format.fprintf ppf "  exact percentiles (nearest-rank): p50 %d  p99 %d@."
-    r.Serve.Server.rp_p50_exact r.Serve.Server.rp_p99_exact;
+    r.Serve.Server.rp_p50_exact r.Serve.Server.rp_p99_exact
+    r.Serve.Server.rp_makespan (throughput r);
   Format.fprintf ppf
     "  restores %d (copied %d of %d image bytes)  heals %d (deferred %d)  \
      injections %d  queue hwm %d@."
@@ -98,14 +96,13 @@ let tenant_json b (cmp : Harness.Serve_bench.comparison)
        \      \"goodput_ratio\": %.4f, \"escaped_on\": %d, \"sanitized_on\": \
         %d,\n\
        \      \"crashes_on\": %d, \"retries_on\": %d, \"shed_on\": %d,\n\
-       \      \"breaker_trips_on\": %d, \"p50_on\": %d, \"p99_on\": %d,\n\
+       \      \"breaker_trips_on\": %d,\n\
        \      \"p50_exact_on\": %d, \"p99_exact_on\": %d }"
        tr.Serve.Server.tr_name tr.Serve.Server.tr_ok on_.Serve.Server.tr_ok
        (Harness.Serve_bench.goodput_ratio cmp tr.Serve.Server.tr_name)
        on_.Serve.Server.tr_escaped on_.Serve.Server.tr_sanitized
        on_.Serve.Server.tr_crashes on_.Serve.Server.tr_retries
        on_.Serve.Server.tr_shed on_.Serve.Server.tr_breaker_trips
-       on_.Serve.Server.tr_p50 on_.Serve.Server.tr_p99
        on_.Serve.Server.tr_p50_exact on_.Serve.Server.tr_p99_exact)
 
 let write_json path requests seed (cmp : Harness.Serve_bench.comparison)
@@ -126,7 +123,7 @@ let write_json path requests seed (cmp : Harness.Serve_bench.comparison)
          \    \"breaker_trips\": %d, \"heals\": %d,\n\
          \    \"restores\": %d, \"restore_copied_bytes\": %d, \
           \"restore_image_bytes\": %d,\n\
-         \    \"injections\": %d, \"p50_cycles\": %d, \"p99_cycles\": %d,\n\
+         \    \"injections\": %d,\n\
          \    \"p50_exact_cycles\": %d, \"p99_exact_cycles\": %d,\n\
          \    \"makespan_cycles\": %d, \"ok_per_mcycle\": %.4f, \
           \"wall_s\": %.3f },\n"
@@ -137,7 +134,6 @@ let write_json path requests seed (cmp : Harness.Serve_bench.comparison)
          r.Serve.Server.rp_breaker_trips r.Serve.Server.rp_heals
          r.Serve.Server.rp_restores r.Serve.Server.rp_restore_copied_bytes
          r.Serve.Server.rp_restore_image_bytes r.Serve.Server.rp_injections
-         r.Serve.Server.rp_p50 r.Serve.Server.rp_p99
          r.Serve.Server.rp_p50_exact r.Serve.Server.rp_p99_exact
          r.Serve.Server.rp_makespan (throughput r) wall)
   in
@@ -172,7 +168,7 @@ let () =
   let trace_path = str_flag argv "--trace-requests" ~default:"" in
   let slo_report = List.mem "--slo-report" argv in
   let recorder =
-    if trace_path <> "" then Some (Obs.Span.create ()) else None
+    if trace_path <> "" then Some (Obs.Trace.create ()) else None
   in
   let collect =
     if slo_report then Some (Serve.Slo.collector ()) else None
@@ -205,12 +201,14 @@ let () =
   | None -> ()
   | Some r ->
       let oc = open_out trace_path in
-      output_string oc (Obs.Span.to_chrome_json r);
+      output_string oc (Obs.Trace.to_chrome_json r);
       close_out oc;
       Format.fprintf ppf
         "  wrote %s (%d span records, %d dropped) — open in \
          chrome://tracing or ui.perfetto.dev@."
-        trace_path (Obs.Span.size r) (Obs.Span.dropped r));
+        trace_path
+        (Obs.Trace.recorded r - Obs.Trace.dropped r)
+        (Obs.Trace.dropped r));
   (match collect with
   | None -> ()
   | Some co ->

@@ -152,12 +152,11 @@ let run input output config emit_wat no_libc instrument_all stats wstack
                   && String.sub line 0 10 = "cage_stack"
                then Format.eprintf "%s@." line)
       end;
-      let mk_plan () =
-        Analysis.Elide.plan ~spec_safe:no_spec_elide ~arena:elide_bounds
-          compiled.co_module
-      in
       if elide then begin
-        let plan = mk_plan () in
+        let plan =
+          Analysis.Elide.plan ~spec_safe:no_spec_elide ~arena:elide_bounds
+            compiled.co_module
+        in
         Format.eprintf
           "elision: %d of %d checked accesses proven safe@."
           plan.Analysis.Elide.proven plan.Analysis.Elide.considered;
@@ -176,13 +175,21 @@ let run input output config emit_wat no_libc instrument_all stats wstack
       if wfusion then begin
         (* Lower every function exactly as instantiation would (same
            elision plan when requested) and report what fused. *)
-        let elide_sets =
-          if elide || config.Cage.Config.elide_checks then
-            (mk_plan ()).Analysis.Elide.bitsets
-          else [||]
+        let config =
+          if not elide then config
+          else if elide_bounds then
+            Cage.Config.with_arena (Cage.Config.with_bounds_elision config)
+          else Cage.Config.with_elision config
         in
+        let config =
+          if no_spec_elide then Cage.Config.with_spec_safe_only config
+          else config
+        in
+        let c = Cage.Config.instance_config ~m:compiled.co_module config in
         let fstats =
-          Wasm.Compile.module_stats ~elide:elide_sets compiled.co_module
+          Wasm.Compile.module_stats ~elide:c.Wasm.Instance.elide
+            ~belide:c.Wasm.Instance.belide ~arena:c.Wasm.Instance.arena
+            compiled.co_module
         in
         List.iter
           (fun (s : Wasm.Xcode.stats) ->

@@ -204,17 +204,33 @@ let max_sandboxes t =
   | Mte_sandbox -> if combined t then 1 else 15
   | _ -> max_int
 
-(** Interpreter configuration implementing this variant. *)
-let instance_config ?meter ?(seed = 0) t =
-  {
-    Wasm.Instance.default_config with
-    enforce_tags = t.internal_safety;
-    mte_mode = t.mte_mode;
-    exclude = exclusion t;
-    seed;
-    meter;
-    engine = t.engine;
-  }
+(** Instance configuration implementing this variant. Given the module
+    [m] to instantiate, an eliding variant also carries [m]'s elision
+    plan: tag-check bitsets, span-check bitsets under [elide_bounds],
+    arena sites under [arena], all restricted to speculation-safe
+    proofs under [spec_safe_only]. *)
+let instance_config ?meter ?(seed = 0) ?m t =
+  let c =
+    {
+      Wasm.Instance.default_config with
+      enforce_tags = t.internal_safety;
+      mte_mode = t.mte_mode;
+      exclude = exclusion t;
+      seed;
+      meter;
+      engine = t.engine;
+    }
+  in
+  match m with
+  | Some m when t.elide_checks ->
+      let p =
+        Analysis.Elide.plan ~spec_safe:t.spec_safe_only ~arena:t.arena m
+      in
+      { c with
+        elide = p.Analysis.Elide.bitsets;
+        belide = (if t.elide_bounds then p.Analysis.Elide.bbitsets else [||]);
+        arena = p.Analysis.Elide.arena }
+  | _ -> c
 
 let pp ppf t =
   Format.fprintf ppf "%s (ptr%d, sandbox=%s%s%s)" t.name

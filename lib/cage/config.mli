@@ -111,7 +111,12 @@ val max_sandboxes : t -> int
     sandboxing, 1 in combined mode, unbounded otherwise (§6.4). *)
 
 val instance_config :
-  ?meter:Wasm.Meter.t -> ?seed:int -> t -> Wasm.Instance.config
-(** Interpreter configuration implementing this variant. *)
+  ?meter:Wasm.Meter.t -> ?seed:int -> ?m:Wasm.Ast.module_ -> t ->
+  Wasm.Instance.config
+(** Instance configuration implementing this variant. Given the module
+    [m] to instantiate, an eliding variant also carries [m]'s whole
+    elision plan (tag checks; span checks under [elide_bounds]; arena
+    sites under [arena]; speculation-safe proofs only under
+    [spec_safe_only]) — the one place a plan becomes instance bits. *)
 
 val pp : Format.formatter -> t -> unit

@@ -41,19 +41,13 @@ let spawn ?meter ?imports ?lane t m =
     t.config.sandbox = Config.Mte_sandbox
     && List.length t.instances >= Config.max_sandboxes t.config
   then raise Sandbox.Too_many_sandboxes;
-  let elide =
-    if t.config.elide_checks then
-      (Analysis.Elide.plan m).Analysis.Elide.bitsets
-    else [||]
-  in
   let config =
     {
       (Config.instance_config ?meter ~seed:(Random.State.int t.rng 1_000_000)
-         t.config)
+         ~m t.config)
       with
       pac_key = Some t.pac_key;
       pac_modifier = Random.State.int64 t.rng Int64.max_int;
-      elide;
     }
   in
   let lane =

@@ -22,24 +22,8 @@ let run ?(cfg = Cage.Config.baseline_wasm64) ?meter ?(seed = 0)
   let prelude = Source.prelude_of_config cfg in
   let compiled = Minic.Driver.compile ~opts ~prelude source in
   let wasi = Wasi.create () in
-  let config = Cage.Config.instance_config ?meter ~seed cfg in
   let config =
-    if cfg.Cage.Config.elide_checks then begin
-      let plan =
-        Analysis.Elide.plan
-          ~spec_safe:cfg.Cage.Config.spec_safe_only
-          ~arena:cfg.Cage.Config.arena compiled.co_module
-      in
-      {
-        config with
-        Wasm.Instance.elide = plan.Analysis.Elide.bitsets;
-        belide =
-          (if cfg.Cage.Config.elide_bounds then plan.Analysis.Elide.bbitsets
-           else [||]);
-        arena = plan.Analysis.Elide.arena;
-      }
-    end
-    else config
+    Cage.Config.instance_config ?meter ~seed ~m:compiled.co_module cfg
   in
   let instance =
     Wasm.Exec.instantiate ~config ~imports:(Wasi.imports wasi)

@@ -42,9 +42,10 @@ type t =
   | Func_leave of { idx : int; name : string }
   | Crash of { cls : string; msg : string }
   | Spawn of { instance : int }
-  | Snapshot_restore of { instance : int; bytes : int }
+  | Snapshot_restore of { instance : int; bytes : int; cycles : int }
       (** a pool slot rewound to its frozen post-[_start] image
-          (memory + tags + globals + table + PRNG), [bytes] of payload *)
+          (memory + tags + globals + table + PRNG), [bytes] of payload,
+          priced [cycles] by the snapshot's restore model *)
   | Quarantine_evicted of { instance : int }
       (** a retained post-mortem dropped by the supervisor's
           oldest-first quarantine cap *)
@@ -125,8 +126,7 @@ let name = function
     one-cycle-per-interpreted-op clock: rough Cortex-X3 prices from the
     Table 1 instrument set ([stg]-style granule tagging at ~2 granules
     per cycle, ~5-cycle [pacda]/[autda], fault delivery as an exception
-    envelope). Callers can substitute their own table
-    ({!Trace.create}). *)
+    envelope). A restore carries its own modeled price. *)
 let cost = function
   | Seg_new { granules; _ } | Seg_set_tag { granules; _ }
   | Seg_free { granules; _ } ->
@@ -140,9 +140,7 @@ let cost = function
   | Host_call _ -> 20
   | Func_enter _ | Func_leave _ -> 2
   | Crash _ | Spawn _ -> 0
-  | Snapshot_restore { bytes; _ } ->
-      (* stream the frozen image back at a modeled 64 B/cycle *)
-      50 + (bytes / 64)
+  | Snapshot_restore { cycles; _ } -> cycles
   | Quarantine_evicted _ -> 0
   | Request_retry _ | Request_shed _ | Breaker_trip _ -> 0
   | Check_elided -> 0  (* the whole point: the check costs nothing *)
@@ -184,7 +182,7 @@ let pp ppf ev =
   | Func_leave { idx; name } -> f "leave %s (f%d)" name idx
   | Crash { cls; msg } -> f "crash [%s] %s" cls msg
   | Spawn { instance } -> f "spawn instance %d" instance
-  | Snapshot_restore { instance; bytes } ->
+  | Snapshot_restore { instance; bytes; _ } ->
       f "snapshot.restore instance %d (%d B)" instance bytes
   | Quarantine_evicted { instance } ->
       f "quarantine-evicted instance %d" instance

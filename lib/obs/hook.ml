@@ -11,7 +11,9 @@
     A sink bundles up to three consumers — tracer, metrics, profiler —
     any subset of which may be active. The [tid] context names the
     instance currently executing (set at invocation boundaries), so
-    trace records land on the right Chrome thread lane. *)
+    trace records land on the right Chrome thread lane. An installed
+    sink switches on the engines' per-op tick ([Wasm.Rt.obs_tick]);
+    request tracing has its own, cheaper install point ({!Span}). *)
 
 type t = {
   trace : Trace.t option;
@@ -27,7 +29,6 @@ let hook : t option ref = ref None
 
 let install s = hook := Some s
 let uninstall () = hook := None
-let active () = !hook
 let enabled () = !hook != None
 
 let with_sink s f =
@@ -88,8 +89,10 @@ let recent_events k =
   match !hook with
   | Some { trace = Some tr; _ } ->
       List.map
-        (fun r ->
-          Printf.sprintf "[cycle %d] %s" r.Trace.cycle
-            (Event.to_string r.Trace.ev))
+        (fun (r : Trace.record) ->
+          Printf.sprintf "[cycle %d] %s" r.ts
+            (match r.payload with
+            | Trace.Event ev -> Event.to_string ev
+            | Trace.Named (name, _) -> name))
         (Trace.recent tr k)
   | _ -> []

@@ -1,4 +1,4 @@
-(** The metrics registry: counters, gauges and log-scale histograms,
+(** The metrics registry: counters and log-scale histograms,
     rendered in Prometheus text exposition format and as JSON.
 
     Registration hands back a direct handle; the hot path then bumps a
@@ -7,7 +7,6 @@
     be golden-diffed in CI. *)
 
 type counter = { c_name : string; c_help : string; mutable c_value : int }
-type gauge = { g_name : string; g_help : string; mutable g_value : float }
 
 type histogram = {
   h_name : string;
@@ -18,7 +17,7 @@ type histogram = {
   mutable h_count : int;
 }
 
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+type metric = Counter of counter | Histogram of histogram
 
 type t = { mutable metrics : metric list (* reverse registration order *) }
 
@@ -29,11 +28,6 @@ let counter t ?(help = "") name =
   let c = { c_name = name; c_help = help; c_value = 0 } in
   t.metrics <- Counter c :: t.metrics;
   c
-
-let gauge t ?(help = "") name =
-  let g = { g_name = name; g_help = help; g_value = 0.0 } in
-  t.metrics <- Gauge g :: t.metrics;
-  g
 
 (** Power-of-two bucket bounds from [lo] to [hi] inclusive — the
     log-scale shape that keeps segment sizes and span lengths readable
@@ -53,7 +47,6 @@ let histogram t ?(help = "") ?bounds name =
   h
 
 let inc ?(by = 1) c = c.c_value <- c.c_value + by
-let set g v = g.g_value <- v
 
 let observe h v =
   let n = Array.length h.h_bounds in
@@ -83,11 +76,6 @@ let render_prometheus ppf t =
             Format.fprintf ppf "# HELP %s %s@." c.c_name c.c_help;
           Format.fprintf ppf "# TYPE %s counter@." c.c_name;
           Format.fprintf ppf "%s %d@." c.c_name c.c_value
-      | Gauge g ->
-          if g.g_help <> "" then
-            Format.fprintf ppf "# HELP %s %s@." g.g_name g.g_help;
-          Format.fprintf ppf "# TYPE %s gauge@." g.g_name;
-          Format.fprintf ppf "%s %s@." g.g_name (num g.g_value)
       | Histogram h ->
           if h.h_help <> "" then
             Format.fprintf ppf "# HELP %s %s@." h.h_name h.h_help;
@@ -115,9 +103,6 @@ let to_json t =
       match m with
       | Counter c ->
           Buffer.add_string b (Printf.sprintf "  \"%s\": %d" c.c_name c.c_value)
-      | Gauge g ->
-          Buffer.add_string b
-            (Printf.sprintf "  \"%s\": %s" g.g_name (num g.g_value))
       | Histogram h ->
           Buffer.add_string b
             (Printf.sprintf "  \"%s\": {\"buckets\": [" h.h_name);

@@ -23,7 +23,6 @@ let create ?(interval = 101) () =
   { interval; countdown = 0; ticks = 0; samples = 0; last_total = 0;
     tbl = Hashtbl.create 64 }
 
-let interval t = t.interval
 let ticks t = t.ticks
 let samples t = t.samples
 

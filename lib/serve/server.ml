@@ -97,8 +97,6 @@ type tenant_report = {
   tr_retries : int;
   tr_timeouts : int;
   tr_breaker_trips : int;
-  tr_p50 : int;
-  tr_p99 : int;
   tr_p50_exact : int;   (** nearest-rank on the full latency sample *)
   tr_p99_exact : int;
 }
@@ -121,21 +119,12 @@ type report = {
   rp_heals_deferred : int;
   rp_injections : int;
   rp_makespan : int;             (** simulated cycles start→last event *)
-  rp_p50 : int;
-  rp_p99 : int;
-  rp_p50_exact : int;
+  rp_p50_exact : int;            (** nearest-rank, all tenants *)
   rp_p99_exact : int;
   rp_max_ready : int;            (** run-queue high-water mark *)
   rp_served_cycles : int;        (** metered guest cycles, all pools *)
   rp_tenants : tenant_report list;
 }
-
-let percentile sorted p =
-  match Array.length sorted with
-  | 0 -> 0
-  | n ->
-      let i = min (n - 1) (p * n / 100) in
-      sorted.(i)
 
 let tenant_report (s : tenant_stats) =
   let lat = Array.of_list s.ts_latencies in
@@ -152,8 +141,6 @@ let tenant_report (s : tenant_stats) =
     tr_retries = s.ts_retries;
     tr_timeouts = s.ts_timeouts;
     tr_breaker_trips = s.ts_breaker_trips;
-    tr_p50 = percentile lat 50;
-    tr_p99 = percentile lat 99;
     tr_p50_exact = Slo.percentile_exact lat 50.0;
     tr_p99_exact = Slo.percentile_exact lat 99.0;
   }
@@ -675,8 +662,6 @@ let run ?chaos ?collect config tenants =
       Array.fold_left (fun n st -> n + Pool.heals_deferred st.pool) 0 ts;
     rp_injections = !total_injections;
     rp_makespan = !makespan;
-    rp_p50 = percentile all_lat 50;
-    rp_p99 = percentile all_lat 99;
     rp_p50_exact = Slo.percentile_exact all_lat 50.0;
     rp_p99_exact = Slo.percentile_exact all_lat 99.0;
     rp_max_ready = Scheduler.max_ready cpu;

@@ -51,6 +51,12 @@ let capture (inst : Wasm.Instance.t) =
 
 let bytes t = t.sn_bytes
 
+(** Modeled restore cost in simulated cycles: the frozen image streamed
+    back at 64 B/cycle behind a fixed setup cost. The [Snapshot_restore]
+    event carries this price, so scheduler demand and trace timelines
+    agree. *)
+let restore_cycles t = 50 + (t.sn_bytes / 64)
+
 (** Rewind [inst] to the frozen image and return the image bytes
     actually copied (in {!bytes}' units: a restore that has to copy
     every plane in full returns exactly [bytes t]). Also clears the
@@ -87,7 +93,8 @@ let restore_copied t (inst : Wasm.Instance.t) =
   if Obs.Hook.enabled () then
     Obs.Hook.event
       (Obs.Event.Snapshot_restore
-         { instance = inst.Wasm.Instance.id; bytes = t.sn_bytes });
+         { instance = inst.Wasm.Instance.id; bytes = t.sn_bytes;
+           cycles = restore_cycles t });
   if Obs.Span.enabled () then
     Obs.Span.instant ~tid:Obs.Span.runtime_tid
       ~args:
@@ -99,11 +106,6 @@ let restore_copied t (inst : Wasm.Instance.t) =
 
 (** {!restore_copied} without the count. *)
 let restore t inst = ignore (restore_copied t inst)
-
-(** Modeled restore cost in simulated cycles — the same cost the
-    tracer charges a [Snapshot_restore] event, so scheduler demand and
-    trace timelines agree. *)
-let restore_cycles t = 50 + (t.sn_bytes / 64)
 
 (** Does the live instance state match the frozen image byte-for-byte?
     (Fidelity tests; not used on the serving fast path.) *)

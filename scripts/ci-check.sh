@@ -63,6 +63,15 @@ dune exec bin/cage_run.exe -- examples/quickstart.c --config CAGE --seed 7 \
   --metrics > _build/metrics.out 2>/dev/null || true  # guest tag fault: exit 1 by design
 diff test/golden/metrics.golden _build/metrics.out
 
+echo "== instance trace (quickstart seed 7: function slices on the per-op clock)"
+rm -f _build/inst_trace.json
+dune exec bin/cage_run.exe -- examples/quickstart.c --config CAGE --seed 7 \
+  --trace _build/inst_trace.json > /dev/null 2>&1 || true  # guest tag fault: exit 1 by design
+grep -q '"ph":"B"' _build/inst_trace.json || {
+  echo "FAIL: instance trace has no function slices"; exit 1; }
+grep -q '"clock":"simulated-cycles"' _build/inst_trace.json || {
+  echo "FAIL: instance trace does not declare the per-op clock"; exit 1; }
+
 echo "== serving-path detection matrix (golden diff, seed 7)"
 dune exec bin/cage_chaos.exe -- served --seed 7 > _build/served_matrix.out
 diff test/golden/served_matrix.golden _build/served_matrix.out
@@ -104,6 +113,8 @@ grep -q "exec reconciliation: .* — exact" _build/serve_smoke.out || {
 grep -q '"ph":"s"' _build/req_trace.json || {
   echo "FAIL: request trace has no flow arrows (span stitching broken)"
   exit 1; }
+grep -q '"clock":"des-cycles"' _build/req_trace.json || {
+  echo "FAIL: request trace does not declare the DES clock"; exit 1; }
 
 echo "== serving bench drift vs committed baseline"
 scripts/bench-diff.sh _build/BENCH_serve_smoke.json \

@@ -158,12 +158,37 @@ let test_elide_plan_nonempty () =
 
 let test_elide_differential () =
   (* a small in-process slice of the 200-seed CI gate *)
-  let r = Harness.Elide_diff.run ~count:8 ~seed0:3000 () in
-  if not (Harness.Elide_diff.ok r) then
+  let r =
+    Harness.Differential.run ~count:8 ~seed0:3000
+      (Harness.Differential.elision_pair ~full:false)
+  in
+  if not (Harness.Differential.ok r) then
     Alcotest.failf "elision diverged:@ %s"
-      (String.concat "\n" r.Harness.Elide_diff.ed_failures);
+      (String.concat "\n" r.Harness.Differential.df_failures);
   Alcotest.(check bool) "checks actually elided" true
-    (r.Harness.Elide_diff.ed_elided > 0)
+    (r.Harness.Differential.df_elided > 0)
+
+let test_supervised_full_plan () =
+  (* a supervised spawn bakes in the variant's whole plan, as a direct
+     run does: span checks are elided and segments arena-lowered *)
+  let cfg =
+    Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.full)
+  in
+  let atax = Workloads.Polybench.atax.Workloads.Polybench.k_source in
+  let meter = Wasm.Meter.create () in
+  let sup =
+    Cage.Supervisor.create (Cage.Process.create ~config:cfg ~seed:7 ())
+  in
+  let imports, _ = Harness.Serve_bench.wasi_imports () in
+  let inst = Cage.Supervisor.spawn ~meter ~imports sup (compile ~cfg atax) in
+  (match Cage.Supervisor.run sup inst "main" [] with
+  | Cage.Supervisor.Finished _ -> ()
+  | Cage.Supervisor.Crashed pm ->
+      Alcotest.failf "atax crashed: %s" pm.Cage.Supervisor.pm_message);
+  Alcotest.(check bool) "span checks elided" true
+    (meter.Wasm.Meter.elided_bounds > 0);
+  Alcotest.(check bool) "segments arena-lowered" true
+    (meter.Wasm.Meter.arena_new_granules > 0)
 
 let test_elide_preserves_trap () =
   (* a program with a real bug must still trap identically with
@@ -415,5 +440,6 @@ let () =
           tc "plan nonempty" test_elide_plan_nonempty;
           tc "differential slice" test_elide_differential;
           tc "trap preserved" test_elide_preserves_trap;
+          tc "supervised full plan" test_supervised_full_plan;
         ] );
     ]

@@ -366,18 +366,10 @@ let polybench_fusion (cfg : Cage.Config.t) =
       let opts = Minic.Driver.options_of_config cfg in
       let prelude = Libc.Source.prelude_of_config cfg in
       let m = (Minic.Driver.compile ~opts ~prelude k.k_source).Minic.Driver.co_module in
+      let c = Cage.Config.instance_config ~m cfg in
       let stats =
-        if cfg.Cage.Config.elide_checks then
-          let p =
-            Analysis.Elide.plan ~spec_safe:cfg.Cage.Config.spec_safe_only
-              ~arena:cfg.Cage.Config.arena m
-          in
-          Compile.module_stats ~elide:p.Analysis.Elide.bitsets
-            ~belide:
-              (if cfg.Cage.Config.elide_bounds then p.Analysis.Elide.bbitsets
-               else [||])
-            ~arena:p.Analysis.Elide.arena m
-        else Compile.module_stats m
+        Compile.module_stats ~elide:c.Instance.elide ~belide:c.Instance.belide
+          ~arena:c.Instance.arena m
       in
       List.iter
         (fun (s : Xcode.stats) ->

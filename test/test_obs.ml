@@ -1,7 +1,7 @@
-(* Tests for the observability substrate (lib/obs): ring-buffer tracer,
-   metrics registry, sampling profiler, the zero-cost-when-disabled
-   hook contract, the supervisor's black-box flight recording, and the
-   Report.table ragged-row regression. *)
+(* Tests for the observability substrate (lib/obs): the trace recorder
+   (instance and request traces), metrics registry, sampling profiler,
+   the zero-cost-when-disabled hook contract, the supervisor's black-box
+   flight recording, and the Report.table ragged-row regression. *)
 
 open Wasm
 
@@ -47,8 +47,8 @@ let test_ring_keeps_newest () =
   Alcotest.(check int) "all records counted" 10 (Obs.Trace.recorded tr);
   Alcotest.(check int) "overflow dropped oldest" 6 (Obs.Trace.dropped tr);
   let instance_of r =
-    match r.Obs.Trace.ev with
-    | Obs.Event.Spawn { instance } -> instance
+    match r.Obs.Trace.payload with
+    | Obs.Trace.Event (Obs.Event.Spawn { instance }) -> instance
     | _ -> -1
   in
   Alcotest.(check (list int)) "survivors are the newest, oldest first"
@@ -64,7 +64,7 @@ let test_clock_monotone () =
   Obs.Trace.record tr ~tid:1
     (Obs.Event.Seg_new { addr = 0L; len = 64L; granules = 4; tag = 3 });
   Obs.Trace.record tr ~tid:1 (Obs.Event.Pac_sign { ptr = 0L });
-  let cycles = List.map (fun r -> r.Obs.Trace.cycle) (Obs.Trace.records tr) in
+  let cycles = List.map (fun r -> r.Obs.Trace.ts) (Obs.Trace.records tr) in
   (* host 20; +3 ticks; seg_new 2 + 4/2 = 4; pac 5 *)
   Alcotest.(check (list int)) "per-event costs land on a monotone clock"
     [ 20; 27; 32 ] cycles;
@@ -367,12 +367,12 @@ let test_ring_drops_visible () =
 (* ------------------------------------------------------------------ *)
 
 let test_span_records_and_json () =
-  let r = Obs.Span.create () in
+  let r = Obs.Trace.create () in
+  let id = 0 in
   Obs.Span.with_recorder r (fun () ->
       Obs.Span.set_track ~tid:1 "core 0";
       Obs.Span.set_track ~tid:(Obs.Span.tenant_tid 0) "tenant compute";
       Obs.Span.set_now 100;
-      let id = Obs.Span.fresh_id () in
       Obs.Span.async_begin ~id ~tid:(Obs.Span.tenant_tid 0) ~ts:100 "request";
       Obs.Span.flow_start ~id ~tid:(Obs.Span.tenant_tid 0) ~ts:100 "queue";
       Obs.Span.complete
@@ -384,8 +384,14 @@ let test_span_records_and_json () =
       Obs.Span.async_end ~id ~tid:(Obs.Span.tenant_tid 0) ~ts:250 "request");
   Alcotest.(check bool) "uninstalled after with_recorder" false
     (Obs.Span.enabled ());
-  Alcotest.(check int) "seven records" 7 (Obs.Span.size r);
-  let json = Obs.Span.to_chrome_json r in
+  let recs = Obs.Trace.records r in
+  Alcotest.(check int) "seven records" 7 (List.length recs);
+  Alcotest.(check (list int)) "stamped on the published DES clock"
+    [ 100; 100; 100; 100; 100; 250; 250 ]
+    (List.map (fun x -> x.Obs.Trace.ts) recs);
+  Alcotest.(check bool) "the slice carries its duration" true
+    (List.exists (fun x -> x.Obs.Trace.ph = Obs.Trace.Complete 150) recs);
+  let json = Obs.Trace.to_chrome_json r in
   let has s = Astring.String.is_infix ~affix:s json in
   Alcotest.(check bool) "core track named" true (has "\"name\":\"core 0\"");
   Alcotest.(check bool) "tenant track named" true
@@ -418,24 +424,39 @@ let test_span_disabled_no_alloc () =
     (Printf.sprintf "%d disabled span rounds allocated %.0f words" rounds dw)
     true (dw < 256.0)
 
-(* The span recorder bounds memory by dropping the *newest* records —
-   the opposite policy from the Trace flight recorder, which keeps a
-   crash's final moments. For request traces the run's start is the
-   context everything later refers to. *)
-let test_span_capacity_drops_newest () =
-  let r = Obs.Span.create ~capacity:4 () in
+(* A request trace overflows like any other trace: the ring keeps the
+   newest window and the export announces what it lost. *)
+let test_span_capacity_keeps_newest () =
+  let r = Obs.Trace.create ~capacity:4 () in
   Obs.Span.with_recorder r (fun () ->
       for i = 0 to 9 do
         Obs.Span.instant ~tid:1 ~ts:i (Printf.sprintf "ev%d" i)
       done);
-  Alcotest.(check int) "capacity respected" 4 (Obs.Span.size r);
-  Alcotest.(check int) "six newest dropped" 6 (Obs.Span.dropped r);
-  Alcotest.(check (list string)) "survivors are the oldest, in order"
-    [ "ev0"; "ev1"; "ev2"; "ev3" ]
-    (List.map (fun rec_ -> rec_.Obs.Span.r_name) (Obs.Span.records r));
+  Alcotest.(check int) "six oldest dropped" 6 (Obs.Trace.dropped r);
+  Alcotest.(check (list string)) "survivors are the newest, in order"
+    [ "ev6"; "ev7"; "ev8"; "ev9" ]
+    (List.map
+       (fun x ->
+         match x.Obs.Trace.payload with
+         | Obs.Trace.Named (name, _) -> name
+         | Obs.Trace.Event _ -> "?")
+       (Obs.Trace.records r));
+  let json = Obs.Trace.to_chrome_json r in
+  let has s = Astring.String.is_infix ~affix:s json in
+  Alcotest.(check bool) "export carries the drop warning" true
+    (has "\"name\":\"trace-dropped\"");
   Alcotest.(check bool) "export reports the drop count" true
-    (Astring.String.is_infix ~affix:"\"dropped\":6"
-       (Obs.Span.to_chrome_json r))
+    (has "\"dropped\":6")
+
+(* The two install points are two cost tiers: a request recorder must
+   not switch on the engines' per-op instrumentation. *)
+let test_span_leaves_hook_off () =
+  Obs.Hook.uninstall ();
+  Obs.Span.with_recorder (Obs.Trace.create ~capacity:16 ()) (fun () ->
+      Alcotest.(check bool) "request recorder installed" true
+        (Obs.Span.enabled ());
+      Alcotest.(check bool) "per-op hook still off" false
+        (Obs.Hook.enabled ()))
 
 (* ------------------------------------------------------------------ *)
 (* Report.table ragged rows (satellite regression)                     *)
@@ -475,8 +496,10 @@ let () =
             test_span_records_and_json;
           Alcotest.test_case "disabled path allocates nothing" `Quick
             test_span_disabled_no_alloc;
-          Alcotest.test_case "capacity drops newest" `Quick
-            test_span_capacity_drops_newest;
+          Alcotest.test_case "capacity keeps newest" `Quick
+            test_span_capacity_keeps_newest;
+          Alcotest.test_case "request tracing leaves the per-op path off"
+            `Quick test_span_leaves_hook_off;
         ] );
       ( "hook",
         [

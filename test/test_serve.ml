@@ -576,7 +576,7 @@ let test_serving_deterministic () =
     in
     ( r.Serve.Server.rp_ok, r.Serve.Server.rp_failed, r.Serve.Server.rp_shed,
       r.Serve.Server.rp_crashes, r.Serve.Server.rp_retries,
-      r.Serve.Server.rp_makespan, r.Serve.Server.rp_p99,
+      r.Serve.Server.rp_makespan, r.Serve.Server.rp_p99_exact,
       r.Serve.Server.rp_injections )
   in
   let a = go () and b = go () in
@@ -814,16 +814,16 @@ let test_span_stitching_e2e () =
   let digest (r : Serve.Server.report) =
     ( r.Serve.Server.rp_ok, r.Serve.Server.rp_failed, r.Serve.Server.rp_shed,
       r.Serve.Server.rp_crashes, r.Serve.Server.rp_retries,
-      r.Serve.Server.rp_makespan, r.Serve.Server.rp_p99,
+      r.Serve.Server.rp_makespan, r.Serve.Server.rp_p99_exact,
       r.Serve.Server.rp_injections )
   in
   let bare = run () in
-  let rec_ = Obs.Span.create () in
+  let rec_ = Obs.Trace.create () in
   let traced = Obs.Span.with_recorder rec_ run in
   (* observation must not perturb the simulation: bit-identical run *)
   Alcotest.(check bool) "recorder does not perturb the replay" true
     (digest bare = digest traced);
-  let json = Obs.Span.to_chrome_json rec_ in
+  let json = Obs.Trace.to_chrome_json rec_ in
   let has s = Astring.String.is_infix ~affix:s json in
   (* one retried request's causal chain: flow start on its first queue
      slice, steps across scheduler slices, finish at the terminal *)
