@@ -10,6 +10,21 @@
 
 let ppf_ref = ref Format.std_formatter
 
+(* Seconds [f ()] takes on the monotonic clock. *)
+let timed f =
+  let t0 = Monotonic_clock.now () in
+  ignore (Sys.opaque_identity (f ()));
+  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+
+(* The fastest of [n] timings. [prepare] builds each timed thunk outside
+   the timer, so setup such as a fresh instance is not counted. *)
+let best_of n prepare =
+  let best = ref infinity in
+  for _ = 1 to n do
+    best := Float.min !best (timed (prepare ()))
+  done;
+  !best
+
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -358,108 +373,6 @@ let run_modes () =
     "  (sync/asymmetric trap before the write lands; async detects at the      next context switch; the paper uses sync, Sec 6.3)@."
 
 (* ------------------------------------------------------------------ *)
-(* Checked bulk fast path (BENCH_memfast.json)                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Compares the unified checked-access layer's bulk shape (one span tag
-   check + one memset/memmove) against the per-byte shape the runtime
-   used to have (one tag check and one store per byte). Results land in
-   BENCH_memfast.json so the fast path is tracked across revisions. *)
-let run_memfast () =
-  Harness.Report.title (!ppf_ref)
-    "Checked memset/memcpy fast path vs per-byte scalar loop";
-  let mem =
-    Wasm.Memory.create
-      { Wasm.Types.mem_idx = Wasm.Types.Idx64;
-        mem_limits = { Wasm.Types.min = 4L; max = Some 4L } }
-  in
-  let bytes = 65536 in
-  let len = Int64.of_int bytes in
-  let tm =
-    Arch.Tag_memory.create
-      ~size_bytes:(Int64.to_int (Wasm.Memory.size_bytes mem))
-  in
-  let tag = Arch.Tag.of_int 5 in
-  (match Arch.Tag_memory.set_region tm ~addr:0L ~len tag with
-  | Ok () -> ()
-  | Error e -> failwith e);
-  let iters = 400 in
-  let time f =
-    f ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int iters
-  in
-  (* per-byte shape: one tag check and one store per byte *)
-  let scalar_memset () =
-    for i = 0 to bytes - 1 do
-      let addr = Int64.of_int i in
-      if not (Arch.Tag_memory.matches tm ~addr ~len:1L tag) then
-        failwith "tag mismatch";
-      Wasm.Memory.store_byte mem addr 0xab
-    done
-  in
-  (* checked-layer shape: one span tag check, then one memset *)
-  let checked_memset () =
-    if not (Arch.Tag_memory.matches tm ~addr:0L ~len tag) then
-      failwith "tag mismatch";
-    Wasm.Memory.fill mem ~addr:0L ~len 0xab
-  in
-  let half = Int64.of_int (bytes / 2) in
-  let scalar_memcpy () =
-    for i = 0 to (bytes / 2) - 1 do
-      let src = Int64.of_int i and dst = Int64.of_int ((bytes / 2) + i) in
-      if not (Arch.Tag_memory.matches tm ~addr:src ~len:1L tag) then
-        failwith "tag mismatch";
-      if not (Arch.Tag_memory.matches tm ~addr:dst ~len:1L tag) then
-        failwith "tag mismatch";
-      Wasm.Memory.store_byte mem dst (Wasm.Memory.load_byte mem src)
-    done
-  in
-  let checked_memcpy () =
-    if not (Arch.Tag_memory.matches tm ~addr:0L ~len:half tag) then
-      failwith "tag mismatch";
-    if not (Arch.Tag_memory.matches tm ~addr:half ~len:half tag) then
-      failwith "tag mismatch";
-    Wasm.Memory.copy mem ~dst:half ~src:0L ~len:half
-  in
-  let t_scalar_set = time scalar_memset in
-  let t_checked_set = time checked_memset in
-  let t_scalar_cpy = time scalar_memcpy in
-  let t_checked_cpy = time checked_memcpy in
-  let speedup_set = t_scalar_set /. t_checked_set in
-  let speedup_cpy = t_scalar_cpy /. t_checked_cpy in
-  Harness.Report.table (!ppf_ref)
-    ~header:[ "primitive"; "per-byte loop"; "checked bulk"; "speedup" ]
-    [
-      [ "memset 64 KiB"; Harness.Report.seconds t_scalar_set;
-        Harness.Report.seconds t_checked_set;
-        Printf.sprintf "%.1fx" speedup_set ];
-      [ "memcpy 32 KiB"; Harness.Report.seconds t_scalar_cpy;
-        Harness.Report.seconds t_checked_cpy;
-        Printf.sprintf "%.1fx" speedup_cpy ];
-    ];
-  let oc = open_out "BENCH_memfast.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"memset_bytes\": %d,\n\
-    \  \"scalar_memset_s\": %.9f,\n\
-    \  \"checked_memset_s\": %.9f,\n\
-    \  \"memset_speedup\": %.2f,\n\
-    \  \"scalar_memcpy_s\": %.9f,\n\
-    \  \"checked_memcpy_s\": %.9f,\n\
-    \  \"memcpy_speedup\": %.2f\n\
-     }\n"
-    bytes t_scalar_set t_checked_set speedup_set t_scalar_cpy t_checked_cpy
-    speedup_cpy;
-  close_out oc;
-  Format.fprintf (!ppf_ref)
-    "  wrote BENCH_memfast.json (target: checked memset >= 3x the per-byte \
-     loop)@."
-
-(* ------------------------------------------------------------------ *)
 (* Observability overhead (BENCH_obsoverhead.json)                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -479,33 +392,22 @@ let run_obsoverhead () =
     | Some kn -> kn
     | None -> assert false
   in
-  let iters = 5 in
-  let time f =
-    ignore (f ());
-    let best = ref infinity in
-    for _ = 1 to iters do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
+  let time f = best_of 6 (fun () -> f) in
   let meter = Wasm.Meter.create () in
-  let run_with cfg () =
+  let run_on engine () =
     Wasm.Meter.reset meter;
-    ignore (Libc.Run.run ~cfg ~meter kernel.Workloads.Polybench.k_source)
+    Libc.Run.run ~cfg:Cage.Config.full ~engine ~meter
+      kernel.Workloads.Polybench.k_source
   in
   (* The disabled-overhead model prices one obs_tick per interpreted op
      and one span_check per access, so the gated measurement pins the
      reference interpreter. The threaded engine batches those checks
      per superinstruction and runs several times faster; its no-sink
      runtime is reported informationally below. *)
-  let run_workload =
-    run_with (Cage.Config.with_engine Wasm.Instance.Interp Cage.Config.full)
-  in
+  let run_workload = run_on Wasm.Instance.Interp in
   Obs.Hook.uninstall ();
   let t_off = time run_workload in
-  let t_off_threaded = time (run_with Cage.Config.full) in
+  let t_off_threaded = time (run_on Wasm.Instance.Threaded) in
   let ops = Wasm.Meter.total meter in
   let mem = Wasm.Meter.mem_accesses meter in
   let t_full =
@@ -527,25 +429,17 @@ let run_obsoverhead () =
      loop, so pricing the bare guard is the honest model. *)
   let check_ns =
     let n = 1_000_000 in
-    let once () =
-      let acc = ref 0 in
-      let step () =
-        match !Obs.Hook.hook with None -> () | Some _ -> incr acc
-      in
-      let t0 = Unix.gettimeofday () in
+    let acc = ref 0 in
+    let step () = match !Obs.Hook.hook with None -> () | Some _ -> incr acc in
+    let loop () =
       for _ = 1 to n do
         step (); step (); step (); step ();
         step (); step (); step (); step ()
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      ignore (Sys.opaque_identity !acc);
-      dt *. 1e9 /. float_of_int (8 * n)
+      done
     in
-    let best = ref (once ()) in
-    for _ = 2 to 20 do
-      best := Float.min !best (once ())
-    done;
-    !best
+    let t = best_of 20 (fun () -> loop) in
+    ignore (Sys.opaque_identity !acc);
+    t *. 1e9 /. float_of_int (8 * n)
   in
   (* obs_tick once per interpreted op, span_check once per scalar
      memory access: the checks this workload actually executes. *)
@@ -556,8 +450,11 @@ let run_obsoverhead () =
   let full_pct = 100.0 *. ((t_full /. t_off) -. 1.0) in
   (* Request-span overhead on the serving path: the same chaos-on
      replay with the span recorder + SLO collector installed vs bare.
-     Tenants are compiled once, outside the timed region — the ratio
-     isolates the instrumentation, not the compiler. *)
+     Tenants are compiled once, outside the timed region, so the ratio
+     isolates the instrumentation. Each side is priced in process CPU
+     time over interleaved off/on pairs, alternating which side runs
+     first, and the figure is the median per-pair overhead: host drift
+     then hits both sides of a pair alike. *)
   let serve_seed = 7 in
   let serve_tenants = Harness.Serve_bench.tenants ~seed:serve_seed () in
   let serve_config =
@@ -573,14 +470,38 @@ let run_obsoverhead () =
          ~chaos:(Harness.Serve_bench.chaos_policy ~seed:serve_seed)
          ?collect serve_config serve_tenants)
   in
-  Obs.Span.uninstall ();
-  let t_serve_off = time (fun () -> serve_run ()) in
-  let t_serve_on =
-    time (fun () ->
+  let cpu_s f =
+    let t0 = Sys.time () in
+    f ();
+    Sys.time () -. t0
+  in
+  let spans_off () = cpu_s serve_run in
+  let spans_on () =
+    cpu_s (fun () ->
         Obs.Span.with_recorder (Obs.Trace.create ()) (fun () ->
             serve_run ~collect:(Serve.Slo.collector ()) ()))
   in
-  let serve_spans_pct = 100.0 *. ((t_serve_on /. t_serve_off) -. 1.0) in
+  Obs.Span.uninstall ();
+  serve_run ();
+  let pairs =
+    List.init 12 (fun i ->
+        if i mod 2 = 0 then
+          let off = spans_off () in
+          (off, spans_on ())
+        else
+          let on_ = spans_on () in
+          (spans_off (), on_))
+  in
+  let median l =
+    let a = Array.of_list (List.sort compare l) in
+    let n = Array.length a in
+    (a.((n - 1) / 2) +. a.(n / 2)) /. 2.0
+  in
+  let t_serve_off = median (List.map fst pairs) in
+  let t_serve_on = median (List.map snd pairs) in
+  let serve_spans_pct =
+    median (List.map (fun (off, on_) -> 100.0 *. ((on_ /. off) -. 1.0)) pairs)
+  in
   Harness.Report.table (!ppf_ref)
     ~header:[ "configuration"; "runtime"; "overhead" ]
     [
@@ -771,16 +692,12 @@ let run_exec () =
   let rows =
     List.map
       (fun (kernel : Workloads.Polybench.kernel) ->
-        let compiled =
-          let opts = Minic.Driver.options_of_config cfg in
-          let prelude = Libc.Source.prelude_of_config cfg in
-          (Minic.Driver.compile ~opts ~prelude kernel.k_source).co_module
-        in
+        let compiled = (Libc.Run.compile cfg kernel.k_source).co_module in
         let fresh ?meter engine =
           let wasi = Libc.Wasi.create () in
           let icfg =
-            Cage.Config.instance_config ?meter
-              (Cage.Config.with_engine engine cfg)
+            { (Cage.Config.instance_config ?meter cfg) with
+              Wasm.Instance.engine }
           in
           Wasm.Exec.instantiate ~config:icfg
             ~imports:(Libc.Wasi.imports wasi) compiled
@@ -802,14 +719,9 @@ let run_exec () =
             (Printf.sprintf "%s: engines disagree on the meter (%d vs %d ops)"
                kernel.k_name (Wasm.Meter.total m_i) (Wasm.Meter.total m_t));
         let time engine reps =
-          let best = ref infinity in
-          for _ = 1 to reps do
-            let inst = fresh engine in
-            let t0 = Unix.gettimeofday () in
-            ignore (Wasm.Exec.invoke inst "main" []);
-            best := Float.min !best (Unix.gettimeofday () -. t0)
-          done;
-          !best
+          best_of reps (fun () ->
+              let inst = fresh engine in
+              fun () -> Wasm.Exec.invoke inst "main" [])
         in
         let t_i = time Wasm.Instance.Interp reps_interp in
         let t_t = time Wasm.Instance.Threaded reps_threaded in
@@ -863,12 +775,7 @@ let bechamel_tests () =
     | Some kn -> kn
     | None -> assert false
   in
-  let compiled =
-    let cfg = Cage.Config.full in
-    let opts = Minic.Driver.options_of_config cfg in
-    let prelude = Libc.Source.prelude_of_config cfg in
-    (Minic.Driver.compile ~opts ~prelude atax.k_source).co_module
-  in
+  let compiled = (Libc.Run.compile Cage.Config.full atax.k_source).co_module in
   let meter = Wasm.Meter.create () in
   let _warm = Libc.Run.run ~cfg:Cage.Config.full ~meter atax.k_source in
   let tm = Arch.Tag_memory.create ~size_bytes:65536 in
@@ -989,7 +896,6 @@ let experiments =
     ("ablation", run_ablation);
     ("modes", run_modes);
     ("escape", run_escape);
-    ("memfast", run_memfast);
     ("obsoverhead", run_obsoverhead);
     ("analysis", run_analysis);
     ("exec", run_exec);
@@ -999,7 +905,7 @@ let experiments =
 let default_order =
   [
     "table1"; "fig4"; "fig14"; "fig15"; "fig16"; "table2"; "mem"; "startup";
-    "collision"; "ablation"; "modes"; "escape"; "memfast"; "obsoverhead";
+    "collision"; "ablation"; "modes"; "escape"; "obsoverhead";
     "analysis"; "exec"; "bechamel";
   ]
 

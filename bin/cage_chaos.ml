@@ -6,48 +6,30 @@
 
 let usage () =
   prerr_endline
-    "usage: cage_chaos matrix [--seed N] [--elide] [--elide-bounds] [--engine E]\n\
-    \       cage_chaos fuzz [--count N] [--seed N] [--engine E]\n\
+    "usage: cage_chaos matrix [--seed N] [--elide] [--elide-bounds]\n\
+    \       cage_chaos fuzz [--count N] [--seed N]\n\
     \       cage_chaos elidediff [--count N] [--seed N] [--full]\n\
     \       cage_chaos enginediff [--count N] [--seed N]\n\
-    \       cage_chaos served [--seed N] [--elide-bounds] [--engine E]\n\
-     (E = interp | threaded; default threaded)";
+    \       cage_chaos served [--seed N] [--elide-bounds]";
   exit 2
 
-let int_flag argv name ~default =
-  let rec go = function
-    | [] -> default
-    | flag :: v :: _ when flag = name -> (
-        match int_of_string_opt v with Some n -> n | None -> usage ())
-    | _ :: rest -> go rest
-  in
-  go argv
-
-let engine_flag argv =
-  let rec go = function
-    | [] -> Wasm.Instance.Threaded
-    | "--engine" :: "interp" :: _ -> Wasm.Instance.Interp
-    | "--engine" :: "threaded" :: _ -> Wasm.Instance.Threaded
-    | "--engine" :: _ :: _ -> usage ()
-    | _ :: rest -> go rest
-  in
-  go argv
+let int_flag = Flags.int_flag ~usage
 
 let () =
   match Array.to_list Sys.argv with
   | _ :: "matrix" :: rest ->
       let seed = int_flag rest "--seed" ~default:7 in
-      let elide = List.mem "--elide" rest in
-      let full = List.mem "--elide-bounds" rest in
-      let engine = engine_flag rest in
-      let results = Harness.Detection_matrix.run ~seed ~elide ~full ~engine () in
+      let variant =
+        Flags.plan ~elide:(List.mem "--elide" rest)
+          ~bounds:(List.mem "--elide-bounds" rest) ~spec_safe:false
+      in
+      let results = Harness.Detection_matrix.run ~seed ~variant () in
       Harness.Detection_matrix.render ~seed Format.std_formatter results;
       if Harness.Detection_matrix.violations results <> [] then exit 1
   | _ :: "fuzz" :: rest ->
       let seed = int_flag rest "--seed" ~default:0xC405 in
       let count = int_flag rest "--count" ~default:200 in
-      let engine = engine_flag rest in
-      let stats = Harness.Detection_matrix.chaos_fuzz ~seed ~engine ~count () in
+      let stats = Harness.Detection_matrix.chaos_fuzz ~seed ~count () in
       Format.printf "%a@." Harness.Detection_matrix.pp_fuzz_stats stats;
       List.iter print_endline stats.Harness.Detection_matrix.fz_failures;
       if stats.Harness.Detection_matrix.fz_failures <> [] then exit 1
@@ -55,9 +37,11 @@ let () =
       (* the detection matrix's serving-path companion: every fault
          site driven through pool + supervisor + retry *)
       let seed = int_flag rest "--seed" ~default:7 in
-      let engine = engine_flag rest in
-      let full = List.mem "--elide-bounds" rest in
-      let rows = Harness.Serve_bench.served_matrix ~seed ~engine ~full () in
+      let variant =
+        Flags.plan ~elide:false ~bounds:(List.mem "--elide-bounds" rest)
+          ~spec_safe:false
+      in
+      let rows = Harness.Serve_bench.served_matrix ~seed ~variant () in
       Harness.Serve_bench.render_served ~seed Format.std_formatter rows;
       if Harness.Serve_bench.served_violations rows <> [] then exit 1
   | _ :: (("elidediff" | "enginediff") as gate) :: rest ->
@@ -67,7 +51,10 @@ let () =
          side, so the differential covers the whole analysis pipeline *)
       let pairs =
         if gate = "enginediff" then Harness.Differential.engine_pairs
-        else [ Harness.Differential.elision_pair ~full:(List.mem "--full" rest) ]
+        else
+          [ Harness.Differential.elision_pair
+              (Flags.plan ~elide:true ~bounds:(List.mem "--full" rest)
+                 ~spec_safe:false) ]
       in
       let reports =
         List.map

@@ -16,32 +16,9 @@
 
 open Cmdliner
 
-let config_conv =
-  let parse s =
-    match
-      List.find_opt
-        (fun c -> String.equal c.Cage.Config.name s)
-        Cage.Config.table3
-    with
-    | Some c -> Ok c
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown config %S; one of: %s" s
-                (String.concat ", "
-                   (List.map (fun c -> c.Cage.Config.name) Cage.Config.table3))))
-  in
-  let print ppf c = Format.pp_print_string ppf c.Cage.Config.name in
-  Arg.conv (parse, print)
-
 let input =
   Arg.(value & pos 0 (some file) None & info [] ~docv:"INPUT.c"
          ~doc:"MiniC source file to lint.")
-
-let config =
-  Arg.(value & opt config_conv Cage.Config.mem_safety
-         & info [ "config" ] ~docv:"CONFIG"
-             ~doc:"Compile under this Table 3 variant before analyzing.")
 
 let cve_suite =
   Arg.(value & flag & info [ "cve-suite" ]
@@ -118,7 +95,7 @@ let cmd =
   Cmd.v
     (Cmd.info "cage_lint" ~doc)
     Term.(
-      const run $ input $ config $ cve_suite $ polybench $ no_libc $ wspectre
-      $ json)
+      const run $ input $ Flags.config Cage.Config.mem_safety $ cve_suite
+      $ polybench $ no_libc $ wspectre $ json)
 
 let () = exit (Cmd.eval' cmd)

@@ -9,27 +9,9 @@
 
 open Cmdliner
 
-let config_conv =
-  let parse s =
-    match
-      List.find_opt
-        (fun c -> String.equal c.Cage.Config.name s)
-        Cage.Config.table3
-    with
-    | Some c -> Ok c
-    | None -> Error (`Msg (Printf.sprintf "unknown config %S" s))
-  in
-  let print ppf c = Format.pp_print_string ppf c.Cage.Config.name in
-  Arg.conv (parse, print)
-
 let input =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"MODULE"
          ~doc:"A .wasm binary or a MiniC .c source file.")
-
-let config =
-  Arg.(value & opt config_conv Cage.Config.full
-         & info [ "config" ] ~docv:"CONFIG"
-             ~doc:"Runtime configuration (Table 3 variant name).")
 
 let entry =
   Arg.(value & opt string "main" & info [ "invoke" ] ~docv:"FUNC"
@@ -64,57 +46,9 @@ let seed =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N"
          ~doc:"Deterministic seed for allocation-tag draws.")
 
-let elide =
-  Arg.(value & flag & info [ "elide-checks" ]
-         ~doc:"Run the static tag-safety analysis first and skip the MTE \
-               granule checks it proved redundant.")
-
-let elide_bounds =
-  Arg.(value & flag & info [ "elide-bounds" ]
-         ~doc:"With --elide-checks: also skip the sandbox span checks the \
-               analysis proved redundant and lower non-escaping segments \
-               to the tag-write-free arena form.")
-
-let no_spec_elide =
-  Arg.(value & flag & info [ "no-spec-elide" ]
-         ~doc:"Keep every check whose elision proof does not survive the \
-               Swivel-style speculation model.")
-
-let engine_conv =
-  let parse = function
-    | "interp" -> Ok Wasm.Instance.Interp
-    | "threaded" -> Ok Wasm.Instance.Threaded
-    | s ->
-        Error (`Msg (Printf.sprintf "unknown engine %S (interp|threaded)" s))
-  in
-  let print ppf e =
-    Format.pp_print_string ppf
-      (match e with
-      | Wasm.Instance.Interp -> "interp"
-      | Wasm.Instance.Threaded -> "threaded")
-  in
-  Cmdliner.Arg.conv (parse, print)
-
-let engine =
-  Arg.(value & opt engine_conv Wasm.Instance.Threaded
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: 'threaded' (direct-threaded code, the \
-                 default) or 'interp' (the reference interpreter). \
-                 Results are identical either way; only wall-clock time \
-                 differs.")
-
-let run input config entry args show_meter trace_out show_metrics profile_out
-    seed elide elide_bounds no_spec_elide engine =
-  let config = if elide then Cage.Config.with_elision config else config in
-  let config =
-    if elide_bounds then
-      Cage.Config.with_arena (Cage.Config.with_bounds_elision config)
-    else config
-  in
-  let config =
-    if no_spec_elide then Cage.Config.with_spec_safe_only config else config
-  in
-  let config = Cage.Config.with_engine engine config in
+let run input config plan entry args show_meter trace_out show_metrics
+    profile_out seed =
+  let config = plan config in
   let meter = Wasm.Meter.create () in
   let wasi = Libc.Wasi.create () in
   (* Observability sink: any of --trace/--metrics/--profile installs
@@ -218,8 +152,8 @@ let cmd =
   let doc = "run WebAssembly under a Cage runtime configuration" in
   Cmd.v
     (Cmd.info "cage_run" ~doc)
-    Term.(const run $ input $ config $ entry $ args $ show_meter $ trace_out
-          $ show_metrics $ profile_out $ seed $ elide $ elide_bounds
-          $ no_spec_elide $ engine)
+    Term.(const run $ input $ Flags.config Cage.Config.full $ Flags.elision
+          $ entry $ args $ show_meter $ trace_out $ show_metrics $ profile_out
+          $ seed)
 
 let () = exit (Cmd.eval' cmd)

@@ -13,25 +13,10 @@
 let usage () =
   prerr_endline
     "usage: cage_serve [--requests N] [--seed N] [--smoke] [--json FILE] \
-     [--engine interp|threaded] [--trace-requests FILE] [--slo-report]";
+     [--trace-requests FILE] [--slo-report]";
   exit 2
 
-let int_flag argv name ~default =
-  let rec go = function
-    | [] -> default
-    | flag :: v :: _ when flag = name -> (
-        match int_of_string_opt v with Some n -> n | None -> usage ())
-    | _ :: rest -> go rest
-  in
-  go argv
-
-let str_flag argv name ~default =
-  let rec go = function
-    | [] -> default
-    | flag :: v :: _ when flag = name -> v
-    | _ :: rest -> go rest
-  in
-  go argv
+let int_flag = Flags.int_flag ~usage
 
 let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b
 
@@ -158,14 +143,8 @@ let () =
   let smoke = List.mem "--smoke" argv in
   let requests = int_flag argv "--requests" ~default:(if smoke then 4_000 else 100_000) in
   let seed = int_flag argv "--seed" ~default:42 in
-  let json = str_flag argv "--json" ~default:(if smoke then "" else "BENCH_serve.json") in
-  let engine =
-    match str_flag argv "--engine" ~default:"threaded" with
-    | "interp" -> Wasm.Instance.Interp
-    | "threaded" -> Wasm.Instance.Threaded
-    | _ -> usage ()
-  in
-  let trace_path = str_flag argv "--trace-requests" ~default:"" in
+  let json = Flags.str_flag argv "--json" ~default:(if smoke then "" else "BENCH_serve.json") in
+  let trace_path = Flags.str_flag argv "--trace-requests" ~default:"" in
   let slo_report = List.mem "--slo-report" argv in
   let recorder =
     if trace_path <> "" then Some (Obs.Trace.create ()) else None
@@ -174,7 +153,7 @@ let () =
     if slo_report then Some (Serve.Slo.collector ()) else None
   in
   let cmp =
-    Harness.Serve_bench.compare ~requests ~seed ~engine ?recorder ?collect ()
+    Harness.Serve_bench.compare ~requests ~seed ?recorder ?collect ()
   in
   let ppf = Format.std_formatter in
   report_table ppf "chaos off" cmp.Harness.Serve_bench.cmp_off;

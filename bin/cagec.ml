@@ -8,24 +8,6 @@
 
 open Cmdliner
 
-let config_conv =
-  let parse s =
-    match
-      List.find_opt
-        (fun c -> String.equal c.Cage.Config.name s)
-        Cage.Config.table3
-    with
-    | Some c -> Ok c
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown config %S; one of: %s" s
-                (String.concat ", "
-                   (List.map (fun c -> c.Cage.Config.name) Cage.Config.table3))))
-  in
-  let print ppf c = Format.pp_print_string ppf c.Cage.Config.name in
-  Arg.conv (parse, print)
-
 let input =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT.c"
          ~doc:"MiniC source file.")
@@ -33,11 +15,6 @@ let input =
 let output =
   Arg.(value & opt (some string) None & info [ "o"; "output" ]
          ~docv:"OUT.wasm" ~doc:"Output wasm binary path.")
-
-let config =
-  Arg.(value & opt config_conv Cage.Config.baseline_wasm64
-         & info [ "config" ] ~docv:"CONFIG"
-             ~doc:"Runtime configuration (Table 3 variant name).")
 
 let emit_wat =
   Arg.(value & flag & info [ "emit-wat" ]
@@ -60,53 +37,14 @@ let wstack =
          ~doc:"Print per-function stack-sanitizer decisions (Algorithm 1) \
                and the module totals as Cage metrics counters.")
 
-let elide =
-  Arg.(value & flag & info [ "elide-checks" ]
-         ~doc:"Run the static tag-safety analysis and print the \
-               check-elision plan (accesses proven safe per module).")
-
-let elide_bounds =
-  Arg.(value & flag & info [ "elide-bounds" ]
-         ~doc:"With --elide-checks: also report full-check elision (span \
-               checks proven redundant) and arena lowering (segments whose \
-               tag-plane writes disappear).")
-
-let no_spec_elide =
-  Arg.(value & flag & info [ "no-spec-elide" ]
-         ~doc:"Restrict the elision plan to proofs that survive the \
-               Swivel-style speculation model; checks that are only \
-               architecturally redundant stay.")
-
 let wfusion =
   Arg.(value & flag & info [ "Wfusion" ]
          ~doc:"Print per-function threaded-code superinstruction decisions \
                and the module totals as Cage metrics counters.")
 
-let engine_conv =
-  let parse = function
-    | "interp" -> Ok Wasm.Instance.Interp
-    | "threaded" -> Ok Wasm.Instance.Threaded
-    | s ->
-        Error (`Msg (Printf.sprintf "unknown engine %S (interp|threaded)" s))
-  in
-  let print ppf e =
-    Format.pp_print_string ppf
-      (match e with
-      | Wasm.Instance.Interp -> "interp"
-      | Wasm.Instance.Threaded -> "threaded")
-  in
-  Cmdliner.Arg.conv (parse, print)
-
-let engine =
-  Arg.(value & opt engine_conv Wasm.Instance.Threaded
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine recorded in the configuration (and used \
-                 by anything that runs the output): 'threaded' (default) \
-                 or 'interp'.")
-
-let run input output config emit_wat no_libc instrument_all stats wstack
-    elide elide_bounds no_spec_elide wfusion engine =
-  let config = Cage.Config.with_engine engine config in
+let run input output config plan emit_wat no_libc instrument_all stats wstack
+    wfusion =
+  let config = plan config in
   let source = In_channel.with_open_text input In_channel.input_all in
   let opts =
     { (Minic.Driver.options_of_config config) with
@@ -152,21 +90,21 @@ let run input output config emit_wat no_libc instrument_all stats wstack
                   && String.sub line 0 10 = "cage_stack"
                then Format.eprintf "%s@." line)
       end;
-      if elide then begin
+      if config.Cage.Config.elide_checks then begin
         let plan =
-          Analysis.Elide.plan ~spec_safe:no_spec_elide ~arena:elide_bounds
-            compiled.co_module
+          Analysis.Elide.plan ~spec_safe:config.spec_safe_only
+            ~arena:config.arena compiled.co_module
         in
         Format.eprintf
           "elision: %d of %d checked accesses proven safe@."
           plan.Analysis.Elide.proven plan.Analysis.Elide.considered;
-        if elide_bounds then
+        if config.elide_bounds then
           Format.eprintf
             "elision: %d span checks proven redundant; %d allocation sites \
              arena-lowered (%d segment.new, %d segment.free)@."
             plan.Analysis.Elide.bproven plan.Analysis.Elide.arena_sites
             plan.Analysis.Elide.arena_news plan.Analysis.Elide.arena_frees;
-        if no_spec_elide then
+        if config.spec_safe_only then
           Format.eprintf
             "elision: %d architecturally-provable elisions withheld \
              (speculation-unsafe)@."
@@ -175,16 +113,6 @@ let run input output config emit_wat no_libc instrument_all stats wstack
       if wfusion then begin
         (* Lower every function exactly as instantiation would (same
            elision plan when requested) and report what fused. *)
-        let config =
-          if not elide then config
-          else if elide_bounds then
-            Cage.Config.with_arena (Cage.Config.with_bounds_elision config)
-          else Cage.Config.with_elision config
-        in
-        let config =
-          if no_spec_elide then Cage.Config.with_spec_safe_only config
-          else config
-        in
         let c = Cage.Config.instance_config ~m:compiled.co_module config in
         let fstats =
           Wasm.Compile.module_stats ~elide:c.Wasm.Instance.elide
@@ -233,8 +161,8 @@ let cmd =
   Cmd.v
     (Cmd.info "cagec" ~doc)
     Term.(
-      const run $ input $ output $ config $ emit_wat $ no_libc
-      $ instrument_all $ stats $ wstack $ elide $ elide_bounds
-      $ no_spec_elide $ wfusion $ engine)
+      const run $ input $ output $ Flags.config Cage.Config.baseline_wasm64
+      $ Flags.elision $ emit_wat $ no_libc $ instrument_all $ stats $ wstack
+      $ wfusion)
 
 let () = exit (Cmd.eval cmd)

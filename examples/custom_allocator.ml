@@ -76,9 +76,7 @@ let () =
     "A custom arena allocator built directly on the Cage C intrinsics\n\
      (__builtin_segment_new / __builtin_segment_free), paper Sec 4.1.\n";
   let cfg = Cage.Config.mem_safety in
-  let opts = Minic.Driver.options_of_config cfg in
-  let prelude = Libc.Source.prelude_of_config cfg in
-  let compiled = Minic.Driver.compile ~opts ~prelude arena_source in
+  let compiled = Libc.Run.compile cfg arena_source in
   let run entry =
     (* fresh instance per scenario; carve the arena out of the heap *)
     let wasi = Libc.Wasi.create () in

@@ -37,9 +37,7 @@ let () =
       ptr_auth = true }
   in
   let process = Cage.Process.create ~config () in
-  let opts = Minic.Driver.options_of_config config in
-  let prelude = Libc.Source.prelude_of_config config in
-  let m = (Minic.Driver.compile ~opts ~prelude plugin_source).co_module in
+  let m = (Libc.Run.compile config plugin_source).co_module in
   let wasi = Libc.Wasi.create () in
   let a = Cage.Process.spawn ~imports:(Libc.Wasi.imports wasi) process m in
   let b = Cage.Process.spawn ~imports:(Libc.Wasi.imports wasi) process m in

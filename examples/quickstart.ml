@@ -41,9 +41,7 @@ let () =
         segment, so the 17th write hits a differently-tagged granule. *)
   run_under "CAGE (MTE segments + PAC + MTE sandboxing)" Cage.Config.full;
   (* Show what the compiler actually did. *)
-  let opts = Minic.Driver.options_of_config Cage.Config.full in
-  let prelude = Libc.Source.prelude_of_config Cage.Config.full in
-  let compiled = Minic.Driver.compile ~opts ~prelude buggy_program in
+  let compiled = Libc.Run.compile Cage.Config.full buggy_program in
   Format.printf "What the stack sanitizer decided (paper Algorithm 1):@.  %a@."
     Minic.Stack_sanitizer.pp_stats compiled.co_sanitizer;
   print_endline

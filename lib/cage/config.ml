@@ -46,97 +46,40 @@ type t = {
   spec_safe_only : bool;
       (** keep every check that is provable architecturally but not
           under the Swivel-style speculation model ([--no-spec-elide]) *)
-  engine : Wasm.Instance.engine;
-      (** which execution engine drives instances of this variant;
-          [Threaded] everywhere (see {!with_engine} to force the
-          reference interpreter) *)
 }
+
+(* One Table 3 row: the fields that tell the rows apart, with every
+   elision flag off. *)
+let row name ~ptr64 ~sandbox ~internal_safety ~ptr_auth ~mte_mode =
+  { name; ptr64; sandbox; internal_safety; ptr_auth; mte_mode;
+    elide_checks = false; elide_bounds = false; arena = false;
+    spec_safe_only = false }
 
 (** The six Table 3 variants, in the paper's order. *)
 
-let baseline_wasm32 = {
-  name = "baseline wasm32";
-  ptr64 = false;
-  sandbox = Guard_pages;
-  internal_safety = false;
-  ptr_auth = false;
-  mte_mode = Arch.Mte.Disabled;
-  elide_checks = false;
-  elide_bounds = false;
-  arena = false;
-  spec_safe_only = false;
-  engine = Wasm.Instance.Threaded;
-}
+let baseline_wasm32 =
+  row "baseline wasm32" ~ptr64:false ~sandbox:Guard_pages
+    ~internal_safety:false ~ptr_auth:false ~mte_mode:Arch.Mte.Disabled
 
-let baseline_wasm64 = {
-  name = "baseline wasm64";
-  ptr64 = true;
-  sandbox = Software_bounds;
-  internal_safety = false;
-  ptr_auth = false;
-  mte_mode = Arch.Mte.Disabled;
-  elide_checks = false;
-  elide_bounds = false;
-  arena = false;
-  spec_safe_only = false;
-  engine = Wasm.Instance.Threaded;
-}
+let baseline_wasm64 =
+  row "baseline wasm64" ~ptr64:true ~sandbox:Software_bounds
+    ~internal_safety:false ~ptr_auth:false ~mte_mode:Arch.Mte.Disabled
 
-let mem_safety = {
-  name = "Cage-mem-safety";
-  ptr64 = true;
-  sandbox = Software_bounds;
-  internal_safety = true;
-  ptr_auth = false;
-  mte_mode = Arch.Mte.Sync;
-  elide_checks = false;
-  elide_bounds = false;
-  arena = false;
-  spec_safe_only = false;
-  engine = Wasm.Instance.Threaded;
-}
+let mem_safety =
+  row "Cage-mem-safety" ~ptr64:true ~sandbox:Software_bounds
+    ~internal_safety:true ~ptr_auth:false ~mte_mode:Arch.Mte.Sync
 
-let ptr_auth = {
-  name = "Cage-ptr-auth";
-  ptr64 = true;
-  sandbox = Software_bounds;
-  internal_safety = false;
-  ptr_auth = true;
-  mte_mode = Arch.Mte.Disabled;
-  elide_checks = false;
-  elide_bounds = false;
-  arena = false;
-  spec_safe_only = false;
-  engine = Wasm.Instance.Threaded;
-}
+let ptr_auth =
+  row "Cage-ptr-auth" ~ptr64:true ~sandbox:Software_bounds
+    ~internal_safety:false ~ptr_auth:true ~mte_mode:Arch.Mte.Disabled
 
-let sandboxing = {
-  name = "Cage-sandboxing";
-  ptr64 = true;
-  sandbox = Mte_sandbox;
-  internal_safety = false;
-  ptr_auth = false;
-  mte_mode = Arch.Mte.Sync;
-  elide_checks = false;
-  elide_bounds = false;
-  arena = false;
-  spec_safe_only = false;
-  engine = Wasm.Instance.Threaded;
-}
+let sandboxing =
+  row "Cage-sandboxing" ~ptr64:true ~sandbox:Mte_sandbox
+    ~internal_safety:false ~ptr_auth:false ~mte_mode:Arch.Mte.Sync
 
-let full = {
-  name = "CAGE";
-  ptr64 = true;
-  sandbox = Mte_sandbox;
-  internal_safety = true;
-  ptr_auth = true;
-  mte_mode = Arch.Mte.Sync;
-  elide_checks = false;
-  elide_bounds = false;
-  arena = false;
-  spec_safe_only = false;
-  engine = Wasm.Instance.Threaded;
-}
+let full =
+  row "CAGE" ~ptr64:true ~sandbox:Mte_sandbox ~internal_safety:true
+    ~ptr_auth:true ~mte_mode:Arch.Mte.Sync
 
 (** A variant with static check elision switched on (the name is left
     unchanged so reports and golden files keyed by configuration name
@@ -154,11 +97,6 @@ let with_arena t = { t with elide_checks = true; arena = true }
 (** Keep checks that only an architectural (non-speculative) proof
     would elide — the [--no-spec-elide] deployment mode. *)
 let with_spec_safe_only t = { t with spec_safe_only = true }
-
-(** The same variant driven by a specific execution engine (the name is
-    unchanged: engine choice must never alter observable results, only
-    wall-clock time). *)
-let with_engine engine t = { t with engine }
 
 (** All Table 3 rows, in order. *)
 let table3 =
@@ -218,7 +156,6 @@ let instance_config ?meter ?(seed = 0) ?m t =
       exclude = exclusion t;
       seed;
       meter;
-      engine = t.engine;
     }
   in
   match m with

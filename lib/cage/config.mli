@@ -35,9 +35,6 @@ type t = {
   spec_safe_only : bool;
       (** keep checks provable architecturally but not under the
           Swivel-style speculation model (see {!with_spec_safe_only}) *)
-  engine : Wasm.Instance.engine;
-      (** which execution engine drives instances of this variant;
-          [Threaded] in every named variant (see {!with_engine}) *)
 }
 
 (** {1 The Table 3 rows} *)
@@ -75,12 +72,6 @@ val with_arena : t -> t
 val with_spec_safe_only : t -> t
 (** Keep every check whose proof does not survive the speculation
     model — the [--no-spec-elide] deployment mode. *)
-
-val with_engine : Wasm.Instance.engine -> t -> t
-(** The same variant driven by a specific execution engine. Engine
-    choice must never change observable results — outcomes, meters,
-    access counts and goldens are engine-invariant — only wall-clock
-    time. *)
 
 val table3 : t list
 (** All six variants, in the paper's order. *)

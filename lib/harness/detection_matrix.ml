@@ -146,22 +146,6 @@ let classify ~site ~injections (outcome : Cage.Supervisor.outcome) =
    corruption-induced runaway is cut off quickly and deterministically. *)
 let watchdog_fuel = 2_000_000
 
-let compile_cache : (string * Minic.Driver.compiled) list ref = ref []
-
-let compiled_for (cfg : Cage.Config.t) source =
-  let key = cfg.Cage.Config.name ^ "\x00" ^ source in
-  match List.assoc_opt key !compile_cache with
-  | Some c -> c
-  | None ->
-      let opts =
-        { (Minic.Driver.options_of_config cfg) with
-          Minic.Driver.mem_pages = 80L }
-      in
-      let prelude = Libc.Source.prelude_of_config cfg in
-      let c = Minic.Driver.compile ~opts ~prelude source in
-      compile_cache := (key, c) :: !compile_cache;
-      c
-
 let spawn_guest sup m =
   Cage.Supervisor.spawn ~imports:(Libc.Wasi.imports (Libc.Wasi.create ())) sup m
 
@@ -183,30 +167,16 @@ let i32_of = function
   | Cage.Supervisor.Finished [ Wasm.Values.I32 v ] -> Some v
   | _ -> None
 
-(* Reference checksum of the workload under [cfg], chaos-free. *)
-let reference_cache : (string * int32) list ref = ref []
-
-let reference_for (cfg : Cage.Config.t) ~seed source =
-  match List.assoc_opt cfg.Cage.Config.name !reference_cache with
+(* Chaos-free checksum of [m]'s main under [cfg]. *)
+let reference (cfg : Cage.Config.t) ~seed m =
+  let proc = Cage.Process.create ~config:cfg ~seed () in
+  let sup = Cage.Supervisor.create ~fuel:watchdog_fuel proc in
+  match i32_of (run_main sup (spawn_guest sup m)) with
   | Some v -> v
-  | None ->
-      let compiled = compiled_for cfg source in
-      let proc = Cage.Process.create ~config:cfg ~seed () in
-      let sup = Cage.Supervisor.create ~fuel:watchdog_fuel proc in
-      let inst = spawn_guest sup compiled.Minic.Driver.co_module in
-      let v =
-        match i32_of (run_main sup inst) with
-        | Some v -> v
-        | None -> failwith "detection matrix: chaos-free reference run crashed"
-      in
-      reference_cache := (cfg.Cage.Config.name, v) :: !reference_cache;
-      v
+  | None -> failwith "detection matrix: chaos-free reference run crashed"
 
-let run_cell ~seed ~index site (cfg : Cage.Config.t) mode =
+let run_cell ~seed ~index ~m ~reference site (cfg : Cage.Config.t) mode =
   let cfg_m = { cfg with Cage.Config.mte_mode = mode } in
-  let reference = reference_for cfg ~seed:(seed + 7919) victim_source in
-  let compiled = compiled_for cfg_m victim_source in
-  let m = compiled.Minic.Driver.co_module in
   let proc = Cage.Process.create ~config:cfg_m ~seed:(seed + index) () in
   let sup = Cage.Supervisor.create ~fuel:watchdog_fuel proc in
   let victim = spawn_guest sup m in
@@ -241,37 +211,36 @@ let run_cell ~seed ~index site (cfg : Cage.Config.t) mode =
 
 let default_seed = 7
 
-(** Run the whole matrix. Deterministic in [seed]. With [~elide:true]
-    every configuration gets static check elision switched on — the
+(** Run the whole matrix. Deterministic in [seed]. [variant] is applied
+    to every configuration first; with an elision plan switched on the
     classifications (and therefore the golden rendering) must come out
     identical, because elision only ever skips checks on accesses the
-    analyzer proved cannot fault. [~full:true] additionally arms bounds
-    elision and arena lowering (the interprocedural consumers); the
-    same byte-identity must hold. *)
-let run ?(seed = default_seed) ?(elide = false) ?(full = false)
-    ?(engine = Wasm.Instance.Threaded) () =
-  compile_cache := [];
-  reference_cache := [];
-  let configs =
-    if full then
-      List.map
-        (fun c -> Cage.Config.with_arena (Cage.Config.with_bounds_elision c))
-        configs
-    else if elide then List.map Cage.Config.with_elision configs
-    else configs
+    analyzer proved cannot fault. *)
+let run ?(seed = default_seed) ?(variant = Fun.id) () =
+  (* One compile and one chaos-free reference per configuration (the
+     compile does not depend on the MTE mode), forced at the
+     configuration's first cell so instances are created in the same
+     order on every run. *)
+  let prepared =
+    List.map
+      (fun cfg ->
+        let m = lazy (Libc.Run.compile cfg victim_source).Minic.Driver.co_module in
+        (cfg, m, lazy (reference cfg ~seed:(seed + 7919) (Lazy.force m))))
+      (List.map variant configs)
   in
-  let configs = List.map (Cage.Config.with_engine engine) configs in
   let index = ref 0 in
   List.concat_map
     (fun site ->
       List.concat_map
-        (fun cfg ->
+        (fun (cfg, m, reference) ->
           List.map
             (fun mode ->
               incr index;
-              run_cell ~seed ~index:!index site cfg mode)
+              let reference = Lazy.force reference in
+              run_cell ~seed ~index:!index ~m:(Lazy.force m) ~reference site
+                cfg mode)
             modes)
-        configs)
+        prepared)
     sites
 
 (* ------------------------------------------------------------------ *)
@@ -376,7 +345,7 @@ type fuzz_stats = {
    e.g. a heap scribble that lands in a recycled stack slot is silent
    data corruption by design, and containment — not correctness — is
    the supervisor's contract. *)
-let chaos_fuzz ?(seed = 0xC405) ?(engine = Wasm.Instance.Threaded) ~count () =
+let chaos_fuzz ?(seed = 0xC405) ~count () =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let finished = ref 0 and crashed = ref 0 and injected = ref 0 in
@@ -387,17 +356,8 @@ let chaos_fuzz ?(seed = 0xC405) ?(engine = Wasm.Instance.Threaded) ~count () =
       let source = Workloads.Fuzzgen.render prog in
       let expected = Workloads.Fuzzgen.reference prog in
       let mode = List.nth modes (i mod List.length modes) in
-      let cfg =
-        Cage.Config.with_engine engine
-          { Cage.Config.full with Cage.Config.mte_mode = mode }
-      in
-      let opts =
-        { (Minic.Driver.options_of_config cfg) with
-          Minic.Driver.mem_pages = 80L }
-      in
-      let prelude = Libc.Source.prelude_of_config cfg in
-      let compiled = Minic.Driver.compile ~opts ~prelude source in
-      let m = compiled.Minic.Driver.co_module in
+      let cfg = { Cage.Config.full with Cage.Config.mte_mode = mode } in
+      let m = (Libc.Run.compile cfg source).Minic.Driver.co_module in
       let proc = Cage.Process.create ~config:cfg ~seed:pseed () in
       let sup = Cage.Supervisor.create ~fuel:watchdog_fuel proc in
       let victim = spawn_guest sup m in

@@ -1,9 +1,10 @@
 (** Differential fuzzing over configuration pairs.
 
     For each seed, a random Fuzzgen program runs under side A and side
-    B of a pair, and the two runs must agree on everything a program's
-    result depends on: the outcome (value or trap message, including
-    the trap-prefix taxonomy), the final linear-memory digest, and the
+    B of a pair (a side is a variant and the engine that drives it),
+    and the two runs must agree on everything a program's result
+    depends on: the outcome (value or trap message, including the
+    trap-prefix taxonomy), the final linear-memory digest, and the
     load/store access counts (elision skips a check, never the access).
     Side A must also match the Fuzzgen reference evaluator and never
     trap, which anchors both sides to the semantics.
@@ -18,9 +19,11 @@
     [cage_chaos enginediff] runs {!engine_pairs}; [cage_chaos elidediff
     [--full]] runs {!elision_pair}. *)
 
+type side = Cage.Config.t * Wasm.Instance.engine
+
 type report = {
-  df_a : Cage.Config.t;
-  df_b : Cage.Config.t;
+  df_a : side;
+  df_b : side;
   df_seeds : int;
   df_failures : string list;  (** one line per divergence, oldest first *)
   df_elided : int;            (** granule checks side B skipped *)
@@ -37,10 +40,10 @@ let outcome_to_string = function
 (* A trap unwinds out of [Libc.Run.run] before the instance surfaces,
    so the memory digest exists only for completed runs; trap identity
    is compared through the outcome. *)
-let run_once ~cfg ~seed source =
+let run_once (cfg, engine) ~seed source =
   let meter = Wasm.Meter.create () in
   try
-    let r = Libc.Run.run ~cfg ~meter ~seed source in
+    let r = Libc.Run.run ~cfg ~engine ~meter ~seed source in
     let digest =
       Digest.to_hex
         (Digest.string
@@ -50,8 +53,7 @@ let run_once ~cfg ~seed source =
     (Value (Libc.Run.ret_i32 r), meter, Some digest)
   with Wasm.Instance.Trap msg -> (Trap msg, meter, None)
 
-let run ?(count = 200) ?(seed0 = 0)
-    ((a : Cage.Config.t), (b : Cage.Config.t)) =
+let run ?(count = 200) ?(seed0 = 0) ((a : side), (b : side)) =
   let failures = ref [] in
   let elided = ref 0 and belided = ref 0 and tag_writes = ref 0 in
   let fail seed fmt =
@@ -59,14 +61,14 @@ let run ?(count = 200) ?(seed0 = 0)
       (fun m -> failures := Printf.sprintf "seed %d: %s" seed m :: !failures)
       fmt
   in
-  let engine_only = { a with Cage.Config.engine = b.engine } = b in
+  let engine_only = fst a = fst b in
   for i = 0 to count - 1 do
     let seed = seed0 + i in
     let prog = Workloads.Fuzzgen.generate ~seed in
     let source = Workloads.Fuzzgen.render prog in
     let expected = Workloads.Fuzzgen.reference prog in
-    let o_a, m_a, d_a = run_once ~cfg:a ~seed source in
-    let o_b, m_b, d_b = run_once ~cfg:b ~seed source in
+    let o_a, m_a, d_a = run_once a ~seed source in
+    let o_b, m_b, d_b = run_once b ~seed source in
     (match o_a with
     | Value v when v <> expected ->
         fail seed "side A diverged from the reference: %ld <> %ld" v expected
@@ -93,9 +95,10 @@ let run ?(count = 200) ?(seed0 = 0)
       !tag_writes + m_b.Wasm.Meter.arena_new_granules
       + m_b.Wasm.Meter.arena_free_granules
   done;
-  if b.elide_checks && !elided = 0 then
+  let b_cfg = fst b in
+  if b_cfg.elide_checks && !elided = 0 then
     failures := "no granule check was elided across the sweep" :: !failures;
-  if b.elide_bounds && !belided = 0 then
+  if b_cfg.elide_bounds && !belided = 0 then
     failures := "no span check was elided across the sweep" :: !failures;
   { df_a = a; df_b = b; df_seeds = count; df_failures = List.rev !failures;
     df_elided = !elided; df_bounds_elided = !belided;
@@ -107,27 +110,25 @@ let run ?(count = 200) ?(seed0 = 0)
     sandbox, whose accesses take the wasm32 address path. *)
 let engine_pairs =
   List.map
-    (fun c ->
-      Cage.Config.
-        ( with_engine Wasm.Instance.Interp c,
-          with_engine Wasm.Instance.Threaded c ))
+    (fun c -> ((c, Wasm.Instance.Interp), (c, Wasm.Instance.Threaded)))
     Cage.Config.
       [ mem_safety; with_arena (with_bounds_elision mem_safety);
         baseline_wasm32 ]
 
-(** Unelided memory safety against tag elision, or with [~full] against
-    the whole plan: bounds elision and arena lowering. *)
-let elision_pair ~full =
+(** Unelided memory safety against the same variant under [plan] (an
+    elision transform such as {!Cage.Config.with_elision}), both on
+    threaded code. *)
+let elision_pair (plan : Cage.Config.t -> Cage.Config.t) =
   let m = Cage.Config.mem_safety in
-  ( m,
-    if full then Cage.Config.with_arena (Cage.Config.with_bounds_elision m)
-    else Cage.Config.with_elision m )
+  ((m, Wasm.Instance.Threaded), (plan m, Wasm.Instance.Threaded))
 
 let ok r = r.df_failures = []
 
-let describe (c : Cage.Config.t) =
+let describe ((c : Cage.Config.t), engine) =
   Printf.sprintf "%s/%s/plan %s" c.name
-    (match c.engine with Interp -> "interp" | Threaded -> "threaded")
+    (match engine with
+    | Wasm.Instance.Interp -> "interp"
+    | Threaded -> "threaded")
     (if not c.elide_checks then "none"
      else
        String.concat " + "
@@ -139,7 +140,7 @@ let pp ppf r =
     (describe r.df_a) (describe r.df_b)
     (if ok r then "identical"
      else Printf.sprintf "%d FAILURES" (List.length r.df_failures));
-  if r.df_b.elide_checks then
+  if (fst r.df_b).elide_checks then
     Format.fprintf ppf
       "@ side B elided %d granule checks, %d span checks, %d tag-plane writes"
       r.df_elided r.df_bounds_elided r.df_tag_writes;

@@ -60,14 +60,9 @@ let fuzz_seed = 0xF5EED
    per request, so image size is the dominant per-request cost. *)
 let serve_mem_pages = 4L
 
-let compile (cfg : Cage.Config.t) source =
-  let opts =
-    { (Minic.Driver.options_of_config cfg) with
-      Minic.Driver.mem_pages = serve_mem_pages;
-      Minic.Driver.stack_bytes = 16384 }
-  in
-  let prelude = Libc.Source.prelude_of_config cfg in
-  (Minic.Driver.compile ~opts ~prelude source).Minic.Driver.co_module
+let compile cfg source =
+  (Libc.Run.compile ~mem_pages:serve_mem_pages ~stack_bytes:16384 cfg source)
+    .Minic.Driver.co_module
 
 let wasi_imports () =
   let w = Libc.Wasi.create () in
@@ -164,14 +159,11 @@ let gate ?(floor = 0.8) cmp =
     [collect] feeds the chaos-on run's per-request stream into an SLO
     collector. Neither perturbs the simulation — reports are identical
     with or without them. *)
-let compare ?(requests = 100_000) ?(seed = 42)
-    ?(engine = Wasm.Instance.Threaded) ?recorder ?collect () =
+let compare ?(requests = 100_000) ?(seed = 42) ?recorder ?collect () =
   let config =
     { Serve.Server.default_config with Serve.Server.requests; seed }
   in
-  let mk () =
-    tenants ~cfg:(Cage.Config.with_engine engine Cage.Config.full) ~seed ()
-  in
+  let mk () = tenants ~seed () in
   (* each side's clock covers building its tenants and the replay *)
   let timed f =
     let t0 = Monotonic_clock.now () in
@@ -206,18 +198,12 @@ let compare ?(requests = 100_000) ?(seed = 42)
       contained and retries on pristine snapshots absorbed them;
     - ["degraded"]: nothing escaped, but some requests were lost
       (shed, retry-exhausted) — graceful degradation;
-    - ["ESCAPED"]: a corrupted result reached a client. *)
-let served_cell ~engine ~full ~seed ~index site mode =
-  let cfg =
-    Cage.Config.with_engine engine
-      { Cage.Config.full with Cage.Config.mte_mode = mode }
-  in
-  (* [~full]: serve with the whole interprocedural elision pipeline
-     armed; the served classifications must not move *)
-  let cfg =
-    if full then Cage.Config.with_arena (Cage.Config.with_bounds_elision cfg)
-    else cfg
-  in
+    - ["ESCAPED"]: a corrupted result reached a client.
+
+    [variant] is applied to the full configuration, e.g. to serve with
+    the whole elision plan armed; the classifications must not move. *)
+let served_cell ?(variant = Fun.id) ~seed ~index site mode =
+  let cfg = variant { Cage.Config.full with Cage.Config.mte_mode = mode } in
   let tenant =
     tenant_of_source cfg ~name:"victim" ~weight:1 ~seed:(seed + index)
       Detection_matrix.victim_source
@@ -241,9 +227,7 @@ let served_cell ~engine ~full ~seed ~index site mode =
 
 (** One row per fault site, one column per MTE mode, full Cage config
     throughout. Deterministic in [seed] — golden-gated by CI. *)
-let served_matrix ?(seed = Detection_matrix.default_seed)
-    ?(engine = Wasm.Instance.Threaded) ?(full = false) () =
-  let modes = Arch.Mte.[ Disabled; Sync; Async; Asymmetric ] in
+let served_matrix ?(seed = Detection_matrix.default_seed) ?variant () =
   let index = ref 0 in
   List.map
     (fun site ->
@@ -251,8 +235,8 @@ let served_matrix ?(seed = Detection_matrix.default_seed)
         List.map
           (fun mode ->
             incr index;
-            (mode, served_cell ~engine ~full ~seed ~index:!index site mode))
-          modes ))
+            (mode, served_cell ?variant ~seed ~index:!index site mode))
+          Detection_matrix.modes ))
     Arch.Fault_inject.all_sites
 
 (** The served-column gate, mirroring the matrix gate: under the full
@@ -279,9 +263,8 @@ let served_violations rows =
 
 let render_served ?(seed = Detection_matrix.default_seed) ppf rows =
   Report.title ppf "Serving-path detection matrix (seed %d)" seed;
-  let modes = Arch.Mte.[ Disabled; Sync; Async; Asymmetric ] in
   Report.table ppf
-    ~header:("fault" :: List.map Arch.Mte.mode_to_string modes)
+    ~header:("fault" :: List.map Arch.Mte.mode_to_string Detection_matrix.modes)
     (List.map
        (fun (site, cells) ->
          Arch.Fault_inject.site_to_string site

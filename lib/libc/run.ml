@@ -12,18 +12,30 @@ type result = {
   exit_code : int option;       (** set when the guest called proc_exit *)
 }
 
-(** Compile [source] (with the matching libc prelude) under [cfg] and
-    call [entry]. Guest traps propagate as [Wasm.Instance.Trap]. *)
-let run ?(cfg = Cage.Config.baseline_wasm64) ?meter ?(seed = 0)
-    ?(entry = "main") ?(args = []) ?(mem_pages = 80L) source : result =
+(** Compile [source] for [cfg]: the variant's compile options and
+    matching libc prelude, with [mem_pages] and [stack_bytes] overriding
+    the defaults. Every harness compiles a variant through here. *)
+let compile ?mem_pages ?stack_bytes cfg source =
+  let o = Minic.Driver.options_of_config cfg in
   let opts =
-    { (Minic.Driver.options_of_config cfg) with Minic.Driver.mem_pages }
+    { o with
+      Minic.Driver.mem_pages = Option.value mem_pages ~default:o.mem_pages;
+      stack_bytes = Option.value stack_bytes ~default:o.stack_bytes }
   in
-  let prelude = Source.prelude_of_config cfg in
-  let compiled = Minic.Driver.compile ~opts ~prelude source in
+  Minic.Driver.compile ~opts ~prelude:(Source.prelude_of_config cfg) source
+
+(** Compile [source] under [cfg] and call [entry] on an instance driven
+    by [engine]: threaded code unless a parity check asks for the
+    reference interpreter. Guest traps propagate as
+    [Wasm.Instance.Trap]. *)
+let run ?(cfg = Cage.Config.baseline_wasm64)
+    ?(engine = Wasm.Instance.default_config.engine) ?meter ?(seed = 0)
+    ?(entry = "main") ?(args = []) ?mem_pages source : result =
+  let compiled = compile ?mem_pages cfg source in
   let wasi = Wasi.create () in
   let config =
-    Cage.Config.instance_config ?meter ~seed ~m:compiled.co_module cfg
+    { (Cage.Config.instance_config ?meter ~seed ~m:compiled.co_module cfg)
+      with Wasm.Instance.engine }
   in
   let instance =
     Wasm.Exec.instantiate ~config ~imports:(Wasi.imports wasi)

@@ -65,6 +65,9 @@ type slot = {
   sl_reset : unit -> unit;
   mutable sl_state : slot_state;
   mutable sl_dirty : bool;   (* a request ran since the last restore *)
+  mutable sl_restored : int;
+      (* modeled cycles of the restore the latest [acquire] performed:
+         0 when the slot was already clean *)
   mutable sl_crashes : int;
 }
 
@@ -120,6 +123,7 @@ let create ?(fuel = 2_000_000) ?max_quarantined ~lane_base ~size ~seed
       sl_reset = reset;
       sl_state = Idle;
       sl_dirty = false;
+      sl_restored = 0;
       sl_crashes = 0;
     }
   in
@@ -155,13 +159,15 @@ let count state t =
 let idle_count = count Idle
 let quarantined_count = count Quarantined
 
+(* Restore [s]'s image and return the modeled price of the copy. *)
 let restore_slot t s =
   let copied = Snapshot.restore_copied s.sl_snapshot s.sl_inst in
   s.sl_reset ();
   s.sl_dirty <- false;
   t.pl_restores <- t.pl_restores + 1;
   t.pl_restore_copied <- t.pl_restore_copied + copied;
-  t.pl_restore_image <- t.pl_restore_image + Snapshot.bytes s.sl_snapshot
+  t.pl_restore_image <- t.pl_restore_image + Snapshot.bytes s.sl_snapshot;
+  Snapshot.copy_cycles copied
 
 (** Take an idle slot for a request, restoring the frozen image first
     if a previous request dirtied it. *)
@@ -174,7 +180,7 @@ let acquire t =
   match find 0 with
   | None -> None
   | Some s ->
-      if s.sl_dirty then restore_slot t s;
+      s.sl_restored <- (if s.sl_dirty then restore_slot t s else 0);
       s.sl_state <- Busy;
       if Obs.Span.enabled () then
         Obs.Span.instant ~tid:Obs.Span.runtime_tid
@@ -218,7 +224,7 @@ let heal t ~now =
     (fun s ->
       if s.sl_state = Quarantined then
         if Policy.bucket_take t.pl_heal ~now then begin
-          restore_slot t s;
+          ignore (restore_slot t s);
           Cage.Supervisor.release s.sl_sup s.sl_inst;
           s.sl_state <- Idle;
           t.pl_heals <- t.pl_heals + 1;
@@ -235,8 +241,8 @@ let heal t ~now =
   !healed
 
 (** Run one request on an acquired slot. Returns the supervisor
-    outcome plus the measured service demand in simulated cycles
-    (executed wasm ops + the restore the acquisition paid, if any). *)
+    outcome plus the metered guest demand in simulated cycles (the
+    acquisition's restore is priced separately, in [sl_restored]). *)
 let serve t (s : slot) =
   let before = Wasm.Meter.total s.sl_meter in
   let outcome =

@@ -476,7 +476,7 @@ let run ?chaos ?collect config tenants =
             let inj = lane_injections slot.Pool.sl_lane - before in
             total_injections := !total_injections + inj;
             r.rq_injections <- r.rq_injections + inj;
-            let restore = Snapshot.restore_cycles slot.Pool.sl_snapshot in
+            let restore = slot.Pool.sl_restored in
             let demand = exec_demand + restore + dispatch_overhead in
             let span =
               if Obs.Span.enabled () then begin
@@ -500,7 +500,6 @@ let run ?chaos ?collect config tenants =
                 rn_restore = restore;
               }
               ~demand;
-            dispatch_all now;
             try_start j ~now
           end
   in
@@ -586,10 +585,10 @@ let run ?chaos ?collect config tenants =
     while !continue do
       match Scheduler.Heap.pop events with
       | None -> continue := false
-      | Some (now, ev) -> (
+      | Some (now, ev) ->
           makespan := max !makespan now;
           Obs.Span.set_now now;
-          match ev with
+          (match ev with
           | Arrival r ->
               let st = ts.(r.rq_tenant) in
               if r.rq_attempt = 1 then begin
@@ -618,7 +617,7 @@ let run ?chaos ?collect config tenants =
           | Slice s -> (
               match Scheduler.slice_done cpu s with
               | Some rn -> complete rn ~now
-              | None -> dispatch_all now)
+              | None -> ())
           | Heal ->
               if !pending > 0 then begin
                 Array.iteri
@@ -628,7 +627,10 @@ let run ?chaos ?collect config tenants =
                 Scheduler.Heap.push events
                   ~time:(now + policy.Policy.heal_interval)
                   Heal
-              end)
+              end);
+          (* work conservation: whatever the event freed or submitted,
+             no core stays idle while a job is ready *)
+          dispatch_all now
     done
   in
   (match chaos with

@@ -51,11 +51,15 @@ let capture (inst : Wasm.Instance.t) =
 
 let bytes t = t.sn_bytes
 
-(** Modeled restore cost in simulated cycles: the frozen image streamed
-    back at 64 B/cycle behind a fixed setup cost. The [Snapshot_restore]
-    event carries this price, so scheduler demand and trace timelines
-    agree. *)
-let restore_cycles t = 50 + (t.sn_bytes / 64)
+(** Modeled price, in simulated cycles, of a restore that copied
+    [copied] image bytes: streamed back at 64 B/cycle behind a fixed
+    setup cost. The server charges an attempt this price for the restore
+    its acquisition performed, and the [Snapshot_restore] event carries
+    it, so scheduler demand and trace timelines agree. *)
+let copy_cycles copied = 50 + (copied / 64)
+
+(** The price of copying the whole image back. *)
+let restore_cycles t = copy_cycles t.sn_bytes
 
 (** Rewind [inst] to the frozen image and return the image bytes
     actually copied (in {!bytes}' units: a restore that has to copy
@@ -94,7 +98,7 @@ let restore_copied t (inst : Wasm.Instance.t) =
     Obs.Hook.event
       (Obs.Event.Snapshot_restore
          { instance = inst.Wasm.Instance.id; bytes = t.sn_bytes;
-           cycles = restore_cycles t });
+           cycles = copy_cycles copied });
   if Obs.Span.enabled () then
     Obs.Span.instant ~tid:Obs.Span.runtime_tid
       ~args:

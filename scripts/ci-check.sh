@@ -81,6 +81,12 @@ dune exec bin/cage_chaos.exe -- served --seed 7 --elide-bounds \
   > _build/served_matrix_full.out
 diff test/golden/served_matrix.golden _build/served_matrix_full.out
 
+echo "== serving hands every free core to a ready job (seed 1005 returns, gate passes)"
+timeout 120 dune exec bin/cage_serve.exe -- --requests 4000 --seed 1005 \
+  --json "" > _build/serve_1005.out || {
+  echo "FAIL: seed-1005 serving run hung or failed its gate (exit $?)"
+  cat _build/serve_1005.out; exit 1; }
+
 echo "== serving smoke (zero escapes, all tenants >= 80% chaos-on goodput)"
 dune exec bin/cage_serve.exe -- --smoke --slo-report \
   --trace-requests _build/req_trace.json \

@@ -83,9 +83,7 @@ let test_interval_bitops () =
 (* ------------------------------------------------------------------ *)
 
 let compile ?(cfg = Cage.Config.mem_safety) source =
-  let opts = Minic.Driver.options_of_config cfg in
-  let prelude = Libc.Source.prelude_of_config cfg in
-  (Minic.Driver.compile ~opts ~prelude source).Minic.Driver.co_module
+  (Libc.Run.compile cfg source).Minic.Driver.co_module
 
 let lint ?cfg source = Analysis.Lint.run (compile ?cfg source)
 
@@ -160,7 +158,7 @@ let test_elide_differential () =
   (* a small in-process slice of the 200-seed CI gate *)
   let r =
     Harness.Differential.run ~count:8 ~seed0:3000
-      (Harness.Differential.elision_pair ~full:false)
+      (Harness.Differential.elision_pair Cage.Config.with_elision)
   in
   if not (Harness.Differential.ok r) then
     Alcotest.failf "elision diverged:@ %s"

@@ -148,9 +148,7 @@ let test_compiled_module_roundtrips () =
     | None -> Alcotest.fail "no atax"
   in
   let cfg = Cage.Config.full in
-  let opts = Minic.Driver.options_of_config cfg in
-  let prelude = Libc.Source.prelude_of_config cfg in
-  let compiled = Minic.Driver.compile ~opts ~prelude kernel.k_source in
+  let compiled = Libc.Run.compile cfg kernel.k_source in
   let m' = roundtrip compiled.co_module in
   (match Validate.validate m' with
   | Ok () -> ()
@@ -197,10 +195,7 @@ let test_text_roundtrip_compiled () =
     | Some k -> k
     | None -> Alcotest.fail "no bicg"
   in
-  let cfg = Cage.Config.full in
-  let opts = Minic.Driver.options_of_config cfg in
-  let prelude = Libc.Source.prelude_of_config cfg in
-  let compiled = Minic.Driver.compile ~opts ~prelude kernel.k_source in
+  let compiled = Libc.Run.compile Cage.Config.full kernel.k_source in
   check_text_roundtrip "compiled bicg" compiled.co_module
 
 let prop_text_const_roundtrip =

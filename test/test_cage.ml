@@ -11,10 +11,29 @@ let tc name f = Alcotest.test_case name `Quick f
 (* ------------------------------------------------------------------ *)
 
 let test_table3_complete () =
+  (* every distinguishing field of every row, in paper order *)
+  let row (c : Config.t) =
+    Printf.sprintf "%s ptr%d %s%s%s %s" c.name
+      (if c.ptr64 then 64 else 32)
+      (Config.sandbox_to_string c.sandbox)
+      (if c.internal_safety then " mem-safety" else "")
+      (if c.ptr_auth then " ptr-auth" else "")
+      (Arch.Mte.mode_to_string c.mte_mode)
+  in
   Alcotest.(check (list string)) "Table 3 rows in paper order"
-    [ "baseline wasm32"; "baseline wasm64"; "Cage-mem-safety";
-      "Cage-ptr-auth"; "Cage-sandboxing"; "CAGE" ]
-    (List.map (fun c -> c.Config.name) Config.table3)
+    [ "baseline wasm32 ptr32 guard-pages disabled";
+      "baseline wasm64 ptr64 software-bounds disabled";
+      "Cage-mem-safety ptr64 software-bounds mem-safety sync";
+      "Cage-ptr-auth ptr64 software-bounds ptr-auth disabled";
+      "Cage-sandboxing ptr64 mte sync";
+      "CAGE ptr64 mte mem-safety ptr-auth sync" ]
+    (List.map row Config.table3);
+  List.iter
+    (fun (c : Config.t) ->
+      Alcotest.(check (list bool)) (c.name ^ ": every elision flag off")
+        [ false; false; false; false ]
+        [ c.elide_checks; c.elide_bounds; c.arena; c.spec_safe_only ])
+    Config.table3
 
 let test_usable_tags () =
   Alcotest.(check int) "standalone internal: 15 tags" 15

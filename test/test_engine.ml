@@ -363,9 +363,7 @@ let polybench_fusion (cfg : Cage.Config.t) =
   let totals = [| 0; 0; 0; 0 |] in
   List.iter
     (fun (k : Workloads.Polybench.kernel) ->
-      let opts = Minic.Driver.options_of_config cfg in
-      let prelude = Libc.Source.prelude_of_config cfg in
-      let m = (Minic.Driver.compile ~opts ~prelude k.k_source).Minic.Driver.co_module in
+      let m = (Libc.Run.compile cfg k.k_source).Minic.Driver.co_module in
       let c = Cage.Config.instance_config ~m cfg in
       let stats =
         Compile.module_stats ~elide:c.Instance.elide ~belide:c.Instance.belide

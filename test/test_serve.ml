@@ -582,6 +582,95 @@ let test_serving_deterministic () =
   let a = go () and b = go () in
   Alcotest.(check bool) "two chaos-on runs replay identically" true (a = b)
 
+(* Work conservation, read off a request trace: whenever an attempt
+   waits for a core (from its submission, the start of its restore span,
+   or from the end of its previous slice, until its next slice starts)
+   every core is mid-slice. Returns the waits seen and the first wait
+   that overlapped an idle core, as (request, from, until). *)
+let idle_core_waits ~cores tr =
+  let recs = Obs.Trace.records tr in
+  let req args =
+    match List.assoc_opt "req" args with Some (Obs.Trace.I id) -> id | _ -> -1
+  in
+  let slices =
+    List.filter_map
+      (fun (r : Obs.Trace.record) ->
+        match (r.ph, r.payload) with
+        | Obs.Trace.Complete d, Obs.Trace.Named (_, args)
+          when r.tid >= 1 && r.tid <= cores ->
+            Some (r.tid, req args, r.ts, r.ts + d)
+        | _ -> None)
+      recs
+  in
+  let submits =
+    List.filter_map
+      (fun (r : Obs.Trace.record) ->
+        match (r.ph, r.payload) with
+        | Obs.Trace.Complete _, Obs.Trace.Named ("restore", args) ->
+            Some (req args, r.ts)
+        | _ -> None)
+      recs
+  in
+  (* core [c]'s slices cover [a, b) *)
+  let busy_through c a b =
+    let rec covered t = function
+      | _ when t >= b -> true
+      | [] -> false
+      | (s, e) :: rest -> if e <= t then covered t rest else s <= t && covered e rest
+    in
+    covered a
+      (List.sort compare
+         (List.filter_map
+            (fun (tid, _, s, e) -> if tid = c then Some (s, e) else None)
+            slices))
+  in
+  let waits = ref 0 and bad = ref None in
+  List.iter
+    (fun (_, id, start, _) ->
+      let latest l = List.fold_left max min_int l in
+      let from =
+        max
+          (latest
+             (List.filter_map
+                (fun (sid, t) -> if sid = id && t <= start then Some t else None)
+                submits))
+          (latest
+             (List.filter_map
+                (fun (_, rid, _, e) ->
+                  if rid = id && e <= start then Some e else None)
+                slices))
+      in
+      if from < start then begin
+        incr waits;
+        if !bad = None
+           && not (List.for_all (fun c -> busy_through c from start)
+                     (List.init cores (fun c -> c + 1)))
+        then bad := Some (id, from, start)
+      end)
+    slices;
+  (!waits, !bad)
+
+let test_free_core_takes_ready_job () =
+  (* Two cores for six slots, and quanta short enough that requests
+     queue for a core: a core freed by a finishing request must go to
+     the next ready job at once, not at the next arrival or heal tick. *)
+  let config =
+    { Serve.Server.default_config with
+      Serve.Server.requests = 30; seed = 1; slots = 2; cores = 2;
+      quantum = 2_000 }
+  in
+  let tr = Obs.Trace.create () in
+  ignore
+    (Obs.Span.with_recorder tr (fun () ->
+         Serve.Server.run config (Harness.Serve_bench.tenants ~seed:1 ())));
+  let waits, bad = idle_core_waits ~cores:2 tr in
+  Alcotest.(check bool) "some request waited for a core" true (waits > 0);
+  match bad with
+  | None -> ()
+  | Some (id, from, until) ->
+      Alcotest.failf "request %d was ready from %d to %d while a core idled"
+        id from until
+
 let test_malicious_tenant_contained () =
   let report =
     Serve.Server.run (mini_config 300 11)
@@ -848,8 +937,7 @@ let test_served_sites_recover () =
   (* the serving path absorbs a single-shot tag flip: crash, retry on
      a pristine snapshot, succeed *)
   let cell =
-    Harness.Serve_bench.served_cell ~engine:Wasm.Instance.Threaded
-      ~full:false ~seed:7 ~index:1
+    Harness.Serve_bench.served_cell ~seed:7 ~index:1
       Arch.Fault_inject.Tag_flip Arch.Mte.Sync
   in
   Alcotest.(check string) "tag-flip x sync recovers through serving"
@@ -919,5 +1007,7 @@ let () =
             test_served_sites_recover;
           Alcotest.test_case "span stitching e2e" `Quick
             test_span_stitching_e2e;
+          Alcotest.test_case "free core takes a ready job" `Quick
+            test_free_core_takes_ready_job;
         ] );
     ]
