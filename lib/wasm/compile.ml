@@ -173,6 +173,10 @@ let[@inline] resolve64p (s : float) (off : int) : int =
 
 let oob () = Rt.trap "bounds: out of bounds memory access"
 
+(* The slow path of an access whose span ends past the committed
+   prefix: commit through [n], or trap if [n] is past the end. *)
+let reach mem n = if not (Memory.reach mem n) then oob ()
+
 let[@inline] note_tag_elided (m : Meter.t) =
   m.elided_checks <- m.elided_checks + 1;
   if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Check_elided
@@ -187,11 +191,12 @@ let[@inline] note_span_elided (m : Meter.t) =
    address path (zero-extend, tag zero), [te] elides the tag check and
    [be] the span check; all three must be literals at every call site,
    so that inlining folds the policy away. The single native bounds
-   check [addr + len <= length_bytes] is equivalent to the
-   interpreter's ([addr >= 0] holds by construction: a zero-extended
-   i32 or 48-bit address field plus a compile-time-bounded offset), and
-   the tag check is guarded on [enforce_tags] so untagged configs never
-   box the address. *)
+   check [addr + len <= length_bytes], with {!reach} deciding spans
+   past the committed prefix, is equivalent to the interpreter's
+   ([addr >= 0] holds by construction: a zero-extended i32 or 48-bit
+   address field plus a compile-time-bounded offset), and the tag
+   check is guarded on [enforce_tags] so untagged configs never box
+   the address. *)
 let[@inline] access w32 te be (m : Meter.t) (st : Instance.t Xcode.state) mem
     acc len off src =
   let s = read_slot st src in
@@ -202,7 +207,7 @@ let[@inline] access w32 te be (m : Meter.t) (st : Instance.t Xcode.state) mem
     note_span_elided m
   end
   else begin
-    if addr + len > Memory.length_bytes mem then oob ();
+    if addr + len > Memory.length_bytes mem then reach mem (addr + len);
     if te then note_tag_elided m
     else if !Obs.Hook.hook != None then Obs.Hook.span_check len
   end;
@@ -214,15 +219,19 @@ let[@inline] access w32 te be (m : Meter.t) (st : Instance.t Xcode.state) mem
 
 (* One scalar load or store through {!access}, metered after the
    checks. With the span check elided the raw memory primitive is still
-   total (it raises), so an analyzer bug degrades to the interpreter's
-   own bounds trap rather than a crash. *)
+   total (it raises past the committed prefix), so the access retries
+   once behind {!reach}: an in-bounds first touch commits, and an
+   analyzer bug degrades to the interpreter's own bounds trap rather
+   than a crash. *)
 let[@inline] load w32 te be (m : Meter.t) st len lk off src dst =
   let mem = gm st.inst in
   let addr = access w32 te be m st mem Arch.Mte.Load len off src in
   m.loads <- m.loads + 1;
   m.load_bytes <- m.load_bytes + len;
   write_slot st dst
-    (if be then try do_load lk mem addr with Invalid_argument _ -> oob ()
+    (if be then
+       try do_load lk mem addr
+       with Invalid_argument _ -> (reach mem (addr + len); do_load lk mem addr)
      else do_load lk mem addr)
 
 let[@inline] store w32 te be (m : Meter.t) st len sk off src vsrc =
@@ -232,7 +241,8 @@ let[@inline] store w32 te be (m : Meter.t) st len sk off src vsrc =
   m.store_bytes <- m.store_bytes + len;
   if be then
     try do_store sk mem addr (read_slot st vsrc)
-    with Invalid_argument _ -> oob ()
+    with Invalid_argument _ ->
+      (reach mem (addr + len); do_store sk mem addr (read_slot st vsrc))
   else do_store sk mem addr (read_slot st vsrc)
 
 (* Scalar load specialisation: (access width, width/extension kind).

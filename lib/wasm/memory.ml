@@ -8,6 +8,8 @@
 
 type t = {
   mutable data : Bytes.t;
+      (* the committed prefix of the memory; every byte past it, up to
+         [size_bytes], is zero *)
   mutable pages : int64;
   max_pages : int64 option;
   idx : Types.idx_type;
@@ -15,7 +17,8 @@ type t = {
       (* one byte per 4 KiB chunk of [data]; nonzero = written since
          [data] last equalled [base] *)
   mutable base : Bytes.t option;
-      (* the snapshot image [dirty] is relative to, by identity *)
+      (* the snapshot image [dirty] is relative to, by identity; never
+         longer than [data], and zero past its own end *)
 }
 
 exception Out_of_bounds of int64 * int
@@ -42,19 +45,48 @@ let create (mt : Types.mem_type) =
   let pages = mt.mem_limits.min in
   if pages < 0L || pages > implementation_max_pages then
     invalid_arg "Memory.create: unsupported initial size";
-  let len = Int64.to_int (Int64.mul pages page_size) in
   {
-    data = Bytes.make len '\000';
+    data = Bytes.empty;
     pages;
     max_pages = mt.mem_limits.max;
     idx = mt.mem_idx;
-    dirty = Arch.Dirty.create ~bits:chunk_bits ~dirty:false len;
+    dirty = Bytes.empty;
     base = None;
   }
 
 let idx_type t = t.idx
 let size_pages t = t.pages
 let size_bytes t = Int64.mul t.pages page_size
+
+(* Commit on first touch. Only a prefix of the memory is backed by
+   [data]; an access, bulk op or host transfer that reaches past it
+   first extends the prefix to cover its last byte, doubling it, with a
+   64 KiB floor, rounded up to whole chunks and capped at the memory's
+   size. Committed bytes are zero, which is what the tail held, and
+   their chunks are clean: the base image is never longer than the old
+   prefix, so it reads zero there too. *)
+let commit_floor = 65536
+
+let zero_extend b n =
+  let old = Bytes.length b in
+  let b = Bytes.extend b 0 (n - old) in
+  Bytes.fill b old (n - old) '\000';
+  b
+
+let commit t need =
+  let chunk = 1 lsl chunk_bits in
+  let n = max need (max commit_floor (2 * Bytes.length t.data)) in
+  let n = min (Int64.to_int (size_bytes t)) ((n + chunk - 1) land -chunk) in
+  t.data <- zero_extend t.data n;
+  t.dirty <- zero_extend t.dirty (n lsr chunk_bits)
+
+(* The one commit rule: make the prefix cover every byte below [n], or
+   fail if [n] is past the memory's size. An in-bounds span ending at
+   [n] always succeeds, empty spans included, so the [Bytes] primitive
+   that follows never sees an offset past the prefix. *)
+let[@inline] reach t n =
+  n <= Bytes.length t.data
+  || (n <= Int64.to_int (size_bytes t) && (commit t n; true))
 
 let in_bounds t ~addr ~len =
   addr >= 0L && len >= 0
@@ -68,27 +100,24 @@ let in_bounds64 t ~addr ~len =
   && Int64.add addr len <= size_bytes t
 
 let check t ~addr ~len =
-  if not (in_bounds t ~addr ~len) then raise (Out_of_bounds (addr, len))
+  if not (in_bounds t ~addr ~len) then raise (Out_of_bounds (addr, len));
+  ignore (reach t (Int64.to_int addr + len))
 
 (** Grow by [delta] pages; returns the previous size in pages, or [-1]
-    (as the spec requires) if the grow fails. [memory.grow 0] is the
-    portable "query the size" idiom, so it must not reallocate. *)
+    (as the spec requires) if the grow fails. The new pages join the
+    zero tail, so nothing is allocated. [delta] is checked against the
+    room left before it is added: a wasm64 delta near [2^63] would
+    otherwise overflow into a small page count. *)
 let grow t delta =
-  let new_pages = Int64.add t.pages delta in
-  let fits =
-    delta >= 0L
-    && new_pages <= implementation_max_pages
-    && match t.max_pages with None -> true | Some m -> new_pages <= m
+  let cap =
+    match t.max_pages with
+    | None -> implementation_max_pages
+    | Some m -> Int64.min m implementation_max_pages
   in
-  if not fits then -1L
-  else if delta = 0L then t.pages
+  if delta < 0L || delta > Int64.sub cap t.pages then -1L
   else begin
     let old = t.pages in
-    let ndata = Bytes.make (Int64.to_int (Int64.mul new_pages page_size)) '\000' in
-    Bytes.blit t.data 0 ndata 0 (Bytes.length t.data);
-    t.data <- ndata;
-    t.dirty <- Arch.Dirty.create ~bits:chunk_bits ~dirty:true (Bytes.length ndata);
-    t.pages <- new_pages;
+    t.pages <- Int64.add old delta;
     old
   end
 
@@ -160,12 +189,13 @@ let store_f64 t addr v = store_i64 t addr (Int64.bits_of_float v)
 
 (* Every valid effective address fits OCaml's native int — the 1 GiB
    implementation cap bounds memory well below 2^62 — so the threaded
-   engine resolves addresses, checks bounds against [length_bytes] and
-   reads/writes through these without ever boxing an [int64]. The
-   caller has already established [0 <= addr] and [addr + len <=
-   length_bytes]; the [Bytes] primitives keep their own (never-firing)
-   range test, so even a broken caller cannot escape the buffer — nor
-   reach the dirty mark that follows each write. *)
+   engine resolves addresses, checks bounds against [length_bytes] (the
+   committed prefix) and reads/writes through these without ever boxing
+   an [int64]. The caller has already established [0 <= addr] and
+   [addr + len <= length_bytes], if need be by {!reach}; the [Bytes]
+   primitives keep their own range test, so even a broken caller cannot
+   escape the buffer — nor reach the dirty mark that follows each
+   write. *)
 
 let[@inline] length_bytes t = Bytes.length t.data
 let[@inline] get_u8 t a = Bytes.get_uint8 t.data a
@@ -191,28 +221,41 @@ let[@inline] set_f64' t a v =
 
 let fill t ~addr ~len v =
   if not (in_bounds64 t ~addr ~len) then raise (Out_of_bounds (addr, 0));
-  Bytes.fill t.data (Int64.to_int addr) (Int64.to_int len)
-    (Char.chr (v land 0xff));
-  mark_range t (Int64.to_int addr) (Int64.to_int len)
+  let a = Int64.to_int addr and n = Int64.to_int len in
+  ignore (reach t (a + n));
+  Bytes.fill t.data a n (Char.chr (v land 0xff));
+  mark_range t a n
 
 let copy t ~dst ~src ~len =
   if not (in_bounds64 t ~addr:dst ~len && in_bounds64 t ~addr:src ~len) then
     raise (Out_of_bounds (dst, 0));
-  Bytes.blit t.data (Int64.to_int src) t.data (Int64.to_int dst)
-    (Int64.to_int len);
-  mark_range t (Int64.to_int dst) (Int64.to_int len)
+  let d = Int64.to_int dst and s = Int64.to_int src and n = Int64.to_int len in
+  ignore (reach t (max d s + n));
+  Bytes.blit t.data s t.data d n;
+  mark_range t d n
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A frozen copy of the full memory state. Taking or restoring one
-   makes it the dirty map's base. Restoring the base at the same size
-   (the overwhelmingly common case for a serving pool: request handlers
-   rarely grow memory) copies back only the dirty runs; any other image
-   is one full copy. Either way the map ends clear. *)
+(* A frozen copy of the memory state: the committed prefix, standing
+   for that prefix plus a zero tail up to [snap_pages]. Taking or
+   restoring one makes it the dirty map's base. Restoring the base at
+   the same size (the overwhelmingly common case for a serving pool:
+   request handlers rarely grow memory) copies back only the dirty
+   runs; any other image is one full copy. Either way the map ends
+   clear. Byte counts are logical — what copying the whole memory
+   would have moved — however much of it is committed. *)
 
 type snapshot = { snap_data : Bytes.t; snap_pages : int64 }
+
+let snapshot_bytes s = Int64.to_int (Int64.mul s.snap_pages page_size)
+
+(* [b] followed by zeros up to [len] bytes. *)
+let logical_string b len =
+  let s = Bytes.make len '\000' in
+  Bytes.blit b 0 s 0 (Bytes.length b);
+  Bytes.unsafe_to_string s
 
 let snapshot t =
   let s = { snap_data = Bytes.copy t.data; snap_pages = t.pages } in
@@ -221,30 +264,33 @@ let snapshot t =
   s
 
 let restore t s =
-  let img = s.snap_data in
-  let len = Bytes.length img in
+  let img = s.snap_data and len = snapshot_bytes s in
+  let same_size = t.pages = s.snap_pages in
   t.pages <- s.snap_pages;
   match t.base with
-  | Some b when b == img && Bytes.length t.data = len ->
+  | Some b when b == img && same_size ->
       (* runs are at least one clean chunk apart, so a run's spill tail
-         never overlaps the next run *)
+         never overlaps the next run; a run counts its logical bytes,
+         read from the image below its end and zero past it *)
+      let n = Bytes.length img and committed = Bytes.length t.data in
       Arch.Dirty.drain t.dirty ~bits:chunk_bits ~f:(fun lo hi ->
           let hi = min len (hi + spill) in
-          Bytes.blit img lo t.data lo (hi - lo);
+          let stop = min hi committed in
+          let cut = max lo (min n stop) in
+          if cut > lo then Bytes.blit img lo t.data lo (cut - lo);
+          Bytes.fill t.data cut (stop - cut) '\000';
           hi - lo)
   | _ ->
-      if Bytes.length t.data = len then Bytes.blit img 0 t.data 0 len
-      else t.data <- Bytes.copy img;
-      t.dirty <- Arch.Dirty.clear t.dirty ~bits:chunk_bits len;
+      t.data <- Bytes.copy img;
+      t.dirty <- Arch.Dirty.clear t.dirty ~bits:chunk_bits (Bytes.length img);
       t.base <- Some img;
       len
 
-let snapshot_bytes s = Bytes.length s.snap_data
-let snapshot_to_string s = Bytes.to_string s.snap_data
+let snapshot_to_string s = logical_string s.snap_data (snapshot_bytes s)
 
 (** The current contents as a string (tests compare restored state
     against a frozen image byte for byte). *)
-let to_string t = Bytes.to_string t.data
+let to_string t = logical_string t.data (Int64.to_int (size_bytes t))
 
 (** Read [len] raw bytes (for WASI-style host functions). *)
 let read_string t ~addr ~len =

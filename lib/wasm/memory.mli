@@ -4,7 +4,17 @@
     64 KiB pages. Every access is bounds-checked here — this is the
     semantic ground truth; {e how} a production runtime enforces bounds
     (software checks, guard pages, MTE sandboxing) is a cost-model
-    concern handled by [Cage.Lowering]. *)
+    concern handled by [Cage.Lowering].
+
+    Memory is committed on first touch: only a prefix of it is backed,
+    and every byte past the prefix is zero. An in-bounds access, bulk
+    operation or host transfer that reaches past the prefix extends it
+    first (doubling, with a 64 KiB floor, in whole 4 KiB chunks, capped
+    at the memory's size), so a fresh instance pays for the pages its
+    guest touches, not for its declared size. An empty span commits
+    through its address. The prefix shows through {!length_bytes} and
+    through the native accessors' precondition: an address past it must
+    be committed with {!reach} before a native access. *)
 
 type t
 
@@ -19,13 +29,16 @@ val implementation_max_pages : int64
     buffers. *)
 
 val create : Types.mem_type -> t
-(** Fresh zeroed memory at the type's minimum size.
+(** Fresh zeroed memory at the type's minimum size, with nothing
+    committed.
     @raise Invalid_argument if the initial size exceeds the
     implementation cap. *)
 
 val idx_type : t -> Types.idx_type
 val size_pages : t -> int64
+
 val size_bytes : t -> int64
+(** The memory's size: what bounds checks are against. *)
 
 val in_bounds : t -> addr:int64 -> len:int -> bool
 (** Whether [\[addr, addr+len)] lies within the current memory size
@@ -38,7 +51,8 @@ val in_bounds64 : t -> addr:int64 -> len:int64 -> bool
 val grow : t -> int64 -> int64
 (** [grow t delta] adds [delta] pages; returns the previous size in
     pages, or [-1] if the grow would exceed the declared maximum or the
-    implementation cap (the spec's failure value). *)
+    implementation cap (the spec's failure value). [delta] is read as
+    unsigned: a negative one fails. Commits nothing. *)
 
 (** {1 Sized accessors}
 
@@ -69,11 +83,20 @@ val store_f64 : t -> int64 -> float -> unit
     OCaml's native int (the 1 GiB cap), so bounds checks against
     {!length_bytes} and the accesses themselves run entirely unboxed.
     The caller must have established [0 <= addr] and
-    [addr + width <= length_bytes]; the underlying [Bytes] primitives
-    keep their own never-firing range test as a backstop. *)
+    [addr + width <= length_bytes] — past the committed prefix, by
+    calling {!reach} first; the underlying [Bytes] primitives keep their
+    own range test as a backstop, raising [Invalid_argument]. *)
 
 val length_bytes : t -> int
-(** Current memory size in bytes, as a native int. *)
+(** The committed prefix's length in bytes, as a native int: at most
+    {!size_bytes}. *)
+
+val reach : t -> int -> bool
+(** [reach t n] commits the memory through byte [n] (exclusive), so
+    that [n <= length_bytes t]; [false], committing nothing, if [n]
+    exceeds {!size_bytes}. The slow path of a native access whose span
+    ends past the prefix, and the commit step of every other entry
+    point. *)
 
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit
@@ -102,36 +125,43 @@ val copy : t -> dst:int64 -> src:int64 -> len:int64 -> unit
 (** {1 Snapshots}
 
     A frozen copy of the whole memory state, for instance pools that
-    instantiate once and restore per request.
+    instantiate once and restore per request. It stores the committed
+    prefix and stands for that prefix plus a zero tail.
 
     Every write entry point above marks the 4 KiB chunk it wrote in a
-    dirty map, after its range check succeeds; {!grow} marks every
-    chunk. The map is relative to one image — the last one taken or
-    restored — identified physically. *)
+    dirty map, after its range check succeeds. The map covers the
+    committed prefix, and is relative to one image — the last one taken
+    or restored — identified physically. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
 (** Freeze the current contents and size; the image becomes the dirty
-    map's base and the map is cleared. *)
+    map's base and the map is cleared. Copies the committed prefix
+    only. *)
 
 val restore : t -> snapshot -> int
 (** Restore contents and size from a frozen image; returns the bytes
-    copied. Restoring the map's base at an unchanged size copies back
+    restored. Restoring the map's base at an unchanged size rewrites
     only the dirty chunks (plus the at most 7 bytes a scalar store can
-    spill past a chunk's end) — in place, no allocation. Any other image
-    (taken from a different memory, or of a different size, e.g. after
-    {!grow}) is one full copy, replacing the backing store when the size
-    differs, and becomes the base. Either way the map ends clear. *)
+    spill past a chunk's end) — in place, no allocation — from the
+    image where it has bytes and with zeros past its end; each run
+    counts its bytes up to the memory's size. Any other image (taken
+    from a different memory, or of a different size, e.g. after
+    {!grow}) replaces the backing store with a copy, returns
+    {!snapshot_bytes}, and becomes the base. Either way the map ends
+    clear. *)
 
 val snapshot_bytes : snapshot -> int
-(** Payload size in bytes (restore-cost accounting). *)
+(** The image's size in bytes, zero tail included (restore-cost
+    accounting). *)
 
 val snapshot_to_string : snapshot -> string
-(** The frozen contents (fidelity tests). *)
+(** The frozen contents, zero tail included (fidelity tests). *)
 
 val to_string : t -> string
-(** The live contents (fidelity tests compare against a snapshot). *)
+(** The live contents at full size (fidelity tests compare against a
+    snapshot). *)
 
 val read_string : t -> addr:int64 -> len:int -> string
 (** Raw bytes (for WASI-style host functions). *)

@@ -269,7 +269,7 @@ let access_module idx =
   {
     (module_of
        ~memory:(Some { Types.mem_idx = idx;
-                       mem_limits = { Types.min = 1L; max = Some 1L } })
+                       mem_limits = { Types.min = 4L; max = Some 4L } })
        [ (ft [ at ] [ i64 ], [],
           [ Ast.LocalGet 0; Ast.Load (i64, None, ma 0L) ]);
          (ft [ at ] [ i32 ], [],
@@ -299,6 +299,12 @@ let access_module idx =
     Ast.datas = [ { Ast.d_offset = 64L; d_bytes = data } ];
   }
 
+(* Four pages, so that the data segment commits only the first
+   (memory is committed on first touch) and an access at the far end
+   first reaches past the committed prefix: it must commit, read zeros
+   and keep what it stores, under every policy. *)
+let access_size = 0x40000L
+
 let test_access_policies () =
   List.iter
     (fun idx ->
@@ -309,22 +315,25 @@ let test_access_policies () =
         | Types.Idx64 -> Values.I64 a
       in
       (* (function, extra arguments, in-bounds result at address 64,
-         end of its first access past the address) *)
+         result at the last address it can reach, end of its first
+         access past the address) *)
       let cases =
-        [ ("f0", [], Values.I64 0x8887868584838281L, 8L);
-          ("f1", [], Values.I32 (-127l), 1L);
-          ("f2", [], Values.I64 0x88878685L, 8L);
+        [ ("f0", [], Values.I64 0x8887868584838281L, Values.I64 0L, 8L);
+          ("f1", [], Values.I32 (-127l), Values.I32 0l, 1L);
+          ("f2", [], Values.I64 0x88878685L, Values.I64 0L, 8L);
           ("f3", [ Values.I64 0x0102030405060708L ],
-           Values.I64 0x0102030405060708L, 8L);
-          ("f4", [], Values.I32 0x2345l, 4L);
-          ("f5", [ Values.F64 (-2.25) ], Values.F64 (-2.25), 16L);
-          ("f6", [], Values.F64 2.5, 16L);
-          ("f7", [ Values.I64 0x80000001L ], Values.I64 (-0x7fffffffL), 4L) ]
+           Values.I64 0x0102030405060708L, Values.I64 0x0102030405060708L, 8L);
+          ("f4", [], Values.I32 0x2345l, Values.I32 0x2345l, 4L);
+          ("f5", [ Values.F64 (-2.25) ], Values.F64 (-2.25), Values.F64 (-2.25),
+           16L);
+          ("f6", [], Values.F64 2.5, Values.F64 0.5, 16L);
+          ("f7", [ Values.I64 0x80000001L ], Values.I64 (-0x7fffffffL),
+           Values.I64 (-0x7fffffffL), 4L) ]
       in
       (* one byte past the end of memory, far past it, and (wasm32) an
          address with the sign bit set, which must zero-extend *)
       let oob reach =
-        [ Int64.sub 0x10001L reach; 0x12345678L ]
+        [ Int64.sub (Int64.succ access_size) reach; 0x12345678L ]
         @ (match idx with Types.Idx32 -> [ 0xfffffff0L ] | Types.Idx64 -> [])
       in
       List.iter
@@ -338,17 +347,92 @@ let test_access_policies () =
             else "bounds: out of bounds memory access"
           in
           List.iter
-            (fun (f, extra, expected, reach) ->
+            (fun (f, extra, expected, at_end, reach) ->
               (* shown in the test's log when a check fails *)
               Printf.printf "%s memory, %s, %s\n"
                 (Types.string_of_idx_type idx) policy f;
               check_both ~config m f (addr 64L :: extra) [ expected ];
+              check_both ~config m f
+                (addr (Int64.sub access_size reach) :: extra)
+                [ at_end ];
               List.iter
                 (fun a -> check_both_trap ~config ~substring m f (addr a :: extra))
                 (oob reach))
             cases)
         policies)
     [ Types.Idx32; Types.Idx64 ]
+
+(* ------------------------------------------------------------------ *)
+(* Linear memory: grow limits and commit on first touch                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [memory.grow] checks its delta against the room left before adding
+   it: a wasm64 delta near 2^63 would otherwise wrap into a small (or
+   negative) page count. It must fail with -1 and leave the size
+   alone, on both engines, with and without a declared maximum. *)
+let test_grow_overflow_fails () =
+  List.iter
+    (fun max ->
+      let m =
+        module_of
+          ~memory:(Some { Types.mem_idx = Types.Idx64;
+                          mem_limits = { Types.min = 1L; max } })
+          [ (ft [] [ Types.I64 ], [],
+             [ Ast.I64Const Int64.max_int; Ast.MemoryGrow ]);
+            (ft [] [ Types.I64 ], [],
+             [ Ast.I64Const Int64.max_int; Ast.MemoryGrow; Ast.Drop;
+               Ast.MemorySize ]) ]
+      in
+      check_both m "f0" [] [ Values.I64 (-1L) ];
+      check_both m "f1" [] [ Values.I64 1L ])
+    [ None; Some 16L ]
+
+(* An empty span is in bounds up to the memory's end, however little of
+   it is committed: a zero-length [segment.new], [memory.fill] and
+   [memory.copy] past the committed prefix return on both engines. *)
+let test_empty_spans_past_prefix () =
+  let i64 v = Ast.I64Const v in
+  let m =
+    module_of
+      ~memory:(Some { Types.mem_idx = Types.Idx64;
+                      mem_limits = { Types.min = 4L; max = Some 4L } })
+      [ (ft [] [ Types.I64 ], [],
+         [ i64 200_000L; i64 0L; Ast.SegmentNew 0L; Ast.Drop; i64 1L ]);
+        (ft [] [ Types.I64 ], [],
+         [ i64 0x40000L; Ast.I32Const 0xffl; i64 0L; Ast.MemoryFill;
+           i64 200_000L; i64 0L; i64 0L; Ast.MemoryCopy;
+           i64 0L; i64 0x40000L; i64 0L; Ast.MemoryCopy;
+           i64 200_000L; Ast.Load (Types.I64, None, memarg ()) ]) ]
+  in
+  check_both m "f0" [] [ Values.I64 1L ];
+  check_both m "f1" [] [ Values.I64 0L ]
+
+(* Every PolyBench kernel declares 80 pages (5 MiB) and runs in
+   128 KiB of them. Instantiation commits only the 64 KiB floor, and a
+   run stays within 256 KiB: an eager touch of the whole memory fails
+   here instead of quietly multiplying the cost of instantiation. *)
+let test_polybench_commits () =
+  let cfg =
+    Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.full)
+  in
+  List.iter
+    (fun (k : Workloads.Polybench.kernel) ->
+      let m =
+        (Libc.Run.compile ~mem_pages:80L cfg k.k_source).Minic.Driver.co_module
+      in
+      let inst =
+        Exec.instantiate ~config:(Cage.Config.instance_config ~m cfg)
+          ~imports:(Libc.Wasi.imports (Libc.Wasi.create ())) m
+      in
+      let mem = Instance.memory inst in
+      Alcotest.(check int) (k.k_name ^ ": instantiation commits the floor")
+        0x10000 (Memory.length_bytes mem);
+      ignore (Exec.invoke inst "main" []);
+      let used = Memory.length_bytes mem in
+      if used > 0x40000 then
+        Alcotest.failf "%s commits %d of %Ld bytes" k.k_name used
+          (Memory.size_bytes mem))
+    Workloads.Polybench.all
 
 (* ------------------------------------------------------------------ *)
 (* Superinstruction coverage on PolyBench                               *)
@@ -484,6 +568,15 @@ let () =
         [
           Alcotest.test_case "every policy, every access" `Quick
             test_access_policies;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "grow overflow fails" `Quick
+            test_grow_overflow_fails;
+          Alcotest.test_case "empty spans past the prefix" `Quick
+            test_empty_spans_past_prefix;
+          Alcotest.test_case "polybench commits at most 256 KiB" `Quick
+            test_polybench_commits;
         ] );
       ( "fusion",
         [

@@ -155,6 +155,9 @@ let apply_wop (inst : Instance.t) op =
   try
     match op with
     | Set (k, a, v) -> (
+        (* as the threaded engine's slow path does: commit first; past
+           the end this fails and the setter's own range test raises *)
+        ignore (Memory.reach mem (a + [| 1; 2; 4; 8; 4; 8 |].(k mod 6)));
         match k mod 6 with
         | 0 -> Memory.set_u8 mem a (Int64.to_int v)
         | 1 -> Memory.set_u16 mem a (Int64.to_int v)
@@ -226,6 +229,9 @@ let prop_dirty_restore_matches =
 let test_restore_fallback_full_copy () =
   let a = dirty_guest ~seed:1 () and b = dirty_guest ~seed:2 () in
   apply_wop b (Set (3, 4090, 0x1122334455667788L));
+  let mem_b = Option.get b.Instance.mem in
+  Alcotest.(check int64) "b holds its write" 0x1122334455667788L
+    (Memory.load_i64 mem_b 4090L);
   let snap = Serve.Snapshot.capture a in
   Alcotest.(check int) "a clean restore copies only globals and table"
     (8 * (Array.length a.Instance.globals + Array.length a.Instance.table))
@@ -234,6 +240,7 @@ let test_restore_fallback_full_copy () =
     (Serve.Snapshot.bytes snap)
     (Serve.Snapshot.restore_copied snap b);
   Alcotest.(check bool) "and it matches" true (Serve.Snapshot.matches snap b);
+  Alcotest.(check int64) "the write is gone" 0L (Memory.load_i64 mem_b 4090L);
   apply_wop a Grow;
   apply_wop a (Retag (200_000, 4, 9));
   Alcotest.(check bool) "grown" true (Memory.size_pages (Option.get a.Instance.mem) = 3L);
@@ -241,6 +248,51 @@ let test_restore_fallback_full_copy () =
     (Serve.Snapshot.restore_copied snap a);
   Alcotest.(check bool) "and it matches, at the image's size" true
     (Serve.Snapshot.matches snap a)
+
+(* A 2-page guest whose image holds only its committed 64 KiB prefix
+   serves a request that commits and writes past it, up to the last
+   byte of memory. The restore rewrites those runs from the image's
+   zero tail, and counts each one as it would against an image of the
+   whole memory, so restore prices do not depend on how much of a
+   memory is committed. *)
+let test_restore_past_image_prefix () =
+  let chunk = 4096 in
+  let store addr =
+    [ Ast.I64Const addr; Ast.I64Const (-1L);
+      Ast.Store (Types.I64, None, { Ast.offset = 0L; align = 3 }) ]
+  in
+  let m =
+    { (module_of
+         [ (ft [] [ Types.I32 ], [],
+            store 65_532L @ store 100_000L @ store 131_064L
+            @ [ Ast.I64Const 70_000L; Ast.I32Const 0xcdl; Ast.I64Const 5_000L;
+                Ast.MemoryFill; Ast.I32Const 0l ]) ])
+      with
+      Ast.memory =
+        Some { mem64 with Types.mem_limits = { Types.min = 2L; max = Some 4L } };
+      datas = [ { Ast.d_offset = 64L; d_bytes = "image" } ] }
+  in
+  let proc = Cage.Process.create ~config:Cage.Config.full ~seed:5 () in
+  let sup = Cage.Supervisor.create proc in
+  let inst = Cage.Supervisor.spawn sup m in
+  let mem = Option.get inst.Instance.mem in
+  let snap = Serve.Snapshot.capture inst in
+  Alcotest.(check int) "the image is the 64 KiB prefix" 0x10000
+    (Memory.length_bytes mem);
+  ignore (finished_of (Cage.Supervisor.run sup inst "f0" []));
+  Alcotest.(check int) "the request committed the whole memory" 0x20000
+    (Memory.length_bytes mem);
+  (* four dirty runs, each with the 7-byte spill: the store straddling
+     the image's end, the fill's two chunks, the store at 100,000; and
+     the last chunk, whose spill is clamped to the end of memory *)
+  Alcotest.(check int) "restore counts each run up to the memory's size"
+    ((chunk + 7) + ((2 * chunk) + 7) + (chunk + 7) + chunk)
+    (Serve.Snapshot.restore_copied snap inst);
+  Alcotest.(check bool) "and matches the image with its zero tail" true
+    (Serve.Snapshot.matches snap inst);
+  Alcotest.(check int) "a second restore copies only globals and table"
+    (8 * (Array.length inst.Instance.globals + Array.length inst.Instance.table))
+    (Serve.Snapshot.restore_copied snap inst)
 
 (* Chaos on, every fault site in turn: heap scribbles and tag flips
    write outside guest stores, and every restore must still reproduce
@@ -956,6 +1008,8 @@ let () =
             test_crashed_then_restored;
           Alcotest.test_case "foreign or grown image: full copy" `Quick
             test_restore_fallback_full_copy;
+          Alcotest.test_case "restore past the image's prefix" `Quick
+            test_restore_past_image_prefix;
           Alcotest.test_case "chaos restores match" `Quick
             test_chaos_restores_match;
           QCheck_alcotest.to_alcotest prop_dirty_restore_matches;

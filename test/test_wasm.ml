@@ -1254,6 +1254,7 @@ let restored_exactly name m s =
 
 let test_dirty_restore_copies_touched_chunks () =
   let m = Memory.create { mem64 with Types.mem_limits = { Types.min = 2L; max = Some 4L } } in
+  (* commits the whole memory: [length_bytes] below is its full size *)
   Memory.fill m ~addr:0L ~len:(Memory.size_bytes m) 0x5a;
   let s = Memory.snapshot m in
   Alcotest.(check int) "nothing written: nothing copied" 0 (Memory.restore m s);
@@ -1298,11 +1299,102 @@ let test_restore_fallback_full_copy () =
   Alcotest.(check int) "switching back is a full copy again" full (Memory.restore m s);
   restored_exactly "own image restored" m s;
   Alcotest.(check int64) "grow" 1L (Memory.grow m 2L);
+  (* the native accessors need a committed address *)
+  Alcotest.(check bool) "grown pages commit" true (Memory.reach m 100_001);
   Memory.set_u8 m 100_000 1;
   Alcotest.(check int) "after grow: full copy" full (Memory.restore m s);
   restored_exactly "grown memory shrinks back to the image" m s;
   Alcotest.(check int64) "size restored" 1L (Memory.size_pages m);
   Alcotest.(check int) "and the dirty path resumes" 0 (Memory.restore m s)
+
+(* ------------------------------------------------------------------ *)
+(* Commit on first touch                                                *)
+(* ------------------------------------------------------------------ *)
+
+let commit_floor = 0x10000
+
+let test_instantiate_commits_data () =
+  let committed datas =
+    let memory =
+      Some { mem64 with Types.mem_limits = { Types.min = 80L; max = None } }
+    in
+    Memory.length_bytes
+      (Instance.memory (Exec.instantiate (module_of ~memory ~datas [])))
+  in
+  let seg d_offset d_bytes = { Ast.d_offset; d_bytes } in
+  Alcotest.(check int) "no data segment: nothing" 0 (committed []);
+  Alcotest.(check int) "a low segment: the 64 KiB floor" commit_floor
+    (committed [ seg 1024L "hello" ]);
+  Alcotest.(check int) "a high segment: through its last 4 KiB chunk"
+    (74 * chunk)
+    (committed [ seg 300_000L (String.make 16 'x'); seg 64L "y" ])
+
+let test_bulk_across_prefix_end () =
+  let m =
+    Memory.create { mem64 with Types.mem_limits = { Types.min = 4L; max = None } }
+  in
+  Alcotest.(check int) "created: nothing committed" 0 (Memory.length_bytes m);
+  Memory.store_byte m 0L 1;
+  Alcotest.(check int) "first touch: the floor" commit_floor
+    (Memory.length_bytes m);
+  Memory.fill m ~addr:(Int64.of_int (commit_floor - 8)) ~len:16L 0xab;
+  Alcotest.(check int) "a fill across the end: doubled" (2 * commit_floor)
+    (Memory.length_bytes m);
+  Memory.copy m ~dst:(Int64.of_int (commit_floor - 4))
+    ~src:(Int64.of_int (3 * commit_floor)) ~len:8L;
+  Alcotest.(check int) "a copy from the tail commits it too" (4 * commit_floor)
+    (Memory.length_bytes m);
+  Alcotest.(check int64) "fill landed, copy brought the tail's zeros"
+    0x0000_0000_abab_ababL
+    (Memory.load_n m (Int64.of_int (commit_floor - 8)) 8);
+  Alcotest.(check int64) "the fill's end survived" 0xabab_abab_0000_0000L
+    (Memory.load_n m (Int64.of_int commit_floor) 8);
+  Alcotest.(check bool) "reach past the end fails" false
+    (Memory.reach m ((4 * commit_floor) + 1));
+  Alcotest.(check int) "full size as a string" (4 * commit_floor)
+    (String.length (Memory.to_string m))
+
+let test_grow_commits_nothing () =
+  let m =
+    Memory.create { mem64 with Types.mem_limits = { Types.min = 1L; max = None } }
+  in
+  Memory.store_byte m 10L 7;
+  Alcotest.(check int64) "grow" 1L (Memory.grow m 99L);
+  Alcotest.(check int) "still the floor" commit_floor (Memory.length_bytes m);
+  Alcotest.(check int64) "size" (Int64.mul 100L Memory.page_size)
+    (Memory.size_bytes m);
+  Alcotest.(check int) "old contents kept" 7 (Memory.load_byte m 10L);
+  Alcotest.(check int) "a new page reads zero" 0
+    (Memory.load_byte m 6_000_000L)
+
+(* An empty span is in bounds up to and including the memory's end,
+   wherever the committed prefix stops: every entry point accepts it. *)
+let test_empty_spans_past_prefix () =
+  let memory =
+    Some { mem64 with Types.mem_limits = { Types.min = 4L; max = None } }
+  in
+  let inst =
+    Exec.instantiate
+      (module_of ~memory ~datas:[ { Ast.d_offset = 100L; d_bytes = "" } ] [])
+  in
+  let m = Instance.memory inst in
+  Alcotest.(check bool) "an empty data segment instantiates" true
+    (Memory.length_bytes m <= commit_floor);
+  let past = Int64.of_int (2 * commit_floor) and end_ = Memory.size_bytes m in
+  List.iter
+    (fun addr ->
+      Memory.write_string m ~addr "";
+      Alcotest.(check string) "empty read" "" (Memory.read_string m ~addr ~len:0);
+      Memory.fill m ~addr ~len:0L 0xff;
+      Memory.copy m ~dst:addr ~src:0L ~len:0L;
+      Memory.copy m ~dst:0L ~src:addr ~len:0L)
+    [ past; end_ ];
+  Alcotest.(check string) "and writes nothing"
+    (String.make (Int64.to_int end_) '\000')
+    (Memory.to_string m);
+  Alcotest.check_raises "one past the end is still out of bounds"
+    (Memory.Out_of_bounds (Int64.succ end_, 0))
+    (fun () -> Memory.write_string m ~addr:(Int64.succ end_) "")
 
 let test_tag_restore_dirty_runs () =
   let tm = Arch.Tag_memory.create ~size_bytes:(16 * chunk) in
@@ -1455,6 +1547,14 @@ let () =
             test_dirty_restore_copies_touched_chunks;
           tc "foreign or resized image: full copy" test_restore_fallback_full_copy;
           tc "tag plane dirty runs" test_tag_restore_dirty_runs;
+        ] );
+      ( "commit",
+        [
+          tc "instantiation commits its data segments"
+            test_instantiate_commits_data;
+          tc "fill/copy across the prefix end" test_bulk_across_prefix_end;
+          tc "grow commits nothing" test_grow_commits_nothing;
+          tc "empty spans past the prefix" test_empty_spans_past_prefix;
         ] );
       ("wasm-properties", qtests);
     ]
