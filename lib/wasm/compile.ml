@@ -421,11 +421,25 @@ let[@inline] cvt (op : Ast.cvtop) (s : float) : float =
   | I32ReinterpretF32 -> slot_of_i32 (Int32.bits_of_float s)
   | F32ReinterpretI32 -> Int32.float_of_bits (i32_of_slot s)
 
-(* [i32.add] of the two operand slots at [p], [p + 1] into [p]: the
-   address-chain step the fused access forms begin with. *)
-let[@inline] add_pair (m : Meter.t) stk p =
+(* The address step a fused access begins with, in the memory's index
+   width W: [[i64.extend_i32_s]; [iW.const c; iW.mul]; iW.add] of the
+   operand pair at [p], [p + 1] into [p], the slot the access reads (a
+   lone [iW.add] has [c = 1]). [cvts] and [scales], 0 or 1, bump exactly
+   the constituents' meters without a branch. *)
+type step = { w32 : bool; c : int64; cvts : int; scales : int }
+
+let[@inline] addr_step (m : Meter.t) s stk p =
+  m.cvt <- m.cvt + s.cvts;
+  m.const <- m.const + s.scales;
+  m.imul <- m.imul + s.scales;
   ialu m;
-  seti stk p (norm32 (geti stk p + geti stk (p + 1)))
+  if s.w32 then seti stk p (norm32 (geti stk p + (geti stk (p + 1) * Int64.to_int s.c)))
+  else
+    Array.unsafe_set stk p
+      (Int64.float_of_bits
+         (Int64.add
+            (Int64.bits_of_float (Array.unsafe_get stk p))
+            (Int64.mul (Int64.bits_of_float (Array.unsafe_get stk (p + 1))) s.c)))
 
 (* ------------------------------------------------------------------ *)
 (* Calls                                                               *)
@@ -532,6 +546,12 @@ let run_body (inst : Instance.t) ~depth (xf : Instance.t Xcode.func)
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* The basic instruction at [body.(j)], or [Nop] past the end or at a
+   control instruction. *)
+let basic_at (body : Code.instr array) j =
+  if j >= Array.length body then Ast.Nop
+  else match body.(j) with Code.Basic (ins, _) -> ins | _ -> Ast.Nop
 
 type frame = {
   l_target : int ref;  (** op index branches to this label jump to *)
@@ -1012,7 +1032,83 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
      effect of the run it replaces once, as a [shape]; operand slots are
      named relative to the height the run starts at, which [shape]
      returns. *)
+  (* The address step × consumer family, tried first. The step of [ext
+     + 1 + 2 × scales] instructions at [body.(i)] ({!addr_step}) is
+     MiniC's element address [base + index × size] in the memory's index
+     width, and it fuses into the access that consumes it: a load, a
+     load whose value an f64 binop folds into the operand below, or a
+     store from a local. With no consumer, a step of two or more
+     instructions becomes one op that leaves the address on the stack. *)
+  let iw = if w32 then Ast.W32 else Ast.W64 in
+  let fuse_step (body : Code.instr array) i ext c scales : int =
+    let open Ast in
+    let next = !count + 1 in
+    let s = { w32; c; cvts = ext; scales } and k = ext + 1 + (2 * scales) in
+    let at j = if i + j < Array.length body then Some body.(i + j) else None in
+    let name =
+      (if w32 then "i32" else "i64") ^ (if ext = 1 then ".ext" else "")
+      ^ if scales = 1 then ".scale.add" else ".add"
+    in
+    (* the step, then [lg] local reads and [body], the access on the
+       address the step leaves in slot [p] *)
+    let emit consumer n ~net ~lg body =
+      let p = shape ~peak:scales ~net - 2 in
+      let body = body p in
+      put (fun st ->
+          tick_n st.inst n;
+          addr_step mtr s st.stk (st.opbase + p);
+          mtr.local_access <- mtr.local_access + lg;
+          body st;
+          next);
+      fused (name ^ consumer) n
+    in
+    match (at k, at (k + 1)) with
+    | ( Some (Code.Basic (Load (Types.F64, None, ma), lid)),
+        Some (Code.Basic (FBinop (W64, ((FAdd | FSub | FMul | FDiv) as op)), _)) ) ->
+        let p = shape ~peak:scales ~net:(-2) - 3 in
+        let body =
+          load_body lid Types.F64 None ma ~src:(Sop (p + 1)) ~dst:(Sop (p + 1))
+        in
+        let n = k + 2 in
+        put (fun st ->
+            tick_n st.inst n;
+            let stk = st.stk and q = st.opbase + p in
+            addr_step mtr s stk (q + 1);
+            body st;
+            Array.unsafe_set stk q
+              (f_binop_m mtr op (Array.unsafe_get stk q)
+                 (Array.unsafe_get stk (q + 1)));
+            next);
+        fused (name ^ ".load.f64.op") n
+    | Some (Code.Basic (Load (lty, pack, ma), lid)), _ ->
+        emit ".load" (k + 1) ~net:(-1) ~lg:0 (fun p ->
+            load_body lid lty pack ma ~src:(Sop p) ~dst:(Sop p))
+    | Some (Code.Basic (LocalGet v, _)), Some (Code.Basic (Store (sty, pack, ma), sid)) ->
+        emit ".lg.store" (k + 2) ~net:(-2) ~lg:1 (fun p ->
+            store_body sid sty pack ma ~src:(Sop p) ~vsrc:(Sloc v))
+    | _ when k > 1 -> emit "" k ~net:(-1) ~lg:0 (fun _ _ -> ())
+    | _ -> 0
+  in
+  (* Recognize the step; this runs at every position, so it allocates nothing. *)
+  let fuse_address (body : Code.instr array) i : int =
+    let open Ast in
+    let ext = match basic_at body i with Cvtop I64ExtendI32S -> 1 | _ -> 0 in
+    let j = i + ext in
+    match basic_at body j with
+    | IBinop (w, Add) when w = iw -> fuse_step body i ext 1L 0
+    | I32Const _ | I64Const _ -> (
+        (* the const and the add are as wide as the mul (validation) *)
+        match (basic_at body j, basic_at body (j + 1), basic_at body (j + 2)) with
+        | I32Const c, IBinop (w, Mul), IBinop (_, Add) when w = iw ->
+            fuse_step body i ext (Int64.of_int32 c) 1
+        | I64Const c, IBinop (w, Mul), IBinop (_, Add) when w = iw ->
+            fuse_step body i ext c 1
+        | _ -> 0)
+    | _ -> 0
+  in
   let try_fuse labels (body : Code.instr array) i : int =
+    let k = fuse_address body i in
+    if k > 0 then k else
     let open Ast in
     let next = !count + 1 in
     let n = Array.length body in
@@ -1164,7 +1260,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             Array.unsafe_set stk (bs + d) (Array.unsafe_get stk (bs + a));
             next);
         fused "lg.ls" 2
-    (* stack-top ⊕ local.get; i32 binop — the address-chain step *)
+    (* stack-top ⊕ local.get; i32 binop — index arithmetic ([i * n + j]) *)
     | ( Some (Code.Basic (LocalGet b, _)),
         Some (Code.Basic (IBinop (W32, op), _)),
         _,
@@ -1226,57 +1322,6 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             body st;
             next);
         fused "lg.store" 2
-    (* i32.add; f64.load; f64 binop — finish the address chain, pull
-       the element and fold it into the running product/sum. *)
-    | ( Some (Code.Basic (IBinop (W32, Add), _)),
-        Some (Code.Basic (Load (Types.F64, None, ma), lid)),
-        Some (Code.Basic (FBinop (W64, ((FAdd | FSub | FMul | FDiv) as op)), _)),
-        _,
-        _ ) ->
-        let p = shape ~peak:0 ~net:(-2) - 3 in
-        let body =
-          load_body lid Types.F64 None ma ~src:(Sop (p + 1)) ~dst:(Sop (p + 1))
-        in
-        put (fun st ->
-            tick_n st.inst 3;
-            let stk = st.stk and q = st.opbase + p in
-            add_pair mtr stk (q + 1);
-            body st;
-            Array.unsafe_set stk q
-              (f_binop_m mtr op (Array.unsafe_get stk q)
-                 (Array.unsafe_get stk (q + 1)));
-            next);
-        fused "i32.add.load.f64.op" 3
-    (* i32.add; local.get v; store — finish the address chain and
-       store straight from a register. *)
-    | ( Some (Code.Basic (IBinop (W32, Add), _)),
-        Some (Code.Basic (LocalGet v, _)),
-        Some (Code.Basic (Store (sty, pack, ma), sid)),
-        _,
-        _ ) ->
-        let p = shape ~peak:0 ~net:(-2) - 2 in
-        let body = store_body sid sty pack ma ~src:(Sop p) ~vsrc:(Sloc v) in
-        put (fun st ->
-            tick_n st.inst 3;
-            add_pair mtr st.stk (st.opbase + p);
-            mtr.local_access <- mtr.local_access + 1;
-            body st;
-            next);
-        fused "i32.add.lg.store" 3
-    (* i32.add; load — fold the last address-chain step into the access *)
-    | ( Some (Code.Basic (IBinop (W32, Add), _)),
-        Some (Code.Basic (Load (lty, pack, ma), lid)),
-        _,
-        _,
-        _ ) ->
-        let p = shape ~peak:0 ~net:(-1) - 2 in
-        let body = load_body lid lty pack ma ~src:(Sop p) ~dst:(Sop p) in
-        put (fun st ->
-            tick_n st.inst 2;
-            add_pair mtr st.stk (st.opbase + p);
-            body st;
-            next);
-        fused "i32.add.load" 2
     (* load; local.set *)
     | ( Some (Code.Basic (Load (lty, pack, ma), lid)),
         Some (Code.Basic (LocalSet j, _)),

@@ -248,20 +248,39 @@ let policies =
   [ ("checked", false, false); ("tag-elided", true, false);
     ("bounds-elided", false, true); ("fully elided", true, true) ]
 
-let access_module idx =
+(* Each function takes an address (parameter 0) and [extra] values.
+   With an [index] type, the address is [base + index × 8] instead: the
+   base in parameter 0, the index in the last parameter, combined by
+   the element-address step [[i64.extend_i32_s]; iW.const 8; iW.mul;
+   iW.add] (the extension only for an i32 index on wasm64). [addr] is
+   the address operand; [chain] is the same as an address chain whose
+   final add fuses into the access that follows it. The [Nop]s keep
+   other idioms from claiming the step's operands, so every access kind
+   is reached through each fused form and through the bare step. *)
+let access_module ?index idx =
   let i32 = Types.I32 and i64 = Types.I64 and f64 = Types.F64 in
-  let at = Types.addr_type idx in
   let ma offset = { Ast.offset; align = 0 } in
-  (* [addr + 0] as an address chain: on wasm32 the add fuses into the
-     access that follows it *)
-  let chain =
+  let w, const =
     match idx with
-    | Types.Idx32 ->
-        [ Ast.LocalGet 0; Ast.Nop; Ast.I32Const 0l; Ast.Nop;
-          Ast.IBinop (Ast.W32, Ast.Add) ]
-    | Types.Idx64 ->
-        [ Ast.LocalGet 0; Ast.Nop; Ast.I64Const 0L; Ast.Nop;
-          Ast.IBinop (Ast.W64, Ast.Add) ]
+    | Types.Idx32 -> (Ast.W32, fun c -> Ast.I32Const (Int64.to_int32 c))
+    | Types.Idx64 -> (Ast.W64, fun c -> Ast.I64Const c)
+  in
+  let fn extra results locals body =
+    let params = (Types.addr_type idx :: extra) @ Option.to_list index in
+    let addr, chain =
+      match index with
+      | None ->
+          ( [ Ast.LocalGet 0 ],
+            [ Ast.LocalGet 0; Ast.Nop; const 0L; Ast.Nop; Ast.IBinop (w, Ast.Add) ] )
+      | Some ity ->
+          let ext = if ity = i32 && w = Ast.W64 then [ Ast.Cvtop Ast.I64ExtendI32S ] else [] in
+          let step =
+            [ Ast.LocalGet 0; Ast.Nop; Ast.LocalGet (List.length params - 1); Ast.Nop ]
+            @ ext @ [ const 8L; Ast.IBinop (w, Ast.Mul); Ast.IBinop (w, Ast.Add) ]
+          in
+          (step, step)
+    in
+    (ft params results, locals, body addr chain (List.length params))
   in
   let data =
     "\x81\x82\x83\x84\x85\x86\x87\x88\x00\x00\x00\x00\x00\x00\x00\x40"
@@ -270,31 +289,28 @@ let access_module idx =
     (module_of
        ~memory:(Some { Types.mem_idx = idx;
                        mem_limits = { Types.min = 4L; max = Some 4L } })
-       [ (ft [ at ] [ i64 ], [],
-          [ Ast.LocalGet 0; Ast.Load (i64, None, ma 0L) ]);
-         (ft [ at ] [ i32 ], [],
-          [ Ast.LocalGet 0; Ast.Nop; Ast.Load (i32, Some (Ast.Pack8, Ast.SX), ma 0L) ]);
-         (ft [ at ] [ i64 ], [ i64 ],
-          [ Ast.LocalGet 0; Ast.Nop;
-            Ast.Load (i64, Some (Ast.Pack32, Ast.ZX), ma 4L); Ast.LocalSet 1;
-            Ast.LocalGet 1 ]);
-         (ft [ at; i64 ] [ i64 ], [],
-          [ Ast.LocalGet 0; Ast.LocalGet 1; Ast.Store (i64, None, ma 0L);
-            Ast.LocalGet 0; Ast.Load (i64, None, ma 0L) ]);
-         (ft [ at ] [ i32 ], [],
-          [ Ast.LocalGet 0; Ast.Nop; Ast.I32Const 0x12345l;
-            Ast.Store (i32, Some Ast.Pack16, ma 2L); Ast.LocalGet 0; Ast.Nop;
-            Ast.Load (i32, Some (Ast.Pack16, Ast.ZX), ma 2L) ]);
-         (ft [ at; f64 ] [ f64 ], [],
-          [ Ast.LocalGet 0; Ast.Nop; Ast.LocalGet 1; Ast.Store (f64, None, ma 8L);
-            Ast.LocalGet 0; Ast.Load (f64, None, ma 8L) ]);
-         (ft [ at ] [ f64 ], [],
-          (Ast.F64Const 0.5 :: chain)
-          @ [ Ast.Load (f64, None, ma 8L); Ast.FBinop (Ast.W64, Ast.FAdd) ]);
-         (ft [ at; i64 ] [ i64 ], [],
-          chain
-          @ [ Ast.LocalGet 1; Ast.Store (i64, Some Ast.Pack32, ma 0L);
-              Ast.LocalGet 0; Ast.Load (i64, Some (Ast.Pack32, Ast.SX), ma 0L) ]) ])
+       [ fn [] [ i64 ] [] (fun addr _ _ -> addr @ [ Ast.Load (i64, None, ma 0L) ]);
+         fn [] [ i32 ] [] (fun addr _ _ ->
+             addr @ [ Ast.Nop; Ast.Load (i32, Some (Ast.Pack8, Ast.SX), ma 0L) ]);
+         fn [] [ i64 ] [ i64 ] (fun addr _ l ->
+             addr
+             @ [ Ast.Nop; Ast.Load (i64, Some (Ast.Pack32, Ast.ZX), ma 4L);
+                 Ast.LocalSet l; Ast.LocalGet l ]);
+         fn [ i64 ] [ i64 ] [] (fun addr _ _ ->
+             addr @ [ Ast.LocalGet 1; Ast.Store (i64, None, ma 0L) ]
+             @ addr @ [ Ast.Load (i64, None, ma 0L) ]);
+         fn [] [ i32 ] [] (fun addr _ _ ->
+             addr @ [ Ast.Nop; Ast.I32Const 0x12345l; Ast.Store (i32, Some Ast.Pack16, ma 2L) ]
+             @ addr @ [ Ast.Nop; Ast.Load (i32, Some (Ast.Pack16, Ast.ZX), ma 2L) ]);
+         fn [ f64 ] [ f64 ] [] (fun addr _ _ ->
+             addr @ [ Ast.Nop; Ast.LocalGet 1; Ast.Store (f64, None, ma 8L) ]
+             @ addr @ [ Ast.Load (f64, None, ma 8L) ]);
+         fn [] [ f64 ] [] (fun _ chain _ ->
+             (Ast.F64Const 0.5 :: chain)
+             @ [ Ast.Load (f64, None, ma 8L); Ast.FBinop (Ast.W64, Ast.FAdd) ]);
+         fn [ i64 ] [ i64 ] [] (fun addr chain _ ->
+             chain @ [ Ast.LocalGet 1; Ast.Store (i64, Some Ast.Pack32, ma 0L) ]
+             @ addr @ [ Ast.Load (i64, Some (Ast.Pack32, Ast.SX), ma 0L) ]) ])
     with
     Ast.datas = [ { Ast.d_offset = 64L; d_bytes = data } ];
   }
@@ -307,12 +323,20 @@ let access_size = 0x40000L
 
 let test_access_policies () =
   List.iter
-    (fun idx ->
-      let m = access_module idx in
+    (fun (idx, index) ->
+      let m = access_module ?index idx in
       let addr a =
         match idx with
         | Types.Idx32 -> Values.I32 (Int64.to_int32 a)
         | Types.Idx64 -> Values.I64 a
+      in
+      (* through the step, address [a] is base [a - 8i] at index [i] *)
+      let args ?(i = 3L) a extra =
+        match index with
+        | None -> addr a :: extra
+        | Some ity ->
+            let iv = if ity = Types.I32 then Values.I32 (Int64.to_int32 i) else Values.I64 i in
+            addr (Int64.sub a (Int64.mul 8L i)) :: extra @ [ iv ]
       in
       (* (function, extra arguments, in-bounds result at address 64,
          result at the last address it can reach, end of its first
@@ -349,18 +373,31 @@ let test_access_policies () =
           List.iter
             (fun (f, extra, expected, at_end, reach) ->
               (* shown in the test's log when a check fails *)
-              Printf.printf "%s memory, %s, %s\n"
-                (Types.string_of_idx_type idx) policy f;
-              check_both ~config m f (addr 64L :: extra) [ expected ];
+              Printf.printf "%s memory, %s index, %s, %s\n"
+                (Types.string_of_idx_type idx)
+                (match index with
+                | None -> "no"
+                | Some t -> Types.string_of_num_type t)
+                policy f;
+              check_both ~config m f (args 64L extra) [ expected ];
               check_both ~config m f
-                (addr (Int64.sub access_size reach) :: extra)
+                (args (Int64.sub access_size reach) extra)
                 [ at_end ];
               List.iter
-                (fun a -> check_both_trap ~config ~substring m f (addr a :: extra))
-                (oob reach))
+                (fun a -> check_both_trap ~config ~substring m f (args a extra))
+                (oob reach);
+              (* base 0 at index -1: the address is -8, on wasm64 a
+                 non-canonical pointer that no policy may resolve *)
+              if index <> None then
+                check_both_trap ~config
+                  ~substring:
+                    (if idx = Types.Idx64 then "bounds: non-canonical address"
+                     else substring)
+                  m f (args ~i:(-1L) (-8L) extra))
             cases)
         policies)
-    [ Types.Idx32; Types.Idx64 ]
+    [ (Types.Idx32, None); (Types.Idx32, Some Types.I32); (Types.Idx64, None);
+      (Types.Idx64, Some Types.I32); (Types.Idx64, Some Types.I64) ]
 
 (* ------------------------------------------------------------------ *)
 (* Linear memory: grow limits and commit on first touch                 *)
@@ -438,16 +475,16 @@ let test_polybench_commits () =
 (* Superinstruction coverage on PolyBench                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Lowering statistics summed over the 26 PolyBench kernels: how many
-   instructions, accesses and elided accesses the compiler saw, and how
-   often each fused idiom matched. Pinned so that a change to the
-   lowerer cannot silently lose a superinstruction or an elision. *)
-let polybench_fusion (cfg : Cage.Config.t) =
+(* Lowering statistics summed over [modules] as [cfg] instantiates
+   them: how many instructions, accesses and elided accesses the
+   compiler saw, and how often each fused idiom matched. Pinned so that
+   a change to the lowerer cannot silently lose a superinstruction or
+   an elision. *)
+let fusion (cfg : Cage.Config.t) modules =
   let idioms = Hashtbl.create 32 in
   let totals = [| 0; 0; 0; 0 |] in
   List.iter
-    (fun (k : Workloads.Polybench.kernel) ->
-      let m = (Libc.Run.compile cfg k.k_source).Minic.Driver.co_module in
+    (fun m ->
       let c = Cage.Config.instance_config ~m cfg in
       let stats =
         Compile.module_stats ~elide:c.Instance.elide ~belide:c.Instance.belide
@@ -464,34 +501,63 @@ let polybench_fusion (cfg : Cage.Config.t) =
                 (n + Option.value ~default:0 (Hashtbl.find_opt idioms name)))
             s.st_idioms)
         stats)
-    Workloads.Polybench.all;
+    modules;
   (Array.to_list totals, List.sort compare (List.of_seq (Hashtbl.to_seq idioms)))
 
+let check_fusion name cfg modules totals idioms =
+  let t, i = fusion cfg modules in
+  Alcotest.(check (list int)) (name ^ ": instrs, fused, accesses, elided") totals t;
+  Alcotest.(check (list (pair string int))) (name ^ ": idiom matches") idioms i
+
 let test_fusion_pinned () =
-  let check name cfg totals idioms =
-    let t, i = polybench_fusion cfg in
-    Alcotest.(check (list int))
-      (name ^ ": instrs, fused, accesses, elided") totals t;
-    Alcotest.(check (list (pair string int))) (name ^ ": idiom matches") idioms i
+  let polybench cfg =
+    List.map
+      (fun (k : Workloads.Polybench.kernel) ->
+        (Libc.Run.compile cfg k.k_source).Minic.Driver.co_module)
+      Workloads.Polybench.all
   in
-  check "baseline wasm32" Cage.Config.baseline_wasm32 [ 25065; 10748; 1441; 0 ]
+  let pb_wasm32 = Cage.Config.baseline_wasm32 in
+  check_fusion "PolyBench, baseline wasm32" pb_wasm32 (polybench pb_wasm32)
+    [ 25065; 10748; 1441; 0 ]
     [ ("f64.lg.lg.op", 30); ("f64.lg.op", 35); ("f64.op.ls", 140);
-      ("i32.add.lg.store", 258); ("i32.add.load", 490);
-      ("i32.add.load.f64.op", 91); ("i32.const.op", 303);
+      ("i32.add.lg.store", 156); ("i32.add.load", 388);
+      ("i32.add.load.f64.op", 19); ("i32.const.op", 27);
       ("i32.eqz.brif", 205); ("i32.lg.const.op", 158);
       ("i32.lg.const.op.ls", 181); ("i32.lg.lg.lg.op", 231);
       ("i32.lg.lg.op", 35); ("i32.lg.lg.relop.eqz.brif", 150);
-      ("i32.lg.op", 298); ("lg.lg.store", 184); ("lg.load", 106);
-      ("lg.ls", 1230); ("lg.store", 130); ("load.ls", 104) ];
-  check "CAGE, full plan"
-    (Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.full))
-    [ 24384; 8695; 1467; 372 ]
-    [ ("f64.lg.lg.op", 30); ("f64.lg.op", 35); ("f64.op.ls", 152);
+      ("i32.lg.op", 298); ("i32.scale.add.lg.store", 102);
+      ("i32.scale.add.load", 102); ("i32.scale.add.load.f64.op", 72);
+      ("lg.lg.store", 184); ("lg.load", 106); ("lg.ls", 1230);
+      ("lg.store", 130); ("load.ls", 104) ];
+  let pb_cage =
+    Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.full)
+  in
+  check_fusion "PolyBench, CAGE, full plan" pb_cage (polybench pb_cage)
+    [ 24384; 11099; 1467; 372 ]
+    [ ("f64.lg.lg.op", 30); ("f64.lg.op", 35); ("f64.op.ls", 140);
       ("i32.const.op", 26); ("i32.eqz.brif", 205); ("i32.lg.const.op", 62);
       ("i32.lg.const.op.ls", 181); ("i32.lg.lg.lg.op", 231);
       ("i32.lg.lg.op", 35); ("i32.lg.lg.relop.eqz.brif", 150);
-      ("i32.lg.op", 298); ("lg.lg.store", 184); ("lg.load", 132);
-      ("lg.ls", 1256); ("lg.store", 388); ("load.ls", 190) ]
+      ("i32.lg.op", 298); ("i64.add.lg.store", 104); ("i64.add.load", 364);
+      ("i64.ext.add", 1); ("i64.ext.scale.add.lg.store", 154);
+      ("i64.ext.scale.add.load", 100); ("i64.ext.scale.add.load.f64.op", 91);
+      ("i64.scale.add.load", 26); ("lg.lg.store", 184); ("lg.load", 132);
+      ("lg.ls", 1256); ("lg.store", 130); ("load.ls", 104) ]
+
+(* The three stock serving tenants (compute, fuzz, malicious), as the
+   serving benchmark and the CI smoke run compile them. *)
+let test_fusion_tenants_pinned () =
+  check_fusion "serving tenants, CAGE" Cage.Config.full
+    (List.map
+       (fun (t : Serve.Pool.tenant) -> t.tn_module)
+       (Harness.Serve_bench.tenants ~seed:1 ()))
+    [ 2394; 801; 169; 0 ]
+    [ ("i32.eqz.brif", 22); ("i32.lg.const.op", 5); ("i32.lg.const.op.ls", 8);
+      ("i32.lg.lg.relop.eqz.brif", 1); ("i32.lg.op", 5);
+      ("i64.add.lg.store", 12); ("i64.add.load", 42);
+      ("i64.ext.add.lg.store", 1); ("i64.ext.scale.add.lg.store", 9);
+      ("i64.ext.scale.add.load", 31); ("lg.lg.store", 22); ("lg.load", 16);
+      ("lg.ls", 105); ("lg.store", 15); ("load.ls", 12) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fuel watchdog parity                                                 *)
@@ -582,6 +648,8 @@ let () =
         [
           Alcotest.test_case "polybench idiom counts pinned" `Quick
             test_fusion_pinned;
+          Alcotest.test_case "serving tenants idiom counts pinned" `Quick
+            test_fusion_tenants_pinned;
         ] );
       ( "fuel",
         [
