@@ -684,9 +684,13 @@ let run_analysis () =
    runs each kernel once per engine and asserts the checksum and every
    meter counter agree, so the modeled cycle counts (Cage.Lowering
    prices the meter, not the clock) are engine-invariant by
-   construction. *)
+   construction. The threaded verification run also counts the minor
+   words its invoke allocates: the column's words per memory access
+   over all kernels is CI-gated, since an access that boxes shows up
+   there first. *)
 let exec_column core (cfg : Cage.Config.t) =
   let reps_interp = 3 and reps_threaded = 5 in
+  let words = ref 0.0 and accesses = ref 0 in
   let rows =
     List.map
       (fun (kernel : Workloads.Polybench.kernel) ->
@@ -701,11 +705,15 @@ let exec_column core (cfg : Cage.Config.t) =
         (* verification pass: outcomes and meters must be identical *)
         let run_metered engine =
           let meter = Wasm.Meter.create () in
-          let vs = Wasm.Exec.invoke (fresh ~meter engine) "main" [] in
-          (vs, meter)
+          let inst = fresh ~meter engine in
+          let w0 = Gc.minor_words () in
+          let vs = Wasm.Exec.invoke inst "main" [] in
+          (vs, meter, Gc.minor_words () -. w0)
         in
-        let v_i, m_i = run_metered Wasm.Instance.Interp in
-        let v_t, m_t = run_metered Wasm.Instance.Threaded in
+        let v_i, m_i, _ = run_metered Wasm.Instance.Interp in
+        let v_t, m_t, w_t = run_metered Wasm.Instance.Threaded in
+        words := !words +. w_t;
+        accesses := !accesses + Wasm.Meter.mem_accesses m_t;
         if v_i <> v_t then
           failwith
             (Printf.sprintf "%s (%s): engines disagree on the result"
@@ -741,11 +749,13 @@ let exec_column core (cfg : Cage.Config.t) =
       (List.fold_left (fun a (_, _, _, s, _) -> a +. log s) 0.0 rows
       /. float_of_int (List.length rows))
   in
+  let words_per_access = !words /. float_of_int !accesses in
   Format.fprintf (!ppf_ref)
     "  %s: geomean speedup %.2fx over %d kernels (modeled cycles \
-     engine-invariant, meters bit-identical)@."
-    cfg.name geomean (List.length rows);
-  (rows, geomean)
+     engine-invariant, meters bit-identical); threaded minor words per \
+     access %.3f@."
+    cfg.name geomean (List.length rows) words_per_access;
+  (rows, geomean, words_per_access)
 
 let run_exec () =
   Harness.Report.title (!ppf_ref)
@@ -754,8 +764,8 @@ let run_exec () =
   Obs.Hook.uninstall ();
   let cfg = Cage.Config.baseline_wasm32 in
   let cage = Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.full) in
-  let rows, geomean = exec_column core cfg in
-  let cage_rows, cage_geomean = exec_column core cage in
+  let rows, geomean, words = exec_column core cfg in
+  let cage_rows, cage_geomean, cage_words = exec_column core cage in
   let kernels oc indent rows =
     List.iteri
       (fun i (name, t_i, t_t, s, modeled) ->
@@ -773,12 +783,15 @@ let run_exec () =
     cfg.name core.Arch.Cpu_model.name;
   kernels oc "    " rows;
   Printf.fprintf oc "  ],\n  \"geomean_speedup\": %.3f,\n" geomean;
+  Printf.fprintf oc "  \"minor_words_per_access\": %.3f,\n" words;
   Printf.fprintf oc
     "  \"cage_full_plan\": {\n    \"config\": %S,\n    \"plan\": \"tags + \
      bounds + arena\",\n    \"kernels\": [\n"
     cage.name;
   kernels oc "      " cage_rows;
-  Printf.fprintf oc "    ],\n    \"geomean\": %.3f\n  }\n}\n" cage_geomean;
+  Printf.fprintf oc
+    "    ],\n    \"geomean\": %.3f,\n    \"minor_words_per_access\": %.3f\n  }\n}\n"
+    cage_geomean cage_words;
   close_out oc;
   Format.fprintf (!ppf_ref)
     "  wrote BENCH_exec.json (threaded vs seed interpreter)@."

@@ -175,36 +175,38 @@ let draw site =
   match !hook with
   | None -> false
   | Some t ->
-      if not (List.memq site t.pol.sites) then false
+      let ln = t.cur in
+      (* both refusals are pure, so their order leaves the draw
+         sequence alone: the one-compare budget test runs first, and a
+         spent lane never scans the armed-site list *)
+      if ln.ln_count >= t.pol.max_injections then false
+      else if not (List.memq site t.pol.sites) then false
+      else if
+        match List.assq_opt site t.pol.site_max with
+        | None -> false
+        | Some cap -> (
+            match List.assq_opt site ln.ln_site_counts with
+            | Some n -> n >= cap
+            | None -> false)
+      then false
       else
-        let ln = t.cur in
-        if ln.ln_count >= t.pol.max_injections then false
-        else if
-          match List.assq_opt site t.pol.site_max with
-          | None -> false
-          | Some cap -> (
-              match List.assq_opt site ln.ln_site_counts with
-              | Some n -> n >= cap
-              | None -> false)
-        then false
-        else
-          let p = site_probability t site in
-          let fire = p >= 1.0 || Random.State.float ln.ln_rng 1.0 < p in
-          if fire then begin
-            ln.ln_count <- ln.ln_count + 1;
-            ln.ln_site_counts <-
-              (site,
-               1
-               + (match List.assq_opt site ln.ln_site_counts with
-                 | Some n -> n
-                 | None -> 0))
-              :: List.remove_assq site ln.ln_site_counts;
-            t.injected <-
-              { inj_site = site; inj_index = count t; inj_lane = ln.ln_lane;
-                inj_request = t.cur_request; inj_detail = "" }
-              :: t.injected
-          end;
-          fire
+        let p = site_probability t site in
+        let fire = p >= 1.0 || Random.State.float ln.ln_rng 1.0 < p in
+        if fire then begin
+          ln.ln_count <- ln.ln_count + 1;
+          ln.ln_site_counts <-
+            (site,
+             1
+             + (match List.assq_opt site ln.ln_site_counts with
+               | Some n -> n
+               | None -> 0))
+            :: List.remove_assq site ln.ln_site_counts;
+          t.injected <-
+            { inj_site = site; inj_index = count t; inj_lane = ln.ln_lane;
+              inj_request = t.cur_request; inj_detail = "" }
+            :: t.injected
+        end;
+        fire
 
 (** Attach a detail string to the most recent injection. *)
 let note fmt =

@@ -46,9 +46,9 @@ type verdict = Allowed | Faulted of fault | Deferred of fault
    access to a guaranteed-different value, modelling tag-storage
    corruption. Runs before the match so the very access that visited
    the granule observes the flip. *)
-let chaos_tag_flip t addr =
+let chaos_tag_flip t (addr : int) =
   if Fault_inject.draw Fault_inject.Tag_flip then begin
-    let gaddr = Int64.mul (Int64.div addr 16L) 16L in
+    let gaddr = Int64.of_int (addr / 16 * 16) in
     if Tag_memory.in_bounds t.tags ~addr:gaddr ~len:16L then begin
       let cur = Tag.to_int (Tag_memory.get t.tags gaddr) in
       let bad = Tag.of_int ((cur + 1 + Fault_inject.rand_int 15) mod 16) in
@@ -65,71 +65,88 @@ let chaos_tag_flip t addr =
    *would* have faulted one iteration later. Only computed with a sink
    installed; the disabled path pays nothing. *)
 let note_near_miss t ~addr ~len ptag =
-  let last = Int64.add addr (Int64.sub (Int64.max len 1L) 1L) in
-  let next = Int64.mul (Int64.add (Int64.div last 16L) 1L) 16L in
+  let last = addr + max len 1 - 1 in
+  let next = Int64.of_int ((last / 16 + 1) * 16) in
   if Tag_memory.in_bounds t.tags ~addr:next ~len:1L then begin
     let nt = Tag_memory.get t.tags next in
     if Tag.to_int nt <> Tag.to_int ptag then
       Obs.Hook.event
         (Obs.Event.Tag_near_miss
-           { addr; len; tag = Tag.to_int ptag;
-             neighbour_tag = Tag.to_int nt })
+           { addr = Int64.of_int addr; len = Int64.of_int len;
+             tag = Tag.to_int ptag; neighbour_tag = Tag.to_int nt })
   end
 
-let check t access ~ptr ~len =
+(* The one fault builder: a mismatch's record, its [Tag_fault] event,
+   and either a synchronous fault or a deferred one latched in the
+   TFSR, by mode and access. *)
+let mismatch t access ~addr ~len ptag =
+  let mem_tag =
+    let len = Int64.max len 1L in
+    if Tag_memory.in_bounds t.tags ~addr ~len then
+      Tag_memory.region_tag t.tags ~addr ~len
+    else None
+  in
+  let fault =
+    { fault_addr = addr; fault_len = len; ptr_tag = ptag; mem_tag;
+      fault_access = access }
+  in
+  let synchronous =
+    match (t.mode, access) with
+    | Sync, _ -> true
+    | Asymmetric, Store -> true
+    | Asymmetric, Load -> false
+    | Async, _ -> false
+    | Disabled, _ -> assert false
+  in
+  if Obs.Hook.enabled () then
+    Obs.Hook.event
+      (Obs.Event.Tag_fault
+         { addr; len; ptr_tag = Tag.to_int ptag;
+           mem_tag = Option.map Tag.to_int mem_tag;
+           access =
+             (match access with
+             | Load -> Obs.Event.Load
+             | Store -> Obs.Event.Store);
+           deferred = not synchronous });
+  if synchronous then Faulted fault
+  else begin
+    (* TFSR is sticky: keep the first fault. The chaos engine can drop
+       the latch here — the lost-interrupt model, where the
+       asynchronous report never reaches the kernel. *)
+    if t.pending = None then begin
+      if Fault_inject.draw Fault_inject.Tfsr_drop then
+        Fault_inject.note "TFSR latch for 0x%Lx dropped" addr
+      else t.pending <- Some fault
+    end;
+    Deferred fault
+  end
+
+(* The one check. Everything before the verdict is native-int, so a
+   passing check allocates nothing; the fault record, event and latch
+   are built only on a mismatch. *)
+let check_native t access ~addr ~tag ~len =
   match t.mode with
   | Disabled -> Allowed
-  | _ ->
+  | Sync | Async | Asymmetric ->
       t.checks <- t.checks + 1;
-      let addr = Ptr.address ptr in
-      let ptag = Ptr.tag ptr in
       chaos_tag_flip t addr;
-      if Tag_memory.matches t.tags ~addr ~len ptag then begin
-        if Obs.Hook.enabled () then note_near_miss t ~addr ~len ptag;
+      if Tag_memory.matches_native t.tags ~addr ~len tag then begin
+        if Obs.Hook.enabled () then note_near_miss t ~addr ~len tag;
         Allowed
       end
-      else begin
-        let mem_tag =
-          let len = Int64.max len 1L in
-          if Tag_memory.in_bounds t.tags ~addr ~len then
-            Tag_memory.region_tag t.tags ~addr ~len
-          else None
-        in
-        let fault =
-          { fault_addr = addr; fault_len = len; ptr_tag = ptag; mem_tag;
-            fault_access = access }
-        in
-        let synchronous =
-          match (t.mode, access) with
-          | Sync, _ -> true
-          | Asymmetric, Store -> true
-          | Asymmetric, Load -> false
-          | Async, _ -> false
-          | Disabled, _ -> assert false
-        in
-        if Obs.Hook.enabled () then
-          Obs.Hook.event
-            (Obs.Event.Tag_fault
-               { addr; len; ptr_tag = Tag.to_int ptag;
-                 mem_tag = Option.map Tag.to_int mem_tag;
-                 access =
-                   (match access with
-                   | Load -> Obs.Event.Load
-                   | Store -> Obs.Event.Store);
-                 deferred = not synchronous });
-        if synchronous then Faulted fault
-        else begin
-          (* TFSR is sticky: keep the first fault. The chaos engine can
-             drop the latch here — the lost-interrupt model, where the
-             asynchronous report never reaches the kernel. *)
-          if t.pending = None then begin
-            if Fault_inject.draw Fault_inject.Tfsr_drop then
-              Fault_inject.note "TFSR latch for 0x%Lx dropped" addr
-            else t.pending <- Some fault
-          end;
-          Deferred fault
-        end
-      end
+      else mismatch t access ~addr:(Int64.of_int addr) ~len:(Int64.of_int len) tag
+
+(* A length beyond the native range saturates: past every tag plane,
+   it stays a mismatch instead of wrapping into a small span. *)
+let native_len len =
+  if len > Int64.of_int max_int then max_int
+  else if len < Int64.of_int min_int then min_int
+  else Int64.to_int len
+
+let check t access ~ptr ~len =
+  check_native t access
+    ~addr:(Int64.to_int (Ptr.address ptr))
+    ~tag:(Ptr.tag ptr) ~len:(native_len len)
 
 let pending_fault t = t.pending
 

@@ -51,7 +51,18 @@ type verdict =
 val check : t -> access -> ptr:Ptr.t -> len:int64 -> verdict
 (** Check one access made through [ptr] (whose bits 56-59 carry the
     logical tag) covering [len] bytes at [Ptr.address ptr]. Out-of-range
-    accesses are mismatches (the granule has no matching tag). *)
+    accesses are mismatches (the granule has no matching tag). [len <= 0]
+    checks one byte. A length outside the native int range keeps its
+    verdict (past every tag plane, a mismatch) and is recorded saturated
+    to that range. *)
+
+val check_native : t -> access -> addr:int -> tag:Tag.t -> len:int -> verdict
+(** {!check} of an access with logical tag [tag] covering [len] bytes
+    at the untagged address [addr], on native ints: {!check} delegates
+    to it. A passing check allocates nothing, so the threaded engine's
+    tag check rides along with the access; the fault record, the
+    [Tag_fault] event and the TFSR latch are built only on a mismatch.
+    A negative address is a mismatch. *)
 
 val pending_fault : t -> fault option
 (** The recorded asynchronous fault, if any (TFSR set). *)

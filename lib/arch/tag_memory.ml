@@ -87,28 +87,33 @@ let set_region t ~addr ~len tag =
       Dirty.mark_range t.dirty ~bits:chunk_bits first count;
       Ok ()
 
-let matches t ~addr ~len tag =
-  let len = Int64.max len 1L in
-  if not (in_bounds t ~addr ~len) then false
+(* The access-check predicate, on native ints: the one granule loop.
+   [len <= t.size - addr] cannot overflow, so a length too large for
+   the plane is a mismatch rather than a wrapped small span. *)
+let matches_native t ~addr ~len (tag : Tag.t) =
+  let len = if len < 1 then 1 else len in
+  if addr < 0 || len > t.size - addr then false
   else begin
-    let first = granule_of_addr addr in
-    let last = granule_of_addr (Int64.sub (Int64.add addr len) 1L) in
-    let want = Tag.to_int tag in
+    let first = addr lsr 4 and last = (addr + len - 1) lsr 4 in
+    let want = (tag :> int) in
     (* Fast path: a scalar access (<= 16 bytes, the overwhelmingly
        common case) touches one granule — one byte compare, no loop.
-       [in_bounds] above guarantees the granule indices are valid, so
-       unsafe_get cannot read out of range. *)
+       The range test above keeps both granule indices inside [tags],
+       so unsafe_get cannot read out of range. *)
     if first = last then Char.code (Bytes.unsafe_get t.tags first) = want
     else begin
-      let ok = ref true in
       let g = ref first in
-      while !ok && !g <= last do
-        if Char.code (Bytes.unsafe_get t.tags !g) <> want then ok := false
-        else incr g
+      while !g <= last && Char.code (Bytes.unsafe_get t.tags !g) = want do
+        incr g
       done;
-      !ok
+      !g > last
     end
   end
+
+let matches t ~addr ~len tag =
+  let len = Int64.max len 1L in
+  in_bounds t ~addr ~len
+  && matches_native t ~addr:(Int64.to_int addr) ~len:(Int64.to_int len) tag
 
 let first_mismatch t ~addr ~len tag =
   if len <= 0L || not (in_bounds t ~addr ~len) then None

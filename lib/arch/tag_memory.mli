@@ -54,6 +54,12 @@ val matches : t -> addr:int64 -> len:int64 -> Tag.t -> bool
     given tag — the access-check predicate. Out-of-bounds regions never
     match. [len <= 0] is treated as a 1-byte access. *)
 
+val matches_native : t -> addr:int -> len:int -> Tag.t -> bool
+(** {!matches} on native ints, which it delegates to after its own
+    range check: the threaded engine's tag check, with no [int64] to
+    box. A negative address, or a length that reaches past the covered
+    region however large, never matches. *)
+
 val first_mismatch : t -> addr:int64 -> len:int64 -> Tag.t -> int64 option
 (** Byte address (granule start) of the first granule overlapping
     [\[addr, addr+len)] whose tag differs from [tag]; [None] when every

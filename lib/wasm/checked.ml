@@ -42,10 +42,10 @@ let resolve_addr_i32 (i : int32) (offset : int64) =
   Int64.add (Int64.logand (Int64.of_int32 i) 0xffffffffL) offset
 
 (* The chaos corruptions, split per draw so the threaded engine's
-   native-int fast path can consume the draws itself and only fall into
-   these (boxed) arms on a hit. [corrupt_sig] runs after a [Ptr_sig]
-   hit — it still owes the [Ptr_tag] draw; [corrupt_tag] after a
-   [Ptr_sig] miss and [Ptr_tag] hit. *)
+   native-int path can make the draws itself and only call these
+   (boxed) arms on a hit. [corrupt_sig] runs after a [Ptr_sig] hit — it
+   still owes the [Ptr_tag] draw; [corrupt_tag] after a [Ptr_sig] miss
+   and [Ptr_tag] hit. *)
 let rec corrupt_sig (p : int64) =
   let bit = 49 + Arch.Fault_inject.rand_int 6 in
   Arch.Fault_inject.note "pointer 0x%Lx: stray signature bit %d" p bit;
@@ -73,14 +73,6 @@ let resolve_addr_i64 (p : int64) (offset : int64) =
   if Int64.logand p noncanonical_mask <> 0L then
     trap "bounds: non-canonical address 0x%Lx" p;
   (Int64.add (Arch.Ptr.address p) offset, Arch.Ptr.tag p)
-
-(* Finish resolving an already-corrupted pointer on the native-int
-   path: same non-canonical check and address/tag split, result as a
-   native int. *)
-let resolve_corrupt_native (p : int64) (offset : int) : int * Arch.Tag.t =
-  if Int64.logand p noncanonical_mask <> 0L then
-    trap "bounds: non-canonical address 0x%Lx" p;
-  (Int64.to_int (Arch.Ptr.address p) + offset, Arch.Ptr.tag p)
 
 (** Resolve a boxed address operand (the interpreter's entry point;
     the threaded engine calls the statically-typed variants above). *)
@@ -114,18 +106,20 @@ let check_tags (inst : Instance.t) access ~addr ~tag ~len =
   | Arch.Mte.Allowed | Arch.Mte.Deferred _ -> ()
   | Arch.Mte.Faulted f -> raise_tag_fault inst f
 
-(* [check_tags] with native-int address/length, for the threaded
-   engine, which guards on [inst.enforce_tags] itself so the
-   untagged-config fast path never boxes the address. *)
+(* [check_tags] with a native-int address and length, for the threaded
+   engine, which guards on [inst.enforce_tags] itself. It checks the
+   pointer's 48-bit address field, as [check_tags] does: an effective
+   address past it, which only a bounds-elided access can bring here,
+   wraps on both engines. [Arch.Mte.check_native] allocates only on a
+   mismatch, so a passing check allocates nothing. *)
 let check_tags_native (inst : Instance.t) access ~(addr : int) ~tag ~(len : int)
     =
   match inst.mte with
   | None -> ()
   | Some mte -> (
       match
-        Arch.Mte.check mte access
-          ~ptr:(Arch.Ptr.with_tag (Int64.of_int addr) tag)
-          ~len:(Int64.of_int len)
+        Arch.Mte.check_native mte access ~addr:(addr land 0xffff_ffff_ffff) ~tag
+          ~len
       with
       | Arch.Mte.Allowed | Arch.Mte.Deferred _ -> ()
       | Arch.Mte.Faulted f -> raise_tag_fault inst f)

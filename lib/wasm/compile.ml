@@ -114,62 +114,69 @@ let[@inline] write_slot (st : Instance.t Xcode.state) (r : slotref) v =
 type lkind = Lk_i32 | Lk_i64 | Lk_f32 | Lk_f64 | Lk_pack of int * bool
 type skind = Sk_i32 | Sk_i64 | Sk_f32 | Sk_f64 | Sk_pack of int
 
-let[@inline] do_load (k : lkind) mem a : float =
+(* The raw accesses, on the committed prefix [mem.data]. They use the
+   stdlib [Bytes] primitives, which inline here: nothing on the access
+   path may pass or return an [int64] or a [float] across a module
+   boundary, because under dune's [-opaque] (and without flambda) every
+   such call stays out of line and boxes. The primitives keep their own
+   range test, raising [Invalid_argument] past the prefix. Each reads
+   [mem.data] afresh, since {!reach} may replace it. A store marks the
+   4 KiB chunk its first byte lies in only after its range-checked
+   write, the rule every {!Memory} write follows: a store that would
+   leave the buffer has raised, so the mark is in range. *)
+let[@inline] do_load (k : lkind) (mem : Memory.t) a : float =
+  let b = mem.Memory.data in
   match k with
-  | Lk_i32 -> slot_of_int (Memory.get_32s mem a)
-  | Lk_i64 | Lk_f64 -> Int64.float_of_bits (Memory.get_64 mem a)
-  | Lk_f32 -> Memory.get_f32' mem a
-  | Lk_pack (1, true) -> slot_of_int ((Memory.get_u8 mem a lsl 55) asr 55)
-  | Lk_pack (1, false) -> slot_of_int (Memory.get_u8 mem a)
-  | Lk_pack (2, true) -> slot_of_int ((Memory.get_u16 mem a lsl 47) asr 47)
-  | Lk_pack (2, false) -> slot_of_int (Memory.get_u16 mem a)
-  | Lk_pack (4, true) -> slot_of_int (Memory.get_32s mem a)
-  | Lk_pack (4, false) -> slot_of_int (Memory.get_32s mem a land mask32)
+  | Lk_i32 | Lk_pack (4, true) -> slot_of_int (Int32.to_int (Bytes.get_int32_le b a))
+  | Lk_i64 | Lk_f64 -> Int64.float_of_bits (Bytes.get_int64_le b a)
+  | Lk_f32 -> Int32.float_of_bits (Bytes.get_int32_le b a)
+  | Lk_pack (1, true) -> slot_of_int ((Bytes.get_uint8 b a lsl 55) asr 55)
+  | Lk_pack (1, false) -> slot_of_int (Bytes.get_uint8 b a)
+  | Lk_pack (2, true) -> slot_of_int ((Bytes.get_uint16_le b a lsl 47) asr 47)
+  | Lk_pack (2, false) -> slot_of_int (Bytes.get_uint16_le b a)
+  | Lk_pack (4, false) -> slot_of_int (Int32.to_int (Bytes.get_int32_le b a) land mask32)
   | Lk_pack _ -> assert false
 
-let[@inline] do_store (k : skind) mem a (s : float) : unit =
-  match k with
-  | Sk_i32 -> Memory.set_32 mem a (int_of_slot s)
-  | Sk_i64 | Sk_f64 -> Memory.set_64 mem a (Int64.bits_of_float s)
-  | Sk_f32 -> Memory.set_f32' mem a s
-  | Sk_pack 1 -> Memory.set_u8 mem a (int_of_slot s)
-  | Sk_pack 2 -> Memory.set_u16 mem a (int_of_slot s)
-  | Sk_pack 4 -> Memory.set_32 mem a (int_of_slot s)
-  | Sk_pack _ -> assert false
+let[@inline] do_store (k : skind) (mem : Memory.t) a (s : float) : unit =
+  let b = mem.Memory.data in
+  (match k with
+  | Sk_i32 | Sk_pack 4 -> Bytes.set_int32_le b a (Int32.of_int (int_of_slot s))
+  | Sk_i64 | Sk_f64 -> Bytes.set_int64_le b a (Int64.bits_of_float s)
+  | Sk_f32 -> Bytes.set_int32_le b a (Int32.bits_of_float s)
+  | Sk_pack 1 -> Bytes.set_uint8 b a (int_of_slot s land 0xff)
+  | Sk_pack 2 -> Bytes.set_uint16_le b a (int_of_slot s land 0xffff)
+  | Sk_pack _ -> assert false);
+  Bytes.unsafe_set mem.Memory.dirty (a lsr Memory.chunk_bits) '\001'
 
 (* Native-int i64 address resolution, packed as [addr lor (tag lsl 50)]
    in one int so the hot path allocates nothing (a 48-bit address plus
-   a compile-time-bounded offset stays below bit 50). Chaos draws, the
-   non-canonical trap and the address/tag split replicate
-   [Checked.resolve_addr_i64] exactly; with a chaos engine installed
-   the boxed arms run instead (identical draw consumption — [draw] is
-   effect-free when no engine is installed). *)
+   a compile-time-bounded offset stays below bit 50). [pack64] is
+   [Checked.resolve_addr_i64]'s non-canonical trap and address/tag
+   split, the tag taken straight from the pointer's bits. *)
 let tag_addr_mask = (1 lsl 50) - 1
 
-let resolve64_chaos (s : float) (off : int) : int =
-  let p = Int64.bits_of_float s in
-  let addr, tag =
-    if Arch.Fault_inject.draw Arch.Fault_inject.Ptr_sig then
-      Checked.resolve_corrupt_native (Checked.corrupt_sig p) off
-    else if Arch.Fault_inject.draw Arch.Fault_inject.Ptr_tag then
-      Checked.resolve_corrupt_native (Checked.corrupt_tag p) off
-    else begin
-      let b = Int64.to_int p in
-      if b land 0x00ff_0000_0000_0000 <> 0 then
-        Rt.trap "bounds: non-canonical address 0x%Lx" p;
-      ((b land 0xffff_ffff_ffff) + off, Arch.Ptr.tag p)
-    end
-  in
-  addr lor (Arch.Tag.to_int tag lsl 50)
+let[@inline] pack64 (p : int64) (off : int) : int =
+  let b = Int64.to_int p in
+  if b land 0x00ff_0000_0000_0000 <> 0 then
+    Rt.trap "bounds: non-canonical address 0x%Lx" p;
+  ((b land 0xffff_ffff_ffff) + off) lor (((b lsr 56) land 0xf) lsl 50)
 
-let[@inline] resolve64p (s : float) (off : int) : int =
+(* With a chaos engine installed: [Checked.resolve_addr_i64]'s draws
+   and corruptions first. It reads its own slot, since a float passed
+   to an out-of-line call would be boxed; beyond what a [draw] that
+   rolls the lane's PRNG allocates, it allocates only when one fires. *)
+let resolve64_chaos (st : Instance.t Xcode.state) src (off : int) : int =
+  let p = Int64.bits_of_float (read_slot st src) in
+  if Arch.Fault_inject.draw Arch.Fault_inject.Ptr_sig then
+    pack64 (Checked.corrupt_sig p) off
+  else if Arch.Fault_inject.draw Arch.Fault_inject.Ptr_tag then
+    pack64 (Checked.corrupt_tag p) off
+  else pack64 p off
+
+let[@inline] resolve64p st src (off : int) : int =
   match Arch.Fault_inject.active () with
-  | None ->
-      let b = int_of_slot s in
-      if b land 0x00ff_0000_0000_0000 <> 0 then
-        Rt.trap "bounds: non-canonical address 0x%Lx" (Int64.bits_of_float s);
-      ((b land 0xffff_ffff_ffff) + off) lor (((b lsr 56) land 0xf) lsl 50)
-  | Some _ -> resolve64_chaos s off
+  | None -> pack64 (Int64.bits_of_float (read_slot st src)) off
+  | Some _ -> resolve64_chaos st src off
 
 let oob () = Rt.trap "bounds: out of bounds memory access"
 
@@ -191,23 +198,25 @@ let[@inline] note_span_elided (m : Meter.t) =
    address path (zero-extend, tag zero), [te] elides the tag check and
    [be] the span check; all three must be literals at every call site,
    so that inlining folds the policy away. The single native bounds
-   check [addr + len <= length_bytes], with {!reach} deciding spans
-   past the committed prefix, is equivalent to the interpreter's
+   check [addr + len <= Bytes.length mem.data], with {!reach} deciding
+   spans past the committed prefix, is equivalent to the interpreter's
    ([addr >= 0] holds by construction: a zero-extended i32 or 48-bit
    address field plus a compile-time-bounded offset), and the tag
-   check is guarded on [enforce_tags] so untagged configs never box
-   the address. *)
-let[@inline] access w32 te be (m : Meter.t) (st : Instance.t Xcode.state) mem
-    acc len off src =
-  let s = read_slot st src in
-  let pa = if w32 then (int_of_slot s land mask32) + off else resolve64p s off in
+   check runs under [enforce_tags] only. Nothing here allocates
+   unless a check fails or an injection fires. *)
+let[@inline] access w32 te be (m : Meter.t) (st : Instance.t Xcode.state)
+    (mem : Memory.t) acc len off src =
+  let pa =
+    if w32 then (int_of_slot (read_slot st src) land mask32) + off
+    else resolve64p st src off
+  in
   let addr = if w32 then pa else pa land tag_addr_mask in
   if be then begin
     if te then note_tag_elided m;
     note_span_elided m
   end
   else begin
-    if addr + len > Memory.length_bytes mem then reach mem (addr + len);
+    if addr + len > Bytes.length mem.Memory.data then reach mem (addr + len);
     if te then note_tag_elided m
     else if !Obs.Hook.hook != None then Obs.Hook.span_check len
   end;

@@ -31,10 +31,12 @@ let implementation_max_pages = 16384L
 (* Dirty tracking ([Arch.Dirty]): every write marks the 4 KiB chunk
    its first byte lies in, {e after} the range-checked write — a store
    that would leave the buffer has already raised, so the index is in
-   range and the mark is one unchecked byte store. A scalar store (at
-   most 8 bytes) can spill at most 7 bytes into the next chunk;
-   [restore] copies that tail along with every dirty run. Bulk writes
-   mark every chunk they cover. *)
+   range and the mark is one unchecked byte store. The threaded
+   engine's raw stores ([Compile.do_store]) follow the same rule on
+   [data] and [dirty] directly. A scalar store (at most 8 bytes) can
+   spill at most 7 bytes into the next chunk; [restore] copies that
+   tail along with every dirty run. Bulk writes mark every chunk they
+   cover. *)
 let chunk_bits = 12
 let spill = 7
 
@@ -87,6 +89,8 @@ let commit t need =
 let[@inline] reach t n =
   n <= Bytes.length t.data
   || (n <= Int64.to_int (size_bytes t) && (commit t n; true))
+
+let length_bytes t = Bytes.length t.data
 
 let in_bounds t ~addr ~len =
   addr >= 0L && len >= 0
@@ -182,42 +186,6 @@ let load_f32 t addr = Int32.float_of_bits (load_i32 t addr)
 let store_f32 t addr v = store_i32 t addr (Int32.bits_of_float v)
 let load_f64 t addr = Int64.float_of_bits (load_i64 t addr)
 let store_f64 t addr v = store_i64 t addr (Int64.bits_of_float v)
-
-(* ------------------------------------------------------------------ *)
-(* Native-int accessors (the threaded engine's fast path)              *)
-(* ------------------------------------------------------------------ *)
-
-(* Every valid effective address fits OCaml's native int — the 1 GiB
-   implementation cap bounds memory well below 2^62 — so the threaded
-   engine resolves addresses, checks bounds against [length_bytes] (the
-   committed prefix) and reads/writes through these without ever boxing
-   an [int64]. The caller has already established [0 <= addr] and
-   [addr + len <= length_bytes], if need be by {!reach}; the [Bytes]
-   primitives keep their own range test, so even a broken caller cannot
-   escape the buffer — nor reach the dirty mark that follows each
-   write. *)
-
-let[@inline] length_bytes t = Bytes.length t.data
-let[@inline] get_u8 t a = Bytes.get_uint8 t.data a
-let[@inline] set_u8 t a v = Bytes.set_uint8 t.data a (v land 0xff); mark t a
-let[@inline] get_u16 t a = Bytes.get_uint16_le t.data a
-let[@inline] set_u16 t a v =
-  Bytes.set_uint16_le t.data a (v land 0xffff); mark t a
-
-let[@inline] get_32s t a = Int32.to_int (Bytes.get_int32_le t.data a)
-(** 32-bit read, sign-extended into a native int. *)
-
-let[@inline] set_32 t a v = Bytes.set_int32_le t.data a (Int32.of_int v); mark t a
-(** 32-bit write of a native int's low 32 bits. *)
-
-let[@inline] get_64 t a = Bytes.get_int64_le t.data a
-let[@inline] set_64 t a v = Bytes.set_int64_le t.data a v; mark t a
-let[@inline] get_f32' t a = Int32.float_of_bits (Bytes.get_int32_le t.data a)
-let[@inline] set_f32' t a v =
-  Bytes.set_int32_le t.data a (Int32.bits_of_float v); mark t a
-let[@inline] get_f64' t a = Int64.float_of_bits (Bytes.get_int64_le t.data a)
-let[@inline] set_f64' t a v =
-  Bytes.set_int64_le t.data a (Int64.bits_of_float v); mark t a
 
 let fill t ~addr ~len v =
   if not (in_bounds64 t ~addr ~len) then raise (Out_of_bounds (addr, 0));

@@ -12,11 +12,25 @@
     first (doubling, with a 64 KiB floor, in whole 4 KiB chunks, capped
     at the memory's size), so a fresh instance pays for the pages its
     guest touches, not for its declared size. An empty span commits
-    through its address. The prefix shows through {!length_bytes} and
-    through the native accessors' precondition: an address past it must
-    be committed with {!reach} before a native access. *)
+    through its address. The prefix is the [data] field, which a raw
+    access past its end must first extend with {!reach}. *)
 
-type t
+type t = private {
+  mutable data : Bytes.t;
+      (** The committed prefix; every byte past it, up to {!size_bytes},
+          is zero. {!reach} and {!restore} may replace it. *)
+  mutable pages : int64;
+  max_pages : int64 option;
+  idx : Types.idx_type;
+  mutable dirty : Bytes.t;
+      (** One byte per [2^chunk_bits]-byte chunk of [data]; nonzero
+          means written since [data] last equalled [base]. *)
+  mutable base : Bytes.t option;
+      (** The snapshot image [dirty] is relative to, by identity. *)
+}
+(** The record is readable so that the threaded engine can access the
+    committed prefix without a call; only this module assigns its
+    fields. *)
 
 exception Out_of_bounds of int64 * int
 (** Raised by accessors on an out-of-range access: (address, length). *)
@@ -77,15 +91,23 @@ val store_f32 : t -> int64 -> float -> unit
 val load_f64 : t -> int64 -> float
 val store_f64 : t -> int64 -> float -> unit
 
-(** {1 Native-int accessors}
+(** {1 The committed prefix}
 
-    The threaded engine's fast path: every valid effective address fits
-    OCaml's native int (the 1 GiB cap), so bounds checks against
-    {!length_bytes} and the accesses themselves run entirely unboxed.
-    The caller must have established [0 <= addr] and
-    [addr + width <= length_bytes] — past the committed prefix, by
-    calling {!reach} first; the underlying [Bytes] primitives keep their
-    own range test as a backstop, raising [Invalid_argument]. *)
+    The threaded engine's raw accesses read and write [data] with the
+    stdlib [Bytes] primitives, on native-int addresses: every valid
+    effective address fits OCaml's native int (the 1 GiB cap). Nothing
+    on that path may pass or return an [int64] or a [float] across a
+    module boundary: dune compiles every module with [-opaque] and there
+    is no flambda, so such a call stays out of line and boxes its
+    argument or result. The engine establishes [0 <= addr] and
+    [addr + width <= Bytes.length data] (past the prefix, by calling
+    {!reach}, and reading [data] again after it); the [Bytes] primitives
+    keep their own range test as a backstop, raising [Invalid_argument].
+    A raw write marks its chunk in [dirty] after the range-checked
+    write, as every write entry point of this module does. *)
+
+val chunk_bits : int
+(** [dirty] tracks chunks of [2^chunk_bits] bytes (4 KiB). *)
 
 val length_bytes : t -> int
 (** The committed prefix's length in bytes, as a native int: at most
@@ -94,27 +116,9 @@ val length_bytes : t -> int
 val reach : t -> int -> bool
 (** [reach t n] commits the memory through byte [n] (exclusive), so
     that [n <= length_bytes t]; [false], committing nothing, if [n]
-    exceeds {!size_bytes}. The slow path of a native access whose span
+    exceeds {!size_bytes}. The slow path of a raw access whose span
     ends past the prefix, and the commit step of every other entry
     point. *)
-
-val get_u8 : t -> int -> int
-val set_u8 : t -> int -> int -> unit
-val get_u16 : t -> int -> int
-val set_u16 : t -> int -> int -> unit
-
-val get_32s : t -> int -> int
-(** 32-bit read, sign-extended into a native int. *)
-
-val set_32 : t -> int -> int -> unit
-(** 32-bit write of a native int's low 32 bits. *)
-
-val get_64 : t -> int -> int64
-val set_64 : t -> int -> int64 -> unit
-val get_f32' : t -> int -> float
-val set_f32' : t -> int -> float -> unit
-val get_f64' : t -> int -> float
-val set_f64' : t -> int -> float -> unit
 
 val fill : t -> addr:int64 -> len:int64 -> int -> unit
 (** [memory.fill]: set [len] bytes to the given byte value. *)
@@ -128,10 +132,11 @@ val copy : t -> dst:int64 -> src:int64 -> len:int64 -> unit
     instantiate once and restore per request. It stores the committed
     prefix and stands for that prefix plus a zero tail.
 
-    Every write entry point above marks the 4 KiB chunk it wrote in a
-    dirty map, after its range check succeeds. The map covers the
-    committed prefix, and is relative to one image — the last one taken
-    or restored — identified physically. *)
+    Every write entry point above, and every raw write of the threaded
+    engine, marks the 4 KiB chunk it wrote in a dirty map, after its
+    range check succeeds. The map covers the committed prefix, and is
+    relative to one image — the last one taken or restored —
+    identified physically. *)
 
 type snapshot
 

@@ -166,6 +166,16 @@ echo "   geomean_speedup = ${geomean}x"
 awk "BEGIN { exit !($geomean >= 2.0) }" || {
   echo "FAIL: threaded engine only ${geomean}x over the interpreter"; exit 1; }
 
+echo "== access path allocation gate (threaded minor words per access <= 1.0, both columns)"
+words=$(sed -n 's/.*"minor_words_per_access": \([0-9.]*\).*/\1/p' BENCH_exec.json)
+[ "$(echo "$words" | wc -w)" -eq 2 ] || {
+  echo "FAIL: BENCH_exec.json lacks minor_words_per_access in both columns"; exit 1; }
+for w in $words; do
+  echo "   minor_words_per_access = ${w}"
+  awk "BEGIN { exit !($w <= 1.0) }" || {
+    echo "FAIL: threaded accesses allocate ${w} minor words each"; exit 1; }
+done
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt"
   dune build @fmt

@@ -321,6 +321,74 @@ let test_mte_oob_is_mismatch () =
   | Faulted f -> Alcotest.(check (option tag)) "no memory tag" None f.mem_tag
   | _ -> Alcotest.fail "out-of-range access allowed"
 
+(* One check, two entries: [Mte.check] through a pointer and
+   [Mte.check_native] on the pointer's address field and tag must agree
+   on the verdict, the check count, the TFSR latch and the Tag_fault
+   event, for both accesses in every mode. A length past the native
+   range reaches the native entry as the largest native length, and
+   must stay a mismatch rather than wrap into a small span ([2^62]
+   wraps to [min_int], which a plain conversion would check as one
+   byte). *)
+let test_mte_two_entries () =
+  let t4 = Tag.of_int 4 and t5 = Tag.of_int 5 in
+  let run mode f =
+    let _, mte = setup_mte ~mode () in
+    let tr = Obs.Trace.create () in
+    let verdict =
+      Obs.Hook.with_sink (Obs.Hook.make ~trace:tr ()) (fun () -> f mte)
+    in
+    let events =
+      List.map (fun (r : Obs.Trace.record) -> r.payload) (Obs.Trace.recent tr 8)
+    in
+    (verdict, Mte.checks_performed mte, Mte.pending_fault mte, events)
+  in
+  let inputs =
+    [ ("len 0", Ptr.with_tag 64L t4, 0L);
+      ("len 0, other tag", Ptr.with_tag 64L t5, 0L);
+      ("across a granule", Ptr.with_tag 72L t4, 16L);
+      ("across a tag boundary", Ptr.with_tag 88L t4, 16L);
+      ("past the tag plane", Ptr.with_tag 248L Tag.zero, 16L);
+      ("negative pointer", Ptr.with_tag (-16L) Tag.zero, 8L);
+      ("2^62 bytes", Ptr.with_tag 64L t4, Int64.shift_left 1L 62);
+      ("max_int64 bytes", Ptr.with_tag 64L t4, Int64.max_int) ]
+  and must_fault = [ "across a tag boundary"; "past the tag plane";
+                     "negative pointer"; "2^62 bytes"; "max_int64 bytes" ] in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun access ->
+          List.iter
+            (fun (name, ptr, len) ->
+              let label =
+                Printf.sprintf "%s, %s %s" name (Mte.mode_to_string mode)
+                  (match access with Mte.Load -> "load" | Mte.Store -> "store")
+              in
+              let ((verdict, _, _, _) as wide) =
+                run mode (fun mte -> Mte.check mte access ~ptr ~len)
+              in
+              let native =
+                run mode (fun mte ->
+                    Mte.check_native mte access
+                      ~addr:(Int64.to_int (Ptr.address ptr))
+                      ~tag:(Ptr.tag ptr)
+                      ~len:
+                        (if len > Int64.of_int max_int then max_int
+                         else Int64.to_int len))
+              in
+              Alcotest.(check bool) (label ^ ": entries agree") true (wide = native);
+              if mode <> Mte.Disabled && List.mem name must_fault then
+                Alcotest.(check bool) (label ^ ": a mismatch") true
+                  (verdict <> Mte.Allowed))
+            inputs)
+        [ Mte.Load; Mte.Store ];
+      (* an address no pointer's field can hold: never in the plane *)
+      if mode <> Mte.Disabled then
+        match run mode (fun mte -> Mte.check_native mte Mte.Store ~addr:(-16) ~tag:Tag.zero ~len:8) with
+        | Mte.Allowed, _, _, _ -> Alcotest.fail "a negative native address matched"
+        | (Mte.Faulted f | Mte.Deferred f), _, _, _ ->
+            Alcotest.(check int64) "negative address recorded" (-16L) f.fault_addr)
+    [ Mte.Disabled; Mte.Sync; Mte.Async; Mte.Asymmetric ]
+
 (* ------------------------------------------------------------------ *)
 (* Pac                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -581,6 +649,8 @@ let () =
           Alcotest.test_case "async keeps first" `Quick
             test_mte_async_keeps_first_fault;
           Alcotest.test_case "oob is mismatch" `Quick test_mte_oob_is_mismatch;
+          Alcotest.test_case "one check, two entries" `Quick
+            test_mte_two_entries;
           Alcotest.test_case "take_pending drains sticky TFSR" `Quick
             test_mte_take_pending_drains;
           Alcotest.test_case "tag grow preserves and reuses" `Quick

@@ -399,6 +399,118 @@ let test_access_policies () =
     [ (Types.Idx32, None); (Types.Idx32, Some Types.I32); (Types.Idx64, None);
       (Types.Idx64, Some Types.I32); (Types.Idx64, Some Types.I64) ]
 
+(* A bounds-elided tag check sees the pointer's 48-bit address field,
+   on both engines: an effective address past 2^48, which only a wrong
+   plan can bring to it, wraps, and the raw access then takes the
+   bounds trap. *)
+let test_elided_bounds_wraps_48_bits () =
+  let m =
+    module_of
+      [ (ft [ Types.I64 ] [ Types.I64 ], [],
+         [ Ast.LocalGet 0; Ast.Load (Types.I64, None, { Ast.offset = 16L; align = 0 }) ]) ]
+  in
+  let config = { Instance.default_config with belide = [| Bytes.make 1 '\xff' |] } in
+  check_both_trap ~config ~substring:"bounds: out of bounds" m "f0"
+    [ Values.I64 0xffff_ffff_fff8L ]
+
+(* A threaded access allocates nothing unless a fault or an injection
+   fires: the tag check rides along with the access, as MTE's does.
+   [f0] loops [n] times over every load kind and store width at the
+   address in parameter 0, each once fused with its operand reads and
+   once as a singleton (the [Nop]s keep fusion off). *)
+let alloc_module idx =
+  let open Ast in
+  let i32 = Types.I32 and i64 = Types.I64 and f32 = Types.F32 and f64 = Types.F64 in
+  let ma = { offset = 8L; align = 0 } in
+  (* the value locals, one per type *)
+  let v ty = List.assoc ty [ (i32, 2); (i64, 3); (f32, 4); (f64, 5) ] in
+  let loads =
+    [ (i32, None); (i64, None); (f32, None); (f64, None) ]
+    @ List.concat_map
+        (fun (ty, p) -> [ (ty, Some (p, SX)); (ty, Some (p, ZX)) ])
+        [ (i32, Pack8); (i32, Pack16); (i64, Pack8); (i64, Pack16); (i64, Pack32) ]
+  and stores =
+    [ (i32, None); (i64, None); (f32, None); (f64, None); (i32, Some Pack8);
+      (i32, Some Pack16); (i64, Some Pack8); (i64, Some Pack16); (i64, Some Pack32) ]
+  in
+  let body =
+    List.concat_map
+      (fun (ty, pack) ->
+        [ LocalGet 0; Load (ty, pack, ma); LocalSet (v ty);
+          LocalGet 0; Nop; Load (ty, pack, ma); Drop ])
+      loads
+    @ List.concat_map
+        (fun (ty, pack) ->
+          [ LocalGet 0; LocalGet (v ty); Store (ty, pack, ma);
+            LocalGet 0; Nop; LocalGet (v ty); Nop; Store (ty, pack, ma) ])
+        stores
+  in
+  module_of
+    ~memory:(Some { Types.mem_idx = idx;
+                    mem_limits = { Types.min = 1L; max = Some 1L } })
+    [ (ft [ Types.addr_type idx; i32 ] [], [ i32; i64; f32; f64 ],
+       [ Loop
+           ( ValBlock None,
+             body
+             @ [ LocalGet 1; I32Const (-1l); IBinop (W32, Add); LocalTee 1;
+                 BrIf 0 ] ) ]) ]
+
+(* Minor words per metered access over one run of [alloc_module]'s
+   loop, after a warm-up run on the same instance. *)
+let words_per_access ~config idx =
+  let meter = Meter.create () in
+  let inst =
+    Exec.instantiate ~config:{ config with Instance.meter = Some meter }
+      (alloc_module idx)
+  in
+  let addr =
+    match idx with Types.Idx32 -> Values.I32 64l | Types.Idx64 -> Values.I64 64L
+  in
+  let run () = ignore (Exec.invoke inst "f0" [ addr; Values.I32 500l ]) in
+  run ();
+  let a0 = Meter.mem_accesses meter and w0 = Gc.minor_words () in
+  run ();
+  let w = Gc.minor_words () -. w0 and a = Meter.mem_accesses meter - a0 in
+  if a < 10_000 then Alcotest.failf "only %d accesses measured" a;
+  w /. float_of_int a
+
+let test_access_no_allocation () =
+  let over = ref [] in
+  (* a lane whose budget is spent: every draw is made and misses *)
+  let spent () =
+    let e =
+      Arch.Fault_inject.create
+        (Arch.Fault_inject.policy ~seed:3 Arch.Fault_inject.all_sites)
+    in
+    Arch.Fault_inject.install e;
+    Arch.Fault_inject.set_lane 1;
+    if not (Arch.Fault_inject.draw Arch.Fault_inject.Tag_flip) then
+      Alcotest.fail "the first draw of a fresh lane did not fire"
+  in
+  List.iter
+    (fun (chaos, arm) ->
+      Fun.protect ~finally:Arch.Fault_inject.uninstall (fun () ->
+          arm ();
+          List.iter
+            (fun idx ->
+              List.iter
+                (fun (policy, elide, belide) ->
+                  let marks on = if on then [| Bytes.make 64 '\xff' |] else [||] in
+                  let config =
+                    { Instance.default_config with elide = marks elide; belide = marks belide }
+                  in
+                  let w = words_per_access ~config idx in
+                  let row =
+                    Printf.sprintf "%s memory, %s, %s: %.4f minor words per access"
+                      (Types.string_of_idx_type idx) policy chaos w
+                  in
+                  print_endline row;
+                  if w >= 0.1 then over := row :: !over)
+                policies)
+            [ Types.Idx32; Types.Idx64 ]))
+    [ ("no chaos", ignore); ("chaos budget spent", spent) ];
+  if !over <> [] then Alcotest.fail (String.concat "; " (List.rev !over))
+
 (* ------------------------------------------------------------------ *)
 (* Linear memory: grow limits and commit on first touch                 *)
 (* ------------------------------------------------------------------ *)
@@ -634,6 +746,9 @@ let () =
         [
           Alcotest.test_case "every policy, every access" `Quick
             test_access_policies;
+          Alcotest.test_case "elided bounds wrap at 2^48" `Quick
+            test_elided_bounds_wraps_48_bits;
+          Alcotest.test_case "no allocation" `Quick test_access_no_allocation;
         ] );
       ( "memory",
         [

@@ -131,7 +131,7 @@ let dirty_guest ?(seed = 5) () =
 (* One write through a [Memory] or [Tag_memory] entry point. The [int]
    selectors pick among the entry points of a kind. *)
 type wop =
-  | Set of int * int * int64    (* native setters: u8 u16 32 64 f32 f64 *)
+  | Set of int * int * int64    (* engine stores: u8 u16 32 64 f32 f64 *)
   | Store of int * int * int64  (* int64-address stores, incl. store_n *)
   | Fill of int * int * int
   | Copy of int * int * int
@@ -154,17 +154,21 @@ let apply_wop (inst : Instance.t) op =
   let a64 = Int64.of_int in
   try
     match op with
-    | Set (k, a, v) -> (
-        (* as the threaded engine's slow path does: commit first; past
-           the end this fails and the setter's own range test raises *)
+    | Set (k, a, v) ->
+        (* the threaded engine's own store, after its slow path: commit
+           first; past the end this fails and the store's range test
+           raises before it marks anything *)
+        let kind, slot =
+          match k mod 6 with
+          | 0 -> (Compile.Sk_pack 1, Int64.float_of_bits v)
+          | 1 -> (Compile.Sk_pack 2, Int64.float_of_bits v)
+          | 2 -> (Compile.Sk_i32, Int64.float_of_bits v)
+          | 3 -> (Compile.Sk_i64, Int64.float_of_bits v)
+          | 4 -> (Compile.Sk_f32, Int64.to_float v)
+          | _ -> (Compile.Sk_f64, Int64.float_of_bits v)
+        in
         ignore (Memory.reach mem (a + [| 1; 2; 4; 8; 4; 8 |].(k mod 6)));
-        match k mod 6 with
-        | 0 -> Memory.set_u8 mem a (Int64.to_int v)
-        | 1 -> Memory.set_u16 mem a (Int64.to_int v)
-        | 2 -> Memory.set_32 mem a (Int64.to_int v)
-        | 3 -> Memory.set_64 mem a v
-        | 4 -> Memory.set_f32' mem a (Int64.to_float v)
-        | _ -> Memory.set_f64' mem a (Int64.float_of_bits v))
+        Compile.do_store kind mem a slot
     | Store (k, a, v) -> (
         let addr = a64 a in
         match k mod 8 with

@@ -1248,6 +1248,10 @@ let test_meter_total_consistency () =
 
 let chunk = 4096
 
+(* The threaded engine's raw store of an integer, on a committed
+   address: the write, then the chunk's dirty mark. *)
+let store_raw kind m a v = Compile.do_store kind m a (Compile.slot_of_int v)
+
 let restored_exactly name m s =
   Alcotest.(check bool) name true
     (String.equal (Memory.to_string m) (Memory.snapshot_to_string s))
@@ -1260,7 +1264,7 @@ let test_dirty_restore_copies_touched_chunks () =
   Alcotest.(check int) "nothing written: nothing copied" 0 (Memory.restore m s);
   (* an 8-byte store straddling chunks 2/3 marks chunk 2 only; the
      spill tail brings chunk 3's first bytes back too *)
-  Memory.set_64 m ((3 * chunk) - 3) (-1L);
+  store_raw Compile.Sk_i64 m ((3 * chunk) - 3) (-1);
   Alcotest.(check int) "one chunk plus the spill" (chunk + 7) (Memory.restore m s);
   restored_exactly "straddling store undone" m s;
   Memory.store_n m (Int64.of_int ((6 * chunk) - 1)) 2 0xbeefL;
@@ -1277,12 +1281,12 @@ let test_dirty_restore_copies_touched_chunks () =
   (match Memory.store_i64 m (Int64.sub (Memory.size_bytes m) 4L) 7L with
   | () -> Alcotest.fail "store past the end succeeded"
   | exception Memory.Out_of_bounds _ -> ());
-  (match Memory.set_32 m (Memory.length_bytes m - 2) 7 with
-  | () -> Alcotest.fail "set past the end succeeded"
+  (match store_raw Compile.Sk_i32 m (Memory.length_bytes m - 2) 7 with
+  | () -> Alcotest.fail "raw store past the end succeeded"
   | exception Invalid_argument _ -> ());
   Alcotest.(check int) "a trapped store marks nothing" 0 (Memory.restore m s);
   (* the last chunk's spill is clamped to the buffer *)
-  Memory.set_u8 m (Memory.length_bytes m - 1) 0;
+  store_raw (Compile.Sk_pack 1) m (Memory.length_bytes m - 1) 0;
   Alcotest.(check int) "last chunk clamped" chunk (Memory.restore m s);
   restored_exactly "last byte undone" m s
 
@@ -1299,9 +1303,9 @@ let test_restore_fallback_full_copy () =
   Alcotest.(check int) "switching back is a full copy again" full (Memory.restore m s);
   restored_exactly "own image restored" m s;
   Alcotest.(check int64) "grow" 1L (Memory.grow m 2L);
-  (* the native accessors need a committed address *)
+  (* a raw store needs a committed address *)
   Alcotest.(check bool) "grown pages commit" true (Memory.reach m 100_001);
-  Memory.set_u8 m 100_000 1;
+  store_raw (Compile.Sk_pack 1) m 100_000 1;
   Alcotest.(check int) "after grow: full copy" full (Memory.restore m s);
   restored_exactly "grown memory shrinks back to the image" m s;
   Alcotest.(check int64) "size restored" 1L (Memory.size_pages m);
