@@ -1,7 +1,8 @@
 (** Whole-module abstract interpretation over Cage wasm.
 
-    The analyzer walks the structured AST of every function reachable
-    from the module entry point, tracking for each abstract value
+    The analyzer walks the prepared body ({!Wasm.Code.prepare}, the
+    form both engines run) of every function reachable from the module
+    entry point, tracking for each abstract value
     (locals + operand stack, fixpoint joins at control-flow merges):
 
     - {e segment provenance} — which [segment.new]/[segment.set_tag]
@@ -384,48 +385,6 @@ let refine ?(spec = false) cond truth st =
   | _ -> Some st
 
 (* ------------------------------------------------------------------ *)
-(* Prepared node trees                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* A mirror of {!Wasm.Code.prepare}'s numbering over the source AST:
-   only non-control instructions get ids, assigned in preorder (list
-   order, block/loop bodies recursed, if-then before if-else). Keeping
-   the numbering identical is what lets a verdict for id [n] here
-   select instruction [Basic (_, n)] there. *)
-type node =
-  | NB of Ast.instr * int
-  | NBlock of int * node array
-  | NLoop of int * node array  (** fallthrough arity (branch arity is 0) *)
-  | NIf of int * node array * node array
-  | NBr of int
-  | NBrIf of int
-  | NBrTable of int list * int
-  | NReturn
-
-let rec build_block next (instrs : Ast.instr list) : node array =
-  let rec go acc = function
-    | [] -> Array.of_list (List.rev acc)
-    | i :: rest -> go (build_instr next i :: acc) rest
-  in
-  go [] instrs
-
-and build_instr next : Ast.instr -> node = function
-  | Ast.Block (bt, body) -> NBlock (Code.block_arity bt, build_block next body)
-  | Ast.Loop (bt, body) -> NLoop (Code.block_arity bt, build_block next body)
-  | Ast.If (bt, then_, else_) ->
-      let a = Code.block_arity bt in
-      let then_ = build_block next then_ in
-      NIf (a, then_, build_block next else_)
-  | Ast.Br n -> NBr n
-  | Ast.BrIf n -> NBrIf n
-  | Ast.BrTable (ts, d) -> NBrTable (ts, d)
-  | Ast.Return -> NReturn
-  | i ->
-      let id = !next in
-      incr next;
-      NB (i, id)
-
-(* ------------------------------------------------------------------ *)
 (* Global analysis environment                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -434,12 +393,14 @@ type genv = {
   n_imports : int;
   funcs : Ast.func array;
   ftypes : Types.func_type array;  (** per local function *)
-  nodes : node array array;
-  nbasic : int array;
+  code : Code.func array;
+      (** the prepared bodies the engines run: a verdict for
+          [Basic (_, id)] here skips that instruction's check there *)
   blacklist : bool array;
-      (** local functions reachable from the indirect-call table: their
-          prepared bodies may run in instances we did not analyze from
-          [main], so no elision verdicts are recorded for them *)
+      (** local functions the indirect-call table reaches over direct
+          calls ({!Callgraph.reachable}): their bodies may run in
+          instances we did not analyze from [main], so no elision
+          verdicts are recorded for them *)
   verdicts : int array array;  (** 0 unvisited, 1 proven, 2 unproven *)
   bverdicts : int array array;
       (** parallel bounds verdicts: the access interval is proven
@@ -490,30 +451,6 @@ let func_name g fidx =
     match g.funcs.(fidx - g.n_imports).Ast.fname with
     | Some n -> n
     | None -> Printf.sprintf "f%d" fidx
-
-(* Static call edges, for the table-reachability blacklist. *)
-let rec direct_callees acc (is_ : Ast.instr list) =
-  List.fold_left
-    (fun acc (i : Ast.instr) ->
-      match i with
-      | Ast.Call f -> f :: acc
-      | Ast.Block (_, b) | Ast.Loop (_, b) -> direct_callees acc b
-      | Ast.If (_, t, e) -> direct_callees (direct_callees acc t) e
-      | _ -> acc)
-    acc is_
-
-let compute_blacklist (m : Ast.module_) funcs n_imports =
-  let n = Array.length funcs in
-  let bl = Array.make n false in
-  let rec visit fidx =
-    let l = fidx - n_imports in
-    if l >= 0 && l < n && not bl.(l) then begin
-      bl.(l) <- true;
-      List.iter visit (direct_callees [] funcs.(l).Ast.body)
-    end
-  in
-  List.iter (fun (e : Ast.elem) -> List.iter visit e.e_funcs) m.elems;
-  bl
 
 (* ------------------------------------------------------------------ *)
 (* Sites, diagnostics, verdicts                                        *)
@@ -924,23 +861,24 @@ let eval_ibinop st (w : Ast.width) (op : Ast.ibinop) =
 (* The evaluator                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* [eval_seq] threads an optional state through a node sequence; [None]
-   means the abstract path is unreachable (trapped, branched away). *)
-let rec eval_seq fenv frames st nodes =
-  let n = Array.length nodes in
+(* [eval_seq] threads an optional state through a prepared sequence;
+   [None] means the abstract path is unreachable (trapped, branched
+   away). *)
+let rec eval_seq fenv frames st (body : Code.instr array) =
+  let n = Array.length body in
   let rec go i st =
     if i >= n then Some st
     else
-      match eval_node fenv frames st nodes.(i) with
+      match eval_instr fenv frames st body.(i) with
       | None -> None
       | Some st' -> go (i + 1) st'
   in
   go 0 st
 
-and eval_node fenv frames st node =
-  match node with
-  | NB (i, id) -> eval_basic fenv st i id
-  | NBlock (a, body) ->
+and eval_instr fenv frames st (ins : Code.instr) =
+  match ins with
+  | Code.Basic (i, id) -> eval_basic fenv st i id
+  | Code.Block (a, body) ->
       let saved = st.stack in
       let frame = { f_arity = a; f_pend = None } in
       let ft = eval_seq fenv (frame :: frames) { st with stack = [] } body in
@@ -950,7 +888,7 @@ and eval_node fenv frames st node =
       (match join_exit fall frame.f_pend with
       | None -> None
       | Some (vals, s) -> Some { s with stack = vals @ saved })
-  | NIf (a, then_, else_) ->
+  | Code.If (a, then_, else_) ->
       let cond, st = pop st in
       let saved = st.stack in
       let frame = { f_arity = a; f_pend = None } in
@@ -966,7 +904,7 @@ and eval_node fenv frames st node =
       (match join_exit (join_exit rt re) frame.f_pend with
       | None -> None
       | Some (vals, s) -> Some { s with stack = vals @ saved })
-  | NLoop (a, body) ->
+  | Code.Loop (a, body) ->
       let g = fenv.g in
       let saved = st.stack in
       let frame = { f_arity = 0; f_pend = None } in
@@ -996,20 +934,21 @@ and eval_node fenv frames st node =
       (match eval_seq fenv (frame :: frames) stable body with
       | None -> None (* the loop only exits through outer branches *)
       | Some s -> Some { s with stack = take a s.stack @ saved })
-  | NBr k ->
-      branch_join frames k st;
+  | Code.Br l ->
+      branch_join frames l.depth st;
       None
-  | NBrIf k ->
+  | Code.BrIf l ->
       let cond, st = pop st in
       (match refine ~spec:fenv.g.spec cond true st with
-      | Some s -> branch_join frames k s
+      | Some s -> branch_join frames l.depth s
       | None -> ());
       refine ~spec:fenv.g.spec cond false st
-  | NBrTable (ts, d) ->
+  | Code.BrTable (ts, d) ->
       let _, st = pop st in
-      List.iter (fun k -> branch_join frames k st) (d :: ts);
+      branch_join frames d.depth st;
+      Array.iter (fun (l : Code.label) -> branch_join frames l.depth st) ts;
       None
-  | NReturn ->
+  | Code.Return _ ->
       branch_join frames (List.length frames - 1) st;
       None
 
@@ -1019,7 +958,7 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
   | Ast.Nop -> Some st
   | Ast.Block _ | Ast.Loop _ | Ast.If _ | Ast.Br _ | Ast.BrIf _
   | Ast.BrTable _ | Ast.Return ->
-      Some st (* control nodes never reach eval_basic *)
+      Some st (* control instructions never reach eval_basic *)
   | Ast.Drop ->
       let _, st = pop st in
       Some st
@@ -1453,7 +1392,7 @@ and analyze_func g ~path ~active ~depth ~root fidx args live g0 =
   in
   let arity = List.length ft.Types.results in
   let frame = { f_arity = arity; f_pend = None } in
-  let ft_exit = eval_seq fenv [ frame ] st g.nodes.(lidx) in
+  let ft_exit = eval_seq fenv [ frame ] st g.code.(lidx).Code.body in
   let fall =
     Option.map (fun s -> (take arity s.stack, { s with stack = [] })) ft_exit
   in
@@ -1549,28 +1488,22 @@ let analyze ?(spec = false) (m : Ast.module_) : analysis =
   let ftypes =
     Array.map (fun (f : Ast.func) -> Ast.func_type_of m f.Ast.ftype) funcs
   in
-  let nbasic = Array.make (Array.length funcs) 0 in
-  let nodes =
-    Array.mapi
-      (fun i (f : Ast.func) ->
-        let next = ref 0 in
-        let ns = build_block next f.Ast.body in
-        nbasic.(i) <- !next;
-        ns)
-      funcs
-  in
+  let code = Code.prepare m in
   let cg = Callgraph.build m in
+  let rows () = Array.map (fun c -> Array.make c.Code.nbasic 0) code in
   let g =
     {
       m;
       n_imports;
       funcs;
       ftypes;
-      nodes;
-      nbasic;
-      blacklist = compute_blacklist m funcs n_imports;
-      verdicts = Array.map (fun n -> Array.make n 0) nbasic;
-      bverdicts = Array.map (fun n -> Array.make n 0) nbasic;
+      code;
+      blacklist =
+        Array.sub
+          (Callgraph.reachable cg cg.Callgraph.table_targets)
+          n_imports (Array.length funcs);
+      verdicts = rows ();
+      bverdicts = rows ();
       cg;
       summaries = Summary.compute cg;
       frees = Hashtbl.create 64;
@@ -1611,7 +1544,7 @@ let analyze ?(spec = false) (m : Ast.module_) : analysis =
     a_diags = List.sort compare_diag g.diags;
     a_verdicts = g.verdicts;
     a_bverdicts = g.bverdicts;
-    a_nbasic = g.nbasic;
+    a_nbasic = Array.map (fun c -> c.Code.nbasic) code;
     a_entry = entry;
     a_sites = g.all_sites;
     a_frees =

@@ -69,6 +69,19 @@ let indirect_targets t tyidx =
       && Types.func_type_equal (Ast.type_of_func t.m f) ty)
     t.table_targets
 
+(** Which functions [roots] reach over direct calls, roots included,
+    indexed like the module. *)
+let reachable t roots =
+  let seen = Array.make t.n_funcs false in
+  let rec visit f =
+    if f >= 0 && f < t.n_funcs && not seen.(f) then begin
+      seen.(f) <- true;
+      List.iter visit t.callees.(f)
+    end
+  in
+  List.iter visit roots;
+  seen
+
 (** Tarjan SCCs in reverse topological order: for every edge u -> v in
     different components, v's component appears before u's. *)
 let sccs (t : t) : int list list =

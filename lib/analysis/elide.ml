@@ -38,29 +38,16 @@ type plan = {
    survives only if no run refuted it. *)
 let meet_rows a b = Array.map2 (fun ra rb -> Array.map2 max ra rb) a b
 
-let bitsets_of_rows nbasic rows =
-  let proven = ref 0 and considered = ref 0 in
-  let bitsets =
-    Array.mapi
-      (fun i row ->
-        let n = nbasic.(i) in
-        let any = ref false in
-        let b = Bytes.make ((n + 7) / 8) '\000' in
-        Array.iteri
-          (fun id v ->
-            if v > 0 then incr considered;
-            if v = 1 then begin
-              incr proven;
-              any := true;
-              let byte = id lsr 3 in
-              Bytes.set b byte
-                (Char.chr (Char.code (Bytes.get b byte) lor (1 lsl (id land 7))))
-            end)
-          row;
-        if !any then b else Bytes.empty)
-      rows
-  in
-  (bitsets, !proven, !considered)
+(* The plan rows marking every proven (verdict 1) access. *)
+let bitsets_of_rows rows =
+  Array.map
+    (fun row -> Wasm.Code.bitset (Array.length row) (fun id -> row.(id) = 1))
+    rows
+
+let count p rows =
+  Array.fold_left
+    (fun n row -> Array.fold_left (fun n v -> if p v then n + 1 else n) n row)
+    0 rows
 
 let count_spec_unsafe rows met =
   let n = ref 0 in
@@ -79,18 +66,15 @@ let of_analysis ?spec_analysis ?(arena = false) (a : Absint.analysis) : plan =
         let br = meet_rows a.Absint.a_bverdicts sp.Absint.a_bverdicts in
         (tr, br, count_spec_unsafe a.Absint.a_verdicts tr)
   in
-  let bitsets, proven, considered =
-    bitsets_of_rows a.Absint.a_nbasic tag_rows
-  in
-  let bbitsets, bproven, _ = bitsets_of_rows a.Absint.a_nbasic bounds_rows in
+  let bitsets = bitsets_of_rows tag_rows in
   let esc = if arena then Escape.compute a ~bitsets else Escape.no_arena in
   {
     bitsets;
-    bbitsets;
+    bbitsets = bitsets_of_rows bounds_rows;
     arena = esc.Escape.arena;
-    proven;
-    bproven;
-    considered;
+    proven = count (fun v -> v = 1) tag_rows;
+    bproven = count (fun v -> v = 1) bounds_rows;
+    considered = count (fun v -> v > 0) tag_rows;
     spec_unsafe;
     arena_sites = esc.Escape.sites_arena;
     arena_news = esc.Escape.news;

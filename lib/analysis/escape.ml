@@ -33,34 +33,21 @@
 
 type t = {
   arena : Bytes.t array;
-      (** per local function, one bit per basic-instruction id: set on
+      (** per local function, the plan row ({!Wasm.Code.bitset}) of the
           [segment.new]/[segment.free] instructions lowered to arena
-          (tag-write-free) form; shaped like the elision bitsets *)
-  sites_heap : int;  (** heap allocation sites the analysis tracked *)
-  sites_arena : int;  (** of those, proven arena-eligible *)
+          (tag-write-free) form *)
+  sites_arena : int;  (** heap allocation sites proven arena-eligible *)
   news : int;  (** [segment.new] instructions lowered *)
   frees : int;  (** [segment.free] instructions lowered *)
 }
 
 let no_arena =
-  { arena = [||]; sites_heap = 0; sites_arena = 0; news = 0; frees = 0 }
-
-(* Is the tag check at (local function, basic id) elided under the
-   plan's bitsets? Mirrors Wasm.Code.elidable without depending on it. *)
-let elided (bitsets : Bytes.t array) lidx id =
-  lidx >= 0
-  && lidx < Array.length bitsets
-  &&
-  let b = bitsets.(lidx) in
-  let byte = id lsr 3 in
-  byte < Bytes.length b
-  && Char.code (Bytes.get b byte) land (1 lsl (id land 7)) <> 0
+  { arena = [||]; sites_arena = 0; news = 0; frees = 0 }
 
 let compute (a : Absint.analysis) ~(bitsets : Bytes.t array) : t =
   let sites =
     List.filter (fun s -> s.Absint.s_kind = Absint.Heap) a.Absint.a_sites
   in
-  let sites_heap = List.length sites in
   (* initial candidacy from the per-site facts alone *)
   let cand = Hashtbl.create 16 in
   List.iter
@@ -73,7 +60,10 @@ let compute (a : Absint.analysis) ~(bitsets : Bytes.t array) : t =
         && (not s.Absint.s_arena_unsafe)
         && (not s.Absint.s_unproven_access)
         && List.for_all
-             (fun (lidx, id) -> elided bitsets lidx id)
+             (fun (lidx, id) ->
+               lidx >= 0
+               && lidx < Array.length bitsets
+               && Wasm.Code.elidable bitsets.(lidx) id)
              s.Absint.s_accesses
       in
       Hashtbl.replace cand s.Absint.s_id ok)
@@ -112,16 +102,7 @@ let compute (a : Absint.analysis) ~(bitsets : Bytes.t array) : t =
   if sites_arena = 0 then no_arena
   else begin
     let nfuncs = Array.length a.Absint.a_nbasic in
-    let arena =
-      Array.init nfuncs (fun i ->
-          Bytes.make ((a.Absint.a_nbasic.(i) + 7) / 8) '\000')
-    in
-    let set lidx id =
-      let b = arena.(lidx) in
-      let byte = id lsr 3 in
-      Bytes.set b byte
-        (Char.chr (Char.code (Bytes.get b byte) lor (1 lsl (id land 7))))
-    in
+    let lowered = Array.map (fun n -> Array.make n false) a.Absint.a_nbasic in
     (* segment.new: all sites born at the instruction must agree *)
     let by_new = Hashtbl.create 16 in
     List.iter
@@ -137,24 +118,20 @@ let compute (a : Absint.analysis) ~(bitsets : Bytes.t array) : t =
     Hashtbl.iter
       (fun (lidx, id) ok ->
         if ok && lidx < nfuncs then begin
-          set lidx id;
+          lowered.(lidx).(id) <- true;
           incr news
         end)
       by_new;
     List.iter
       (fun (((lidx, id), _) as fr) ->
         if free_lowered fr && lidx >= 0 && lidx < nfuncs then begin
-          set lidx id;
+          lowered.(lidx).(id) <- true;
           incr frees
         end)
       a.Absint.a_frees;
-    (* drop all-zero rows so the runtime's per-function fast path
-       (empty bitset = nothing lowered) stays cheap *)
     let arena =
-      Array.map
-        (fun b ->
-          if Bytes.exists (fun c -> c <> '\000') b then b else Bytes.empty)
-        arena
+      Array.map (fun row -> Wasm.Code.bitset (Array.length row) (Array.get row))
+        lowered
     in
-    { arena; sites_heap; sites_arena; news = !news; frees = !frees }
+    { arena; sites_arena; news = !news; frees = !frees }
   end

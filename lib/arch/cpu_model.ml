@@ -202,7 +202,4 @@ let cortex_a510 = {
 (** The Tensor G3's three core types, in the paper's reporting order. *)
 let tensor_g3 = [ cortex_x3; cortex_a715; cortex_a510 ]
 
-let by_name name =
-  List.find_opt (fun c -> String.equal c.name name) tensor_g3
-
 let pp ppf c = Format.fprintf ppf "%s@%.2fGHz" c.name c.freq_ghz

@@ -102,11 +102,18 @@ let create pol =
   { pol; lanes = [ l0 ]; cur = l0; cur_request = -1; injected = [];
     scribble_at = None }
 
-let count t = List.length t.injected
-let injections t = List.rev t.injected
+(* [inj_index] numbers the log, so its newest entry gives the count. *)
+let count t = match t.injected with [] -> 0 | i :: _ -> i.inj_index + 1
 
-let lane_injections t lane =
-  List.rev (List.filter (fun i -> i.inj_lane = lane) t.injected)
+(* The log is newest first: walking it down to [since] conses the
+   lane's recent entries back into chronological order. *)
+let lane_injections t ~since lane =
+  let rec go acc = function
+    | i :: rest when i.inj_index >= since ->
+        go (if i.inj_lane = lane then i :: acc else acc) rest
+    | _ -> acc
+  in
+  go [] t.injected
 
 let request_injections t req =
   List.rev (List.filter (fun i -> i.inj_request = req) t.injected)
@@ -149,18 +156,12 @@ let set_lane lane =
           t.lanes <- l :: t.lanes;
           t.cur <- l)
 
-let current_lane () =
-  match !hook with None -> 0 | Some t -> t.cur.ln_lane
-
 (** Tag subsequent injections with the serving request id they land in
     (fault→request correlation). The server brackets each [Pool.serve]
     call with [set_request id] / [set_request (-1)]; no-op with no
     engine installed. *)
 let set_request req =
   match !hook with None -> () | Some t -> t.cur_request <- req
-
-let current_request () =
-  match !hook with None -> -1 | Some t -> t.cur_request
 
 let site_probability t site =
   match List.assq_opt site t.pol.site_probability with

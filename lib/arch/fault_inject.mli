@@ -74,14 +74,12 @@ val create : policy -> t
 val count : t -> int
 (** Total injections performed so far, across all lanes. *)
 
-val injections : t -> injection list
-(** Injections performed so far, in chronological order. *)
-
 val lane_count : t -> int -> int
 (** Injections charged to one lane. *)
 
-val lane_injections : t -> int -> injection list
-(** One lane's injections, in chronological order. *)
+val lane_injections : t -> since:int -> int -> injection list
+(** One lane's injections from log position [since] on ({!count} when
+    the caller started watching; 0 for all), in chronological order. *)
 
 val request_injections : t -> int -> injection list
 (** Injections tagged with one serving request id, in chronological
@@ -103,18 +101,11 @@ val set_lane : int -> unit
     invocation boundaries with the instance's stable spawn ordinal;
     no-op when no engine is installed. Lane 0 is the ambient default. *)
 
-val current_lane : unit -> int
-(** The lane draws currently land in (0 when no engine is installed). *)
-
 val set_request : int -> unit
 (** Tag subsequent injections with a serving request id ([-1] clears).
     The serving runtime brackets each request execution with this so a
     chaos run can report which request every injection landed in;
     no-op when no engine is installed. *)
-
-val current_request : unit -> int
-(** The request id injections are currently tagged with ([-1] when none
-    or no engine). *)
 
 (** {1 Hook API — called from the hardware models} *)
 

@@ -55,8 +55,6 @@ let kind_to_string = function
   | Branch -> "branch" | BranchIndirect -> "br-ind" | Cmp -> "cmp"
   | Csel -> "csel" | Nop -> "nop"
 
-let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
-
 (** All Table 1 instruction kinds, in the paper's row order. *)
 let table1_kinds =
   [ Irg; Addg; Subg; Subp; Subps; Stg; St2g; Stzg; St2zg; Stgp; Ldg;
@@ -96,9 +94,3 @@ let data_bytes_written = function
   | Stgp -> 16
   | _ -> 0
 
-(** Granules whose allocation tag this instruction writes; each granule
-    costs 4 bits (1/2 byte) of tag PA-space traffic. *)
-let tag_granules_written = function
-  | Stg | Stzg | Stgp -> 1
-  | St2g | St2zg -> 2
-  | _ -> 0

@@ -28,7 +28,7 @@ let pp_fault ppf f =
     f.mem_tag
 
 type t = {
-  mutable mode : mode;
+  mode : mode;
   mutable tags : Tag_memory.t;
   mutable pending : fault option;
   mutable checks : int;
@@ -36,7 +36,6 @@ type t = {
 
 let create ?(mode = Sync) tags = { mode; tags; pending = None; checks = 0 }
 let mode t = t.mode
-let set_mode t m = t.mode <- m
 let tag_memory t = t.tags
 let set_tag_memory t tags = t.tags <- tags
 

@@ -37,7 +37,6 @@ val create : ?mode:mode -> Tag_memory.t -> t
 (** Checker over the given tag space; [mode] defaults to [Sync]. *)
 
 val mode : t -> mode
-val set_mode : t -> mode -> unit
 val tag_memory : t -> Tag_memory.t
 val set_tag_memory : t -> Tag_memory.t -> unit
 (** Rebind after a [Tag_memory.grow]. *)

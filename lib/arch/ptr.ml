@@ -1,10 +1,8 @@
 type t = int64
 
-let addr_bits = 48
 let addr_mask = 0xffff_ffff_ffffL
 let tag_shift = 56
 let tag_mask = Int64.shift_left 0xfL tag_shift
-let kernel_bit = Int64.shift_left 1L 55
 
 let address p = Int64.logand p addr_mask
 
@@ -21,7 +19,6 @@ let with_tag p t =
     (Int64.shift_left (Int64.of_int (Tag.to_int t)) tag_shift)
 
 let untagged p = with_tag p Tag.zero
-let is_kernel p = Int64.logand p kernel_bit <> 0L
 
 type pac_layout = { mte_enabled : bool }
 

@@ -15,9 +15,6 @@
 type t = int64
 (** A raw 64-bit pointer value. *)
 
-val addr_bits : int
-(** Number of address bits (48). *)
-
 val address : t -> int64
 (** [address p] is [p] with all metadata bits (48-63) cleared. *)
 
@@ -34,9 +31,6 @@ val with_tag : t -> Tag.t -> t
 
 val untagged : t -> t
 (** [p] with the MTE tag field cleared (logical tag 0). *)
-
-val is_kernel : t -> bool
-(** Whether bit 55 is set. *)
 
 (** {1 PAC signature fields} *)
 

@@ -108,10 +108,6 @@ let expansion (cfg : Config.t) (m : Wasm.Meter.t) : (Insn.kind * float) list =
   in
   base @ sandbox_insns @ segment_insns @ pac_insns
 
-(** Total native instructions after expansion. *)
-let native_instructions cfg m =
-  List.fold_left (fun acc (_, c) -> acc +. c) 0.0 (expansion cfg m)
-
 (** Price a metered run on [cpu] under configuration [cfg], in cycles. *)
 let cycles (cpu : Cpu_model.t) (cfg : Config.t) (m : Wasm.Meter.t) : float =
   let mix = expansion cfg m in

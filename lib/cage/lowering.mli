@@ -16,9 +16,6 @@ val expansion :
     authentication is on. Sandbox checks are priced separately (see
     {!cycles}) because out-of-order cores speculate through them. *)
 
-val native_instructions : Config.t -> Wasm.Meter.t -> float
-(** Total native instructions after expansion. *)
-
 val cycles : Arch.Cpu_model.t -> Config.t -> Wasm.Meter.t -> float
 (** Price a metered run on [cpu] under [cfg], in cycles:
     throughput-limited issue + exposed divide latency + indirect-call

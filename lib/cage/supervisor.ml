@@ -65,7 +65,9 @@ type post_mortem = {
   pm_ops : int;                  (** meter snapshot: total events *)
   pm_mem_accesses : int;
   pm_fuel_left : int;            (** remaining watchdog budget, -1 if off *)
-  pm_injections : string list;   (** chaos injections active at crash *)
+  pm_injections : string list;
+      (** chaos injections charged to the crashed instance's lane since
+          the invocation began *)
   pm_trace : string list;
       (** black-box flight recording: the last K trace events before the
           crash, oldest first — empty when no tracer was installed *)
@@ -178,7 +180,7 @@ let retain t id pm =
   end
   else t.quarantined <- q
 
-let snapshot ?(black_box = 0) (inst : Wasm.Instance.t) cls msg =
+let snapshot ~black_box ~injections (inst : Wasm.Instance.t) cls msg =
   let mode =
     match inst.Wasm.Instance.mte with
     | Some m -> Arch.Mte.mode m
@@ -196,14 +198,6 @@ let snapshot ?(black_box = 0) (inst : Wasm.Instance.t) cls msg =
     match inst.Wasm.Instance.meter with
     | Some m -> (Wasm.Meter.total m, Wasm.Meter.mem_accesses m)
     | None -> (0, 0)
-  in
-  let injections =
-    match Arch.Fault_inject.active () with
-    | None -> []
-    | Some e ->
-        List.map
-          (Format.asprintf "%a" Arch.Fault_inject.pp_injection)
-          (Arch.Fault_inject.injections e)
   in
   {
     pm_class = cls;
@@ -229,14 +223,21 @@ let snapshot ?(black_box = 0) (inst : Wasm.Instance.t) cls msg =
 let run_thunk t (inst : Wasm.Instance.t) f =
   if is_quarantined t inst then
     Crashed
-      (snapshot ~black_box:t.black_box inst Quarantine
+      (snapshot ~black_box:t.black_box ~injections:[] inst Quarantine
          (Printf.sprintf "instance %d is quarantined" inst.Wasm.Instance.id))
   else begin
     (* Every draw the chaos engine makes during this invocation is
        charged to (and randomized by) this instance's stable lane, so
        pool-concurrent runs replay identical per-instance fault
-       sequences regardless of dispatch order. *)
-    Arch.Fault_inject.set_lane (Process.lane t.process inst);
+       sequences regardless of dispatch order. A crash reports only
+       that lane's injections from the log position seen here: one
+       engine spans every instance of a process, or of a serving run. *)
+    let lane = Process.lane t.process inst in
+    Arch.Fault_inject.set_lane lane;
+    let since =
+      Option.fold ~none:0 ~some:Arch.Fault_inject.count
+        (Arch.Fault_inject.active ())
+    in
     if Obs.Hook.enabled () then Obs.Hook.set_instance inst.Wasm.Instance.id;
     inst.Wasm.Instance.fuel <- t.fuel_budget;
     inst.Wasm.Instance.last_fault <- None;
@@ -254,7 +255,15 @@ let run_thunk t (inst : Wasm.Instance.t) f =
       if Obs.Hook.enabled () then
         Obs.Hook.event
           (Obs.Event.Crash { cls = fault_class_to_string cls; msg });
-      let pm = snapshot ~black_box:t.black_box inst cls msg in
+      let injections =
+        match Arch.Fault_inject.active () with
+        | None -> []
+        | Some e ->
+            List.map
+              (Format.asprintf "%a" Arch.Fault_inject.pp_injection)
+              (Arch.Fault_inject.lane_injections e ~since lane)
+      in
+      let pm = snapshot ~black_box:t.black_box ~injections inst cls msg in
       inst.Wasm.Instance.fuel <- -1;
       inst.Wasm.Instance.call_stack <- [];
       retain t inst.Wasm.Instance.id pm;

@@ -43,7 +43,9 @@ type post_mortem = {
   pm_ops : int;                  (** meter snapshot: total events *)
   pm_mem_accesses : int;
   pm_fuel_left : int;            (** remaining watchdog budget, -1 if off *)
-  pm_injections : string list;   (** chaos injections active at crash *)
+  pm_injections : string list;
+      (** chaos injections charged to the crashed instance's lane since
+          the invocation began; none for a quarantine refusal *)
   pm_trace : string list;
       (** black-box flight recording: the last K trace events before the
           crash, oldest first — empty when no tracer was installed *)

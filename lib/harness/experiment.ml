@@ -9,7 +9,6 @@
 open Workloads
 
 let cores = Arch.Cpu_model.tensor_g3
-let core_names = List.map (fun c -> c.Arch.Cpu_model.name) cores
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 14: PolyBench runtime overheads                                *)

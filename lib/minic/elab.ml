@@ -103,8 +103,6 @@ let mem_of_cty env line : Cst.ty -> Ir.mem_ty = function
   | TArray _ | TStruct _ | TVoid ->
       err line "cannot load/store aggregate directly"
 
-let mem_of_ptr env : Ir.mem_ty = if env.ptr64 then Ir.M64 else Ir.M32
-
 let is_integer = function
   | Cst.TChar | TInt | TUInt | TLong | TULong -> true
   | _ -> false

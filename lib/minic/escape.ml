@@ -79,5 +79,3 @@ let analyse_func (f : func) =
     | None -> ()
   in
   List.iter (walk_stmt ~mark) f.fn_body
-
-let analyse (p : program) = List.iter analyse_func p.pr_funcs

@@ -136,12 +136,6 @@ type program = {
   pr_ptr64 : bool;
 }
 
-(** The pointer value type of a program. *)
-let ptr_ty (p : program) = if p.pr_ptr64 then I64 else I32
-
-let find_func p name =
-  List.find_opt (fun f -> String.equal f.fn_name name) p.pr_funcs
-
 let table_index p name =
   let rec go i = function
     | [] -> None

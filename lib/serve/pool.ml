@@ -151,14 +151,6 @@ let heals_deferred t = t.pl_heals_deferred
 (** Total metered guest cycles across every request served so far. *)
 let served_cycles t = t.pl_served_cycles
 
-let count state t =
-  Array.fold_left
-    (fun n s -> if s.sl_state = state then n + 1 else n)
-    0 t.pl_slots
-
-let idle_count = count Idle
-let quarantined_count = count Quarantined
-
 (* Restore [s]'s image and return the modeled price of the copy. *)
 let restore_slot t s =
   let copied = Snapshot.restore_copied s.sl_snapshot s.sl_inst in

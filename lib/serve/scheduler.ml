@@ -123,7 +123,6 @@ let create ~cores ~quantum =
     core_busy = Array.make cores false; busy = 0; max_ready = 0 }
 
 let max_ready t = t.max_ready
-let in_flight t = t.busy + Queue.length t.ready
 
 (** Enqueue a request whose measured demand is [demand] cycles.
     [span] carries the request's trace context, if any. *)

@@ -148,10 +148,3 @@ let type_of_func (m : module_) i =
   if i < ni then func_type_of m (List.nth m.imports i).im_type
   else func_type_of m (List.nth m.funcs (i - ni)).ftype
 
-(** Whether an instruction is a Cage extension instruction (used by the
-    validator to reject them when the feature is disabled). *)
-let is_cage_instr = function
-  | SegmentNew _ | SegmentSetTag _ | SegmentFree _ | PointerSign
-  | PointerAuth ->
-      true
-  | _ -> false

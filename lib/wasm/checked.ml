@@ -124,17 +124,16 @@ let check_tags_native (inst : Instance.t) access ~(addr : int) ~tag ~(len : int)
       | Arch.Mte.Allowed | Arch.Mte.Deferred _ -> ()
       | Arch.Mte.Faulted f -> raise_tag_fault inst f)
 
-(* An elided access: the static analyzer proved the span in-bounds on a
-   definitely-live segment, so the MTE granule check (and its span-check
-   observability event) is skipped. The bounds check stays — elision
-   removes the {e tag} check only, never the sandbox. *)
+(* A tag-elided access: the static analyzer proved the span in-bounds
+   on a definitely-live segment, so the MTE granule check (and its
+   span-check observability event) is skipped. *)
 let note_elided (inst : Instance.t) =
   (match inst.meter with
   | Some m -> m.Meter.elided_checks <- m.Meter.elided_checks + 1
   | None -> ());
   if Obs.Hook.enabled () then Obs.Hook.event Obs.Event.Check_elided
 
-(* A bounds-elided access: the analyzer proved the span inside a
+(* A span-elided access: the analyzer proved the span inside a
    successfully created segment, and a created segment lies inside
    linear memory, so the sandbox span check is also redundant. *)
 let note_ebounds (inst : Instance.t) =
@@ -142,6 +141,26 @@ let note_ebounds (inst : Instance.t) =
   | Some m -> m.Meter.elided_bounds <- m.Meter.elided_bounds + 1
   | None -> ());
   if Obs.Hook.enabled () then Obs.Hook.event Obs.Event.Bounds_elided
+
+(** The scalar check policy for a [len]-byte access, the interpreter's
+    one copy of {!Compile.access}'s: the span check unless [ebounds],
+    then the granule check unless [elide]. Events come in this order:
+    with the span elided, [Check_elided] (if [elide]) then
+    [Bounds_elided]; otherwise the bounds trap, then [Check_elided] or
+    the span-check event. The granule check comes last, and with the
+    span elided its tag-plane read is safe precisely because the span
+    is proven in-memory. *)
+let check ~elide ~ebounds (inst : Instance.t) mem access ~addr ~tag ~len =
+  if ebounds then begin
+    if elide then note_elided inst;
+    note_ebounds inst
+  end
+  else begin
+    if not (Memory.in_bounds mem ~addr ~len) then
+      trap "bounds: out of bounds memory access";
+    if elide then note_elided inst else Obs.Hook.span_check len
+  end;
+  if not elide then check_tags inst access ~addr ~tag ~len:(Int64.of_int len)
 
 let meter_load (inst : Instance.t) ~len =
   match inst.meter with
@@ -157,75 +176,15 @@ let meter_store (inst : Instance.t) ~len =
       m.Meter.store_bytes <- m.Meter.store_bytes + len
   | None -> ()
 
-(** Bounds + tag check + metering for a scalar load of [len] bytes. *)
-let load_checked (inst : Instance.t) mem ~addr ~tag ~len =
-  if not (Memory.in_bounds mem ~addr ~len) then
-    trap "bounds: out of bounds memory access";
-  Obs.Hook.span_check len;
-  check_tags inst Arch.Mte.Load ~addr ~tag ~len:(Int64.of_int len);
+(** Checks + metering for a scalar load of [len] bytes; [elide] skips
+    the tag check and [ebounds] the span check (see {!check}). *)
+let load ~elide ~ebounds inst mem ~addr ~tag ~len =
+  check ~elide ~ebounds inst mem Arch.Mte.Load ~addr ~tag ~len;
   meter_load inst ~len
 
-(** The elided-load fast path: the static analyzer proved the access
-    safe, so only the bounds check and the metering remain — no tag
-    lookup, no span event. The threaded engine bakes the choice between
-    this and {!load_checked} into the compiled op, so the per-access
-    elision branch disappears entirely. *)
-let load_elided (inst : Instance.t) mem ~addr ~len =
-  if not (Memory.in_bounds mem ~addr ~len) then
-    trap "bounds: out of bounds memory access";
-  note_elided inst;
-  meter_load inst ~len
-
-let store_checked (inst : Instance.t) mem ~addr ~tag ~len =
-  if not (Memory.in_bounds mem ~addr ~len) then
-    trap "bounds: out of bounds memory access";
-  Obs.Hook.span_check len;
-  check_tags inst Arch.Mte.Store ~addr ~tag ~len:(Int64.of_int len);
+let store ~elide ~ebounds inst mem ~addr ~tag ~len =
+  check ~elide ~ebounds inst mem Arch.Mte.Store ~addr ~tag ~len;
   meter_store inst ~len
-
-let store_elided (inst : Instance.t) mem ~addr ~len =
-  if not (Memory.in_bounds mem ~addr ~len) then
-    trap "bounds: out of bounds memory access";
-  note_elided inst;
-  meter_store inst ~len
-
-(** Bounds + tag check + metering for a scalar load of [len] bytes.
-    [~elide:true] skips the tag check (statically proven safe);
-    [~ebounds:true] also skips the span check (full-check elision:
-    the access is proven inside a created segment, which is itself
-    inside linear memory). *)
-let load ?(elide = false) ?(ebounds = false) (inst : Instance.t) mem ~addr
-    ~tag ~len =
-  match (elide, ebounds) with
-  | true, true ->
-      note_elided inst;
-      note_ebounds inst;
-      meter_load inst ~len
-  | true, false -> load_elided inst mem ~addr ~len
-  | false, true ->
-      (* bounds proven but the tag is not: the granule check stays,
-         and its tag-plane read is safe precisely because the span is
-         proven in-memory *)
-      note_ebounds inst;
-      check_tags inst Arch.Mte.Load ~addr ~tag ~len:(Int64.of_int len);
-      meter_load inst ~len
-  | false, false -> load_checked inst mem ~addr ~tag ~len
-
-(** Bounds + tag check + metering for a scalar store of [len] bytes.
-    [~elide]/[~ebounds] as in {!load}. *)
-let store ?(elide = false) ?(ebounds = false) (inst : Instance.t) mem ~addr
-    ~tag ~len =
-  match (elide, ebounds) with
-  | true, true ->
-      note_elided inst;
-      note_ebounds inst;
-      meter_store inst ~len
-  | true, false -> store_elided inst mem ~addr ~len
-  | false, true ->
-      note_ebounds inst;
-      check_tags inst Arch.Mte.Store ~addr ~tag ~len:(Int64.of_int len);
-      meter_store inst ~len
-  | false, false -> store_checked inst mem ~addr ~tag ~len
 
 (* ------------------------------------------------------------------ *)
 (* Bulk operations                                                     *)

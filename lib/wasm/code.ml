@@ -1,4 +1,5 @@
-(** Prepared (pre-compiled) function bodies.
+(** Prepared (pre-compiled) function bodies: the one program form that
+    both engines and the static analyzer walk.
 
     The interpreter used to carry a [int list] of label arities at run
     time and look branch targets up with [List.nth] on every
@@ -6,12 +7,17 @@
     the hottest control-flow path, with a silent [with _ -> 0] fallback
     that let malformed label indices corrupt the operand stack.
 
-    This module resolves all of that once, at instantiation: every
-    branch carries its target depth {e and} the label's arity; br_table
-    target lists become arrays (O(1) selection). Bodies are validated
-    before they are prepared, so every label index names an enclosing
-    block. Non-control instructions are embedded unchanged as {!Basic},
-    so the numeric/memory dispatch in the interpreter is untouched. *)
+    This module resolves all of that once: every branch carries its
+    target depth {e and} the label's arity; br_table target lists become
+    arrays (O(1) selection). Bodies are validated before they are
+    prepared, so every label index names an enclosing block.
+    Non-control instructions are embedded unchanged as {!Basic}, so the
+    numeric/memory dispatch in the interpreter is untouched.
+
+    {!prepare} is the only place instruction ids are assigned, and this
+    module owns the layout of the analyzer's plan rows: {!bitset}
+    writes them and {!elidable} reads them, so a static proof for id
+    [n] in {!Analysis} skips the check of exactly [Basic (_, n)]. *)
 
 type label = { depth : int; arity : int }
 
@@ -19,11 +25,11 @@ type instr =
   | Basic of Ast.instr * int
       (** no intra-function control flow; the [int] is the instruction's
           preorder id within its function (list order, block/loop bodies
-          recursed, [if] then-branch before else-branch — the exact
-          numbering {!Analysis} replicates over the AST, so a static
-          elision proof for id [n] applies to this instruction) *)
+          recursed, [if] then-branch before else-branch) *)
   | Block of int * instr array  (** label arity, body *)
-  | Loop of instr array  (** loop labels have arity 0 (MVP shorthand) *)
+  | Loop of int * instr array
+      (** block arity (what falls through), body; a branch to a loop
+          label carries nothing (MVP shorthand) *)
   | If of int * instr array * instr array
   | Br of label
   | BrIf of label
@@ -33,11 +39,12 @@ type instr =
 type func = {
   body : instr array;
   result_arity : int;
+  nbasic : int;  (** basic instructions, so ids run over [0, nbasic) *)
   elide : Bytes.t;
-      (** bitset over basic-instruction ids (byte [id/8], bit [id mod 8]):
-          a set bit means a whole-module analysis proved this load/store
-          in-bounds on a definitely-live segment, so the MTE granule
-          check may be skipped. [Bytes.empty] = no elision. *)
+      (** plan row over basic-instruction ids (see {!bitset}): a set bit
+          means a whole-module analysis proved this load/store in-bounds
+          on a definitely-live segment, so the MTE granule check may be
+          skipped. [Bytes.empty] = no elision. *)
   belide : Bytes.t;
       (** same shape, for the span (bounds) check: a set bit means the
           access was proven inside a successfully created segment, so
@@ -73,7 +80,8 @@ and prepare_instr next arities : Ast.instr -> instr = function
   | Ast.Block (bt, body) ->
       let a = block_arity bt in
       Block (a, prepare_block next (a :: arities) body)
-  | Ast.Loop (_, body) -> Loop (prepare_block next (0 :: arities) body)
+  | Ast.Loop (bt, body) ->
+      Loop (block_arity bt, prepare_block next (0 :: arities) body)
   | Ast.If (bt, then_, else_) ->
       let a = block_arity bt in
       let arities = a :: arities in
@@ -91,23 +99,43 @@ and prepare_instr next arities : Ast.instr -> instr = function
       incr next;
       Basic (i, id)
 
-(** True when basic-instruction id [id] is marked elidable in [elide]. *)
-let elidable elide id =
+(** True when basic-instruction id [id] is marked in plan row [row]. *)
+let elidable row id =
   let byte = id lsr 3 in
-  byte < Bytes.length elide
-  && Char.code (Bytes.unsafe_get elide byte) land (1 lsl (id land 7)) <> 0
+  byte < Bytes.length row
+  && Char.code (Bytes.unsafe_get row byte) land (1 lsl (id land 7)) <> 0
 
-(** Prepare a validated function body whose type has [result_arity]
-    results.
-    [elide]/[belide]/[arena], when given, are the per-function bitsets
-    produced by the static analyzer (see {!elidable}). *)
-let prepare ?(elide = Bytes.empty) ?(belide = Bytes.empty)
-    ?(arena = Bytes.empty) ~result_arity (body : Ast.instr list) : func =
-  let next = ref 0 in
-  {
-    body = prepare_block next [ result_arity ] body;
-    result_arity;
-    elide;
-    belide;
-    arena;
-  }
+(** The plan row over [n] basic instructions that marks every id [mark]
+    holds for (byte [id/8], bit [id mod 8]); [Bytes.empty] when it
+    marks none, so an unplanned function pays nothing. *)
+let bitset n mark =
+  let row = Bytes.make ((n + 7) / 8) '\000' in
+  let any = ref false in
+  for id = 0 to n - 1 do
+    if mark id then begin
+      any := true;
+      let byte = id lsr 3 in
+      Bytes.set row byte
+        (Char.chr (Char.code (Bytes.get row byte) lor (1 lsl (id land 7))))
+    end
+  done;
+  if !any then row else Bytes.empty
+
+(** Prepare every local function of a validated module, in function
+    index order (imports excluded). [elide]/[belide]/[arena], when
+    given, are the static analyzer's plan rows, indexed the same way;
+    a function past the end of an array gets no row. *)
+let prepare ?(elide = [||]) ?(belide = [||]) ?(arena = [||])
+    (m : Ast.module_) : func array =
+  let row plan j = if j < Array.length plan then plan.(j) else Bytes.empty in
+  Array.of_list
+    (List.mapi
+       (fun j (f : Ast.func) ->
+         let result_arity =
+           List.length (Ast.func_type_of m f.ftype).Types.results
+         in
+         let next = ref 0 in
+         let body = prepare_block next [ result_arity ] f.body in
+         { body; result_arity; nbasic = !next; elide = row elide j;
+           belide = row belide j; arena = row arena j })
+       m.funcs)

@@ -193,7 +193,7 @@ let[@inline] note_span_elided (m : Meter.t) =
   if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Bounds_elided
 
 (* Resolve the address operand [src] plus [off] and apply the check
-   policy to a [len]-byte access, in [Checked.load]'s event order; the
+   policy to a [len]-byte access, in [Checked.check]'s event order; the
    result is the native effective address. [w32] selects the wasm32
    address path (zero-extend, tag zero), [te] elides the tag check and
    [be] the span check; all three must be literals at every call site,
@@ -1425,7 +1425,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         fr.l_target := !count;
         h := fr.l_height + arity;
         ft || fr.l_reached
-    | Code.Loop inner ->
+    | Code.Loop (_, inner) ->
         enter ();
         (* back-edges land after the entry tick: the interpreter ticks a
            Loop node once, not per iteration *)
@@ -1561,22 +1561,15 @@ let compile_instance (inst : Instance.t) =
     [cagec --Wfusion] entry point. Returns per-function stats in
     function-index order (local functions only). [elide] is the static
     analyzer's bitset array, as passed to instantiation. *)
-let module_stats ?(elide = [||]) ?(belide = [||]) ?(arena = [||])
-    (m : Ast.module_) : Xcode.stats list =
+let module_stats ?elide ?belide ?arena (m : Ast.module_) : Xcode.stats list =
+  let codes = Code.prepare ?elide ?belide ?arena m in
   List.mapi
     (fun j (f : Ast.func) ->
       let ty = List.nth m.types f.ftype in
-      let row a = if j < Array.length a then a.(j) else Bytes.empty in
-      let code =
-        Code.prepare ~elide:(row elide) ~belide:(row belide)
-          ~arena:(row arena)
-          ~result_arity:(List.length ty.results)
-          f.body
-      in
       let name =
         match f.fname with
         | Some n -> n
         | None -> Printf.sprintf "f%d" (Ast.num_imports m + j)
       in
-      snd (compile ~m ~name ~ty ~func:f ~code ~mtr:(Meter.create ())))
+      snd (compile ~m ~name ~ty ~func:f ~code:codes.(j) ~mtr:(Meter.create ())))
     m.funcs

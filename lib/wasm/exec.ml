@@ -60,7 +60,7 @@ let popn stack n =
    violation and reported as such regardless of tag state), then the
    MTE tag check, then metering. *)
 
-let do_load ?elide ?ebounds (inst : Instance.t) stack (ty : Types.num_type)
+let do_load ~elide ~ebounds (inst : Instance.t) stack (ty : Types.num_type)
     pack (ma : Ast.memarg) =
   let mem = memory inst in
   let addr, tag = Checked.resolve_addr (pop stack) ma.offset in
@@ -69,7 +69,7 @@ let do_load ?elide ?ebounds (inst : Instance.t) stack (ty : Types.num_type)
     | None -> ( match ty with I32 | F32 -> 4 | I64 | F64 -> 8)
     | Some (p, _) -> ( match p with Ast.Pack8 -> 1 | Pack16 -> 2 | Pack32 -> 4)
   in
-  Checked.load ?elide ?ebounds inst mem ~addr ~tag ~len:size;
+  Checked.load ~elide ~ebounds inst mem ~addr ~tag ~len:size;
   let v =
     try
       match (ty, pack) with
@@ -95,7 +95,7 @@ let do_load ?elide ?ebounds (inst : Instance.t) stack (ty : Types.num_type)
   in
   push stack v
 
-let do_store ?elide ?ebounds (inst : Instance.t) stack (ty : Types.num_type)
+let do_store ~elide ~ebounds (inst : Instance.t) stack (ty : Types.num_type)
     pack (ma : Ast.memarg) =
   let mem = memory inst in
   let v = pop stack in
@@ -105,7 +105,7 @@ let do_store ?elide ?ebounds (inst : Instance.t) stack (ty : Types.num_type)
     | None -> ( match ty with I32 | F32 -> 4 | I64 | F64 -> 8)
     | Some p -> ( match p with Ast.Pack8 -> 1 | Pack16 -> 2 | Pack32 -> 4)
   in
-  Checked.store ?elide ?ebounds inst mem ~addr ~tag ~len:size;
+  Checked.store ~elide ~ebounds inst mem ~addr ~tag ~len:size;
   try
     match (ty, pack, v) with
     | I32, None, Values.I32 x -> Memory.store_i32 mem addr x
@@ -144,7 +144,7 @@ and eval_instr (inst : Instance.t) ~depth ~fn locals stack
   match ins with
   | Code.Basic (i, id) -> eval_basic inst ~depth ~fn locals stack i id
   | Code.Block (_, body) -> block inst ~depth ~fn locals stack body
-  | Code.Loop body ->
+  | Code.Loop (_, body) ->
       (* a back-edge drops whatever the body left above the entry
          stack, exactly as a branch to a block does *)
       let entry = !stack in
@@ -542,10 +542,12 @@ let instantiate ?(config = Instance.default_config)
       fuel = config.fuel;
       call_stack = [];
       last_fault = None;
-      engine = config.engine;
     }
   in
   let n_imports = List.length m.imports in
+  let codes =
+    Code.prepare ~elide:config.elide ~belide:config.belide ~arena:config.arena m
+  in
   let funcs =
     Array.init
       (n_imports + List.length m.funcs)
@@ -554,15 +556,9 @@ let instantiate ?(config = Instance.default_config)
         else
           let f = List.nth m.funcs (i - n_imports) in
           let ty = List.nth m.types f.ftype in
-          let j = i - n_imports in
-          let row a = if j < Array.length a then a.(j) else Bytes.empty in
-          let code =
-            Code.prepare ~elide:(row config.elide) ~belide:(row config.belide)
-              ~arena:(row config.arena)
-              ~result_arity:(List.length ty.results)
-              f.body
-          in
-          Wasm_func { inst_id = id; func = f; ty; code; xcode = None })
+          Wasm_func
+            { inst_id = id; func = f; ty; code = codes.(i - n_imports);
+              xcode = None })
   in
   let inst = { inst with funcs } in
   if config.engine = Threaded then Compile.compile_instance inst;

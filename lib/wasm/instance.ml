@@ -66,7 +66,6 @@ and t = {
       (** structured record of the most recent tag fault raised as a
           trap — the faulting address / tags / access kind a post-mortem
           reports without re-parsing the trap message *)
-  engine : engine;  (** which execution engine drives this instance *)
 }
 
 (** Runtime configuration for instantiation, reflecting the Table 3

@@ -19,10 +19,6 @@ let pp_val_type = pp_num_type
 (** Function types: parameter and result lists. *)
 type func_type = { params : val_type list; results : val_type list }
 
-let pp_func_type ppf { params; results } =
-  let pp_list = Format.(pp_print_list ~pp_sep:pp_print_space pp_val_type) in
-  Format.fprintf ppf "[%a] -> [%a]" pp_list params pp_list results
-
 let func_type_equal a b = a.params = b.params && a.results = b.results
 
 (** Memory index type: wasm32 uses 32-bit indices (and can be sandboxed

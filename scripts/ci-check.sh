@@ -36,6 +36,12 @@ echo "== cage-lint (golden diff: quickstart + CVE suite)"
 } > _build/lint.out
 diff test/golden/lint.golden _build/lint.out
 
+echo "== cage-lint --Wspectre (golden diff: CVE suite + PolyBench, speculative analysis)"
+{ dune exec bin/cage_lint.exe -- --cve-suite --Wspectre
+  dune exec bin/cage_lint.exe -- --polybench --Wspectre
+} > _build/lint_wspectre.out
+diff test/golden/lint_wspectre.golden _build/lint_wspectre.out
+
 echo "== check-elision differential (200 seeded programs)"
 dune exec bin/cage_chaos.exe -- elidediff --count 200
 

@@ -23,6 +23,11 @@ echo "== test/golden/lint.golden"
   dune exec bin/cage_lint.exe -- --cve-suite
 } > test/golden/lint.golden
 
+echo "== test/golden/lint_wspectre.golden"
+{ dune exec bin/cage_lint.exe -- --cve-suite --Wspectre
+  dune exec bin/cage_lint.exe -- --polybench --Wspectre
+} > test/golden/lint_wspectre.golden
+
 echo "== test/golden/lint.json.golden"
 dune exec bin/cage_lint.exe -- examples/quickstart.c --json \
   > test/golden/lint.json.golden

@@ -154,6 +154,79 @@ let test_elide_plan_nonempty () =
   Alcotest.(check bool) "proven <= considered" true
     (p.Analysis.Elide.proven <= p.Analysis.Elide.considered)
 
+(* Every bit of a plan names the instruction whose check it skips:
+   tag and span bits sit on scalar loads/stores, every tag bit has its
+   span bit, and arena bits sit on segment.new/segment.free. The rows
+   are read back through the bodies the engines run, so a numbering
+   drift between the analyzer and [Code.prepare] fails here. *)
+let test_plan_bits_name_instructions () =
+  let cfg =
+    Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.mem_safety)
+  in
+  let sources =
+    List.map
+      (fun (k : Workloads.Polybench.kernel) -> (k.k_name, k.k_source))
+      Workloads.Polybench.all
+    @ List.init 200 (fun seed ->
+          ( Printf.sprintf "fuzzgen seed %d" seed,
+            Workloads.Fuzzgen.render (Workloads.Fuzzgen.generate ~seed) ))
+  in
+  let tags = ref 0 and spans = ref 0 and arenas = ref 0 in
+  List.iter
+    (fun (name, source) ->
+      let m = compile ~cfg source in
+      let c = Cage.Config.instance_config ~m cfg in
+      let codes =
+        Wasm.Code.prepare ~elide:c.Wasm.Instance.elide
+          ~belide:c.Wasm.Instance.belide ~arena:c.Wasm.Instance.arena m
+      in
+      Array.iteri
+        (fun f (code : Wasm.Code.func) ->
+          let instrs = Array.make code.Wasm.Code.nbasic Wasm.Ast.Nop in
+          let rec walk body =
+            Array.iter
+              (function
+                | Wasm.Code.Basic (i, id) -> instrs.(id) <- i
+                | Wasm.Code.Block (_, b) | Wasm.Code.Loop (_, b) -> walk b
+                | Wasm.Code.If (_, t, e) -> walk t; walk e
+                | _ -> ())
+              body
+          in
+          walk code.Wasm.Code.body;
+          let fail id what =
+            Alcotest.failf "%s: function %d, instruction %d: %s" name f id what
+          in
+          let bits row count ok what =
+            for id = 0 to (8 * Bytes.length row) - 1 do
+              if Wasm.Code.elidable row id then begin
+                incr count;
+                if id >= code.Wasm.Code.nbasic || not (ok instrs.(id)) then
+                  fail id what
+              end
+            done
+          in
+          let access = function
+            | Wasm.Ast.Load _ | Wasm.Ast.Store _ -> true
+            | _ -> false
+          in
+          bits code.Wasm.Code.elide tags access "tag bit off a load/store";
+          bits code.Wasm.Code.belide spans access "span bit off a load/store";
+          bits code.Wasm.Code.arena arenas
+            (function
+              | Wasm.Ast.SegmentNew _ | Wasm.Ast.SegmentFree _ -> true
+              | _ -> false)
+            "arena bit off a segment.new/segment.free";
+          for id = 0 to code.Wasm.Code.nbasic - 1 do
+            if Wasm.Code.elidable code.Wasm.Code.elide id
+               && not (Wasm.Code.elidable code.Wasm.Code.belide id)
+            then fail id "tag bit without its span bit"
+          done)
+        codes)
+    sources;
+  Alcotest.(check bool) "the plans elide tag and span checks" true
+    (!tags > 0 && !spans >= !tags);
+  Alcotest.(check bool) "the plans lower some segments" true (!arenas > 0)
+
 let test_elide_differential () =
   (* a small in-process slice of the 200-seed CI gate *)
   let r =
@@ -436,6 +509,7 @@ let () =
       ( "elision",
         [
           tc "plan nonempty" test_elide_plan_nonempty;
+          tc "plan bits name instructions" test_plan_bits_name_instructions;
           tc "differential slice" test_elide_differential;
           tc "trap preserved" test_elide_preserves_trap;
           tc "supervised full plan" test_supervised_full_plan;

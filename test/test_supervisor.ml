@@ -274,6 +274,40 @@ let test_pac_stripped_signature () =
     "pac auth failure"
     (Cage.Supervisor.fault_class_to_string pm.Cage.Supervisor.pm_class)
 
+(* One engine spans every instance of a process, so a post-mortem must
+   list only what was injected into the crashed instance's own lane
+   during the crashed invocation: a sibling's injection is not its. *)
+let test_post_mortem_own_lane_only () =
+  let m =
+    module_of
+      [ (ft [] [ Types.I64 ], [],
+         [ Ast.I64Const 1024L; Ast.I64Const 32L; Ast.SegmentNew 0L;
+           Ast.Load (Types.I64, None, memarg 0L) ]);
+        (ft [] [], [], [ Ast.Unreachable ]) ]
+  in
+  let sup, victim = supervised Cage.Config.mem_safety m in
+  let sibling = Cage.Supervisor.spawn sup m in
+  let engine =
+    Arch.Fault_inject.create
+      (Arch.Fault_inject.policy ~seed:3 [ Arch.Fault_inject.Ptr_sig ])
+  in
+  let vpm, spm =
+    Arch.Fault_inject.with_engine engine (fun () ->
+        let vpm = crash_of (Cage.Supervisor.run sup victim "f0" []) in
+        (vpm, crash_of (Cage.Supervisor.run sup sibling "f1" [])))
+  in
+  Alcotest.(check (pair int int)) "victim on lane 0, sibling on lane 1" (0, 1)
+    (Cage.Process.lane (Cage.Supervisor.process sup) victim,
+     Cage.Process.lane (Cage.Supervisor.process sup) sibling);
+  Alcotest.(check bool) "victim's post-mortem lists its injection" true
+    (List.exists
+       (fun s -> Astring.String.is_infix ~affix:"ptr-sig" s)
+       vpm.Cage.Supervisor.pm_injections);
+  Alcotest.(check string) "sibling trapped on its own" "unreachable"
+    (Cage.Supervisor.fault_class_to_string spm.Cage.Supervisor.pm_class);
+  Alcotest.(check (list string)) "sibling's post-mortem lists no injection" []
+    spm.Cage.Supervisor.pm_injections
+
 (* ------------------------------------------------------------------ *)
 (* Satellite 4: partial-write semantics of bulk ops under fault         *)
 (* ------------------------------------------------------------------ *)
@@ -490,6 +524,8 @@ let () =
             test_pac_forged_signature;
           Alcotest.test_case "stripped signature" `Quick
             test_pac_stripped_signature;
+          Alcotest.test_case "post-mortem lists own lane only" `Quick
+            test_post_mortem_own_lane_only;
         ] );
       ( "partial-write",
         [
