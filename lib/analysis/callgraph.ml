@@ -130,9 +130,3 @@ let sccs (t : t) : int list list =
      only after everything it reaches); reversing yields callees
      first. *)
   List.rev !out
-
-(** Whether function [f] sits on a call cycle (including self
-    recursion): its SCC has more than one member, or it calls itself. *)
-let recursive t f =
-  List.mem f t.callees.(f)
-  || List.exists (fun c -> List.length c > 1 && List.mem f c) (sccs t)

@@ -102,9 +102,6 @@ let to_lines t =
        ]
      else [])
 
-let pp ppf t =
-  List.iter (fun l -> Format.fprintf ppf "%s@." l) (to_lines t)
-
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)
 (* ------------------------------------------------------------------ *)

@@ -223,14 +223,3 @@ let indirect_join (cg : Callgraph.t) (summaries : t array) tyidx : t option =
         }
       in
       Some (List.fold_left join acc targets)
-
-let pp ppf (s : t) =
-  Format.fprintf ppf
-    "params=%d results=%d escapes=[%s]%s%s%s%s" s.sm_params s.sm_results
-    (String.concat ""
-       (Array.to_list (Array.map (fun b -> if b then "1" else "0")
-                         s.sm_escapes)))
-    (if s.sm_mutates then " mutates" else "")
-    (if s.sm_allocs then " allocs" else "")
-    (if s.sm_touches_mem then " touches-mem" else "")
-    (if s.sm_host then " host" else "")

@@ -201,5 +201,3 @@ let cortex_a510 = {
 
 (** The Tensor G3's three core types, in the paper's reporting order. *)
 let tensor_g3 = [ cortex_x3; cortex_a715; cortex_a510 ]
-
-let pp ppf c = Format.fprintf ppf "%s@%.2fGHz" c.name c.freq_ghz

@@ -16,7 +16,9 @@
     the property pool-concurrent serving depends on: instance [i]'s
     fault sequence is a function of the policy and [i] alone, so any
     interleaving of draws across instances replays the identical
-    per-instance fault sequences.
+    per-instance fault sequences. The engine carries no caller context
+    beyond the current lane: what one invocation absorbed is its lane's
+    slice of the log ({!lane_injections}).
 
     When no engine is installed every hook is a single load-and-compare
     on the [None] fast path: the uninstrumented hot path is untouched. *)
@@ -63,7 +65,6 @@ type injection = {
   inj_site : site;
   inj_index : int;               (** 0-based order of injection *)
   inj_lane : int;                (** lane (instance) the fault landed in *)
-  inj_request : int;             (** serving request id, -1 outside serving *)
   mutable inj_detail : string;   (** filled in by the injecting hook *)
 }
 
@@ -81,12 +82,12 @@ type t = {
   pol : policy;
   mutable lanes : lane_state list;     (* keyed by ln_lane *)
   mutable cur : lane_state;            (* the lane draws land in *)
-  mutable cur_request : int;           (* serving request id, -1 ambient *)
   mutable injected : injection list;   (* newest first, all lanes *)
   mutable scribble_at : int64 option;
       (* a Heap_scribble records the doomed address here; the runtime
          applies the write at the next synchronization point, once the
-         allocator has finished publishing the free-list link *)
+         allocator has finished publishing the free-list link, and the
+         supervisor drops it if the drawing invocation crashes first *)
 }
 
 let lane_state pol lane =
@@ -99,8 +100,7 @@ let lane_state pol lane =
 
 let create pol =
   let l0 = lane_state pol 0 in
-  { pol; lanes = [ l0 ]; cur = l0; cur_request = -1; injected = [];
-    scribble_at = None }
+  { pol; lanes = [ l0 ]; cur = l0; injected = []; scribble_at = None }
 
 (* [inj_index] numbers the log, so its newest entry gives the count. *)
 let count t = match t.injected with [] -> 0 | i :: _ -> i.inj_index + 1
@@ -114,9 +114,6 @@ let lane_injections t ~since lane =
     | _ -> acc
   in
   go [] t.injected
-
-let request_injections t req =
-  List.rev (List.filter (fun i -> i.inj_request = req) t.injected)
 
 let lane_count t lane =
   match List.find_opt (fun l -> l.ln_lane = lane) t.lanes with
@@ -155,13 +152,6 @@ let set_lane lane =
           let l = lane_state t.pol lane in
           t.lanes <- l :: t.lanes;
           t.cur <- l)
-
-(** Tag subsequent injections with the serving request id they land in
-    (fault→request correlation). The server brackets each [Pool.serve]
-    call with [set_request id] / [set_request (-1)]; no-op with no
-    engine installed. *)
-let set_request req =
-  match !hook with None -> () | Some t -> t.cur_request <- req
 
 let site_probability t site =
   match List.assq_opt site t.pol.site_probability with
@@ -204,7 +194,7 @@ let draw site =
             :: List.remove_assq site ln.ln_site_counts;
           t.injected <-
             { inj_site = site; inj_index = count t; inj_lane = ln.ln_lane;
-              inj_request = t.cur_request; inj_detail = "" }
+              inj_detail = "" }
             :: t.injected
         end;
         fire

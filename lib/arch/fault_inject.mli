@@ -14,6 +14,12 @@
     interleaving of draws across instances — any pool scheduling order
     — replays the identical per-instance fault sequences.
 
+    The engine carries no caller context beyond the current lane. A
+    caller that wants what one invocation absorbed reads its lane's
+    slice of the log from the position it saw before the invocation
+    ({!lane_injections}); the supervisor's post-mortem and the serving
+    runtime's per-attempt attribution both do.
+
     With no engine installed every hook reduces to a single
     load-and-compare ([None] fast path): the uninstrumented hot path is
     untouched. *)
@@ -63,7 +69,6 @@ type injection = {
   inj_site : site;
   inj_index : int;               (** 0-based order of injection *)
   inj_lane : int;                (** lane (instance) the fault landed in *)
-  inj_request : int;             (** serving request id, -1 outside serving *)
   mutable inj_detail : string;   (** filled in by the injecting hook *)
 }
 
@@ -81,10 +86,6 @@ val lane_injections : t -> since:int -> int -> injection list
 (** One lane's injections from log position [since] on ({!count} when
     the caller started watching; 0 for all), in chronological order. *)
 
-val request_injections : t -> int -> injection list
-(** Injections tagged with one serving request id, in chronological
-    order (see {!set_request}). *)
-
 val pp_injection : Format.formatter -> injection -> unit
 
 (** {1 Installation} *)
@@ -100,12 +101,6 @@ val set_lane : int -> unit
     randomized by) that lane's stream. Called by the supervisor at
     invocation boundaries with the instance's stable spawn ordinal;
     no-op when no engine is installed. Lane 0 is the ambient default. *)
-
-val set_request : int -> unit
-(** Tag subsequent injections with a serving request id ([-1] clears).
-    The serving runtime brackets each request execution with this so a
-    chaos run can report which request every injection landed in;
-    no-op when no engine is installed. *)
 
 (** {1 Hook API — called from the hardware models} *)
 
@@ -129,7 +124,8 @@ val rand_int : int -> int
     write at the next synchronization point, after the allocator has
     published the link. This models an asynchronous corruptor (racing
     thread, errant DMA) — which is also why the write bypasses tag
-    checks. *)
+    checks. A scribble still pending when its invocation crashes dies
+    with it: the supervisor's crash path takes it unapplied. *)
 
 val set_scribble : int64 -> unit
 val take_scribble : unit -> int64 option

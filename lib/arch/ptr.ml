@@ -18,8 +18,6 @@ let with_tag p t =
     (Int64.logand p (Int64.lognot tag_mask))
     (Int64.shift_left (Int64.of_int (Tag.to_int t)) tag_shift)
 
-let untagged p = with_tag p Tag.zero
-
 type pac_layout = { mte_enabled : bool }
 
 (* Signature bit positions, low to high. Bits 49-54 are always part of the

@@ -29,9 +29,6 @@ val tag : t -> Tag.t
 val with_tag : t -> Tag.t -> t
 (** [with_tag p t] replaces bits 56-59 of [p] with [t]. *)
 
-val untagged : t -> t
-(** [p] with the MTE tag field cleared (logical tag 0). *)
-
 (** {1 PAC signature fields} *)
 
 type pac_layout = {

@@ -9,7 +9,6 @@ let of_int_exn n =
 
 let to_int t = t
 let equal = Int.equal
-let compare = Int.compare
 let is_zero t = t = 0
 let add t n = (t + n) land 0xf
 let all = List.init 16 Fun.id

@@ -26,7 +26,6 @@ val of_int_exn : int -> t
 val to_int : t -> int
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val is_zero : t -> bool
 
 val add : t -> int -> t

@@ -168,10 +168,3 @@ let instance_config ?meter ?(seed = 0) ?m t =
         belide = (if t.elide_bounds then p.Analysis.Elide.bbitsets else [||]);
         arena = p.Analysis.Elide.arena }
   | _ -> c
-
-let pp ppf t =
-  Format.fprintf ppf "%s (ptr%d, sandbox=%s%s%s)" t.name
-    (if t.ptr64 then 64 else 32)
-    (sandbox_to_string t.sandbox)
-    (if t.internal_safety then ", mem-safety" else "")
-    (if t.ptr_auth then ", ptr-auth" else "")

@@ -109,5 +109,3 @@ val instance_config :
     elision plan (tag checks; span checks under [elide_bounds]; arena
     sites under [arena]; speculation-safe proofs only under
     [spec_safe_only]) — the one place a plan becomes instance bits. *)
-
-val pp : Format.formatter -> t -> unit

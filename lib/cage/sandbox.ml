@@ -31,12 +31,6 @@ type outcome =
   | Segfault                     (** guard page caught it *)
   | Tag_fault of Mte.fault       (** MTE caught it *)
 
-(** Did the access stay within / get stopped at the sandbox boundary?
-    [Escaped] means data outside the instance's region was reached. *)
-let escaped ~region_size ~index = function
-  | Value _ -> Int64.unsigned_compare index region_size >= 0
-  | Bounds_trap | Segfault | Tag_fault _ -> false
-
 type instance_region = {
   tag : Tag.t;          (** instance tag, stored in the heap base *)
   base : int64;         (** offset of the region in host memory *)

@@ -264,6 +264,10 @@ let run_thunk t (inst : Wasm.Instance.t) f =
               (Arch.Fault_inject.lane_injections e ~since lane)
       in
       let pm = snapshot ~black_box:t.black_box ~injections inst cls msg in
+      (* A scribble still pending targets this instance's heap, which
+         the pool restores before reuse: it dies with the invocation
+         rather than land in whichever instance syncs next. *)
+      ignore (Arch.Fault_inject.take_scribble ());
       inst.Wasm.Instance.fuel <- -1;
       inst.Wasm.Instance.call_stack <- [];
       retain t inst.Wasm.Instance.id pm;

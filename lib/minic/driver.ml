@@ -86,9 +86,3 @@ let compile ?(opts = default_options) ?(prelude = "") source : compiled =
   | Error e ->
       raise (Compile_error ("internal error: generated invalid wasm: " ^ e)));
   { co_module = m; co_ir = ir; co_sanitizer = stats; co_options = opts }
-
-(** Convenience: compile and instantiate under a runtime config. *)
-let load ?opts ?prelude ?(config = Wasm.Instance.default_config)
-    ?(imports = []) source : Wasm.Instance.t =
-  let c = compile ?opts ?prelude source in
-  Wasm.Exec.instantiate ~config ~imports c.co_module

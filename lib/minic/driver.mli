@@ -37,12 +37,3 @@ val compile : ?opts:options -> ?prelude:string -> string -> compiled
 (** Compile MiniC source text; [prelude] (the libc) is prepended.
     The result module has passed {!Wasm.Validate.validate}.
     @raise Compile_error on lex/parse/type/codegen errors. *)
-
-val load :
-  ?opts:options ->
-  ?prelude:string ->
-  ?config:Wasm.Instance.config ->
-  ?imports:(string * string * Wasm.Instance.host_func) list ->
-  string ->
-  Wasm.Instance.t
-(** Convenience: compile and instantiate in one step. *)

@@ -15,21 +15,9 @@ let ty_to_wasm : ty -> Wasm.Types.val_type = function
   | F32 -> Wasm.Types.F32
   | F64 -> Wasm.Types.F64
 
-let ty_to_string = function
-  | I32 -> "i32"
-  | I64 -> "i64"
-  | F32 -> "f32"
-  | F64 -> "f64"
-
 (** Memory access granularity. Sub-word integer accesses carry an
     extension mode on load. *)
 type mem_ty = M8 | M16 | M32 | M64 | MF32 | MF64
-
-let mem_bytes = function
-  | M8 -> 1
-  | M16 -> 2
-  | M32 | MF32 -> 4
-  | M64 | MF64 -> 8
 
 type temp = int
 

@@ -89,14 +89,14 @@ type t = {
 (** Build a pool of [size] slots. Call {e before} installing a chaos
     engine: slot initialisation and the frozen image must be
     fault-free, otherwise every restore would replay the damage. *)
-let create ?(fuel = 2_000_000) ?max_quarantined ~lane_base ~size ~seed
+let create ?(fuel = 2_000_000) ~lane_base ~size ~seed
     ~(policy : Policy.t) tenant =
   if size < 1 then invalid_arg "Pool.create: size must be >= 1";
   let slot i =
     let process =
       Cage.Process.create ~config:tenant.tn_config ~seed:(seed + i) ()
     in
-    let sup = Cage.Supervisor.create ~fuel ?max_quarantined process in
+    let sup = Cage.Supervisor.create ~fuel process in
     let meter = Wasm.Meter.create () in
     let imports, reset = tenant.tn_imports () in
     let inst =

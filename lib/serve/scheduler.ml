@@ -49,6 +49,10 @@ module Heap = struct
       i := p
     done
 
+  (** Time of the earliest entry; [max_int] when empty. *)
+  let min_time t =
+    if t.size = 0 then max_int else let time, _, _ = get t 0 in time
+
   let pop t =
     if t.size = 0 then None
     else begin

@@ -19,27 +19,32 @@
     {b Escape semantics.} A request that [Finished] with a result
     different from the tenant's chaos-free reference is an ESCAPE —
     corrupted bytes reached the client — terminal, never retried. A
-    request that finished {e correctly} while injections hit its lane
-    is counted [sanitized]: whatever latent damage the injection left
+    request whose accepted attempt finished {e correctly} although
+    injections hit it is counted [sanitized]: whatever latent damage the
+    injection left
     dies with the per-request restore and never crosses a request
     boundary. Crashes are contained by the supervisor and eligible for
     retry only when the fault class is a contained/transient one
     ({!Policy.retryable}); definite guest bugs fail fast.
 
-    {b Accounting invariant.} Every logical request terminates exactly
-    once: [ok + failed + shed = requests], per tenant and in total.
-    [escaped] is a subset of [failed]; [sanitized] a subset of [ok];
-    retries/timeouts/crashes count events, not requests.
+    {b Accounting invariant.} Every logical request has one record
+    ({!Slo.req_rec}) from its first arrival to its termination, and
+    terminates exactly once, when its record is counted into its
+    tenant's report: [ok + failed + shed = requests], per tenant and in
+    total. [escaped] is a subset of [failed]; [sanitized] a subset of
+    [ok]; retries/timeouts/crashes count each request's events, not
+    requests.
 
     {b Observability.} Purely additive measurement on the same event
     loop: with an {!Obs.Span} recorder installed, every request is
     emitted as a stitched causal chain (admission instant, queue wait,
     restore, execution slices on core tracks, retries linked by flow
     arrows); with a {!Slo.collector} passed in, every terminated
-    request feeds per-tenant SLO monitors and carries an exact phase
-    decomposition of its latency ([queue + restore + exec + retry +
-    drain = latency], with exec phases reconciling against the pool
-    meters). Neither adds modeled cycles, consumes randomness, or
+    request's record is kept, with its exact phase decomposition
+    ([queue + restore + exec + retry + drain = latency], exec phases
+    reconciling against the pool meters) and the injections it
+    absorbed; SLO monitors, tail rows and fault hits are views over
+    those records. Neither adds modeled cycles, consumes randomness, or
     perturbs event order: reports are bit-identical with or without
     them. *)
 
@@ -68,22 +73,6 @@ let default_config =
 
 (* Flat per-dispatch overhead: context switch + scheduling, cycles. *)
 let dispatch_overhead = 200
-
-type tenant_stats = {
-  ts_name : string;
-  mutable ts_requests : int;      (* logical arrivals *)
-  mutable ts_ok : int;
-  mutable ts_sanitized : int;     (* ok despite injections on the lane *)
-  mutable ts_escaped : int;       (* finished wrong: subset of failed *)
-  mutable ts_failed : int;
-  mutable ts_shed_queue : int;
-  mutable ts_shed_breaker : int;
-  mutable ts_crashes : int;       (* crash events (attempts) *)
-  mutable ts_retries : int;
-  mutable ts_timeouts : int;      (* deadline-miss events *)
-  mutable ts_breaker_trips : int;
-  mutable ts_latencies : int list;  (* end-to-end, successful only *)
-}
 
 type tenant_report = {
   tr_name : string;
@@ -117,7 +106,7 @@ type report = {
   rp_restore_image_bytes : int;   (** bytes full-image copies would move *)
   rp_heals : int;
   rp_heals_deferred : int;
-  rp_injections : int;
+  rp_injections : int;           (** the run's chaos engine count *)
   rp_makespan : int;             (** simulated cycles start→last event *)
   rp_p50_exact : int;            (** nearest-rank, all tenants *)
   rp_p99_exact : int;
@@ -126,84 +115,84 @@ type report = {
   rp_tenants : tenant_report list;
 }
 
-let tenant_report (s : tenant_stats) =
-  let lat = Array.of_list s.ts_latencies in
-  Array.sort compare lat;
-  {
-    tr_name = s.ts_name;
-    tr_requests = s.ts_requests;
-    tr_ok = s.ts_ok;
-    tr_sanitized = s.ts_sanitized;
-    tr_escaped = s.ts_escaped;
-    tr_failed = s.ts_failed;
-    tr_shed = s.ts_shed_queue + s.ts_shed_breaker;
-    tr_crashes = s.ts_crashes;
-    tr_retries = s.ts_retries;
-    tr_timeouts = s.ts_timeouts;
-    tr_breaker_trips = s.ts_breaker_trips;
-    tr_p50_exact = Slo.percentile_exact lat 50.0;
-    tr_p99_exact = Slo.percentile_exact lat 99.0;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* The event loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type req = {
-  rq_id : int;                       (* arrival ordinal, stable across retries *)
-  rq_tenant : int;
-  rq_first_arrival : int;
-  mutable rq_attempt : int;          (* 1-based *)
-  mutable rq_attempt_arrival : int;
-  (* Phase accounting on the DES clock. For an ok request,
-     queue + restore + exec + retry + drain = end-to-end latency
-     exactly: every cycle between first arrival and termination lands
-     in one phase. *)
-  mutable rq_queue : int;        (* slot waits, all attempts *)
-  mutable rq_restore : int;      (* modeled restore, accepted attempt *)
-  mutable rq_exec : int;         (* metered demand, accepted attempt *)
-  mutable rq_exec_waste : int;   (* metered demand, discarded attempts *)
-  mutable rq_retry : int;        (* backoff waits + discarded residence *)
-  mutable rq_drain : int;        (* dispatch overhead + preemption gaps *)
-  mutable rq_injections : int;   (* chaos injections across attempts *)
-  mutable rq_flow : bool;        (* span flow chain opened *)
+type tstate = {
+  tid : int;                         (* the tenant's span track *)
+  pool : Pool.t;
+  waiting : Slo.req_rec Queue.t;
+  breaker : Policy.breaker;
+  mutable tally : tenant_report;     (* its terminated requests, counted *)
+  mutable latencies : int list;      (* end-to-end, ok requests only *)
 }
 
 type running = {
-  rn_req : req;
-  rn_tenant : int;
+  rn_req : Slo.req_rec;
+  rn_st : tstate;
   rn_slot : Pool.slot;
   rn_outcome : Cage.Supervisor.outcome;
-  rn_injections : int;   (* chaos injections on the slot's lane *)
+  rn_injected : bool;    (* chaos injections landed in this attempt *)
   rn_start : int;        (* service start (dispatch) time *)
   rn_demand : int;       (* metered guest demand of this attempt *)
   rn_restore : int;      (* modeled restore cycles of this attempt *)
 }
 
 type ev =
-  | Arrival of req
+  | Arrival of tstate * Slo.req_rec
   | Slice of running Scheduler.slice
   | Heal
 
-type tstate = {
-  pool : Pool.t;
-  waiting : req Queue.t;
-  breaker : Policy.breaker;
-  stats : tenant_stats;
-}
+(* Count one terminated request into its tenant's report: the one place
+   a request's outcome is tallied. Retries, crashes and timeouts are
+   the request's own events; percentiles and breaker trips are filled
+   in when the run ends. *)
+let count st (r : Slo.req_rec) =
+  let n b = if b then 1 else 0 and tr = st.tally in
+  st.tally <-
+    {
+      tr with
+      tr_requests = tr.tr_requests + 1;
+      tr_ok = tr.tr_ok + n (Slo.ok r);
+      tr_sanitized = tr.tr_sanitized + n r.rr_sanitized;
+      tr_escaped = tr.tr_escaped + n (r.rr_end = Slo.Escaped);
+      tr_failed =
+        tr.tr_failed + n (r.rr_end = Slo.Failed || r.rr_end = Slo.Escaped);
+      tr_shed = tr.tr_shed + n (r.rr_end = Slo.Shed);
+      tr_crashes = tr.tr_crashes + r.rr_crashes;
+      tr_retries = tr.tr_retries + r.rr_attempts - 1;
+      tr_timeouts = tr.tr_timeouts + r.rr_timeouts;
+    };
+  if Slo.ok r then st.latencies <- Slo.latency r :: st.latencies
+
+let sorted l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  a
+
+let tenant_report st =
+  let lat = sorted st.latencies in
+  {
+    st.tally with
+    tr_breaker_trips = Policy.breaker_trips st.breaker;
+    tr_p50_exact = Slo.percentile_exact lat 50.0;
+    tr_p99_exact = Slo.percentile_exact lat 99.0;
+  }
 
 let values_equal a b =
   List.length a = List.length b && List.for_all2 Wasm.Values.equal a b
 
 (** Serve [config.requests] simulated requests across [tenants],
     optionally under a live chaos engine ([chaos]) and optionally
-    feeding per-request records into an SLO [collect]or. Pools are
-    built — and their pristine images frozen — {e before} the engine
-    installs, so restores always return to fault-free state. The
-    arrival schedule depends only on [config.seed], never on the chaos
-    policy: chaos-off and chaos-on runs see identical offered load.
-    The run starts from a collected heap, so a process that serves one
-    run after another holds one run's pools at a time. *)
+    keeping every terminated request's record in an SLO [collect]or.
+    Pools are built — and their pristine images frozen — {e before}
+    the engine installs, so restores always return to fault-free
+    state. The arrival schedule depends only on [config.seed], never
+    on the chaos policy: chaos-off and chaos-on runs see identical
+    offered load. The run starts from a collected heap, so a process
+    that serves one run after another holds one run's pools at a
+    time. *)
 let run ?chaos ?collect config tenants =
   if tenants = [] then invalid_arg "Server.run: no tenants";
   (* A run's pools hold every slot's memory, tag plane and frozen
@@ -219,6 +208,7 @@ let run ?chaos ?collect config tenants =
     Array.of_list tenants
     |> Array.mapi (fun i tn ->
            {
+             tid = Obs.Span.tenant_tid i;
              (* lanes [1000*(i+1), 1000*(i+1)+slots): globally unique
                 per slot, disjoint from lane 0 defaults *)
              pool =
@@ -231,24 +221,15 @@ let run ?chaos ?collect config tenants =
              breaker =
                Policy.breaker_create ~label:tn.Pool.tn_name
                  policy.Policy.breaker;
-             stats =
-               {
-                 ts_name = tn.Pool.tn_name;
-                 ts_requests = 0;
-                 ts_ok = 0;
-                 ts_sanitized = 0;
-                 ts_escaped = 0;
-                 ts_failed = 0;
-                 ts_shed_queue = 0;
-                 ts_shed_breaker = 0;
-                 ts_crashes = 0;
-                 ts_retries = 0;
-                 ts_timeouts = 0;
-                 ts_breaker_trips = 0;
-                 ts_latencies = [];
-               };
+             tally =
+               { tr_name = tn.Pool.tn_name; tr_requests = 0; tr_ok = 0;
+                 tr_sanitized = 0; tr_escaped = 0; tr_failed = 0; tr_shed = 0;
+                 tr_crashes = 0; tr_retries = 0; tr_timeouts = 0;
+                 tr_breaker_trips = 0; tr_p50_exact = 0; tr_p99_exact = 0 };
+             latencies = [];
            })
   in
+  let name st = st.tally.tr_name in
   (* Name the span tracks up front so core and tenant lanes render
      labelled even if the run records nothing else. *)
   if Obs.Span.enabled () then begin
@@ -257,12 +238,12 @@ let run ?chaos ?collect config tenants =
       Obs.Span.set_track ~tid:(Scheduler.core_tid c)
         (Printf.sprintf "core %d" c)
     done;
-    Array.iteri
-      (fun j st ->
-        Obs.Span.set_track ~tid:(Obs.Span.tenant_tid j)
-          (Printf.sprintf "tenant %s" st.stats.ts_name))
+    Array.iter
+      (fun st ->
+        Obs.Span.set_track ~tid:st.tid (Printf.sprintf "tenant %s" (name st)))
       ts
   end;
+  let engine = Option.map Arch.Fault_inject.create chaos in
   let events = Scheduler.Heap.create () in
   let cpu = Scheduler.create ~cores:config.cores ~quantum:config.quantum in
   (* Arrival and retry randomness ride dedicated streams: neither can
@@ -281,161 +262,79 @@ let run ?chaos ?collect config tenants =
     done;
     !j
   in
-  let t = ref 0 in
-  for i = 1 to config.requests do
-    t := !t + 1 + Random.State.int arrival_rng (2 * config.arrival_gap);
-    let j = pick_tenant () in
-    Scheduler.Heap.push events ~time:!t
-      (Arrival
-         {
-           rq_id = i - 1;
-           rq_tenant = j;
-           rq_first_arrival = !t;
-           rq_attempt = 1;
-           rq_attempt_arrival = !t;
-           rq_queue = 0;
-           rq_restore = 0;
-           rq_exec = 0;
-           rq_exec_waste = 0;
-           rq_retry = 0;
-           rq_drain = 0;
-           rq_injections = 0;
-           rq_flow = false;
-         })
-  done;
+  (* First arrivals are drawn one at a time, when the loop reaches the
+     previous one, so a request's record lives from its first arrival
+     to its termination. *)
+  let arrived = ref 0 and next_time = ref 0 and next_tenant = ref 0 in
+  let draw_arrival () =
+    next_time :=
+      !next_time + 1 + Random.State.int arrival_rng (2 * config.arrival_gap);
+    next_tenant := pick_tenant ()
+  in
+  if config.requests > 0 then draw_arrival ();
   Scheduler.Heap.push events ~time:policy.Policy.heal_interval Heal;
   let pending = ref config.requests in
   let makespan = ref 0 in
-  let total_injections = ref 0 in
-  let lane_injections lane =
-    match Arch.Fault_inject.active () with
-    | Some e -> Arch.Fault_inject.lane_count e lane
-    | None -> 0
-  in
-  let tenant_tid j = Obs.Span.tenant_tid j in
   (* Continue (or open) a request's flow chain at the slice that starts
      at [ts] on [tid] — the stitching across queue waits, cores and
      retries. *)
-  let flow_touch r ~tid ~ts name =
+  let flow_touch (r : Slo.req_rec) ~tid ~ts name =
     if Obs.Span.enabled () then begin
-      if r.rq_flow then Obs.Span.flow_step ~id:r.rq_id ~tid ~ts name
+      if r.rr_flow then Obs.Span.flow_step ~id:r.rr_id ~tid ~ts name
       else begin
-        r.rq_flow <- true;
-        Obs.Span.flow_start ~id:r.rq_id ~tid ~ts name
+        r.rr_flow <- true;
+        Obs.Span.flow_start ~id:r.rr_id ~tid ~ts name
       end
     end
   in
-  (* Feed one terminated request into the collector: SLO sample, phase
-     record, and — when chaos hit it — the fault→request correlation
-     entry. *)
-  let observe (st : tstate) r ~now ~ok ~latency =
-    match collect with
-    | None -> ()
-    | Some co ->
-        Slo.sample co ~tenant:st.stats.ts_name ~now ~ok ~latency;
-        Slo.record co
-          {
-            Slo.rr_id = r.rq_id;
-            rr_tenant = st.stats.ts_name;
-            rr_ok = ok;
-            rr_latency = latency;
-            rr_attempts = r.rq_attempt;
-            rr_injections = r.rq_injections;
-            rr_queue = r.rq_queue;
-            rr_restore = r.rq_restore;
-            rr_exec = r.rq_exec;
-            rr_exec_waste = r.rq_exec_waste;
-            rr_retry = r.rq_retry;
-            rr_drain = r.rq_drain;
-          };
-        if r.rq_injections > 0 then
-          match Arch.Fault_inject.active () with
-          | None -> ()
-          | Some e ->
-              let injs = Arch.Fault_inject.request_injections e r.rq_id in
-              let lane =
-                match injs with
-                | i :: _ -> i.Arch.Fault_inject.inj_lane
-                | [] -> -1
-              in
-              Slo.hit co
-                {
-                  Slo.ht_request = r.rq_id;
-                  ht_tenant = st.stats.ts_name;
-                  ht_lane = lane;
-                  ht_sites =
-                    List.map
-                      (fun i ->
-                        Arch.Fault_inject.site_to_string
-                          i.Arch.Fault_inject.inj_site)
-                      injs;
-                  ht_attempts = r.rq_attempt;
-                  ht_contained = ok;
-                  ht_cost = r.rq_retry;
-                }
-  in
-  (* Close a request's span envelope: terminal instant, flow end, async
-     end — the request disappears from its tenant track here. *)
-  let span_terminal r ~now name =
+  (* End a request: close its span envelope (terminal instant, flow
+     end, async end — it disappears from its tenant track here), count
+     it into its tenant's report, and keep it if a collector is
+     watching. *)
+  let terminate st (r : Slo.req_rec) ~now ending name =
+    r.rr_end <- ending;
+    r.rr_ended <- now;
     if Obs.Span.enabled () then begin
-      let tid = tenant_tid r.rq_tenant in
-      Obs.Span.instant ~tid ~ts:now
-        ~args:[ ("req", Obs.Span.I r.rq_id) ]
+      Obs.Span.instant ~tid:st.tid ~ts:now
+        ~args:[ ("req", Obs.Span.I r.rr_id) ]
         name;
-      if r.rq_flow then Obs.Span.flow_end ~id:r.rq_id ~tid ~ts:now name;
-      Obs.Span.async_end ~id:r.rq_id ~tid ~ts:now "request"
-    end
+      if r.rr_flow then Obs.Span.flow_end ~id:r.rr_id ~tid:st.tid ~ts:now name;
+      Obs.Span.async_end ~id:r.rr_id ~tid:st.tid ~ts:now "request"
+    end;
+    count st r;
+    Option.iter (fun co -> Slo.record co r) collect;
+    decr pending
   in
-  let terminal () = decr pending in
-  let finish_fail (st : tstate) r ~now =
-    st.stats.ts_failed <- st.stats.ts_failed + 1;
-    span_terminal r ~now "fail";
-    observe st r ~now ~ok:false ~latency:(-1);
-    terminal ()
-  in
-  let retry_or_fail (st : tstate) r ~retryable ~now =
-    if retryable && r.rq_attempt < policy.Policy.retry.Policy.max_attempts
+  let retry_or_fail st (r : Slo.req_rec) ~retryable ~now =
+    if retryable && r.rr_attempts < policy.Policy.retry.Policy.max_attempts
     then begin
-      let attempt = r.rq_attempt in
-      r.rq_attempt <- r.rq_attempt + 1;
-      st.stats.ts_retries <- st.stats.ts_retries + 1;
+      let attempt = r.rr_attempts in
+      r.rr_attempts <- r.rr_attempts + 1;
       if Obs.Hook.enabled () then
         Obs.Hook.event
           (Obs.Event.Request_retry
-             { tenant = st.stats.ts_name; attempt = r.rq_attempt });
+             { tenant = name st; attempt = r.rr_attempts });
       let delay = Policy.backoff policy.Policy.retry retry_rng ~attempt in
       (* The backoff wait is retry-phase latency by definition. *)
-      r.rq_retry <- r.rq_retry + delay;
+      r.rr_retry <- r.rr_retry + delay;
       if Obs.Span.enabled () then begin
-        let tid = tenant_tid r.rq_tenant in
-        Obs.Span.instant ~tid ~ts:now
+        Obs.Span.instant ~tid:st.tid ~ts:now
           ~args:
-            [ ("req", Obs.Span.I r.rq_id);
-              ("attempt", Obs.Span.I r.rq_attempt) ]
+            [ ("req", Obs.Span.I r.rr_id);
+              ("attempt", Obs.Span.I r.rr_attempts) ]
           "retry";
         Obs.Span.complete
-          ~args:[ ("req", Obs.Span.I r.rq_id) ]
-          ~tid ~start:now ~stop:(now + delay) "backoff"
+          ~args:[ ("req", Obs.Span.I r.rr_id) ]
+          ~tid:st.tid ~start:now ~stop:(now + delay) "backoff"
       end;
-      Scheduler.Heap.push events ~time:(now + delay) (Arrival r)
+      Scheduler.Heap.push events ~time:(now + delay) (Arrival (st, r))
     end
-    else finish_fail st r ~now
+    else terminate st r ~now Slo.Failed "fail"
   in
-  let shed (st : tstate) r ~now reason =
-    (match reason with
-    | `Queue -> st.stats.ts_shed_queue <- st.stats.ts_shed_queue + 1
-    | `Breaker -> st.stats.ts_shed_breaker <- st.stats.ts_shed_breaker + 1);
+  let shed st r ~now reason =
     if Obs.Hook.enabled () then
-      Obs.Hook.event
-        (Obs.Event.Request_shed
-           {
-             tenant = st.stats.ts_name;
-             reason = (match reason with `Queue -> "queue" | `Breaker -> "breaker");
-           });
-    span_terminal r ~now
-      (match reason with `Queue -> "shed-queue" | `Breaker -> "shed-breaker");
-    observe st r ~now ~ok:false ~latency:(-1);
-    terminal ()
+      Obs.Hook.event (Obs.Event.Request_shed { tenant = name st; reason });
+    terminate st r ~now Slo.Shed ("shed-" ^ reason)
   in
   let dispatch_all now =
     let continue = ref true in
@@ -447,8 +346,7 @@ let run ?chaos ?collect config tenants =
   in
   (* Pull waiting requests onto idle slots. The guest executes here
      (run-to-completion); the measured demand is replayed as slices. *)
-  let rec try_start j ~now =
-    let st = ts.(j) in
+  let rec try_start st ~now =
     if not (Queue.is_empty st.waiting) then
       match Pool.acquire st.pool with
       | None -> ()
@@ -456,173 +354,172 @@ let run ?chaos ?collect config tenants =
           let r = Queue.pop st.waiting in
           (* The slot wait is queue-phase latency whether the request
              goes on to run or dies of old age right here. *)
-          let waited = now - r.rq_attempt_arrival in
-          r.rq_queue <- r.rq_queue + waited;
+          let waited = now - r.rr_attempt_arrival in
+          r.rr_queue <- r.rr_queue + waited;
           if Obs.Span.enabled () then begin
-            let tid = tenant_tid j in
             Obs.Span.complete
               ~args:
-                [ ("req", Obs.Span.I r.rq_id);
-                  ("attempt", Obs.Span.I r.rq_attempt) ]
-              ~tid ~start:r.rq_attempt_arrival ~stop:now "queue";
-            flow_touch r ~tid ~ts:r.rq_attempt_arrival "queue"
+                [ ("req", Obs.Span.I r.rr_id);
+                  ("attempt", Obs.Span.I r.rr_attempts) ]
+              ~tid:st.tid ~start:r.rr_attempt_arrival ~stop:now "queue";
+            flow_touch r ~tid:st.tid ~ts:r.rr_attempt_arrival "queue"
           end;
           if waited > policy.Policy.deadline then begin
             (* expired while queued: the slot goes back untouched *)
             Pool.cancel slot;
-            st.stats.ts_timeouts <- st.stats.ts_timeouts + 1;
+            r.rr_timeouts <- r.rr_timeouts + 1;
             if Obs.Span.enabled () then
-              Obs.Span.instant ~tid:(tenant_tid j) ~ts:now
-                ~args:[ ("req", Obs.Span.I r.rq_id) ]
+              Obs.Span.instant ~tid:st.tid ~ts:now
+                ~args:[ ("req", Obs.Span.I r.rr_id) ]
                 "timeout-queued";
             retry_or_fail st r ~retryable:true ~now;
-            try_start j ~now
+            try_start st ~now
           end
           else begin
-            let before = lane_injections slot.Pool.sl_lane in
-            Arch.Fault_inject.set_request r.rq_id;
+            (* The attempt's injections are its lane's slice of the
+               engine's log, the same slice a post-mortem reads. *)
+            let since =
+              Option.fold ~none:0 ~some:Arch.Fault_inject.count engine
+            in
             let outcome, exec_demand = Pool.serve st.pool slot in
-            Arch.Fault_inject.set_request (-1);
-            let inj = lane_injections slot.Pool.sl_lane - before in
-            total_injections := !total_injections + inj;
-            r.rq_injections <- r.rq_injections + inj;
+            let injections =
+              match engine with
+              | Some e ->
+                  Arch.Fault_inject.lane_injections e ~since slot.Pool.sl_lane
+              | None -> []
+            in
+            r.rr_injections <- r.rr_injections @ injections;
             let restore = slot.Pool.sl_restored in
             let demand = exec_demand + restore + dispatch_overhead in
             let span =
               if Obs.Span.enabled () then begin
-                let tid = tenant_tid j in
                 Obs.Span.complete
-                  ~args:[ ("req", Obs.Span.I r.rq_id) ]
-                  ~tid ~start:now ~stop:(now + restore) "restore";
-                Some (st.stats.ts_name, r.rq_id)
+                  ~args:[ ("req", Obs.Span.I r.rr_id) ]
+                  ~tid:st.tid ~start:now ~stop:(now + restore) "restore";
+                Some (name st, r.rr_id)
               end
               else None
             in
             Scheduler.submit ?span cpu
               {
                 rn_req = r;
-                rn_tenant = j;
+                rn_st = st;
                 rn_slot = slot;
                 rn_outcome = outcome;
-                rn_injections = inj;
+                rn_injected = injections <> [];
                 rn_start = now;
                 rn_demand = exec_demand;
                 rn_restore = restore;
               }
               ~demand;
-            try_start j ~now
+            try_start st ~now
           end
   in
   let complete (rn : running) ~now =
-    let st = ts.(rn.rn_tenant) in
-    let r = rn.rn_req in
+    let st = rn.rn_st and r = rn.rn_req in
     let residence = now - rn.rn_start in
     (* An attempt whose result is discarded (late, wrong, crashed)
        charges its whole residence to the retry phase and its metered
        demand to waste; only the accepted attempt splits residence
        into restore + exec + drain. *)
     let discard_attempt () =
-      r.rq_retry <- r.rq_retry + residence;
-      r.rq_exec_waste <- r.rq_exec_waste + rn.rn_demand
+      r.rr_retry <- r.rr_retry + residence;
+      r.rr_exec_waste <- r.rr_exec_waste + rn.rn_demand
     in
     (match rn.rn_outcome with
     | Cage.Supervisor.Finished vs ->
         Pool.settle_ok rn.rn_slot;
-        if now - r.rq_attempt_arrival > policy.Policy.deadline then begin
-          st.stats.ts_timeouts <- st.stats.ts_timeouts + 1;
+        if now - r.rr_attempt_arrival > policy.Policy.deadline then begin
+          r.rr_timeouts <- r.rr_timeouts + 1;
           discard_attempt ();
           if Obs.Span.enabled () then
-            Obs.Span.instant ~tid:(tenant_tid rn.rn_tenant) ~ts:now
-              ~args:[ ("req", Obs.Span.I r.rq_id) ]
+            Obs.Span.instant ~tid:st.tid ~ts:now
+              ~args:[ ("req", Obs.Span.I r.rr_id) ]
               "timeout";
           retry_or_fail st r ~retryable:true ~now
         end
+        else if
+          match st.pool.Pool.pl_tenant.Pool.tn_expected with
+          | Some e -> values_equal vs e
+          | None -> true
+        then begin
+          r.rr_sanitized <- rn.rn_injected;
+          r.rr_restore <- rn.rn_restore;
+          r.rr_exec <- rn.rn_demand;
+          r.rr_drain <- residence - rn.rn_demand - rn.rn_restore;
+          Policy.breaker_success st.breaker;
+          terminate st r ~now Slo.Done "done"
+        end
         else begin
-          let correct =
-            match st.pool.Pool.pl_tenant.Pool.tn_expected with
-            | Some e -> values_equal vs e
-            | None -> true
-          in
-          if correct then begin
-            if rn.rn_injections > 0 then
-              st.stats.ts_sanitized <- st.stats.ts_sanitized + 1;
-            st.stats.ts_ok <- st.stats.ts_ok + 1;
-            let latency = now - r.rq_first_arrival in
-            st.stats.ts_latencies <- latency :: st.stats.ts_latencies;
-            r.rq_restore <- rn.rn_restore;
-            r.rq_exec <- rn.rn_demand;
-            r.rq_drain <- residence - rn.rn_demand - rn.rn_restore;
-            Policy.breaker_success st.breaker;
-            span_terminal r ~now "done";
-            observe st r ~now ~ok:true ~latency;
-            terminal ()
-          end
-          else begin
-            (* corrupted result reached the client: the one outcome
-               the whole stack exists to prevent — terminal, never
-               retried, gated to zero by CI *)
-            st.stats.ts_escaped <- st.stats.ts_escaped + 1;
-            discard_attempt ();
-            finish_fail st r ~now
-          end
+          (* corrupted result reached the client: the one outcome
+             the whole stack exists to prevent — terminal, never
+             retried, gated to zero by CI *)
+          discard_attempt ();
+          terminate st r ~now Slo.Escaped "fail"
         end
     | Cage.Supervisor.Crashed pm ->
         Pool.settle_crashed rn.rn_slot;
-        st.stats.ts_crashes <- st.stats.ts_crashes + 1;
+        r.rr_crashes <- r.rr_crashes + 1;
         discard_attempt ();
         if Obs.Span.enabled () then
-          Obs.Span.instant ~tid:(tenant_tid rn.rn_tenant) ~ts:now
+          Obs.Span.instant ~tid:st.tid ~ts:now
             ~args:
-              [ ("req", Obs.Span.I r.rq_id);
+              [ ("req", Obs.Span.I r.rr_id);
                 ("class",
                  Obs.Span.S
                    (Cage.Supervisor.fault_class_to_string
                       pm.Cage.Supervisor.pm_class)) ]
             "crash";
-        if Policy.breaker_crash st.breaker ~now then begin
-          st.stats.ts_breaker_trips <- st.stats.ts_breaker_trips + 1;
-          if Obs.Hook.enabled () then
-            Obs.Hook.event
-              (Obs.Event.Breaker_trip { tenant = st.stats.ts_name })
-        end;
+        if Policy.breaker_crash st.breaker ~now && Obs.Hook.enabled () then
+          Obs.Hook.event (Obs.Event.Breaker_trip { tenant = name st });
         retry_or_fail st r
           ~retryable:(Policy.retryable pm.Cage.Supervisor.pm_class)
           ~now);
-    try_start rn.rn_tenant ~now
+    try_start st ~now
   in
   let loop () =
     let continue = ref true in
     while !continue do
-      match Scheduler.Heap.pop events with
+      (* A first arrival goes before any queued event at its time, the
+         order it would have if every first arrival were queued up
+         front. *)
+      let next =
+        if !arrived < config.requests
+           && !next_time <= Scheduler.Heap.min_time events
+        then begin
+          let now = !next_time and st = ts.(!next_tenant) in
+          let r = Slo.request ~id:!arrived ~tenant:(name st) ~now in
+          incr arrived;
+          if !arrived < config.requests then draw_arrival ();
+          Some (now, Arrival (st, r))
+        end
+        else Scheduler.Heap.pop events
+      in
+      match next with
       | None -> continue := false
       | Some (now, ev) ->
           makespan := max !makespan now;
           Obs.Span.set_now now;
           (match ev with
-          | Arrival r ->
-              let st = ts.(r.rq_tenant) in
-              if r.rq_attempt = 1 then begin
-                st.stats.ts_requests <- st.stats.ts_requests + 1;
-                if Obs.Span.enabled () then begin
-                  let tid = tenant_tid r.rq_tenant in
-                  Obs.Span.async_begin ~id:r.rq_id ~tid ~ts:now
-                    ~args:[ ("tenant", Obs.Span.S st.stats.ts_name) ]
-                    "request";
-                  Obs.Span.instant ~tid ~ts:now
-                    ~args:[ ("req", Obs.Span.I r.rq_id) ]
-                    "admit"
-                end
+          | Arrival (st, r) ->
+              if r.rr_attempts = 1 && Obs.Span.enabled () then begin
+                Obs.Span.async_begin ~id:r.rr_id ~tid:st.tid ~ts:now
+                  ~args:[ ("tenant", Obs.Span.S (name st)) ]
+                  "request";
+                Obs.Span.instant ~tid:st.tid ~ts:now
+                  ~args:[ ("req", Obs.Span.I r.rr_id) ]
+                  "admit"
               end;
-              r.rq_attempt_arrival <- now;
+              r.rr_attempt_arrival <- now;
               if not (Policy.breaker_admits st.breaker ~now) then
-                shed st r ~now `Breaker
+                shed st r ~now "breaker"
               else if Queue.length st.waiting >= policy.Policy.queue_bound
-              then shed st r ~now `Queue
+              then shed st r ~now "queue"
               else begin
                 Queue.push r st.waiting;
                 if Obs.Hook.enabled () then
                   Obs.Hook.queue_depth (Queue.length st.waiting);
-                try_start r.rq_tenant ~now
+                try_start st ~now
               end
           | Slice s -> (
               match Scheduler.slice_done cpu s with
@@ -630,9 +527,9 @@ let run ?chaos ?collect config tenants =
               | None -> ())
           | Heal ->
               if !pending > 0 then begin
-                Array.iteri
-                  (fun j st ->
-                    if Pool.heal st.pool ~now > 0 then try_start j ~now)
+                Array.iter
+                  (fun st ->
+                    if Pool.heal st.pool ~now > 0 then try_start st ~now)
                   ts;
                 Scheduler.Heap.push events
                   ~time:(now + policy.Policy.heal_interval)
@@ -643,16 +540,15 @@ let run ?chaos ?collect config tenants =
           dispatch_all now
     done
   in
-  (match chaos with
-  | Some pol -> Arch.Fault_inject.with_engine (Arch.Fault_inject.create pol) loop
+  (match engine with
+  | Some e -> Arch.Fault_inject.with_engine e loop
   | None -> loop ());
-  let reports = Array.to_list (Array.map (fun st -> tenant_report st.stats) ts) in
+  let reports = Array.to_list (Array.map tenant_report ts) in
   let sum f = List.fold_left (fun n tr -> n + f tr) 0 reports in
   let all_lat =
-    Array.of_list
-      (Array.fold_left (fun acc st -> st.stats.ts_latencies @ acc) [] ts)
+    sorted (Array.fold_left (fun acc st -> st.latencies @ acc) [] ts)
   in
-  Array.sort compare all_lat;
+  let pools f = Array.fold_left (fun n st -> n + f st.pool) 0 ts in
   {
     rp_requests = sum (fun tr -> tr.tr_requests);
     rp_ok = sum (fun tr -> tr.tr_ok);
@@ -664,21 +560,17 @@ let run ?chaos ?collect config tenants =
     rp_retries = sum (fun tr -> tr.tr_retries);
     rp_timeouts = sum (fun tr -> tr.tr_timeouts);
     rp_breaker_trips = sum (fun tr -> tr.tr_breaker_trips);
-    rp_restores = Array.fold_left (fun n st -> n + Pool.restores st.pool) 0 ts;
-    rp_restore_copied_bytes =
-      Array.fold_left (fun n st -> n + Pool.restore_copied_bytes st.pool) 0 ts;
-    rp_restore_image_bytes =
-      Array.fold_left (fun n st -> n + Pool.restore_image_bytes st.pool) 0 ts;
-    rp_heals = Array.fold_left (fun n st -> n + Pool.heals st.pool) 0 ts;
-    rp_heals_deferred =
-      Array.fold_left (fun n st -> n + Pool.heals_deferred st.pool) 0 ts;
-    rp_injections = !total_injections;
+    rp_restores = pools Pool.restores;
+    rp_restore_copied_bytes = pools Pool.restore_copied_bytes;
+    rp_restore_image_bytes = pools Pool.restore_image_bytes;
+    rp_heals = pools Pool.heals;
+    rp_heals_deferred = pools Pool.heals_deferred;
+    rp_injections = Option.fold ~none:0 ~some:Arch.Fault_inject.count engine;
     rp_makespan = !makespan;
     rp_p50_exact = Slo.percentile_exact all_lat 50.0;
     rp_p99_exact = Slo.percentile_exact all_lat 99.0;
     rp_max_ready = Scheduler.max_ready cpu;
-    rp_served_cycles =
-      Array.fold_left (fun n st -> n + Pool.served_cycles st.pool) 0 ts;
+    rp_served_cycles = pools Pool.served_cycles;
     rp_tenants = reports;
   }
 

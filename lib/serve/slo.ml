@@ -1,13 +1,17 @@
-(** Per-tenant SLO monitoring and tail-latency attribution.
+(** The request record, and the SLO and fault views over it.
 
-    Three consumers of the serving runtime's per-request stream, all
-    fed by {!Server.run} when a collector is passed in:
+    {!Server.run} keeps one {!req_rec} per logical request, from its
+    first arrival to its termination: its phase decomposition, how and
+    when it ended, and the chaos injections it absorbed. The record is
+    counted once into its tenant's report when it terminates; with a
+    collector passed in it is also kept, and everything below is a view
+    over the kept records:
 
-    - {e SLO monitors}: one sliding sample window per tenant, scored
-      against an availability objective (fraction of requests that
-      terminate ok) and a latency objective (fraction of ok requests
-      under a threshold), with {e multi-window burn rates} — how fast
-      each window is spending its error budget, where burn 1.0 means
+    - {e SLO monitors}: each tenant's records, scored against an
+      availability objective (fraction of requests that terminate ok)
+      and a latency objective (fraction of ok requests under a
+      threshold), with {e multi-window burn rates} — how fast each
+      window is spending its error budget, where burn 1.0 means
       "exactly on target" and anything sustained above it means the
       objective is lost before the window closes;
     - {e tail attribution}: every terminated request carries an exact
@@ -17,11 +21,11 @@
       says {e where} the tail went, not just how long it was. The
       exec phases are metered guest cycles, so their sum reconciles
       exactly against {!Pool.served_cycles};
-    - {e fault→request correlation}: chaos injections are tagged with
-      the request id they landed in ([Arch.Fault_inject.set_request]),
-      so a chaos run ends with "injection at site X hit request R of
-      tenant T, contained after 1 retry, cost 12k cycles" instead of
-      an aggregate counter.
+    - {e fault→request correlation}: an attempt's injections are its
+      slot lane's slice of the chaos engine's log around the attempt
+      ({!Arch.Fault_inject.lane_injections}), so a chaos run ends with
+      "injection at site X hit request R of tenant T, contained after
+      1 retry, cost 12k cycles" instead of an aggregate counter.
 
     Everything here is measurement on the simulated clock; nothing
     feeds back into scheduling. *)
@@ -42,6 +46,75 @@ let percentile_exact sorted p =
       sorted.(max 0 (min (n - 1) (rank - 1)))
 
 (* ------------------------------------------------------------------ *)
+(* The request record                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type ending =
+  | Pending   (** still in the system *)
+  | Done      (** a correct result within the deadline *)
+  | Escaped   (** a wrong result reached the client: counted as failed *)
+  | Failed    (** attempts exhausted, or a definite guest bug *)
+  | Shed      (** refused at the door: queue bound or open breaker *)
+
+(** One logical request. For an ok request the identity
+    [latency = rr_queue + rr_restore + rr_exec + rr_retry + rr_drain]
+    holds exactly: every cycle between first arrival and termination is
+    attributed to exactly one phase. [rr_exec] and [rr_exec_waste] are
+    {e metered} guest cycles — the accepted attempt's demand and the
+    demand of attempts whose result was discarded — so summed over all
+    records they equal {!Pool.served_cycles}. *)
+type req_rec = {
+  rr_id : int;                 (** arrival ordinal, stable across retries *)
+  rr_tenant : string;
+  rr_arrival : int;            (** first arrival, DES cycles *)
+  mutable rr_end : ending;
+  mutable rr_ended : int;      (** termination time *)
+  mutable rr_attempts : int;   (** 1-based; retries = attempts - 1 *)
+  mutable rr_attempt_arrival : int;
+  mutable rr_crashes : int;    (** attempts that crashed *)
+  mutable rr_timeouts : int;   (** deadline misses, queued or late *)
+  mutable rr_queue : int;      (** waiting for a slot, all attempts *)
+  mutable rr_restore : int;    (** snapshot restore, accepted attempt *)
+  mutable rr_exec : int;       (** metered guest demand, accepted attempt *)
+  mutable rr_exec_waste : int; (** metered demand of discarded attempts *)
+  mutable rr_retry : int;
+      (** backoff waits + discarded attempts' residence *)
+  mutable rr_drain : int;
+      (** dispatch overhead + preemption gaps, accepted attempt *)
+  mutable rr_sanitized : bool; (** the accepted attempt absorbed injections *)
+  mutable rr_injections : Arch.Fault_inject.injection list;
+      (** every attempt's, chronological *)
+  mutable rr_flow : bool;      (** span flow chain opened *)
+}
+
+(** A request's record at its first arrival. *)
+let request ~id ~tenant ~now =
+  { rr_id = id; rr_tenant = tenant; rr_arrival = now; rr_end = Pending;
+    rr_ended = 0; rr_attempts = 1; rr_attempt_arrival = now; rr_crashes = 0;
+    rr_timeouts = 0; rr_queue = 0; rr_restore = 0; rr_exec = 0;
+    rr_exec_waste = 0; rr_retry = 0; rr_drain = 0; rr_sanitized = false;
+    rr_injections = []; rr_flow = false }
+
+let ok r = r.rr_end = Done
+
+(** End-to-end latency of an ok request; [-1] for any other. *)
+let latency r = if ok r then r.rr_ended - r.rr_arrival else -1
+
+type collector = { mutable co_recs : req_rec list (* newest first *) }
+
+let collector () = { co_recs = [] }
+
+(** Keep one terminated record. *)
+let record co r = co.co_recs <- r :: co.co_recs
+
+let records co = List.rev co.co_recs
+
+(** Total metered guest cycles the records attribute, accepted +
+    discarded — must equal the pools' {!Pool.served_cycles} sum. *)
+let exec_cycles co =
+  List.fold_left (fun n r -> n + r.rr_exec + r.rr_exec_waste) 0 co.co_recs
+
+(* ------------------------------------------------------------------ *)
 (* Objectives and monitors                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -57,34 +130,34 @@ type objective = {
 let default_objective =
   { ob_availability = 0.99; ob_latency = 250_000; ob_latency_quantile = 0.95 }
 
-type sample = {
-  sm_time : int;     (** termination time, DES cycles *)
-  sm_ok : bool;
-  sm_latency : int;  (** end-to-end latency; [-1] for failed/shed *)
-}
+(** One tenant's terminated records, newest first. *)
+type monitor = { mn_tenant : string; mn_recs : req_rec list }
 
-type monitor = {
-  mn_tenant : string;
-  mutable mn_samples : sample list;  (* newest first *)
-  mutable mn_total : int;
-  mutable mn_ok : int;
-}
+let monitor co tenant =
+  { mn_tenant = tenant;
+    mn_recs =
+      List.filter (fun r -> String.equal r.rr_tenant tenant) co.co_recs }
 
-(** Samples inside the window [(now - window, now]]:
-    [(total, ok, fast)] where [fast] counts ok samples at or under the
+(** One monitor per tenant, in the order their first requests ended. *)
+let monitors co =
+  List.fold_left
+    (fun ts r -> if List.mem r.rr_tenant ts then ts else ts @ [ r.rr_tenant ])
+    [] (records co)
+  |> List.map (monitor co)
+
+(** Records inside the window [(now - window, now]]:
+    [(total, ok, fast)] where [fast] counts ok records at or under the
     latency threshold. *)
 let window_stats m ~now ~window ~threshold =
-  let lo = now - window in
-  let rec go total ok fast = function
-    | [] -> (total, ok, fast)
-    | s :: _ when s.sm_time <= lo -> (total, ok, fast)
-    | s :: rest ->
-        go (total + 1)
-          (ok + if s.sm_ok then 1 else 0)
-          (fast + if s.sm_ok && s.sm_latency <= threshold then 1 else 0)
-          rest
-  in
-  go 0 0 0 m.mn_samples
+  List.fold_left
+    (fun (total, n_ok, fast) r ->
+      if r.rr_ended <= now - window then (total, n_ok, fast)
+      else
+        let good = ok r in
+        ( total + 1,
+          (n_ok + if good then 1 else 0),
+          fast + if good && latency r <= threshold then 1 else 0 ))
+    (0, 0, 0) m.mn_recs
 
 (** Burn rates over one window: [(availability_burn, latency_burn)].
     Burn = observed error rate / error budget; 1.0 is "spending the
@@ -111,89 +184,6 @@ let burn_rates m obj ~now ~window =
       else slow /. budget
   in
   (avail_burn, lat_burn)
-
-(* ------------------------------------------------------------------ *)
-(* Per-request records and fault hits                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** One terminated request's latency decomposition. For an ok request
-    the identity [rr_latency = rr_queue + rr_restore + rr_exec +
-    rr_retry + rr_drain] holds exactly: every cycle between first
-    arrival and termination is attributed to exactly one phase.
-    [rr_exec] and [rr_exec_waste] are {e metered} guest cycles — the
-    accepted attempt's demand and the demand of attempts whose result
-    was discarded — so summed over all records they equal
-    {!Pool.served_cycles} for requests that ran. *)
-type req_rec = {
-  rr_id : int;
-  rr_tenant : string;
-  rr_ok : bool;
-  rr_latency : int;      (** end-to-end; [-1] for failed/shed *)
-  rr_attempts : int;
-  rr_injections : int;
-  rr_queue : int;        (** waiting for a slot, all attempts *)
-  rr_restore : int;      (** snapshot restore, accepted attempt *)
-  rr_exec : int;         (** metered guest demand, accepted attempt *)
-  rr_exec_waste : int;   (** metered demand of discarded attempts *)
-  rr_retry : int;        (** backoff waits + discarded attempts' residence *)
-  rr_drain : int;        (** dispatch overhead + preemption gaps, accepted *)
-}
-
-(** One chaos injection's request-level consequence. *)
-type hit = {
-  ht_request : int;
-  ht_tenant : string;
-  ht_lane : int;
-  ht_sites : string list;   (** injection sites, chronological *)
-  ht_attempts : int;        (** attempts the request used in total *)
-  ht_contained : bool;      (** the request still terminated ok *)
-  ht_cost : int;            (** retry-phase cycles the faults induced *)
-}
-
-type collector = {
-  co_objective : objective;
-  mutable co_monitors : (string * monitor) list;  (* registration order *)
-  mutable co_recs : req_rec list;                 (* newest first *)
-  mutable co_hits : hit list;                     (* newest first *)
-  mutable co_exec_ok : int;
-  mutable co_exec_waste : int;
-}
-
-let collector ?(objective = default_objective) () =
-  { co_objective = objective; co_monitors = []; co_recs = []; co_hits = [];
-    co_exec_ok = 0; co_exec_waste = 0 }
-
-let monitor co tenant =
-  match List.assoc_opt tenant co.co_monitors with
-  | Some m -> m
-  | None ->
-      let m = { mn_tenant = tenant; mn_samples = []; mn_total = 0; mn_ok = 0 } in
-      co.co_monitors <- co.co_monitors @ [ (tenant, m) ];
-      m
-
-(** Feed one terminated request into its tenant's monitor. *)
-let sample co ~tenant ~now ~ok ~latency =
-  let m = monitor co tenant in
-  m.mn_samples <- { sm_time = now; sm_ok = ok; sm_latency = latency }
-                  :: m.mn_samples;
-  m.mn_total <- m.mn_total + 1;
-  if ok then m.mn_ok <- m.mn_ok + 1
-
-(** Record one terminated request's phase decomposition. *)
-let record co r =
-  co.co_recs <- r :: co.co_recs;
-  co.co_exec_ok <- co.co_exec_ok + r.rr_exec;
-  co.co_exec_waste <- co.co_exec_waste + r.rr_exec_waste
-
-let hit co h = co.co_hits <- h :: co.co_hits
-
-let records co = List.rev co.co_recs
-let hits co = List.rev co.co_hits
-let monitors co = List.map snd co.co_monitors
-
-(** Total metered guest cycles the collector attributed, accepted +
-    discarded — must equal the pools' {!Pool.served_cycles} sum. *)
-let exec_cycles co = co.co_exec_ok + co.co_exec_waste
 
 (* ------------------------------------------------------------------ *)
 (* Tail attribution                                                    *)
@@ -226,27 +216,65 @@ let tail_row tenant rs =
     tl_exec = sum (fun r -> r.rr_exec);
     tl_retry = sum (fun r -> r.rr_retry);
     tl_drain = sum (fun r -> r.rr_drain);
-    tl_total = sum (fun r -> r.rr_latency);
+    tl_total = sum latency;
   }
 
 (** Decompose the slowest [(100 - pct)]% of ok requests: which phases
     their cycles sit in, per tenant and overall. *)
 let tail co ~pct =
-  let ok = List.filter (fun r -> r.rr_ok) (records co) in
-  let lat = Array.of_list (List.map (fun r -> r.rr_latency) ok) in
+  let oks = List.filter ok (records co) in
+  let lat = Array.of_list (List.map latency oks) in
   Array.sort compare lat;
   let threshold = percentile_exact lat pct in
-  let slow = List.filter (fun r -> r.rr_latency >= threshold) ok in
+  let slow = List.filter (fun r -> latency r >= threshold) oks in
   let tenants =
     List.filter_map
-      (fun (name, _) ->
-        match List.filter (fun r -> String.equal r.rr_tenant name) slow with
+      (fun { mn_tenant = t; _ } ->
+        match List.filter (fun r -> String.equal r.rr_tenant t) slow with
         | [] -> None
-        | rs -> Some (tail_row name rs))
-      co.co_monitors
+        | rs -> Some (tail_row t rs))
+      (monitors co)
   in
   { tt_pct = pct; tt_threshold = threshold;
     tt_rows = tenants @ [ tail_row "(all)" slow ] }
+
+(* ------------------------------------------------------------------ *)
+(* Fault -> request correlation                                        *)
+(* ------------------------------------------------------------------ *)
+
+(** One injected request's consequence. *)
+type hit = {
+  ht_request : int;
+  ht_tenant : string;
+  ht_lane : int;            (** lane of its first injection *)
+  ht_sites : string list;   (** injection sites, chronological *)
+  ht_attempts : int;        (** attempts the request used in total *)
+  ht_contained : bool;      (** the request still terminated ok *)
+  ht_cost : int;            (** retry-phase cycles the faults induced *)
+}
+
+(** The records that absorbed injections, in termination order. *)
+let hits co =
+  List.filter_map
+    (fun r ->
+      match r.rr_injections with
+      | [] -> None
+      | first :: _ ->
+          Some
+            {
+              ht_request = r.rr_id;
+              ht_tenant = r.rr_tenant;
+              ht_lane = first.Arch.Fault_inject.inj_lane;
+              ht_sites =
+                List.map
+                  (fun (i : Arch.Fault_inject.injection) ->
+                    Arch.Fault_inject.site_to_string i.inj_site)
+                  r.rr_injections;
+              ht_attempts = r.rr_attempts;
+              ht_contained = ok r;
+              ht_cost = r.rr_retry;
+            })
+    (records co)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering (the cage_top-style end-of-run report)                    *)
@@ -256,20 +284,19 @@ let pct x = 100.0 *. x
 
 (** Per-tenant burn rates over each window: the SLO report body. *)
 let render_slo ppf co ~now ~windows =
-  let obj = co.co_objective in
+  let obj = default_objective in
   Format.fprintf ppf
     "SLO: availability >= %.2f%%, p%.0f latency <= %d cycles@."
     (pct obj.ob_availability)
     (pct obj.ob_latency_quantile)
     obj.ob_latency;
   List.iter
-    (fun (_, m) ->
-      let avail =
-        if m.mn_total = 0 then 100.0
-        else pct (float_of_int m.mn_ok /. float_of_int m.mn_total)
-      in
+    (fun m ->
+      let total = List.length m.mn_recs in
+      let n_ok = List.length (List.filter ok m.mn_recs) in
       Format.fprintf ppf "  %-10s %7d served  availability %6.2f%%@."
-        m.mn_tenant m.mn_total avail;
+        m.mn_tenant total
+        (pct (float_of_int n_ok /. float_of_int total));
       List.iter
         (fun (label, w) ->
           let ab, lb = burn_rates m obj ~now ~window:w in
@@ -277,7 +304,7 @@ let render_slo ppf co ~now ~windows =
             "    window %-6s (%9d cy)  avail burn %6.2fx  latency burn %6.2fx@."
             label w ab lb)
         windows)
-    co.co_monitors
+    (monitors co)
 
 let render_tail ppf co ~pct:p =
   let t = tail co ~pct:p in

@@ -171,4 +171,3 @@ let dead_buffer : program =
   }
 
 let programs = programs @ [ dead_buffer ]
-let find name = List.find_opt (fun p -> String.equal p.s_name name) programs

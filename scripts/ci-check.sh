@@ -102,6 +102,10 @@ grep -q "escaped under chaos : 0" _build/serve_smoke.out || {
   echo "FAIL: serving smoke reported escapes"; cat _build/serve_smoke.out
   exit 1; }
 
+echo "== serving smoke report (golden diff, without the wrote lines: paths, wall time)"
+grep -v '^  wrote ' _build/serve_smoke.out > _build/serve_smoke.golden.out
+diff test/golden/serve_smoke.golden _build/serve_smoke.golden.out
+
 echo "== dirty-chunk restore engaged (copied < restores x image bytes, per side)"
 sed -n 's/.*"restore_copied_bytes": \([0-9]*\), "restore_image_bytes": \([0-9]*\).*/\1 \2/p' \
   _build/BENCH_serve_smoke.json > _build/restore_bytes.out
@@ -134,23 +138,29 @@ scripts/bench-diff.sh _build/BENCH_serve_smoke.json \
   ok:eq escaped:eq injections:eq makespan_cycles:eq \
   p99_exact_cycles:eq goodput_ratio:eq ok_per_mcycle:rel:0.001
 
+# The bench experiments write their JSON into the working directory; run
+# them from _build/bench-ci so a CI run leaves the committed BENCH_*.json
+# (the re-baselined figures) alone.
+mkdir -p _build/bench-ci
+bench() { (cd _build/bench-ci && ../default/bench/main.exe "$@"); }
+
 echo "== observability overhead gate (disabled <= 2%)"
-dune exec bench/main.exe -- obsoverhead > /dev/null
-disabled_pct=$(sed -n 's/.*"disabled_overhead_pct": \([0-9.]*\).*/\1/p' BENCH_obsoverhead.json)
+bench obsoverhead > /dev/null
+disabled_pct=$(sed -n 's/.*"disabled_overhead_pct": \([0-9.]*\).*/\1/p' _build/bench-ci/BENCH_obsoverhead.json)
 echo "   disabled_overhead_pct = ${disabled_pct}"
 awk "BEGIN { exit !($disabled_pct <= 2.0) }" || {
   echo "FAIL: disabled-observability overhead ${disabled_pct}% exceeds 2%"; exit 1; }
 
 echo "== observability bench drift vs committed baseline"
-scripts/bench-diff.sh BENCH_obsoverhead.json \
+scripts/bench-diff.sh _build/bench-ci/BENCH_obsoverhead.json \
   bench/baselines/BENCH_obsoverhead.json \
   ops:eq checks_per_run:eq disabled_overhead_pct:abs:2.0 \
   serve_spans_overhead_pct:abs:15.0
 
 echo "== interprocedural analysis gate (tag writes elided > 0, full beats PR 5's 2.2%)"
-dune exec bench/main.exe -- analysis > /dev/null
-tw_total=$(sed -n 's/.*"tag_writes_elided_total": \([0-9]*\).*/\1/p' BENCH_analysis.json)
-full_pct=$(sed -n 's/.*"mean_speedup_full_pct": \([0-9.]*\).*/\1/p' BENCH_analysis.json)
+bench analysis > /dev/null
+tw_total=$(sed -n 's/.*"tag_writes_elided_total": \([0-9]*\).*/\1/p' _build/bench-ci/BENCH_analysis.json)
+full_pct=$(sed -n 's/.*"mean_speedup_full_pct": \([0-9.]*\).*/\1/p' _build/bench-ci/BENCH_analysis.json)
 echo "   tag_writes_elided_total = ${tw_total}, mean_speedup_full_pct = ${full_pct}"
 awk "BEGIN { exit !($tw_total > 0) }" || {
   echo "FAIL: no tag-plane writes elided on PolyBench"; exit 1; }
@@ -159,23 +169,23 @@ awk "BEGIN { exit !($full_pct > 2.2) }" || {
   exit 1; }
 
 echo "== analysis bench drift vs committed baseline"
-scripts/bench-diff.sh BENCH_analysis.json \
+scripts/bench-diff.sh _build/bench-ci/BENCH_analysis.json \
   bench/baselines/BENCH_analysis.json \
   mean_tag_elided_frac:abs:0.02 mean_bounds_elided_frac:abs:0.02 \
   mean_tag_writes_elided_frac:abs:0.05 tag_writes_elided_total:rel:0.2 \
   mean_speedup_tag_pct:abs:1.0 mean_speedup_full_pct:abs:2.0
 
 echo "== execution-engine smoke gate (threaded >= 2x interp)"
-dune exec bench/main.exe -- exec > /dev/null
-geomean=$(sed -n 's/.*"geomean_speedup": \([0-9.]*\).*/\1/p' BENCH_exec.json)
+bench exec > /dev/null
+geomean=$(sed -n 's/.*"geomean_speedup": \([0-9.]*\).*/\1/p' _build/bench-ci/BENCH_exec.json)
 echo "   geomean_speedup = ${geomean}x"
 awk "BEGIN { exit !($geomean >= 2.0) }" || {
   echo "FAIL: threaded engine only ${geomean}x over the interpreter"; exit 1; }
 
 echo "== access path allocation gate (threaded minor words per access <= 1.0, both columns)"
-words=$(sed -n 's/.*"minor_words_per_access": \([0-9.]*\).*/\1/p' BENCH_exec.json)
+words=$(sed -n 's/.*"minor_words_per_access": \([0-9.]*\).*/\1/p' _build/bench-ci/BENCH_exec.json)
 [ "$(echo "$words" | wc -w)" -eq 2 ] || {
-  echo "FAIL: BENCH_exec.json lacks minor_words_per_access in both columns"; exit 1; }
+  echo "FAIL: _build/bench-ci/BENCH_exec.json lacks minor_words_per_access in both columns"; exit 1; }
 for w in $words; do
   echo "   minor_words_per_access = ${w}"
   awk "BEGIN { exit !($w <= 1.0) }" || {

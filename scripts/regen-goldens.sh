@@ -18,6 +18,12 @@ echo "== test/golden/served_matrix.golden"
 dune exec bin/cage_chaos.exe -- served --seed 7 \
   > test/golden/served_matrix.golden
 
+echo "== test/golden/serve_smoke.golden"
+dune exec bin/cage_serve.exe -- --smoke --slo-report \
+  --trace-requests _build/req_trace.json \
+  --json _build/BENCH_serve_smoke.json | grep -v '^  wrote ' \
+  > test/golden/serve_smoke.golden
+
 echo "== test/golden/lint.golden"
 { dune exec bin/cage_lint.exe -- examples/quickstart.c
   dune exec bin/cage_lint.exe -- --cve-suite

@@ -638,6 +638,71 @@ let test_serving_deterministic () =
   let a = go () and b = go () in
   Alcotest.(check bool) "two chaos-on runs replay identically" true (a = b)
 
+(* Heap scribbles that the accepted attempt survives: the only smoke-free
+   path that counts sanitized requests. Every report field, every
+   tenant field and the hit list are pinned. *)
+let test_sanitized_requests_pinned () =
+  let co = Serve.Slo.collector () in
+  let r =
+    Serve.Server.run
+      ~chaos:
+        (Arch.Fault_inject.policy ~seed:0 ~probability:0.02 ~max_injections:2
+           [ Arch.Fault_inject.Heap_scribble ])
+      ~collect:co
+      { Serve.Server.default_config with
+        Serve.Server.requests = 300; seed = 0; slots = 2; cores = 2 }
+      (Harness.Serve_bench.tenants ~seed:5 ())
+  in
+  let fields = Alcotest.(list (pair string int)) in
+  Alcotest.check fields "report"
+    [ ("requests", 300); ("ok", 263); ("sanitized", 4); ("escaped", 0);
+      ("failed", 2); ("shed", 35); ("crashes", 12); ("retries", 10);
+      ("timeouts", 0); ("trips", 5); ("restores", 271);
+      ("copied", 1_901_786); ("image", 73_265_392); ("heals", 12);
+      ("heals deferred", 5); ("injections", 4); ("makespan", 3_560_000);
+      ("p50", 223_255); ("p99", 1_034_764); ("max ready", 4);
+      ("served cycles", 6_919_733) ]
+    Serve.Server.
+      [ ("requests", r.rp_requests); ("ok", r.rp_ok);
+        ("sanitized", r.rp_sanitized); ("escaped", r.rp_escaped);
+        ("failed", r.rp_failed); ("shed", r.rp_shed);
+        ("crashes", r.rp_crashes); ("retries", r.rp_retries);
+        ("timeouts", r.rp_timeouts); ("trips", r.rp_breaker_trips);
+        ("restores", r.rp_restores); ("copied", r.rp_restore_copied_bytes);
+        ("image", r.rp_restore_image_bytes); ("heals", r.rp_heals);
+        ("heals deferred", r.rp_heals_deferred);
+        ("injections", r.rp_injections); ("makespan", r.rp_makespan);
+        ("p50", r.rp_p50_exact); ("p99", r.rp_p99_exact);
+        ("max ready", r.rp_max_ready);
+        ("served cycles", r.rp_served_cycles) ];
+  let tenant (t : Serve.Server.tenant_report) =
+    Serve.Server.
+      ( t.tr_name,
+        [ t.tr_requests; t.tr_ok; t.tr_sanitized; t.tr_escaped; t.tr_failed;
+          t.tr_shed; t.tr_crashes; t.tr_retries; t.tr_timeouts;
+          t.tr_breaker_trips; t.tr_p50_exact; t.tr_p99_exact ] )
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "tenants: requests ok sanitized escaped failed shed crashes retries \
+     timeouts trips p50 p99"
+    [ ("compute", [ 173; 173; 4; 0; 0; 0; 0; 0; 0; 0; 519_106; 1_051_073 ]);
+      ("fuzz", [ 90; 90; 0; 0; 0; 0; 0; 0; 0; 0; 10_285; 28_728 ]);
+      ("malicious", [ 37; 0; 0; 0; 2; 35; 12; 10; 0; 5; 0; 0 ]) ]
+    (List.map tenant r.Serve.Server.rp_tenants);
+  let hit (h : Serve.Slo.hit) =
+    Serve.Slo.
+      ( Printf.sprintf "%d %s lane %d %s" h.ht_request h.ht_tenant h.ht_lane
+          (String.concat "+" h.ht_sites),
+        (h.ht_attempts, h.ht_contained, h.ht_cost) )
+  in
+  Alcotest.(check (list (pair string (triple int bool int))))
+    "hits: attempts, contained, cost"
+    [ ("34 compute lane 1001 heap-scribble", (1, true, 0));
+      ("58 compute lane 1001 heap-scribble", (1, true, 0));
+      ("71 compute lane 1000 heap-scribble", (1, true, 0));
+      ("79 compute lane 1000 heap-scribble", (1, true, 0)) ]
+    (List.map hit (Serve.Slo.hits co))
+
 (* Work conservation, read off a request trace: whenever an attempt
    waits for a core (from its submission, the start of its restore span,
    or from the end of its previous slice, until its next slice starts)
@@ -806,11 +871,19 @@ let test_percentile_exact_pinned () =
 
 let test_burn_rates () =
   let co = Serve.Slo.collector () in
+  (* one terminated request per sample: ended at [now], ok after
+     [latency] cycles or failed *)
+  let sample co ~tenant ~now ~ok ~latency =
+    let r = Serve.Slo.request ~id:now ~tenant ~now:(now - latency) in
+    r.Serve.Slo.rr_end <- (if ok then Serve.Slo.Done else Serve.Slo.Failed);
+    r.Serve.Slo.rr_ended <- now;
+    Serve.Slo.record co r
+  in
   (* 100 samples at cycles 1..100, failing at 50 and 100: 2% error
      rate against a 1% budget is exactly a 2x burn *)
   for i = 1 to 100 do
     let ok = i mod 50 <> 0 in
-    Serve.Slo.sample co ~tenant:"t" ~now:i ~ok
+    sample co ~tenant:"t" ~now:i ~ok
       ~latency:(if ok then 100 else -1)
   done;
   let m = Serve.Slo.monitor co "t" in
@@ -823,7 +896,7 @@ let test_burn_rates () =
      that failed early but ran clean since burns nothing now *)
   for i = 1 to 100 do
     let ok = i > 2 in
-    Serve.Slo.sample co ~tenant:"recovered" ~now:i ~ok
+    sample co ~tenant:"recovered" ~now:i ~ok
       ~latency:(if ok then 100 else -1)
   done;
   let mr = Serve.Slo.monitor co "recovered" in
@@ -835,7 +908,7 @@ let test_burn_rates () =
   (* latency objective: 10% of ok samples over threshold against a 5%
      budget is a 2x latency burn *)
   for i = 1 to 100 do
-    Serve.Slo.sample co ~tenant:"lat" ~now:i ~ok:true
+    sample co ~tenant:"lat" ~now:i ~ok:true
       ~latency:(if i mod 10 = 0 then obj.Serve.Slo.ob_latency + 1 else 100)
   done;
   let ml = Serve.Slo.monitor co "lat" in
@@ -862,7 +935,7 @@ let test_phase_attribution_exact () =
   let recs = Serve.Slo.records co in
   Alcotest.(check int) "one record per terminated request"
     report.Serve.Server.rp_requests (List.length recs);
-  let oks = List.filter (fun r -> r.Serve.Slo.rr_ok) recs in
+  let oks = List.filter Serve.Slo.ok recs in
   Alcotest.(check bool) "some requests succeeded" true (oks <> []);
   List.iter
     (fun (r : Serve.Slo.req_rec) ->
@@ -870,7 +943,7 @@ let test_phase_attribution_exact () =
         (Printf.sprintf
            "request %d: latency = queue + restore + exec + retry + drain"
            r.Serve.Slo.rr_id)
-        r.Serve.Slo.rr_latency
+        (Serve.Slo.latency r)
         (r.Serve.Slo.rr_queue + r.Serve.Slo.rr_restore + r.Serve.Slo.rr_exec
         + r.Serve.Slo.rr_retry + r.Serve.Slo.rr_drain))
     oks;
@@ -881,7 +954,7 @@ let test_phase_attribution_exact () =
     (Serve.Slo.exec_cycles co);
   (* the report's exact percentiles recompute from the records *)
   let lat =
-    Array.of_list (List.map (fun r -> r.Serve.Slo.rr_latency) oks)
+    Array.of_list (List.map Serve.Slo.latency oks)
   in
   Array.sort compare lat;
   Alcotest.(check int) "rp_p99_exact recomputes from the record stream"
@@ -1067,5 +1140,7 @@ let () =
             test_span_stitching_e2e;
           Alcotest.test_case "free core takes a ready job" `Quick
             test_free_core_takes_ready_job;
+          Alcotest.test_case "sanitized requests pinned" `Quick
+            test_sanitized_requests_pinned;
         ] );
     ]

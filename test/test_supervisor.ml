@@ -444,6 +444,64 @@ let test_quarantine_and_sibling () =
   Alcotest.(check int) "one instance quarantined" 1
     (List.length (Cage.Supervisor.quarantined sup))
 
+(* A heap scribble is drawn when a chunk is freed and written at the
+   next synchronization point. Seed 57 draws one in the victim's first
+   free, then a stray signature bit crashes the victim before that
+   point: the pending scribble must die with the crashed invocation,
+   not land in the next instance to reach a sync point. *)
+let test_scribble_dies_with_crash () =
+  let cfg = Cage.Config.full and seed = 57 in
+  let compile src = (Libc.Run.compile cfg src).Minic.Driver.co_module in
+  let spawn ?lane sup m =
+    Cage.Supervisor.spawn ?lane
+      ~imports:(Libc.Wasi.imports (Libc.Wasi.create ()))
+      sup m
+  in
+  let sup =
+    Cage.Supervisor.create (Cage.Process.create ~config:cfg ~seed ())
+  in
+  let victim = spawn sup (compile Harness.Detection_matrix.victim_source) in
+  let sup2 =
+    Cage.Supervisor.create
+      (Cage.Process.create ~config:cfg ~seed:(seed + 5000) ())
+  in
+  let sibling =
+    spawn ~lane:1 sup2
+      (compile
+         "int main() { long *p = (long *)malloc(64); p[0] = 5; return \
+          (int)p[0]; }")
+  in
+  let engine =
+    Arch.Fault_inject.create
+      (Arch.Fault_inject.policy ~seed ~probability:0.003
+         ~site_probability:[ (Arch.Fault_inject.Heap_scribble, 1.0) ]
+         ~max_injections:4
+         Arch.Fault_inject.[ Heap_scribble; Ptr_sig; Ptr_tag ])
+  in
+  let word () =
+    Memory.load_i64 (Option.get sibling.Instance.mem) 0x104b8L
+  in
+  let vpm, sibling_out, after =
+    Arch.Fault_inject.with_engine engine (fun () ->
+        let vpm = crash_of (Cage.Supervisor.run sup victim "main" []) in
+        let out = Cage.Supervisor.run sup2 sibling "main" [] in
+        (vpm, out, word ()))
+  in
+  Alcotest.(check (list string)) "the victim drew a scribble, then crashed"
+    [ "heap-scribble"; "ptr-sig" ]
+    (List.map
+       (fun s -> List.hd (String.split_on_char ' ' s))
+       vpm.Cage.Supervisor.pm_injections);
+  (match sibling_out with
+  | Cage.Supervisor.Finished vs ->
+      Alcotest.(check (list value)) "sibling returns its value"
+        [ Values.I32 5l ] vs
+  | Cage.Supervisor.Crashed pm ->
+      Alcotest.failf "sibling crashed: %s" pm.Cage.Supervisor.pm_message);
+  Alcotest.(check int) "no injection on the sibling's lane" 0
+    (Arch.Fault_inject.lane_count engine 1);
+  Alcotest.(check int64) "the sibling's heap word is untouched" 0L after
+
 let test_host_error_contained () =
   let sup, inst = supervised Cage.Config.baseline_wasm64 spin_module in
   let pm =
@@ -547,6 +605,8 @@ let () =
             test_quarantine_and_sibling;
           Alcotest.test_case "host error contained" `Quick
             test_host_error_contained;
+          Alcotest.test_case "pending scribble dies with its crash" `Quick
+            test_scribble_dies_with_crash;
         ] );
       ( "matrix",
         [
