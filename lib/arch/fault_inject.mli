@@ -1,28 +1,24 @@
 (** Seeded, deterministic fault injection (chaos engine).
 
     A policy names the fault sites to arm, per-site probabilities and an
-    injection budget; an installed engine is consulted by the hardware
-    models at the exact points where a real bit-flip, glitch or lost
-    interrupt would land.
+    injection budget. An engine is a plain value with no install point:
+    arming an instance gives it one {e lane} of the engine ({!lane}),
+    the record that holds all of that instance's chaos state — its PRNG,
+    budget and per-site counts, its injections and its pending heap
+    scribble — and the hardware models draw on the lane of the instance
+    or MTE unit they already hold, at the exact points where a real
+    bit-flip, glitch or lost interrupt would land. An unarmed instance
+    never reaches this module: its hooks are one load-and-compare on
+    [None].
 
-    Randomness is split into per-{e lane} streams: a lane is one victim
-    instance's stable identity (its spawn ordinal within its process —
-    the supervisor switches lanes at every invocation boundary with
-    {!set_lane}). Each lane's PRNG is derived from (engine seed, lane)
-    and budgets are accounted per lane, so instance [i]'s fault
-    sequence is a function of the policy and [i] alone: any
-    interleaving of draws across instances — any pool scheduling order
-    — replays the identical per-instance fault sequences.
-
-    The engine carries no caller context beyond the current lane. A
-    caller that wants what one invocation absorbed reads its lane's
-    slice of the log from the position it saw before the invocation
-    ({!lane_injections}); the supervisor's post-mortem and the serving
-    runtime's per-attempt attribution both do.
-
-    With no engine installed every hook reduces to a single
-    load-and-compare ([None] fast path): the uninstrumented hot path is
-    untouched. *)
+    A lane is numbered, and lane [n]'s PRNG is derived from (engine
+    seed, [n]), so an instance's fault sequence is a function of the
+    policy and its lane number alone: any interleaving of invocations
+    across instances — any pool scheduling order — replays the identical
+    per-instance fault sequences. What one invocation absorbed is its
+    lane's injections from the {!lane_count} seen before it
+    ({!injections}); the supervisor's post-mortem and the serving
+    runtime's per-attempt attribution both read that slice. *)
 
 type site =
   | Tag_flip        (** flip the allocation tag of an accessed granule
@@ -67,55 +63,51 @@ val policy :
 
 type injection = {
   inj_site : site;
-  inj_index : int;               (** 0-based order of injection *)
   inj_lane : int;                (** lane (instance) the fault landed in *)
   mutable inj_detail : string;   (** filled in by the injecting hook *)
 }
 
+val pp_injection : Format.formatter -> injection -> unit
+
 type t
-(** A live engine: policy + per-lane PRNGs + injection log. *)
+(** An engine: a policy and the lanes armed from it. *)
+
+type lane
+(** One armed instance's chaos state. *)
 
 val create : policy -> t
+
+val lane : t -> int -> lane
+(** The engine's lane [n], made on first use: instances armed on one
+    number share its stream, budget and injections. *)
+
+val lane_number : lane -> int
+(** The number the lane was made with. *)
+
 val count : t -> int
 (** Total injections performed so far, across all lanes. *)
 
-val lane_count : t -> int -> int
-(** Injections charged to one lane. *)
+val lane_count : lane -> int
+(** Injections charged to the lane. *)
 
-val lane_injections : t -> since:int -> int -> injection list
-(** One lane's injections from log position [since] on ({!count} when
-    the caller started watching; 0 for all), in chronological order. *)
-
-val pp_injection : Format.formatter -> injection -> unit
-
-(** {1 Installation} *)
-
-val install : t -> unit
-val uninstall : unit -> unit
-val active : unit -> t option
-val with_engine : t -> (unit -> 'a) -> 'a
-(** Install around [f], uninstalling even on exception. *)
-
-val set_lane : int -> unit
-(** Switch the engine onto a lane: subsequent draws are charged to (and
-    randomized by) that lane's stream. Called by the supervisor at
-    invocation boundaries with the instance's stable spawn ordinal;
-    no-op when no engine is installed. Lane 0 is the ambient default. *)
+val injections : ?since:int -> lane -> injection list
+(** The lane's injections in chronological order, from its [since]-th
+    (default 0) on: pass the {!lane_count} seen before an invocation to
+    get what that invocation absorbed. *)
 
 (** {1 Hook API — called from the hardware models} *)
 
-val draw : site -> bool
+val draw : lane -> site -> bool
 (** Roll the dice at a fault site. [true] means the caller must inject
     the fault now (the injection is already recorded; use {!note} to
-    attach detail). Always [false] with no engine installed, a filtered
-    site, or an exhausted per-lane budget. *)
+    attach detail). Always [false] for a filtered site or an exhausted
+    budget. *)
 
-val note : ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Attach a detail string to the most recent injection. *)
+val note : lane -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** Attach a detail string to the lane's most recent injection. *)
 
-val rand_int : int -> int
-(** Deterministic corruption parameter from the current lane's PRNG
-    (0 when no engine is installed). *)
+val rand_int : lane -> int -> int
+(** Deterministic corruption parameter from the lane's PRNG. *)
 
 (** {1 Heap-scribble plumbing}
 
@@ -124,11 +116,16 @@ val rand_int : int -> int
     write at the next synchronization point, after the allocator has
     published the link. This models an asynchronous corruptor (racing
     thread, errant DMA) — which is also why the write bypasses tag
-    checks. A scribble still pending when its invocation crashes dies
-    with it: the supervisor's crash path takes it unapplied. *)
+    checks. The pending scribble keeps the injection that drew it, so
+    its detail lands on that record whatever fired in between. A
+    scribble still pending when its invocation crashes dies with it:
+    the supervisor's crash path takes it unapplied. *)
 
-val set_scribble : int64 -> unit
-val take_scribble : unit -> int64 option
-val junk64 : unit -> int64
+val set_scribble : lane -> int64 -> unit
+(** Schedule the scribble the lane's last draw fired. *)
+
+val take_scribble : lane -> (int64 * injection) option
+
+val junk64 : lane -> int64
 (** Non-canonical junk (bits 48-55 set): a later dereference of the
     corrupted link faults at the MMU canonicality check. *)

@@ -32,9 +32,13 @@ type t = {
   mutable tags : Tag_memory.t;
   mutable pending : fault option;
   mutable checks : int;
+  mutable chaos : Fault_inject.lane option;
 }
 
-let create ?(mode = Sync) tags = { mode; tags; pending = None; checks = 0 }
+let create ?(mode = Sync) tags =
+  { mode; tags; pending = None; checks = 0; chaos = None }
+
+let arm t lane = t.chaos <- Some lane
 let mode t = t.mode
 let tag_memory t = t.tags
 let set_tag_memory t tags = t.tags <- tags
@@ -45,15 +49,15 @@ type verdict = Allowed | Faulted of fault | Deferred of fault
    access to a guaranteed-different value, modelling tag-storage
    corruption. Runs before the match so the very access that visited
    the granule observes the flip. *)
-let chaos_tag_flip t (addr : int) =
-  if Fault_inject.draw Fault_inject.Tag_flip then begin
+let chaos_tag_flip t ln (addr : int) =
+  if Fault_inject.draw ln Fault_inject.Tag_flip then begin
     let gaddr = Int64.of_int (addr / 16 * 16) in
     if Tag_memory.in_bounds t.tags ~addr:gaddr ~len:16L then begin
       let cur = Tag.to_int (Tag_memory.get t.tags gaddr) in
-      let bad = Tag.of_int ((cur + 1 + Fault_inject.rand_int 15) mod 16) in
+      let bad = Tag.of_int ((cur + 1 + Fault_inject.rand_int ln 15) mod 16) in
       (match Tag_memory.set_region t.tags ~addr:gaddr ~len:16L bad with
       | Ok () ->
-          Fault_inject.note "granule 0x%Lx tag %d -> %d" gaddr cur
+          Fault_inject.note ln "granule 0x%Lx tag %d -> %d" gaddr cur
             (Tag.to_int bad)
       | Error _ -> ())
     end
@@ -113,24 +117,27 @@ let mismatch t access ~addr ~len ptag =
        the latch here — the lost-interrupt model, where the
        asynchronous report never reaches the kernel. *)
     if t.pending = None then begin
-      if Fault_inject.draw Fault_inject.Tfsr_drop then
-        Fault_inject.note "TFSR latch for 0x%Lx dropped" addr
-      else t.pending <- Some fault
+      match t.chaos with
+      | Some ln when Fault_inject.draw ln Fault_inject.Tfsr_drop ->
+          Fault_inject.note ln "TFSR latch for 0x%Lx dropped" addr
+      | _ -> t.pending <- Some fault
     end;
     Deferred fault
   end
 
 (* The one check. Everything before the verdict is native-int, so a
    passing check allocates nothing; the fault record, event and latch
-   are built only on a mismatch. *)
+   are built only on a mismatch. Unarmed and unobserved, a passing
+   check tests the lane and the sink inline and calls out only to the
+   tag plane. *)
 let check_native t access ~addr ~tag ~len =
   match t.mode with
   | Disabled -> Allowed
   | Sync | Async | Asymmetric ->
       t.checks <- t.checks + 1;
-      chaos_tag_flip t addr;
+      (match t.chaos with None -> () | Some ln -> chaos_tag_flip t ln addr);
       if Tag_memory.matches_native t.tags ~addr ~len tag then begin
-        if Obs.Hook.enabled () then note_near_miss t ~addr ~len tag;
+        if !Obs.Hook.hook != None then note_near_miss t ~addr ~len tag;
         Allowed
       end
       else mismatch t access ~addr:(Int64.of_int addr) ~len:(Int64.of_int len) tag

@@ -36,6 +36,11 @@ type t
 val create : ?mode:mode -> Tag_memory.t -> t
 (** Checker over the given tag space; [mode] defaults to [Sync]. *)
 
+val arm : t -> Fault_inject.lane -> unit
+(** Arm the unit on a chaos lane: its checks draw tag flips and its
+    latch drops TFSR reports on that lane ({!Fault_inject}). An unarmed
+    unit never calls into the chaos engine. *)
+
 val mode : t -> mode
 val tag_memory : t -> Tag_memory.t
 val set_tag_memory : t -> Tag_memory.t -> unit

@@ -48,27 +48,28 @@ let poison cfg p =
 
 let is_poisoned cfg p = Ptr.pac_field cfg.layout p = 1 lsl poison_bit cfg
 
-let auth cfg key ~modifier p =
-  (* Chaos hooks: corrupt the incoming signature just before the
-     authenticate — a forged (bit-flipped) or stripped signature must
-     be rejected exactly like any attacker-made pointer. *)
+(* Chaos hooks: corrupt the incoming signature just before the
+   authenticate — a forged (bit-flipped) or stripped signature must be
+   rejected exactly like any attacker-made pointer. *)
+let corrupt cfg ln p =
   let p =
-    if Fault_inject.draw Fault_inject.Pac_forge then begin
+    if Fault_inject.draw ln Fault_inject.Pac_forge then begin
       let bits = Ptr.pac_bits cfg.layout in
-      let bit = Fault_inject.rand_int bits in
-      Fault_inject.note "signature bit %d flipped before autda" bit;
+      let bit = Fault_inject.rand_int ln bits in
+      Fault_inject.note ln "signature bit %d flipped before autda" bit;
       Ptr.with_pac_field cfg.layout p
         (Ptr.pac_field cfg.layout p lxor (1 lsl bit))
     end
     else p
   in
-  let p =
-    if Fault_inject.draw Fault_inject.Pac_strip then begin
-      Fault_inject.note "signature stripped (xpacd) before autda";
-      canonical cfg p
-    end
-    else p
-  in
+  if Fault_inject.draw ln Fault_inject.Pac_strip then begin
+    Fault_inject.note ln "signature stripped (xpacd) before autda";
+    canonical cfg p
+  end
+  else p
+
+let auth ?chaos cfg key ~modifier p =
+  let p = match chaos with None -> p | Some ln -> corrupt cfg ln p in
   let expect = signature cfg key ~modifier (canonical cfg p) in
   let ok = Ptr.pac_field cfg.layout p = expect in
   if Obs.Hook.enabled () then

@@ -47,8 +47,11 @@ type auth_result =
       (** No FEAT_FPAC: canonical-breaking bit flipped so any
           dereference faults. *)
 
-val auth : config -> key -> modifier:int64 -> Ptr.t -> auth_result
-(** [autda]-style authentication. *)
+val auth :
+  ?chaos:Fault_inject.lane -> config -> key -> modifier:int64 -> Ptr.t ->
+  auth_result
+(** [autda]-style authentication. With [chaos], the lane of the
+    authenticating instance may forge or strip the signature first. *)
 
 val strip : config -> Ptr.t -> Ptr.t
 (** [xpacd]: remove the signature without authenticating. *)

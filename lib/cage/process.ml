@@ -12,9 +12,6 @@ type t = {
   config : Config.t;
   rng : Random.State.t;
   mutable instances : Wasm.Instance.t list;
-  mutable lanes : (int * int) list;
-      (* instance id -> chaos lane: the stable identity the fault
-         engine splits its per-instance PRNG streams on *)
 }
 
 let create ?(config = Config.full) ?(seed = 42) () =
@@ -25,18 +22,11 @@ let create ?(config = Config.full) ?(seed = 42) () =
     config;
     rng;
     instances = [];
-    lanes = [];
   }
 
 (** Instantiate a module inside the process: shared PAC key, fresh
-    random modifier. Enforces the §6.4 sandbox-count limit.
-
-    [lane] is the instance's chaos-lane identity (see
-    {!Arch.Fault_inject.set_lane}); it defaults to the spawn ordinal
-    within this process, which is stable across runs and independent of
-    any later scheduling order. Pools spanning several processes pass
-    an explicit globally-unique lane per slot. *)
-let spawn ?meter ?imports ?lane t m =
+    random modifier. Enforces the §6.4 sandbox-count limit. *)
+let spawn ?meter ?imports t m =
   if
     t.config.sandbox = Config.Mte_sandbox
     && List.length t.instances >= Config.max_sandboxes t.config
@@ -50,12 +40,8 @@ let spawn ?meter ?imports ?lane t m =
       pac_modifier = Random.State.int64 t.rng Int64.max_int;
     }
   in
-  let lane =
-    match lane with Some l -> l | None -> List.length t.instances
-  in
   let inst = Wasm.Exec.instantiate ~config ?imports m in
   t.instances <- t.instances @ [ inst ];
-  t.lanes <- (inst.Wasm.Instance.id, lane) :: t.lanes;
   if Obs.Hook.enabled () then begin
     Obs.Hook.set_instance inst.Wasm.Instance.id;
     Obs.Hook.event (Obs.Event.Spawn { instance = inst.Wasm.Instance.id })
@@ -64,13 +50,6 @@ let spawn ?meter ?imports ?lane t m =
 
 let instance_count t = List.length t.instances
 let instances t = t.instances
-
-(** The chaos lane assigned to an instance at spawn (0 if the instance
-    is not from this process). *)
-let lane t (inst : Wasm.Instance.t) =
-  match List.assq_opt inst.Wasm.Instance.id t.lanes with
-  | Some l -> l
-  | None -> 0
 
 (** Kernel-style TFSR inspection across the process (paper §4.2): at a
     context switch the kernel reads every thread's sticky tag-fault

@@ -15,21 +15,13 @@ val create : ?config:Config.t -> ?seed:int -> unit -> t
 val spawn :
   ?meter:Wasm.Meter.t ->
   ?imports:(string * string * Wasm.Instance.host_func) list ->
-  ?lane:int ->
   t ->
   Wasm.Ast.module_ ->
   Wasm.Instance.t
 (** Instantiate a module inside the process: shared PAC key, fresh
-    random modifier. [lane] is the instance's chaos-lane identity for
-    {!Arch.Fault_inject} stream splitting; it defaults to the spawn
-    ordinal within this process (stable across runs, independent of
-    scheduling). Pools spanning several processes pass an explicit
-    globally-unique lane per slot.
+    random modifier.
     @raise Sandbox.Too_many_sandboxes past the configuration's §6.4
     sandbox capacity. *)
-
-val lane : t -> Wasm.Instance.t -> int
-(** The chaos lane assigned at spawn (0 for foreign instances). *)
 
 val instance_count : t -> int
 

@@ -146,8 +146,7 @@ let create ?(fuel = -1) ?(black_box = 8) ?(max_quarantined = 256) process =
 
 let process t = t.process
 
-let spawn ?meter ?imports ?lane t m =
-  Process.spawn ?meter ?imports ?lane t.process m
+let spawn ?meter ?imports t m = Process.spawn ?meter ?imports t.process m
 
 let quarantined t = List.rev t.quarantined
 
@@ -226,18 +225,10 @@ let run_thunk t (inst : Wasm.Instance.t) f =
       (snapshot ~black_box:t.black_box ~injections:[] inst Quarantine
          (Printf.sprintf "instance %d is quarantined" inst.Wasm.Instance.id))
   else begin
-    (* Every draw the chaos engine makes during this invocation is
-       charged to (and randomized by) this instance's stable lane, so
-       pool-concurrent runs replay identical per-instance fault
-       sequences regardless of dispatch order. A crash reports only
-       that lane's injections from the log position seen here: one
-       engine spans every instance of a process, or of a serving run. *)
-    let lane = Process.lane t.process inst in
-    Arch.Fault_inject.set_lane lane;
-    let since =
-      Option.fold ~none:0 ~some:Arch.Fault_inject.count
-        (Arch.Fault_inject.active ())
-    in
+    (* A crash reports what this invocation injected: the armed
+       instance's own lane, from the count seen here. *)
+    let chaos = inst.Wasm.Instance.chaos in
+    let since = Option.fold ~none:0 ~some:Arch.Fault_inject.lane_count chaos in
     if Obs.Hook.enabled () then Obs.Hook.set_instance inst.Wasm.Instance.id;
     inst.Wasm.Instance.fuel <- t.fuel_budget;
     inst.Wasm.Instance.last_fault <- None;
@@ -256,18 +247,18 @@ let run_thunk t (inst : Wasm.Instance.t) f =
         Obs.Hook.event
           (Obs.Event.Crash { cls = fault_class_to_string cls; msg });
       let injections =
-        match Arch.Fault_inject.active () with
+        match chaos with
         | None -> []
-        | Some e ->
+        | Some ln ->
             List.map
               (Format.asprintf "%a" Arch.Fault_inject.pp_injection)
-              (Arch.Fault_inject.lane_injections e ~since lane)
+              (Arch.Fault_inject.injections ~since ln)
       in
       let pm = snapshot ~black_box:t.black_box ~injections inst cls msg in
       (* A scribble still pending targets this instance's heap, which
          the pool restores before reuse: it dies with the invocation
-         rather than land in whichever instance syncs next. *)
-      ignore (Arch.Fault_inject.take_scribble ());
+         rather than land at the instance's next sync point. *)
+      Option.iter (fun ln -> ignore (Arch.Fault_inject.take_scribble ln)) chaos;
       inst.Wasm.Instance.fuel <- -1;
       inst.Wasm.Instance.call_stack <- [];
       retain t inst.Wasm.Instance.id pm;

@@ -45,7 +45,8 @@ type post_mortem = {
   pm_fuel_left : int;            (** remaining watchdog budget, -1 if off *)
   pm_injections : string list;
       (** chaos injections charged to the crashed instance's lane since
-          the invocation began; none for a quarantine refusal *)
+          the invocation began; none for an unarmed instance or a
+          quarantine refusal *)
   pm_trace : string list;
       (** black-box flight recording: the last K trace events before the
           crash, oldest first — empty when no tracer was installed *)
@@ -78,7 +79,6 @@ val process : t -> Process.t
 val spawn :
   ?meter:Wasm.Meter.t ->
   ?imports:(string * string * Wasm.Instance.host_func) list ->
-  ?lane:int ->
   t ->
   Wasm.Ast.module_ ->
   Wasm.Instance.t

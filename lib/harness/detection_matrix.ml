@@ -184,12 +184,11 @@ let run_cell ~seed ~index ~m ~reference site (cfg : Cage.Config.t) mode =
   let engine =
     Arch.Fault_inject.create (policy_for site ~seed:(seed + (31 * index)))
   in
-  let outcome =
-    Arch.Fault_inject.with_engine engine (fun () -> run_main sup victim)
-  in
+  Wasm.Instance.arm victim (Arch.Fault_inject.lane engine 0);
+  let outcome = run_main sup victim in
   let injections = Arch.Fault_inject.count engine in
-  (* The sibling runs chaos-free, after the engine is uninstalled: a
-     quarantined victim must not have poisoned it. *)
+  (* The sibling is unarmed and runs chaos-free: a quarantined victim
+     must not have poisoned it. *)
   let sibling_ok =
     (match i32_of (run_main sup sibling) with
     | Some v -> Int32.equal v reference
@@ -371,9 +370,8 @@ let chaos_fuzz ?(seed = 0xC405) ~count () =
              ~max_injections:(if i mod 5 = 0 then 0 else 4)
              Arch.Fault_inject.all_sites)
       in
-      (match
-         Arch.Fault_inject.with_engine engine (fun () -> run_main sup victim)
-       with
+      Wasm.Instance.arm victim (Arch.Fault_inject.lane engine 0);
+      (match run_main sup victim with
       | Cage.Supervisor.Finished _ as o ->
           incr finished;
           if Arch.Fault_inject.count engine = 0 then (

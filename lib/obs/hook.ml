@@ -1,6 +1,6 @@
 (** The global observability sink — the one place every layer reports
     to, and the one load-and-compare the uninstrumented hot path pays
-    (the same [None]-fast-path pattern as [Arch.Fault_inject]).
+    (the same [None]-fast-path pattern as an unarmed chaos lane).
 
     Call sites guard with {!enabled} before constructing an event, so
     with no sink installed nothing allocates:

@@ -17,9 +17,10 @@
     spends restart-storm tokens ({!Policy.bucket}) so a crash-looping
     tenant degrades to fewer live slots instead of thrashing.
 
-    Slots carry explicit globally-unique chaos lanes ([lane_base + i]):
-    per-slot fault streams are split off the engine seed by lane, so a
-    run replays identically however the scheduler interleaves slots. *)
+    Slots carry explicit globally-unique chaos lane numbers
+    ([lane_base + i]), which {!arm} arms them on: per-slot fault streams
+    are split off the engine seed by lane, so a run replays identically
+    however the scheduler interleaves slots. *)
 
 type tenant = {
   tn_name : string;
@@ -86,9 +87,9 @@ type t = {
          ground truth the tail-attribution exec phase must add up to *)
 }
 
-(** Build a pool of [size] slots. Call {e before} installing a chaos
-    engine: slot initialisation and the frozen image must be
-    fault-free, otherwise every restore would replay the damage. *)
+(** Build a pool of [size] unarmed slots: slot initialisation and the
+    frozen image are fault-free, otherwise every restore would replay
+    the damage. *)
 let create ?(fuel = 2_000_000) ~lane_base ~size ~seed
     ~(policy : Policy.t) tenant =
   if size < 1 then invalid_arg "Pool.create: size must be >= 1";
@@ -100,8 +101,7 @@ let create ?(fuel = 2_000_000) ~lane_base ~size ~seed
     let meter = Wasm.Meter.create () in
     let imports, reset = tenant.tn_imports () in
     let inst =
-      Cage.Supervisor.spawn ~meter ~imports ~lane:(lane_base + i) sup
-        tenant.tn_module
+      Cage.Supervisor.spawn ~meter ~imports sup tenant.tn_module
     in
     (match tenant.tn_init with
     | Some entry -> (
@@ -140,6 +140,14 @@ let create ?(fuel = 2_000_000) ~lane_base ~size ~seed
     pl_heals_deferred = 0;
     pl_served_cycles = 0;
   }
+
+(** Arm every slot on its lane of [engine]; call it once the images
+    are frozen. *)
+let arm t engine =
+  Array.iter
+    (fun s ->
+      Wasm.Instance.arm s.sl_inst (Arch.Fault_inject.lane engine s.sl_lane))
+    t.pl_slots
 
 let size t = Array.length t.pl_slots
 let restores t = t.pl_restores

@@ -184,10 +184,10 @@ let values_equal a b =
   List.length a = List.length b && List.for_all2 Wasm.Values.equal a b
 
 (** Serve [config.requests] simulated requests across [tenants],
-    optionally under a live chaos engine ([chaos]) and optionally
+    optionally under a chaos engine drawn from [chaos] and optionally
     keeping every terminated request's record in an SLO [collect]or.
     Pools are built — and their pristine images frozen — {e before}
-    the engine installs, so restores always return to fault-free
+    their slots are armed, so restores always return to fault-free
     state. The arrival schedule depends only on [config.seed], never
     on the chaos policy: chaos-off and chaos-on runs see identical
     offered load. The run starts from a collected heap, so a process
@@ -210,7 +210,7 @@ let run ?chaos ?collect config tenants =
            {
              tid = Obs.Span.tenant_tid i;
              (* lanes [1000*(i+1), 1000*(i+1)+slots): globally unique
-                per slot, disjoint from lane 0 defaults *)
+                per slot *)
              pool =
                Pool.create ~fuel:config.pool_fuel
                  ~lane_base:(1000 * (i + 1))
@@ -244,6 +244,7 @@ let run ?chaos ?collect config tenants =
       ts
   end;
   let engine = Option.map Arch.Fault_inject.create chaos in
+  Option.iter (fun e -> Array.iter (fun st -> Pool.arm st.pool e) ts) engine;
   let events = Scheduler.Heap.create () in
   let cpu = Scheduler.create ~cores:config.cores ~quantum:config.quantum in
   (* Arrival and retry randomness ride dedicated streams: neither can
@@ -376,17 +377,17 @@ let run ?chaos ?collect config tenants =
             try_start st ~now
           end
           else begin
-            (* The attempt's injections are its lane's slice of the
-               engine's log, the same slice a post-mortem reads. *)
+            (* The attempt's injections are the slot lane's newest,
+               the same slice a post-mortem reads. *)
+            let chaos = slot.Pool.sl_inst.Wasm.Instance.chaos in
             let since =
-              Option.fold ~none:0 ~some:Arch.Fault_inject.count engine
+              Option.fold ~none:0 ~some:Arch.Fault_inject.lane_count chaos
             in
             let outcome, exec_demand = Pool.serve st.pool slot in
             let injections =
-              match engine with
-              | Some e ->
-                  Arch.Fault_inject.lane_injections e ~since slot.Pool.sl_lane
-              | None -> []
+              Option.fold ~none:[]
+                ~some:(Arch.Fault_inject.injections ~since)
+                chaos
             in
             r.rr_injections <- r.rr_injections @ injections;
             let restore = slot.Pool.sl_restored in
@@ -477,72 +478,67 @@ let run ?chaos ?collect config tenants =
           ~now);
     try_start st ~now
   in
-  let loop () =
-    let continue = ref true in
-    while !continue do
-      (* A first arrival goes before any queued event at its time, the
-         order it would have if every first arrival were queued up
-         front. *)
-      let next =
-        if !arrived < config.requests
-           && !next_time <= Scheduler.Heap.min_time events
-        then begin
-          let now = !next_time and st = ts.(!next_tenant) in
-          let r = Slo.request ~id:!arrived ~tenant:(name st) ~now in
-          incr arrived;
-          if !arrived < config.requests then draw_arrival ();
-          Some (now, Arrival (st, r))
-        end
-        else Scheduler.Heap.pop events
-      in
-      match next with
-      | None -> continue := false
-      | Some (now, ev) ->
-          makespan := max !makespan now;
-          Obs.Span.set_now now;
-          (match ev with
-          | Arrival (st, r) ->
-              if r.rr_attempts = 1 && Obs.Span.enabled () then begin
-                Obs.Span.async_begin ~id:r.rr_id ~tid:st.tid ~ts:now
-                  ~args:[ ("tenant", Obs.Span.S (name st)) ]
-                  "request";
-                Obs.Span.instant ~tid:st.tid ~ts:now
-                  ~args:[ ("req", Obs.Span.I r.rr_id) ]
-                  "admit"
-              end;
-              r.rr_attempt_arrival <- now;
-              if not (Policy.breaker_admits st.breaker ~now) then
-                shed st r ~now "breaker"
-              else if Queue.length st.waiting >= policy.Policy.queue_bound
-              then shed st r ~now "queue"
-              else begin
-                Queue.push r st.waiting;
-                if Obs.Hook.enabled () then
-                  Obs.Hook.queue_depth (Queue.length st.waiting);
-                try_start st ~now
-              end
-          | Slice s -> (
-              match Scheduler.slice_done cpu s with
-              | Some rn -> complete rn ~now
-              | None -> ())
-          | Heal ->
-              if !pending > 0 then begin
-                Array.iter
-                  (fun st ->
-                    if Pool.heal st.pool ~now > 0 then try_start st ~now)
-                  ts;
-                Scheduler.Heap.push events
-                  ~time:(now + policy.Policy.heal_interval)
-                  Heal
-              end);
-          (* work conservation: whatever the event freed or submitted,
-             no core stays idle while a job is ready *)
-          dispatch_all now
-    done
-  in
-  (match engine with
-  | Some e -> Arch.Fault_inject.with_engine e loop
-  | None -> loop ());
+  let continue = ref true in
+  while !continue do
+    (* A first arrival goes before any queued event at its time, the
+       order it would have if every first arrival were queued up
+       front. *)
+    let next =
+      if !arrived < config.requests
+         && !next_time <= Scheduler.Heap.min_time events
+      then begin
+        let now = !next_time and st = ts.(!next_tenant) in
+        let r = Slo.request ~id:!arrived ~tenant:(name st) ~now in
+        incr arrived;
+        if !arrived < config.requests then draw_arrival ();
+        Some (now, Arrival (st, r))
+      end
+      else Scheduler.Heap.pop events
+    in
+    match next with
+    | None -> continue := false
+    | Some (now, ev) ->
+        makespan := max !makespan now;
+        Obs.Span.set_now now;
+        (match ev with
+        | Arrival (st, r) ->
+            if r.rr_attempts = 1 && Obs.Span.enabled () then begin
+              Obs.Span.async_begin ~id:r.rr_id ~tid:st.tid ~ts:now
+                ~args:[ ("tenant", Obs.Span.S (name st)) ]
+                "request";
+              Obs.Span.instant ~tid:st.tid ~ts:now
+                ~args:[ ("req", Obs.Span.I r.rr_id) ]
+                "admit"
+            end;
+            r.rr_attempt_arrival <- now;
+            if not (Policy.breaker_admits st.breaker ~now) then
+              shed st r ~now "breaker"
+            else if Queue.length st.waiting >= policy.Policy.queue_bound
+            then shed st r ~now "queue"
+            else begin
+              Queue.push r st.waiting;
+              if Obs.Hook.enabled () then
+                Obs.Hook.queue_depth (Queue.length st.waiting);
+              try_start st ~now
+            end
+        | Slice s -> (
+            match Scheduler.slice_done cpu s with
+            | Some rn -> complete rn ~now
+            | None -> ())
+        | Heal ->
+            if !pending > 0 then begin
+              Array.iter
+                (fun st ->
+                  if Pool.heal st.pool ~now > 0 then try_start st ~now)
+                ts;
+              Scheduler.Heap.push events
+                ~time:(now + policy.Policy.heal_interval)
+                Heal
+            end);
+        (* work conservation: whatever the event freed or submitted,
+           no core stays idle while a job is ready *)
+        dispatch_all now
+  done;
   let reports = Array.to_list (Array.map tenant_report ts) in
   let sum f = List.fold_left (fun n tr -> n + f tr) 0 reports in
   let all_lat =

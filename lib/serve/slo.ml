@@ -21,9 +21,9 @@
       says {e where} the tail went, not just how long it was. The
       exec phases are metered guest cycles, so their sum reconciles
       exactly against {!Pool.served_cycles};
-    - {e fault→request correlation}: an attempt's injections are its
-      slot lane's slice of the chaos engine's log around the attempt
-      ({!Arch.Fault_inject.lane_injections}), so a chaos run ends with
+    - {e fault→request correlation}: an attempt's injections are what
+      its slot's lane recorded during the attempt
+      ({!Arch.Fault_inject.injections}), so a chaos run ends with
       "injection at site X hit request R of tenant T, contained after
       1 retry, cost 12k cycles" instead of an aggregate counter.
 

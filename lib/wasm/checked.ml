@@ -46,29 +46,35 @@ let resolve_addr_i32 (i : int32) (offset : int64) =
    (boxed) arms on a hit. [corrupt_sig] runs after a [Ptr_sig] hit — it
    still owes the [Ptr_tag] draw; [corrupt_tag] after a [Ptr_sig] miss
    and [Ptr_tag] hit. *)
-let rec corrupt_sig (p : int64) =
-  let bit = 49 + Arch.Fault_inject.rand_int 6 in
-  Arch.Fault_inject.note "pointer 0x%Lx: stray signature bit %d" p bit;
+let rec corrupt_sig ln (p : int64) =
+  let bit = 49 + Arch.Fault_inject.rand_int ln 6 in
+  Arch.Fault_inject.note ln "pointer 0x%Lx: stray signature bit %d" p bit;
   let p = Int64.logor p (Int64.shift_left 1L bit) in
-  if Arch.Fault_inject.draw Arch.Fault_inject.Ptr_tag then corrupt_tag p else p
+  if Arch.Fault_inject.draw ln Arch.Fault_inject.Ptr_tag then corrupt_tag ln p
+  else p
 
-and corrupt_tag (p : int64) =
+and corrupt_tag ln (p : int64) =
   let t = Arch.Tag.to_int (Arch.Ptr.tag p) in
-  let bad = (t + 1 + Arch.Fault_inject.rand_int 15) mod 16 in
-  Arch.Fault_inject.note "pointer 0x%Lx: tag %d -> %d" p t bad;
+  let bad = (t + 1 + Arch.Fault_inject.rand_int ln 15) mod 16 in
+  Arch.Fault_inject.note ln "pointer 0x%Lx: tag %d -> %d" p t bad;
   Arch.Ptr.with_tag p (Arch.Tag.of_int bad)
 
-(** Resolve a 64-bit (tagged-pointer) address operand to (effective
-    address, logical tag). The tag is NOT stripped: it is what the
-    access is checked with. This is also where the chaos engine
-    corrupts live pointers — a flipped tag nibble ([Ptr_tag]) or stray
-    signature bits ([Ptr_sig]) land here, between the producer of the
-    pointer and the access. *)
-let resolve_addr_i64 (p : int64) (offset : int64) =
+(** Resolve a 64-bit (tagged-pointer) address operand of [inst] to
+    (effective address, logical tag). The tag is NOT stripped: it is
+    what the access is checked with. This is also where the instance's
+    chaos lane corrupts live pointers — a flipped tag nibble
+    ([Ptr_tag]) or stray signature bits ([Ptr_sig]) land here, between
+    the producer of the pointer and the access. *)
+let resolve_addr_i64 (inst : Instance.t) (p : int64) (offset : int64) =
   let p =
-    if Arch.Fault_inject.draw Arch.Fault_inject.Ptr_sig then corrupt_sig p
-    else if Arch.Fault_inject.draw Arch.Fault_inject.Ptr_tag then corrupt_tag p
-    else p
+    match inst.chaos with
+    | None -> p
+    | Some ln ->
+        if Arch.Fault_inject.draw ln Arch.Fault_inject.Ptr_sig then
+          corrupt_sig ln p
+        else if Arch.Fault_inject.draw ln Arch.Fault_inject.Ptr_tag then
+          corrupt_tag ln p
+        else p
   in
   if Int64.logand p noncanonical_mask <> 0L then
     trap "bounds: non-canonical address 0x%Lx" p;
@@ -76,10 +82,10 @@ let resolve_addr_i64 (p : int64) (offset : int64) =
 
 (** Resolve a boxed address operand (the interpreter's entry point;
     the threaded engine calls the statically-typed variants above). *)
-let resolve_addr (idx : Values.t) (offset : int64) =
+let resolve_addr inst (idx : Values.t) (offset : int64) =
   match idx with
   | Values.I32 i -> (resolve_addr_i32 i offset, Arch.Tag.zero)
-  | Values.I64 p -> resolve_addr_i64 p offset
+  | Values.I64 p -> resolve_addr_i64 inst p offset
   | Values.F32 _ | Values.F64 _ -> assert false (* validated: integer *)
 
 (* The tag-check verdict for one span. [Deferred] faults are latched in

@@ -161,22 +161,22 @@ let[@inline] pack64 (p : int64) (off : int) : int =
     Rt.trap "bounds: non-canonical address 0x%Lx" p;
   ((b land 0xffff_ffff_ffff) + off) lor (((b lsr 56) land 0xf) lsl 50)
 
-(* With a chaos engine installed: [Checked.resolve_addr_i64]'s draws
-   and corruptions first. It reads its own slot, since a float passed
-   to an out-of-line call would be boxed; beyond what a [draw] that
-   rolls the lane's PRNG allocates, it allocates only when one fires. *)
-let resolve64_chaos (st : Instance.t Xcode.state) src (off : int) : int =
+(* On an armed instance: [Checked.resolve_addr_i64]'s draws and
+   corruptions first. It reads its own slot, since a float passed to
+   an out-of-line call would be boxed; beyond what a [draw] that rolls
+   the lane's PRNG allocates, it allocates only when one fires. *)
+let resolve64_chaos ln (st : Instance.t Xcode.state) src (off : int) : int =
   let p = Int64.bits_of_float (read_slot st src) in
-  if Arch.Fault_inject.draw Arch.Fault_inject.Ptr_sig then
-    pack64 (Checked.corrupt_sig p) off
-  else if Arch.Fault_inject.draw Arch.Fault_inject.Ptr_tag then
-    pack64 (Checked.corrupt_tag p) off
+  if Arch.Fault_inject.draw ln Arch.Fault_inject.Ptr_sig then
+    pack64 (Checked.corrupt_sig ln p) off
+  else if Arch.Fault_inject.draw ln Arch.Fault_inject.Ptr_tag then
+    pack64 (Checked.corrupt_tag ln p) off
   else pack64 p off
 
-let[@inline] resolve64p st src (off : int) : int =
-  match Arch.Fault_inject.active () with
+let[@inline] resolve64p (st : Instance.t Xcode.state) src (off : int) : int =
+  match st.inst.chaos with
   | None -> pack64 (Int64.bits_of_float (read_slot st src)) off
-  | Some _ -> resolve64_chaos st src off
+  | Some ln -> resolve64_chaos ln st src off
 
 let oob () = Rt.trap "bounds: out of bounds memory access"
 
@@ -599,8 +599,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
   let resolve_bulk =
     match mem_idx with
     | Types.Idx32 ->
-        fun s -> (Checked.resolve_addr_i32 (Xcode.i32_of_slot s) 0L, Arch.Tag.zero)
-    | Types.Idx64 -> fun s -> Checked.resolve_addr_i64 (Xcode.i64_of_slot s) 0L
+        fun _ s -> (Checked.resolve_addr_i32 (Xcode.i32_of_slot s) 0L, Arch.Tag.zero)
+    | Types.Idx64 ->
+        fun inst s -> Checked.resolve_addr_i64 inst (Xcode.i64_of_slot s) 0L
   in
   (* --- static state: the operand-stack height --- *)
   let h = ref 0 in
@@ -942,7 +943,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             let inst = st.inst and stk = st.stk and q = st.opbase + p in
             let len = idx_of_slot (Array.unsafe_get stk (q + 2)) in
             let v = geti stk (q + 1) in
-            let dst, dtag = resolve_bulk (Array.unsafe_get stk q) in
+            let dst, dtag = resolve_bulk inst (Array.unsafe_get stk q) in
             mtr.bulk_fill <- mtr.bulk_fill + 1;
             Checked.fill inst (gm inst) ~addr:dst ~tag:dtag ~len v;
             next)
@@ -954,8 +955,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             let len = idx_of_slot (Array.unsafe_get stk (q + 2)) in
             (* the interpreter resolves source before destination:
                chaos draws must land in that order *)
-            let src, stag = resolve_bulk (Array.unsafe_get stk (q + 1)) in
-            let dst, dtag = resolve_bulk (Array.unsafe_get stk q) in
+            let src, stag = resolve_bulk inst (Array.unsafe_get stk (q + 1)) in
+            let dst, dtag = resolve_bulk inst (Array.unsafe_get stk q) in
             mtr.bulk_copy <- mtr.bulk_copy + 1;
             Checked.copy inst (gm inst) ~dst ~dtag ~src ~stag ~len;
             next)

@@ -63,7 +63,7 @@ let popn stack n =
 let do_load ~elide ~ebounds (inst : Instance.t) stack (ty : Types.num_type)
     pack (ma : Ast.memarg) =
   let mem = memory inst in
-  let addr, tag = Checked.resolve_addr (pop stack) ma.offset in
+  let addr, tag = Checked.resolve_addr inst (pop stack) ma.offset in
   let size =
     match pack with
     | None -> ( match ty with I32 | F32 -> 4 | I64 | F64 -> 8)
@@ -99,7 +99,7 @@ let do_store ~elide ~ebounds (inst : Instance.t) stack (ty : Types.num_type)
     pack (ma : Ast.memarg) =
   let mem = memory inst in
   let v = pop stack in
-  let addr, tag = Checked.resolve_addr (pop stack) ma.offset in
+  let addr, tag = Checked.resolve_addr inst (pop stack) ma.offset in
   let size =
     match pack with
     | None -> ( match ty with I32 | F32 -> 4 | I64 | F64 -> 8)
@@ -374,7 +374,7 @@ and eval_basic (inst : Instance.t) ~depth ~fn locals stack
         | Types.Idx64 -> pop_i64 stack
       in
       let v = Int32.to_int (pop_i32 stack) in
-      let dst, dtag = Checked.resolve_addr (pop stack) 0L in
+      let dst, dtag = Checked.resolve_addr inst (pop stack) 0L in
       meter (fun m -> m.bulk_fill <- m.bulk_fill + 1);
       Checked.fill inst mem ~addr:dst ~tag:dtag ~len v
   | MemoryCopy ->
@@ -384,8 +384,8 @@ and eval_basic (inst : Instance.t) ~depth ~fn locals stack
         | Types.Idx32 -> Int64.logand (Int64.of_int32 (pop_i32 stack)) 0xffffffffL
         | Types.Idx64 -> pop_i64 stack
       in
-      let src, stag = Checked.resolve_addr (pop stack) 0L in
-      let dst, dtag = Checked.resolve_addr (pop stack) 0L in
+      let src, stag = Checked.resolve_addr inst (pop stack) 0L in
+      let dst, dtag = Checked.resolve_addr inst (pop stack) 0L in
       meter (fun m -> m.bulk_copy <- m.bulk_copy + 1);
       Checked.copy inst mem ~dst ~dtag ~src ~stag ~len
   | SegmentNew o ->
@@ -542,6 +542,7 @@ let instantiate ?(config = Instance.default_config)
       fuel = config.fuel;
       call_stack = [];
       last_fault = None;
+      chaos = None;
     }
   in
   let n_imports = List.length m.imports in

@@ -66,6 +66,9 @@ and t = {
       (** structured record of the most recent tag fault raised as a
           trap — the faulting address / tags / access kind a post-mortem
           reports without re-parsing the trap message *)
+  mutable chaos : Arch.Fault_inject.lane option;
+      (** the chaos lane the instance is armed on ({!arm}); its MTE
+          unit holds the same lane *)
 }
 
 (** Runtime configuration for instantiation, reflecting the Table 3
@@ -126,6 +129,14 @@ let mte t =
   match t.mte with
   | Some m -> m
   | None -> raise (Trap "no memory in instance")
+
+(** Arm the instance on a chaos lane: from now on its pointer
+    resolution, PAC authentication, segment frees and MTE unit draw
+    their faults on [lane], and its sync points apply the lane's
+    pending heap scribble. An unarmed instance makes no draw. *)
+let arm t lane =
+  t.chaos <- Some lane;
+  Option.iter (fun m -> Arch.Mte.arm m lane) t.mte
 
 let find_export t name =
   List.find_map

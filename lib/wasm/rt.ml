@@ -17,7 +17,7 @@ let max_call_depth = 2000
 (* The observability tick: one simulated cycle on the tracer's clock
    and one event on the profiler's sampling countdown per interpreted
    instruction. With no sink installed this is a single load-and-
-   compare — the same fast-path contract as [Arch.Fault_inject]. The
+   compare — the same fast-path contract as an unarmed chaos lane. The
    meter total is computed only at sampling points, so snapshot weights
    partition the meter exactly (see [Obs.Profiler]). *)
 let obs_tick (inst : Instance.t) =
@@ -67,19 +67,17 @@ let meter_br (inst : Instance.t) =
    published the chunk's free-list link, and the junk write lands on
    live metadata. It models an asynchronous corruptor (racing thread,
    errant DMA), which is also why it writes through [Memory] directly,
-   bypassing tag checks. *)
-let apply_pending_scribble (inst : Instance.t) =
-  match Arch.Fault_inject.take_scribble () with
-  | None -> ()
-  | Some addr -> (
-      match inst.mem with
-      | None -> ()
-      | Some mem -> (
-          let junk = Arch.Fault_inject.junk64 () in
-          Arch.Fault_inject.note "free-list link at 0x%Lx overwritten with 0x%Lx"
-            addr junk;
-          try Memory.store_i64 mem addr junk
-          with Memory.Out_of_bounds _ -> ()))
+   bypassing tag checks. Its detail goes to the injection that drew
+   it, not to whatever fired since. *)
+let apply_pending_scribble ln (inst : Instance.t) =
+  match (Arch.Fault_inject.take_scribble ln, inst.mem) with
+  | Some (addr, inj), Some mem -> (
+      let junk = Arch.Fault_inject.junk64 ln in
+      inj.Arch.Fault_inject.inj_detail <-
+        Printf.sprintf "free-list link at 0x%Lx overwritten with 0x%Lx" addr
+          junk;
+      try Memory.store_i64 mem addr junk with Memory.Out_of_bounds _ -> ())
+  | _ -> ()
 
 (* A deferred (Async/Asymmetric) fault is latched in the MTE engine's
    sticky TFSR when the faulting access executes; it is *reported* here,
@@ -88,7 +86,9 @@ let apply_pending_scribble (inst : Instance.t) =
    "deferred:" prefix lets callers distinguish late reports from
    synchronous traps. *)
 let drain_deferred (inst : Instance.t) =
-  apply_pending_scribble inst;
+  (match inst.chaos with
+  | None -> ()
+  | Some ln -> apply_pending_scribble ln inst);
   match inst.mte with
   | None -> ()
   | Some mte -> (
@@ -226,8 +226,10 @@ let segment_free ?(arena = false) (inst : Instance.t) ~k ~l o =
      (payload-relative slot [-8], see Libc.Source); the junk write is
      applied at the next synchronization point, once the allocator has
      published the link. *)
-  if Arch.Fault_inject.draw Arch.Fault_inject.Heap_scribble then
-    Arch.Fault_inject.set_scribble (Int64.sub addr 8L);
+  (match inst.chaos with
+  | Some ln when Arch.Fault_inject.draw ln Arch.Fault_inject.Heap_scribble ->
+      Arch.Fault_inject.set_scribble ln (Int64.sub addr 8L)
+  | _ -> ());
   if Obs.Hook.enabled () then
     Obs.Hook.event
       (if arena then
@@ -255,7 +257,8 @@ let pointer_auth (inst : Instance.t) k =
   | Some m -> m.ptr_auth <- m.ptr_auth + 1
   | None -> ());
   match
-    Arch.Pac.auth inst.pac_config inst.pac_key ~modifier:inst.pac_modifier k
+    Arch.Pac.auth ?chaos:inst.chaos inst.pac_config inst.pac_key
+      ~modifier:inst.pac_modifier k
   with
   | Arch.Pac.Valid k' -> k'
   | Arch.Pac.Invalid_trap | Arch.Pac.Invalid_poisoned _ ->

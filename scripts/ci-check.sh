@@ -27,8 +27,9 @@ echo "== chaos detection matrix (golden diff, seed 7)"
 dune exec bin/cage_chaos.exe -- matrix --seed 7 > _build/detection_matrix.out
 diff test/golden/detection_matrix.golden _build/detection_matrix.out
 
-echo "== chaos fuzz (200 seeded programs)"
-dune exec bin/cage_chaos.exe -- fuzz --count 200
+echo "== chaos fuzz (golden diff, 200 seeded programs)"
+dune exec bin/cage_chaos.exe -- fuzz --count 200 > _build/chaos_fuzz.out
+diff test/golden/chaos_fuzz.golden _build/chaos_fuzz.out
 
 echo "== cage-lint (golden diff: quickstart + CVE suite)"
 { dune exec bin/cage_lint.exe -- examples/quickstart.c

@@ -14,6 +14,10 @@ echo "== test/golden/detection_matrix.golden"
 dune exec bin/cage_chaos.exe -- matrix --seed 7 \
   > test/golden/detection_matrix.golden
 
+echo "== test/golden/chaos_fuzz.golden"
+dune exec bin/cage_chaos.exe -- fuzz --count 200 \
+  > test/golden/chaos_fuzz.golden
+
 echo "== test/golden/served_matrix.golden"
 dune exec bin/cage_chaos.exe -- served --seed 7 \
   > test/golden/served_matrix.golden

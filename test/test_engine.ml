@@ -457,12 +457,13 @@ let alloc_module idx =
 
 (* Minor words per metered access over one run of [alloc_module]'s
    loop, after a warm-up run on the same instance. *)
-let words_per_access ~config idx =
+let words_per_access ?chaos ~config idx =
   let meter = Meter.create () in
   let inst =
     Exec.instantiate ~config:{ config with Instance.meter = Some meter }
       (alloc_module idx)
   in
+  Option.iter (Instance.arm inst) chaos;
   let addr =
     match idx with Types.Idx32 -> Values.I32 64l | Types.Idx64 -> Values.I64 64L
   in
@@ -482,33 +483,32 @@ let test_access_no_allocation () =
       Arch.Fault_inject.create
         (Arch.Fault_inject.policy ~seed:3 Arch.Fault_inject.all_sites)
     in
-    Arch.Fault_inject.install e;
-    Arch.Fault_inject.set_lane 1;
-    if not (Arch.Fault_inject.draw Arch.Fault_inject.Tag_flip) then
-      Alcotest.fail "the first draw of a fresh lane did not fire"
+    let ln = Arch.Fault_inject.lane e 1 in
+    if not (Arch.Fault_inject.draw ln Arch.Fault_inject.Tag_flip) then
+      Alcotest.fail "the first draw of a fresh lane did not fire";
+    Some ln
   in
   List.iter
-    (fun (chaos, arm) ->
-      Fun.protect ~finally:Arch.Fault_inject.uninstall (fun () ->
-          arm ();
+    (fun (chaos, lane) ->
+      let lane = lane () in
+      List.iter
+        (fun idx ->
           List.iter
-            (fun idx ->
-              List.iter
-                (fun (policy, elide, belide) ->
-                  let marks on = if on then [| Bytes.make 64 '\xff' |] else [||] in
-                  let config =
-                    { Instance.default_config with elide = marks elide; belide = marks belide }
-                  in
-                  let w = words_per_access ~config idx in
-                  let row =
-                    Printf.sprintf "%s memory, %s, %s: %.4f minor words per access"
-                      (Types.string_of_idx_type idx) policy chaos w
-                  in
-                  print_endline row;
-                  if w >= 0.1 then over := row :: !over)
-                policies)
-            [ Types.Idx32; Types.Idx64 ]))
-    [ ("no chaos", ignore); ("chaos budget spent", spent) ];
+            (fun (policy, elide, belide) ->
+              let marks on = if on then [| Bytes.make 64 '\xff' |] else [||] in
+              let config =
+                { Instance.default_config with elide = marks elide; belide = marks belide }
+              in
+              let w = words_per_access ?chaos:lane ~config idx in
+              let row =
+                Printf.sprintf "%s memory, %s, %s: %.4f minor words per access"
+                  (Types.string_of_idx_type idx) policy chaos w
+              in
+              print_endline row;
+              if w >= 0.1 then over := row :: !over)
+            policies)
+        [ Types.Idx32; Types.Idx64 ])
+    [ ("no chaos", fun () -> None); ("chaos budget spent", spent) ];
   if !over <> [] then Alcotest.fail (String.concat "; " (List.rev !over))
 
 (* ------------------------------------------------------------------ *)

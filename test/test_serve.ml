@@ -326,23 +326,23 @@ let test_chaos_restores_match () =
         Arch.Fault_inject.create
           (Harness.Detection_matrix.policy_for site ~seed:(7 + (31 * i)))
       in
-      Arch.Fault_inject.with_engine engine (fun () ->
-          for call = 1 to 24 do
-            restored_match ();
-            match Serve.Pool.acquire pool with
-            | None -> Alcotest.failf "%s: no idle slot" name
-            | Some slot -> (
-                Alcotest.(check bool) (name ^ ": acquired slot matches") true
-                  (Serve.Snapshot.matches slot.Serve.Pool.sl_snapshot
-                     slot.Serve.Pool.sl_inst);
-                match fst (Serve.Pool.serve pool slot) with
-                | Cage.Supervisor.Finished _ -> Serve.Pool.settle_ok slot
-                | Cage.Supervisor.Crashed _ ->
-                    Serve.Pool.settle_crashed slot;
-                    ignore
-                      (Serve.Pool.heal pool
-                         ~now:(call * policy.Serve.Policy.heal_refill)))
-          done);
+      Serve.Pool.arm pool engine;
+      for call = 1 to 24 do
+        restored_match ();
+        match Serve.Pool.acquire pool with
+        | None -> Alcotest.failf "%s: no idle slot" name
+        | Some slot -> (
+            Alcotest.(check bool) (name ^ ": acquired slot matches") true
+              (Serve.Snapshot.matches slot.Serve.Pool.sl_snapshot
+                 slot.Serve.Pool.sl_inst);
+            match fst (Serve.Pool.serve pool slot) with
+            | Cage.Supervisor.Finished _ -> Serve.Pool.settle_ok slot
+            | Cage.Supervisor.Crashed _ ->
+                Serve.Pool.settle_crashed slot;
+                ignore
+                  (Serve.Pool.heal pool
+                     ~now:(call * policy.Serve.Policy.heal_refill)))
+      done;
       restored_match ();
       Alcotest.(check bool) (name ^ " fired") true
         (Arch.Fault_inject.count engine > 0);
@@ -358,31 +358,26 @@ let lane_pol =
   Arch.Fault_inject.policy ~seed:99 ~probability:0.5 ~max_injections:1000
     [ Arch.Fault_inject.Tag_flip ]
 
-(* Draw [n] times on [lane], recording the outcomes. *)
-let draws_on lane n =
-  Arch.Fault_inject.set_lane lane;
-  List.init n (fun _ -> Arch.Fault_inject.draw Arch.Fault_inject.Tag_flip)
+(* Draw [n] times on lane [lane] of [e], recording the outcomes. *)
+let draws_on e lane n =
+  let ln = Arch.Fault_inject.lane e lane in
+  List.init n (fun _ -> Arch.Fault_inject.draw ln Arch.Fault_inject.Tag_flip)
 
 let test_lane_streams_independent_of_interleaving () =
   (* sequential: all of lane 0, then all of lane 1 *)
   let e1 = Arch.Fault_inject.create lane_pol in
-  let seq0, seq1 =
-    Arch.Fault_inject.with_engine e1 (fun () ->
-        let a = draws_on 0 40 in
-        let b = draws_on 1 40 in
-        (a, b))
-  in
+  let seq0 = draws_on e1 0 40 in
+  let seq1 = draws_on e1 1 40 in
   (* interleaved: lanes alternate every 5 draws — as a pool scheduler
      bouncing between two slots would *)
   let e2 = Arch.Fault_inject.create lane_pol in
   let int0, int1 =
-    Arch.Fault_inject.with_engine e2 (fun () ->
-        let a = ref [] and b = ref [] in
-        for _ = 1 to 8 do
-          a := !a @ draws_on 0 5;
-          b := !b @ draws_on 1 5
-        done;
-        (!a, !b))
+    let a = ref [] and b = ref [] in
+    for _ = 1 to 8 do
+      a := !a @ draws_on e2 0 5;
+      b := !b @ draws_on e2 1 5
+    done;
+    (!a, !b)
   in
   Alcotest.(check (list bool)) "lane 0 stream unchanged by interleaving"
     seq0 int0;
@@ -390,8 +385,8 @@ let test_lane_streams_independent_of_interleaving () =
     seq1 int1;
   Alcotest.(check bool) "lanes draw distinct streams" true (seq0 <> seq1);
   Alcotest.(check int) "per-lane charging matches"
-    (Arch.Fault_inject.lane_count e1 0)
-    (Arch.Fault_inject.lane_count e2 0)
+    (Arch.Fault_inject.lane_count (Arch.Fault_inject.lane e1 0))
+    (Arch.Fault_inject.lane_count (Arch.Fault_inject.lane e2 0))
 
 let test_lane_budget_is_per_lane () =
   let pol =
@@ -399,13 +394,12 @@ let test_lane_budget_is_per_lane () =
       [ Arch.Fault_inject.Tag_flip ]
   in
   let e = Arch.Fault_inject.create pol in
-  Arch.Fault_inject.with_engine e (fun () ->
-      ignore (draws_on 0 10);
-      ignore (draws_on 1 10));
+  ignore (draws_on e 0 10);
+  ignore (draws_on e 1 10);
   Alcotest.(check int) "lane 0 spent its own budget" 2
-    (Arch.Fault_inject.lane_count e 0);
+    (Arch.Fault_inject.lane_count (Arch.Fault_inject.lane e 0));
   Alcotest.(check int) "lane 1 spent its own budget" 2
-    (Arch.Fault_inject.lane_count e 1);
+    (Arch.Fault_inject.lane_count (Arch.Fault_inject.lane e 1));
   Alcotest.(check int) "total is the sum" 4 (Arch.Fault_inject.count e)
 
 (* ------------------------------------------------------------------ *)

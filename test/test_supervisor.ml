@@ -55,13 +55,12 @@ let mem_byte (inst : Instance.t) addr =
 (* Replay a fixed draw schedule against an engine and record what
    fired. Two engines from the same policy must agree exactly. *)
 let draw_trace pol sched =
-  let e = Arch.Fault_inject.create pol in
-  Arch.Fault_inject.with_engine e (fun () ->
-      List.map
-        (fun site ->
-          let fired = Arch.Fault_inject.draw site in
-          (fired, if fired then Arch.Fault_inject.rand_int 1000 else -1))
-        sched)
+  let ln = Arch.Fault_inject.lane (Arch.Fault_inject.create pol) 0 in
+  List.map
+    (fun site ->
+      let fired = Arch.Fault_inject.draw ln site in
+      (fired, if fired then Arch.Fault_inject.rand_int ln 1000 else -1))
+    sched
 
 let test_engine_deterministic () =
   let pol =
@@ -83,18 +82,16 @@ let test_engine_budget_and_filter () =
       [ Arch.Fault_inject.Tag_flip ]
   in
   let e = Arch.Fault_inject.create pol in
-  Arch.Fault_inject.with_engine e (fun () ->
-      Alcotest.(check bool) "unarmed site never fires" false
-        (Arch.Fault_inject.draw Arch.Fault_inject.Pac_forge);
-      Alcotest.(check bool) "first draw fires" true
-        (Arch.Fault_inject.draw Arch.Fault_inject.Tag_flip);
-      Alcotest.(check bool) "second draw fires" true
-        (Arch.Fault_inject.draw Arch.Fault_inject.Tag_flip);
-      Alcotest.(check bool) "budget exhausted" false
-        (Arch.Fault_inject.draw Arch.Fault_inject.Tag_flip));
-  Alcotest.(check int) "two injections recorded" 2 (Arch.Fault_inject.count e);
-  Alcotest.(check bool) "no engine installed: fast path never fires" false
-    (Arch.Fault_inject.draw Arch.Fault_inject.Tag_flip)
+  let ln = Arch.Fault_inject.lane e 0 in
+  Alcotest.(check bool) "unarmed site never fires" false
+    (Arch.Fault_inject.draw ln Arch.Fault_inject.Pac_forge);
+  Alcotest.(check bool) "first draw fires" true
+    (Arch.Fault_inject.draw ln Arch.Fault_inject.Tag_flip);
+  Alcotest.(check bool) "second draw fires" true
+    (Arch.Fault_inject.draw ln Arch.Fault_inject.Tag_flip);
+  Alcotest.(check bool) "budget exhausted" false
+    (Arch.Fault_inject.draw ln Arch.Fault_inject.Tag_flip);
+  Alcotest.(check int) "two injections recorded" 2 (Arch.Fault_inject.count e)
 
 let test_engine_site_max () =
   let pol =
@@ -102,14 +99,13 @@ let test_engine_site_max () =
       ~site_max:[ (Arch.Fault_inject.Tag_flip, 1) ]
       [ Arch.Fault_inject.Tag_flip; Arch.Fault_inject.Tfsr_drop ]
   in
-  let e = Arch.Fault_inject.create pol in
-  Arch.Fault_inject.with_engine e (fun () ->
-      Alcotest.(check bool) "capped site fires once" true
-        (Arch.Fault_inject.draw Arch.Fault_inject.Tag_flip);
-      Alcotest.(check bool) "capped site is then exhausted" false
-        (Arch.Fault_inject.draw Arch.Fault_inject.Tag_flip);
-      Alcotest.(check bool) "uncapped site still fires" true
-        (Arch.Fault_inject.draw Arch.Fault_inject.Tfsr_drop))
+  let ln = Arch.Fault_inject.lane (Arch.Fault_inject.create pol) 0 in
+  Alcotest.(check bool) "capped site fires once" true
+    (Arch.Fault_inject.draw ln Arch.Fault_inject.Tag_flip);
+  Alcotest.(check bool) "capped site is then exhausted" false
+    (Arch.Fault_inject.draw ln Arch.Fault_inject.Tag_flip);
+  Alcotest.(check bool) "uncapped site still fires" true
+    (Arch.Fault_inject.draw ln Arch.Fault_inject.Tfsr_drop)
 
 (* ------------------------------------------------------------------ *)
 (* Trap-message classification                                          *)
@@ -250,10 +246,8 @@ let pac_engine_crash site =
   let engine =
     Arch.Fault_inject.create (Arch.Fault_inject.policy ~seed:9 [ site ])
   in
-  let outcome =
-    Arch.Fault_inject.with_engine engine (fun () ->
-        Cage.Supervisor.run sup inst "f0" [ Values.I64 99L ])
-  in
+  Instance.arm inst (Arch.Fault_inject.lane engine 0);
+  let outcome = Cage.Supervisor.run sup inst "f0" [ Values.I64 99L ] in
   Alcotest.(check int) "the chaos engine fired" 1
     (Arch.Fault_inject.count engine);
   outcome
@@ -274,9 +268,10 @@ let test_pac_stripped_signature () =
     "pac auth failure"
     (Cage.Supervisor.fault_class_to_string pm.Cage.Supervisor.pm_class)
 
-(* One engine spans every instance of a process, so a post-mortem must
-   list only what was injected into the crashed instance's own lane
-   during the crashed invocation: a sibling's injection is not its. *)
+(* One engine can arm every instance of a process, so a post-mortem
+   must list only what was injected into the crashed instance's own
+   lane during the crashed invocation: a sibling's injection is not
+   its. *)
 let test_post_mortem_own_lane_only () =
   let m =
     module_of
@@ -291,14 +286,13 @@ let test_post_mortem_own_lane_only () =
     Arch.Fault_inject.create
       (Arch.Fault_inject.policy ~seed:3 [ Arch.Fault_inject.Ptr_sig ])
   in
-  let vpm, spm =
-    Arch.Fault_inject.with_engine engine (fun () ->
-        let vpm = crash_of (Cage.Supervisor.run sup victim "f0" []) in
-        (vpm, crash_of (Cage.Supervisor.run sup sibling "f1" [])))
-  in
+  Instance.arm victim (Arch.Fault_inject.lane engine 0);
+  Instance.arm sibling (Arch.Fault_inject.lane engine 1);
+  let vpm = crash_of (Cage.Supervisor.run sup victim "f0" []) in
+  let spm = crash_of (Cage.Supervisor.run sup sibling "f1" []) in
   Alcotest.(check (pair int int)) "victim on lane 0, sibling on lane 1" (0, 1)
-    (Cage.Process.lane (Cage.Supervisor.process sup) victim,
-     Cage.Process.lane (Cage.Supervisor.process sup) sibling);
+    (Arch.Fault_inject.lane_number (Option.get victim.Instance.chaos),
+     Arch.Fault_inject.lane_number (Option.get sibling.Instance.chaos));
   Alcotest.(check bool) "victim's post-mortem lists its injection" true
     (List.exists
        (fun s -> Astring.String.is_infix ~affix:"ptr-sig" s)
@@ -307,6 +301,55 @@ let test_post_mortem_own_lane_only () =
     (Cage.Supervisor.fault_class_to_string spm.Cage.Supervisor.pm_class);
   Alcotest.(check (list string)) "sibling's post-mortem lists no injection" []
     spm.Cage.Supervisor.pm_injections
+
+(* Two engines live at once, each armed on its own instance of one
+   process, and a third instance left unarmed: an invocation draws only
+   on its own instance's lane, so both engines see the same site
+   sequence however the invocations interleave, and the unarmed
+   instance draws nothing. MTE is off, so no injection crashes. *)
+let test_arming_isolates () =
+  let m =
+    module_of
+      [ (ft [] [ Types.I64 ], [ Types.I64 ],
+         [ Ast.I64Const 1024L; Ast.I64Const 32L; Ast.SegmentNew 0L;
+           Ast.LocalTee 0; Ast.Load (Types.I64, None, memarg 0L);
+           Ast.LocalGet 0; Ast.I64Const 32L; Ast.SegmentFree 0L ]) ]
+  in
+  let cfg =
+    { Cage.Config.mem_safety with Cage.Config.mte_mode = Arch.Mte.Disabled }
+  in
+  let sup, a = supervised cfg m in
+  let b = Cage.Supervisor.spawn sup m and idle = Cage.Supervisor.spawn sup m in
+  let pol =
+    Arch.Fault_inject.policy ~seed:5 ~probability:0.5 ~max_injections:100
+      Arch.Fault_inject.[ Ptr_tag; Heap_scribble ]
+  in
+  let ea = Arch.Fault_inject.create pol and eb = Arch.Fault_inject.create pol in
+  Instance.arm a (Arch.Fault_inject.lane ea 0);
+  Instance.arm b (Arch.Fault_inject.lane eb 0);
+  List.iter
+    (fun (name, inst) ->
+      let ca = Arch.Fault_inject.count ea and cb = Arch.Fault_inject.count eb in
+      (match Cage.Supervisor.run sup inst "f0" [] with
+      | Cage.Supervisor.Finished _ -> ()
+      | Cage.Supervisor.Crashed pm ->
+          Alcotest.failf "%s crashed: %s" name pm.Cage.Supervisor.pm_message);
+      if name <> "A" then
+        Alcotest.(check int) (name ^ " leaves A's count alone") ca
+          (Arch.Fault_inject.count ea);
+      if name <> "B" then
+        Alcotest.(check int) (name ^ " leaves B's count alone") cb
+          (Arch.Fault_inject.count eb))
+    [ ("A", a); ("B", b); ("A", a); ("B", b); ("unarmed", idle);
+      ("B", b); ("A", a); ("B", b); ("A", a); ("unarmed", idle) ];
+  let sites e =
+    List.map
+      (fun (i : Arch.Fault_inject.injection) -> i.inj_site)
+      (Arch.Fault_inject.injections (Arch.Fault_inject.lane e 0))
+  in
+  Alcotest.(check bool) "the engines fired" true (sites ea <> []);
+  Alcotest.(check bool) "both engines drew the same site sequence" true
+    (sites ea = sites eb)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite 4: partial-write semantics of bulk ops under fault         *)
@@ -448,14 +491,12 @@ let test_quarantine_and_sibling () =
    next synchronization point. Seed 57 draws one in the victim's first
    free, then a stray signature bit crashes the victim before that
    point: the pending scribble must die with the crashed invocation,
-   not land in the next instance to reach a sync point. *)
+   not wait on the victim's lane for its next sync point. *)
 let test_scribble_dies_with_crash () =
   let cfg = Cage.Config.full and seed = 57 in
   let compile src = (Libc.Run.compile cfg src).Minic.Driver.co_module in
-  let spawn ?lane sup m =
-    Cage.Supervisor.spawn ?lane
-      ~imports:(Libc.Wasi.imports (Libc.Wasi.create ()))
-      sup m
+  let spawn sup m =
+    Cage.Supervisor.spawn ~imports:(Libc.Wasi.imports (Libc.Wasi.create ())) sup m
   in
   let sup =
     Cage.Supervisor.create (Cage.Process.create ~config:cfg ~seed ())
@@ -466,7 +507,7 @@ let test_scribble_dies_with_crash () =
       (Cage.Process.create ~config:cfg ~seed:(seed + 5000) ())
   in
   let sibling =
-    spawn ~lane:1 sup2
+    spawn sup2
       (compile
          "int main() { long *p = (long *)malloc(64); p[0] = 5; return \
           (int)p[0]; }")
@@ -478,15 +519,11 @@ let test_scribble_dies_with_crash () =
          ~max_injections:4
          Arch.Fault_inject.[ Heap_scribble; Ptr_sig; Ptr_tag ])
   in
-  let word () =
-    Memory.load_i64 (Option.get sibling.Instance.mem) 0x104b8L
-  in
-  let vpm, sibling_out, after =
-    Arch.Fault_inject.with_engine engine (fun () ->
-        let vpm = crash_of (Cage.Supervisor.run sup victim "main" []) in
-        let out = Cage.Supervisor.run sup2 sibling "main" [] in
-        (vpm, out, word ()))
-  in
+  Instance.arm victim (Arch.Fault_inject.lane engine 0);
+  Instance.arm sibling (Arch.Fault_inject.lane engine 1);
+  let vpm = crash_of (Cage.Supervisor.run sup victim "main" []) in
+  let sibling_out = Cage.Supervisor.run sup2 sibling "main" [] in
+  let after = Memory.load_i64 (Option.get sibling.Instance.mem) 0x104b8L in
   Alcotest.(check (list string)) "the victim drew a scribble, then crashed"
     [ "heap-scribble"; "ptr-sig" ]
     (List.map
@@ -498,9 +535,57 @@ let test_scribble_dies_with_crash () =
         [ Values.I32 5l ] vs
   | Cage.Supervisor.Crashed pm ->
       Alcotest.failf "sibling crashed: %s" pm.Cage.Supervisor.pm_message);
+  Alcotest.(check bool) "the crash dropped the victim's scribble" true
+    (Option.is_none
+       (Arch.Fault_inject.take_scribble (Arch.Fault_inject.lane engine 0)));
   Alcotest.(check int) "no injection on the sibling's lane" 0
-    (Arch.Fault_inject.lane_count engine 1);
+    (Arch.Fault_inject.lane_count (Arch.Fault_inject.lane engine 1));
   Alcotest.(check int64) "the sibling's heap word is untouched" 0L after
+
+(* A heap scribble is noted when it lands, at the sync point after its
+   draw. Seed 57 fires a pointer-tag corruption in between: each record
+   must keep its own detail. *)
+let test_scribble_keeps_its_record () =
+  let cfg = { Cage.Config.full with Cage.Config.mte_mode = Arch.Mte.Async }
+  and seed = 57 in
+  let m =
+    (Libc.Run.compile cfg Harness.Detection_matrix.victim_source)
+      .Minic.Driver.co_module
+  in
+  let sup =
+    Cage.Supervisor.create ~fuel:2_000_000
+      (Cage.Process.create ~config:cfg ~seed ())
+  in
+  let victim =
+    Cage.Supervisor.spawn ~imports:(Libc.Wasi.imports (Libc.Wasi.create ()))
+      sup m
+  in
+  let engine =
+    Arch.Fault_inject.create
+      (Arch.Fault_inject.policy ~seed ~probability:0.01
+         ~site_probability:[ (Arch.Fault_inject.Heap_scribble, 1.0) ]
+         ~max_injections:4
+         Arch.Fault_inject.[ Heap_scribble; Tfsr_drop; Tag_flip; Ptr_tag ])
+  in
+  let lane = Arch.Fault_inject.lane engine 0 in
+  Instance.arm victim lane;
+  ignore (Cage.Supervisor.run sup victim "main" []);
+  let starts expect site =
+    match
+      List.find_opt
+        (fun (i : Arch.Fault_inject.injection) -> i.inj_site = site)
+        (Arch.Fault_inject.injections lane)
+    with
+    | None -> Alcotest.failf "no %s injection" (Arch.Fault_inject.site_to_string site)
+    | Some i ->
+        let d = i.inj_detail in
+        Alcotest.(check string)
+          (Arch.Fault_inject.site_to_string site ^ " keeps its own detail")
+          expect
+          (String.sub d 0 (min (String.length d) (String.length expect)))
+  in
+  starts "free-list link at 0x104b8" Arch.Fault_inject.Heap_scribble;
+  starts "pointer " Arch.Fault_inject.Ptr_tag
 
 let test_host_error_contained () =
   let sup, inst = supervised Cage.Config.baseline_wasm64 spin_module in
@@ -563,6 +648,7 @@ let () =
           Alcotest.test_case "budget and site filter" `Quick
             test_engine_budget_and_filter;
           Alcotest.test_case "per-site caps" `Quick test_engine_site_max;
+          Alcotest.test_case "arming isolates" `Quick test_arming_isolates;
         ] );
       ( "classify",
         [ Alcotest.test_case "prefix taxonomy" `Quick test_classify_taxonomy ]
@@ -607,6 +693,8 @@ let () =
             test_host_error_contained;
           Alcotest.test_case "pending scribble dies with its crash" `Quick
             test_scribble_dies_with_crash;
+          Alcotest.test_case "scribble keeps its own record" `Quick
+            test_scribble_keeps_its_record;
         ] );
       ( "matrix",
         [
