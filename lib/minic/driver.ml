@@ -48,18 +48,28 @@ exception Compile_error of string
     failure. *)
 let compile ?(opts = default_options) ?(prelude = "") source : compiled =
   let full = prelude ^ "\n" ^ source in
+  let fail what line msg =
+    (* [full]'s first [shift] lines are the prelude's, and its line
+       [shift + n] is the source's line [n]: a diagnostic names the
+       line of the text it is in (0 is no line) *)
+    let shift =
+      String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 1 prelude
+    in
+    let where =
+      if line > shift then Printf.sprintf "line %d" (line - shift)
+      else if line > 0 then Printf.sprintf "prelude line %d" line
+      else "no line"
+    in
+    raise (Compile_error (Printf.sprintf "%s error (%s): %s" what where msg))
+  in
   let cst =
     try Parser.parse full with
-    | Lexer.Lex_error (msg, line) ->
-        raise (Compile_error (Printf.sprintf "lex error (line %d): %s" line msg))
-    | Parser.Parse_error (msg, line) ->
-        raise
-          (Compile_error (Printf.sprintf "parse error (line %d): %s" line msg))
+    | Lexer.Lex_error (msg, line) -> fail "lex" line msg
+    | Parser.Parse_error (msg, line) -> fail "parse" line msg
   in
   let ir =
     try Elab.program ~ptr64:opts.ptr64 cst
-    with Elab.Type_error (msg, line) ->
-      raise (Compile_error (Printf.sprintf "type error (line %d): %s" line msg))
+    with Elab.Type_error (msg, line) -> fail "type" line msg
   in
   if opts.optimize then Opt.run ir;
   let stats =

@@ -31,9 +31,12 @@ type compiled = {
 }
 
 exception Compile_error of string
-(** Any front-end failure, with a line-located message. *)
+(** Any front-end failure, with a line-located message: [(line N)] is
+    the source's own line [N], [(prelude line N)] one of the prelude's. *)
 
 val compile : ?opts:options -> ?prelude:string -> string -> compiled
 (** Compile MiniC source text; [prelude] (the libc) is prepended.
     The result module has passed {!Wasm.Validate.validate}.
-    @raise Compile_error on lex/parse/type/codegen errors. *)
+    @raise Compile_error on lex/parse/type/codegen errors, malformed
+    or out-of-range literals, array sizes below 1, and constant
+    expressions that divide by zero or shift outside 0..63. *)

@@ -1,6 +1,7 @@
 (** Hand-rolled lexer for MiniC. Tracks line numbers for diagnostics and
     supports C and C++ comments, character/string escapes, hex literals
-    and float literals. *)
+    and float literals. The parser pulls one token at a time through
+    {!next}; nothing builds the whole token stream. *)
 
 exception Lex_error of string * int  (** message, line *)
 
@@ -8,195 +9,184 @@ type t = {
   src : string;
   mutable pos : int;
   mutable line : int;
+  mutable tok_line : int;  (** line of the token {!next} returned last *)
 }
 
-let create src = { src; pos = 0; line = 1 }
+let create src = { src; pos = 0; line = 1; tok_line = 1 }
 
-let peek_char lx =
-  if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
+let at_end lx = lx.pos >= String.length lx.src
 
-let peek2_char lx =
-  if lx.pos + 1 < String.length lx.src then Some lx.src.[lx.pos + 1] else None
+(* The character [k] places ahead, or NUL past the end of input: where
+   a NUL byte and the end differ, the caller tests [at_end]. *)
+let char_at lx k =
+  let i = lx.pos + k in
+  if i < String.length lx.src then String.unsafe_get lx.src i else '\000'
 
 let advance lx =
-  (match peek_char lx with Some '\n' -> lx.line <- lx.line + 1 | _ -> ());
+  if char_at lx 0 = '\n' then lx.line <- lx.line + 1;
   lx.pos <- lx.pos + 1
 
 let error lx fmt =
   Format.kasprintf (fun s -> raise (Lex_error (s, lx.line))) fmt
 
-let is_digit c = c >= '0' && c <= '9'
-let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-let is_ident_start c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_ident c = is_ident_start c || is_digit c
+let is_digit = function '0' .. '9' -> true | _ -> false
+let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+let is_ident = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true
+  | _ -> false
+
+let skip_while lx pred = while pred (char_at lx 0) do advance lx done
+let skip_line lx = while not (at_end lx || char_at lx 0 = '\n') do advance lx done
 
 let rec skip_ws lx =
-  match peek_char lx with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  match char_at lx 0 with
+  | ' ' | '\t' | '\r' | '\n' ->
       advance lx;
       skip_ws lx
-  | Some '/' when peek2_char lx = Some '/' ->
-      let rec to_eol () =
-        match peek_char lx with
-        | Some '\n' | None -> ()
-        | Some _ ->
-            advance lx;
-            to_eol ()
-      in
-      to_eol ();
+  | '/' when char_at lx 1 = '/' ->
+      skip_line lx;
       skip_ws lx
-  | Some '/' when peek2_char lx = Some '*' ->
+  | '/' when char_at lx 1 = '*' ->
       advance lx;
       advance lx;
-      let rec to_close () =
-        match (peek_char lx, peek2_char lx) with
-        | Some '*', Some '/' ->
-            advance lx;
-            advance lx
-        | None, _ -> error lx "unterminated comment"
-        | _ ->
-            advance lx;
-            to_close ()
-      in
-      to_close ();
+      while not (char_at lx 0 = '*' && char_at lx 1 = '/') do
+        if at_end lx then error lx "unterminated comment";
+        advance lx
+      done;
+      advance lx;
+      advance lx;
       skip_ws lx
-  | Some '#' ->
+  | '#' ->
       (* preprocessor lines (e.g. #include) are ignored: MiniC sources
          are self-contained *)
-      let rec to_eol () =
-        match peek_char lx with
-        | Some '\n' | None -> ()
-        | Some _ ->
-            advance lx;
-            to_eol ()
-      in
-      to_eol ();
+      skip_line lx;
       skip_ws lx
   | _ -> ()
 
 let lex_escape lx =
   advance lx;
-  match peek_char lx with
-  | Some 'n' -> advance lx; '\n'
-  | Some 't' -> advance lx; '\t'
-  | Some 'r' -> advance lx; '\r'
-  | Some '0' -> advance lx; '\000'
-  | Some '\\' -> advance lx; '\\'
-  | Some '\'' -> advance lx; '\''
-  | Some '"' -> advance lx; '"'
-  | Some c -> error lx "unknown escape \\%c" c
-  | None -> error lx "unterminated escape"
+  if at_end lx then error lx "unterminated escape";
+  let c =
+    match char_at lx 0 with
+    | 'n' -> '\n'
+    | 't' -> '\t'
+    | 'r' -> '\r'
+    | '0' -> '\000'
+    | ('\\' | '\'' | '"') as c -> c
+    | c -> error lx "unknown escape \\%c" c
+  in
+  advance lx;
+  c
+
+let int_lit lx start stop =
+  let s = String.sub lx.src start (stop - start) in
+  match Int64.of_string_opt s with
+  | Some v -> Token.Int_lit v
+  | None -> error lx "invalid integer literal %s" s
 
 let lex_number lx =
   let start = lx.pos in
-  if peek_char lx = Some '0' && (peek2_char lx = Some 'x' || peek2_char lx = Some 'X')
-  then begin
+  if char_at lx 0 = '0' && (char_at lx 1 = 'x' || char_at lx 1 = 'X') then begin
     advance lx;
     advance lx;
-    while (match peek_char lx with Some c -> is_hex c | None -> false) do
-      advance lx
-    done;
-    let s = String.sub lx.src start (lx.pos - start) in
-    Token.Int_lit (Int64.of_string s)
+    skip_while lx is_hex;
+    int_lit lx start lx.pos
   end
   else begin
-    while (match peek_char lx with Some c -> is_digit c | None -> false) do
+    (* up to 18 decimal digits fit an OCaml int; longer literals go
+       through [Int64.of_string], which rejects what overflows *)
+    let n = ref 0 in
+    while is_digit (char_at lx 0) do
+      n := (!n * 10) + Char.code (char_at lx 0) - Char.code '0';
       advance lx
     done;
     let is_float =
-      match (peek_char lx, peek2_char lx) with
-      | Some '.', Some c when is_digit c -> true
-      | Some '.', (Some (' ' | ';' | ')' | ',' | '/' | '*' | '+' | '-') | None)
-        -> true
-      | Some ('e' | 'E'), _ -> true
+      match char_at lx 0 with
+      | '.' -> (
+          (* NUL: the end of input, or a byte the next token fails on *)
+          match char_at lx 1 with
+          | '0' .. '9' | ' ' | ';' | ')' | ',' | '/' | '*' | '+' | '-'
+          | '\000' -> true
+          | _ -> false)
+      | 'e' | 'E' -> true
       | _ -> false
     in
     if is_float then begin
-      (match peek_char lx with
-      | Some '.' ->
-          advance lx;
-          while (match peek_char lx with Some c -> is_digit c | None -> false) do
-            advance lx
-          done
-      | _ -> ());
-      (match peek_char lx with
-      | Some ('e' | 'E') ->
-          advance lx;
-          (match peek_char lx with
-          | Some ('+' | '-') -> advance lx
-          | _ -> ());
-          while (match peek_char lx with Some c -> is_digit c | None -> false) do
-            advance lx
-          done
-      | _ -> ());
+      if char_at lx 0 = '.' then begin
+        advance lx;
+        skip_while lx is_digit
+      end;
+      if char_at lx 0 = 'e' || char_at lx 0 = 'E' then begin
+        advance lx;
+        if char_at lx 0 = '+' || char_at lx 0 = '-' then advance lx;
+        skip_while lx is_digit
+      end;
+      let s = String.sub lx.src start (lx.pos - start) in
       (* optional f suffix *)
-      (match peek_char lx with Some ('f' | 'F') -> advance lx | _ -> ());
-      Token.Float_lit (float_of_string
-                         (let s = String.sub lx.src start (lx.pos - start) in
-                          if s.[String.length s - 1] = 'f'
-                             || s.[String.length s - 1] = 'F'
-                          then String.sub s 0 (String.length s - 1)
-                          else s))
+      if char_at lx 0 = 'f' || char_at lx 0 = 'F' then advance lx;
+      match float_of_string_opt s with
+      | Some v -> Token.Float_lit v
+      | None -> error lx "invalid float literal %s" s
     end
     else begin
+      let stop = lx.pos in
       (* optional L/u suffixes *)
-      let s = String.sub lx.src start (lx.pos - start) in
-      while (match peek_char lx with
-            | Some ('l' | 'L' | 'u' | 'U') -> true
-            | _ -> false) do
-        advance lx
-      done;
-      Token.Int_lit (Int64.of_string s)
+      skip_while lx (function 'l' | 'L' | 'u' | 'U' -> true | _ -> false);
+      if stop - start <= 18 then Token.Int_lit (Int64.of_int !n)
+      else int_lit lx start stop
     end
   end
 
-let next_token lx : Token.t * int =
+(* A one- or two-character operator: [tok1] if [expect] follows. *)
+let two lx expect tok1 tok0 =
+  if char_at lx 0 = expect then (advance lx; tok1) else tok0
+
+(** The next token; [tok_line] is set to the line it starts on. At the
+    end of input this returns [Eof] again and again. *)
+let next lx : Token.t =
   skip_ws lx;
-  let line = lx.line in
-  let tok =
-    match peek_char lx with
-    | None -> Token.Eof
-    | Some c when is_digit c -> lex_number lx
-    | Some c when is_ident_start c ->
+  lx.tok_line <- lx.line;
+  if at_end lx then Token.Eof
+  else
+    match char_at lx 0 with
+    | '0' .. '9' -> lex_number lx
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' -> (
         let start = lx.pos in
-        while (match peek_char lx with Some c -> is_ident c | None -> false) do
-          advance lx
-        done;
+        skip_while lx is_ident;
         let s = String.sub lx.src start (lx.pos - start) in
-        (match Token.keyword_of_string s with
+        match Token.keyword_of_string s with
         | Some kw -> kw
         | None -> Token.Ident s)
-    | Some '"' ->
+    | '"' ->
         advance lx;
         let buf = Buffer.create 16 in
-        let rec go () =
-          match peek_char lx with
-          | Some '"' -> advance lx
-          | Some '\\' -> Buffer.add_char buf (lex_escape lx); go ()
-          | Some c -> advance lx; Buffer.add_char buf c; go ()
-          | None -> error lx "unterminated string"
-        in
-        go ();
+        while char_at lx 0 <> '"' do
+          if at_end lx then error lx "unterminated string";
+          if char_at lx 0 = '\\' then Buffer.add_char buf (lex_escape lx)
+          else begin
+            Buffer.add_char buf (char_at lx 0);
+            advance lx
+          end
+        done;
+        advance lx;
         Token.String_lit (Buffer.contents buf)
-    | Some '\'' ->
+    | '\'' ->
         advance lx;
+        if at_end lx then error lx "unterminated char literal";
         let c =
-          match peek_char lx with
-          | Some '\\' -> lex_escape lx
-          | Some c -> advance lx; c
-          | None -> error lx "unterminated char literal"
+          if char_at lx 0 = '\\' then lex_escape lx
+          else begin
+            let c = char_at lx 0 in
+            advance lx;
+            c
+          end
         in
-        (match peek_char lx with
-        | Some '\'' -> advance lx
-        | _ -> error lx "unterminated char literal");
-        Token.Char_lit c
-    | Some c ->
+        if char_at lx 0 <> '\'' then error lx "unterminated char literal";
         advance lx;
-        let two expect tok1 tok0 =
-          if peek_char lx = Some expect then (advance lx; tok1) else tok0
-        in
-        (match c with
+        Token.Char_lit c
+    | c -> (
+        advance lx;
+        match c with
         | '(' -> Token.LParen
         | ')' -> Token.RParen
         | '{' -> Token.LBrace
@@ -209,57 +199,41 @@ let next_token lx : Token.t * int =
         | '?' -> Token.Question
         | ':' -> Token.Colon
         | '~' -> Token.Tilde
-        | '+' ->
-            (match peek_char lx with
-            | Some '+' -> advance lx; Token.PlusPlus
-            | Some '=' -> advance lx; Token.PlusEq
+        | '+' -> (
+            match char_at lx 0 with
+            | '+' -> advance lx; Token.PlusPlus
+            | '=' -> advance lx; Token.PlusEq
             | _ -> Token.Plus)
-        | '-' ->
-            (match peek_char lx with
-            | Some '-' -> advance lx; Token.MinusMinus
-            | Some '=' -> advance lx; Token.MinusEq
-            | Some '>' -> advance lx; Token.Arrow
+        | '-' -> (
+            match char_at lx 0 with
+            | '-' -> advance lx; Token.MinusMinus
+            | '=' -> advance lx; Token.MinusEq
+            | '>' -> advance lx; Token.Arrow
             | _ -> Token.Minus)
-        | '*' -> two '=' Token.StarEq Token.Star
-        | '/' -> two '=' Token.SlashEq Token.Slash
-        | '%' -> two '=' Token.PercentEq Token.Percent
-        | '^' -> two '=' Token.CaretEq Token.Caret
-        | '!' -> two '=' Token.NotEq Token.Bang
-        | '=' -> two '=' Token.EqEq Token.Assign
-        | '&' ->
-            (match peek_char lx with
-            | Some '&' -> advance lx; Token.AmpAmp
-            | Some '=' -> advance lx; Token.AmpEq
+        | '*' -> two lx '=' Token.StarEq Token.Star
+        | '/' -> two lx '=' Token.SlashEq Token.Slash
+        | '%' -> two lx '=' Token.PercentEq Token.Percent
+        | '^' -> two lx '=' Token.CaretEq Token.Caret
+        | '!' -> two lx '=' Token.NotEq Token.Bang
+        | '=' -> two lx '=' Token.EqEq Token.Assign
+        | '&' -> (
+            match char_at lx 0 with
+            | '&' -> advance lx; Token.AmpAmp
+            | '=' -> advance lx; Token.AmpEq
             | _ -> Token.Amp)
-        | '|' ->
-            (match peek_char lx with
-            | Some '|' -> advance lx; Token.PipePipe
-            | Some '=' -> advance lx; Token.PipeEq
+        | '|' -> (
+            match char_at lx 0 with
+            | '|' -> advance lx; Token.PipePipe
+            | '=' -> advance lx; Token.PipeEq
             | _ -> Token.Pipe)
-        | '<' ->
-            (match peek_char lx with
-            | Some '<' ->
-                advance lx;
-                two '=' Token.ShlEq Token.Shl
-            | Some '=' -> advance lx; Token.Le
+        | '<' -> (
+            match char_at lx 0 with
+            | '<' -> advance lx; two lx '=' Token.ShlEq Token.Shl
+            | '=' -> advance lx; Token.Le
             | _ -> Token.Lt)
-        | '>' ->
-            (match peek_char lx with
-            | Some '>' ->
-                advance lx;
-                two '=' Token.ShrEq Token.Shr
-            | Some '=' -> advance lx; Token.Ge
+        | '>' -> (
+            match char_at lx 0 with
+            | '>' -> advance lx; two lx '=' Token.ShrEq Token.Shr
+            | '=' -> advance lx; Token.Ge
             | _ -> Token.Gt)
         | c -> error lx "unexpected character %C" c)
-  in
-  (tok, line)
-
-(** Tokenise a whole source string. *)
-let tokenize src =
-  let lx = create src in
-  let rec go acc =
-    match next_token lx with
-    | Token.Eof, line -> List.rev ((Token.Eof, line) :: acc)
-    | tok -> go (tok :: acc)
-  in
-  go []

@@ -3,28 +3,46 @@
     Implements the usual C precedence levels. MiniC has no typedefs, so
     a statement starting with a type keyword (or [struct N] followed by
     an identifier or [*]) is a declaration; anything else is an
-    expression statement. *)
+    expression statement.
+
+    Tokens come from the lexer through a window of three, the most the
+    grammar looks ahead (a cast or [sizeof (struct N ...)], and a
+    top-level [struct N {]); no token list or array is built. *)
 
 exception Parse_error of string * int
 
 type t = {
-  toks : (Token.t * int) array;
-  mutable pos : int;
+  lx : Lexer.t;
+  mutable t0 : Token.t;  (** current token *)
+  mutable t1 : Token.t;
+  mutable t2 : Token.t;
+  mutable l0 : int;  (** line of [t0] *)
+  mutable l1 : int;
+  mutable l2 : int;
 }
 
 let error p fmt =
-  let line = snd p.toks.(min p.pos (Array.length p.toks - 1)) in
-  Format.kasprintf (fun s -> raise (Parse_error (s, line))) fmt
+  Format.kasprintf (fun s -> raise (Parse_error (s, p.l0))) fmt
 
-let peek p = fst p.toks.(p.pos)
-let peek2 p =
-  if p.pos + 1 < Array.length p.toks then fst p.toks.(p.pos + 1) else Token.Eof
-let line p = snd p.toks.(p.pos)
+let peek p = p.t0
+let peek2 p = p.t1
+let line p = p.l0
 
-let advance p = if p.pos < Array.length p.toks - 1 then p.pos <- p.pos + 1
+(* Past the end the lexer keeps returning [Eof], so the window does
+   too. *)
+let advance p =
+  p.t0 <- p.t1;
+  p.l0 <- p.l1;
+  p.t1 <- p.t2;
+  p.l1 <- p.l2;
+  p.t2 <- Lexer.next p.lx;
+  p.l2 <- p.lx.tok_line
+
+(* [tok] is a constant constructor, so physical equality decides. *)
+let at p tok = p.t0 == tok
 
 let eat p tok =
-  if peek p = tok then advance p
+  if at p tok then advance p
   else error p "expected %s, found %s" (Token.to_string tok)
          (Token.to_string (peek p))
 
@@ -39,13 +57,16 @@ let eat_ident p =
 (* Types                                                            *)
 (* --------------------------------------------------------------- *)
 
-let starts_type p =
-  match peek p with
+(* Whether a type starts at [tok], followed by [next]. *)
+let type_starts tok next =
+  match tok with
   | Token.KW_int | KW_long | KW_char | KW_float | KW_double | KW_void
   | KW_unsigned | KW_const | KW_static ->
       true
-  | KW_struct -> ( match peek2 p with Token.Ident _ -> true | _ -> false)
+  | KW_struct -> ( match next with Token.Ident _ -> true | _ -> false)
   | _ -> false
+
+let starts_type p = type_starts p.t0 p.t1
 
 (* Base type: [unsigned] (int|long|char) | float | double | void |
    struct N.  Ignores const/static qualifiers. *)
@@ -81,7 +102,7 @@ let rec parse_base_ty p : Cst.ty =
 (* Pointer stars after a base type. *)
 let parse_ptr_suffix p ty =
   let ty = ref ty in
-  while peek p = Token.Star do
+  while at p Token.Star do
     advance p;
     (* skip const in e.g. `char *const` *)
     (match peek p with Token.KW_const -> advance p | _ -> ());
@@ -89,18 +110,42 @@ let parse_ptr_suffix p ty =
   done;
   !ty
 
-(* Forward declaration: filled below (param lists need full types). *)
-let parse_abstract_fnptr_hook :
-    (t -> Cst.ty -> Cst.ty) ref =
-  ref (fun _ ty -> ty)
+(* The parameter types of a prototype or function-pointer type; names
+   are skipped. *)
+let parse_param_types p =
+  if at p Token.RParen then []
+  else if at p Token.KW_void && peek2 p == Token.RParen then begin
+    advance p;
+    []
+  end
+  else
+    let rec go acc =
+      let base = parse_base_ty p in
+      let ty = parse_ptr_suffix p base in
+      (* optional name, ignored *)
+      (match peek p with Token.Ident _ -> advance p | _ -> ());
+      if at p Token.Comma then begin
+        advance p;
+        go (ty :: acc)
+      end
+      else List.rev (ty :: acc)
+    in
+    go []
 
 (* An abstract declarator after a base type, as used in casts:
    stars, optionally followed by the function-pointer form
    "( star ) ( params )". *)
 let parse_abstract_ty p base =
   let ty = parse_ptr_suffix p base in
-  if peek p = Token.LParen && peek2 p = Token.Star then
-    !parse_abstract_fnptr_hook p ty
+  if at p Token.LParen && peek2 p == Token.Star then begin
+    eat p Token.LParen;
+    eat p Token.Star;
+    eat p Token.RParen;
+    eat p Token.LParen;
+    let params = parse_param_types p in
+    eat p Token.RParen;
+    Cst.TPtr (Cst.TFunc (ty, params))
+  end
   else ty
 
 (* --------------------------------------------------------------- *)
@@ -109,36 +154,59 @@ let parse_abstract_ty p base =
 
 let mk e eline : Cst.expr = { e; eline }
 
+(* A binary operator's precedence (higher binds tighter; 0 for a token
+   that is not one) and its operator. *)
+let binop : Token.t -> int * Cst.binop = function
+  | Token.PipePipe -> (1, Cst.LOr)
+  | AmpAmp -> (2, LAnd)
+  | Pipe -> (3, BOr)
+  | Caret -> (4, BXor)
+  | Amp -> (5, BAnd)
+  | EqEq -> (6, Eq)
+  | NotEq -> (6, Ne)
+  | Lt -> (7, Lt)
+  | Gt -> (7, Gt)
+  | Le -> (7, Le)
+  | Ge -> (7, Ge)
+  | Shl -> (8, Shl)
+  | Shr -> (8, Shr)
+  | Plus -> (9, Add)
+  | Minus -> (9, Sub)
+  | Star -> (10, Mul)
+  | Slash -> (10, Div)
+  | Percent -> (10, Mod)
+  | _ -> (0, Add)
+
 let rec parse_expr p = parse_assign p
 
 and parse_assign p : Cst.expr =
   let lhs = parse_cond p in
   let ln = line p in
-  let compound op =
-    advance p;
-    let rhs = parse_assign p in
-    mk (Cst.Assign (lhs, mk (Cst.Bin (op, lhs, rhs)) ln)) ln
-  in
   match peek p with
   | Token.Assign ->
       advance p;
       let rhs = parse_assign p in
       mk (Cst.Assign (lhs, rhs)) ln
-  | Token.PlusEq -> compound Cst.Add
-  | Token.MinusEq -> compound Cst.Sub
-  | Token.StarEq -> compound Cst.Mul
-  | Token.SlashEq -> compound Cst.Div
-  | Token.PercentEq -> compound Cst.Mod
-  | Token.AmpEq -> compound Cst.BAnd
-  | Token.PipeEq -> compound Cst.BOr
-  | Token.CaretEq -> compound Cst.BXor
-  | Token.ShlEq -> compound Cst.Shl
-  | Token.ShrEq -> compound Cst.Shr
+  | Token.PlusEq -> compound p lhs ln Cst.Add
+  | Token.MinusEq -> compound p lhs ln Cst.Sub
+  | Token.StarEq -> compound p lhs ln Cst.Mul
+  | Token.SlashEq -> compound p lhs ln Cst.Div
+  | Token.PercentEq -> compound p lhs ln Cst.Mod
+  | Token.AmpEq -> compound p lhs ln Cst.BAnd
+  | Token.PipeEq -> compound p lhs ln Cst.BOr
+  | Token.CaretEq -> compound p lhs ln Cst.BXor
+  | Token.ShlEq -> compound p lhs ln Cst.Shl
+  | Token.ShrEq -> compound p lhs ln Cst.Shr
   | _ -> lhs
 
+and compound p lhs ln op =
+  advance p;
+  let rhs = parse_assign p in
+  mk (Cst.Assign (lhs, mk (Cst.Bin (op, lhs, rhs)) ln)) ln
+
 and parse_cond p =
-  let c = parse_lor p in
-  if peek p = Token.Question then begin
+  let c = parse_binary p 1 in
+  if at p Token.Question then begin
     let ln = line p in
     advance p;
     let t = parse_assign p in
@@ -148,62 +216,18 @@ and parse_cond p =
   end
   else c
 
-and parse_binary p ~ops ~next =
-  let lhs = ref (next p) in
-  let rec go () =
-    match List.assoc_opt (peek p) ops with
-    | Some op ->
-        let ln = line p in
-        advance p;
-        let rhs = next p in
-        lhs := mk (Cst.Bin (op, !lhs, rhs)) ln;
-        go ()
-    | None -> ()
-  in
-  go ();
-  !lhs
+(* Binary operators at precedence [min] and above, left-associative. *)
+and parse_binary p min = climb p min (parse_unary p)
 
-and parse_lor p =
-  parse_binary p ~ops:[ (Token.PipePipe, Cst.LOr) ] ~next:parse_land
-
-and parse_land p =
-  parse_binary p ~ops:[ (Token.AmpAmp, Cst.LAnd) ] ~next:parse_bor
-
-and parse_bor p = parse_binary p ~ops:[ (Token.Pipe, Cst.BOr) ] ~next:parse_bxor
-
-and parse_bxor p =
-  parse_binary p ~ops:[ (Token.Caret, Cst.BXor) ] ~next:parse_band
-
-and parse_band p = parse_binary p ~ops:[ (Token.Amp, Cst.BAnd) ] ~next:parse_eq
-
-and parse_eq p =
-  parse_binary p
-    ~ops:[ (Token.EqEq, Cst.Eq); (Token.NotEq, Cst.Ne) ]
-    ~next:parse_rel
-
-and parse_rel p =
-  parse_binary p
-    ~ops:
-      [ (Token.Lt, Cst.Lt); (Token.Gt, Cst.Gt); (Token.Le, Cst.Le);
-        (Token.Ge, Cst.Ge) ]
-    ~next:parse_shift
-
-and parse_shift p =
-  parse_binary p
-    ~ops:[ (Token.Shl, Cst.Shl); (Token.Shr, Cst.Shr) ]
-    ~next:parse_addsub
-
-and parse_addsub p =
-  parse_binary p
-    ~ops:[ (Token.Plus, Cst.Add); (Token.Minus, Cst.Sub) ]
-    ~next:parse_muldiv
-
-and parse_muldiv p =
-  parse_binary p
-    ~ops:
-      [ (Token.Star, Cst.Mul); (Token.Slash, Cst.Div);
-        (Token.Percent, Cst.Mod) ]
-    ~next:parse_unary
+and climb p min lhs =
+  let prec, op = binop (peek p) in
+  if prec < min then lhs
+  else begin
+    let ln = line p in
+    advance p;
+    let rhs = parse_binary p (prec + 1) in
+    climb p min (mk (Cst.Bin (op, lhs, rhs)) ln)
+  end
 
 and parse_unary p : Cst.expr =
   let ln = line p in
@@ -231,15 +255,14 @@ and parse_unary p : Cst.expr =
       mk (Cst.PreDecr (parse_unary p)) ln
   | Token.KW_sizeof ->
       advance p;
-      if peek p = Token.LParen && starts_type { p with pos = p.pos + 1 } then begin
-        (* hack: probe one token ahead for a type *)
+      if at p Token.LParen && type_starts p.t1 p.t2 then begin
         eat p Token.LParen;
         let ty = parse_abstract_ty p (parse_base_ty p) in
         eat p Token.RParen;
         mk (Cst.SizeofT ty) ln
       end
       else mk (Cst.SizeofE (parse_unary p)) ln
-  | Token.LParen when starts_type { p with pos = p.pos + 1 } ->
+  | Token.LParen when type_starts p.t1 p.t2 ->
       (* cast *)
       eat p Token.LParen;
       let ty = parse_abstract_ty p (parse_base_ty p) in
@@ -247,56 +270,44 @@ and parse_unary p : Cst.expr =
       mk (Cst.Cast (ty, parse_unary p)) ln
   | _ -> parse_postfix p
 
-and parse_postfix p =
-  let e = ref (parse_primary p) in
-  let rec go () =
-    let ln = line p in
-    match peek p with
-    | Token.LParen ->
-        advance p;
-        let args = parse_args p in
-        eat p Token.RParen;
-        e := mk (Cst.Call (!e, args)) ln;
-        go ()
-    | Token.LBracket ->
-        advance p;
-        let i = parse_expr p in
-        eat p Token.RBracket;
-        e := mk (Cst.Index (!e, i)) ln;
-        go ()
-    | Token.Dot ->
-        advance p;
-        e := mk (Cst.Member (!e, eat_ident p)) ln;
-        go ()
-    | Token.Arrow ->
-        advance p;
-        e := mk (Cst.Arrow (!e, eat_ident p)) ln;
-        go ()
-    | Token.PlusPlus ->
-        advance p;
-        e := mk (Cst.PostIncr !e) ln;
-        go ()
-    | Token.MinusMinus ->
-        advance p;
-        e := mk (Cst.PostDecr !e) ln;
-        go ()
-    | _ -> ()
-  in
-  go ();
-  !e
+and parse_postfix p = postfix p (parse_primary p)
 
-and parse_args p =
-  if peek p = Token.RParen then []
-  else
-    let rec go acc =
-      let a = parse_assign p in
-      if peek p = Token.Comma then begin
-        advance p;
-        go (a :: acc)
-      end
-      else List.rev (a :: acc)
-    in
-    go []
+and postfix p e =
+  let ln = line p in
+  match peek p with
+  | Token.LParen ->
+      advance p;
+      let args = parse_args p in
+      eat p Token.RParen;
+      postfix p (mk (Cst.Call (e, args)) ln)
+  | Token.LBracket ->
+      advance p;
+      let i = parse_expr p in
+      eat p Token.RBracket;
+      postfix p (mk (Cst.Index (e, i)) ln)
+  | Token.Dot ->
+      advance p;
+      postfix p (mk (Cst.Member (e, eat_ident p)) ln)
+  | Token.Arrow ->
+      advance p;
+      postfix p (mk (Cst.Arrow (e, eat_ident p)) ln)
+  | Token.PlusPlus ->
+      advance p;
+      postfix p (mk (Cst.PostIncr e) ln)
+  | Token.MinusMinus ->
+      advance p;
+      postfix p (mk (Cst.PostDecr e) ln)
+  | _ -> e
+
+and parse_args p = if at p Token.RParen then [] else args p []
+
+and args p acc =
+  let a = parse_assign p in
+  if at p Token.Comma then begin
+    advance p;
+    args p (a :: acc)
+  end
+  else List.rev (a :: acc)
 
 and parse_primary p : Cst.expr =
   let ln = line p in
@@ -323,8 +334,9 @@ and parse_primary p : Cst.expr =
       e
   | t -> error p "unexpected token %s in expression" (Token.to_string t)
 
-(* Constant folding for array sizes. *)
+(* Constant folding for array sizes and case labels. *)
 let rec const_eval (e : Cst.expr) : int64 =
+  let fail msg = raise (Parse_error (msg, e.eline)) in
   match e.e with
   | Cst.IntLit v -> v
   | Cst.Bin (op, a, b) -> (
@@ -333,13 +345,16 @@ let rec const_eval (e : Cst.expr) : int64 =
       | Cst.Add -> Int64.add a b
       | Cst.Sub -> Int64.sub a b
       | Cst.Mul -> Int64.mul a b
+      | (Cst.Div | Cst.Mod) when b = 0L -> fail "constant division by zero"
       | Cst.Div -> Int64.div a b
       | Cst.Mod -> Int64.rem a b
+      | (Cst.Shl | Cst.Shr) when b < 0L || b > 63L ->
+          fail "constant shift count outside 0..63"
       | Cst.Shl -> Int64.shift_left a (Int64.to_int b)
       | Cst.Shr -> Int64.shift_right a (Int64.to_int b)
-      | _ -> raise (Parse_error ("non-constant array size", e.eline)))
+      | _ -> fail "non-constant array size")
   | Cst.Un (Cst.Neg, a) -> Int64.neg (const_eval a)
-  | _ -> raise (Parse_error ("non-constant array size", e.eline))
+  | _ -> fail "non-constant array size"
 
 (* --------------------------------------------------------------- *)
 (* Declarators                                                      *)
@@ -348,9 +363,9 @@ let rec const_eval (e : Cst.expr) : int64 =
 (* After the base type, parse one declarator:
    name, star-name, name[N]..., or the function-pointer form
    "( star name ) ( params )". Returns (full type, name). *)
-let rec parse_declarator p base : Cst.ty * string =
+let parse_declarator p base : Cst.ty * string =
   let base = parse_ptr_suffix p base in
-  if peek p = Token.LParen then begin
+  if at p Token.LParen then begin
     (* function pointer: ( * name ) ( params ) *)
     eat p Token.LParen;
     eat p Token.Star;
@@ -364,9 +379,10 @@ let rec parse_declarator p base : Cst.ty * string =
   else begin
     let name = eat_ident p in
     let rec arrays () =
-      if peek p = Token.LBracket then begin
+      if at p Token.LBracket then begin
         advance p;
         let n = Int64.to_int (const_eval (parse_cond p)) in
+        if n < 1 then error p "array size %d is not positive" n;
         eat p Token.RBracket;
         let inner = arrays () in
         Cst.TArray (inner, n)
@@ -375,38 +391,6 @@ let rec parse_declarator p base : Cst.ty * string =
     in
     (arrays (), name)
   end
-
-and parse_param_types p =
-  if peek p = Token.RParen then []
-  else if peek p = Token.KW_void && peek2 p = Token.RParen then begin
-    advance p;
-    []
-  end
-  else
-    let rec go acc =
-      let base = parse_base_ty p in
-      let ty = parse_ptr_suffix p base in
-      (* optional name, ignored *)
-      (match peek p with Token.Ident _ -> advance p | _ -> ());
-      if peek p = Token.Comma then begin
-        advance p;
-        go (ty :: acc)
-      end
-      else List.rev (ty :: acc)
-    in
-    go []
-
-let () =
-  parse_abstract_fnptr_hook :=
-    fun p base ->
-      (* "( star ) ( params )": an abstract function-pointer type *)
-      eat p Token.LParen;
-      eat p Token.Star;
-      eat p Token.RParen;
-      eat p Token.LParen;
-      let params = parse_param_types p in
-      eat p Token.RParen;
-      Cst.TPtr (Cst.TFunc (base, params))
 
 (* A function parameter: T name, T *name, T name[] (decays), or a
    function pointer. *)
@@ -421,16 +405,16 @@ let parse_param p : Cst.param =
 (* --------------------------------------------------------------- *)
 
 let rec parse_init p : Cst.init =
-  if peek p = Token.LBrace then begin
+  if at p Token.LBrace then begin
     advance p;
     let rec go acc =
-      if peek p = Token.RBrace then begin
+      if at p Token.RBrace then begin
         advance p;
         List.rev acc
       end
       else begin
         let field =
-          if peek p = Token.Dot then begin
+          if at p Token.Dot then begin
             advance p;
             let f = eat_ident p in
             eat p Token.Assign;
@@ -440,7 +424,7 @@ let rec parse_init p : Cst.init =
         in
         let init = parse_init p in
         let acc = (field, init) :: acc in
-        if peek p = Token.Comma then begin
+        if at p Token.Comma then begin
           advance p;
           go acc
         end
@@ -474,7 +458,7 @@ let rec parse_stmt p : Cst.stmt =
       eat p Token.RParen;
       let then_ = block_of (parse_stmt p) in
       let else_ =
-        if peek p = Token.KW_else then begin
+        if at p Token.KW_else then begin
           advance p;
           block_of (parse_stmt p)
         end
@@ -500,7 +484,7 @@ let rec parse_stmt p : Cst.stmt =
       advance p;
       eat p Token.LParen;
       let init =
-        if peek p = Token.Semi then begin
+        if at p Token.Semi then begin
           advance p;
           None
         end
@@ -515,11 +499,11 @@ let rec parse_stmt p : Cst.stmt =
         end
       in
       let cond =
-        if peek p = Token.Semi then None else Some (parse_expr p)
+        if at p Token.Semi then None else Some (parse_expr p)
       in
       eat p Token.Semi;
       let step =
-        if peek p = Token.RParen then None else Some (parse_expr p)
+        if at p Token.RParen then None else Some (parse_expr p)
       in
       eat p Token.RParen;
       s (Cst.SFor (init, cond, step, block_of (parse_stmt p)))
@@ -569,7 +553,7 @@ let rec parse_stmt p : Cst.stmt =
       s (Cst.SSwitch (scrut, List.rev !cases, !default))
   | Token.KW_return ->
       advance p;
-      if peek p = Token.Semi then begin
+      if at p Token.Semi then begin
         advance p;
         s (Cst.SReturn None)
       end
@@ -605,14 +589,14 @@ and parse_decl_stmt p : Cst.stmt =
   let rec go acc =
     let ty, name = parse_declarator p base in
     let init =
-      if peek p = Token.Assign then begin
+      if at p Token.Assign then begin
         advance p;
         Some (parse_init p)
       end
       else None
     in
     let decl : Cst.stmt = { s = Cst.SDecl (ty, name, init); sline = ln } in
-    if peek p = Token.Comma then begin
+    if at p Token.Comma then begin
       advance p;
       go (decl :: acc)
     end
@@ -627,7 +611,7 @@ and parse_decl_stmt p : Cst.stmt =
 
 and parse_stmts p =
   let rec go acc =
-    if peek p = Token.RBrace || peek p = Token.Eof then List.rev acc
+    if at p Token.RBrace || at p Token.Eof then List.rev acc
     else go (parse_stmt p :: acc)
   in
   go []
@@ -638,15 +622,15 @@ and parse_stmts p =
 
 let parse_decl p : Cst.decl =
   match peek p with
-  | Token.KW_struct when peek2 p <> Token.Eof && (
-      match (peek2 p, fst p.toks.(min (p.pos + 2) (Array.length p.toks - 1))) with
-      | Token.Ident _, Token.LBrace -> true
-      | _ -> false) ->
+  | Token.KW_struct
+    when (match (p.t1, p.t2) with
+          | Token.Ident _, Token.LBrace -> true
+          | _ -> false) ->
       advance p;
       let name = eat_ident p in
       eat p Token.LBrace;
       let rec fields acc =
-        if peek p = Token.RBrace then List.rev acc
+        if at p Token.RBrace then List.rev acc
         else begin
           let base = parse_base_ty p in
           let ty, fname = parse_declarator p base in
@@ -671,19 +655,19 @@ let parse_decl p : Cst.decl =
   | _ ->
       let base = parse_base_ty p in
       let ty, name = parse_declarator p base in
-      if peek p = Token.LParen then begin
+      if at p Token.LParen then begin
         (* function definition *)
         advance p;
         let params =
-          if peek p = Token.RParen then []
-          else if peek p = Token.KW_void && peek2 p = Token.RParen then begin
+          if at p Token.RParen then []
+          else if at p Token.KW_void && peek2 p == Token.RParen then begin
             advance p;
             []
           end
           else
             let rec go acc =
               let prm = parse_param p in
-              if peek p = Token.Comma then begin
+              if at p Token.Comma then begin
                 advance p;
                 go (prm :: acc)
               end
@@ -692,7 +676,7 @@ let parse_decl p : Cst.decl =
             go []
         in
         eat p Token.RParen;
-        if peek p = Token.Semi then begin
+        if at p Token.Semi then begin
           (* forward declaration *)
           advance p;
           Cst.DExtern (ty, name, List.map (fun pr -> pr.Cst.p_ty) params)
@@ -707,7 +691,7 @@ let parse_decl p : Cst.decl =
       end
       else begin
         let init =
-          if peek p = Token.Assign then begin
+          if at p Token.Assign then begin
             advance p;
             Some (parse_init p)
           end
@@ -719,9 +703,14 @@ let parse_decl p : Cst.decl =
 
 (** Parse a full translation unit. *)
 let parse src : Cst.program =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let p = { toks; pos = 0 } in
+  let p =
+    { lx = Lexer.create src; t0 = Token.Eof; t1 = Token.Eof; t2 = Token.Eof;
+      l0 = 1; l1 = 1; l2 = 1 }
+  in
+  advance p;
+  advance p;
+  advance p;
   let rec go acc =
-    if peek p = Token.Eof then List.rev acc else go (parse_decl p :: acc)
+    if at p Token.Eof then List.rev acc else go (parse_decl p :: acc)
   in
   go []

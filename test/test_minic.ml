@@ -267,7 +267,11 @@ let test_long_arith () =
         long sq = big * 2;
         return sq == 8000000000 ? 1 : 0;
       }
-    |}
+    |};
+  check_ret "largest long literal" 807l
+    "int main() { long x = 9223372036854775807; return (int)(x % 1000); }";
+  check_ret "18-digit literal" 999l
+    "int main() { long x = 999999999999999999; return (int)(x % 1000); }"
 
 let test_char_type () =
   check_ret "char wraps" 44l
@@ -891,15 +895,166 @@ let test_error_addr_of_rvalue () =
     "int main() { int *p = &(1 + 2); return 0; }"
 
 let test_error_located_line () =
-  (* the error message carries a usable line number *)
-  match Libc.Run.run "int main() {
-  int x = 1;
-  return nope;
-}" with
-  | (_ : Libc.Run.result) -> Alcotest.fail "expected an error"
-  | exception Minic.Driver.Compile_error msg ->
-      Alcotest.(check bool) ("line in " ^ msg) true
-        (Astring.String.is_infix ~affix:"line" msg)
+  (* each error sits on the source's line 3 and is reported there,
+     whether or not the libc prelude is prepended; an error inside the
+     prelude names the prelude's line *)
+  let check how compile kind line3 want =
+    let src = "int main() {\n  int x = 1;\n" ^ line3 ^ "\n}" in
+    match compile src with
+    | () -> Alcotest.failf "%s %s error: compiled" how kind
+    | exception Minic.Driver.Compile_error msg ->
+        if not (Astring.String.is_prefix ~affix:want msg) then
+          Alcotest.failf "%s: %S does not start with %S" how msg want
+  in
+  List.iter
+    (fun (kind, line3) ->
+      let want = kind ^ " error (line 3)" in
+      check "with the prelude" (fun s -> ignore (Libc.Run.run s)) kind line3
+        want;
+      check "without a prelude" (fun s -> ignore (Minic.Driver.compile s))
+        kind line3 want)
+    [ ("lex", "  return x @ 2;"); ("parse", "  return x + ;");
+      ("type", "  return nope;") ];
+  check "in the prelude"
+    (fun s ->
+      ignore (Minic.Driver.compile ~prelude:"int f() {\n  return nope;\n}" s))
+    "type" "  return x;" "type error (prelude line 2)"
+
+(* A parse error more than two tokens before a lex error is reported
+   first: the parser sees tokens as the lexer produces them. *)
+let test_error_order () =
+  expect_compile_error ~substring:"parse error"
+    "int main() { return 1 + ; x y z @ }";
+  expect_compile_error ~substring:"lex error" "int main() { return 1 + @ }"
+
+(* Sources the driver must reject with a [Compile_error] naming the
+   fault: (case, substring of the message, source). The literals and
+   the divisions by zero used to escape as [Failure] or
+   [Division_by_zero]. The arrays used to compile, with [a] overlapping
+   [b] ([a[0] = 5] overwrote [b[0]]), and [1 << 66] used to match 4,
+   since [Int64.shift_left] by 66 is unspecified. *)
+let rejected_sources =
+  [ ("20-digit literal", "invalid integer literal",
+     "int main() { long x = 99999999999999999999; return 0; }");
+    ("19-digit literal overflow", "invalid integer literal",
+     "int main() { long x = 9223372036854775808; return 0; }");
+    ("empty hex literal", "invalid integer literal",
+     "int main() { return 0x; }");
+    ("float without exponent digits", "invalid float literal",
+     "int main() { double d = 1e; return 0; }");
+    ("array size divides by zero", "constant division by zero",
+     "int a[1/0]; int main() { return 0; }");
+    ("case label divides by zero", "constant division by zero",
+     "int main() { switch (1) { case 1/0: return 1; } return 0; }");
+    ("negative array size", "array size -1 is not positive",
+     "int a[-1]; int b[4]; int main() { b[0] = 7; a[0] = 5; return b[0]; }");
+    ("zero array size", "array size 0 is not positive",
+     "int a[0]; int b[4]; int main() { b[0] = 7; a[0] = 5; return b[0]; }");
+    ("case label shift out of range", "shift count outside 0..63",
+     "int main() { switch (4) { case 1 << 66: return 1; } return 0; }") ]
+
+(* ------------------------------------------------------------------ *)
+(* Front-end output, pinned                                            *)
+(* ------------------------------------------------------------------ *)
+
+let quickstart_source () =
+  (* tests run from _build/default/test; walk up until the example is
+     found so this works from the source tree too *)
+  let rec find dir n =
+    let p = Filename.concat dir "examples/quickstart.c" in
+    if Sys.file_exists p then p
+    else if n = 0 then Alcotest.fail "examples/quickstart.c not found"
+    else find (Filename.concat dir Filename.parent_dir_name) (n - 1)
+  in
+  In_channel.with_open_text (find Filename.current_dir_name 6)
+    In_channel.input_all
+
+let fuzzgen_sources () =
+  List.init 200 (fun seed ->
+      Workloads.Fuzzgen.render (Workloads.Fuzzgen.generate ~seed))
+
+let polybench_sources () =
+  List.map (fun k -> k.Workloads.Polybench.k_source) Workloads.Polybench.all
+
+(* MD5 of the concatenated binaries of each corpus, one digest per
+   Table 3 row in [Cage.Config.table3]'s order (baseline wasm32,
+   baseline wasm64, Cage-mem-safety, Cage-ptr-auth, Cage-sandboxing,
+   CAGE). A change anywhere from the lexer to the code generator that
+   moves one output byte moves a digest. *)
+let frontend_digests =
+  [ ("polybench",
+     [ "7a6c133f49729b8cdce45d6704d8cb8a"; "37f866be82312876d00d1193c3708e9e";
+       "de09ea91a3a2f1bfd7f922e8242e5992"; "37f866be82312876d00d1193c3708e9e";
+       "37f866be82312876d00d1193c3708e9e"; "de09ea91a3a2f1bfd7f922e8242e5992" ]);
+    ("cve",
+     [ "b5d53071f7250b445188006cfa6bb3b7"; "32d18c8ed695117984e5376007f59b5c";
+       "24166fb5fa3e6b9be0d79543ff8fecfa"; "f457343468ac88371ce7f784e3b1d723";
+       "32d18c8ed695117984e5376007f59b5c"; "fe8308d27df3e7dab2dbb06e49c385af" ]);
+    ("fuzzgen 0-199",
+     [ "0da994436e744223fbaaaeec7ddb053e"; "c344abe104afc02bf4cc0084cc310d11";
+       "552b1730051758c99bb82022bc37c571"; "c344abe104afc02bf4cc0084cc310d11";
+       "c344abe104afc02bf4cc0084cc310d11"; "552b1730051758c99bb82022bc37c571" ]);
+    ("quickstart",
+     [ "9a8caf27ad0e7e6a3b022fee086c8f7d"; "c850adf80c6d9a0eed7c341054a0c93a";
+       "09daba2fa989e572a5ef9b6e8a60f8ed"; "c850adf80c6d9a0eed7c341054a0c93a";
+       "c850adf80c6d9a0eed7c341054a0c93a"; "09daba2fa989e572a5ef9b6e8a60f8ed" ]);
+    ("serving",
+     [ "8d47f6ca387d483f65749fabf032f679"; "ee3814e20c5796d5889730565a3cb6f5";
+       "40e6580acf51241cd626a6d7184fa455"; "ee3814e20c5796d5889730565a3cb6f5";
+       "ee3814e20c5796d5889730565a3cb6f5"; "40e6580acf51241cd626a6d7184fa455" ]) ]
+
+let test_frontend_output_pinned () =
+  let corpora =
+    [ polybench_sources ();
+      List.map (fun e -> e.Workloads.Cve_suite.source)
+        Workloads.Cve_suite.entries;
+      fuzzgen_sources ();
+      [ quickstart_source () ];
+      [ Harness.Serve_bench.compute_source;
+        Harness.Serve_bench.malicious_source ] ]
+  in
+  let diffs =
+    List.concat
+      (List.map2
+         (fun (corpus, wants) sources ->
+           List.concat
+             (List.map2
+                (fun (cfg : Cage.Config.t) want ->
+                  let got =
+                    List.map
+                      (fun s ->
+                        Wasm.Binary.encode (Libc.Run.compile cfg s).co_module)
+                      sources
+                    |> String.concat "" |> Digest.string |> Digest.to_hex
+                  in
+                  if got = want then []
+                  else
+                    [ Printf.sprintf "%s / %s: got %s, want %s" corpus
+                        cfg.name got want ])
+                Cage.Config.table3 wants))
+         frontend_digests corpora)
+  in
+  if diffs <> [] then Alcotest.fail (String.concat "\n" diffs)
+
+(* The parser pulls its tokens from the lexer as it goes: no token list,
+   no token array. Parsing reads about 1.8 minor words per source byte
+   on Fuzzgen and 2.1 on PolyBench. Building a token list again costs
+   about 2.4 more (6 words a token), and an allocation per character
+   far more, so either breaks the bound. *)
+let test_parse_allocation () =
+  let prelude = Libc.Source.prelude_of_config Cage.Config.full in
+  List.iter
+    (fun (corpus, sources) ->
+      let texts = List.map (fun s -> prelude ^ "\n" ^ s) sources in
+      let bytes = List.fold_left (fun n t -> n + String.length t) 0 texts in
+      let before = Gc.minor_words () in
+      List.iter (fun t -> ignore (Sys.opaque_identity (Minic.Parser.parse t)))
+        texts;
+      let per_byte = (Gc.minor_words () -. before) /. float_of_int bytes in
+      if per_byte > 3.0 then
+        Alcotest.failf "%s: %.2f minor words per source byte (bound 3.0)"
+          corpus per_byte)
+    [ ("polybench", polybench_sources ()); ("fuzzgen 0-199", fuzzgen_sources ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                      *)
@@ -1118,7 +1273,15 @@ let () =
           tc "unknown struct" test_error_unknown_struct;
           tc "addr of rvalue" test_error_addr_of_rvalue;
           tc "errors carry lines" test_error_located_line;
-        ] );
+          tc "parse error before later lex error" test_error_order;
+        ]
+        @ List.map
+            (fun (name, substring, src) ->
+              tc name (fun () -> expect_compile_error ~substring src))
+            rejected_sources );
+      ( "front-end-output",
+        [ tc "digests pinned" test_frontend_output_pinned;
+          tc "parse allocation" test_parse_allocation ] );
       ("fuzz-oracle", [ tc "int-typed constants wrap" test_fuzz_oracle_int_wrap ]);
       ("minic-properties", qtests);
     ]
