@@ -124,7 +124,7 @@ let test_polybench_clean () =
         Alcotest.failf "%s: no access proven elidable" k.k_name)
     Workloads.Polybench.all
 
-let test_quickstart_one_bug () =
+let quickstart_source () =
   (* tests run from _build/default/test; walk up until the example is
      found so this works from the source tree too *)
   let rec find dir n =
@@ -133,11 +133,11 @@ let test_quickstart_one_bug () =
     else if n = 0 then Alcotest.fail "examples/quickstart.c not found"
     else find (Filename.concat dir Filename.parent_dir_name) (n - 1)
   in
-  let source =
-    In_channel.with_open_text (find Filename.current_dir_name 6)
-      In_channel.input_all
-  in
-  let t = lint source in
+  In_channel.with_open_text (find Filename.current_dir_name 6)
+    In_channel.input_all
+
+let test_quickstart_one_bug () =
+  let t = lint (quickstart_source ()) in
   Alcotest.(check int) "exactly one diagnostic" 1
     (List.length t.Analysis.Lint.diags);
   Alcotest.(check int) "it is possible, not definite" 1
@@ -154,75 +154,136 @@ let test_elide_plan_nonempty () =
   Alcotest.(check bool) "proven <= considered" true
     (p.Analysis.Elide.proven <= p.Analysis.Elide.considered)
 
+(* What the analysis concludes about one module, as text: the
+   architectural tag and bounds verdict rows, the full plan's tag, span
+   and arena bit rows and its counts, the sorted diagnostics, and the
+   speculative analysis's verdict rows. *)
+let analysis_fingerprint (m : Wasm.Ast.module_) =
+  let a = Analysis.Absint.analyze m in
+  let sp = Analysis.Absint.analyze ~spec:true m in
+  let p = Analysis.Elide.of_analysis ~arena:true a in
+  let b = Buffer.create 4096 in
+  let rows what =
+    Array.iteri (fun f row ->
+        Printf.bprintf b "%s %d:" what f;
+        Array.iter (fun v -> Buffer.add_char b (Char.chr (48 + v))) row;
+        Buffer.add_char b '\n')
+  in
+  let bits what =
+    Array.iteri (fun f row ->
+        Printf.bprintf b "%s %d:%S\n" what f (Bytes.to_string row))
+  in
+  rows "verdicts" a.Analysis.Absint.a_verdicts;
+  rows "bverdicts" a.Analysis.Absint.a_bverdicts;
+  rows "spec verdicts" sp.Analysis.Absint.a_verdicts;
+  rows "spec bverdicts" sp.Analysis.Absint.a_bverdicts;
+  bits "tag" p.Analysis.Elide.bitsets;
+  bits "span" p.Analysis.Elide.bbitsets;
+  bits "arena" p.Analysis.Elide.arena;
+  Printf.bprintf b "proven %d bproven %d considered %d arena %d/%d/%d\n"
+    p.Analysis.Elide.proven p.Analysis.Elide.bproven
+    p.Analysis.Elide.considered p.Analysis.Elide.arena_sites
+    p.Analysis.Elide.arena_news p.Analysis.Elide.arena_frees;
+  List.iter
+    (fun d -> Printf.bprintf b "%s\n" (Analysis.Absint.diag_to_string d))
+    (List.sort compare a.Analysis.Absint.a_diags);
+  Buffer.contents b
+
+(* MD5 of the concatenated [analysis_fingerprint]s of each corpus. A
+   change to the analyzer that moves one verdict, plan bit, count or
+   diagnostic moves a digest. *)
+let plan_digests =
+  [ ("polybench", "5a17466588c8313490394141c60652f7");
+    ("fuzzgen 0-199", "2ce72a03f10c93150feeb5da407a3ca2");
+    ("cve suite + quickstart", "09ef74b97db844ba6f3866d24bcf8df5") ]
+
 (* Every bit of a plan names the instruction whose check it skips:
    tag and span bits sit on scalar loads/stores, every tag bit has its
    span bit, and arena bits sit on segment.new/segment.free. The rows
    are read back through the bodies the engines run, so a numbering
-   drift between the analyzer and [Code.prepare] fails here. *)
+   drift between the analyzer and [Code.prepare] fails here. What the
+   analysis concluded is pinned by [plan_digests]. *)
 let test_plan_bits_name_instructions () =
   let cfg =
     Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.mem_safety)
   in
-  let sources =
-    List.map
-      (fun (k : Workloads.Polybench.kernel) -> (k.k_name, k.k_source))
-      Workloads.Polybench.all
-    @ List.init 200 (fun seed ->
+  let corpora =
+    [ List.map
+        (fun (k : Workloads.Polybench.kernel) -> (k.k_name, k.k_source))
+        Workloads.Polybench.all;
+      List.init 200 (fun seed ->
           ( Printf.sprintf "fuzzgen seed %d" seed,
-            Workloads.Fuzzgen.render (Workloads.Fuzzgen.generate ~seed) ))
+            Workloads.Fuzzgen.render (Workloads.Fuzzgen.generate ~seed) ));
+      List.map
+        (fun (e : Workloads.Cve_suite.entry) -> (e.cve, e.source))
+        Workloads.Cve_suite.entries
+      @ [ ("quickstart", quickstart_source ()) ] ]
   in
   let tags = ref 0 and spans = ref 0 and arenas = ref 0 in
-  List.iter
-    (fun (name, source) ->
-      let m = compile ~cfg source in
-      let c = Cage.Config.instance_config ~m cfg in
-      let codes =
-        Wasm.Code.prepare ~elide:c.Wasm.Instance.elide
-          ~belide:c.Wasm.Instance.belide ~arena:c.Wasm.Instance.arena m
-      in
-      Array.iteri
-        (fun f (code : Wasm.Code.func) ->
-          let instrs = Array.make code.Wasm.Code.nbasic Wasm.Ast.Nop in
-          let rec walk body =
-            Array.iter
-              (function
-                | Wasm.Code.Basic (i, id) -> instrs.(id) <- i
-                | Wasm.Code.Block (_, b) | Wasm.Code.Loop (_, b) -> walk b
-                | Wasm.Code.If (_, t, e) -> walk t; walk e
-                | _ -> ())
-              body
-          in
-          walk code.Wasm.Code.body;
-          let fail id what =
-            Alcotest.failf "%s: function %d, instruction %d: %s" name f id what
-          in
-          let bits row count ok what =
-            for id = 0 to (8 * Bytes.length row) - 1 do
-              if Wasm.Code.elidable row id then begin
-                incr count;
-                if id >= code.Wasm.Code.nbasic || not (ok instrs.(id)) then
-                  fail id what
-              end
-            done
-          in
-          let access = function
-            | Wasm.Ast.Load _ | Wasm.Ast.Store _ -> true
-            | _ -> false
-          in
-          bits code.Wasm.Code.elide tags access "tag bit off a load/store";
-          bits code.Wasm.Code.belide spans access "span bit off a load/store";
-          bits code.Wasm.Code.arena arenas
+  let check_module fp (name, source) =
+    let m = compile ~cfg source in
+    Buffer.add_string fp name;
+    Buffer.add_string fp (analysis_fingerprint m);
+    let c = Cage.Config.instance_config ~m cfg in
+    let codes =
+      Wasm.Code.prepare ~elide:c.Wasm.Instance.elide
+        ~belide:c.Wasm.Instance.belide ~arena:c.Wasm.Instance.arena m
+    in
+    Array.iteri
+      (fun f (code : Wasm.Code.func) ->
+        let instrs = Array.make code.Wasm.Code.nbasic Wasm.Ast.Nop in
+        let rec walk body =
+          Array.iter
             (function
-              | Wasm.Ast.SegmentNew _ | Wasm.Ast.SegmentFree _ -> true
-              | _ -> false)
-            "arena bit off a segment.new/segment.free";
-          for id = 0 to code.Wasm.Code.nbasic - 1 do
-            if Wasm.Code.elidable code.Wasm.Code.elide id
-               && not (Wasm.Code.elidable code.Wasm.Code.belide id)
-            then fail id "tag bit without its span bit"
-          done)
-        codes)
-    sources;
+              | Wasm.Code.Basic (i, id) -> instrs.(id) <- i
+              | Wasm.Code.Block (_, b) | Wasm.Code.Loop (_, b) -> walk b
+              | Wasm.Code.If (_, t, e) -> walk t; walk e
+              | _ -> ())
+            body
+        in
+        walk code.Wasm.Code.body;
+        let fail id what =
+          Alcotest.failf "%s: function %d, instruction %d: %s" name f id what
+        in
+        let bits row count ok what =
+          for id = 0 to (8 * Bytes.length row) - 1 do
+            if Wasm.Code.elidable row id then begin
+              incr count;
+              if id >= code.Wasm.Code.nbasic || not (ok instrs.(id)) then
+                fail id what
+            end
+          done
+        in
+        let access = function
+          | Wasm.Ast.Load _ | Wasm.Ast.Store _ -> true
+          | _ -> false
+        in
+        bits code.Wasm.Code.elide tags access "tag bit off a load/store";
+        bits code.Wasm.Code.belide spans access "span bit off a load/store";
+        bits code.Wasm.Code.arena arenas
+          (function
+            | Wasm.Ast.SegmentNew _ | Wasm.Ast.SegmentFree _ -> true
+            | _ -> false)
+          "arena bit off a segment.new/segment.free";
+        for id = 0 to code.Wasm.Code.nbasic - 1 do
+          if Wasm.Code.elidable code.Wasm.Code.elide id
+             && not (Wasm.Code.elidable code.Wasm.Code.belide id)
+          then fail id "tag bit without its span bit"
+        done)
+      codes
+  in
+  let diffs =
+    List.concat
+      (List.map2
+         (fun (corpus, want) sources ->
+           let fp = Buffer.create 65536 in
+           List.iter (check_module fp) sources;
+           let got = Digest.to_hex (Digest.string (Buffer.contents fp)) in
+           if got = want then []
+           else [ Printf.sprintf "%s: got %s, want %s" corpus got want ])
+         plan_digests corpora)
+  in
+  if diffs <> [] then Alcotest.fail (String.concat "\n" diffs);
   Alcotest.(check bool) "the plans elide tag and span checks" true
     (!tags > 0 && !spans >= !tags);
   Alcotest.(check bool) "the plans lower some segments" true (!arenas > 0)
