@@ -288,6 +288,62 @@ let test_plan_bits_name_instructions () =
     (!tags > 0 && !spans >= !tags);
   Alcotest.(check bool) "the plans lower some segments" true (!arenas > 0)
 
+(* Writing a local must forget every comparison that named it. [i] is
+   compared with 8, then overwritten with a value up to 1024; the
+   comparison, kept in local [c] or left on the operand stack, guards a
+   one-byte store at [p + i] into a 64-byte segment. The branch says
+   nothing about the new [i], so the store stays checked (verdict 2)
+   and is reported as possibly past the end. An analyzer that kept the
+   stale comparison would narrow [i] to [1,7] at the branch and elide
+   the check on an out-of-bounds store. The body is built as wasm so
+   that no optimiser reshapes it. *)
+let scrub_module ~stored =
+  let open Wasm.Ast in
+  let i64 c = I64Const c in
+  (* locals: 0 = j (parameter), 1 = p, 2 = i, 3 = c *)
+  let masked_j = [ LocalGet 0; i64 1023L; IBinop (W64, And) ] in
+  let cmp = [ LocalGet 2; i64 8L; IRelop (W64, LtS) ] in
+  let body =
+    [ i64 1024L; i64 64L; SegmentNew 0L; LocalSet 1 ]
+    @ masked_j @ [ LocalSet 2 ]
+    @ cmp
+    @ (if stored then [ LocalSet 3 ] else [])
+    @ masked_j @ [ i64 1L; IBinop (W64, Add); LocalSet 2 ]
+    @ (if stored then [ LocalGet 3 ] else [])
+    @ [ If
+          ( ValBlock None,
+            [ LocalGet 1; LocalGet 2; IBinop (W64, Add); I32Const 0l;
+              Store (Wasm.Types.I32, Some Pack8, { offset = 0L; align = 0 }) ],
+            [] );
+        i64 0L ]
+  in
+  { empty_module with
+    types = [ { Wasm.Types.params = [ Wasm.Types.I64 ];
+                results = [ Wasm.Types.I64 ] } ];
+    funcs =
+      [ { ftype = 0; fname = Some "main"; body;
+          locals = Wasm.Types.[ I64; I64; I32 ] } ];
+    memory =
+      Some { Wasm.Types.mem_idx = Wasm.Types.Idx64;
+             mem_limits = { Wasm.Types.min = 1L; max = Some 1L } };
+    exports = [ { ex_name = "main"; ex_desc = Func_export 0 } ] }
+
+let test_scrub_forgets_comparison ~stored () =
+  let m = scrub_module ~stored in
+  Wasm.Validate.check m;
+  let a = Analysis.Absint.analyze m in
+  let visited =
+    List.filter (fun v -> v > 0) (Array.to_list a.Analysis.Absint.a_verdicts.(0))
+  in
+  Alcotest.(check (list int)) "the store stays checked" [ 2 ] visited;
+  Alcotest.(check (list string)) "and may run past the segment"
+    [ "possible: store may run past end of main@heap#2: offset [1,1024] + 1 \
+       > 64 bytes" ]
+    (List.map
+       (fun (d : Analysis.Absint.diag) ->
+         Analysis.Absint.severity_string d.d_severity ^ ": " ^ d.d_msg)
+       a.Analysis.Absint.a_diags)
+
 let test_elide_differential () =
   (* a small in-process slice of the 200-seed CI gate *)
   let r =
@@ -571,6 +627,10 @@ let () =
         [
           tc "plan nonempty" test_elide_plan_nonempty;
           tc "plan bits name instructions" test_plan_bits_name_instructions;
+          tc "local write forgets a stored comparison"
+            (test_scrub_forgets_comparison ~stored:true);
+          tc "local write forgets a stacked comparison"
+            (test_scrub_forgets_comparison ~stored:false);
           tc "differential slice" test_elide_differential;
           tc "trap preserved" test_elide_preserves_trap;
           tc "supervised full plan" test_supervised_full_plan;
