@@ -19,8 +19,10 @@
     is re-run with the caller's abstract arguments, so `malloc(64)`
     inside the analyzed libc yields an exact segment size. Recursion
     and excessive depth fall back to havoc. Loops run a widening
-    fixpoint with diagnostics suppressed, then one recording pass over
-    the stable head state.
+    fixpoint with diagnostics deferred; the pass that finds the head
+    stable is also the recording pass unless a site changed while it
+    ran, in which case one recording pass over the stable head
+    follows.
 
     Two consumers sit on top: {!Lint} (deterministic diagnostics for
     statically-definite UAF, double free, constant OOB, untagged
@@ -126,11 +128,18 @@ and cmp = {
   crhs : operand;
 }
 
+(** The abstract machine state. The evaluator runs each function on
+    one state it mutates in place (its {e frame}); a state it keeps —
+    a pending branch, a loop head, a join result — is never written
+    again and carries an empty stack. A frame and a kept state may
+    share [locals]: the frame copies it before its first write unless
+    [own] says no kept state holds it. *)
 type state = {
-  locals : aval array;
-  stack : aval list;
-  g0 : aval;  (** the stack-pointer global *)
-  live : liveness IMap.t;
+  mutable locals : aval array;
+  mutable own : bool;
+  mutable stack : aval list;
+  mutable g0 : aval;  (** the stack-pointer global *)
+  mutable live : liveness IMap.t;
 }
 
 type severity = Definite | Possible
@@ -159,6 +168,7 @@ let cmp_equal a b =
   && operand_equal a.crhs b.crhs
 
 let aval_equal a b =
+  a == b ||
   match (a, b) with
   | Top, Top -> true
   | Int x, Int y -> Interval.equal x y
@@ -223,6 +233,7 @@ let join_aval a b =
 
 let widen_aval ~prev ~next =
   match (prev, next) with
+  | (Int _ | Loc _ | Ptr _ | Sp _), _ when prev == next -> next
   | Int p, Int n -> Int (Interval.widen ~prev:p ~next:n)
   | Loc (i, p), Loc (j, n) when i = j -> Loc (i, Interval.widen ~prev:p ~next:n)
   | Ptr p, Ptr n when p.site == n.site ->
@@ -233,33 +244,72 @@ let widen_aval ~prev ~next =
       next
 
 let join_live_map a b =
-  IMap.union (fun _ x y -> Some (join_liveness x y)) a b
+  if a == b || IMap.equal ( = ) a b then a
+  else IMap.union (fun _ x y -> Some (join_liveness x y)) a b
+
+(* Write local [l] of a frame, copying [locals] first if a kept state
+   may share it. *)
+let write_local st l v =
+  if not st.own then begin
+    st.locals <- Array.copy st.locals;
+    st.own <- true
+  end;
+  st.locals.(l) <- v
+
+(* A kept copy of frame [st]: it shares [locals] until the frame writes
+   one. *)
+let save st =
+  st.own <- false;
+  { st with stack = [] }
+
+(* Frame [st] takes over state [s]. *)
+let load st s =
+  st.locals <- s.locals;
+  st.own <- s.own;
+  st.stack <- s.stack;
+  st.g0 <- s.g0;
+  st.live <- s.live
+
+(* [st] := [st] ⊔ [s] in place. Values [s] shares with [st] are skipped,
+   and [locals] is copied only if a value changes. *)
+let join_into st s =
+  let b = s.locals in
+  if st.locals != b then
+    for i = 0 to Array.length b - 1 do
+      let x = st.locals.(i) in
+      if x != b.(i) then begin
+        let j = join_aval x b.(i) in
+        if j != x then write_local st i j
+      end
+    done;
+  st.g0 <- join_aval st.g0 s.g0;
+  st.live <- join_live_map st.live s.live
 
 let join_state a b =
-  {
-    locals = Array.map2 join_aval a.locals b.locals;
-    stack =
-      (* joined states always carry stacks of equal shape (same label) *)
-      (try List.map2 join_aval a.stack b.stack with Invalid_argument _ -> []);
-    g0 = join_aval a.g0 b.g0;
-    live = join_live_map a.live b.live;
-  }
+  let r = save a in
+  join_into r b;
+  r.own <- false;
+  r
 
 let widen_state ~prev ~next =
-  {
-    locals = Array.map2 (fun p n -> widen_aval ~prev:p ~next:n) prev.locals next.locals;
-    stack = next.stack;
-    g0 = widen_aval ~prev:prev.g0 ~next:next.g0;
-    live = next.live;
-  }
+  let r = save next in
+  Array.iteri
+    (fun i p ->
+      let n = r.locals.(i) in
+      let w = widen_aval ~prev:p ~next:n in
+      if w != n then write_local r i w)
+    prev.locals;
+  r.g0 <- widen_aval ~prev:prev.g0 ~next:r.g0;
+  r.own <- false;
+  r
 
+(* Kept states carry no stack. *)
 let state_equal a b =
-  (try Array.for_all2 aval_equal a.locals b.locals
-   with Invalid_argument _ -> false)
-  && List.length a.stack = List.length b.stack
-  && List.for_all2 aval_equal a.stack b.stack
+  (a.locals == b.locals
+  || Array.length a.locals = Array.length b.locals
+     && Array.for_all2 aval_equal a.locals b.locals)
   && aval_equal a.g0 b.g0
-  && IMap.equal ( = ) a.live b.live
+  && (a.live == b.live || IMap.equal ( = ) a.live b.live)
 
 (* ------------------------------------------------------------------ *)
 (* Local scrubbing and branch refinement                               *)
@@ -267,20 +317,26 @@ let state_equal a b =
 
 (* Writing local [j] invalidates every stack/local value that named it:
    [Loc] provenance becomes a plain interval, comparisons naming it
-   degrade to an unknown boolean. *)
-let scrub_local st j =
-  let names_j (n, _) = n = Some j in
+   degrade to an unknown boolean. A local never holds a [Loc], and holds
+   a [Cmp] only if it is in [cmp_locals] (the locals this activation
+   ever set to one), so only those and the stack are scanned. *)
+let scrub_local ~cmp_locals st j =
+  let names_j = function Some i, _ -> i = j | None, _ -> false in
+  let stale = function
+    | Loc (i, _) -> i = j
+    | Cmp c -> names_j c.clhs || names_j c.crhs
+    | _ -> false
+  in
   let fix = function
-    | Loc (i, iv) when i = j -> Int iv
-    | Cmp c when names_j c.clhs || names_j c.crhs -> Int Interval.bool_
+    | Loc (_, iv) as v when stale v -> Int iv
+    | Cmp _ as v when stale v -> Int Interval.bool_
     | v -> v
   in
-  {
-    st with
-    locals = Array.map fix st.locals;
-    stack = List.map fix st.stack;
-    g0 = fix st.g0;
-  }
+  if List.exists stale st.stack then st.stack <- List.map fix st.stack;
+  if stale st.g0 then st.g0 <- fix st.g0;
+  List.iter
+    (fun k -> if stale st.locals.(k) then write_local st k (fix st.locals.(k)))
+    cmp_locals
 
 let negate_op : Ast.irelop -> Ast.irelop = function
   | Eq -> Ne
@@ -327,33 +383,31 @@ let constraint_of (op : Ast.irelop) (riv : Interval.t) : Interval.t =
   | LtU | LeU | GtU | GeU -> top
 
 (* Meet [c] into whatever numeric value local [i] currently holds;
-   [None] = contradiction, the branch is unreachable. *)
+   [false] = contradiction, the branch is unreachable. *)
 let refine_local st i c =
   match st.locals.(i) with
   | Int iv | Loc (_, iv) -> (
       match Interval.meet iv c with
-      | None -> None
+      | None -> false
       | Some iv' ->
-          let locals = Array.copy st.locals in
-          locals.(i) <- Int iv';
-          Some { st with locals })
-  | _ -> Some st
+          if not (Interval.equal iv iv') then write_local st i (Int iv');
+          true)
+  | _ -> true
 
 let refine_side st op ((name, iv) : operand) ((_, riv) : operand) =
   let c = constraint_of op riv in
   match Interval.meet iv c with
-  | None -> None
-  | Some _ -> ( match name with Some i -> refine_local st i c | None -> Some st)
+  | None -> false
+  | Some _ -> ( match name with Some i -> refine_local st i c | None -> true)
 
 let refine_cmp st (c : cmp) truth =
   let holds = truth <> c.cneg in
   let op = if holds then c.cop else negate_op c.cop in
-  match refine_side st op c.clhs c.crhs with
-  | None -> None
-  | Some st -> refine_side st (swap_op op) c.crhs c.clhs
+  refine_side st op c.clhs c.crhs && refine_side st (swap_op op) c.crhs c.clhs
 
-(** Refine [st] under the assumption that condition value [cond] is
-    true ([truth]) or false; [None] = branch unreachable.
+(** Refine frame [st] in place under the assumption that condition
+    value [cond] is true ([truth]) or false; [false] = branch
+    unreachable.
 
     [spec] is the Swivel-style speculation model: inside a
     bounds-check-bypass window a mispredicted branch executes either
@@ -361,28 +415,24 @@ let refine_cmp st (c : cmp) truth =
     narrowing and prunes no path — every branch-derived fact the
     architectural analysis relied on evaporates. *)
 let refine ?(spec = false) cond truth st =
-  if spec then Some st
-  else
+  spec ||
   match cond with
   | Cmp c -> refine_cmp st c truth
-  | Ptr _ | Sp _ | TaggedSp _ -> if truth then Some st else None
+  | Ptr _ | Sp _ | TaggedSp _ -> truth
   | Int iv | Loc (_, iv) -> (
-      let upd name iv' =
-        match name with
-        | Some i -> refine_local st i iv'
-        | None -> Some st
+      let upd iv' =
+        match cond with Loc (i, _) -> refine_local st i iv' | _ -> true
       in
-      let name = match cond with Loc (i, _) -> Some i | _ -> None in
       if truth then
-        if Interval.is_const 0L iv then None
+        if Interval.is_const 0L iv then false
         else if Interval.lo_ge iv 0L then
-          upd name { iv with lo = Some (Int64.max 1L (Option.value iv.lo ~default:1L)) }
-        else Some st
+          upd { iv with lo = Some (Int64.max 1L (Option.value iv.lo ~default:1L)) }
+        else true
       else
         match Interval.meet iv (Interval.const 0L) with
-        | None -> None
-        | Some z -> upd name z)
-  | _ -> Some st
+        | None -> false
+        | Some z -> upd z)
+  | _ -> true
 
 (* ------------------------------------------------------------------ *)
 (* Global analysis environment                                         *)
@@ -426,8 +476,14 @@ type genv = {
   mutable diags : diag list;
   diag_seen : (string * int * string, unit) Hashtbl.t;
   mutable recording : bool;
-      (** cleared during loop stabilization passes so only the final
-          recording pass emits diagnostics *)
+      (** cleared during loop stabilization passes, which defer their
+          recording effects ({!record}) *)
+  mutable deferred : (unit -> unit) list;
+      (** the current stabilization pass's recording effects, newest
+          first *)
+  mutable site_changes : int;
+      (** bumped when a site is created or its size, multiplicity or
+          escape flags change: the site facts a pass reads *)
 }
 
 type fenv = {
@@ -437,6 +493,8 @@ type fenv = {
   bverdict_row : int array;  (** parallel bounds row, same blacklisting *)
   active : int list;  (** function indices on the analysis call stack *)
   depth : int;
+  mutable cmp_locals : int list;
+      (** locals this activation has set to a comparison ({!scrub_local}) *)
 }
 
 (* The function currently being analyzed: [analyze] seeds [active] with
@@ -456,10 +514,22 @@ let func_name g fidx =
 (* Sites, diagnostics, verdicts                                        *)
 (* ------------------------------------------------------------------ *)
 
+let site_changed g = g.site_changes <- g.site_changes + 1
+
+let set_multi g site =
+  if not site.s_multi then begin
+    site.s_multi <- true;
+    site_changed g
+  end
+
 let find_site g ~key ~kind ~path ~instr ~lidx ~size =
   match Hashtbl.find_opt g.sites key with
   | Some s ->
-      s.s_size <- Interval.join s.s_size size;
+      let size = Interval.join s.s_size size in
+      if not (Interval.equal size s.s_size) then begin
+        s.s_size <- size;
+        site_changed g
+      end;
       s
   | None ->
       let s =
@@ -482,21 +552,27 @@ let find_site g ~key ~kind ~path ~instr ~lidx ~size =
         }
       in
       g.site_count <- g.site_count + 1;
+      site_changed g;
       Hashtbl.add g.sites key s;
       g.all_sites <- s :: g.all_sites;
       s
 
+(* A recording effect (a diagnostic, an access, free or leak record):
+   applied now in a recording pass, kept with the pass otherwise — a
+   loop stabilization pass may stand in for the loop's recording pass
+   (see [Code.Loop] in {!eval_instr}). *)
+let record g f = if g.recording then f () else g.deferred <- f :: g.deferred
+
 let diag fenv ~id ~severity msg =
   let g = fenv.g in
-  if g.recording then begin
-    let key = (fenv.path, id, msg) in
-    if not (Hashtbl.mem g.diag_seen key) then begin
-      Hashtbl.add g.diag_seen key ();
-      g.diags <-
-        { d_path = fenv.path; d_instr = id; d_severity = severity; d_msg = msg }
-        :: g.diags
-    end
-  end
+  record g (fun () ->
+      let key = (fenv.path, id, msg) in
+      if not (Hashtbl.mem g.diag_seen key) then begin
+        Hashtbl.add g.diag_seen key ();
+        g.diags <-
+          { d_path = fenv.path; d_instr = id; d_severity = severity; d_msg = msg }
+          :: g.diags
+      end)
 
 (* Verdict meet: unvisited takes the new value, and unproven (2)
    dominates proven (1) — an access is elidable only if every analyzed
@@ -521,15 +597,22 @@ let liveness_of st (site : site) =
    arena lowering only if the site is later re-allocated. Call sites
    without liveness at hand (host calls, summarized callees) stay
    maximally conservative. *)
-let escape_site ?live v =
+let escape_site g ?live v =
   match v with
   | Ptr { site; tagged; _ } -> (
       match live with
       | Some st
         when (not tagged) && (not site.s_multi)
              && liveness_of st site = Freed ->
-          site.s_escaped_dead <- true
-      | _ -> site.s_escaped <- true)
+          if not site.s_escaped_dead then begin
+            site.s_escaped_dead <- true;
+            site_changed g
+          end
+      | _ ->
+          if not site.s_escaped then begin
+            site.s_escaped <- true;
+            site_changed g
+          end)
   | _ -> ()
 
 let sev_of site = if site.s_multi then Possible else Definite
@@ -653,14 +736,15 @@ let check_access fenv st ~id ~addr ~(len : Interval.t) ~is_store ~elide_ok =
                | None -> false)
            | _ -> false)
       in
-      if fenv.g.recording && not arena_neutral then begin
-        if elide_ok && Array.length fenv.verdict_row > 0 then begin
-          let acc = (cur_lidx fenv, id) in
-          if not (List.mem acc site.s_accesses) then
-            site.s_accesses <- acc :: site.s_accesses
-        end
-        else site.s_unproven_access <- true
-      end)
+      if not arena_neutral then
+        record fenv.g (fun () ->
+            if elide_ok && Array.length fenv.verdict_row > 0 then begin
+              let f = cur_lidx fenv in
+              let seen (f', id') = id' = id && f' = f in
+              if not (List.exists seen site.s_accesses) then
+                site.s_accesses <- (f, id) :: site.s_accesses
+            end
+            else site.s_unproven_access <- true))
   | _ -> ());
   if elide_ok then begin
     mark_verdict fenv id !proven;
@@ -671,30 +755,34 @@ let check_access fenv st ~id ~addr ~(len : Interval.t) ~is_store ~elide_ok =
 (* Stack / state helpers                                               *)
 (* ------------------------------------------------------------------ *)
 
-let push v st = { st with stack = v :: st.stack }
+let push v st = st.stack <- v :: st.stack
 
 let pop st =
   match st.stack with
-  | v :: rest -> (v, { st with stack = rest })
-  | [] -> (Top, st)
+  | v :: rest ->
+      st.stack <- rest;
+      v
+  | [] -> Top
 
 (* First popped value first in the result (i.e. stack order, top first). *)
-let popn st n =
-  let rec go acc st n = if n = 0 then (List.rev acc, st) else
-    let v, st = pop st in go (v :: acc) st (n - 1)
-  in
-  go [] st n
+let popn st n = List.init n (fun _ -> pop st)
 
-let push_n v n st =
-  { st with stack = List.init n (fun _ -> v) @ st.stack }
+let push_n v n st = st.stack <- List.init n (fun _ -> v) @ st.stack
 
 let take n stack =
-  List.init n (fun i -> match List.nth_opt stack i with Some v -> v | None -> Top)
+  if n = 0 then []
+  else
+    List.init n (fun i ->
+        match List.nth_opt stack i with Some v -> v | None -> Top)
 
-let set_local st l v =
-  let locals = Array.copy st.locals in
-  if l < Array.length locals then locals.(l) <- v;
-  { st with locals }
+let set_local fenv st l v =
+  if l < Array.length st.locals then begin
+    (match v with
+    | Cmp _ when not (List.mem l fenv.cmp_locals) ->
+        fenv.cmp_locals <- l :: fenv.cmp_locals
+    | _ -> ());
+    write_local st l v
+  end
 
 let get_local st l = if l < Array.length st.locals then st.locals.(l) else Top
 
@@ -718,7 +806,8 @@ let coarsen_state st =
   in
   {
     locals = Array.map c st.locals;
-    stack = List.map c st.stack;
+    own = false;
+    stack = [];
     g0 = c st.g0;
     live = havoc_live st.live;
   }
@@ -748,6 +837,8 @@ let low48_zero c =
 
 let untag_mask = 0xFFFF_FFFF_FFFFL
 
+(* A label: its arity, and the join of the kept states that branched
+   to it with their carried values. *)
 type frame = { f_arity : int; mutable f_pend : (aval list * state) option }
 
 let join_exit a b =
@@ -756,28 +847,71 @@ let join_exit a b =
   | Some (va, sa), Some (vb, sb) ->
       Some (List.map2 join_aval va vb, join_state sa sb)
 
-let branch_join frames k st =
+(* Kept state [s] branches to label [k], carrying the top of [stack]. *)
+let branch_join frames k stack s =
   match List.nth_opt frames k with
   | None -> ()
   | Some fr ->
-      let vals = take fr.f_arity st.stack in
-      fr.f_pend <- join_exit fr.f_pend (Some (vals, { st with stack = [] }))
+      fr.f_pend <- join_exit fr.f_pend (Some (take fr.f_arity stack, s))
+
+(* The values a frame leaves its block with, if it is reachable. *)
+let exit_vals arity ok st = if ok then Some (take arity st.stack) else None
+
+(* Frame [st], reachable with exit values [fall] when they are [Some],
+   joined in place with [other] (a label's pending branches, or a dead
+   sibling frame). The joined exit values, [None] if neither side is
+   reachable. *)
+let merge st fall other =
+  match (fall, other) with
+  | _, None -> fall
+  | None, Some (vals, s) ->
+      load st s;
+      Some vals
+  | Some va, Some (vb, s) ->
+      let vals = List.map2 join_aval va vb in
+      join_into st s;
+      Some vals
 
 let stack_key path o = Printf.sprintf "%s@stack%Ld" path o
 let heap_key path id = Printf.sprintf "%s@heap#%d" path id
+
+let clamp (w : Ast.width) iv =
+  match w with Ast.W32 -> Interval.clamp32 iv | Ast.W64 -> iv
+
+(* [f] over two numbers, wrapped to the operation's width. *)
+let num w f a b =
+  match (a, b) with
+  | (Int x | Loc (_, x)), (Int y | Loc (_, y)) -> Int (clamp w (f x y))
+  | _ -> (
+      match (iv_of a, iv_of b) with
+      | Some x, Some y -> Int (clamp w (f x y))
+      | _ -> Top)
+
+(* Tag-taint: if an operand [v] carried live tag bits (a tagged pointer,
+   or a tag nibble extracted from one) and the result [r] no longer
+   names the site, the tag may survive in a value the analysis can no
+   longer see — the site must keep its real tag-plane writes. *)
+let taint_lost r v =
+  match v with
+  | Ptr { site; tagged = true; _ } -> (
+      match r with
+      | Ptr { site = s; _ } when s == site -> ()
+      | TagVal (Some s) when s == site -> ()
+      | _ -> site.s_arena_unsafe <- true)
+  | TagVal (Some site) -> (
+      match r with
+      | Ptr { site = s; tagged = true; _ } when s == site -> ()
+      | TagVal (Some s) when s == site -> ()
+      | _ -> site.s_arena_unsafe <- true)
+  | _ -> ()
 
 (* Integer binops: interval arithmetic on numbers, offset arithmetic on
    pointers, and the three codegen idioms that manipulate tag bits
    (add a tag increment, mask the tag nibble out or in). *)
 let eval_ibinop st (w : Ast.width) (op : Ast.ibinop) =
-  let b, st = pop st in
-  let a, st = pop st in
-  let clamp iv = match w with Ast.W32 -> Interval.clamp32 iv | Ast.W64 -> iv in
-  let num f =
-    match (iv_of a, iv_of b) with
-    | Some x, Some y -> Int (clamp (f x y))
-    | _ -> Top
-  in
+  let b = pop st in
+  let a = pop st in
+  let num f = num w f a b in
   let r =
     match op with
     | Ast.Add -> (
@@ -797,9 +931,9 @@ let eval_ibinop st (w : Ast.width) (op : Ast.ibinop) =
         | Sp (sid, off), (Int iv | Loc (_, iv)) ->
             Sp (sid, Interval.sub off iv)
         | Ptr p, Ptr q when p.site == q.site ->
-            Int (clamp (Interval.sub p.off q.off))
+            Int (clamp w (Interval.sub p.off q.off))
         | Sp (i1, o1), Sp (i2, o2) when i1 = i2 ->
-            Int (clamp (Interval.sub o1 o2))
+            Int (clamp w (Interval.sub o1 o2))
         | _ -> num Interval.sub)
     | Ast.Mul -> num Interval.mul
     | Ast.DivS | Ast.DivU -> num Interval.div_s
@@ -835,137 +969,147 @@ let eval_ibinop st (w : Ast.width) (op : Ast.ibinop) =
     | Ast.ShrU -> num Interval.shr_u
     | Ast.Rotl | Ast.Rotr -> num (fun _ _ -> Interval.top)
   in
-  (* Tag-taint: if an operand carried live tag bits (a tagged pointer,
-     or a tag nibble extracted from one) and the result no longer
-     names the site, the tag may survive in a value the analysis can
-     no longer see — the site must keep its real tag-plane writes. *)
-  let lost v =
-    match v with
-    | Ptr { site; tagged = true; _ } -> (
-        match r with
-        | Ptr { site = s; _ } when s == site -> ()
-        | TagVal (Some s) when s == site -> ()
-        | _ -> site.s_arena_unsafe <- true)
-    | TagVal (Some site) -> (
-        match r with
-        | Ptr { site = s; tagged = true; _ } when s == site -> ()
-        | TagVal (Some s) when s == site -> ()
-        | _ -> site.s_arena_unsafe <- true)
-    | _ -> ()
-  in
-  lost a;
-  lost b;
+  taint_lost r a;
+  taint_lost r b;
   push r st
 
 (* ------------------------------------------------------------------ *)
 (* The evaluator                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* [eval_seq] threads an optional state through a prepared sequence;
-   [None] means the abstract path is unreachable (trapped, branched
-   away). *)
+(* [eval_seq] runs a prepared sequence on frame [st]; [false] means the
+   abstract path is unreachable (trapped, branched away) and [st] holds
+   nothing. *)
 let rec eval_seq fenv frames st (body : Code.instr array) =
   let n = Array.length body in
-  let rec go i st =
-    if i >= n then Some st
-    else
-      match eval_instr fenv frames st body.(i) with
-      | None -> None
-      | Some st' -> go (i + 1) st'
-  in
-  go 0 st
+  let rec go i = i >= n || (eval_instr fenv frames st body.(i) && go (i + 1)) in
+  go 0
+
+(* A block-shaped construct ends: [fall] joined with the label's pending
+   branches is left in [st], over the stack [saved] it was entered
+   with. *)
+and leave st ~saved fall (frame : frame) =
+  match merge st fall frame.f_pend with
+  | None -> false
+  | Some vals ->
+      st.stack <- vals @ saved;
+      true
 
 and eval_instr fenv frames st (ins : Code.instr) =
+  let spec = fenv.g.spec in
   match ins with
   | Code.Basic (i, id) -> eval_basic fenv st i id
   | Code.Block (a, body) ->
       let saved = st.stack in
+      st.stack <- [];
       let frame = { f_arity = a; f_pend = None } in
-      let ft = eval_seq fenv (frame :: frames) { st with stack = [] } body in
-      let fall =
-        Option.map (fun s -> (take a s.stack, { s with stack = [] })) ft
-      in
-      (match join_exit fall frame.f_pend with
-      | None -> None
-      | Some (vals, s) -> Some { s with stack = vals @ saved })
+      let ok = eval_seq fenv (frame :: frames) st body in
+      leave st ~saved (exit_vals a ok st) frame
   | Code.If (a, then_, else_) ->
-      let cond, st = pop st in
+      let cond = pop st in
       let saved = st.stack in
+      st.stack <- [];
       let frame = { f_arity = a; f_pend = None } in
-      let run body = function
-        | None -> None
-        | Some s ->
-            Option.map
-              (fun s' -> (take a s'.stack, { s' with stack = [] }))
-              (eval_seq fenv (frame :: frames) { s with stack = [] } body)
+      (* the else arm runs on its own frame from the state before the
+         then arm's refinement *)
+      let els = save st in
+      let run s truth body =
+        refine ~spec cond truth s && eval_seq fenv (frame :: frames) s body
       in
-      let rt = run then_ (refine ~spec:fenv.g.spec cond true st) in
-      let re = run else_ (refine ~spec:fenv.g.spec cond false st) in
-      (match join_exit (join_exit rt re) frame.f_pend with
-      | None -> None
-      | Some (vals, s) -> Some { s with stack = vals @ saved })
+      let rt = run st true then_ in
+      let re = run els false else_ in
+      let arm =
+        merge st (exit_vals a rt st)
+          (Option.map (fun v -> (v, els)) (exit_vals a re els))
+      in
+      leave st ~saved arm frame
   | Code.Loop (a, body) ->
       let g = fenv.g in
       let saved = st.stack in
+      st.stack <- [];
       let frame = { f_arity = 0; f_pend = None } in
-      let was_recording = g.recording in
+      let was_recording = g.recording and outer = g.deferred in
       g.recording <- false;
-      (* phase 1: widening fixpoint over the loop head, diagnostics
-         suppressed (site flags and elision verdicts still accumulate,
-         which is sound: verdict marking is a meet) *)
+      (* phase 1: widening fixpoint over the loop head, recording
+         effects deferred (site flags and elision verdicts still
+         accumulate, which is sound: verdict marking is a meet). The
+         pass that finds the head stable is the recording pass if no
+         site fact changed while it ran: a recording pass would start
+         from the same head over the same sites, so it would take the
+         same path and record the same effects. *)
       let rec stabilize head iter =
         frame.f_pend <- None;
-        ignore (eval_seq fenv (frame :: frames) head body);
+        g.deferred <- [];
+        let changes = g.site_changes in
+        load st head;
+        let ok = eval_seq fenv (frame :: frames) st body in
+        let last =
+          if g.site_changes = changes then Some (ok, g.deferred) else None
+        in
         match frame.f_pend with
-        | None -> head
+        | None -> (head, last)
         | Some (_, back) ->
             let j = join_state head back in
             let next =
               if iter >= 3 then widen_state ~prev:head ~next:j else j
             in
-            if state_equal next head then head
-            else if iter > 60 then coarsen_state next
+            if state_equal next head then (head, last)
+            else if iter > 60 then (coarsen_state next, None)
             else stabilize next (iter + 1)
       in
-      let stable = stabilize { st with stack = [] } 0 in
+      let stable, last = stabilize (save st) 0 in
       g.recording <- was_recording;
-      (* phase 2: one recording pass over the stable head *)
-      frame.f_pend <- None;
-      (match eval_seq fenv (frame :: frames) stable body with
-      | None -> None (* the loop only exits through outer branches *)
-      | Some s -> Some { s with stack = take a s.stack @ saved })
+      g.deferred <- outer;
+      (* phase 2: one recording pass over the stable head, unless the
+         last pass stands in for it; the loop only exits through outer
+         branches if the body never falls through *)
+      let ok =
+        match last with
+        | Some (ok, effects) ->
+            List.iter (record g) (List.rev effects);
+            ok
+        | None ->
+            frame.f_pend <- None;
+            load st stable;
+            eval_seq fenv (frame :: frames) st body
+      in
+      if ok then st.stack <- take a st.stack @ saved;
+      ok
   | Code.Br l ->
-      branch_join frames l.depth st;
-      None
+      branch_join frames l.depth st.stack (save st);
+      false
   | Code.BrIf l ->
-      let cond, st = pop st in
-      (match refine ~spec:fenv.g.spec cond true st with
-      | Some s -> branch_join frames l.depth s
-      | None -> ());
-      refine ~spec:fenv.g.spec cond false st
+      let cond = pop st in
+      let taken = save st in
+      if refine ~spec cond true taken then
+        branch_join frames l.depth st.stack taken;
+      refine ~spec cond false st
   | Code.BrTable (ts, d) ->
-      let _, st = pop st in
-      branch_join frames d.depth st;
-      Array.iter (fun (l : Code.label) -> branch_join frames l.depth st) ts;
-      None
+      ignore (pop st);
+      let s = save st in
+      branch_join frames d.depth st.stack s;
+      Array.iter
+        (fun (l : Code.label) -> branch_join frames l.depth st.stack s)
+        ts;
+      false
   | Code.Return _ ->
-      branch_join frames (List.length frames - 1) st;
-      None
+      branch_join frames (List.length frames - 1) st.stack (save st);
+      false
 
-and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
+and eval_basic fenv st (i : Ast.instr) (id : int) : bool =
   match i with
-  | Ast.Unreachable -> None
-  | Ast.Nop -> Some st
+  | Ast.Unreachable -> false
+  | Ast.Nop -> true
   | Ast.Block _ | Ast.Loop _ | Ast.If _ | Ast.Br _ | Ast.BrIf _
   | Ast.BrTable _ | Ast.Return ->
-      Some st (* control instructions never reach eval_basic *)
+      true (* control instructions never reach eval_basic *)
   | Ast.Drop ->
-      let _, st = pop st in
-      Some st
+      let _ = pop st in
+      true
   | Ast.Select ->
-      let c, st = pop st in
-      let v2, st = pop st in
-      let v1, st = pop st in
+      let c = pop st in
+      let v2 = pop st in
+      let v1 = pop st in
       let chosen =
         match c with
         | Int iv when Interval.is_const 0L iv -> v2
@@ -973,43 +1117,46 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
         | Ptr _ | Sp _ | TaggedSp _ -> v1
         | _ -> join_aval v1 v2
       in
-      Some (push chosen st)
+      push chosen st; true
   | Ast.LocalGet l ->
       let v =
         match get_local st l with Int iv -> Loc (l, iv) | v -> v
       in
-      Some (push v st)
+      push v st; true
   | Ast.LocalSet l ->
-      let v, st = pop st in
-      Some (set_local (scrub_local st l) l (demote v))
+      let v = demote (pop st) in
+      scrub_local ~cmp_locals:fenv.cmp_locals st l;
+      set_local fenv st l v;
+      true
   | Ast.LocalTee l ->
-      let v, st = pop st in
-      let st = set_local (scrub_local st l) l (demote v) in
-      let v' = match demote v with Int iv -> Loc (l, iv) | v -> v in
-      Some (push v' st)
-  | Ast.GlobalGet 0 -> Some (push st.g0 st)
-  | Ast.GlobalGet _ -> Some (push Top st)
+      let v = demote (pop st) in
+      scrub_local ~cmp_locals:fenv.cmp_locals st l;
+      set_local fenv st l v;
+      push (match v with Int iv -> Loc (l, iv) | v -> v) st;
+      true
+  | Ast.GlobalGet 0 -> push st.g0 st; true
+  | Ast.GlobalGet _ -> push Top st; true
   | Ast.GlobalSet n ->
-      let v, st = pop st in
-      if n = 0 then Some { st with g0 = demote v }
+      let v = pop st in
+      if n = 0 then st.g0 <- demote v
       else begin
         (* a pointer parked in an ordinary global can be reloaded —
            and freed — anywhere; for the stack-pointer global the
            demoted value keeps its provenance above *)
-        escape_site ~live:st v;
-        arena_taint_aval v;
-        Some st
-      end
-  | Ast.I32Const c -> Some (push (Int (Interval.const (Int64.of_int32 c))) st)
-  | Ast.I64Const c -> Some (push (Int (Interval.const c)) st)
-  | Ast.F32Const _ | Ast.F64Const _ -> Some (push Top st)
+        escape_site fenv.g ~live:st v;
+        arena_taint_aval v
+      end;
+      true
+  | Ast.I32Const c -> push (Int (Interval.const (Int64.of_int32 c))) st; true
+  | Ast.I64Const c -> push (Int (Interval.const c)) st; true
+  | Ast.F32Const _ | Ast.F64Const _ -> push Top st; true
   | Ast.IUnop (w, _) ->
-      let _, st = pop st in
+      let _ = pop st in
       let bits = match w with Ast.W32 -> 32L | Ast.W64 -> 64L in
-      Some (push (Int (Interval.range 0L bits)) st)
-  | Ast.IBinop (w, op) -> Some (eval_ibinop st w op)
+      push (Int (Interval.range 0L bits)) st; true
+  | Ast.IBinop (w, op) -> eval_ibinop st w op; true
   | Ast.ITestop w ->
-      let v, st = pop st in
+      let v = pop st in
       let r =
         match v with
         | Cmp c -> Cmp { c with cneg = not c.cneg }
@@ -1021,10 +1168,10 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
                                crhs = (None, Interval.const 0L) }
         | _ -> Int Interval.bool_
       in
-      Some (push r st)
+      push r st; true
   | Ast.IRelop (w, op) ->
-      let b, st = pop st in
-      let a, st = pop st in
+      let b = pop st in
+      let a = pop st in
       let opnd = function
         | Int iv -> Some ((None : int option), iv)
         | Loc (l, iv) -> Some (Some l, iv)
@@ -1054,20 +1201,20 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
               | _ -> Int Interval.bool_
             else Int Interval.bool_
       in
-      Some (push r st)
+      push r st; true
   | Ast.FUnop _ ->
-      let _, st = pop st in
-      Some (push Top st)
+      let _ = pop st in
+      push Top st; true
   | Ast.FBinop _ ->
-      let _, st = pop st in
-      let _, st = pop st in
-      Some (push Top st)
+      let _ = pop st in
+      let _ = pop st in
+      push Top st; true
   | Ast.FRelop _ ->
-      let _, st = pop st in
-      let _, st = pop st in
-      Some (push (Int Interval.bool_) st)
+      let _ = pop st in
+      let _ = pop st in
+      push (Int Interval.bool_) st; true
   | Ast.Cvtop c -> (
-      let v, st = pop st in
+      let v = pop st in
       match c with
       | Ast.I32WrapI64 -> (
           match iv_of v with
@@ -1076,17 +1223,17 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
                  && (match iv.hi with
                     | Some h -> h <= Interval.i32_max
                     | None -> false) ->
-              Some (push v st)
-          | _ -> Some (push (Int Interval.i32_full) st))
-      | Ast.I64ExtendI32S -> Some (push v st)
+              push v st; true
+          | _ -> push (Int Interval.i32_full) st; true)
+      | Ast.I64ExtendI32S -> push v st; true
       | Ast.I64ExtendI32U -> (
           match iv_of v with
-          | Some iv when Interval.is_nonneg iv -> Some (push v st)
-          | Some iv -> Some (push (Int (Interval.extend_u32 iv)) st)
-          | None -> Some (push (Int (Interval.range 0L 0xFFFF_FFFFL)) st))
-      | _ -> Some (push Top st))
+          | Some iv when Interval.is_nonneg iv -> push v st; true
+          | Some iv -> push (Int (Interval.extend_u32 iv)) st; true
+          | None -> push (Int (Interval.range 0L 0xFFFF_FFFFL)) st; true)
+      | _ -> push Top st; true)
   | Ast.Load (ty, pack, ma) ->
-      let addr, st = pop st in
+      let addr = pop st in
       let len = access_len ty (Option.map fst pack) in
       let eff = addr_plus addr ma.Ast.offset in
       check_access fenv st ~id ~addr:eff ~len:(Interval.const len)
@@ -1102,39 +1249,39 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
         | Types.I32, None -> Int Interval.i32_full
         | _ -> Top
       in
-      Some (push v st)
+      push v st; true
   | Ast.Store (ty, pack, ma) ->
-      let v, st = pop st in
-      let addr, st = pop st in
-      escape_site ~live:st v; (* a pointer written to memory escapes *)
+      let v = pop st in
+      let addr = pop st in
+      escape_site fenv.g ~live:st v; (* a pointer written to memory escapes *)
       arena_taint_aval v; (* and its tag bits can come back untracked *)
       let len = access_len ty pack in
       let eff = addr_plus addr ma.Ast.offset in
       check_access fenv st ~id ~addr:eff ~len:(Interval.const len)
         ~is_store:true ~elide_ok:true;
-      Some st
-  | Ast.MemorySize -> Some (push (Int Interval.nonneg) st)
+      true
+  | Ast.MemorySize -> push (Int Interval.nonneg) st; true
   | Ast.MemoryGrow ->
-      let _, st = pop st in
-      Some (push (Int (Interval.of_bounds (Some (-1L)) None)) st)
+      let _ = pop st in
+      push (Int (Interval.of_bounds (Some (-1L)) None)) st; true
   | Ast.MemoryFill ->
-      let lenv, st = pop st in
-      let _, st = pop st in
-      let dst, st = pop st in
+      let lenv = pop st in
+      let _ = pop st in
+      let dst = pop st in
       let len = Option.value (iv_of lenv) ~default:Interval.top in
       check_access fenv st ~id ~addr:dst ~len ~is_store:true ~elide_ok:false;
-      Some st
+      true
   | Ast.MemoryCopy ->
-      let lenv, st = pop st in
-      let src, st = pop st in
-      let dst, st = pop st in
+      let lenv = pop st in
+      let src = pop st in
+      let dst = pop st in
       let len = Option.value (iv_of lenv) ~default:Interval.top in
       check_access fenv st ~id ~addr:src ~len ~is_store:false ~elide_ok:false;
       check_access fenv st ~id ~addr:dst ~len ~is_store:true ~elide_ok:false;
-      Some st
+      true
   | Ast.SegmentNew _ ->
-      let lenv, st = pop st in
-      let base, st = pop st in
+      let lenv = pop st in
+      let base = pop st in
       let g = fenv.g in
       let size = Option.value (iv_of lenv) ~default:Interval.top in
       let key, kind =
@@ -1152,16 +1299,16 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
          analysis never saw, so its allocations keep real tag writes *)
       if Array.length fenv.verdict_row = 0 then site.s_arena_unsafe <- true;
       (match IMap.find_opt site.s_id st.live with
-      | Some Live -> site.s_multi <- true (* loop allocation: ≥2 live *)
+      | Some Live -> set_multi g site (* loop allocation: ≥2 live *)
       | Some (Freed | MaybeFreed) -> site.s_reincarnated <- true
       | _ -> ());
-      let live = IMap.add site.s_id Live st.live in
-      Some (push (Ptr { site; off = Interval.const 0L; tagged = true })
-              { st with live })
+      st.live <- IMap.add site.s_id Live st.live;
+      push (Ptr { site; off = Interval.const 0L; tagged = true }) st;
+      true
   | Ast.SegmentSetTag _ -> (
-      let lenv, st = pop st in
-      let tagged, st = pop st in
-      let _base, st = pop st in
+      let lenv = pop st in
+      let tagged = pop st in
+      let _base = pop st in
       let g = fenv.g in
       match tagged with
       | TaggedSp (_, foff) ->
@@ -1173,17 +1320,16 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
               ~path:fenv.path ~instr:id ~lidx:(cur_lidx fenv) ~size
           in
           (match IMap.find_opt site.s_id st.live with
-          | Some Live -> site.s_multi <- true
+          | Some Live -> set_multi g site
           | _ -> ());
           let ptr = Ptr { site; off = Interval.const 0L; tagged = true } in
           let sub v = if aval_equal v tagged then ptr else v in
-          Some
-            {
-              locals = Array.map sub st.locals;
-              stack = List.map sub st.stack;
-              g0 = sub st.g0;
-              live = IMap.add site.s_id Live st.live;
-            }
+          st.locals <- Array.map sub st.locals;
+          st.own <- true;
+          st.stack <- List.map sub st.stack;
+          st.g0 <- sub st.g0;
+          st.live <- IMap.add site.s_id Live st.live;
+          true
       | Sp (_, off) -> (
           (* retag back to the stack's own (zero) tag: the epilogue
              freeing a slot *)
@@ -1191,20 +1337,20 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
           | Some o -> (
               match Hashtbl.find_opt g.sites (stack_key fenv.path o) with
               | Some site ->
-                  Some { st with live = IMap.add site.s_id Freed st.live }
-              | None -> Some st)
-          | None -> Some st)
+                  st.live <- IMap.add site.s_id Freed st.live; true
+              | None -> true)
+          | None -> true)
       | Ptr { site; _ } ->
           (* an explicit retag writes the tag plane: the site's tag
              writes are real, so it cannot move to the arena *)
           site.s_arena_unsafe <- true;
-          Some { st with live = IMap.add site.s_id Live st.live }
+          st.live <- IMap.add site.s_id Live st.live; true
       | v ->
           arena_taint_aval v;
-          Some { st with live = havoc_live st.live })
+          st.live <- havoc_live st.live; true)
   | Ast.SegmentFree _ -> (
-      let _, st = pop st in
-      let ptr, st = pop st in
+      let _ = pop st in
+      let ptr = pop st in
       let g = fenv.g in
       (* record what this free instruction can free: the arena fixpoint
          in {!Escape} lowers a free only when every site reaching it is
@@ -1221,17 +1367,17 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
       if Array.length fenv.verdict_row = 0 then dirty_r := true;
       match ptr with
       | Ptr { site; _ } ->
-          if g.recording then begin
-            if not (List.memq site !sites_r) then
-              sites_r := site :: !sites_r;
-            (match IMap.find_opt site.s_id st.live with
-            | Some Live -> ()
-            | _ ->
-                (* freeing a maybe-freed pointer: the runtime
-                   matches-check is load-bearing here *)
-                dirty_r := true)
-          end;
-          (match IMap.find_opt site.s_id st.live with
+          let live = IMap.find_opt site.s_id st.live in
+          record g (fun () ->
+              if not (List.memq site !sites_r) then
+                sites_r := site :: !sites_r;
+              match live with
+              | Some Live -> ()
+              | _ ->
+                  (* freeing a maybe-freed pointer: the runtime
+                     matches-check is load-bearing here *)
+                  dirty_r := true);
+          (match live with
           | Some Freed ->
               diag fenv ~id ~severity:(sev_of site)
                 (Printf.sprintf "double free of segment %s" site.s_key)
@@ -1241,29 +1387,29 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
                    site.s_key)
           | _ -> ());
           let l = if site.s_multi then MaybeFreed else Freed in
-          Some { st with live = IMap.add site.s_id l st.live }
+          st.live <- IMap.add site.s_id l st.live; true
       | Sp _ | TaggedSp _ ->
           dirty_r := true;
-          Some st
+          true
       | v ->
           dirty_r := true;
           arena_taint_aval v;
-          Some { st with live = havoc_live st.live })
+          st.live <- havoc_live st.live; true)
   | Ast.PointerSign | Ast.PointerAuth ->
       (* signing scrambles the high bits; conservatively forget the
          value so elision never survives a PAC round-trip. The tag
          survives a sign/auth round-trip inside the now-opaque value,
          so the site's tag plane must stay real. *)
-      let v, st = pop st in
+      let v = pop st in
       arena_taint_aval v;
-      Some (push Top st)
+      push Top st; true
   | Ast.Call f -> handle_call fenv st ~id f
   | Ast.CallIndirect ti -> (
-      let _, st = pop st in
+      let _ = pop st in
       let g = fenv.g in
       let ft = Ast.func_type_of g.m ti in
       let nparams = List.length ft.Types.params in
-      let args_topfirst, st = popn st nparams in
+      let args_topfirst = popn st nparams in
       let args = List.rev args_topfirst in
       let nresults = List.length ft.Types.results in
       (* the join of the summaries of every type-matching function in
@@ -1272,23 +1418,23 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : state option =
       | Some s when s.Summary.sm_params = nparams ->
           List.iteri
             (fun i v ->
-              if s.Summary.sm_escapes.(i) then escape_site v;
+              if s.Summary.sm_escapes.(i) then escape_site g v;
               if
                 s.Summary.sm_used.(i)
                 && (s.Summary.sm_touches_mem || s.Summary.sm_mutates)
               then arena_taint_aval v)
             args;
-          let live =
-            if s.Summary.sm_mutates then havoc_live st.live else st.live
-          in
-          Some (push_n Top nresults { st with live })
+          if s.Summary.sm_mutates then st.live <- havoc_live st.live;
+          push_n Top nresults st;
+          true
       | _ ->
           (* empty table set (a trapping call at runtime) or an arity
              mismatch: fall back to the blanket havoc *)
-          List.iter escape_site args;
+          List.iter (escape_site g) args;
           List.iter arena_taint_aval args;
-          let live = havoc_live st.live in
-          Some (push_n Top nresults { st with live }))
+          st.live <- havoc_live st.live;
+          push_n Top nresults st;
+          true)
 
 (* A [strcpy] whose source is a constant address into a data segment
    has a statically known length: scan for the NUL and check the
@@ -1321,15 +1467,16 @@ and handle_call fenv st ~id fidx =
   let g = fenv.g in
   let ft = Ast.type_of_func g.m fidx in
   let nresults = List.length ft.Types.results in
-  let args_topfirst, st = popn st (List.length ft.Types.params) in
+  let args_topfirst = popn st (List.length ft.Types.params) in
   let args = List.rev args_topfirst in
   let name = func_name g fidx in
   if name = "strcpy" then check_strcpy fenv st ~id args;
   if fidx < g.n_imports then begin
     (* host function: pointers escape, but hosts cannot free guest
        segments, so liveness survives the call *)
-    List.iter escape_site args;
-    Some (push_n Top nresults st)
+    List.iter (escape_site g) args;
+    push_n Top nresults st;
+    true
   end
   else if List.mem fidx fenv.active || fenv.depth >= 12 then begin
     (* recursion (or a pathological call chain): inlining gives up and
@@ -1342,7 +1489,7 @@ and handle_call fenv st ~id fidx =
     List.iteri
       (fun i v ->
         if i < s.Summary.sm_params then begin
-          if s.Summary.sm_escapes.(i) then escape_site v;
+          if s.Summary.sm_escapes.(i) then escape_site g v;
           (* a summarized callee may access — or free — the pointee at
              instructions no verdict covers, so its tag plane stays *)
           if
@@ -1350,12 +1497,11 @@ and handle_call fenv st ~id fidx =
             && (s.Summary.sm_touches_mem || s.Summary.sm_mutates)
           then arena_taint_aval v
         end
-        else escape_site v)
+        else escape_site g v)
       args;
-    let live =
-      if s.Summary.sm_mutates then havoc_live st.live else st.live
-    in
-    Some (push_n Top nresults { st with live })
+    if s.Summary.sm_mutates then st.live <- havoc_live st.live;
+    push_n Top nresults st;
+    true
   end
   else
     let path = Printf.sprintf "%s#%d>%s" fenv.path id name in
@@ -1363,9 +1509,12 @@ and handle_call fenv st ~id fidx =
       analyze_func g ~path ~active:(fidx :: fenv.active)
         ~depth:(fenv.depth + 1) ~root:false fidx args st.live st.g0
     with
-    | None -> None (* the callee never returns on any path *)
+    | None -> false (* the callee never returns on any path *)
     | Some (rets, live, g0) ->
-        Some { st with stack = List.rev rets @ st.stack; live; g0 }
+        st.stack <- List.rev rets @ st.stack;
+        st.live <- live;
+        st.g0 <- g0;
+        true
 
 (* Analyze one function activation under a concrete call string.
    Returns the (joined) return values, liveness map and stack-pointer
@@ -1379,7 +1528,7 @@ and analyze_func g ~path ~active ~depth ~root fidx args live g0 =
     Array.make (nparams + List.length f.Ast.locals) (Int (Interval.const 0L))
   in
   List.iteri (fun i v -> if i < nparams then locals.(i) <- demote_cross v) args;
-  let st = { locals; stack = []; g0; live } in
+  let st = { locals; own = true; stack = []; g0; live } in
   let fenv =
     {
       g;
@@ -1388,52 +1537,52 @@ and analyze_func g ~path ~active ~depth ~root fidx args live g0 =
       bverdict_row = (if g.blacklist.(lidx) then [||] else g.bverdicts.(lidx));
       active;
       depth;
+      cmp_locals = [];
     }
   in
   let arity = List.length ft.Types.results in
   let frame = { f_arity = arity; f_pend = None } in
-  let ft_exit = eval_seq fenv [ frame ] st g.code.(lidx).Code.body in
-  let fall =
-    Option.map (fun s -> (take arity s.stack, { s with stack = [] })) ft_exit
-  in
-  match join_exit fall frame.f_pend with
+  let ok = eval_seq fenv [ frame ] st g.code.(lidx).Code.body in
+  match merge st (exit_vals arity ok st) frame.f_pend with
   | None -> None
-  | Some (rets, sx) ->
+  | Some rets ->
       (* leak check: heap sites this activation allocated and neither
          freed, escaped nor returned. The root activation is exempt —
          allocations held until program exit are reclaimed wholesale. *)
-      if g.recording && not root then begin
-        let fname = func_name g fidx in
-        let returned s =
-          List.exists
-            (function Ptr { site; _ } -> site == s | _ -> false)
-            rets
-        in
-        List.iter
-          (fun s ->
-            if
-              s.s_kind = Heap && s.s_path = path && (not s.s_escaped)
-              && (not s.s_escaped_dead)
-              && (not s.s_multi)
-              && (not s.s_leaked_reported)
-              && not (returned s)
-            then
-              match IMap.find_opt s.s_id sx.live with
-              | Some Live ->
-                  s.s_leaked_reported <- true;
-                  diag fenv ~id:s.s_instr ~severity:Definite
-                    (Printf.sprintf "segment %s leaked: still live when %s returns"
-                       s.s_key fname)
-              | Some MaybeFreed ->
-                  s.s_leaked_reported <- true;
-                  diag fenv ~id:s.s_instr ~severity:Possible
-                    (Printf.sprintf
-                       "segment %s possibly leaked on some path through %s"
-                       s.s_key fname)
-              | _ -> ())
-          g.all_sites
-      end;
-      Some (List.map demote_cross rets, sx.live, sx.g0)
+      let live = st.live in
+      if not root then
+        record g (fun () ->
+            let fname = func_name g fidx in
+            let returned s =
+              List.exists
+                (function Ptr { site; _ } -> site == s | _ -> false)
+                rets
+            in
+            List.iter
+              (fun s ->
+                if
+                  s.s_kind = Heap && s.s_path = path && (not s.s_escaped)
+                  && (not s.s_escaped_dead)
+                  && (not s.s_multi)
+                  && (not s.s_leaked_reported)
+                  && not (returned s)
+                then
+                  match IMap.find_opt s.s_id live with
+                  | Some Live ->
+                      s.s_leaked_reported <- true;
+                      diag fenv ~id:s.s_instr ~severity:Definite
+                        (Printf.sprintf
+                           "segment %s leaked: still live when %s returns"
+                           s.s_key fname)
+                  | Some MaybeFreed ->
+                      s.s_leaked_reported <- true;
+                      diag fenv ~id:s.s_instr ~severity:Possible
+                        (Printf.sprintf
+                           "segment %s possibly leaked on some path through %s"
+                           s.s_key fname)
+                  | _ -> ())
+              g.all_sites);
+      Some (List.map demote_cross rets, live, st.g0)
 
 (* ------------------------------------------------------------------ *)
 (* Whole-module analysis                                               *)
@@ -1515,6 +1664,8 @@ let analyze ?(spec = false) (m : Ast.module_) : analysis =
       diags = [];
       diag_seen = Hashtbl.create 64;
       recording = true;
+      deferred = [];
+      site_changes = 0;
     }
   in
   let entry =
