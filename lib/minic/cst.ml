@@ -96,12 +96,17 @@ type func_def = {
   fd_body : stmt list;
 }
 
-type struct_def = { sd_name : string; sd_fields : (ty * string) list }
+type struct_def = {
+  sd_name : string;
+  sd_fields : (ty * string) list;
+  sd_line : int;
+}
 
 type global_def = {
   gd_ty : ty;
   gd_name : string;
   gd_init : init option;
+  gd_line : int;
 }
 
 type decl =

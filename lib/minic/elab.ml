@@ -40,25 +40,27 @@ type env = {
 let ptr_bytes env = if env.ptr64 then 8 else 4
 let ptr_ir env : Ir.ty = if env.ptr64 then Ir.I64 else Ir.I32
 
-let rec sizeof env (t : Cst.ty) : int =
+(* Type errors name [line], the line of the construct that needs the
+   size. *)
+let rec sizeof env line (t : Cst.ty) : int =
   match t with
-  | TVoid -> err 0 "sizeof(void)"
+  | TVoid -> err line "sizeof(void)"
   | TChar -> 1
   | TInt | TUInt -> 4
   | TLong | TULong -> 8
   | TFloat -> 4
   | TDouble -> 8
   | TPtr _ -> ptr_bytes env
-  | TArray (el, n) -> n * sizeof env el
-  | TStruct s -> (layout_of env s 0).sl_size
-  | TFunc _ -> err 0 "sizeof(function)"
+  | TArray (el, n) -> n * sizeof env line el
+  | TStruct s -> (layout_of env s line).sl_size
+  | TFunc _ -> err line "sizeof(function)"
 
-and alignof env (t : Cst.ty) : int =
+and alignof env line (t : Cst.ty) : int =
   match t with
-  | TArray (el, _) -> alignof env el
-  | TStruct s -> (layout_of env s 0).sl_align
+  | TArray (el, _) -> alignof env line el
+  | TStruct s -> (layout_of env s line).sl_align
   | TVoid | TFunc _ -> 1
-  | t -> sizeof env t
+  | t -> sizeof env line t
 
 and layout_of env name line =
   match Hashtbl.find_opt env.structs name with
@@ -71,9 +73,9 @@ let compute_layout env (sd : Cst.struct_def) : struct_layout =
   let fields, size, align =
     List.fold_left
       (fun (fs, off, al) (ty, name) ->
-        let a = alignof env ty in
+        let a = alignof env sd.sd_line ty in
         let off = align_up off a in
-        ((name, ty, off) :: fs, off + sizeof env ty, max al a))
+        ((name, ty, off) :: fs, off + sizeof env sd.sd_line ty, max al a))
       ([], 0, 1) sd.sd_fields
   in
   { sl_fields = List.rev fields; sl_size = align_up size align;
@@ -445,11 +447,11 @@ let rec elab_expr fc (e : Cst.expr) : eexp =
       let ea = elab_cast fc ln ea ta ty in
       (sa, ea, ty)
   | Cst.SizeofT t ->
-      ([], Ir.Const (Wasm.Values.I64 (Int64.of_int (sizeof fc.env t))),
+      ([], Ir.Const (Wasm.Values.I64 (Int64.of_int (sizeof fc.env ln t))),
        Cst.TLong)
   | Cst.SizeofE a ->
       let ty = type_of_expr fc a in
-      ([], Ir.Const (Wasm.Values.I64 (Int64.of_int (sizeof fc.env ty))),
+      ([], Ir.Const (Wasm.Values.I64 (Int64.of_int (sizeof fc.env ln ty))),
        Cst.TLong)
   | Cst.PreIncr a -> elab_incr fc ln a 1L `Pre
   | Cst.PreDecr a -> elab_incr fc ln a (-1L) `Pre
@@ -527,7 +529,7 @@ and elab_lval fc (e : Cst.expr) : Ir.stmt list * lv =
 and elab_index fc ln a i : Ir.stmt list * Ir.exp * int64 * Cst.ty =
   let sa, ea, ta = elab_expr fc a in
   let elty = elem_ty ln ta in
-  let elsize = Int64.of_int (sizeof fc.env elty) in
+  let elsize = Int64.of_int (sizeof fc.env ln elty) in
   let si, ei, ti = elab_expr fc i in
   if not (is_integer ti) then err ln "array index is not an integer";
   let stmts = sa @ si in
@@ -609,7 +611,7 @@ and elab_binop fc ln op a b : eexp =
       match (op, is_ptr ta, is_ptr tb) with
       | Cst.Add, true, false | Cst.Sub, true, false ->
           let elty = elem_ty ln ta in
-          let elsize = Int64.of_int (sizeof fc.env elty) in
+          let elsize = Int64.of_int (sizeof fc.env ln elty) in
           let eb =
             convert fc.env ln eb tb
               (if fc.env.ptr64 then Cst.TLong else Cst.TInt)
@@ -625,7 +627,7 @@ and elab_binop fc ln op a b : eexp =
            (match ta with Cst.TArray (el, _) -> Cst.TPtr el | t -> t))
       | Cst.Add, false, true ->
           let elty = elem_ty ln tb in
-          let elsize = Int64.of_int (sizeof fc.env elty) in
+          let elsize = Int64.of_int (sizeof fc.env ln elty) in
           let ea =
             convert fc.env ln ea ta
               (if fc.env.ptr64 then Cst.TLong else Cst.TInt)
@@ -640,7 +642,7 @@ and elab_binop fc ln op a b : eexp =
            (match tb with Cst.TArray (el, _) -> Cst.TPtr el | t -> t))
       | Cst.Sub, true, true ->
           let elty = elem_ty ln ta in
-          let elsize = Int64.of_int (sizeof fc.env elty) in
+          let elsize = Int64.of_int (sizeof fc.env ln elty) in
           let diff = Ir.Bin (Ir.Ibin Wasm.Ast.Sub, ptr_ir fc.env, ea, eb) in
           let v =
             if Int64.equal elsize 1L then diff
@@ -791,7 +793,7 @@ and elab_incr fc ln a delta order : eexp =
   let stmts0, old_v, ty = load_lv fc ln slhs lv in
   let step =
     match ty with
-    | Cst.TPtr el -> Int64.mul delta (Int64.of_int (sizeof fc.env el))
+    | Cst.TPtr el -> Int64.mul delta (Int64.of_int (sizeof fc.env ln el))
     | t when is_integer t -> delta
     | t when is_float t -> delta
     | t -> err ln "cannot increment %s" (Cst.ty_to_string t)
@@ -1072,8 +1074,8 @@ and elab_decl fc ln ty name init : Ir.stmt list =
         | Some (Cst.IList _) -> err ln "brace initialiser on scalar"
       end
       else begin
-        let size = sizeof fc.env ty in
-        let slot = fresh_slot fc name size (alignof fc.env ty) in
+        let size = sizeof fc.env ln ty in
+        let slot = fresh_slot fc name size (alignof fc.env ln ty) in
         bind fc name (Loc_slot slot) ty;
         let base = Ir.SlotAddr slot.Ir.slot_id in
         match init with
@@ -1091,7 +1093,7 @@ and elab_decl fc ln ty name init : Ir.stmt list =
 and elab_init_list fc ln base off ty items : Ir.stmt list =
   match ty with
   | Cst.TArray (el, n) ->
-      let elsize = Int64.of_int (sizeof fc.env el) in
+      let elsize = Int64.of_int (sizeof fc.env ln el) in
       List.concat
         (List.mapi
            (fun i (field, init) ->
@@ -1174,7 +1176,8 @@ let elab_func env (fd : Cst.func_def) : Ir.func =
     List.concat_map
       (fun (t, name, ty) ->
         if Hashtbl.mem taken name && registerable ty then begin
-          let slot = fresh_slot fc name (sizeof env ty) (alignof env ty) in
+          (* parameters carry no source line *)
+          let slot = fresh_slot fc name (sizeof env 0 ty) (alignof env 0 ty) in
           bind fc name (Loc_slot slot) ty;
           [ Ir.Store
               { mem = mem_of_cty env 0 ty; addr = Ir.SlotAddr slot.Ir.slot_id;
@@ -1249,9 +1252,9 @@ let rec encode_init env line buf off (ty : Cst.ty) (init : Cst.init) =
         done
       in
       match (ty, e.e) with
-      | t, Cst.IntLit v when is_integer t -> set_i64 (sizeof env t) v
+      | t, Cst.IntLit v when is_integer t -> set_i64 (sizeof env line t) v
       | t, Cst.Un (Cst.Neg, { e = Cst.IntLit v; _ }) when is_integer t ->
-          set_i64 (sizeof env t) (Int64.neg v)
+          set_i64 (sizeof env line t) (Int64.neg v)
       | Cst.TFloat, Cst.FloatLit v ->
           set_i64 4 (Int64.of_int32 (Int32.bits_of_float v))
       | Cst.TFloat, Cst.IntLit v -> 
@@ -1265,7 +1268,7 @@ let rec encode_init env line buf off (ty : Cst.ty) (init : Cst.init) =
       List.iteri
         (fun i (field, init) ->
           if field <> None then err line "designator in array initialiser";
-          encode_init env line buf (off + (i * sizeof env el)) el init)
+          encode_init env line buf (off + (i * sizeof env line el)) el init)
         items
   | _, Cst.IList _ -> err line "unsupported global aggregate initialiser"
 
@@ -1299,8 +1302,8 @@ let program ?(ptr64 = true) (prog : Cst.program) : Ir.program =
           if not (Hashtbl.mem env.funcs name) then
             Hashtbl.replace env.funcs name (ret, params)
       | Cst.DGlobal gd ->
-          let size = sizeof env gd.gd_ty in
-          let align = max (alignof env gd.gd_ty) 8 in
+          let size = sizeof env gd.gd_line gd.gd_ty in
+          let align = max (alignof env gd.gd_line gd.gd_ty) 8 in
           let addr = align_up_64 env.data_end (Int64.of_int align) in
           Hashtbl.replace env.globals gd.gd_name (addr, gd.gd_ty);
           env.data_end <- Int64.add addr (Int64.of_int size);
@@ -1308,7 +1311,7 @@ let program ?(ptr64 = true) (prog : Cst.program) : Ir.program =
           | None -> ()
           | Some init ->
               let buf = Bytes.make size '\000' in
-              encode_init env 0 buf 0 gd.gd_ty init;
+              encode_init env gd.gd_line buf 0 gd.gd_ty init;
               env.data <- (addr, Bytes.to_string buf) :: env.data))
     prog;
   env.data_end <- align_up_64 env.data_end 16L;
@@ -1341,7 +1344,9 @@ let program ?(ptr64 = true) (prog : Cst.program) : Ir.program =
     pr_globals =
       Hashtbl.fold
         (fun name (addr, ty) acc ->
-          { Ir.gv_name = name; gv_addr = addr; gv_size = sizeof env ty } :: acc)
+          (* pass 1 sized every global already *)
+          { Ir.gv_name = name; gv_addr = addr; gv_size = sizeof env 0 ty }
+          :: acc)
         env.globals []
       |> List.sort (fun a b -> Int64.compare a.Ir.gv_addr b.Ir.gv_addr);
     pr_data = List.rev env.data;

@@ -621,6 +621,7 @@ and parse_stmts p =
 (* --------------------------------------------------------------- *)
 
 let parse_decl p : Cst.decl =
+  let ln = line p in
   match peek p with
   | Token.KW_struct
     when (match (p.t1, p.t2) with
@@ -641,7 +642,7 @@ let parse_decl p : Cst.decl =
       let fs = fields [] in
       eat p Token.RBrace;
       eat p Token.Semi;
-      Cst.DStruct { sd_name = name; sd_fields = fs }
+      Cst.DStruct { sd_name = name; sd_fields = fs; sd_line = ln }
   | Token.KW_extern ->
       advance p;
       let base = parse_base_ty p in
@@ -698,7 +699,7 @@ let parse_decl p : Cst.decl =
           else None
         in
         eat p Token.Semi;
-        Cst.DGlobal { gd_ty = ty; gd_name = name; gd_init = init }
+        Cst.DGlobal { gd_ty = ty; gd_name = name; gd_init = init; gd_line = ln }
       end
 
 (** Parse a full translation unit. *)

@@ -897,9 +897,11 @@ let test_error_addr_of_rvalue () =
 let test_error_located_line () =
   (* each error sits on the source's line 3 and is reported there,
      whether or not the libc prelude is prepended; an error inside the
-     prelude names the prelude's line *)
-  let check how compile kind line3 want =
-    let src = "int main() {\n  int x = 1;\n" ^ line3 ^ "\n}" in
+     prelude names the prelude's line. The type errors include a size
+     asked of [void], of an unknown struct, of a [void] struct field and
+     of a [void] global. *)
+  let in_main line3 = "int main() {\n  int x = 1;\n" ^ line3 ^ "\n}" in
+  let check how compile kind src want =
     match compile src with
     | () -> Alcotest.failf "%s %s error: compiled" how kind
     | exception Minic.Driver.Compile_error msg ->
@@ -907,18 +909,22 @@ let test_error_located_line () =
           Alcotest.failf "%s: %S does not start with %S" how msg want
   in
   List.iter
-    (fun (kind, line3) ->
+    (fun (kind, src) ->
       let want = kind ^ " error (line 3)" in
-      check "with the prelude" (fun s -> ignore (Libc.Run.run s)) kind line3
+      check "with the prelude" (fun s -> ignore (Libc.Run.run s)) kind src
         want;
       check "without a prelude" (fun s -> ignore (Minic.Driver.compile s))
-        kind line3 want)
-    [ ("lex", "  return x @ 2;"); ("parse", "  return x + ;");
-      ("type", "  return nope;") ];
+        kind src want)
+    [ ("lex", in_main "  return x @ 2;"); ("parse", in_main "  return x + ;");
+      ("type", in_main "  return nope;");
+      ("type", in_main "  return sizeof(void);");
+      ("type", in_main "  return sizeof(struct nope);");
+      ("type", "int a;\nint b;\nstruct s { void v; };\nint main() { }");
+      ("type", "int a;\nint b;\nvoid g;\nint main() { }") ];
   check "in the prelude"
     (fun s ->
       ignore (Minic.Driver.compile ~prelude:"int f() {\n  return nope;\n}" s))
-    "type" "  return x;" "type error (prelude line 2)"
+    "type" (in_main "  return x;") "type error (prelude line 2)"
 
 (* A parse error more than two tokens before a lex error is reported
    first: the parser sees tokens as the lexer produces them. *)
