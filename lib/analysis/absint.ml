@@ -770,10 +770,7 @@ let popn st n = List.init n (fun _ -> pop st)
 let push_n v n st = st.stack <- List.init n (fun _ -> v) @ st.stack
 
 let take n stack =
-  if n = 0 then []
-  else
-    List.init n (fun i ->
-        match List.nth_opt stack i with Some v -> v | None -> Top)
+  List.init n (fun i -> match List.nth_opt stack i with Some v -> v | None -> Top)
 
 let set_local fenv st l v =
   if l < Array.length st.locals then begin
@@ -872,6 +869,16 @@ let merge st fall other =
       join_into st s;
       Some vals
 
+(* A block-shaped construct ends: [fall] joined with the label's pending
+   branches is left in [st], over the stack [saved] it was entered
+   with. *)
+let leave st ~saved fall frame =
+  match merge st fall frame.f_pend with
+  | None -> false
+  | Some vals ->
+      st.stack <- vals @ saved;
+      true
+
 let stack_key path o = Printf.sprintf "%s@stack%Ld" path o
 let heap_key path id = Printf.sprintf "%s@heap#%d" path id
 
@@ -880,12 +887,9 @@ let clamp (w : Ast.width) iv =
 
 (* [f] over two numbers, wrapped to the operation's width. *)
 let num w f a b =
-  match (a, b) with
-  | (Int x | Loc (_, x)), (Int y | Loc (_, y)) -> Int (clamp w (f x y))
-  | _ -> (
-      match (iv_of a, iv_of b) with
-      | Some x, Some y -> Int (clamp w (f x y))
-      | _ -> Top)
+  match (iv_of a, iv_of b) with
+  | Some x, Some y -> Int (clamp w (f x y))
+  | _ -> Top
 
 (* Tag-taint: if an operand [v] carried live tag bits (a tagged pointer,
    or a tag nibble extracted from one) and the result [r] no longer
@@ -984,16 +988,6 @@ let rec eval_seq fenv frames st (body : Code.instr array) =
   let n = Array.length body in
   let rec go i = i >= n || (eval_instr fenv frames st body.(i) && go (i + 1)) in
   go 0
-
-(* A block-shaped construct ends: [fall] joined with the label's pending
-   branches is left in [st], over the stack [saved] it was entered
-   with. *)
-and leave st ~saved fall (frame : frame) =
-  match merge st fall frame.f_pend with
-  | None -> false
-  | Some vals ->
-      st.stack <- vals @ saved;
-      true
 
 and eval_instr fenv frames st (ins : Code.instr) =
   let spec = fenv.g.spec in
