@@ -1098,7 +1098,7 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : bool =
   | Ast.BrTable _ | Ast.Return ->
       true (* control instructions never reach eval_basic *)
   | Ast.Drop ->
-      let _ = pop st in
+      ignore (pop st);
       true
   | Ast.Select ->
       let c = pop st in
@@ -1145,7 +1145,7 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : bool =
   | Ast.I64Const c -> push (Int (Interval.const c)) st; true
   | Ast.F32Const _ | Ast.F64Const _ -> push Top st; true
   | Ast.IUnop (w, _) ->
-      let _ = pop st in
+      ignore (pop st);
       let bits = match w with Ast.W32 -> 32L | Ast.W64 -> 64L in
       push (Int (Interval.range 0L bits)) st; true
   | Ast.IBinop (w, op) -> eval_ibinop st w op; true
@@ -1197,15 +1197,15 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : bool =
       in
       push r st; true
   | Ast.FUnop _ ->
-      let _ = pop st in
+      ignore (pop st);
       push Top st; true
   | Ast.FBinop _ ->
-      let _ = pop st in
-      let _ = pop st in
+      ignore (pop st);
+      ignore (pop st);
       push Top st; true
   | Ast.FRelop _ ->
-      let _ = pop st in
-      let _ = pop st in
+      ignore (pop st);
+      ignore (pop st);
       push (Int Interval.bool_) st; true
   | Ast.Cvtop c -> (
       let v = pop st in
@@ -1256,11 +1256,11 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : bool =
       true
   | Ast.MemorySize -> push (Int Interval.nonneg) st; true
   | Ast.MemoryGrow ->
-      let _ = pop st in
+      ignore (pop st);
       push (Int (Interval.of_bounds (Some (-1L)) None)) st; true
   | Ast.MemoryFill ->
       let lenv = pop st in
-      let _ = pop st in
+      ignore (pop st);
       let dst = pop st in
       let len = Option.value (iv_of lenv) ~default:Interval.top in
       check_access fenv st ~id ~addr:dst ~len ~is_store:true ~elide_ok:false;
@@ -1343,7 +1343,7 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : bool =
           arena_taint_aval v;
           st.live <- havoc_live st.live; true)
   | Ast.SegmentFree _ -> (
-      let _ = pop st in
+      ignore (pop st);
       let ptr = pop st in
       let g = fenv.g in
       (* record what this free instruction can free: the arena fixpoint
@@ -1399,7 +1399,7 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : bool =
       push Top st; true
   | Ast.Call f -> handle_call fenv st ~id f
   | Ast.CallIndirect ti -> (
-      let _ = pop st in
+      ignore (pop st);
       let g = fenv.g in
       let ft = Ast.func_type_of g.m ti in
       let nparams = List.length ft.Types.params in
