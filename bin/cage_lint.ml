@@ -30,7 +30,7 @@ let polybench =
 
 let no_libc =
   Arg.(value & flag & info [ "no-libc" ]
-         ~doc:"Do not prepend the libc prelude (freestanding program).")
+         ~doc:"Do not link the libc prelude in (freestanding program).")
 
 let wspectre =
   Arg.(value & flag & info [ "Wspectre" ]

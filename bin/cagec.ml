@@ -22,7 +22,7 @@ let emit_wat =
 
 let no_libc =
   Arg.(value & flag & info [ "no-libc" ]
-         ~doc:"Do not prepend the libc prelude (freestanding program).")
+         ~doc:"Do not link the libc prelude in (freestanding program).")
 
 let instrument_all =
   Arg.(value & flag & info [ "instrument-all" ]
@@ -62,12 +62,13 @@ let run input output config plan emit_wat no_libc instrument_all stats wstack
         Format.eprintf "sanitizer: %a@." Minic.Stack_sanitizer.pp_stats
           compiled.co_sanitizer;
       if wstack then begin
-        (* Re-run Algorithm 1 per function (idempotent: the compile
-           already ran it with the same knob) to attribute the module
-           totals to the functions they came from. *)
+        (* Algorithm 1's verdicts per function, read without writing
+           them (the libc's functions are shared between compiles), to
+           attribute the module totals to the functions they came
+           from. *)
         List.iter
           (fun (f : Minic.Ir.func) ->
-            let s = Minic.Stack_sanitizer.run_func ~instrument_all f in
+            let s = Minic.Stack_sanitizer.func_stats ~instrument_all f in
             if s.Minic.Stack_sanitizer.total_slots > 0 then
               Format.eprintf "%s: %a@." f.Minic.Ir.fn_name
                 Minic.Stack_sanitizer.pp_stats s)

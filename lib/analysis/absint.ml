@@ -315,29 +315,6 @@ let state_equal a b =
 (* Local scrubbing and branch refinement                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Writing local [j] invalidates every stack/local value that named it:
-   [Loc] provenance becomes a plain interval, comparisons naming it
-   degrade to an unknown boolean. A local never holds a [Loc], and holds
-   a [Cmp] only if it is in [cmp_locals] (the locals this activation
-   ever set to one), so only those and the stack are scanned. *)
-let scrub_local ~cmp_locals st j =
-  let names_j = function Some i, _ -> i = j | None, _ -> false in
-  let stale = function
-    | Loc (i, _) -> i = j
-    | Cmp c -> names_j c.clhs || names_j c.crhs
-    | _ -> false
-  in
-  let fix = function
-    | Loc (_, iv) as v when stale v -> Int iv
-    | Cmp _ as v when stale v -> Int Interval.bool_
-    | v -> v
-  in
-  if List.exists stale st.stack then st.stack <- List.map fix st.stack;
-  if stale st.g0 then st.g0 <- fix st.g0;
-  List.iter
-    (fun k -> if stale st.locals.(k) then write_local st k (fix st.locals.(k)))
-    cmp_locals
-
 let negate_op : Ast.irelop -> Ast.irelop = function
   | Eq -> Ne
   | Ne -> Eq
@@ -495,6 +472,9 @@ type fenv = {
   depth : int;
   mutable cmp_locals : int list;
       (** locals this activation has set to a comparison ({!scrub_local}) *)
+  mutable saved : aval list list;
+      (** the operand stacks the enclosing blocks were entered over,
+          innermost first: a local write scrubs them too *)
 }
 
 (* The function currently being analyzed: [analyze] seeds [active] with
@@ -781,6 +761,35 @@ let set_local fenv st l v =
     write_local st l v
   end
 
+(* Writing local [j] invalidates every stack/local value that named it:
+   [Loc] provenance becomes a plain interval, comparisons naming it
+   degrade to an unknown boolean. A local never holds a [Loc], and holds
+   a [Cmp] only if it is in [cmp_locals] (the locals this activation
+   ever set to one), so only those, the stack and the stacks the
+   enclosing blocks set aside ([saved]) are scanned. *)
+let scrub_local fenv st j =
+  let names_j = function Some i, _ -> i = j | None, _ -> false in
+  let stale = function
+    | Loc (i, _) -> i = j
+    | Cmp c -> names_j c.clhs || names_j c.crhs
+    | _ -> false
+  in
+  let fix = function
+    | Loc (_, iv) as v when stale v -> Int iv
+    | Cmp _ as v when stale v -> Int Interval.bool_
+    | v -> v
+  in
+  let scrub stack =
+    if List.exists stale stack then List.map fix stack else stack
+  in
+  st.stack <- scrub st.stack;
+  if List.exists (List.exists stale) fenv.saved then
+    fenv.saved <- List.map scrub fenv.saved;
+  if stale st.g0 then st.g0 <- fix st.g0;
+  List.iter
+    (fun k -> if stale st.locals.(k) then write_local st k (fix st.locals.(k)))
+    fenv.cmp_locals
+
 let get_local st l = if l < Array.length st.locals then st.locals.(l) else Top
 
 (* Values crossing a statement boundary: local provenance and pending
@@ -869,10 +878,25 @@ let merge st fall other =
       join_into st s;
       Some vals
 
-(* A block-shaped construct ends: [fall] joined with the label's pending
-   branches is left in [st], over the stack [saved] it was entered
-   with. *)
-let leave st ~saved fall frame =
+(* A block-shaped construct starts on an empty stack; the stack it was
+   entered over waits in [fenv.saved]. *)
+let enter fenv st =
+  fenv.saved <- st.stack :: fenv.saved;
+  st.stack <- []
+
+(* ... and ends: the stack it was entered over, scrubbed of the locals
+   written since. *)
+let restore fenv =
+  match fenv.saved with
+  | s :: rest ->
+      fenv.saved <- rest;
+      s
+  | [] -> []
+
+(* A block or [if] ends: [fall] joined with the label's pending branches
+   is left in [st], over the stack it was entered with. *)
+let leave fenv st fall frame =
+  let saved = restore fenv in
   match merge st fall frame.f_pend with
   | None -> false
   | Some vals ->
@@ -994,15 +1018,13 @@ and eval_instr fenv frames st (ins : Code.instr) =
   match ins with
   | Code.Basic (i, id) -> eval_basic fenv st i id
   | Code.Block (a, body) ->
-      let saved = st.stack in
-      st.stack <- [];
+      enter fenv st;
       let frame = { f_arity = a; f_pend = None } in
       let ok = eval_seq fenv (frame :: frames) st body in
-      leave st ~saved (exit_vals a ok st) frame
+      leave fenv st (exit_vals a ok st) frame
   | Code.If (a, then_, else_) ->
       let cond = pop st in
-      let saved = st.stack in
-      st.stack <- [];
+      enter fenv st;
       let frame = { f_arity = a; f_pend = None } in
       (* the else arm runs on its own frame from the state before the
          then arm's refinement *)
@@ -1016,11 +1038,10 @@ and eval_instr fenv frames st (ins : Code.instr) =
         merge st (exit_vals a rt st)
           (Option.map (fun v -> (v, els)) (exit_vals a re els))
       in
-      leave st ~saved arm frame
+      leave fenv st arm frame
   | Code.Loop (a, body) ->
       let g = fenv.g in
-      let saved = st.stack in
-      st.stack <- [];
+      enter fenv st;
       let frame = { f_arity = 0; f_pend = None } in
       let was_recording = g.recording and outer = g.deferred in
       g.recording <- false;
@@ -1067,6 +1088,7 @@ and eval_instr fenv frames st (ins : Code.instr) =
             load st stable;
             eval_seq fenv (frame :: frames) st body
       in
+      let saved = restore fenv in
       if ok then st.stack <- take a st.stack @ saved;
       ok
   | Code.Br l ->
@@ -1119,12 +1141,12 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : bool =
       push v st; true
   | Ast.LocalSet l ->
       let v = demote (pop st) in
-      scrub_local ~cmp_locals:fenv.cmp_locals st l;
+      scrub_local fenv st l;
       set_local fenv st l v;
       true
   | Ast.LocalTee l ->
       let v = demote (pop st) in
-      scrub_local ~cmp_locals:fenv.cmp_locals st l;
+      scrub_local fenv st l;
       set_local fenv st l v;
       push (match v with Int iv -> Loc (l, iv) | v -> v) st;
       true
@@ -1532,6 +1554,7 @@ and analyze_func g ~path ~active ~depth ~root fidx args live g0 =
       active;
       depth;
       cmp_locals = [];
+      saved = [];
     }
   in
   let arity = List.length ft.Types.results in

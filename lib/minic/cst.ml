@@ -94,6 +94,7 @@ type func_def = {
   fd_name : string;
   fd_params : param list;
   fd_body : stmt list;
+  fd_line : int;
 }
 
 type struct_def = {

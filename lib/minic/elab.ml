@@ -25,14 +25,20 @@ type struct_layout = {
   sl_align : int;
 }
 
+(* What a translation unit has declared and laid out so far. A libc
+   unit's environment seeds each program's ({!copy}); it holds
+   declarations only, nothing per function. *)
 type env = {
   ptr64 : bool;
   structs : (string, struct_layout) Hashtbl.t;
   funcs : (string, Cst.ty * Cst.ty list) Hashtbl.t;  (** ret, params *)
-  defined : (string, unit) Hashtbl.t;  (** names with bodies *)
+  defined : (string, unit) Hashtbl.t;  (** functions with bodies *)
   globals : (string, int64 * Cst.ty) Hashtbl.t;
   mutable data : (int64 * string) list;
   mutable data_end : int64;
+  mutable in_strings : bool;
+      (** string literals have started after the last global, so
+          [data_end] is past their 16-byte boundary *)
   mutable strings : (string * int64) list;  (** interned literals *)
   mutable table : string list;  (** address-taken functions *)
 }
@@ -202,7 +208,7 @@ type location =
 
 type fctx = {
   env : env;
-  fname : string;
+  taken : (string, unit) Hashtbl.t;  (** address-taken variable names *)
   ret_ty : Cst.ty;
   mutable scopes : (string, location * Cst.ty) Hashtbl.t list;
   mutable ntemps : int;
@@ -299,10 +305,15 @@ let addr_taken_names (body : Cst.stmt list) : (string, unit) Hashtbl.t =
 
 let align_up_64 n a = Int64.mul (Int64.div (Int64.add n (Int64.sub a 1L)) a) a
 
+(* String literals follow the globals from a 16-byte boundary. *)
 let intern_string env s =
   match List.assoc_opt s env.strings with
   | Some addr -> addr
   | None ->
+      if not env.in_strings then begin
+        env.data_end <- align_up_64 env.data_end 16L;
+        env.in_strings <- true
+      end;
       let addr = env.data_end in
       let bytes = s ^ "\000" in
       env.data <- (addr, bytes) :: env.data;
@@ -1050,11 +1061,7 @@ and elab_decl fc ln ty name init : Ir.stmt list =
   match ty with
   | Cst.TVoid -> err ln "cannot declare a void variable"
   | _ ->
-      let taken =
-        (* computed once per function; see elab_func *)
-        Hashtbl.mem fc.env.defined ("addr_taken$" ^ fc.fname ^ "$" ^ name)
-      in
-      if registerable ty && not taken then begin
+      if registerable ty && not (Hashtbl.mem fc.taken name) then begin
         let t = fresh_temp fc in
         bind fc name (Loc_temp t) ty;
         match init with
@@ -1152,16 +1159,11 @@ and elab_init_list fc ln base off ty items : Ir.stmt list =
 (* --------------------------------------------------------------- *)
 
 let elab_func env (fd : Cst.func_def) : Ir.func =
-  let fc =
-    { env; fname = fd.fd_name; ret_ty = fd.fd_ret; scopes = [];
-      ntemps = 0; slots = []; nslots = 0 }
-  in
-  (* record address-taken variable names where elab_decl can see them *)
   let taken = addr_taken_names fd.fd_body in
-  Hashtbl.iter
-    (fun n () ->
-      Hashtbl.replace env.defined ("addr_taken$" ^ fd.fd_name ^ "$" ^ n) ())
-    taken;
+  let fc =
+    { env; taken; ret_ty = fd.fd_ret; scopes = []; ntemps = 0; slots = [];
+      nslots = 0 }
+  in
   push_scope fc;
   (* parameters are temps; address-taken parameters are copied into a
      slot at entry *)
@@ -1272,8 +1274,9 @@ let rec encode_init env line buf off (ty : Cst.ty) (init : Cst.init) =
         items
   | _, Cst.IList _ -> err line "unsupported global aggregate initialiser"
 
-(** Elaborate a whole program. [ptr64] selects wasm64 (memory64). *)
-let program ?(ptr64 = true) (prog : Cst.program) : Ir.program =
+(** An environment with nothing declared but the builtins. [ptr64]
+    selects wasm64 (memory64). *)
+let create ~ptr64 =
   let env =
     {
       ptr64;
@@ -1283,46 +1286,80 @@ let program ?(ptr64 = true) (prog : Cst.program) : Ir.program =
       globals = Hashtbl.create 16;
       data = [];
       data_end = 1024L;
+      in_strings = false;
       strings = [];
       table = [];
     }
   in
   List.iter (fun (n, s) -> Hashtbl.replace env.funcs n s) builtin_sigs;
-  (* pass 1: structs, function signatures, globals *)
+  env
+
+(** A copy of [env] that can be extended without touching [env]. *)
+let copy env =
+  { env with
+    structs = Hashtbl.copy env.structs;
+    funcs = Hashtbl.copy env.funcs;
+    defined = Hashtbl.copy env.defined;
+    globals = Hashtbl.copy env.globals }
+
+(** Pass 1: enter [prog]'s structs, function signatures and globals
+    into [env], laying the globals out after the data already there. A
+    second definition of a struct, function or global is an error; a
+    definition may satisfy an [extern] of the same type. *)
+let declare env (prog : Cst.program) =
+  let fresh line name =
+    if Hashtbl.mem env.defined name || Hashtbl.mem env.globals name then
+      err line "redefinition of %s" name
+  in
   List.iter
     (fun (d : Cst.decl) ->
       match d with
       | Cst.DStruct sd ->
+          if Hashtbl.mem env.structs sd.sd_name then
+            err sd.sd_line "redefinition of struct %s" sd.sd_name;
           Hashtbl.replace env.structs sd.sd_name (compute_layout env sd)
       | Cst.DFunc fd ->
-          Hashtbl.replace env.funcs fd.fd_name
-            (fd.fd_ret, List.map (fun (p : Cst.param) -> p.p_ty) fd.fd_params);
+          fresh fd.fd_line fd.fd_name;
+          let sg =
+            (fd.fd_ret, List.map (fun (p : Cst.param) -> p.p_ty) fd.fd_params)
+          in
+          (match Hashtbl.find_opt env.funcs fd.fd_name with
+          | Some sg' when sg' <> sg ->
+              err fd.fd_line "conflicting types for %s" fd.fd_name
+          | _ -> ());
+          Hashtbl.replace env.funcs fd.fd_name sg;
           Hashtbl.replace env.defined fd.fd_name ()
       | Cst.DExtern (ret, name, params) ->
           if not (Hashtbl.mem env.funcs name) then
             Hashtbl.replace env.funcs name (ret, params)
       | Cst.DGlobal gd ->
+          fresh gd.gd_line gd.gd_name;
           let size = sizeof env gd.gd_line gd.gd_ty in
           let align = max (alignof env gd.gd_line gd.gd_ty) 8 in
           let addr = align_up_64 env.data_end (Int64.of_int align) in
           Hashtbl.replace env.globals gd.gd_name (addr, gd.gd_ty);
           env.data_end <- Int64.add addr (Int64.of_int size);
+          env.in_strings <- false;
           (match gd.gd_init with
           | None -> ()
           | Some init ->
               let buf = Bytes.make size '\000' in
               encode_init env gd.gd_line buf 0 gd.gd_ty init;
               env.data <- (addr, Bytes.to_string buf) :: env.data))
-    prog;
-  env.data_end <- align_up_64 env.data_end 16L;
-  (* pass 2: function bodies *)
-  let funcs =
-    List.filter_map
-      (fun (d : Cst.decl) ->
-        match d with Cst.DFunc fd -> Some (elab_func env fd) | _ -> None)
-      prog
-  in
-  (* externs that are not defined and not builtins become host imports *)
+    prog
+
+(** Pass 2: elaborate [prog]'s function bodies against [env] (which
+    {!declare} has seen [prog] into), interning their string literals
+    and address-taken functions there. *)
+let define env (prog : Cst.program) : Ir.func list =
+  List.filter_map
+    (fun (d : Cst.decl) ->
+      match d with Cst.DFunc fd -> Some (elab_func env fd) | _ -> None)
+    prog
+
+(** The program made of [funcs] over everything [env] holds: functions
+    declared but defined nowhere (builtins aside) become host imports. *)
+let link env (funcs : Ir.func list) : Ir.program =
   let externs =
     Hashtbl.fold
       (fun name (ret, params) acc ->
@@ -1351,6 +1388,8 @@ let program ?(ptr64 = true) (prog : Cst.program) : Ir.program =
       |> List.sort (fun a b -> Int64.compare a.Ir.gv_addr b.Ir.gv_addr);
     pr_data = List.rev env.data;
     pr_table = env.table;
-    pr_data_end = env.data_end;
-    pr_ptr64 = ptr64;
+    pr_data_end =
+      (if env.in_strings then env.data_end
+       else align_up_64 env.data_end 16L);
+    pr_ptr64 = env.ptr64;
   }

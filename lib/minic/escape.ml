@@ -71,11 +71,9 @@ let rec walk_stmt ~mark (s : stmt) =
       List.iter (walk_stmt ~mark) default
   | Break | Continue | Trap | Nop_stmt -> ()
 
-(** Set [escapes] on every slot of [f] whose address leaks. *)
-let analyse_func (f : func) =
-  let mark id =
-    match List.find_opt (fun s -> s.slot_id = id) f.fn_slots with
-    | Some s -> s.escapes <- true
-    | None -> ()
-  in
-  List.iter (walk_stmt ~mark) f.fn_body
+(** The ids of [f]'s slots whose address leaks. *)
+let escaping (f : func) : int list =
+  let ids = ref [] in
+  let mark id = if not (List.mem id !ids) then ids := id :: !ids in
+  List.iter (walk_stmt ~mark) f.fn_body;
+  !ids

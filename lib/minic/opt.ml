@@ -340,5 +340,3 @@ let run_func (f : func) =
   dead_slot_elim f;
   fold_func f;
   dead_temp_elim f
-
-let run (p : program) = List.iter run_func p.pr_funcs

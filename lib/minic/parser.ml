@@ -687,7 +687,7 @@ let parse_decl p : Cst.decl =
           let body = parse_stmts p in
           eat p Token.RBrace;
           Cst.DFunc { fd_ret = ty; fd_name = name; fd_params = params;
-                      fd_body = body }
+                      fd_body = body; fd_line = ln }
         end
       end
       else begin

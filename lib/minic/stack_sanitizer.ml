@@ -40,37 +40,56 @@ let add a b =
     guards = a.guards + b.guards;
   }
 
-(** Algorithm 1 on one function. [instrument_all] is the ablation knob:
-    instrument every slot regardless of the analysis (what a sanitizer
-    without the escape/GEP filter would do). *)
-let run_func ?(instrument_all = false) (f : func) : stats =
-  Escape.analyse_func f;
-  List.iter
-    (fun s -> s.instrument <- instrument_all || s.escapes || s.unsafe_gep)
-    f.fn_slots;
-  let instrumented = List.filter (fun s -> s.instrument) f.fn_slots in
-  (* Guard needed if the first slot of the frame is tagged (Fig. 8b):
-     an untagged first slot already separates this frame from the
-     previous one. *)
-  f.fn_needs_guard <-
-    (match f.fn_slots with
-    | first :: _ -> instrumented <> [] && first.instrument
-    | [] -> false);
+(* Algorithm 1's verdicts on [f], read-only: each slot with whether it
+   escapes and whether it is instrumented, and whether the frame needs
+   a guard (Fig. 8b: its first slot is tagged; an untagged first slot
+   already separates this frame from the previous one).
+   [instrument_all] is the ablation knob: instrument every slot
+   regardless of the analysis (what a sanitizer without the escape/GEP
+   filter would do). *)
+let decide ~instrument_all (f : func) =
+  let esc = Escape.escaping f in
+  let slots =
+    List.map
+      (fun s ->
+        let escapes = List.mem s.slot_id esc in
+        (s, escapes, instrument_all || escapes || s.unsafe_gep))
+      f.fn_slots
+  in
+  (slots, match slots with (_, _, first) :: _ -> first | [] -> false)
+
+let stats_of (slots, guard) =
+  let count p = List.length (List.filter p slots) in
   {
-    total_slots = List.length f.fn_slots;
-    instrumented = List.length instrumented;
-    escaping =
-      List.length (List.filter (fun (s : slot) -> s.escapes) f.fn_slots);
-    unsafe_gep =
-      List.length (List.filter (fun (s : slot) -> s.unsafe_gep) f.fn_slots);
-    guards = (if f.fn_needs_guard then 1 else 0);
+    total_slots = List.length slots;
+    instrumented = count (fun (_, _, i) -> i);
+    escaping = count (fun (_, e, _) -> e);
+    unsafe_gep = count (fun ((s : slot), _, _) -> s.unsafe_gep);
+    guards = (if guard then 1 else 0);
   }
 
-(** Run over a whole program, returning aggregate statistics. *)
-let run ?instrument_all (p : program) : stats =
+(** What {!run_func} decides for [f], without recording it: the
+    statistics of a function already compiled. *)
+let func_stats ?(instrument_all = false) f =
+  stats_of (decide ~instrument_all f)
+
+(** Algorithm 1 on one function: record the verdicts in [f]'s slots
+    and guard flag. *)
+let run_func ?(instrument_all = false) (f : func) : stats =
+  let ((slots, guard) as d) = decide ~instrument_all f in
+  List.iter
+    (fun (s, escapes, instrument) ->
+      s.escapes <- escapes;
+      s.instrument <- instrument)
+    slots;
+  f.fn_needs_guard <- guard;
+  stats_of d
+
+(** Run over some functions, returning aggregate statistics. *)
+let run ?instrument_all (funcs : func list) : stats =
   List.fold_left
     (fun acc f -> add acc (run_func ?instrument_all f))
-    empty_stats p.pr_funcs
+    empty_stats funcs
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -453,6 +453,14 @@ let validate_module (m : Ast.module_) ~cage =
           if i <> 0 || m.memory = None then
             error "export %s: memory index out of range" ex.ex_name)
     m.exports;
+  (* export names are unique: an instance looks its exports up by name *)
+  ignore
+    (List.fold_left
+       (fun seen (ex : Ast.export) ->
+         if List.mem ex.ex_name seen then
+           error "duplicate export name %s" ex.ex_name;
+         ex.ex_name :: seen)
+       [] m.exports);
   List.iter (validate_func m ~cage) m.funcs
 
 let check ?(cage = true) m = validate_module m ~cage

@@ -23,6 +23,55 @@ grep -q "^invalid module: .*type mismatch" _build/ill_typed.out || {
   echo "FAIL: rejection not reported as an invalid module"; cat _build/ill_typed.out
   exit 1; }
 
+echo "== elision at the door (a stale local under a block must not skip a check)"
+# The value of local 2 pushed before the block is compared after the
+# block overwrote local 2; with j = 1000 << 20 the store lands 1001 bytes
+# into a 64-byte segment, so the elided run must trap as the checked one.
+cat > _build/stale_local.wat <<'WAT'
+(module
+  (type (func (param i64) (result i64)))
+  (memory i64 1 1)
+  (func $main (type 0) (local i64 i64)
+    i64.const 1024
+    i64.const 64
+    segment.new offset=0
+    local.set 1
+    local.get 0
+    i64.const 1023
+    i64.and
+    local.set 2
+    local.get 2
+    block
+      local.get 0
+      i64.const 20
+      i64.shr_u
+      i64.const 1023
+      i64.and
+      i64.const 1
+      i64.add
+      local.set 2
+    end
+    i64.const 8
+    i64.lt_s
+    if
+      local.get 1
+      local.get 2
+      i64.add
+      i32.const 0
+      i32.store8
+    end
+    i64.const 0
+  )
+  (export "main" (func 0))
+)
+WAT
+if dune exec bin/cage_run.exe -- --config CAGE --elide-checks \
+     _build/stale_local.wat 1048576000 > _build/stale_local.out 2>&1; then
+  echo "FAIL: the elided run returned"; cat _build/stale_local.out; exit 1; fi
+grep -q "^trap: tag fault:" _build/stale_local.out || {
+  echo "FAIL: the elided run did not trap with a tag fault"
+  cat _build/stale_local.out; exit 1; }
+
 echo "== chaos detection matrix (golden diff, seed 7)"
 dune exec bin/cage_chaos.exe -- matrix --seed 7 > _build/detection_matrix.out
 diff test/golden/detection_matrix.golden _build/detection_matrix.out

@@ -345,6 +345,87 @@ let test_scrub_forgets_comparison ~stored () =
          Analysis.Absint.severity_string d.d_severity ^ ": " ^ d.d_msg)
        a.Analysis.Absint.a_diags)
 
+(* The stale [i] waits under an enclosing construct instead: [wrap]
+   puts the overwrite [i = ((j >> 20) & 1023) + 1] in a [block], an
+   [if] or a [loop], and [test] compares the stale value ([< 8], or
+   [i64.eqz], which would mark the reachable arm dead). A write must
+   scrub the stacks enclosing blocks set aside too. *)
+let saved_module ~wrap ~test =
+  let open Wasm.Ast in
+  let i64 c = I64Const c in
+  let overwrite =
+    [ LocalGet 0; i64 20L; IBinop (W64, ShrU); i64 1023L; IBinop (W64, And);
+      i64 1L; IBinop (W64, Add); LocalSet 2 ]
+  in
+  let body =
+    [ i64 1024L; i64 64L; SegmentNew 0L; LocalSet 1;
+      LocalGet 0; i64 1023L; IBinop (W64, And); LocalSet 2;
+      LocalGet 2 ]
+    @ wrap overwrite @ test
+    @ [ If
+          ( ValBlock None,
+            [ LocalGet 1; LocalGet 2; IBinop (W64, Add); I32Const 0l;
+              Store (Wasm.Types.I32, Some Pack8, { offset = 0L; align = 0 }) ],
+            [] );
+        i64 0L ]
+  in
+  { (scrub_module ~stored:false) with
+    funcs =
+      [ { ftype = 0; fname = Some "main"; body;
+          locals = Wasm.Types.[ I64; I64 ] } ] }
+
+let saved_shapes =
+  let open Wasm.Ast in
+  let lt8 = [ I64Const 8L; IRelop (W64, LtS) ] in
+  [ ("block", (fun b -> [ Block (ValBlock None, b) ]), lt8);
+    ("if", (fun b -> [ I32Const 1l; If (ValBlock None, b, []) ]), lt8);
+    ("loop", (fun b -> [ Loop (ValBlock None, b) ]), lt8);
+    ("block, i64.eqz", (fun b -> [ Block (ValBlock None, b) ]),
+     [ ITestop W64 ]) ]
+
+let test_scrub_saved_stacks () =
+  List.iter
+    (fun (shape, wrap, test) ->
+      let m = saved_module ~wrap ~test in
+      Wasm.Validate.check m;
+      let a = Analysis.Absint.analyze m in
+      let visited =
+        List.filter (fun v -> v > 0)
+          (Array.to_list a.Analysis.Absint.a_verdicts.(0))
+      in
+      Alcotest.(check (list int)) (shape ^ ": the store stays checked") [ 2 ]
+        visited;
+      Alcotest.(check (list string)) (shape ^ ": and may run past the segment")
+        [ "possible: store may run past end of main@heap#2: offset [1,1024] \
+           + 1 > 64 bytes" ]
+        (List.map
+           (fun (d : Analysis.Absint.diag) ->
+             Analysis.Absint.severity_string d.d_severity ^ ": " ^ d.d_msg)
+           a.Analysis.Absint.a_diags))
+    saved_shapes
+
+(* With [j = 1000 << 20] the stale [i] is 0 and the store lands 1001
+   bytes into the 64-byte segment: the elided run traps as the checked
+   one does. *)
+let test_saved_stack_elided_run_traps () =
+  List.iter
+    (fun (shape, wrap, test) ->
+      let m = saved_module ~wrap ~test in
+      List.iter
+        (fun cfg ->
+          let config = Cage.Config.instance_config ~m cfg in
+          let inst = Wasm.Exec.instantiate ~config m in
+          match
+            Wasm.Exec.invoke inst "main"
+              [ Wasm.Values.I64 (Int64.of_int (1000 lsl 20)) ]
+          with
+          | _ -> Alcotest.failf "%s under %s: returned" shape cfg.name
+          | exception Wasm.Instance.Trap msg ->
+              if not (Astring.String.is_prefix ~affix:"tag fault" msg) then
+                Alcotest.failf "%s under %s: %s" shape cfg.name msg)
+        Cage.Config.[ full; with_elision full ])
+    saved_shapes
+
 (* The analyzer runs each function on one frame it mutates in place:
    a push, a pop or a local write allocates no state record and copies
    no locals array, and a loop's last stable pass is its recording
@@ -665,6 +746,9 @@ let () =
             (test_scrub_forgets_comparison ~stored:true);
           tc "local write forgets a stacked comparison"
             (test_scrub_forgets_comparison ~stored:false);
+          tc "local write scrubs enclosing stacks" test_scrub_saved_stacks;
+          tc "elided run traps on a stale enclosing value"
+            test_saved_stack_elided_run_traps;
           tc "plan allocation" test_plan_allocation;
           tc "differential slice" test_elide_differential;
           tc "trap preserved" test_elide_preserves_trap;

@@ -933,6 +933,39 @@ let test_error_order () =
     "int main() { return 1 + ; x y z @ }";
   expect_compile_error ~substring:"lex error" "int main() { return 1 + @ }"
 
+(* A second definition of a function or global is an error wherever
+   the first one is, in the libc or in the program; accepted, a
+   program's [strlen] would compile to a second [strlen] function and
+   export while calls bound the libc's, and [long __brk = 5;] would move
+   the allocator's break into the program's storage. A definition may
+   still satisfy an [extern], with the type it was declared with. *)
+let test_error_redefinition () =
+  let libc = Libc.Source.prelude_of_config Cage.Config.baseline_wasm64 in
+  let expect ~prelude src want =
+    match Minic.Driver.compile ~prelude src with
+    | _ -> Alcotest.failf "compiled %S" src
+    | exception Minic.Driver.Compile_error msg ->
+        Alcotest.(check string) src want msg
+  in
+  expect ~prelude:libc
+    "int main() { return (int)strlen(\"x\"); }\n\
+     unsigned long strlen(char *s) { return 42; }"
+    "type error (line 2): redefinition of strlen";
+  expect ~prelude:libc "long __brk = 5;\nint main() { return 0; }"
+    "type error (line 1): redefinition of __brk";
+  expect ~prelude:libc "int print_i64(int v) { return v; }"
+    "type error (line 1): conflicting types for print_i64";
+  expect ~prelude:""
+    "int f() { return 1; }\nint f() { return 2; }\nint main() { return f(); }"
+    "type error (line 2): redefinition of f";
+  expect ~prelude:"" "long g;\nlong g;\nint main() { return 0; }"
+    "type error (line 2): redefinition of g";
+  expect ~prelude:"" "long g;\nint g() { return 0; }"
+    "type error (line 2): redefinition of g";
+  check_ret "a definition satisfies the libc's extern" 42l
+    "long seen;\nvoid print_i64(long v) { seen = v; }\n\
+     int main() { print_i64(42); return (int)seen; }"
+
 (* Sources the driver must reject with a [Compile_error] naming the
    fault: (case, substring of the message, source). The literals and
    the divisions by zero used to escape as [Failure] or
@@ -1009,16 +1042,17 @@ let frontend_digests =
        "40e6580acf51241cd626a6d7184fa455"; "ee3814e20c5796d5889730565a3cb6f5";
        "ee3814e20c5796d5889730565a3cb6f5"; "40e6580acf51241cd626a6d7184fa455" ]) ]
 
+let frontend_corpora () =
+  [ polybench_sources ();
+    List.map (fun e -> e.Workloads.Cve_suite.source)
+      Workloads.Cve_suite.entries;
+    fuzzgen_sources ();
+    [ quickstart_source () ];
+    [ Harness.Serve_bench.compute_source;
+      Harness.Serve_bench.malicious_source ] ]
+
 let test_frontend_output_pinned () =
-  let corpora =
-    [ polybench_sources ();
-      List.map (fun e -> e.Workloads.Cve_suite.source)
-        Workloads.Cve_suite.entries;
-      fuzzgen_sources ();
-      [ quickstart_source () ];
-      [ Harness.Serve_bench.compute_source;
-        Harness.Serve_bench.malicious_source ] ]
-  in
+  let corpora = frontend_corpora () in
   let diffs =
     List.concat
       (List.map2
@@ -1041,6 +1075,62 @@ let test_frontend_output_pinned () =
          frontend_digests corpora)
   in
   if diffs <> [] then Alcotest.fail (String.concat "\n" diffs)
+
+(* The libc is compiled once per key and each program linked against
+   it; the oracle compiles the two as one text against the empty unit.
+   The binaries and the sanitizer totals must agree. *)
+let linked_and_one_text (cfg : Cage.Config.t) source =
+  let opts = Minic.Driver.options_of_config cfg in
+  let prelude = Libc.Source.prelude_of_config cfg in
+  let c = Minic.Driver.compile ~opts ~prelude source in
+  let o = Minic.Driver.compile ~opts ~prelude:"" (prelude ^ "\n" ^ source) in
+  (c, o)
+
+let same_output what (c : Minic.Driver.compiled) (o : Minic.Driver.compiled)
+    =
+  if Wasm.Binary.encode c.co_module <> Wasm.Binary.encode o.co_module then
+    Alcotest.failf "%s: the linked module differs from the one-text one" what;
+  if c.co_sanitizer <> o.co_sanitizer then
+    Alcotest.failf "%s: sanitizer totals differ" what
+
+let test_link_matches_one_text () =
+  List.iter2
+    (fun (corpus, _) sources ->
+      List.iter
+        (fun (cfg : Cage.Config.t) ->
+          List.iteri
+            (fun i s ->
+              let c, o = linked_and_one_text cfg s in
+              same_output (Printf.sprintf "%s #%d / %s" corpus i cfg.name) c o)
+            sources)
+        Cage.Config.table3)
+    frontend_digests (frontend_corpora ())
+
+(* Nothing a program adds reaches the shared libc unit: X compiles the
+   same before and after Y, which adds a global, a string literal, a
+   host import, an address-taken function and its own [print_i64]. *)
+let test_link_leaves_unit_alone () =
+  let cfg = Cage.Config.full in
+  let x =
+    "int main() {\n  char *p = malloc(32);\n  p[0] = 7;\n  int r = p[0];\n\
+    \  free(p);\n  return r;\n}"
+  in
+  let y =
+    {|long total = 5;
+extern long host_tick(long x);
+void print_i64(long v) { total = total + v; }
+long twice(long x) { return 2 * x; }
+int main() {
+  long (*f)(long) = twice;
+  print_i64(f((long)strlen("four")));
+  return (int)total;
+}|}
+  in
+  let bin s = Wasm.Binary.encode (Libc.Run.compile cfg s).co_module in
+  let before = bin x in
+  let c, o = linked_and_one_text cfg y in
+  same_output "Y" c o;
+  if bin x <> before then Alcotest.fail "X compiled differently after Y"
 
 (* The parser pulls its tokens from the lexer as it goes: no token list,
    no token array. Parsing reads about 1.8 minor words per source byte
@@ -1280,6 +1370,7 @@ let () =
           tc "addr of rvalue" test_error_addr_of_rvalue;
           tc "errors carry lines" test_error_located_line;
           tc "parse error before later lex error" test_error_order;
+          tc "redefinition" test_error_redefinition;
         ]
         @ List.map
             (fun (name, substring, src) ->
@@ -1287,6 +1378,8 @@ let () =
             rejected_sources );
       ( "front-end-output",
         [ tc "digests pinned" test_frontend_output_pinned;
+          tc "linked = one text" test_link_matches_one_text;
+          tc "programs leave the libc unit alone" test_link_leaves_unit_alone;
           tc "parse allocation" test_parse_allocation ] );
       ("fuzz-oracle", [ tc "int-typed constants wrap" test_fuzz_oracle_int_wrap ]);
       ("minic-properties", qtests);

@@ -813,6 +813,28 @@ let test_instantiate_rejects_unvalidated () =
         bad)
     [ Instance.Interp; Instance.Threaded ]
 
+let test_duplicate_export_rejected () =
+  (* two exports named [f0]: the core spec forbids it, and a lookup by
+     name would silently find the first *)
+  let m =
+    let m = module_of [ (ft [] [], [], []); (ft [] [], [], []) ] in
+    { m with
+      exports =
+        List.map
+          (fun (ex : Ast.export) -> { ex with Ast.ex_name = "f0" })
+          m.exports }
+  in
+  (match Validate.validate m with
+  | Ok () -> Alcotest.fail "validated two exports named f0"
+  | Error e ->
+      Alcotest.(check string) "reason" "duplicate export name f0" e);
+  let id () = (Exec.instantiate (module_of [])).Instance.id in
+  let before = id () in
+  (match Exec.instantiate m with
+  | _ -> Alcotest.fail "instantiated two exports named f0"
+  | exception Validate.Invalid _ -> ());
+  Alcotest.(check int) "no instance id consumed" (before + 1) (id ())
+
 let test_embedder_boundary_checked () =
   (* entry arguments and host results are the operands validation
      cannot vouch for: both are type-checked where they cross in *)
@@ -1507,6 +1529,7 @@ let () =
           tc "segment requires memory" test_validate_segment_requires_memory;
           tc "instantiate rejects unvalidated"
             test_instantiate_rejects_unvalidated;
+          tc "duplicate export names rejected" test_duplicate_export_rejected;
           tc "embedder boundary checked" test_embedder_boundary_checked;
         ] );
       ( "cage-extension",
