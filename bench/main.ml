@@ -6,7 +6,8 @@
      dune exec bench/main.exe bechamel    -- wall-clock library benches
 
    Experiment ids: table1 fig4 fig14 fig14-detail fig15 fig16 table2 mem
-   startup collision ablation escape bechamel *)
+   startup collision ablation modes escape obsoverhead analysis exec
+   tagscan bechamel *)
 
 let ppf_ref = ref Format.std_formatter
 
@@ -797,6 +798,54 @@ let run_exec () =
     "  wrote BENCH_exec.json (threaded vs seed interpreter)@."
 
 (* ------------------------------------------------------------------ *)
+(* Tag-plane span check (BENCH_tagscan.json)                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The host cost of a span tag check against the write it guards: the
+   best of [reps] timings of one [Tag_memory.matches_native] over a
+   matching 1 MiB span (65,536 granules: serve-bigimage's [memory.fill]
+   check) and of one [Bytes.fill] of the same 1 MiB, in the same
+   process. CI gates the check-to-fill ratio, in which the host's speed
+   mostly cancels. *)
+let run_tagscan () =
+  Harness.Report.title (!ppf_ref)
+    "Tag-plane span check vs the fill it guards (1 MiB)";
+  let bytes = 1 lsl 20 and reps = 200 in
+  let granules = bytes / Arch.Tag_memory.granule_bytes in
+  let tm = Arch.Tag_memory.create ~size_bytes:bytes in
+  let tag = Arch.Tag.of_int 5 in
+  (match Arch.Tag_memory.set_region tm ~addr:0L ~len:(Int64.of_int bytes) tag with
+  | Ok () -> ()
+  | Error e -> failwith e);
+  let buf = Bytes.make bytes '\000' in
+  let check =
+    best_of reps (fun () () ->
+        if not (Arch.Tag_memory.matches_native tm ~addr:0 ~len:bytes tag) then
+          failwith "tagscan: a matching span failed its check")
+  in
+  let fill = best_of reps (fun () () -> Bytes.fill buf 0 bytes '\x5a') in
+  let per_granule s = s *. 1e9 /. float_of_int granules in
+  let ratio = check /. fill in
+  Format.fprintf (!ppf_ref)
+    "  check %.3f ns/granule (%.1f us), fill %.3f ns/granule (%.1f us), \
+     check/fill %.2f (best of %d)@."
+    (per_granule check) (check *. 1e6) (per_granule fill) (fill *. 1e6) ratio
+    reps;
+  let oc = open_out "BENCH_tagscan.json" in
+  Printf.fprintf oc
+    "{\n\
+    \  \"span_bytes\": %d,\n\
+    \  \"granules\": %d,\n\
+    \  \"reps\": %d,\n\
+    \  \"check_ns_per_granule\": %.4f,\n\
+    \  \"fill_ns_per_granule\": %.4f,\n\
+    \  \"check_to_fill_ratio\": %.3f\n\
+     }\n"
+    bytes granules reps (per_granule check) (per_granule fill) ratio;
+  close_out oc;
+  Format.fprintf (!ppf_ref) "  wrote BENCH_tagscan.json@."
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel wall-clock benches (one per table/figure)                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -932,6 +981,7 @@ let experiments =
     ("obsoverhead", run_obsoverhead);
     ("analysis", run_analysis);
     ("exec", run_exec);
+    ("tagscan", run_tagscan);
     ("bechamel", run_bechamel);
   ]
 
@@ -939,7 +989,7 @@ let default_order =
   [
     "table1"; "fig4"; "fig14"; "fig15"; "fig16"; "table2"; "mem"; "startup";
     "collision"; "ablation"; "modes"; "escape"; "obsoverhead";
-    "analysis"; "exec"; "bechamel";
+    "analysis"; "exec"; "tagscan"; "bechamel";
   ]
 
 let () =

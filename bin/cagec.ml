@@ -65,14 +65,16 @@ let run input output config plan emit_wat no_libc instrument_all stats wstack
         (* Algorithm 1's verdicts per function, read without writing
            them (the libc's functions are shared between compiles), to
            attribute the module totals to the functions they came
-           from. *)
-        List.iter
-          (fun (f : Minic.Ir.func) ->
-            let s = Minic.Stack_sanitizer.func_stats ~instrument_all f in
-            if s.Minic.Stack_sanitizer.total_slots > 0 then
-              Format.eprintf "%s: %a@." f.Minic.Ir.fn_name
-                Minic.Stack_sanitizer.pp_stats s)
-          compiled.co_ir.Minic.Ir.pr_funcs;
+           from. A compile without [memsafety] never ran the sanitizer,
+           so it has no verdicts to attribute and its totals are 0. *)
+        if compiled.co_options.Minic.Driver.memsafety then
+          List.iter
+            (fun (f : Minic.Ir.func) ->
+              let s = Minic.Stack_sanitizer.func_stats ~instrument_all f in
+              if s.Minic.Stack_sanitizer.total_slots > 0 then
+                Format.eprintf "%s: %a@." f.Minic.Ir.fn_name
+                  Minic.Stack_sanitizer.pp_stats s)
+            compiled.co_ir.Minic.Ir.pr_funcs;
         let t = compiled.co_sanitizer in
         let m = Obs.Metrics.cage () in
         Obs.Metrics.observe_event m

@@ -1,11 +1,29 @@
-(** Dirty-chunk maps for in-place snapshot restore.
+(** Byte maps: dirty-chunk maps for in-place snapshot restore, and the
+    scan kernel they share with the tag plane ({!Tag_memory}).
 
-    One byte per [2^bits] units of some buffer (bytes of linear memory,
-    granules of a tag plane); nonzero means the chunk may differ from
-    the image the owner was last snapshotted from or restored to. The
-    owner marks a chunk {e after} its range-checked write, so the index
-    is always in range, and {!drain} hands back each maximal dirty run
-    for copying. *)
+    A dirty map has one byte per [2^bits] units of some buffer (bytes of
+    linear memory, granules of a tag plane); nonzero means the chunk may
+    differ from the image the owner was last snapshotted from or
+    restored to. The owner marks a chunk {e after} its range-checked
+    write, so the index is always in range, and {!drain} hands back each
+    maximal dirty run for copying. *)
+
+(** The first index in [\[first, last\]] whose byte is not [want] (a
+    byte value), or [last + 1]; [first <= last + 1]. Eight bytes per
+    bounds-checked 64-bit load against [want] copied into every byte,
+    then the tail a byte at a time. Each loaded word is compared where
+    it is read and never leaves this function, so the scan allocates
+    nothing. *)
+let scan map ~first ~last want =
+  let pat = Int64.mul (Int64.of_int want) 0x0101_0101_0101_0101L in
+  let i = ref first in
+  while !i + 7 <= last && Bytes.get_int64_ne map !i = pat do
+    i := !i + 8
+  done;
+  while !i <= last && Char.code (Bytes.get map !i) = want do
+    incr i
+  done;
+  !i
 
 let chunks ~bits len = (len + (1 lsl bits) - 1) lsr bits
 
@@ -32,17 +50,16 @@ let clear map ~bits len =
 
 (** Clear every maximal run of dirty chunks, calling [f lo hi] with its
     unit range [\[lo, hi)] ([hi] is not clamped to the buffer); returns
-    the sum of [f]'s results. *)
+    the sum of [f]'s results. Clean chunks are skipped by {!scan}, eight
+    to a load. *)
 let drain map ~bits ~f =
   let n = Bytes.length map in
-  let total = ref 0 and c = ref 0 in
+  let total = ref 0 and c = ref (scan map ~first:0 ~last:(n - 1) 0) in
   while !c < n do
-    if Bytes.unsafe_get map !c = '\000' then incr c
-    else begin
-      let first = !c in
-      while !c < n && Bytes.unsafe_get map !c <> '\000' do incr c done;
-      Bytes.fill map first (!c - first) '\000';
-      total := !total + f (first lsl bits) (!c lsl bits)
-    end
+    let first = !c in
+    while !c < n && Bytes.unsafe_get map !c <> '\000' do incr c done;
+    Bytes.fill map first (!c - first) '\000';
+    total := !total + f (first lsl bits) (!c lsl bits);
+    c := scan map ~first:!c ~last:(n - 1) 0
   done;
   !total

@@ -57,12 +57,9 @@ let region_tag t ~addr ~len =
     invalid_arg "Tag_memory.region_tag: region out of bounds";
   let first, last = granule_range ~addr ~len in
   let tag0 = Char.code (Bytes.get t.tags first) in
-  let rec all_same g =
-    if g > last then Some (Tag.of_int tag0)
-    else if Char.code (Bytes.get t.tags g) <> tag0 then None
-    else all_same (g + 1)
-  in
-  all_same first
+  if Dirty.scan t.tags ~first:(first + 1) ~last tag0 > last then
+    Some (Tag.of_int tag0)
+  else None
 
 (* The validity conditions of [set_region], without the write — the
    arena-lowered [segment.new] keeps the exact trap behaviour while
@@ -87,9 +84,10 @@ let set_region t ~addr ~len tag =
       Dirty.mark_range t.dirty ~bits:chunk_bits first count;
       Ok ()
 
-(* The access-check predicate, on native ints: the one granule loop.
-   [len <= t.size - addr] cannot overflow, so a length too large for
-   the plane is a mismatch rather than a wrapped small span. *)
+(* The access-check predicate, on native ints. [len <= t.size - addr]
+   cannot overflow, so a length too large for the plane is a mismatch
+   rather than a wrapped small span. A span of more than one granule
+   goes to the scan kernel ([Dirty.scan]), eight granules per load. *)
 let matches_native t ~addr ~len (tag : Tag.t) =
   let len = if len < 1 then 1 else len in
   if addr < 0 || len > t.size - addr then false
@@ -101,13 +99,7 @@ let matches_native t ~addr ~len (tag : Tag.t) =
        The range test above keeps both granule indices inside [tags],
        so unsafe_get cannot read out of range. *)
     if first = last then Char.code (Bytes.unsafe_get t.tags first) = want
-    else begin
-      let g = ref first in
-      while !g <= last && Char.code (Bytes.unsafe_get t.tags !g) = want do
-        incr g
-      done;
-      !g > last
-    end
+    else Dirty.scan t.tags ~first ~last want > last
   end
 
 let matches t ~addr ~len tag =
@@ -117,17 +109,10 @@ let matches t ~addr ~len tag =
 
 let first_mismatch t ~addr ~len tag =
   if len <= 0L || not (in_bounds t ~addr ~len) then None
-  else begin
+  else
     let first, last = granule_range ~addr ~len in
-    let want = Tag.to_int tag in
-    let rec go g =
-      if g > last then None
-      else if Char.code (Bytes.get t.tags g) <> want then
-        Some (Int64.mul (Int64.of_int g) 16L)
-      else go (g + 1)
-    in
-    go first
-  end
+    let g = Dirty.scan t.tags ~first ~last (Tag.to_int tag) in
+    if g > last then None else Some (Int64.mul (Int64.of_int g) 16L)
 
 (** Extend the tag PA space in place. When the granule count is
     unchanged (e.g. [memory.grow 0], or a sub-granule size bump) the

@@ -52,7 +52,10 @@ val set_region : t -> addr:int64 -> len:int64 -> Tag.t -> (unit, string) result
 val matches : t -> addr:int64 -> len:int64 -> Tag.t -> bool
 (** Whether every granule overlapping [\[addr, addr+len)] carries the
     given tag — the access-check predicate. Out-of-bounds regions never
-    match. [len <= 0] is treated as a 1-byte access. *)
+    match. [len <= 0] is treated as a 1-byte access. A span within one
+    granule is one compare; a longer one, like {!first_mismatch} and
+    {!region_tag}, is scanned eight granules per load
+    ({!Dirty.scan}). *)
 
 val matches_native : t -> addr:int -> len:int -> Tag.t -> bool
 (** {!matches} on native ints, which it delegates to after its own

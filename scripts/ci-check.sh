@@ -72,6 +72,21 @@ grep -q "^trap: tag fault:" _build/stale_local.out || {
   echo "FAIL: the elided run did not trap with a tag fault"
   cat _build/stale_local.out; exit 1; }
 
+echo "== cagec --Wstack (per-function verdicts only where the sanitizer ran, summing to its totals)"
+dune exec bin/cagec.exe -- examples/quickstart.c --Wstack \
+  -o _build/wstack.wasm > /dev/null 2> _build/wstack_baseline.out
+if grep -q ': slots: ' _build/wstack_baseline.out; then
+  echo "FAIL: the baseline compile printed per-function sanitizer verdicts"
+  cat _build/wstack_baseline.out; exit 1; fi
+dune exec bin/cagec.exe -- examples/quickstart.c --Wstack --config CAGE \
+  -o _build/wstack.wasm > /dev/null 2> _build/wstack_cage.out
+awk '/: slots: / { sub(/.*instrumented: /, ""); sum += $1 }
+  /^cage_stack_slots_instrumented_total / { total = $2 }
+  END { print "   CAGE: per-function instrumented sum " sum + 0 ", total " total
+        exit !(total != "" && sum + 0 == total + 0) }' _build/wstack_cage.out || {
+  echo "FAIL: per-function instrumented counts do not sum to the module total"
+  cat _build/wstack_cage.out; exit 1; }
+
 echo "== chaos detection matrix (golden diff, seed 7)"
 dune exec bin/cage_chaos.exe -- matrix --seed 7 > _build/detection_matrix.out
 diff test/golden/detection_matrix.golden _build/detection_matrix.out
@@ -241,6 +256,16 @@ for w in $words; do
   awk "BEGIN { exit !($w <= 1.0) }" || {
     echo "FAIL: threaded accesses allocate ${w} minor words each"; exit 1; }
 done
+
+echo "== tag-plane span check gate (a 1 MiB check costs <= 1.5x the fill it guards)"
+# On 2-core x86-64 VMs the per-granule loop read 2.3-3.6x, the eight-granule
+# scan 0.6-0.8x.
+bench tagscan > /dev/null
+ratio=$(sed -n 's/.*"check_to_fill_ratio": \([0-9.]*\).*/\1/p' _build/bench-ci/BENCH_tagscan.json)
+echo "   check_to_fill_ratio = ${ratio}"
+awk "BEGIN { exit !($ratio <= 1.5) }" || {
+  echo "FAIL: a 1 MiB span check costs ${ratio}x the fill it guards (bound 1.5)"
+  exit 1; }
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt"

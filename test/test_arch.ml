@@ -225,6 +225,250 @@ let prop_tagmem_set_then_matches =
         | Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* The scan kernel against byte-at-a-time references                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The span checks and [Dirty.drain] scan eight bytes per load. Each is
+   compared here with a byte-at-a-time reference over the test's own
+   copy of the plane or map: spans at every start granule mod 8, of
+   0-40 granules and of 1 MiB, spans that end on the plane's last
+   granule, and spans that start below or reach past the plane. *)
+
+(* The first granule in [first, last] whose tag is not [want], or
+   [last + 1], one granule at a time. *)
+let ref_scan copy first last want =
+  let g = ref first in
+  while !g <= last && copy.(!g) = want do incr g done;
+  !g
+
+let ref_in_bounds size ~addr ~len =
+  addr >= 0L && len >= 0L && len <= Int64.sub (Int64.of_int size) addr
+
+(* Every granule of the in-bounds span [addr, addr + len) tagged [want]. *)
+let ref_all copy ~addr ~len want =
+  let last = (addr + len - 1) / 16 in
+  ref_scan copy (addr / 16) last want > last
+
+let ref_matches copy size ~addr ~len want =
+  let len = Int64.max len 1L in
+  ref_in_bounds size ~addr ~len
+  && ref_all copy ~addr:(Int64.to_int addr) ~len:(Int64.to_int len) want
+
+let ref_matches_native copy size ~addr ~len want =
+  let len = max len 1 in
+  addr >= 0 && len <= size - addr && ref_all copy ~addr ~len want
+
+let ref_first_mismatch copy size ~addr ~len want =
+  if len <= 0L || not (ref_in_bounds size ~addr ~len) then None
+  else
+    let addr = Int64.to_int addr and len = Int64.to_int len in
+    let last = (addr + len - 1) / 16 in
+    let g = ref_scan copy (addr / 16) last want in
+    if g > last then None else Some (Int64.of_int (g * 16))
+
+let ref_region_tag copy size ~addr ~len =
+  if not (ref_in_bounds size ~addr ~len:(Int64.max len 1L)) then Error ()
+  else
+    let addr = Int64.to_int addr and len = Int64.to_int len in
+    let first = addr / 16 in
+    let last = if len <= 0 then first else (addr + len - 1) / 16 in
+    let t0 = copy.(first) in
+    Ok (if ref_scan copy first last t0 > last then Some t0 else None)
+
+(* A plane of [runs] (granules, tag) that ends [short] bytes before its
+   last granule does, and the test's copy of its tags. [set_region]
+   cannot reach a partial last granule, so that one keeps tag 0. *)
+let plane_of_runs runs short =
+  let n = List.fold_left (fun n (len, _) -> n + len) 0 runs in
+  let size = (n * 16) - short in
+  let whole = size / 16 in
+  let tm = Tag_memory.create ~size_bytes:size and copy = Array.make n 0 in
+  ignore
+    (List.fold_left
+       (fun g (len, t) ->
+         let len = min len (whole - g) in
+         if len > 0 then begin
+           (match
+              Tag_memory.set_region tm ~addr:(Int64.of_int (g * 16))
+                ~len:(Int64.of_int (len * 16)) (Tag.of_int t)
+            with
+           | Ok () -> ()
+           | Error e -> failwith e);
+           Array.fill copy g len t
+         end;
+         g + len)
+       0 runs);
+  (tm, copy, size)
+
+let run_gen =
+  QCheck.Gen.(
+    pair
+      (frequency [ (3, int_range 1 12); (1, int_range 13 40) ])
+      (int_bound 3))
+
+let long_run = 65536 + 9
+
+(* Mostly short planes; one in eight holds a run of more than 1 MiB. *)
+let plane_gen =
+  QCheck.Gen.(
+    let around = list_size (int_bound 2) run_gen in
+    pair
+      (frequency
+         [
+           (7, list_size (int_range 1 8) run_gen);
+           ( 1,
+             map3
+               (fun a t b -> a @ [ (long_run, t) ] @ b)
+               around (int_bound 3) around );
+         ])
+      (int_bound 15))
+
+let print_plane (runs, short) =
+  Printf.sprintf "runs [%s], %d bytes short"
+    (String.concat "; "
+       (List.map (fun (n, t) -> Printf.sprintf "%dx%d" n t) runs))
+    short
+
+let prop_span_checks_equal_granule_loop =
+  QCheck.Test.make ~name:"span checks equal the granule loop" ~count:150
+    (QCheck.make ~print:print_plane plane_gen)
+    (fun (runs, short) ->
+      let tm, copy, size = plane_of_runs runs short in
+      let n = Array.length copy in
+      let check64 addr len want =
+        let tag = Tag.of_int want in
+        let fail what =
+          QCheck.Test.fail_reportf "%s: addr %Ld, len %Ld, tag %d" what addr len
+            want
+        in
+        if Tag_memory.matches tm ~addr ~len tag
+           <> ref_matches copy size ~addr ~len want
+        then fail "matches";
+        if Tag_memory.first_mismatch tm ~addr ~len tag
+           <> ref_first_mismatch copy size ~addr ~len want
+        then fail "first_mismatch";
+        let got =
+          match Tag_memory.region_tag tm ~addr ~len with
+          | r -> Ok (Option.map Tag.to_int r)
+          | exception Invalid_argument _ -> Error ()
+        in
+        if got <> ref_region_tag copy size ~addr ~len then fail "region_tag"
+      in
+      let check addr len want =
+        if Tag_memory.matches_native tm ~addr ~len (Tag.of_int want)
+           <> ref_matches_native copy size ~addr ~len want
+        then
+          QCheck.Test.fail_reportf "matches_native: addr %d, len %d, tag %d"
+            addr len want;
+        check64 (Int64.of_int addr) (Int64.of_int len) want
+      in
+      (* the start granule's own tag and another *)
+      let wants g = [ copy.(g); (copy.(g) + 1) land 15 ] in
+      (* every start mod 8 at both ends of the plane: spans of 0-40
+         granules, entered and left inside a granule, and the span to
+         the plane's last byte *)
+      List.iter
+        (fun g ->
+          for k = 0 to 40 do
+            List.iter
+              (fun (o, d) ->
+                List.iter (check ((g * 16) + o) ((k * 16) - d)) (wants g))
+              [ (0, 0); (0, 5); (9, 0); (9, 9) ]
+          done;
+          List.iter (check (g * 16) (size - (g * 16))) (wants g))
+        (List.sort_uniq compare
+           (List.init (min n 16) (fun i -> i)
+           @ List.init (min n 16) (fun i -> n - 1 - i)));
+      (* 1 MiB spans at every start mod 8 inside the long run, and
+         spans that end on its last granule or leave it by 1-7 *)
+      let rec long_start g = function
+        | (len, _) :: _ when len = long_run -> Some g
+        | (len, _) :: rest -> long_start (g + len) rest
+        | [] -> None
+      in
+      Option.iter
+        (fun g0 ->
+          for r = 0 to 7 do
+            List.iter
+              (fun g -> List.iter (check (g * 16) (65536 * 16)) (wants g))
+              [ g0 + r; g0 + 9 + r ]
+          done)
+        (long_start 0 runs);
+      (* spans below, across and past the plane's ends *)
+      let edges =
+        [ min_int; -16; -1; 0; 1; size - 1; size; size + 16; max_int ]
+      in
+      List.iter
+        (fun a -> List.iter (fun l -> List.iter (check a l) [ 0; 1 ]) edges)
+        edges;
+      let edges64 =
+        [ Int64.min_int; -16L; 0L; Int64.of_int size; Int64.max_int ]
+      in
+      List.iter
+        (fun a -> List.iter (fun l -> List.iter (check64 a l) [ 0; 1 ]) edges64)
+        edges64;
+      true)
+
+(* The byte-at-a-time drain: every maximal nonzero run, in order. *)
+let ref_drain map ~bits ~f =
+  let n = Bytes.length map in
+  let total = ref 0 and c = ref 0 in
+  while !c < n do
+    if Bytes.get map !c = '\000' then incr c
+    else begin
+      let first = !c in
+      while !c < n && Bytes.get map !c <> '\000' do incr c done;
+      Bytes.fill map first (!c - first) '\000';
+      total := !total + f (first lsl bits) (!c lsl bits)
+    end
+  done;
+  !total
+
+(* Maps of clean and dirty runs (dirty bytes 1, or any nonzero byte),
+   up to a few thousand chunks and never a multiple of 8 long. *)
+let map_gen =
+  QCheck.Gen.(
+    let run =
+      pair
+        (frequency [ (3, int_range 1 12); (1, int_range 13 300) ])
+        (frequency [ (4, return 0); (3, return 1); (1, int_range 1 255) ])
+    in
+    triple (list_size (int_range 1 12) run) (int_range 1 7)
+      (oneofl [ 0; 8; 12 ]))
+
+let prop_drain_equals_byte_loop =
+  QCheck.Test.make ~name:"Dirty.drain equals the byte loop" ~count:300
+    (QCheck.make
+       ~print:(fun (runs, pad, bits) ->
+         Printf.sprintf "runs [%s], pad %d, bits %d"
+           (String.concat "; "
+              (List.map (fun (n, v) -> Printf.sprintf "%dx%d" n v) runs))
+           pad bits)
+       map_gen)
+    (fun (runs, pad, bits) ->
+      let body =
+        String.concat ""
+          (List.map (fun (n, v) -> String.make n (Char.chr v)) runs)
+      in
+      (* pad to [pad] past a multiple of 8 *)
+      let body =
+        body
+        ^ String.make ((pad - (String.length body mod 8) + 8) mod 8)
+            (Char.chr (pad land 1))
+      in
+      let drained map drain =
+        let calls = ref [] in
+        let total =
+          drain map ~bits ~f:(fun lo hi ->
+              calls := (lo, hi) :: !calls;
+              ((hi - lo) * 3) + (lo mod 5))
+        in
+        (List.rev !calls, total, Bytes.to_string map)
+      in
+      drained (Bytes.of_string body) Dirty.drain
+      = drained (Bytes.of_string body) ref_drain)
+
+(* ------------------------------------------------------------------ *)
 (* Mte                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -585,7 +829,8 @@ let qtests =
     [
       prop_irg_uniform_over_allowed; prop_next_allowed_never_excluded;
       prop_pac_field_roundtrip; prop_ptr_tag_roundtrip;
-      prop_tagmem_set_then_matches; prop_pac_roundtrip;
+      prop_tagmem_set_then_matches; prop_span_checks_equal_granule_loop;
+      prop_drain_equals_byte_loop; prop_pac_roundtrip;
       prop_pac_cross_key_rejected;
     ]
 

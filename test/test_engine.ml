@@ -511,6 +511,34 @@ let test_access_no_allocation () =
     [ ("no chaos", fun () -> None); ("chaos budget spent", spent) ];
   if !over <> [] then Alcotest.fail (String.concat "; " (List.rev !over))
 
+(* The scan kernel allocates nothing: a span check over a matching
+   1 MiB span (65,536 granules, eight per load) and a drain of a clean
+   1,024-chunk dirty map, after a warm-up call of each. *)
+let test_scan_no_allocation () =
+  let bytes = 1 lsl 20 and calls = 20 in
+  let tm = Arch.Tag_memory.create ~size_bytes:bytes in
+  let tag = Arch.Tag.of_int 5 in
+  (match
+     Arch.Tag_memory.set_region tm ~addr:0L ~len:(Int64.of_int bytes) tag
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let map = Arch.Dirty.create ~bits:8 ~dirty:false (1024 * 256) in
+  let words name f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do f () done;
+    let w = (Gc.minor_words () -. w0) /. float_of_int calls in
+    Printf.printf "%s: %.4f minor words per call\n" name w;
+    if w >= 0.1 then Alcotest.failf "%s allocates %.1f minor words per call" name w
+  in
+  words "matches_native, 1 MiB" (fun () ->
+      if not (Arch.Tag_memory.matches_native tm ~addr:0 ~len:bytes tag) then
+        Alcotest.fail "a matching span failed its check");
+  words "Dirty.drain, 1,024 clean chunks" (fun () ->
+      if Arch.Dirty.drain map ~bits:8 ~f:(fun _ _ -> 1) <> 0 then
+        Alcotest.fail "a clean map drained a run")
+
 (* ------------------------------------------------------------------ *)
 (* Linear memory: grow limits and commit on first touch                 *)
 (* ------------------------------------------------------------------ *)
@@ -749,6 +777,8 @@ let () =
           Alcotest.test_case "elided bounds wrap at 2^48" `Quick
             test_elided_bounds_wraps_48_bits;
           Alcotest.test_case "no allocation" `Quick test_access_no_allocation;
+          Alcotest.test_case "tag scan: no allocation" `Quick
+            test_scan_no_allocation;
         ] );
       ( "memory",
         [
