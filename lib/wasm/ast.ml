@@ -148,3 +148,43 @@ let type_of_func (m : module_) i =
   if i < ni then func_type_of m (List.nth m.imports i).im_type
   else func_type_of m (List.nth m.funcs (i - ni)).ftype
 
+(** [f i x] of every element [x] of [l] at position [i], in order, as an
+    array that starts out holding [filler]. OCaml 5.1 allocates an array
+    of more than 256 words in the major heap and, when the value it is
+    made with is young, first runs a minor collection so that the new
+    array holds no young pointer; [Array.of_list], [init] and [map] make
+    theirs with the first element, which is usually young. A static
+    [filler] (a constant constructor or record, a closed top-level
+    function) never is, so the array is made without a collection and
+    each element is stored into it after. *)
+let array_mapi filler f l =
+  let a = Array.make (List.length l) filler in
+  List.iteri (fun i x -> Array.unsafe_set a i (f i x)) l;
+  a
+
+(** A module's index spaces as arrays, built once per module, so that
+    validation, lowering and instantiation look a type, function or
+    global up in O(1) instead of walking a list at every use. *)
+type index = {
+  ix_types : Types.func_type array;
+  ix_imports : import array;
+  ix_funcs : func array;
+  ix_globals : global array;
+}
+
+let index (m : module_) =
+  let id _ x = x in
+  {
+    ix_types = array_mapi { Types.params = []; results = [] } id m.types;
+    ix_imports = array_mapi { im_module = ""; im_name = ""; im_type = 0 } id m.imports;
+    ix_funcs = array_mapi { ftype = 0; locals = []; body = []; fname = None } id m.funcs;
+    ix_globals =
+      array_mapi
+        { g_type = { Types.mut = false; g_type = Types.I32 }; g_init = Values.I32 0l }
+        id m.globals;
+  }
+
+(** {!type_of_func} over an index, for a validated module. *)
+let func_type_at ix i =
+  let ni = Array.length ix.ix_imports in
+  ix.ix_types.(if i < ni then ix.ix_imports.(i).im_type else ix.ix_funcs.(i - ni).ftype)

@@ -65,16 +65,15 @@ let block_arity : Ast.block_type -> int = function
    is the function's result arity (the function-body label). *)
 let resolve arities n = { depth = n; arity = List.nth arities n }
 
-(* Explicit left-to-right recursion: the id counter in [next] makes the
-   traversal order part of the numbering contract. *)
+(* What a prepared array starts out holding ({!Ast.array_mapi}); also the
+   lowerer's instruction past the end of a body. It is a static
+   constant, never young, and no fusion pattern matches [Nop]. *)
+let filler = Basic (Ast.Nop, -1)
+
+(* [Ast.array_mapi] stores left to right: the id counter in [next] makes
+   the traversal order part of the numbering contract. *)
 let rec prepare_block next arities (instrs : Ast.instr list) : instr array =
-  let rec go acc = function
-    | [] -> Array.of_list (List.rev acc)
-    | i :: rest ->
-        let p = prepare_instr next arities i in
-        go (p :: acc) rest
-  in
-  go [] instrs
+  Ast.array_mapi filler (fun _ i -> prepare_instr next arities i) instrs
 
 and prepare_instr next arities : Ast.instr -> instr = function
   | Ast.Block (bt, body) ->
@@ -91,7 +90,7 @@ and prepare_instr next arities : Ast.instr -> instr = function
   | Ast.BrIf n -> BrIf (resolve arities n)
   | Ast.BrTable (targets, default) ->
       BrTable
-        (Array.of_list (List.map (resolve arities) targets),
+        (Ast.array_mapi { depth = 0; arity = 0 } (fun _ n -> resolve arities n) targets,
          resolve arities default)
   | Ast.Return -> Return (List.nth arities (List.length arities - 1))
   | i ->
@@ -121,6 +120,12 @@ let bitset n mark =
   done;
   if !any then row else Bytes.empty
 
+(* The function array's filler: made once, at start-up, so old after the
+   first minor collection ([Bytes.empty] is not a constant). *)
+let unprepared =
+  { body = [||]; result_arity = 0; nbasic = 0; elide = Bytes.empty;
+    belide = Bytes.empty; arena = Bytes.empty }
+
 (** Prepare every local function of a validated module, in function
     index order (imports excluded). [elide]/[belide]/[arena], when
     given, are the static analyzer's plan rows, indexed the same way;
@@ -128,14 +133,12 @@ let bitset n mark =
 let prepare ?(elide = [||]) ?(belide = [||]) ?(arena = [||])
     (m : Ast.module_) : func array =
   let row plan j = if j < Array.length plan then plan.(j) else Bytes.empty in
-  Array.of_list
-    (List.mapi
-       (fun j (f : Ast.func) ->
-         let result_arity =
-           List.length (Ast.func_type_of m f.ftype).Types.results
-         in
-         let next = ref 0 in
-         let body = prepare_block next [ result_arity ] f.body in
-         { body; result_arity; nbasic = !next; elide = row elide j;
-           belide = row belide j; arena = row arena j })
-       m.funcs)
+  let types = (Ast.index m).ix_types in
+  Ast.array_mapi unprepared
+    (fun j (f : Ast.func) ->
+      let result_arity = List.length types.(f.ftype).Types.results in
+      let next = ref 0 in
+      let body = prepare_block next [ result_arity ] f.body in
+      { body; result_arity; nbasic = !next; elide = row elide j;
+        belide = row belide j; arena = row arena j })
+    m.funcs

@@ -556,11 +556,20 @@ let run_body (inst : Instance.t) ~depth (xf : Instance.t Xcode.func)
 (* The compiler                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The fusion window's one accessor: [body.(j)], or the static
+   {!Code.filler} past the end, so reading a window allocates nothing. *)
+let instr_at (body : Code.instr array) j =
+  if j < Array.length body then Array.unsafe_get body j else Code.filler
+
 (* The basic instruction at [body.(j)], or [Nop] past the end or at a
    control instruction. *)
-let basic_at (body : Code.instr array) j =
-  if j >= Array.length body then Ast.Nop
-  else match body.(j) with Code.Basic (ins, _) -> ins | _ -> Ast.Nop
+let basic_at body j =
+  match instr_at body j with Code.Basic (ins, _) -> ins | _ -> Ast.Nop
+
+(* What an op or branch-action array starts out holding (the array rule
+   of {!Ast.array_mapi}): a closed top-level function, so a static
+   closure. Every slot is overwritten before the array is used. *)
+let unset_op (_ : Instance.t Xcode.state) = -1
 
 type frame = {
   l_target : int ref;  (** op index branches to this label jump to *)
@@ -572,15 +581,12 @@ type frame = {
           even when the body's fall-through is not *)
 }
 
-let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
-    ~(func : Ast.func) ~(code : Code.func) ~(mtr : Meter.t) :
-    Instance.t Xcode.func * Xcode.stats =
+let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
+    ~(ty : Types.func_type) ~(func : Ast.func) ~(code : Code.func)
+    ~(mtr : Meter.t) : Instance.t Xcode.func * Xcode.stats =
   let nparams = List.length ty.params in
   let nlocals = List.length func.locals in
   let result_arity = code.result_arity in
-  let global_tys =
-    Array.of_list (List.map (fun (g : Ast.global) -> g.g_type.Types.g_type) m.globals)
-  in
   (* A validated module without a memory has no memory instructions, so
      the [None] default is never consulted. *)
   let mem_idx =
@@ -765,7 +771,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
               (Xcode.slot_of_value (Array.unsafe_get st.inst.globals i));
             next)
     | GlobalSet i ->
-        let gty = global_tys.(i) in
+        let gty = ix.ix_globals.(i).g_type.Types.g_type in
         let p = pops 1 0 in
         put (fun st ->
             tick st.inst;
@@ -1002,7 +1008,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                  (f st.inst (Xcode.i64_of_slot (Array.unsafe_get stk q))));
             next)
     | Call fi ->
-        let cty = Ast.type_of_func m fi in
+        let cty = Ast.func_type_at ix fi in
         let p = pops (List.length cty.params) (List.length cty.results) in
         let param_tys = Array.of_list cty.params in
         put (fun st ->
@@ -1011,7 +1017,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             call_function st fi (st.opbase + p) param_tys;
             next)
     | CallIndirect ti ->
-        let ety = List.nth m.types ti in
+        let ety = ix.ix_types.(ti) in
         let nargs = List.length ety.params in
         let p = pops (nargs + 1) (List.length ety.results) in
         let param_tys = Array.of_list ety.params in
@@ -1054,7 +1060,6 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     let open Ast in
     let next = !count + 1 in
     let s = { w32; c; cvts = ext; scales } and k = ext + 1 + (2 * scales) in
-    let at j = if i + j < Array.length body then Some body.(i + j) else None in
     let name =
       (if w32 then "i32" else "i64") ^ (if ext = 1 then ".ext" else "")
       ^ if scales = 1 then ".scale.add" else ".add"
@@ -1072,9 +1077,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
           next);
       fused (name ^ consumer) n
     in
-    match (at k, at (k + 1)) with
-    | ( Some (Code.Basic (Load (Types.F64, None, ma), lid)),
-        Some (Code.Basic (FBinop (W64, ((FAdd | FSub | FMul | FDiv) as op)), _)) ) ->
+    match (instr_at body (i + k), instr_at body (i + k + 1)) with
+    | ( Code.Basic (Load (Types.F64, None, ma), lid),
+        Code.Basic (FBinop (W64, ((FAdd | FSub | FMul | FDiv) as op)), _) ) ->
         let p = shape ~peak:scales ~net:(-2) - 3 in
         let body =
           load_body lid Types.F64 None ma ~src:(Sop (p + 1)) ~dst:(Sop (p + 1))
@@ -1090,10 +1095,10 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                  (Array.unsafe_get stk (q + 1)));
             next);
         fused (name ^ ".load.f64.op") n
-    | Some (Code.Basic (Load (lty, pack, ma), lid)), _ ->
+    | Code.Basic (Load (lty, pack, ma), lid), _ ->
         emit ".load" (k + 1) ~net:(-1) ~lg:0 (fun p ->
             load_body lid lty pack ma ~src:(Sop p) ~dst:(Sop p))
-    | Some (Code.Basic (LocalGet v, _)), Some (Code.Basic (Store (sty, pack, ma), sid)) ->
+    | Code.Basic (LocalGet v, _), Code.Basic (Store (sty, pack, ma), sid) ->
         emit ".lg.store" (k + 2) ~net:(-2) ~lg:1 (fun p ->
             store_body sid sty pack ma ~src:(Sop p) ~vsrc:(Sloc v))
     | _ when k > 1 -> emit "" k ~net:(-1) ~lg:0 (fun _ _ -> ())
@@ -1121,16 +1126,17 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     if k > 0 then k else
     let open Ast in
     let next = !count + 1 in
-    let n = Array.length body in
-    let at k = if i + k < n then Some body.(i + k) else None in
-    match (at 0, at 1, at 2, at 3, at 4) with
+    match
+      ( instr_at body i, instr_at body (i + 1), instr_at body (i + 2),
+        instr_at body (i + 3), instr_at body (i + 4) )
+    with
     (* local.get a; local.get b; i32 relop; i32.eqz; br_if — the
        inverted loop guard every structured while-loop compiles to *)
-    | ( Some (Code.Basic (LocalGet a, _)),
-        Some (Code.Basic (LocalGet b, _)),
-        Some (Code.Basic (IRelop (W32, op), _)),
-        Some (Code.Basic (ITestop W32, _)),
-        Some (Code.BrIf l) ) ->
+    | ( Code.Basic (LocalGet a, _),
+        Code.Basic (LocalGet b, _),
+        Code.Basic (IRelop (W32, op), _),
+        Code.Basic (ITestop W32, _),
+        Code.BrIf l ) ->
         ignore (shape ~peak:2 ~net:0);
         let act = branch_action labels l in
         put (fun st ->
@@ -1145,10 +1151,10 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     (* local.get base; local.get a; local.get b; i32 binop — the head
        of an address chain: the base pointer rides below the combined
        index. *)
-    | ( Some (Code.Basic (LocalGet v0, _)),
-        Some (Code.Basic (LocalGet a, _)),
-        Some (Code.Basic (LocalGet b, _)),
-        Some (Code.Basic (IBinop (W32, op), _)),
+    | ( Code.Basic (LocalGet v0, _),
+        Code.Basic (LocalGet a, _),
+        Code.Basic (LocalGet b, _),
+        Code.Basic (IBinop (W32, op), _),
         _ )
       when i32_binop_fusable op ->
         let p = shape ~peak:3 ~net:2 in
@@ -1162,9 +1168,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         fused "i32.lg.lg.lg.op" 4
     (* local.get a; local.get b; i32 binop *)
-    | ( Some (Code.Basic (LocalGet a, _)),
-        Some (Code.Basic (LocalGet b, _)),
-        Some (Code.Basic (IBinop (W32, op), _)),
+    | ( Code.Basic (LocalGet a, _),
+        Code.Basic (LocalGet b, _),
+        Code.Basic (IBinop (W32, op), _),
         _,
         _ )
       when i32_binop_fusable op ->
@@ -1178,9 +1184,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         fused "i32.lg.lg.op" 3
     (* local.get a; local.get b; f64 binop *)
-    | ( Some (Code.Basic (LocalGet a, _)),
-        Some (Code.Basic (LocalGet b, _)),
-        Some (Code.Basic (FBinop (W64, op), _)),
+    | ( Code.Basic (LocalGet a, _),
+        Code.Basic (LocalGet b, _),
+        Code.Basic (FBinop (W64, op), _),
         _,
         _ ) ->
         let p = shape ~peak:2 ~net:1 in
@@ -1194,9 +1200,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         fused "f64.lg.lg.op" 3
     (* local.get addr; local.get v; store *)
-    | ( Some (Code.Basic (LocalGet a, _)),
-        Some (Code.Basic (LocalGet b, _)),
-        Some (Code.Basic (Store (sty, pack, ma), sid)),
+    | ( Code.Basic (LocalGet a, _),
+        Code.Basic (LocalGet b, _),
+        Code.Basic (Store (sty, pack, ma), sid),
         _,
         _ ) ->
         ignore (shape ~peak:2 ~net:0);
@@ -1209,10 +1215,10 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         fused "lg.lg.store" 3
     (* local.get; i32.const; i32 binop; local.set — the loop-counter
        increment quad *)
-    | ( Some (Code.Basic (LocalGet a, _)),
-        Some (Code.Basic (I32Const c, _)),
-        Some (Code.Basic (IBinop (W32, op), _)),
-        Some (Code.Basic (LocalSet d, _)),
+    | ( Code.Basic (LocalGet a, _),
+        Code.Basic (I32Const c, _),
+        Code.Basic (IBinop (W32, op), _),
+        Code.Basic (LocalSet d, _),
         _ )
       when i32_binop_fusable op ->
         ignore (shape ~peak:2 ~net:0);
@@ -1226,9 +1232,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         fused "i32.lg.const.op.ls" 4
     (* local.get; i32.const; i32 binop *)
-    | ( Some (Code.Basic (LocalGet a, _)),
-        Some (Code.Basic (I32Const c, _)),
-        Some (Code.Basic (IBinop (W32, op), _)),
+    | ( Code.Basic (LocalGet a, _),
+        Code.Basic (I32Const c, _),
+        Code.Basic (IBinop (W32, op), _),
         _,
         _ )
       when i32_binop_fusable op ->
@@ -1243,8 +1249,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         fused "i32.lg.const.op" 3
     (* local.get addr; load *)
-    | ( Some (Code.Basic (LocalGet a, _)),
-        Some (Code.Basic (Load (lty, pack, ma), lid)),
+    | ( Code.Basic (LocalGet a, _),
+        Code.Basic (Load (lty, pack, ma), lid),
         _,
         _,
         _ ) ->
@@ -1257,8 +1263,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         fused "lg.load" 2
     (* local.get; local.set — a register-to-register move *)
-    | ( Some (Code.Basic (LocalGet a, _)),
-        Some (Code.Basic (LocalSet d, _)),
+    | ( Code.Basic (LocalGet a, _),
+        Code.Basic (LocalSet d, _),
         _,
         _,
         _ ) ->
@@ -1271,8 +1277,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         fused "lg.ls" 2
     (* stack-top ⊕ local.get; i32 binop — index arithmetic ([i * n + j]) *)
-    | ( Some (Code.Basic (LocalGet b, _)),
-        Some (Code.Basic (IBinop (W32, op), _)),
+    | ( Code.Basic (LocalGet b, _),
+        Code.Basic (IBinop (W32, op), _),
         _,
         _,
         _ )
@@ -1286,8 +1292,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         fused "i32.lg.op" 2
     (* stack-top ⊕ local.get; f64 binop *)
-    | ( Some (Code.Basic (LocalGet b, _)),
-        Some (Code.Basic (FBinop (W64, op), _)),
+    | ( Code.Basic (LocalGet b, _),
+        Code.Basic (FBinop (W64, op), _),
         _,
         _,
         _ ) ->
@@ -1303,8 +1309,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         fused "f64.lg.op" 2
     (* f64 binop; local.set — compute and park the result in a
        register in one step *)
-    | ( Some (Code.Basic (FBinop (W64, op), _)),
-        Some (Code.Basic (LocalSet v, _)),
+    | ( Code.Basic (FBinop (W64, op), _),
+        Code.Basic (LocalSet v, _),
         _,
         _,
         _ ) ->
@@ -1319,8 +1325,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         fused "f64.op.ls" 2
     (* local.get value; store — store straight from a register *)
-    | ( Some (Code.Basic (LocalGet v, _)),
-        Some (Code.Basic (Store (sty, pack, ma), sid)),
+    | ( Code.Basic (LocalGet v, _),
+        Code.Basic (Store (sty, pack, ma), sid),
         _,
         _,
         _ ) ->
@@ -1333,8 +1339,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         fused "lg.store" 2
     (* load; local.set *)
-    | ( Some (Code.Basic (Load (lty, pack, ma), lid)),
-        Some (Code.Basic (LocalSet j, _)),
+    | ( Code.Basic (Load (lty, pack, ma), lid),
+        Code.Basic (LocalSet j, _),
         _,
         _,
         _ ) ->
@@ -1347,8 +1353,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         fused "load.ls" 2
     (* i32.const; i32 binop — constant-folded RHS on the stack top *)
-    | ( Some (Code.Basic (I32Const c, _)),
-        Some (Code.Basic (IBinop (W32, op), _)),
+    | ( Code.Basic (I32Const c, _),
+        Code.Basic (IBinop (W32, op), _),
         _,
         _,
         _ )
@@ -1363,8 +1369,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         fused "i32.const.op" 2
     (* i32.eqz; br_if — branch on zero *)
-    | ( Some (Code.Basic (ITestop W32, _)),
-        Some (Code.BrIf l),
+    | ( Code.Basic (ITestop W32, _),
+        Code.BrIf l,
         _,
         _,
         _ ) ->
@@ -1481,7 +1487,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     | Code.BrTable (targets, default) ->
         decr h;
         let hidx = !h in
-        let acts = Array.map (branch_action labels) targets in
+        let acts = Array.make (Array.length targets) unset_op in
+        Array.iteri (fun j l -> acts.(j) <- branch_action labels l) targets;
         let default_act = branch_action labels default in
         let nt = Array.length acts in
         put (fun st ->
@@ -1524,8 +1531,11 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
       st_elided = !n_elided;
     }
   in
+  (* [rev_ops] holds the ops last first: fill the array from its end *)
+  let ops = Array.make !count unset_op in
+  List.iteri (fun j op -> ops.(!count - 1 - j) <- op) !rev_ops;
   ( {
-      ops = Array.of_list (List.rev !rev_ops);
+      ops;
       nparams;
       nlocals;
       result_arity;
@@ -1539,7 +1549,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     [xcode] slots of its [Wasm_func]s in place. Called by
     [Exec.instantiate] once, right after the function table exists and
     before element/data segments and the start function run. *)
-let compile_instance (inst : Instance.t) =
+let compile_instance ix (inst : Instance.t) =
   (* Bake a meter into every op unconditionally: when the instance has
      none, a private dummy absorbs the counts — an unconditional field
      increment is cheaper than a per-op option match, and the dummy is
@@ -1551,7 +1561,7 @@ let compile_instance (inst : Instance.t) =
       | Instance.Host_func _ -> ()
       | Instance.Wasm_func ({ func; ty; code; _ } as w) ->
           let xf, _stats =
-            compile ~m:inst.module_
+            compile ~m:inst.module_ ~ix
               ~name:(Instance.func_name inst i)
               ~ty ~func ~code ~mtr
           in
@@ -1564,13 +1574,15 @@ let compile_instance (inst : Instance.t) =
     analyzer's bitset array, as passed to instantiation. *)
 let module_stats ?elide ?belide ?arena (m : Ast.module_) : Xcode.stats list =
   let codes = Code.prepare ?elide ?belide ?arena m in
+  let ix = Ast.index m in
   List.mapi
     (fun j (f : Ast.func) ->
-      let ty = List.nth m.types f.ftype in
       let name =
         match f.fname with
         | Some n -> n
-        | None -> Printf.sprintf "f%d" (Ast.num_imports m + j)
+        | None -> Printf.sprintf "f%d" (Array.length ix.ix_imports + j)
       in
-      snd (compile ~m ~name ~ty ~func:f ~code:codes.(j) ~mtr:(Meter.create ())))
+      snd
+        (compile ~m ~ix ~name ~ty:ix.ix_types.(f.ftype) ~func:f ~code:codes.(j)
+           ~mtr:(Meter.create ())))
     m.funcs

@@ -471,6 +471,12 @@ and invoke_idx (inst : Instance.t) ~depth stack i =
 
 let instance_counter = ref 0
 
+(* The function array's filler (the array rule of {!Ast.array_mapi}): a
+   static constant, as its function is closed. Every slot is overwritten
+   before the array is read. *)
+let unresolved =
+  Host_func { fn = (fun _ _ -> []); ty = { Types.params = []; results = [] }; name = "" }
+
 (** Validate and instantiate a module. A module that fails validation
     raises {!Validate.Invalid} before any instance state exists (it
     consumes no instance id). [imports] supplies host functions by
@@ -488,6 +494,7 @@ let instantiate ?(config = Instance.default_config)
   incr instance_counter;
   let id = !instance_counter in
   let rng = Random.State.make [| config.seed; id |] in
+  let ix = Ast.index m in
   let resolve (im : Ast.import) =
     match
       List.find_opt
@@ -497,7 +504,7 @@ let instantiate ?(config = Instance.default_config)
     with
     | Some (_, _, fn) ->
         Host_func
-          { fn; ty = List.nth m.types im.im_type;
+          { fn; ty = ix.ix_types.(im.im_type);
             name = im.im_module ^ "." ^ im.im_name }
     | None ->
         raise
@@ -526,7 +533,7 @@ let instantiate ?(config = Instance.default_config)
       table;
       mem;
       mte;
-      globals = Array.of_list (List.map (fun (g : Ast.global) -> g.g_init) m.globals);
+      globals = Ast.array_mapi (Values.I32 0l) (fun _ (g : Ast.global) -> g.g_init) m.globals;
       pac_key =
         (match config.pac_key with
         | Some k -> k
@@ -545,24 +552,21 @@ let instantiate ?(config = Instance.default_config)
       chaos = None;
     }
   in
-  let n_imports = List.length m.imports in
+  let n_imports = Array.length ix.ix_imports in
   let codes =
     Code.prepare ~elide:config.elide ~belide:config.belide ~arena:config.arena m
   in
-  let funcs =
-    Array.init
-      (n_imports + List.length m.funcs)
-      (fun i ->
-        if i < n_imports then resolve (List.nth m.imports i)
-        else
-          let f = List.nth m.funcs (i - n_imports) in
-          let ty = List.nth m.types f.ftype in
-          Wasm_func
-            { inst_id = id; func = f; ty; code = codes.(i - n_imports);
-              xcode = None })
-  in
+  let funcs = Array.make (n_imports + Array.length codes) unresolved in
+  Array.iteri (fun i im -> funcs.(i) <- resolve im) ix.ix_imports;
+  Array.iteri
+    (fun j (f : Ast.func) ->
+      funcs.(n_imports + j) <-
+        Wasm_func
+          { inst_id = id; func = f; ty = ix.ix_types.(f.ftype); code = codes.(j);
+            xcode = None })
+    ix.ix_funcs;
   let inst = { inst with funcs } in
-  if config.engine = Threaded then Compile.compile_instance inst;
+  if config.engine = Threaded then Compile.compile_instance ix inst;
   (* element segments *)
   List.iter
     (fun (e : Ast.elem) ->

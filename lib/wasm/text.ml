@@ -613,6 +613,11 @@ let parse (src : string) : Ast.module_ =
   expect_lp p;
   expect_kw p "module";
   let m = ref Ast.empty_module in
+  (* list fields accumulate last first and are reversed once at the end,
+     so parsing is linear in the number of fields *)
+  let types = ref [] and imports = ref [] and funcs = ref [] in
+  let globals = ref [] and elems = ref [] and datas = ref [] in
+  let exports = ref [] in
   let rec fields () =
     match peek_tok p with
     | Some RP ->
@@ -623,7 +628,7 @@ let parse (src : string) : Ast.module_ =
         (match kw with
         | "type" ->
             let ft = parse_functype_body p in
-            m := { !m with Ast.types = !m.Ast.types @ [ ft ] };
+            types := ft :: !types;
             expect_rp p
         | "import" ->
             let im_module =
@@ -640,7 +645,7 @@ let parse (src : string) : Ast.module_ =
             expect_rp p;
             expect_rp p;
             expect_rp p;
-            m := { !m with Ast.imports = !m.Ast.imports @ [ { Ast.im_module; im_name; im_type } ] }
+            imports := { Ast.im_module; im_name; im_type } :: !imports
         | "memory" ->
             let idx =
               match expect_atom p with
@@ -692,12 +697,9 @@ let parse (src : string) : Ast.module_ =
             in
             expect_rp p;
             expect_rp p;
-            m :=
-              { !m with
-                Ast.globals =
-                  !m.Ast.globals
-                  @ [ { Ast.g_type = { Types.mut; g_type = gty };
-                        g_init = init } ] }
+            globals :=
+              { Ast.g_type = { Types.mut; g_type = gty }; g_init = init }
+              :: !globals
         | "func" ->
             let fname =
               match peek_tok p with
@@ -729,10 +731,7 @@ let parse (src : string) : Ast.module_ =
             in
             let body, _ = parse_instrs p ~stops:[ ")" ] in
             expect_rp p;
-            m :=
-              { !m with
-                Ast.funcs =
-                  !m.Ast.funcs @ [ { Ast.ftype; locals; body; fname } ] }
+            funcs := { Ast.ftype; locals; body; fname } :: !funcs
         | "elem" ->
             expect_lp p;
             expect_kw p "offset";
@@ -748,10 +747,7 @@ let parse (src : string) : Ast.module_ =
             in
             let fs = idxs [] in
             expect_rp p;
-            m :=
-              { !m with
-                Ast.elems =
-                  !m.Ast.elems @ [ { Ast.e_offset = off; e_funcs = fs } ] }
+            elems := { Ast.e_offset = off; e_funcs = fs } :: !elems
         | "data" ->
             expect_lp p;
             expect_kw p "offset";
@@ -761,10 +757,7 @@ let parse (src : string) : Ast.module_ =
               match next_tok p with Str s -> s | _ -> perr "data bytes"
             in
             expect_rp p;
-            m :=
-              { !m with
-                Ast.datas =
-                  !m.Ast.datas @ [ { Ast.d_offset = off; d_bytes = bytes } ] }
+            datas := { Ast.d_offset = off; d_bytes = bytes } :: !datas
         | "export" ->
             let name =
               match next_tok p with Str s -> s | _ -> perr "export name"
@@ -780,10 +773,7 @@ let parse (src : string) : Ast.module_ =
               | "memory" -> Ast.Mem_export idx
               | k -> perr "unsupported export kind %s" k
             in
-            m :=
-              { !m with
-                Ast.exports =
-                  !m.Ast.exports @ [ { Ast.ex_name = name; ex_desc = desc } ] }
+            exports := { Ast.ex_name = name; ex_desc = desc } :: !exports
         | "start" ->
             let i = expect_int p in
             expect_rp p;
@@ -793,4 +783,11 @@ let parse (src : string) : Ast.module_ =
     | _ -> perr "expected module field or )"
   in
   fields ();
-  !m
+  { !m with
+    Ast.types = List.rev !types;
+    imports = List.rev !imports;
+    funcs = List.rev !funcs;
+    globals = List.rev !globals;
+    exports = List.rev !exports;
+    elems = List.rev !elems;
+    datas = List.rev !datas }

@@ -29,23 +29,33 @@ type frame = {
   mutable unreachable : bool;
 }
 
+(* Validation is linear in stack depth and module size: the operand
+   stack's height is kept beside it (never [List.length ops]), and every
+   type, function and global lookup reads the module's {!Ast.index}. *)
 type ctx = {
   m : Ast.module_;
+  ix : Ast.index;
   cage : bool;
   locals : Types.val_type array;
   ret : Types.val_type list;
   mutable ops : op list;
+  mutable height : int;  (** [List.length ops] *)
   mutable ctrls : frame list;
 }
 
-let push ctx t = ctx.ops <- Known t :: ctx.ops
-let push_unknown ctx = ctx.ops <- Unknown :: ctx.ops
+let push ctx t =
+  ctx.ops <- Known t :: ctx.ops;
+  ctx.height <- ctx.height + 1
+
+let push_unknown ctx =
+  ctx.ops <- Unknown :: ctx.ops;
+  ctx.height <- ctx.height + 1
 
 let pop_any ctx =
   match ctx.ctrls with
   | [] -> error "control stack empty"
   | frame :: _ ->
-      if List.length ctx.ops = frame.height then
+      if ctx.height = frame.height then
         if frame.unreachable then Unknown
         else error "operand stack underflow"
       else begin
@@ -53,6 +63,7 @@ let pop_any ctx =
         | [] -> error "operand stack underflow"
         | o :: rest ->
             ctx.ops <- rest;
+            ctx.height <- ctx.height - 1;
             o
       end
 
@@ -70,8 +81,7 @@ let push_list ctx ts = List.iter (push ctx) ts
 
 let push_frame ctx ~label_types ~end_types =
   ctx.ctrls <-
-    { label_types; end_types; height = List.length ctx.ops;
-      unreachable = false }
+    { label_types; end_types; height = ctx.height; unreachable = false }
     :: ctx.ctrls
 
 let pop_frame ctx =
@@ -79,7 +89,7 @@ let pop_frame ctx =
   | [] -> error "control stack empty"
   | frame :: rest ->
       pop_list ctx frame.end_types;
-      if List.length ctx.ops <> frame.height then
+      if ctx.height <> frame.height then
         error "values left on stack at end of block";
       ctx.ctrls <- rest;
       frame
@@ -92,11 +102,12 @@ let set_unreachable ctx =
       let rec drop ops n = if n <= 0 then ops else
           match ops with [] -> [] | _ :: tl -> drop tl (n - 1)
       in
-      ctx.ops <- drop ctx.ops (List.length ctx.ops - frame.height);
+      ctx.ops <- drop ctx.ops (ctx.height - frame.height);
+      ctx.height <- frame.height;
       frame.unreachable <- true
 
 let label_types ctx n =
-  match List.nth_opt ctx.ctrls n with
+  match if n < 0 then None else List.nth_opt ctx.ctrls n with
   | Some f -> f.label_types
   | None -> error "branch depth %d out of range" n
 
@@ -171,18 +182,18 @@ let cvt_sig : Ast.cvtop -> Types.val_type * Types.val_type = function
   | F32ReinterpretI32 -> (Types.I32, Types.F32)
   | F64ReinterpretI64 -> (Types.I64, Types.F64)
 
+let in_range a i = i >= 0 && i < Array.length a
+
 let func_type ctx i =
-  match List.nth_opt ctx.m.types i with
-  | Some ft -> ft
-  | None -> error "type index %d out of range" i
+  if in_range ctx.ix.ix_types i then ctx.ix.ix_types.(i)
+  else error "type index %d out of range" i
 
 let type_of_func ctx i =
-  let ni = Ast.num_imports ctx.m in
-  if i < ni then func_type ctx (List.nth ctx.m.imports i).im_type
-  else
-    match List.nth_opt ctx.m.funcs (i - ni) with
-    | Some f -> func_type ctx f.ftype
-    | None -> error "function index %d out of range" i
+  let ni = Array.length ctx.ix.ix_imports in
+  if i >= 0 && i < ni then func_type ctx ctx.ix.ix_imports.(i).im_type
+  else if in_range ctx.ix.ix_funcs (i - ni) then
+    func_type ctx ctx.ix.ix_funcs.(i - ni).ftype
+  else error "function index %d out of range" i
 
 let local_ty ctx i =
   if i < 0 || i >= Array.length ctx.locals then
@@ -190,9 +201,8 @@ let local_ty ctx i =
   else ctx.locals.(i)
 
 let global_ty ctx i =
-  match List.nth_opt ctx.m.globals i with
-  | Some g -> g.g_type
-  | None -> error "global index %d out of range" i
+  if in_range ctx.ix.ix_globals i then ctx.ix.ix_globals.(i).g_type
+  else error "global index %d out of range" i
 
 let rec instr ctx (ins : Ast.instr) =
   match ins with
@@ -367,19 +377,20 @@ let rec instr ctx (ins : Ast.instr) =
 
 and seq ctx = List.iter (instr ctx)
 
-let validate_func (m : Ast.module_) ~cage (f : Ast.func) =
+let validate_func (m : Ast.module_) ix ~cage (f : Ast.func) =
   let ft =
-    match List.nth_opt m.types f.ftype with
-    | Some ft -> ft
-    | None -> error "function type index %d out of range" f.ftype
+    if in_range ix.Ast.ix_types f.ftype then ix.ix_types.(f.ftype)
+    else error "function type index %d out of range" f.ftype
   in
   let ctx =
     {
       m;
+      ix;
       cage;
       locals = Array.of_list (ft.params @ f.locals);
       ret = ft.results;
       ops = [];
+      height = 0;
       ctrls = [];
     }
   in
@@ -392,6 +403,7 @@ let validate_func (m : Ast.module_) ~cage (f : Ast.func) =
   ignore (pop_frame ctx)
 
 let validate_module (m : Ast.module_) ~cage =
+  let ix = Ast.index m in
   (* memory limits *)
   Option.iter
     (fun (mt : Types.mem_type) ->
@@ -412,7 +424,7 @@ let validate_module (m : Ast.module_) ~cage =
   (* imports reference valid types *)
   List.iter
     (fun (im : Ast.import) ->
-      if List.nth_opt m.types im.im_type = None then
+      if not (in_range ix.ix_types im.im_type) then
         error "import %s.%s: type index out of range" im.im_module im.im_name)
     m.imports;
   (* element segments *)
@@ -436,7 +448,7 @@ let validate_module (m : Ast.module_) ~cage =
   Option.iter
     (fun i ->
       let ctx =
-        { m; cage; locals = [||]; ret = []; ops = []; ctrls = [] }
+        { m; ix; cage; locals = [||]; ret = []; ops = []; height = 0; ctrls = [] }
       in
       let ft = type_of_func ctx i in
       if ft.params <> [] || ft.results <> [] then
@@ -454,14 +466,14 @@ let validate_module (m : Ast.module_) ~cage =
             error "export %s: memory index out of range" ex.ex_name)
     m.exports;
   (* export names are unique: an instance looks its exports up by name *)
-  ignore
-    (List.fold_left
-       (fun seen (ex : Ast.export) ->
-         if List.mem ex.ex_name seen then
-           error "duplicate export name %s" ex.ex_name;
-         ex.ex_name :: seen)
-       [] m.exports);
-  List.iter (validate_func m ~cage) m.funcs
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (ex : Ast.export) ->
+      if Hashtbl.mem seen ex.ex_name then
+        error "duplicate export name %s" ex.ex_name;
+      Hashtbl.add seen ex.ex_name ())
+    m.exports;
+  List.iter (validate_func m ix ~cage) m.funcs
 
 let check ?(cage = true) m = validate_module m ~cage
 

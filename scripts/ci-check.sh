@@ -23,6 +23,32 @@ grep -q "^invalid module: .*type mismatch" _build/ill_typed.out || {
   echo "FAIL: rejection not reported as an invalid module"; cat _build/ill_typed.out
   exit 1; }
 
+echo "== the door stays linear (a deep operand stack and 20,000 chained functions)"
+# One function stacks 100,000 i32.consts and drops them; 20,000 more call
+# one another in a ring that main never enters. Parsing, validation,
+# preparation and lowering are linear in stack depth and module size, so
+# cage_run takes about 0.3 s on a 2-core x86-64 VM; with a per-pop stack
+# length and per-call list lookups it took 25 s.
+awk 'BEGIN {
+  print "(module"
+  print "  (type (func (result i64)))"
+  print "  (type (func))"
+  print "  (func $main (type 0) i64.const 7)"
+  printf "  (func $deep (type 1)"
+  for (i = 0; i < 100000; i++) printf " i32.const %d", i
+  for (i = 0; i < 100000; i++) printf " drop"
+  print ")"
+  for (i = 2; i < 20002; i++) printf "  (func (type 1) call %d)\n", (i < 20001 ? i + 1 : 1)
+  print "  (export \"main\" (func 0))"
+  print ")"
+}' > _build/door_linear.wat
+timeout 5 ./_build/default/bin/cage_run.exe _build/door_linear.wat \
+  > _build/door_linear.out 2>&1 || {
+  echo "FAIL: cage_run did not accept and run the module within 5 s"
+  cat _build/door_linear.out; exit 1; }
+grep -q "^main() -> i64:7$" _build/door_linear.out || {
+  echo "FAIL: unexpected result"; cat _build/door_linear.out; exit 1; }
+
 echo "== elision at the door (a stale local under a block must not skip a check)"
 # The value of local 2 pushed before the block is compared after the
 # block overwrote local 2; with j = 1000 << 20 the store lands 1001 bytes

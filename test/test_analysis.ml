@@ -433,13 +433,33 @@ let test_saved_stack_elided_run_traps () =
    PolyBench and 88,345 on Fuzzgen (1,308,167 and 232,983 when every
    instruction built a new state); each bound is 1.1 times the
    reading. *)
+(* PolyBench and Fuzzgen seeds 0-199 compiled under Cage-mem-safety
+   with the full plan (tags, bounds, arenas), with each module's
+   instance configuration, compiled once for the allocation tests. *)
+let full_plan = Cage.Config.(with_arena (with_bounds_elision mem_safety))
+
+let allocation_corpora =
+  lazy
+    (List.map
+       (fun (corpus, sources) ->
+         ( corpus,
+           List.map
+             (fun src ->
+               let m = compile ~cfg:full_plan src in
+               (m, Cage.Config.instance_config ~m full_plan))
+             sources ))
+       [ ("polybench",
+          List.map
+            (fun k -> k.Workloads.Polybench.k_source)
+            Workloads.Polybench.all);
+         ("fuzzgen 0-199",
+          List.init 200 (fun seed ->
+              Workloads.Fuzzgen.render (Workloads.Fuzzgen.generate ~seed))) ])
+
 let test_plan_allocation () =
-  let cfg =
-    Cage.Config.(with_arena (with_bounds_elision mem_safety))
-  in
   List.iter
-    (fun (corpus, bound, sources) ->
-      let ms = List.map (compile ~cfg) sources in
+    (fun (corpus, bound) ->
+      let ms = List.map fst (List.assoc corpus (Lazy.force allocation_corpora)) in
       let before = Gc.minor_words () in
       List.iter
         (fun m ->
@@ -451,13 +471,72 @@ let test_plan_allocation () =
       if per_module > bound then
         Alcotest.failf "%s: %.0f minor words per plan (bound %.0f)" corpus
           per_module bound)
-    [ ("polybench", 381_900.,
-       List.map
-         (fun k -> k.Workloads.Polybench.k_source)
-         Workloads.Polybench.all);
-      ("fuzzgen 0-199", 97_100.,
-       List.init 200 (fun seed ->
-           Workloads.Fuzzgen.render (Workloads.Fuzzgen.generate ~seed))) ]
+    [ ("polybench", 381_900.); ("fuzzgen 0-199", 97_100.) ]
+
+(* Preparing, lowering and instantiating a module runs no minor
+   collection its own allocation does not fill: from an emptied minor
+   heap, each stage of each module may run [minor words / minor heap
+   size] (rounded down) collections. An array of more than 256 words
+   made with a young value runs one more (DESIGN §3g, the array rule).
+   The test runs on the default minor heap (256k words), whatever
+   OCAMLRUNPARAM says: with a smaller one the major GC's pacing can end
+   a cycle, which empties the minor heap, inside a stage. *)
+let test_module_path_collections () =
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 262_144 };
+  Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
+  let heap = float_of_int (Gc.get ()).Gc.minor_heap_size in
+  let forced f =
+    Gc.minor ();
+    let s0 = Gc.quick_stat () in
+    ignore (Sys.opaque_identity (f ()));
+    let s1 = Gc.quick_stat () in
+    let fills = int_of_float ((s1.Gc.minor_words -. s0.Gc.minor_words) /. heap) in
+    max 0 (s1.Gc.minor_collections - s0.Gc.minor_collections - fills)
+  in
+  List.iter
+    (fun (corpus, ms) ->
+      let prepare = ref 0 and lower = ref 0 and instantiate = ref 0 in
+      List.iter
+        (fun (m, (c : Wasm.Instance.config)) ->
+          let imports, _ = Harness.Serve_bench.wasi_imports () in
+          let elide = c.elide and belide = c.belide and arena = c.arena in
+          prepare :=
+            !prepare + forced (fun () -> Wasm.Code.prepare ~elide ~belide ~arena m);
+          lower :=
+            !lower + forced (fun () -> Wasm.Compile.module_stats ~elide ~belide ~arena m);
+          instantiate :=
+            !instantiate + forced (fun () -> Wasm.Exec.instantiate ~config:c ~imports m))
+        ms;
+      if !prepare + !lower + !instantiate > 0 then
+        Alcotest.failf
+          "%s: minor collections beyond the allocation: prepare %d, lower %d, \
+           instantiate %d"
+          corpus !prepare !lower !instantiate)
+    (Lazy.force allocation_corpora)
+
+(* Minor words per lowered instruction of [Compile.module_stats]
+   (preparation included), bounded at 1.1x the reading when the fusion
+   window stopped allocating (PolyBench 22.24, Fuzzgen 18.76; 40.42 and
+   38.71 before). *)
+let test_lower_allocation () =
+  List.iter
+    (fun (corpus, bound) ->
+      let ms = List.assoc corpus (Lazy.force allocation_corpora) in
+      let instrs = ref 0 in
+      let before = Gc.minor_words () in
+      List.iter
+        (fun (m, (c : Wasm.Instance.config)) ->
+          List.iter
+            (fun (s : Wasm.Xcode.stats) -> instrs := !instrs + s.st_instrs)
+            (Wasm.Compile.module_stats ~elide:c.elide ~belide:c.belide
+               ~arena:c.arena m))
+        ms;
+      let per_instr = (Gc.minor_words () -. before) /. float_of_int !instrs in
+      if per_instr > bound then
+        Alcotest.failf "%s: %.2f minor words per lowered instruction (bound %.2f)"
+          corpus per_instr bound)
+    [ ("polybench", 24.5); ("fuzzgen 0-199", 20.6) ]
 
 let test_elide_differential () =
   (* a small in-process slice of the 200-seed CI gate *)
@@ -750,6 +829,8 @@ let () =
           tc "elided run traps on a stale enclosing value"
             test_saved_stack_elided_run_traps;
           tc "plan allocation" test_plan_allocation;
+          tc "module path forces no collection" test_module_path_collections;
+          tc "lowering allocation" test_lower_allocation;
           tc "differential slice" test_elide_differential;
           tc "trap preserved" test_elide_preserves_trap;
           tc "supervised full plan" test_supervised_full_plan;

@@ -421,6 +421,29 @@ let test_validate_local_oob () =
   expect_invalid ~substring:"local index"
     (module_of [ (ft [] [], [], [ Ast.LocalGet 3 ]) ])
 
+(* Index lookups read the module's index arrays; every out-of-range
+   index, negative ones included, is a verdict naming it. *)
+let test_validate_index_out_of_range () =
+  let one body = module_of [ (ft [] [], [], body) ] in
+  let check msg m =
+    match Validate.validate m with
+    | Error e when e = "in function f0: " ^ msg -> ()
+    | Error e -> Alcotest.failf "expected %S, got %S" msg e
+    | Ok () -> Alcotest.failf "expected %S, module validated" msg
+  in
+  check "function index 1 out of range" (one [ Ast.Call 1 ]);
+  check "function index -1 out of range" (one [ Ast.Call (-1) ]);
+  check "type index 1 out of range"
+    (module_of ~table:(Some { Types.tbl_limits = { Types.min = 1L; max = None } })
+       [ (ft [] [], [], [ Ast.I32Const 0l; Ast.CallIndirect 1 ]) ]);
+  check "global index 0 out of range" (one [ Ast.GlobalGet 0 ]);
+  check "global index -2 out of range" (one [ Ast.GlobalGet (-2) ]);
+  check "branch depth -1 out of range" (one [ Ast.Br (-1) ]);
+  match Validate.validate { (one []) with Ast.start = Some 4 } with
+  | Error "function index 4 out of range" -> ()
+  | Error e -> Alcotest.failf "start: got %S" e
+  | Ok () -> Alcotest.fail "start: module validated"
+
 let test_validate_align_too_large () =
   expect_invalid ~substring:"alignment"
     (module_of
@@ -1516,6 +1539,7 @@ let () =
           tc "leftover values" test_validate_leftover_values;
           tc "immutable global" test_validate_immutable_global;
           tc "local oob" test_validate_local_oob;
+          tc "index out of range" test_validate_index_out_of_range;
           tc "align too large" test_validate_align_too_large;
           tc "unreachable polymorphism" test_validate_unreachable_polymorphism;
           tc "cage requires feature" test_validate_cage_requires_feature;
