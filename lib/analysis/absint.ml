@@ -15,14 +15,18 @@
       is definitely live, definitely freed, freed on some path, or
       unknown (havocked by an indirect call or an unanalyzable free).
 
-    Calls are analyzed {e per call string} (no summaries): each callee
-    is re-run with the caller's abstract arguments, so `malloc(64)`
-    inside the analyzed libc yields an exact segment size. Recursion
-    and excessive depth fall back to havoc. Loops run a widening
-    fixpoint with diagnostics deferred; the pass that finds the head
-    stable is also the recording pass unless a site changed while it
-    ran, in which case one recording pass over the stable head
-    follows.
+    Calls are analyzed {e per call string}: each callee is re-run with
+    the caller's abstract arguments, so `malloc(64)` inside the analyzed
+    libc yields an exact segment size. Recursion, excessive depth and
+    [call_indirect] fall back to the callee's {!Summary}. The module is
+    read through one {!Wasm.Ast.index}, built with its prepared bodies
+    and summaries once per module ({!view}) and shared by the
+    architectural and the speculative run ({!analyze_both}).
+
+    Loops run a widening fixpoint with diagnostics deferred; the pass
+    that finds the head stable is also the recording pass unless a site
+    changed while it ran, in which case one recording pass over the
+    stable head follows.
 
     Two consumers sit on top: {!Lint} (deterministic diagnostics for
     statically-definite UAF, double free, constant OOB, untagged
@@ -415,11 +419,11 @@ let refine ?(spec = false) cond truth st =
 (* Global analysis environment                                         *)
 (* ------------------------------------------------------------------ *)
 
-type genv = {
+(* What every analysis of one module reads and none writes, built once
+   per module: the architectural and the speculative run share it. *)
+type view = {
   m : Ast.module_;
-  n_imports : int;
-  funcs : Ast.func array;
-  ftypes : Types.func_type array;  (** per local function *)
+  ix : Ast.index;  (** every type, function and import lookup *)
   code : Code.func array;
       (** the prepared bodies the engines run: a verdict for
           [Basic (_, id)] here skips that instruction's check there *)
@@ -428,6 +432,17 @@ type genv = {
           calls ({!Callgraph.reachable}): their bodies may run in
           instances we did not analyze from [main], so no elision
           verdicts are recorded for them *)
+  summaries : Summary.t array;
+      (** interprocedural per-function summaries, consulted where
+          call-string inlining gives up (recursion, the depth cap)
+          instead of the old blanket havoc *)
+  indirect : Summary.t option array;
+      (** per type index, the summary a [call_indirect] of that type
+          stands in for its callee with ({!Summary.indirect_joins}) *)
+}
+
+type genv = {
+  v : view;
   verdicts : int array array;  (** 0 unvisited, 1 proven, 2 unproven *)
   bverdicts : int array array;
       (** parallel bounds verdicts: the access interval is proven
@@ -435,11 +450,6 @@ type genv = {
           verdict — a segment lives entirely inside memory at creation
           and memory never shrinks, so tag-proven implies
           bounds-proven) *)
-  cg : Callgraph.t;
-  summaries : Summary.t array;
-      (** interprocedural per-function summaries, consulted where
-          call-string inlining gives up (recursion, the depth cap,
-          [call_indirect]) instead of the old blanket havoc *)
   frees : (int * int, site list ref * bool ref) Hashtbl.t;
       (** per (local function, instruction id) [segment.free] record:
           every site the instruction can free, and a dirty bit set
@@ -477,18 +487,13 @@ type fenv = {
           innermost first: a local write scrubs them too *)
 }
 
-(* The function currently being analyzed: [analyze] seeds [active] with
+let n_imports g = Array.length g.v.ix.Ast.ix_imports
+
+(* The function currently being analyzed: [run] seeds [active] with
    the entry and every inlined call pushes its callee, so the head is
    always the enclosing function. *)
 let cur_lidx fenv =
-  match fenv.active with f :: _ -> f - fenv.g.n_imports | [] -> -1
-
-let func_name g fidx =
-  if fidx < g.n_imports then (List.nth g.m.Ast.imports fidx).Ast.im_name
-  else
-    match g.funcs.(fidx - g.n_imports).Ast.fname with
-    | Some n -> n
-    | None -> Printf.sprintf "f%d" fidx
+  match fenv.active with f :: _ -> f - n_imports fenv.g | [] -> -1
 
 (* ------------------------------------------------------------------ *)
 (* Sites, diagnostics, verdicts                                        *)
@@ -1001,6 +1006,22 @@ let eval_ibinop st (w : Ast.width) (op : Ast.ibinop) =
   taint_lost r b;
   push r st
 
+(* A call that inlining gives up on, to a callee summarized by [s]. Only
+   arguments the callee can actually remember escape; liveness survives
+   unless the callee (transitively) frees or retags; a pointer the callee
+   may dereference loses arena candidacy, because it may access, or
+   free, the pointee at instructions no verdict covers, so its tag plane
+   stays. *)
+let apply_summary g st (s : Summary.t) args nresults =
+  List.iteri
+    (fun i v ->
+      if s.sm_escapes.(i) then escape_site g v;
+      if s.sm_used.(i) && (s.sm_touches_mem || s.sm_mutates) then
+        arena_taint_aval v)
+    args;
+  if s.sm_mutates then st.live <- havoc_live st.live;
+  push_n Top nresults st
+
 (* ------------------------------------------------------------------ *)
 (* The evaluator                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1423,29 +1444,19 @@ and eval_basic fenv st (i : Ast.instr) (id : int) : bool =
   | Ast.CallIndirect ti -> (
       ignore (pop st);
       let g = fenv.g in
-      let ft = Ast.func_type_of g.m ti in
-      let nparams = List.length ft.Types.params in
-      let args_topfirst = popn st nparams in
+      let ft = g.v.ix.Ast.ix_types.(ti) in
+      let args_topfirst = popn st (List.length ft.Types.params) in
       let args = List.rev args_topfirst in
       let nresults = List.length ft.Types.results in
       (* the join of the summaries of every type-matching function in
          the table is a sound stand-in for whichever one runs *)
-      match Summary.indirect_join g.cg g.summaries ti with
-      | Some s when s.Summary.sm_params = nparams ->
-          List.iteri
-            (fun i v ->
-              if s.Summary.sm_escapes.(i) then escape_site g v;
-              if
-                s.Summary.sm_used.(i)
-                && (s.Summary.sm_touches_mem || s.Summary.sm_mutates)
-              then arena_taint_aval v)
-            args;
-          if s.Summary.sm_mutates then st.live <- havoc_live st.live;
-          push_n Top nresults st;
+      match g.v.indirect.(ti) with
+      | Some s ->
+          apply_summary g st s args nresults;
           true
-      | _ ->
-          (* empty table set (a trapping call at runtime) or an arity
-             mismatch: fall back to the blanket havoc *)
+      | None ->
+          (* empty table set (a trapping call at runtime): fall back to
+             the blanket havoc *)
           List.iter (escape_site g) args;
           List.iter arena_taint_aval args;
           st.live <- havoc_live st.live;
@@ -1476,18 +1487,18 @@ and check_strcpy fenv st ~id args =
                     let l = Int64.of_int (nul - start + 1) in
                     check_access fenv st ~id ~addr:dst
                       ~len:(Interval.const l) ~is_store:true ~elide_ok:false)
-            fenv.g.m.Ast.datas)
+            fenv.g.v.m.Ast.datas)
   | _ -> ()
 
 and handle_call fenv st ~id fidx =
   let g = fenv.g in
-  let ft = Ast.type_of_func g.m fidx in
+  let ft = Ast.func_type_at g.v.ix fidx in
   let nresults = List.length ft.Types.results in
   let args_topfirst = popn st (List.length ft.Types.params) in
   let args = List.rev args_topfirst in
-  let name = func_name g fidx in
+  let name = Ast.func_name g.v.ix fidx in
   if name = "strcpy" then check_strcpy fenv st ~id args;
-  if fidx < g.n_imports then begin
+  if fidx < n_imports g then begin
     (* host function: pointers escape, but hosts cannot free guest
        segments, so liveness survives the call *)
     List.iter (escape_site g) args;
@@ -1496,27 +1507,8 @@ and handle_call fenv st ~id fidx =
   end
   else if List.mem fidx fenv.active || fenv.depth >= 12 then begin
     (* recursion (or a pathological call chain): inlining gives up and
-       the callee's interprocedural summary takes over. Only arguments
-       the callee can actually remember escape; liveness survives
-       unless the callee (transitively) frees or retags; a pointer the
-       callee may dereference loses arena candidacy, because the
-       summarized access is not covered by any elision verdict. *)
-    let s = g.summaries.(fidx) in
-    List.iteri
-      (fun i v ->
-        if i < s.Summary.sm_params then begin
-          if s.Summary.sm_escapes.(i) then escape_site g v;
-          (* a summarized callee may access — or free — the pointee at
-             instructions no verdict covers, so its tag plane stays *)
-          if
-            s.Summary.sm_used.(i)
-            && (s.Summary.sm_touches_mem || s.Summary.sm_mutates)
-          then arena_taint_aval v
-        end
-        else escape_site g v)
-      args;
-    if s.Summary.sm_mutates then st.live <- havoc_live st.live;
-    push_n Top nresults st;
+       the callee's interprocedural summary takes over *)
+    apply_summary g st g.v.summaries.(fidx) args nresults;
     true
   end
   else
@@ -1536,9 +1528,9 @@ and handle_call fenv st ~id fidx =
    Returns the (joined) return values, liveness map and stack-pointer
    global at exit, or [None] if no path returns. *)
 and analyze_func g ~path ~active ~depth ~root fidx args live g0 =
-  let lidx = fidx - g.n_imports in
-  let f = g.funcs.(lidx) in
-  let ft = g.ftypes.(lidx) in
+  let lidx = fidx - n_imports g in
+  let f = g.v.ix.Ast.ix_funcs.(lidx) in
+  let ft = g.v.ix.Ast.ix_types.(f.Ast.ftype) in
   let nparams = List.length ft.Types.params in
   let locals =
     Array.make (nparams + List.length f.Ast.locals) (Int (Interval.const 0L))
@@ -1549,8 +1541,8 @@ and analyze_func g ~path ~active ~depth ~root fidx args live g0 =
     {
       g;
       path;
-      verdict_row = (if g.blacklist.(lidx) then [||] else g.verdicts.(lidx));
-      bverdict_row = (if g.blacklist.(lidx) then [||] else g.bverdicts.(lidx));
+      verdict_row = (if g.v.blacklist.(lidx) then [||] else g.verdicts.(lidx));
+      bverdict_row = (if g.v.blacklist.(lidx) then [||] else g.bverdicts.(lidx));
       active;
       depth;
       cmp_locals = [];
@@ -1559,7 +1551,7 @@ and analyze_func g ~path ~active ~depth ~root fidx args live g0 =
   in
   let arity = List.length ft.Types.results in
   let frame = { f_arity = arity; f_pend = None } in
-  let ok = eval_seq fenv [ frame ] st g.code.(lidx).Code.body in
+  let ok = eval_seq fenv [ frame ] st g.v.code.(lidx).Code.body in
   match merge st (exit_vals arity ok st) frame.f_pend with
   | None -> None
   | Some rets ->
@@ -1569,7 +1561,7 @@ and analyze_func g ~path ~active ~depth ~root fidx args live g0 =
       let live = st.live in
       if not root then
         record g (fun () ->
-            let fname = func_name g fidx in
+            let fname = Ast.func_name g.v.ix fidx in
             let returned s =
               List.exists
                 (function Ptr { site; _ } -> site == s | _ -> false)
@@ -1613,6 +1605,7 @@ type analysis = {
   a_bverdicts : int array array;
       (** same shape, for the bounds half of the proof alone: a tag
           verdict of 1 implies a bounds verdict of 1 *)
+  a_ix : Ast.index;  (** the index the analysis read the module through *)
   a_nbasic : int array;  (** basic-instruction count per local function *)
   a_entry : int option;  (** the analyzed entry function index, if any *)
   a_sites : site list;  (** every allocation site the analysis tracked *)
@@ -1648,30 +1641,32 @@ let entry_func (m : Ast.module_) =
   | Some i -> Some i
   | None -> ( match exported "_start" with Some i -> Some i | None -> m.start)
 
-let analyze ?(spec = false) (m : Ast.module_) : analysis =
-  let n_imports = Ast.num_imports m in
-  let funcs = Array.of_list m.funcs in
-  let ftypes =
-    Array.map (fun (f : Ast.func) -> Ast.func_type_of m f.Ast.ftype) funcs
-  in
-  let code = Code.prepare m in
-  let cg = Callgraph.build m in
-  let rows () = Array.map (fun c -> Array.make c.Code.nbasic 0) code in
+let view (m : Ast.module_) =
+  let ix = Ast.index m in
+  let code = Code.prepare ix in
+  let cg = Callgraph.build m ix code in
+  let summaries = Summary.compute cg in
+  {
+    m;
+    ix;
+    code;
+    blacklist =
+      Array.sub
+        (Callgraph.reachable cg cg.Callgraph.table_targets)
+        (Array.length ix.ix_imports) (Array.length code);
+    summaries;
+    indirect = Summary.indirect_joins cg summaries;
+  }
+
+let run ~spec v : analysis =
+  let m = v.m and ix = v.ix in
+  let ni = Array.length ix.ix_imports in
+  let rows () = Array.map (fun c -> Array.make c.Code.nbasic 0) v.code in
   let g =
     {
-      m;
-      n_imports;
-      funcs;
-      ftypes;
-      code;
-      blacklist =
-        Array.sub
-          (Callgraph.reachable cg cg.Callgraph.table_targets)
-          n_imports (Array.length funcs);
+      v;
       verdicts = rows ();
       bverdicts = rows ();
-      cg;
-      summaries = Summary.compute cg;
       frees = Hashtbl.create 64;
       spec;
       sites = Hashtbl.create 64;
@@ -1687,13 +1682,13 @@ let analyze ?(spec = false) (m : Ast.module_) : analysis =
   in
   let entry =
     match entry_func m with
-    | Some i when i >= n_imports -> Some i
+    | Some i when i >= ni -> Some i
     | _ -> None
   in
   (match entry with
   | None -> ()
   | Some fidx ->
-      let ft = Ast.type_of_func m fidx in
+      let ft = Ast.func_type_at ix fidx in
       let args =
         List.map
           (fun (ty : Types.val_type) ->
@@ -1706,13 +1701,14 @@ let analyze ?(spec = false) (m : Ast.module_) : analysis =
       g.sp_count <- 1;
       let g0 = Sp (0, Interval.const 0L) in
       ignore
-        (analyze_func g ~path:(func_name g fidx) ~active:[ fidx ] ~depth:0
+        (analyze_func g ~path:(Ast.func_name ix fidx) ~active:[ fidx ] ~depth:0
            ~root:true fidx args IMap.empty g0));
   {
     a_diags = List.sort compare_diag g.diags;
     a_verdicts = g.verdicts;
     a_bverdicts = g.bverdicts;
-    a_nbasic = Array.map (fun c -> c.Code.nbasic) code;
+    a_ix = ix;
+    a_nbasic = Array.map (fun c -> c.Code.nbasic) v.code;
     a_entry = entry;
     a_sites = g.all_sites;
     a_frees =
@@ -1722,6 +1718,16 @@ let analyze ?(spec = false) (m : Ast.module_) : analysis =
            g.frees []);
     a_spec = spec;
   }
+
+(** The analysis of module [m], under the speculation model when
+    [spec]. *)
+let analyze ?(spec = false) m = run ~spec (view m)
+
+(** The architectural and the speculative analysis of [m] over one view,
+    so the module is indexed, prepared and summarized once. *)
+let analyze_both m =
+  let v = view m in
+  (run ~spec:false v, run ~spec:true v)
 
 let severity_string = function Definite -> "definite" | Possible -> "possible"
 

@@ -1,82 +1,124 @@
-(** Call graph over a compiled module, as the interprocedural substrate
-    for {!Summary}.
+(** Call graph and per-function syntactic facts over a validated module,
+    the interprocedural substrate for {!Summary}.
+
+    {!build} walks each prepared body ({!Wasm.Code.prepare}, the form the
+    engines run and {!Absint} evaluates) once. Per function it collects
+    the direct-call targets, the type of each [call_indirect], and the
+    facts a summary starts from: which parameters the body reads and
+    whether it stores, touches memory or frees. Types,
+    functions and imports are looked up through the module's
+    {!Wasm.Ast.index}.
 
     Nodes are function indices in the module's index space (imports
-    first, then local functions). Edges are the direct [call]s that
-    appear syntactically in a body; [call_indirect] sites are recorded
-    as a per-function flag plus the set of functions that can possibly
-    be reached through the table (every function named by an element
-    segment — the table is only written at instantiation, so this set
-    is exact for the module alone and conservative once a host could
-    mutate the table).
+    first, then local functions), followed by one node per type index.
+    Only the first index of each class of equal types has edges. A
+    [call_indirect] is an edge to its type's class node. A class node
+    has an edge to every function of that type in the table, that is,
+    every function an element segment names. The table is only written
+    at instantiation, so that set is exact for the module alone. Each
+    call site and each table member adds one edge, so the graph stays
+    linear in the module's size however many sites share a type.
 
     {!sccs} returns Tarjan's strongly connected components in reverse
-    topological order (callees before callers), which is the order the
-    summary fixpoint consumes: by the time an SCC is processed, every
-    summary it depends on outside the component is final, and only the
-    cycle inside the component needs iteration. *)
+    topological order (callees before callers, indirect callees
+    included), which is the order the summary fixpoint consumes: by the
+    time an SCC is processed, every summary it depends on outside the
+    component is final. *)
 
 module Ast = Wasm.Ast
+module Code = Wasm.Code
 module Types = Wasm.Types
 
-type t = {
-  m : Ast.module_;
-  n_imports : int;
-  n_funcs : int;  (** total, imports included *)
-  callees : int list array;
-      (** direct-call targets per function (imports have none) *)
-  indirect : bool array;  (** function contains a [call_indirect] *)
-  table_targets : int list;
-      (** functions reachable through the table (element segments) *)
+(** What a body does by itself, before its calls are followed. *)
+type facts = {
+  used : bool array;
+      (** parameter read somewhere ([local.get]/[local.tee]); all set
+          for an import *)
+  mutable store : bool;  (** store/fill/copy/[global.set]: a leak channel *)
+  mutable mem : bool;  (** any linear-memory access *)
+  mutable free : bool;  (** [segment.free] or [segment.set_tag] *)
 }
 
-let rec walk_instr acc (i : Ast.instr) =
-  match i with
-  | Ast.Call f -> (f :: fst acc, snd acc)
-  | Ast.CallIndirect _ -> (fst acc, true)
-  | Ast.Block (_, b) | Ast.Loop (_, b) -> walk_body acc b
-  | Ast.If (_, t, e) -> walk_body (walk_body acc t) e
-  | _ -> acc
+type t = {
+  ix : Ast.index;
+  n_funcs : int;  (** functions, imports included; class nodes follow *)
+  succ : int list array;
+      (** per function: its direct-call targets and the class node of
+          each [call_indirect] type (imports have none); per class node:
+          the table members of that class, ascending *)
+  facts : facts array;  (** per function *)
+  tclass : int array;
+      (** per type index: the first type index with an equal type, so
+          node [n_funcs + tclass.(ti)] stands for type [ti] *)
+  table_targets : int list;  (** functions in the table, ascending *)
+}
 
-and walk_body acc body = List.fold_left walk_instr acc body
+let rec walk cg (fa : facts) calls body =
+  for k = 0 to Array.length body - 1 do
+    match body.(k) with
+    | Code.Basic (i, _) -> (
+        match i with
+        | Ast.LocalGet i | Ast.LocalTee i ->
+            if i < Array.length fa.used then fa.used.(i) <- true
+        | Ast.Store _ | Ast.GlobalSet _ | Ast.MemoryFill | Ast.MemoryCopy ->
+            fa.store <- true;
+            fa.mem <- true
+        | Ast.Load _ -> fa.mem <- true
+        | Ast.SegmentFree _ | Ast.SegmentSetTag _ -> fa.free <- true
+        | Ast.Call f -> calls := f :: !calls
+        | Ast.CallIndirect ti -> calls := (cg.n_funcs + cg.tclass.(ti)) :: !calls
+        | _ -> ())
+    | Code.Block (_, b) | Code.Loop (_, b) -> walk cg fa calls b
+    | Code.If (_, t, e) -> walk cg fa calls t; walk cg fa calls e
+    | Code.Br _ | Code.BrIf _ | Code.BrTable _ | Code.Return _ -> ()
+  done
 
-let dedup l = List.sort_uniq compare l
-
-let build (m : Ast.module_) : t =
-  let n_imports = Ast.num_imports m in
-  let n_local = List.length m.funcs in
-  let n_funcs = n_imports + n_local in
-  let callees = Array.make n_funcs [] in
-  let indirect = Array.make n_funcs false in
-  List.iteri
-    (fun i (f : Ast.func) ->
-      let calls, ind = walk_body ([], false) f.body in
-      callees.(n_imports + i) <- dedup calls;
-      indirect.(n_imports + i) <- ind)
-    m.funcs;
-  let table_targets =
-    dedup (List.concat_map (fun (e : Ast.elem) -> e.e_funcs) m.elems)
+(** The graph of validated module [m], read through its index [ix], over its
+    prepared bodies [code]. *)
+let build (m : Ast.module_) (ix : Ast.index) (code : Code.func array) : t =
+  let ni = Array.length ix.ix_imports in
+  let n_funcs = ni + Array.length code in
+  let first = Hashtbl.create 16 in
+  let tclass =
+    Array.mapi
+      (fun ti ty ->
+        match Hashtbl.find_opt first ty with
+        | Some c -> c
+        | None -> Hashtbl.add first ty ti; ti)
+      ix.ix_types
   in
-  { m; n_imports; n_funcs; callees; indirect; table_targets }
-
-(** Functions a [call_indirect] of type index [tyidx] can reach:
-    table-resident functions whose type matches. *)
-let indirect_targets t tyidx =
-  let ty = Ast.func_type_of t.m tyidx in
-  List.filter
+  let table_targets =
+    List.sort_uniq compare (List.concat_map (fun (e : Ast.elem) -> e.e_funcs) m.elems)
+  in
+  let cg =
+    { ix; n_funcs; tclass; table_targets;
+      succ = Array.make (n_funcs + Array.length tclass) [];
+      facts =
+        Array.init n_funcs (fun f ->
+            let nparams = List.length (Ast.func_type_at ix f).Types.params in
+            { used = Array.make nparams (f < ni); store = false; mem = false;
+              free = false }) }
+  in
+  Array.iteri
+    (fun j (c : Code.func) ->
+      let calls = ref [] in
+      walk cg cg.facts.(ni + j) calls c.body;
+      cg.succ.(ni + j) <- List.sort_uniq compare !calls)
+    code;
+  List.iter
     (fun f ->
-      f >= 0 && f < t.n_funcs
-      && Types.func_type_equal (Ast.type_of_func t.m f) ty)
-    t.table_targets
+      let node = n_funcs + Hashtbl.find first (Ast.func_type_at ix f) in
+      cg.succ.(node) <- f :: cg.succ.(node))
+    (List.rev table_targets);
+  cg
 
-(** Which functions [roots] reach over direct calls, roots included,
-    indexed like the module. *)
+(** Which nodes [roots] reach, roots included, indexed like [succ]. *)
 let reachable t roots =
-  let seen = Array.make t.n_funcs false in
+  let seen = Array.make (Array.length t.succ) false in
   let rec visit f =
-    if f >= 0 && f < t.n_funcs && not seen.(f) then begin
+    if not seen.(f) then begin
       seen.(f) <- true;
-      List.iter visit t.callees.(f)
+      List.iter visit t.succ.(f)
     end
   in
   List.iter visit roots;
@@ -85,16 +127,17 @@ let reachable t roots =
 (** Tarjan SCCs in reverse topological order: for every edge u -> v in
     different components, v's component appears before u's. *)
 let sccs (t : t) : int list list =
-  let n = t.n_funcs in
+  let n = Array.length t.succ in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
   let stack = ref [] in
   let next = ref 0 in
   let out = ref [] in
-  (* Iterative Tarjan: an explicit work stack of (node, remaining
-     callees) frames, so deep recursion chains cannot blow the OCaml
-     stack. *)
+  (* [strongconnect] recurses once per node on the current depth-first
+     path (a call chain), so its depth is at most the node count. OCaml 5
+     grows the stack on demand; CI runs a 60,000-function ring through
+     it. [reachable] recurses the same way. *)
   let rec strongconnect v =
     index.(v) <- !next;
     lowlink.(v) <- !next;
@@ -103,14 +146,13 @@ let sccs (t : t) : int list list =
     on_stack.(v) <- true;
     List.iter
       (fun w ->
-        if w >= 0 && w < n then
-          if index.(w) < 0 then begin
-            strongconnect w;
-            if lowlink.(w) < lowlink.(v) then lowlink.(v) <- lowlink.(w)
-          end
-          else if on_stack.(w) && index.(w) < lowlink.(v) then
-            lowlink.(v) <- index.(w))
-      t.callees.(v);
+        if index.(w) < 0 then begin
+          strongconnect w;
+          if lowlink.(w) < lowlink.(v) then lowlink.(v) <- lowlink.(w)
+        end
+        else if on_stack.(w) && index.(w) < lowlink.(v) then
+          lowlink.(v) <- index.(w))
+      t.succ.(v);
     if lowlink.(v) = index.(v) then begin
       let rec pop acc =
         match !stack with

@@ -49,13 +49,22 @@ let count p rows =
     (fun n row -> Array.fold_left (fun n v -> if p v then n + 1 else n) n row)
     0 rows
 
-let count_spec_unsafe rows met =
-  let n = ref 0 in
+(** The accesses speculation makes unsafe to elide: proven in the
+    architectural analysis [a] but not in its meet with the speculative
+    analysis [sp], as (local function, instruction id) pairs in function
+    then id order. [--no-spec-elide] keeps their checks, and
+    [cage_lint --Wspectre] lists them. *)
+let spec_unsafe_sites (a : Absint.analysis) (sp : Absint.analysis) =
+  let sites = ref [] in
   Array.iteri
-    (fun i row ->
-      Array.iteri (fun id v -> if v = 1 && met.(i).(id) <> 1 then incr n) row)
-    rows;
-  !n
+    (fun f row ->
+      Array.iteri
+        (fun id v ->
+          if v = 1 && max v sp.Absint.a_verdicts.(f).(id) <> 1 then
+            sites := (f, id) :: !sites)
+        row)
+    a.Absint.a_verdicts;
+  List.rev !sites
 
 let of_analysis ?spec_analysis ?(arena = false) (a : Absint.analysis) : plan =
   let tag_rows, bounds_rows, spec_unsafe =
@@ -64,7 +73,7 @@ let of_analysis ?spec_analysis ?(arena = false) (a : Absint.analysis) : plan =
     | Some (sp : Absint.analysis) ->
         let tr = meet_rows a.Absint.a_verdicts sp.Absint.a_verdicts in
         let br = meet_rows a.Absint.a_bverdicts sp.Absint.a_bverdicts in
-        (tr, br, count_spec_unsafe a.Absint.a_verdicts tr)
+        (tr, br, List.length (spec_unsafe_sites a sp))
   in
   let bitsets = bitsets_of_rows tag_rows in
   let esc = if arena then Escape.compute a ~bitsets else Escape.no_arena in
@@ -82,8 +91,7 @@ let of_analysis ?spec_analysis ?(arena = false) (a : Absint.analysis) : plan =
   }
 
 let plan ?(spec_safe = false) ?(arena = false) (m : Wasm.Ast.module_) : plan =
-  let a = Absint.analyze m in
-  let spec_analysis =
-    if spec_safe then Some (Absint.analyze ~spec:true m) else None
-  in
-  of_analysis ?spec_analysis ~arena a
+  if spec_safe then
+    let a, sp = Absint.analyze_both m in
+    of_analysis ~spec_analysis:sp ~arena a
+  else of_analysis ~arena (Absint.analyze m)

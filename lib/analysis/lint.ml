@@ -29,35 +29,27 @@ type t = {
 }
 
 let run ?(wspectre = false) (m : Wasm.Ast.module_) : t =
-  let a = Absint.analyze m in
+  let a, sp =
+    if wspectre then
+      let a, sp = Absint.analyze_both m in
+      (a, Some sp)
+    else (Absint.analyze m, None)
+  in
   let p = Elide.of_analysis ~arena:true a in
   let spectre, spec_unsafe =
-    if not wspectre then ([], 0)
-    else begin
-      let sp = Absint.analyze ~spec:true m in
-      let met = Elide.meet_rows a.Absint.a_verdicts sp.Absint.a_verdicts in
-      let name i =
-        match (List.nth m.Wasm.Ast.funcs i).Wasm.Ast.fname with
-        | Some n -> n
-        | None -> Printf.sprintf "f%d" (Wasm.Ast.num_imports m + i)
-      in
-      let sites = ref [] in
-      Array.iteri
-        (fun i row ->
-          Array.iteri
-            (fun id v ->
-              if v = 1 && met.(i).(id) <> 1 then
-                sites :=
-                  Printf.sprintf
-                    "spectre: %s: access %d elidable architecturally but \
-                     unsafe under speculation"
-                    (name i) id
-                  :: !sites)
-            row)
-        a.Absint.a_verdicts;
-      let sorted = List.sort_uniq compare !sites in
-      (sorted, List.length sorted)
-    end
+    match sp with
+    | None -> ([], 0)
+    | Some sp ->
+        let sites = Elide.spec_unsafe_sites a sp in
+        let ix = a.Absint.a_ix in
+        let render (f, id) =
+          Printf.sprintf
+            "spectre: %s: access %d elidable architecturally but unsafe under \
+             speculation"
+            (Wasm.Ast.func_name ix (Array.length ix.Wasm.Ast.ix_imports + f))
+            id
+        in
+        (List.sort compare (List.map render sites), List.length sites)
   in
   let definite, possible =
     List.fold_left

@@ -10,10 +10,13 @@
     do, so the common case — a recursive helper that frees nothing —
     keeps the caller's liveness lattice intact.
 
-    Summaries are computed bottom-up over the {!Callgraph} SCCs with a
-    fixed point inside each component, so mutual recursion converges:
-    all facts are monotone booleans, and each SCC iterates until no
-    member changes. Imported host functions get the pessimistic-escape
+    Summaries are computed bottom-up over the {!Callgraph} SCCs, whose
+    edges include the table members each [call_indirect] can reach. All
+    facts are monotone booleans and every member of a component reaches
+    every other, so each component takes the union of its members' facts
+    and of its callees' final summaries in one step: mutual recursion
+    needs no iteration, and the whole computation is linear in the
+    graph's size. Imported host functions get the pessimistic-escape
     summary (arguments escape, memory is touched) but are known never
     to free or retag guest segments — the WASI surface has no access to
     [segment.free] — which is exactly the assumption the inline
@@ -29,8 +32,6 @@ module Ast = Wasm.Ast
 module Types = Wasm.Types
 
 type t = {
-  sm_params : int;
-  sm_results : int;
   sm_used : bool array;
       (** parameter is read somewhere in the body ([local.get i]) *)
   sm_escapes : bool array;
@@ -40,186 +41,94 @@ type t = {
   sm_mutates : bool;
       (** may run [segment.free] or [segment.set_tag] (transitively):
           the caller's liveness facts must be havocked *)
-  sm_allocs : bool;  (** may run [segment.new] (transitively) *)
   sm_touches_mem : bool;
       (** may load/store/fill/copy linear memory (transitively): a
           pointer argument may be dereferenced with a checked access *)
-  sm_host : bool;  (** an imported host function *)
 }
 
 (* --------------------------------------------------------------- *)
-(* Per-function syntactic facts                                     *)
+(* Bottom-up over the SCCs                                          *)
 (* --------------------------------------------------------------- *)
 
-type facts = {
-  mutable f_used : bool array;
-  mutable f_store : bool;  (* store/fill/copy/global.set: a leak channel *)
-  mutable f_mem : bool;    (* any linear-memory access *)
-  mutable f_free : bool;   (* segment.free or segment.set_tag *)
-  mutable f_alloc : bool;  (* segment.new *)
-  f_indirect_tys : int list ref;
-}
+let rec any_set bits = function [] -> false | v :: vs -> bits.(v) || any_set bits vs
 
-let rec scan_instr nparams (fa : facts) (i : Ast.instr) =
-  match i with
-  | Ast.LocalGet i | Ast.LocalTee i ->
-      if i < nparams then fa.f_used.(i) <- true
-  | Ast.Store _ | Ast.GlobalSet _ -> fa.f_store <- true; fa.f_mem <- true
-  | Ast.MemoryFill | Ast.MemoryCopy -> fa.f_store <- true; fa.f_mem <- true
-  | Ast.Load _ -> fa.f_mem <- true
-  | Ast.SegmentFree _ | Ast.SegmentSetTag _ -> fa.f_free <- true
-  | Ast.SegmentNew _ -> fa.f_alloc <- true
-  | Ast.CallIndirect ty ->
-      fa.f_indirect_tys := ty :: !(fa.f_indirect_tys)
-  | Ast.Block (_, b) | Ast.Loop (_, b) -> scan_body nparams fa b
-  | Ast.If (_, t, e) -> scan_body nparams fa t; scan_body nparams fa e
-  | _ -> ()
+(* Whether a bit is set on any node of [vs], or on any successor of one. *)
+let rec reaches succ bits = function
+  | [] -> false
+  | v :: vs -> bits.(v) || any_set bits succ.(v) || reaches succ bits vs
 
-and scan_body nparams fa body = List.iter (scan_instr nparams fa) body
-
-(* --------------------------------------------------------------- *)
-(* Bottom-up SCC fixed point                                        *)
-(* --------------------------------------------------------------- *)
+(* Every fact is a monotone bit that a node takes from its callees.
+   Inside a component every node reaches every other, so the least fixed
+   point gives each member the same bit: set when any member has it or
+   calls out to a node that has it. In reverse-topological order every
+   callee outside the component is already final. *)
+let close succ bits scc =
+  if reaches succ bits scc then List.iter (fun v -> bits.(v) <- true) scc
 
 let compute (cg : Callgraph.t) : t array =
   let n = cg.Callgraph.n_funcs in
-  let ni = cg.Callgraph.n_imports in
-  let ty_of f = Ast.type_of_func cg.Callgraph.m f in
-  let facts =
-    Array.init n (fun f ->
-        let nparams = List.length (ty_of f).Types.params in
-        let fa =
-          {
-            f_used = Array.make nparams (f < ni);
-            f_store = false;
-            f_mem = false;
-            f_free = false;
-            f_alloc = false;
-            f_indirect_tys = ref [];
-          }
-        in
-        if f >= ni then
-          scan_body nparams fa (List.nth cg.Callgraph.m.Ast.funcs (f - ni)).Ast.body;
-        fa)
-  in
-  let summaries =
-    Array.init n (fun f ->
-        let ty = ty_of f in
-        let nparams = List.length ty.Types.params in
-        let host = f < ni in
-        {
-          sm_params = nparams;
-          sm_results = List.length ty.Types.results;
-          sm_used = Array.copy facts.(f).f_used;
-          (* hosts: arguments escape and memory is read, but the WASI
-             surface never frees or retags guest segments *)
-          sm_escapes = Array.make nparams host;
-          sm_mutates = false;
-          sm_allocs = false;
-          sm_touches_mem = host;
-          sm_host = host;
-        })
-  in
-  (* Leakiness (does this function, or anything it reaches, have a leak
-     channel?) is a per-function monotone bit; escapes.(i) is then
-     used.(i) && leaky. *)
-  let leaky = Array.init n (fun f -> f < ni || facts.(f).f_store
-                                     || List.length (ty_of f).Types.results > 0)
-  in
-  let callees_of f =
-    let direct = cg.Callgraph.callees.(f) in
-    let indirect =
-      if f < ni then []
-      else
-        List.concat_map (Callgraph.indirect_targets cg)
-          !(facts.(f).f_indirect_tys)
-    in
-    direct @ indirect
-  in
-  let step f =
-    if f < ni then false
-    else begin
-      let s = summaries.(f) in
-      let fa = facts.(f) in
-      let callees = callees_of f in
-      let mutates =
-        fa.f_free
-        || List.exists (fun c -> summaries.(c).sm_mutates) callees
-        (* an indirect call can also reach any future table write the
-           module itself performs; element segments are the only writer
-           here, so the type-filtered target set above is exact *)
-      in
-      let allocs =
-        fa.f_alloc || List.exists (fun c -> summaries.(c).sm_allocs) callees
-      in
-      let touches =
-        fa.f_mem
-        || List.exists (fun c -> summaries.(c).sm_touches_mem) callees
-      in
-      let lk =
-        leaky.(f) || List.exists (fun c -> leaky.(c)) callees
-      in
-      let changed =
-        mutates <> s.sm_mutates || allocs <> s.sm_allocs
-        || touches <> s.sm_touches_mem || lk <> leaky.(f)
-      in
-      leaky.(f) <- lk;
-      summaries.(f) <-
-        { s with sm_mutates = mutates; sm_allocs = allocs;
-                 sm_touches_mem = touches };
-      changed
-    end
-  in
-  (* Reverse-topological SCC order: callees are final before callers;
-     inside a component, iterate to the fixed point (all facts are
-     monotone booleans, so this terminates in at most |scc| * 4
-     rounds). *)
+  let ni = Array.length cg.Callgraph.ix.Ast.ix_imports in
+  let nodes = Array.length cg.Callgraph.succ in
+  (* One bit per node and fact, seeded with what each body does by
+     itself (class nodes do nothing). Hosts read memory and let their
+     arguments escape, but the WASI surface never frees or retags guest
+     segments. Leakiness (does this function, or anything it reaches,
+     have a leak channel?) decides [sm_escapes] below. *)
+  let mutates = Array.make nodes false and touches = Array.make nodes false in
+  let leaky = Array.make nodes false in
+  Array.iteri
+    (fun f (fa : Callgraph.facts) ->
+      mutates.(f) <- fa.free;
+      touches.(f) <- f < ni || fa.mem;
+      leaky.(f) <-
+        f < ni || fa.store || (Ast.func_type_at cg.Callgraph.ix f).Types.results <> [])
+    cg.Callgraph.facts;
+  let succ = cg.Callgraph.succ in
   List.iter
     (fun scc ->
-      let continue_ = ref true in
-      while !continue_ do
-        continue_ := List.fold_left (fun ch f -> step f || ch) false scc
-      done)
+      close succ mutates scc;
+      close succ touches scc;
+      close succ leaky scc)
     (Callgraph.sccs cg);
-  (* Final escape bits from the converged leakiness. *)
-  Array.iteri
-    (fun f s ->
-      if f >= ni then
-        Array.iteri
-          (fun i used -> s.sm_escapes.(i) <- used && leaky.(f))
-          s.sm_used)
-    summaries;
-  summaries
+  Array.init n (fun f ->
+      let used = cg.Callgraph.facts.(f).Callgraph.used in
+      {
+        sm_used = used;
+        sm_escapes =
+          (if leaky.(f) then Array.copy used
+           else Array.make (Array.length used) false);
+        sm_mutates = mutates.(f);
+        sm_touches_mem = touches.(f);
+      })
 
-(** Join of summaries over the possible targets of a [call_indirect]
-    of type [tyidx] (the conservative indirect-call summary). [None]
-    when the table set is empty or targets disagree on arity — callers
-    must then fall back to the blanket havoc. *)
-let indirect_join (cg : Callgraph.t) (summaries : t array) tyidx : t option =
-  match Callgraph.indirect_targets cg tyidx with
+(* The join of the summaries of [targets], or [None] when there are
+   none. *)
+let join summaries = function
   | [] -> None
-  | t0 :: _ as targets ->
-      let s0 = summaries.(t0) in
-      let nparams = s0.sm_params in
-      let acc =
+  | f0 :: _ as targets ->
+      let nparams = Array.length summaries.(f0).sm_used in
+      let any p = List.exists (fun f -> p summaries.(f)) targets in
+      let any_param field i = any (fun s -> (field s).(i)) in
+      Some
         {
-          s0 with
-          sm_used = Array.make nparams false;
-          sm_escapes = Array.make nparams false;
+          sm_used = Array.init nparams (any_param (fun s -> s.sm_used));
+          sm_escapes = Array.init nparams (any_param (fun s -> s.sm_escapes));
+          sm_mutates = any (fun s -> s.sm_mutates);
+          sm_touches_mem = any (fun s -> s.sm_touches_mem);
         }
-      in
-      let join acc f =
-        let s = summaries.(f) in
-        for i = 0 to nparams - 1 do
-          acc.sm_used.(i) <- acc.sm_used.(i) || s.sm_used.(i);
-          acc.sm_escapes.(i) <- acc.sm_escapes.(i) || s.sm_escapes.(i)
-        done;
-        {
-          acc with
-          sm_mutates = acc.sm_mutates || s.sm_mutates;
-          sm_allocs = acc.sm_allocs || s.sm_allocs;
-          sm_touches_mem = acc.sm_touches_mem || s.sm_touches_mem;
-          sm_host = acc.sm_host || s.sm_host;
-        }
-      in
-      Some (List.fold_left join acc targets)
+
+(** Per type index, the conservative summary of a [call_indirect] of
+    that type: the join of the summaries of every table member whose
+    type equals it, computed once per class of equal types. [None] when
+    the table holds no such function (the call traps at run time);
+    callers then fall back to the blanket havoc. *)
+let indirect_joins (cg : Callgraph.t) (summaries : t array) : t option array =
+  let tclass = cg.Callgraph.tclass in
+  let joins = Array.make (Array.length tclass) None in
+  Array.iteri
+    (fun ti c ->
+      joins.(ti) <-
+        (if c = ti then join summaries cg.Callgraph.succ.(cg.Callgraph.n_funcs + c)
+         else joins.(c)))
+    tclass;
+  joins

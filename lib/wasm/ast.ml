@@ -136,18 +136,6 @@ let empty_module = {
   start = None;
 }
 
-(** Number of imported functions, i.e. the index of the first
-    module-defined function. *)
-let num_imports m = List.length m.imports
-
-let func_type_of (m : module_) i = List.nth m.types i
-
-(** The type of function index [i] (imports first, then local funcs). *)
-let type_of_func (m : module_) i =
-  let ni = num_imports m in
-  if i < ni then func_type_of m (List.nth m.imports i).im_type
-  else func_type_of m (List.nth m.funcs (i - ni)).ftype
-
 (** [f i x] of every element [x] of [l] at position [i], in order, as an
     array that starts out holding [filler]. OCaml 5.1 allocates an array
     of more than 256 words in the major heap and, when the value it is
@@ -163,8 +151,10 @@ let array_mapi filler f l =
   a
 
 (** A module's index spaces as arrays, built once per module, so that
-    validation, lowering and instantiation look a type, function or
-    global up in O(1) instead of walking a list at every use. *)
+    validation, preparation, lowering, instantiation and the analyzer
+    look a type, function, import or global up in O(1) instead of
+    walking a list at every use. Function indices count the imports
+    first, then the module's own functions. *)
 type index = {
   ix_types : Types.func_type array;
   ix_imports : import array;
@@ -184,7 +174,15 @@ let index (m : module_) =
         id m.globals;
   }
 
-(** {!type_of_func} over an index, for a validated module. *)
+(** The type of function index [i] of a validated module. *)
 let func_type_at ix i =
   let ni = Array.length ix.ix_imports in
   ix.ix_types.(if i < ni then ix.ix_imports.(i).im_type else ix.ix_funcs.(i - ni).ftype)
+
+(** The printable name of function index [i] of a validated module: an
+    import's field name, else the name the front end recorded, else
+    [f<i>]. *)
+let func_name ix i =
+  let ni = Array.length ix.ix_imports in
+  if i < ni then ix.ix_imports.(i).im_name
+  else match ix.ix_funcs.(i - ni).fname with Some n -> n | None -> Printf.sprintf "f%d" i

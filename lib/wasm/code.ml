@@ -1,5 +1,7 @@
 (** Prepared (pre-compiled) function bodies: the one program form that
-    both engines and the static analyzer walk.
+    both engines and the static analyzer walk. {!prepare} reads the
+    module through the {!Ast.index} its caller built ({!Exec.instantiate},
+    {!Compile.module_stats}, [Analysis.Absint.analyze]) and builds none.
 
     The interpreter used to carry a [int list] of label arities at run
     time and look branch targets up with [List.nth] on every
@@ -127,18 +129,21 @@ let unprepared =
     belide = Bytes.empty; arena = Bytes.empty }
 
 (** Prepare every local function of a validated module, in function
-    index order (imports excluded). [elide]/[belide]/[arena], when
-    given, are the static analyzer's plan rows, indexed the same way;
-    a function past the end of an array gets no row. *)
-let prepare ?(elide = [||]) ?(belide = [||]) ?(arena = [||])
-    (m : Ast.module_) : func array =
+    index order (imports excluded), from the index its caller built.
+    [elide]/[belide]/[arena], when given, are the static analyzer's plan
+    rows, indexed the same way; a function past the end of an array gets
+    no row. *)
+let prepare ?(elide = [||]) ?(belide = [||]) ?(arena = [||]) (ix : Ast.index) :
+    func array =
   let row plan j = if j < Array.length plan then plan.(j) else Bytes.empty in
-  let types = (Ast.index m).ix_types in
-  Ast.array_mapi unprepared
+  let codes = Array.make (Array.length ix.ix_funcs) unprepared in
+  Array.iteri
     (fun j (f : Ast.func) ->
-      let result_arity = List.length types.(f.ftype).Types.results in
+      let result_arity = List.length ix.ix_types.(f.ftype).Types.results in
       let next = ref 0 in
       let body = prepare_block next [ result_arity ] f.body in
-      { body; result_arity; nbasic = !next; elide = row elide j;
-        belide = row belide j; arena = row arena j })
-    m.funcs
+      codes.(j) <-
+        { body; result_arity; nbasic = !next; elide = row elide j;
+          belide = row belide j; arena = row arena j })
+    ix.ix_funcs;
+  codes

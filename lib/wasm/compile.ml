@@ -1573,15 +1573,11 @@ let compile_instance ix (inst : Instance.t) =
     function-index order (local functions only). [elide] is the static
     analyzer's bitset array, as passed to instantiation. *)
 let module_stats ?elide ?belide ?arena (m : Ast.module_) : Xcode.stats list =
-  let codes = Code.prepare ?elide ?belide ?arena m in
   let ix = Ast.index m in
+  let codes = Code.prepare ?elide ?belide ?arena ix in
   List.mapi
     (fun j (f : Ast.func) ->
-      let name =
-        match f.fname with
-        | Some n -> n
-        | None -> Printf.sprintf "f%d" (Array.length ix.ix_imports + j)
-      in
+      let name = Ast.func_name ix (Array.length ix.ix_imports + j) in
       snd
         (compile ~m ~ix ~name ~ty:ix.ix_types.(f.ftype) ~func:f ~code:codes.(j)
            ~mtr:(Meter.create ())))

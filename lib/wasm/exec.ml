@@ -554,7 +554,7 @@ let instantiate ?(config = Instance.default_config)
   in
   let n_imports = Array.length ix.ix_imports in
   let codes =
-    Code.prepare ~elide:config.elide ~belide:config.belide ~arena:config.arena m
+    Code.prepare ~elide:config.elide ~belide:config.belide ~arena:config.arena ix
   in
   let funcs = Array.make (n_imports + Array.length codes) unresolved in
   Array.iteri (fun i im -> funcs.(i) <- resolve im) ix.ix_imports;

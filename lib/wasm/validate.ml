@@ -428,7 +428,7 @@ let validate_module (m : Ast.module_) ~cage =
         error "import %s.%s: type index out of range" im.im_module im.im_name)
     m.imports;
   (* element segments *)
-  let nfuncs = Ast.num_imports m + List.length m.funcs in
+  let nfuncs = Array.length ix.ix_imports + Array.length ix.ix_funcs in
   List.iter
     (fun (e : Ast.elem) ->
       if m.table = None then error "element segment without a table";

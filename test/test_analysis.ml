@@ -227,7 +227,8 @@ let test_plan_bits_name_instructions () =
     let c = Cage.Config.instance_config ~m cfg in
     let codes =
       Wasm.Code.prepare ~elide:c.Wasm.Instance.elide
-        ~belide:c.Wasm.Instance.belide ~arena:c.Wasm.Instance.arena m
+        ~belide:c.Wasm.Instance.belide ~arena:c.Wasm.Instance.arena
+        (Wasm.Ast.index m)
     in
     Array.iteri
       (fun f (code : Wasm.Code.func) ->
@@ -502,7 +503,8 @@ let test_module_path_collections () =
           let imports, _ = Harness.Serve_bench.wasi_imports () in
           let elide = c.elide and belide = c.belide and arena = c.arena in
           prepare :=
-            !prepare + forced (fun () -> Wasm.Code.prepare ~elide ~belide ~arena m);
+            !prepare
+            + forced (fun () -> Wasm.Code.prepare ~elide ~belide ~arena (Wasm.Ast.index m));
           lower :=
             !lower + forced (fun () -> Wasm.Compile.module_stats ~elide ~belide ~arena m);
           instantiate :=
@@ -606,13 +608,12 @@ let test_elide_preserves_trap () =
 (* ------------------------------------------------------------------ *)
 
 let fidx_of m name =
-  let n = Wasm.Ast.num_imports m in
-  let rec go i = function
-    | [] -> Alcotest.failf "no function %S in module" name
-    | (f : Wasm.Ast.func) :: rest ->
-        if f.Wasm.Ast.fname = Some name then n + i else go (i + 1) rest
-  in
-  go 0 m.Wasm.Ast.funcs
+  let ix = Wasm.Ast.index m in
+  match
+    Array.find_index (fun (f : Wasm.Ast.func) -> f.fname = Some name) ix.ix_funcs
+  with
+  | Some i -> Array.length ix.ix_imports + i
+  | None -> Alcotest.failf "no function %S in module" name
 
 let test_mutual_recursion_scc () =
   (* even/odd call each other; the base case frees. The call graph must
@@ -631,7 +632,8 @@ let test_mutual_recursion_scc () =
         }
       |}
   in
-  let cg = Analysis.Callgraph.build m in
+  let ix = Wasm.Ast.index m in
+  let cg = Analysis.Callgraph.build m ix (Wasm.Code.prepare ix) in
   let e = fidx_of m "even" and o = fidx_of m "odd" in
   Alcotest.(check bool) "even and odd share an SCC" true
     (List.exists
@@ -666,6 +668,85 @@ let test_call_indirect_conservative () =
   let killed = lint (prog "killer") and kept = lint (prog "keeper") in
   Alcotest.(check bool) "freeing table member blocks post-call elision" true
     (killed.Analysis.Lint.elide_proven < kept.Analysis.Lint.elide_proven)
+
+let test_call_indirect_type_match () =
+  (* a call_indirect joins only the table members of its own type: a
+     freeing [killer] of another type beside [keeper] leaves the
+     post-call access elided, as with [keeper] alone; a freeing member
+     of the called type still withholds it *)
+  let prog killer =
+    Printf.sprintf
+      {|
+        %s
+        void keeper(long *p) { p[0] = p[0] + 1; }
+        int main() {
+          long *p = (long *)malloc(16);
+          p[0] = 1;
+          void (*f)(long *) = &keeper;
+          f(p);
+          p[0] = 2;
+          return 0;
+        }
+      |}
+      killer
+  in
+  let main_proven ?(killer = true) source =
+    let m = compile source in
+    if killer then begin
+      let k = fidx_of m "killer" in
+      if not (List.exists (fun (e : Wasm.Ast.elem) -> List.mem k e.e_funcs) m.elems)
+      then Alcotest.fail "killer is not in the table"
+    end;
+    let a = Analysis.Absint.analyze m in
+    let lidx = fidx_of m "main" - Array.length a.a_ix.ix_imports in
+    Array.fold_left (fun n v -> if v = 1 then n + 1 else n) 0 a.a_verdicts.(lidx)
+  in
+  (* [take] puts [killer] in the table; nothing calls it *)
+  let with_killer params ptr =
+    main_proven
+      (prog
+         (Printf.sprintf
+            "void killer(%s) { free(p); }\nvoid take() { void (*g)(%s) = &killer; }"
+            params ptr))
+  in
+  let alone = main_proven ~killer:false (prog "") in
+  let other = with_killer "long *p, int n" "long *, int" in
+  let same = with_killer "long *p" "long *" in
+  Alcotest.(check int) "another type's freeing member leaves it elided" alone other;
+  Alcotest.(check bool) "a freeing member of the called type withholds it" true
+    (same < alone)
+
+let test_indirect_callee_summary_first () =
+  (* [walk]'s summary is read at its recursive call, and its base case
+     frees through a pointer to [killer], defined after it. The
+     component order must put [killer] (a call_indirect target) before
+     [walk], or [walk]'s summary misses the free and the use after it is
+     elided: the elided run must trap as the checked one does *)
+  let source =
+    {|
+      void killer(long *p);
+      void walk(long *p, int n, void (*f)(long *)) {
+        if (n > 0) { walk(p, n - 1, f); return; }
+        f(p);
+      }
+      void killer(long *p) { free(p); }
+      int main() {
+        long *p = (long *)malloc(16);
+        p[0] = 1;
+        walk(p, 3, &killer);
+        p[0] = 2;
+        return 0;
+      }
+    |}
+  in
+  List.iter
+    (fun cfg ->
+      match Libc.Run.run ~cfg source with
+      | _ -> Alcotest.fail "the use after free ran"
+      | exception Wasm.Instance.Trap msg ->
+          Alcotest.(check bool) "tag fault" true
+            (Astring.String.is_infix ~affix:"tag fault" msg))
+    [ Cage.Config.mem_safety; Cage.Config.with_elision Cage.Config.mem_safety ]
 
 let test_summary_invalidated_by_free () =
   (* the recursive self-call is summarized, not inlined: a callee that
@@ -805,6 +886,8 @@ let () =
         [
           tc "mutual recursion SCC" test_mutual_recursion_scc;
           tc "call_indirect conservative" test_call_indirect_conservative;
+          tc "call_indirect joins only its type" test_call_indirect_type_match;
+          tc "indirect callee summarized first" test_indirect_callee_summary_first;
           tc "summary invalidated by free" test_summary_invalidated_by_free;
           tc "arena lowering runtime" test_arena_lowering_runtime;
           tc "spec-safe plan subset" test_spec_safe_plan_subset;
