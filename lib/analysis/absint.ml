@@ -38,6 +38,7 @@
 module Ast = Wasm.Ast
 module Types = Wasm.Types
 module Code = Wasm.Code
+module Label_stack = Wasm.Label_stack
 module IMap = Map.Make (Int)
 
 (* ------------------------------------------------------------------ *)
@@ -473,6 +474,13 @@ type genv = {
           escape flags change: the site facts a pass reads *)
 }
 
+(* A label: its arity, and the join of the kept states that branched
+   to it with their carried values. *)
+type frame = { f_arity : int; mutable f_pend : (aval list * state) option }
+
+(* What a label stack's vacated cells hold. *)
+let no_frame = { f_arity = 0; f_pend = None }
+
 type fenv = {
   g : genv;
   path : string;
@@ -485,6 +493,9 @@ type fenv = {
   mutable saved : aval list list;
       (** the operand stacks the enclosing blocks were entered over,
           innermost first: a local write scrubs them too *)
+  frames : frame Label_stack.t;
+      (** the enclosing labels, innermost on top; the function's own at
+          the bottom *)
 }
 
 let n_imports g = Array.length g.v.ix.Ast.ix_imports
@@ -848,22 +859,18 @@ let low48_zero c =
 
 let untag_mask = 0xFFFF_FFFF_FFFFL
 
-(* A label: its arity, and the join of the kept states that branched
-   to it with their carried values. *)
-type frame = { f_arity : int; mutable f_pend : (aval list * state) option }
-
 let join_exit a b =
   match (a, b) with
   | None, x | x, None -> x
   | Some (va, sa), Some (vb, sb) ->
       Some (List.map2 join_aval va vb, join_state sa sb)
 
-(* Kept state [s] branches to label [k], carrying the top of [stack]. *)
-let branch_join frames k stack s =
-  match List.nth_opt frames k with
-  | None -> ()
-  | Some fr ->
-      fr.f_pend <- join_exit fr.f_pend (Some (take fr.f_arity stack, s))
+(* Kept state [s] branches to label [fr], carrying the top of [stack]. *)
+let branch_join fr stack s =
+  fr.f_pend <- join_exit fr.f_pend (Some (take fr.f_arity stack, s))
+
+let branch_to fenv (l : Code.label) stack s =
+  branch_join (Label_stack.nth fenv.frames l.depth) stack s
 
 (* The values a frame leaves its block with, if it is reachable. *)
 let exit_vals arity ok st = if ok then Some (take arity st.stack) else None
@@ -1029,19 +1036,26 @@ let apply_summary g st (s : Summary.t) args nresults =
 (* [eval_seq] runs a prepared sequence on frame [st]; [false] means the
    abstract path is unreachable (trapped, branched away) and [st] holds
    nothing. *)
-let rec eval_seq fenv frames st (body : Code.instr array) =
+let rec eval_seq fenv st (body : Code.instr array) =
   let n = Array.length body in
-  let rec go i = i >= n || (eval_instr fenv frames st body.(i) && go (i + 1)) in
+  let rec go i = i >= n || (eval_instr fenv st body.(i) && go (i + 1)) in
   go 0
 
-and eval_instr fenv frames st (ins : Code.instr) =
+(* [body] under the new innermost label [frame] *)
+and eval_in fenv frame st body =
+  Label_stack.push fenv.frames frame;
+  let ok = eval_seq fenv st body in
+  ignore (Label_stack.pop fenv.frames);
+  ok
+
+and eval_instr fenv st (ins : Code.instr) =
   let spec = fenv.g.spec in
   match ins with
   | Code.Basic (i, id) -> eval_basic fenv st i id
   | Code.Block (a, body) ->
       enter fenv st;
       let frame = { f_arity = a; f_pend = None } in
-      let ok = eval_seq fenv (frame :: frames) st body in
+      let ok = eval_in fenv frame st body in
       leave fenv st (exit_vals a ok st) frame
   | Code.If (a, then_, else_) ->
       let cond = pop st in
@@ -1051,7 +1065,7 @@ and eval_instr fenv frames st (ins : Code.instr) =
          then arm's refinement *)
       let els = save st in
       let run s truth body =
-        refine ~spec cond truth s && eval_seq fenv (frame :: frames) s body
+        refine ~spec cond truth s && eval_in fenv frame s body
       in
       let rt = run st true then_ in
       let re = run els false else_ in
@@ -1078,7 +1092,7 @@ and eval_instr fenv frames st (ins : Code.instr) =
         g.deferred <- [];
         let changes = g.site_changes in
         load st head;
-        let ok = eval_seq fenv (frame :: frames) st body in
+        let ok = eval_in fenv frame st body in
         let last =
           if g.site_changes = changes then Some (ok, g.deferred) else None
         in
@@ -1107,30 +1121,28 @@ and eval_instr fenv frames st (ins : Code.instr) =
         | None ->
             frame.f_pend <- None;
             load st stable;
-            eval_seq fenv (frame :: frames) st body
+            eval_in fenv frame st body
       in
       let saved = restore fenv in
       if ok then st.stack <- take a st.stack @ saved;
       ok
   | Code.Br l ->
-      branch_join frames l.depth st.stack (save st);
+      branch_to fenv l st.stack (save st);
       false
   | Code.BrIf l ->
       let cond = pop st in
       let taken = save st in
       if refine ~spec cond true taken then
-        branch_join frames l.depth st.stack taken;
+        branch_to fenv l st.stack taken;
       refine ~spec cond false st
   | Code.BrTable (ts, d) ->
       ignore (pop st);
       let s = save st in
-      branch_join frames d.depth st.stack s;
-      Array.iter
-        (fun (l : Code.label) -> branch_join frames l.depth st.stack s)
-        ts;
+      branch_to fenv d st.stack s;
+      Array.iter (fun l -> branch_to fenv l st.stack s) ts;
       false
   | Code.Return _ ->
-      branch_join frames (List.length frames - 1) st.stack (save st);
+      branch_join (Label_stack.bottom fenv.frames) st.stack (save st);
       false
 
 and eval_basic fenv st (i : Ast.instr) (id : int) : bool =
@@ -1547,11 +1559,12 @@ and analyze_func g ~path ~active ~depth ~root fidx args live g0 =
       depth;
       cmp_locals = [];
       saved = [];
+      frames = Label_stack.create no_frame;
     }
   in
   let arity = List.length ft.Types.results in
   let frame = { f_arity = arity; f_pend = None } in
-  let ok = eval_seq fenv [ frame ] st g.v.code.(lidx).Code.body in
+  let ok = eval_in fenv frame st g.v.code.(lidx).Code.body in
   match merge st (exit_vals arity ok st) frame.f_pend with
   | None -> None
   | Some rets ->

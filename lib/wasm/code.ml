@@ -63,9 +63,10 @@ let block_arity : Ast.block_type -> int = function
   | Ast.ValBlock None -> 0
   | Ast.ValBlock (Some _) -> 1
 
-(* [arities] is the static label stack, innermost first; its base entry
-   is the function's result arity (the function-body label). *)
-let resolve arities n = { depth = n; arity = List.nth arities n }
+(* [arities] is the static label stack ({!Label_stack}), innermost on
+   top; its bottom entry is the function's result arity (the
+   function-body label). *)
+let resolve arities n = { depth = n; arity = Label_stack.nth arities n }
 
 (* What a prepared array starts out holding ({!Ast.array_mapi}); also the
    lowerer's instruction past the end of a body. It is a static
@@ -77,24 +78,29 @@ let filler = Basic (Ast.Nop, -1)
 let rec prepare_block next arities (instrs : Ast.instr list) : instr array =
   Ast.array_mapi filler (fun _ i -> prepare_instr next arities i) instrs
 
+(* [body] under a new innermost label of arity [a] *)
+and prepare_in next arities a body =
+  Label_stack.push arities a;
+  let b = prepare_block next arities body in
+  ignore (Label_stack.pop arities);
+  b
+
 and prepare_instr next arities : Ast.instr -> instr = function
   | Ast.Block (bt, body) ->
       let a = block_arity bt in
-      Block (a, prepare_block next (a :: arities) body)
-  | Ast.Loop (bt, body) ->
-      Loop (block_arity bt, prepare_block next (0 :: arities) body)
+      Block (a, prepare_in next arities a body)
+  | Ast.Loop (bt, body) -> Loop (block_arity bt, prepare_in next arities 0 body)
   | Ast.If (bt, then_, else_) ->
       let a = block_arity bt in
-      let arities = a :: arities in
-      let then_ = prepare_block next arities then_ in
-      If (a, then_, prepare_block next arities else_)
+      let then_ = prepare_in next arities a then_ in
+      If (a, then_, prepare_in next arities a else_)
   | Ast.Br n -> Br (resolve arities n)
   | Ast.BrIf n -> BrIf (resolve arities n)
   | Ast.BrTable (targets, default) ->
       BrTable
         (Ast.array_mapi { depth = 0; arity = 0 } (fun _ n -> resolve arities n) targets,
          resolve arities default)
-  | Ast.Return -> Return (List.nth arities (List.length arities - 1))
+  | Ast.Return -> Return (Label_stack.bottom arities)
   | i ->
       let id = !next in
       incr next;
@@ -137,11 +143,12 @@ let prepare ?(elide = [||]) ?(belide = [||]) ?(arena = [||]) (ix : Ast.index) :
     func array =
   let row plan j = if j < Array.length plan then plan.(j) else Bytes.empty in
   let codes = Array.make (Array.length ix.ix_funcs) unprepared in
+  let arities = Label_stack.create 0 in
   Array.iteri
     (fun j (f : Ast.func) ->
       let result_arity = List.length ix.ix_types.(f.ftype).Types.results in
       let next = ref 0 in
-      let body = prepare_block next [ result_arity ] f.body in
+      let body = prepare_in next arities result_arity f.body in
       codes.(j) <-
         { body; result_arity; nbasic = !next; elide = row elide j;
           belide = row belide j; arena = row arena j })

@@ -10,7 +10,12 @@
     only decides {e when} those are called and bakes every decision that
     the interpreter re-derives per execution — operand slots, branch
     targets, elision bits, numeric specialisations — into closure
-    environments at instantiation time.
+    environments at instantiation time. The one exception is the
+    operator table, which restates {!Numerics}' bodies on unboxed
+    values, because a call across the module boundary boxes its [int64]
+    and [float] operands and result (see "The operator table");
+    [Numerics] stays the interpreter's, and the engine tests hold the
+    two to identical results.
 
     {2 Lowering is total}
 
@@ -55,20 +60,43 @@ open Xcode
 let[@inline] gm (inst : Instance.t) =
   match inst.mem with Some m -> m | None -> assert false
 
+(* A slot's raw 64 bits move through a [Bytes.t] view of the slot
+   [float array], one inline 8-byte load or store each. OCaml 5.1 has no
+   inline float/int64 bit-cast: [Int64.bits_of_float] and
+   [Int64.float_of_bits] each call a C stub on the C stack. So every
+   integer operand, result and address goes through [get64]/[set64], as
+   does every i64, f64 and packed load and store, which copies bits
+   between linear memory and the slot. Float arithmetic reads and writes
+   the float array itself; only f32 rounding and the conversions keep a
+   C cast (see {!Xcode}'s "Value slots").
+
+   The view is sound on two counts. A float array is one flat block of
+   unboxed doubles ([Obj.double_array_tag], checked below at
+   initialisation, so a compiler without flat float arrays fails loudly
+   instead of misreading slots), so byte [8i] of the view is slot [i].
+   And ocamlopt drops every available load at each store, so a float
+   read after a view write (or a view read after a float write) always
+   loads the slot afresh. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] get64 (stk : float array) i = get64u (Obj.magic stk : Bytes.t) (i lsl 3)
+let[@inline] set64 (stk : float array) i v = set64u (Obj.magic stk : Bytes.t) (i lsl 3) v
+
+let () =
+  if Obj.tag (Obj.repr (Array.make 1 0.0)) <> Obj.double_array_tag then
+    failwith "Compile: the slot store needs flat float arrays"
+
 (* i32 values travel as sign-extended native ints inside hot ops: the
    slot already holds the sign-extended 64-bit pattern, so decode is a
    truncation and encode a widening — no Int32 boxing on the ALU path. *)
-let[@inline] int_of_slot s = Int64.to_int (Int64.bits_of_float s)
-let[@inline] slot_of_int v = Int64.float_of_bits (Int64.of_int v)
-let[@inline] geti stk i = int_of_slot (Array.unsafe_get stk i)
-let[@inline] seti stk i v = Array.unsafe_set stk i (slot_of_int v)
+let[@inline] geti stk i = Int64.to_int (get64 stk i)
+let[@inline] seti stk i v = set64 stk i (Int64.of_int v)
+let[@inline] setb stk i b = seti stk i (Bool.to_int b)
 
 (* Sign-extend from bit 31 on a 63-bit native int. *)
 let[@inline] norm32 v = (v lsl 31) asr 31
 let mask32 = 0xffffffff
-let slot_true = Int64.float_of_bits 1L
-let slot_false = 0.0
-let[@inline] slot_of_bool b = if b then slot_true else slot_false
 
 (* Inline guards for the per-op observability tick: the uninstrumented
    hot path pays one load-and-compare; the out-of-line call happens
@@ -85,20 +113,13 @@ let[@inline] meter_br (m : Meter.t) inst =
 
 (* Where an access op finds its operands and leaves its result: an
    operand-stack slot (relative to [opbase]) or a local (relative to
-   [base]), decided at compile time. Reading through an inline match
-   on a closure-constant keeps the slot value unboxed — passing it
-   through a closure parameter would box the float at every access. *)
+   [base]), decided at compile time and resolved to an absolute slot
+   index by an inline match on a closure constant, so the access reads
+   and writes the slot itself and no value crosses a closure call. *)
 type slotref = Sop of int | Sloc of int
 
-let[@inline] read_slot (st : Instance.t Xcode.state) (r : slotref) =
-  match r with
-  | Sop h -> Array.unsafe_get st.stk (st.opbase + h)
-  | Sloc i -> Array.unsafe_get st.stk (st.base + i)
-
-let[@inline] write_slot (st : Instance.t Xcode.state) (r : slotref) v =
-  match r with
-  | Sop h -> Array.unsafe_set st.stk (st.opbase + h) v
-  | Sloc i -> Array.unsafe_set st.stk (st.base + i) v
+let[@inline] slot (st : Instance.t Xcode.state) (r : slotref) =
+  match r with Sop h -> st.opbase + h | Sloc i -> st.base + i
 
 (* ------------------------------------------------------------------ *)
 (* The access path                                                     *)
@@ -120,31 +141,33 @@ type skind = Sk_i32 | Sk_i64 | Sk_f32 | Sk_f64 | Sk_pack of int
    boundary, because under dune's [-opaque] (and without flambda) every
    such call stays out of line and boxes. The primitives keep their own
    range test, raising [Invalid_argument] past the prefix. Each reads
-   [mem.data] afresh, since {!reach} may replace it. A store marks the
-   4 KiB chunk its first byte lies in only after its range-checked
-   write, the rule every {!Memory} write follows: a store that would
-   leave the buffer has raised, so the mark is in range. *)
-let[@inline] do_load (k : lkind) (mem : Memory.t) a : float =
+   [mem.data] afresh, since {!reach} may replace it. A load writes slot
+   [i] of [stk] and a store reads it, so an i64 or f64 access copies
+   its eight bytes without a cast. A store marks the 4 KiB chunk its
+   first byte lies in only after its range-checked write, the rule
+   every {!Memory} write follows: a store that would leave the buffer
+   has raised, so the mark is in range. *)
+let[@inline] do_load (k : lkind) (mem : Memory.t) a stk i =
   let b = mem.Memory.data in
   match k with
-  | Lk_i32 | Lk_pack (4, true) -> slot_of_int (Int32.to_int (Bytes.get_int32_le b a))
-  | Lk_i64 | Lk_f64 -> Int64.float_of_bits (Bytes.get_int64_le b a)
-  | Lk_f32 -> Int32.float_of_bits (Bytes.get_int32_le b a)
-  | Lk_pack (1, true) -> slot_of_int ((Bytes.get_uint8 b a lsl 55) asr 55)
-  | Lk_pack (1, false) -> slot_of_int (Bytes.get_uint8 b a)
-  | Lk_pack (2, true) -> slot_of_int ((Bytes.get_uint16_le b a lsl 47) asr 47)
-  | Lk_pack (2, false) -> slot_of_int (Bytes.get_uint16_le b a)
-  | Lk_pack (4, false) -> slot_of_int (Int32.to_int (Bytes.get_int32_le b a) land mask32)
+  | Lk_i32 | Lk_pack (4, true) -> seti stk i (Int32.to_int (Bytes.get_int32_le b a))
+  | Lk_i64 | Lk_f64 -> set64 stk i (Bytes.get_int64_le b a)
+  | Lk_f32 -> Array.unsafe_set stk i (Int32.float_of_bits (Bytes.get_int32_le b a))
+  | Lk_pack (1, true) -> seti stk i ((Bytes.get_uint8 b a lsl 55) asr 55)
+  | Lk_pack (1, false) -> seti stk i (Bytes.get_uint8 b a)
+  | Lk_pack (2, true) -> seti stk i ((Bytes.get_uint16_le b a lsl 47) asr 47)
+  | Lk_pack (2, false) -> seti stk i (Bytes.get_uint16_le b a)
+  | Lk_pack (4, false) -> seti stk i (Int32.to_int (Bytes.get_int32_le b a) land mask32)
   | Lk_pack _ -> assert false
 
-let[@inline] do_store (k : skind) (mem : Memory.t) a (s : float) : unit =
+let[@inline] do_store (k : skind) (mem : Memory.t) a stk i : unit =
   let b = mem.Memory.data in
   (match k with
-  | Sk_i32 | Sk_pack 4 -> Bytes.set_int32_le b a (Int32.of_int (int_of_slot s))
-  | Sk_i64 | Sk_f64 -> Bytes.set_int64_le b a (Int64.bits_of_float s)
-  | Sk_f32 -> Bytes.set_int32_le b a (Int32.bits_of_float s)
-  | Sk_pack 1 -> Bytes.set_uint8 b a (int_of_slot s land 0xff)
-  | Sk_pack 2 -> Bytes.set_uint16_le b a (int_of_slot s land 0xffff)
+  | Sk_i32 | Sk_pack 4 -> Bytes.set_int32_le b a (Int32.of_int (geti stk i))
+  | Sk_i64 | Sk_f64 -> Bytes.set_int64_le b a (get64 stk i)
+  | Sk_f32 -> Bytes.set_int32_le b a (Int32.bits_of_float (Array.unsafe_get stk i))
+  | Sk_pack 1 -> Bytes.set_uint8 b a (geti stk i land 0xff)
+  | Sk_pack 2 -> Bytes.set_uint16_le b a (geti stk i land 0xffff)
   | Sk_pack _ -> assert false);
   Bytes.unsafe_set mem.Memory.dirty (a lsr Memory.chunk_bits) '\001'
 
@@ -162,11 +185,11 @@ let[@inline] pack64 (p : int64) (off : int) : int =
   ((b land 0xffff_ffff_ffff) + off) lor (((b lsr 56) land 0xf) lsl 50)
 
 (* On an armed instance: [Checked.resolve_addr_i64]'s draws and
-   corruptions first. It reads its own slot, since a float passed to
+   corruptions first. It reads its own slot, since an [int64] passed to
    an out-of-line call would be boxed; beyond what a [draw] that rolls
    the lane's PRNG allocates, it allocates only when one fires. *)
 let resolve64_chaos ln (st : Instance.t Xcode.state) src (off : int) : int =
-  let p = Int64.bits_of_float (read_slot st src) in
+  let p = get64 st.stk (slot st src) in
   if Arch.Fault_inject.draw ln Arch.Fault_inject.Ptr_sig then
     pack64 (Checked.corrupt_sig ln p) off
   else if Arch.Fault_inject.draw ln Arch.Fault_inject.Ptr_tag then
@@ -175,7 +198,7 @@ let resolve64_chaos ln (st : Instance.t Xcode.state) src (off : int) : int =
 
 let[@inline] resolve64p (st : Instance.t Xcode.state) src (off : int) : int =
   match st.inst.chaos with
-  | None -> pack64 (Int64.bits_of_float (read_slot st src)) off
+  | None -> pack64 (get64 st.stk (slot st src)) off
   | Some ln -> resolve64_chaos ln st src off
 
 let oob () = Rt.trap "bounds: out of bounds memory access"
@@ -207,7 +230,7 @@ let[@inline] note_span_elided (m : Meter.t) =
 let[@inline] access w32 te be (m : Meter.t) (st : Instance.t Xcode.state)
     (mem : Memory.t) acc len off src =
   let pa =
-    if w32 then (int_of_slot (read_slot st src) land mask32) + off
+    if w32 then (geti st.stk (slot st src) land mask32) + off
     else resolve64p st src off
   in
   let addr = if w32 then pa else pa land tag_addr_mask in
@@ -237,22 +260,22 @@ let[@inline] load w32 te be (m : Meter.t) st len lk off src dst =
   let addr = access w32 te be m st mem Arch.Mte.Load len off src in
   m.loads <- m.loads + 1;
   m.load_bytes <- m.load_bytes + len;
-  write_slot st dst
-    (if be then
-       try do_load lk mem addr
-       with Invalid_argument _ -> (reach mem (addr + len); do_load lk mem addr)
-     else do_load lk mem addr)
+  let stk = st.stk and i = slot st dst in
+  if be then
+    try do_load lk mem addr stk i
+    with Invalid_argument _ -> (reach mem (addr + len); do_load lk mem addr stk i)
+  else do_load lk mem addr stk i
 
 let[@inline] store w32 te be (m : Meter.t) st len sk off src vsrc =
   let mem = gm st.inst in
   let addr = access w32 te be m st mem Arch.Mte.Store len off src in
   m.stores <- m.stores + 1;
   m.store_bytes <- m.store_bytes + len;
+  let stk = st.stk and i = slot st vsrc in
   if be then
-    try do_store sk mem addr (read_slot st vsrc)
-    with Invalid_argument _ ->
-      (reach mem (addr + len); do_store sk mem addr (read_slot st vsrc))
-  else do_store sk mem addr (read_slot st vsrc)
+    try do_store sk mem addr stk i
+    with Invalid_argument _ -> (reach mem (addr + len); do_store sk mem addr stk i)
+  else do_store sk mem addr stk i
 
 (* Scalar load specialisation: (access width, width/extension kind).
    A packed i32 load's slot pattern coincides with the i64 one for
@@ -307,6 +330,11 @@ let native_off (off : int64) : int = Int64.to_int (Int64.min off 0x8000_0000L)
 let[@inline] ialu (m : Meter.t) = m.ialu <- m.ialu + 1
 let[@inline] falu (m : Meter.t) = m.falu <- m.falu + 1
 
+(* [x]'s 32-bit pattern rotated left by [n], [0 <= n < 32]. *)
+let[@inline] rotl32 x n =
+  let u = x land mask32 in
+  norm32 ((u lsl n) lor (u lsr (32 - n)))
+
 let[@inline] i32_binop_m (m : Meter.t) (op : Ast.ibinop) (x : int) (y : int) =
   match op with
   | Add -> ialu m; norm32 (x + y)
@@ -336,12 +364,8 @@ let[@inline] i32_binop_m (m : Meter.t) (op : Ast.ibinop) (x : int) (y : int) =
   | Shl -> ialu m; norm32 (x lsl (y land 31))
   | ShrS -> ialu m; x asr (y land 31)
   | ShrU -> ialu m; norm32 ((x land mask32) lsr (y land 31))
-  | Rotl ->
-      ialu m;
-      Int32.to_int (Values.rotl32 (Int32.of_int x) (Int32.of_int y))
-  | Rotr ->
-      ialu m;
-      Int32.to_int (Values.rotr32 (Int32.of_int x) (Int32.of_int y))
+  | Rotl -> ialu m; rotl32 x (y land 31)
+  | Rotr -> ialu m; rotl32 x (-y land 31)
 
 (* Whether a fused group may absorb this ibinop (no trapping paths, so
    the group has a single observable failure order). *)
@@ -349,21 +373,88 @@ let i32_binop_fusable : Ast.ibinop -> bool = function
   | Add | Sub | Mul | And | Or | Xor | Shl | ShrS | ShrU -> true
   | DivS | DivU | RemS | RemU | Rotl | Rotr -> false
 
-(* Int64 primitives are unboxed externals, so an in-body
-   bits_of_float → op → float_of_bits chain never boxes on the common
-   arms; the trapping and rotating ones keep [Numerics]' shared body. *)
-let[@inline] i64_binop_m (m : Meter.t) (op : Ast.ibinop) x y =
+(* The i64 operators restate [Numerics]' bodies (trap texts and order
+   included) on [Int64] primitives, which inline unboxed: a call to
+   [Numerics] would box both operands and the result across the
+   module boundary. Their traps raise in place, as [Rt.trap] would
+   with the same text: an arm that ends in a call would keep ocamlopt
+   from holding the [int64] result unboxed across the arms. [ult64] is
+   the unsigned order (flip the sign bits, compare signed) and [udiv64]
+   is [Int64.unsigned_div] for [y <> 0]. *)
+let[@inline] ult64 (x : int64) y = Int64.add x Int64.min_int < Int64.add y Int64.min_int
+
+let[@inline] udiv64 x y =
+  if y < 0L then if ult64 x y then 0L else 1L
+  else
+    let q = Int64.shift_left (Int64.div (Int64.shift_right_logical x 1) y) 1 in
+    if ult64 (Int64.sub x (Int64.mul q y)) y then q else Int64.add q 1L
+
+(* [x] rotated left by [n], [0 <= n < 64]. *)
+let[@inline] rotl64 x n =
+  if n = 0 then x
+  else Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
+
+let[@inline] i64_binop_m (m : Meter.t) (op : Ast.ibinop) (x : int64) (y : int64) =
   match op with
   | Add -> ialu m; Int64.add x y
   | Sub -> ialu m; Int64.sub x y
   | Mul -> m.imul <- m.imul + 1; Int64.mul x y
-  | DivS | DivU | RemS | RemU ->
+  | DivS ->
       m.idiv <- m.idiv + 1;
-      Numerics.eval_ibinop64 op x y
+      if y = 0L then raise (Instance.Trap "integer divide by zero")
+      else if x = Int64.min_int && y = -1L then raise (Instance.Trap "integer overflow")
+      else Int64.div x y
+  | DivU ->
+      m.idiv <- m.idiv + 1;
+      if y = 0L then raise (Instance.Trap "integer divide by zero") else udiv64 x y
+  | RemS ->
+      m.idiv <- m.idiv + 1;
+      if y = 0L then raise (Instance.Trap "integer divide by zero")
+      else if x = Int64.min_int && y = -1L then 0L
+      else Int64.rem x y
+  | RemU ->
+      m.idiv <- m.idiv + 1;
+      if y = 0L then raise (Instance.Trap "integer divide by zero")
+      else Int64.sub x (Int64.mul (udiv64 x y) y)
   | And -> ialu m; Int64.logand x y
   | Or -> ialu m; Int64.logor x y
   | Xor -> ialu m; Int64.logxor x y
-  | Shl | ShrS | ShrU | Rotl | Rotr -> ialu m; Numerics.eval_ibinop64 op x y
+  | Shl -> ialu m; Int64.shift_left x (Int64.to_int y land 63)
+  | ShrS -> ialu m; Int64.shift_right x (Int64.to_int y land 63)
+  | ShrU -> ialu m; Int64.shift_right_logical x (Int64.to_int y land 63)
+  | Rotl -> ialu m; rotl64 x (Int64.to_int y land 63)
+  | Rotr -> ialu m; rotl64 x (-Int64.to_int y land 63)
+
+let[@inline] i64_relop (op : Ast.irelop) (x : int64) (y : int64) =
+  match op with
+  | Eq -> x = y
+  | Ne -> x <> y
+  | LtS -> x < y
+  | LtU -> ult64 x y
+  | GtS -> x > y
+  | GtU -> ult64 y x
+  | LeS -> x <= y
+  | LeU -> not (ult64 y x)
+  | GeS -> x >= y
+  | GeU -> not (ult64 x y)
+
+(* [n] plus the leading zeros, trailing zeros or set bits of a 32-bit
+   pattern [v] held in a native int ([0 <= v < 2^32]); an i64 operand
+   is counted as its two halves. Loops over native ints allocate
+   nothing. *)
+let rec clz32 n v = if n = 32 || v land 0x8000_0000 <> 0 then n else clz32 (n + 1) (v lsl 1)
+let rec ctz32 n v = if n = 32 || v land 1 <> 0 then n else ctz32 (n + 1) (v lsr 1)
+let rec popcnt n v = if v = 0 then n else popcnt (n + 1) (v land (v - 1))
+
+let[@inline] i32_unop (op : Ast.iunop) v =
+  match op with Clz -> clz32 0 v | Ctz -> ctz32 0 v | Popcnt -> popcnt 0 v
+
+let[@inline] i64_unop (op : Ast.iunop) (x : int64) =
+  let hi = Int64.to_int (Int64.shift_right_logical x 32) and lo = Int64.to_int x land mask32 in
+  match op with
+  | Clz -> if hi <> 0 then clz32 0 hi else 32 + clz32 0 lo
+  | Ctz -> if lo <> 0 then ctz32 0 lo else 32 + ctz32 0 hi
+  | Popcnt -> popcnt (popcnt 0 hi) lo
 
 let[@inline] i32_relop (op : Ast.irelop) (x : int) (y : int) =
   match op with
@@ -379,24 +470,36 @@ let[@inline] i32_relop (op : Ast.irelop) (x : int) (y : int) =
   | GeU -> x land mask32 >= y land mask32
 
 (* f64 semantics; an f32 op rounds the result through single precision
-   ([Values.to_f32]), exactly as the interpreter stores it. The
-   arithmetic arms stay unboxed; the rare ones call [Numerics]. A typed
-   float compare never boxes, and NaN falls out of the IEEE compare
-   exactly as [Numerics.eval_frelop]'s. *)
+   ([to_f32]), exactly as the interpreter stores it. Every arm restates
+   [Numerics.eval_fbinop]/[eval_funop] on unboxed floats ([Float.min]
+   and [max] inline, the rest are unboxed externals): one arm that
+   called [Numerics] would box the result of all of them wherever it is
+   let-bound, as [to_f32]'s argument is. For the same reason [min] and
+   [max] read [Float.nan] from a float array, [canonical_nan]: the
+   module field holds it boxed. A typed float compare never boxes, and
+   NaN falls out of the IEEE compare exactly as
+   [Numerics.eval_frelop]'s. *)
+let canonical_nan = [| Float.nan |]
+
 let[@inline] f_binop_m (m : Meter.t) (op : Ast.fbinop) (x : float) y =
   match op with
   | FAdd -> falu m; x +. y
   | FSub -> falu m; x -. y
   | FMul -> m.fmul <- m.fmul + 1; x *. y
   | FDiv -> m.fdiv <- m.fdiv + 1; x /. y
-  | FMin | FMax | Copysign -> falu m; Numerics.eval_fbinop op x y
+  | FMin -> falu m; if x <> x || y <> y then Array.unsafe_get canonical_nan 0 else Float.min x y
+  | FMax -> falu m; if x <> x || y <> y then Array.unsafe_get canonical_nan 0 else Float.max x y
+  | Copysign -> falu m; Float.copy_sign x y
 
 let[@inline] f_unop (op : Ast.funop) (x : float) =
   match op with
   | Neg -> -.x
   | Abs -> Float.abs x
   | Sqrt -> Float.sqrt x
-  | Ceil | Floor | Trunc | Nearest -> Numerics.eval_funop op x
+  | Ceil -> Float.ceil x
+  | Floor -> Float.floor x
+  | Trunc -> Float.trunc x
+  | Nearest -> Float.round x
 
 let[@inline] f_relop (op : Ast.frelop) (x : float) (y : float) =
   match op with
@@ -407,28 +510,62 @@ let[@inline] f_relop (op : Ast.frelop) (x : float) (y : float) =
   | FLe -> x <= y
   | FGe -> x >= y
 
-(* Conversion ops as slot transforms. *)
-let[@inline] cvt (op : Ast.cvtop) (s : float) : float =
+(* [Values.to_f32], inline: a float passed to it would be boxed. *)
+let[@inline] to_f32 v = Int32.float_of_bits (Int32.bits_of_float v)
+
+(* [Numerics.trunc_to_i32]/[trunc_to_i64] and [u64_to_float], restated
+   unboxed as the i64 operators are: same traps, in the same order,
+   raised in place. *)
+let[@inline] trunc32 signed x =
+  if x <> x then raise (Instance.Trap "invalid conversion to integer");
+  let t = Float.trunc x in
+  if signed then
+    if t >= 2147483648.0 || t < -2147483648.0 then raise (Instance.Trap "integer overflow")
+    else int_of_float t
+  else if t >= 4294967296.0 || t <= -1.0 then raise (Instance.Trap "integer overflow")
+  else norm32 (int_of_float t)
+
+let[@inline] trunc64 signed x =
+  if x <> x then raise (Instance.Trap "invalid conversion to integer");
+  let t = Float.trunc x in
+  if signed then
+    if t >= 9.22337203685477581e18 || t < -9.22337203685477581e18 then
+      raise (Instance.Trap "integer overflow")
+    else Int64.of_float t
+  else if t >= 1.8446744073709552e19 || t <= -1.0 then raise (Instance.Trap "integer overflow")
+  else if t >= 9.22337203685477581e18 then
+    Int64.add Int64.min_int (Int64.of_float (t -. 9.22337203685477581e18))
+  else Int64.of_float t
+
+let[@inline] u64_to_float x =
+  if x >= 0L then Int64.to_float x
+  else Int64.to_float (Int64.shift_right_logical x 1) *. 2.0
+
+(* Conversion ops, in place on slot [q]. An i32 slot already holds the
+   sign-extended 64-bit pattern, and an f32 slot the rounded double, so
+   four conversions move no bits. *)
+let[@inline] cvt (op : Ast.cvtop) stk q =
   match op with
-  | I32WrapI64 -> slot_of_i32 (Int64.to_int32 (i64_of_slot s))
-  (* an i32 slot already holds the sign-extended 64-bit pattern *)
-  | I64ExtendI32S | F64PromoteF32 | I64ReinterpretF64 | F64ReinterpretI64 -> s
-  | I64ExtendI32U -> slot_of_i64 (Int64.logand (Int64.bits_of_float s) 0xffffffffL)
-  | I32TruncF32S | I32TruncF64S -> slot_of_i32 (Numerics.trunc_to_i32 ~signed:true s)
-  | I32TruncF32U | I32TruncF64U -> slot_of_i32 (Numerics.trunc_to_i32 ~signed:false s)
-  | I64TruncF32S | I64TruncF64S -> slot_of_i64 (Numerics.trunc_to_i64 ~signed:true s)
-  | I64TruncF32U | I64TruncF64U -> slot_of_i64 (Numerics.trunc_to_i64 ~signed:false s)
-  | F32ConvertI32S -> Values.to_f32 (float_of_int (int_of_slot s))
-  | F32ConvertI32U -> Values.to_f32 (Numerics.u32_to_float (i32_of_slot s))
-  | F32ConvertI64S -> Values.to_f32 (Int64.to_float (i64_of_slot s))
-  | F32ConvertI64U -> Values.to_f32 (Numerics.u64_to_float (i64_of_slot s))
-  | F64ConvertI32S -> float_of_int (int_of_slot s)
-  | F64ConvertI32U -> Numerics.u32_to_float (i32_of_slot s)
-  | F64ConvertI64S -> Int64.to_float (i64_of_slot s)
-  | F64ConvertI64U -> Numerics.u64_to_float (i64_of_slot s)
-  | F32DemoteF64 -> Values.to_f32 s
-  | I32ReinterpretF32 -> slot_of_i32 (Int32.bits_of_float s)
-  | F32ReinterpretI32 -> Int32.float_of_bits (i32_of_slot s)
+  | I64ExtendI32S | F64PromoteF32 | I64ReinterpretF64 | F64ReinterpretI64 -> ()
+  | I32WrapI64 -> seti stk q (norm32 (geti stk q))
+  | I64ExtendI32U -> seti stk q (geti stk q land mask32)
+  | I32TruncF32S | I32TruncF64S -> seti stk q (trunc32 true (Array.unsafe_get stk q))
+  | I32TruncF32U | I32TruncF64U -> seti stk q (trunc32 false (Array.unsafe_get stk q))
+  | I64TruncF32S | I64TruncF64S -> set64 stk q (trunc64 true (Array.unsafe_get stk q))
+  | I64TruncF32U | I64TruncF64U -> set64 stk q (trunc64 false (Array.unsafe_get stk q))
+  | F32ConvertI32S -> Array.unsafe_set stk q (to_f32 (float_of_int (geti stk q)))
+  | F32ConvertI32U -> Array.unsafe_set stk q (to_f32 (float_of_int (geti stk q land mask32)))
+  | F32ConvertI64S -> Array.unsafe_set stk q (to_f32 (Int64.to_float (get64 stk q)))
+  | F32ConvertI64U -> Array.unsafe_set stk q (to_f32 (u64_to_float (get64 stk q)))
+  | F64ConvertI32S -> Array.unsafe_set stk q (float_of_int (geti stk q))
+  | F64ConvertI32U -> Array.unsafe_set stk q (float_of_int (geti stk q land mask32))
+  | F64ConvertI64S -> Array.unsafe_set stk q (Int64.to_float (get64 stk q))
+  | F64ConvertI64U -> Array.unsafe_set stk q (u64_to_float (get64 stk q))
+  | F32DemoteF64 -> Array.unsafe_set stk q (to_f32 (Array.unsafe_get stk q))
+  | I32ReinterpretF32 ->
+      seti stk q (Int32.to_int (Int32.bits_of_float (Array.unsafe_get stk q)))
+  | F32ReinterpretI32 ->
+      Array.unsafe_set stk q (Int32.float_of_bits (Int32.of_int (geti stk q)))
 
 (* The address step a fused access begins with, in the memory's index
    width W: [[i64.extend_i32_s]; [iW.const c; iW.mul]; iW.add] of the
@@ -443,12 +580,7 @@ let[@inline] addr_step (m : Meter.t) s stk p =
   m.imul <- m.imul + s.scales;
   ialu m;
   if s.w32 then seti stk p (norm32 (geti stk p + (geti stk (p + 1) * Int64.to_int s.c)))
-  else
-    Array.unsafe_set stk p
-      (Int64.float_of_bits
-         (Int64.add
-            (Int64.bits_of_float (Array.unsafe_get stk p))
-            (Int64.mul (Int64.bits_of_float (Array.unsafe_get stk (p + 1))) s.c)))
+  else set64 stk p (Int64.add (get64 stk p) (Int64.mul (get64 stk (p + 1)) s.c))
 
 (* ------------------------------------------------------------------ *)
 (* Calls                                                               *)
@@ -581,7 +713,12 @@ type frame = {
           even when the body's fall-through is not *)
 }
 
-let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
+(* What the label stack's vacated cells hold: made once, at start-up. *)
+let no_frame =
+  { l_target = ref (-1); l_loop = false; l_arity = 0; l_height = 0; l_reached = false }
+
+(* [labels] is the caller's label stack, empty on entry and on return. *)
+let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
     ~(ty : Types.func_type) ~(func : Ast.func) ~(code : Code.func)
     ~(mtr : Meter.t) : Instance.t Xcode.func * Xcode.stats =
   let nparams = List.length ty.params in
@@ -589,25 +726,16 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
   let result_arity = code.result_arity in
   (* A validated module without a memory has no memory instructions, so
      the [None] default is never consulted. *)
-  let mem_idx =
-    match m.memory with Some mt -> mt.Types.mem_idx | None -> Types.Idx32
+  let w32 =
+    match m.memory with Some mt -> mt.Types.mem_idx = Types.Idx32 | None -> true
   in
-  let w32 = mem_idx = Types.Idx32 in
   (* Page counts and bulk lengths are unsigned in the memory's index
      type; bulk-op addresses resolve as [Checked.resolve_addr] does. *)
-  let idx_of_slot, slot_of_idx =
-    match mem_idx with
-    | Types.Idx32 ->
-        ( (fun s -> Int64.logand (Int64.of_int32 (Xcode.i32_of_slot s)) 0xffffffffL),
-          fun v -> Xcode.slot_of_i32 (Int64.to_int32 v) )
-    | Types.Idx64 -> (Xcode.i64_of_slot, Xcode.slot_of_i64)
-  in
-  let resolve_bulk =
-    match mem_idx with
-    | Types.Idx32 ->
-        fun _ s -> (Checked.resolve_addr_i32 (Xcode.i32_of_slot s) 0L, Arch.Tag.zero)
-    | Types.Idx64 ->
-        fun inst s -> Checked.resolve_addr_i64 inst (Xcode.i64_of_slot s) 0L
+  let idx_at stk i = if w32 then Int64.of_int (geti stk i land mask32) else get64 stk i in
+  let set_idx stk i v = if w32 then seti stk i (norm32 (Int64.to_int v)) else set64 stk i v in
+  let resolve_bulk inst stk i =
+    if w32 then (Checked.resolve_addr_i32 (Int32.of_int (geti stk i)) 0L, Arch.Tag.zero)
+    else Checked.resolve_addr_i64 inst (get64 stk i) 0L
   in
   (* --- static state: the operand-stack height --- *)
   let h = ref 0 in
@@ -692,14 +820,12 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
   (* ---------------------------------------------------------------- *)
   (* Branch actions                                                    *)
   (* ---------------------------------------------------------------- *)
-  (* The runtime "take the branch" continuation for a branch to [l]
-     from the current static height. Loop back-edges pay the loop
+  (* The runtime "take the branch" continuation for a branch to label
+     [fr] from the current static height. Loop back-edges pay the loop
      label's catch-clause [meter_br] on top of the branch's own (the
      interpreter's [Loop] handler re-meters on every iteration); any
      other label's values are carried down to its entry height. *)
-  let branch_action labels ({ depth; _ } : Code.label) :
-      Instance.t Xcode.state -> int =
-    let fr = List.nth labels depth in
+  let branch_to fr : Instance.t Xcode.state -> int =
     let tgt = fr.l_target in
     if fr.l_loop then fun st ->
       meter_br mtr st.inst;
@@ -719,6 +845,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         !tgt
     end
   in
+  let branch_action ({ depth; _ } : Code.label) = branch_to (Label_stack.nth labels depth) in
   (* ---------------------------------------------------------------- *)
   (* Singleton instruction compilation                                 *)
   (* ---------------------------------------------------------------- *)
@@ -743,7 +870,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
             tick st.inst;
             mtr.select <- mtr.select + 1;
             let stk = st.stk and q = st.opbase + p in
-            if Int64.bits_of_float (Array.unsafe_get stk (q + 2)) = 0L then
+            if get64 stk (q + 2) = 0L then
               Array.unsafe_set stk q (Array.unsafe_get stk (q + 1));
             next)
     | LocalGet i ->
@@ -767,8 +894,11 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         put (fun st ->
             tick st.inst;
             mtr.global_access <- mtr.global_access + 1;
-            Array.unsafe_set st.stk (st.opbase + p)
-              (Xcode.slot_of_value (Array.unsafe_get st.inst.globals i));
+            let stk = st.stk and q = st.opbase + p in
+            (match Array.unsafe_get st.inst.globals i with
+            | Values.I32 v -> seti stk q (Int32.to_int v)
+            | Values.I64 v -> set64 stk q v
+            | Values.F32 v | Values.F64 v -> Array.unsafe_set stk q v);
             next)
     | GlobalSet i ->
         let gty = ix.ix_globals.(i).g_type.Types.g_type in
@@ -776,15 +906,20 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         put (fun st ->
             tick st.inst;
             mtr.global_access <- mtr.global_access + 1;
+            let stk = st.stk and q = st.opbase + p in
             Array.unsafe_set st.inst.globals i
-              (Xcode.value_of_slot gty (Array.unsafe_get st.stk (st.opbase + p)));
+              (match gty with
+              | Types.I32 -> Values.I32 (Int32.of_int (geti stk q))
+              | Types.I64 -> Values.I64 (get64 stk q)
+              | Types.F32 -> Values.F32 (Array.unsafe_get stk q)
+              | Types.F64 -> Values.F64 (Array.unsafe_get stk q));
             next)
     | I32Const _ | I64Const _ | F32Const _ | F64Const _ ->
         let sc =
           match ins with
           | I32Const v -> Xcode.slot_of_i32 v
           | I64Const v -> Xcode.slot_of_i64 v
-          | F32Const v -> Values.to_f32 v
+          | F32Const v -> to_f32 v
           | F64Const v -> v
           | _ -> assert false
         in
@@ -800,10 +935,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
             tick st.inst;
             ialu mtr;
             let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q
-              (Xcode.slot_of_i32
-                 (Numerics.eval_iunop32 op
-                    (Xcode.i32_of_slot (Array.unsafe_get stk q))));
+            seti stk q (i32_unop op (geti stk q land mask32));
             next)
     | IUnop (W64, op) ->
         let p = pops 1 1 in
@@ -811,10 +943,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
             tick st.inst;
             ialu mtr;
             let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q
-              (Xcode.slot_of_i64
-                 (Numerics.eval_iunop64 op
-                    (Xcode.i64_of_slot (Array.unsafe_get stk q))));
+            seti stk q (i64_unop op (get64 stk q));
             next)
     | IBinop (W32, op) ->
         let p = pops 2 1 in
@@ -828,9 +957,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         put (fun st ->
             tick st.inst;
             let stk = st.stk and q = st.opbase + p in
-            let x = Int64.bits_of_float (Array.unsafe_get stk q) in
-            let y = Int64.bits_of_float (Array.unsafe_get stk (q + 1)) in
-            Array.unsafe_set stk q (Int64.float_of_bits (i64_binop_m mtr op x y));
+            set64 stk q (i64_binop_m mtr op (get64 stk q) (get64 stk (q + 1)));
             next)
     | ITestop _ ->
         let p = pops 1 1 in
@@ -838,8 +965,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
             tick st.inst;
             ialu mtr;
             let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q
-              (slot_of_bool (Int64.bits_of_float (Array.unsafe_get stk q) = 0L));
+            setb stk q (get64 stk q = 0L);
             next)
     | IRelop (W32, op) ->
         let p = pops 2 1 in
@@ -847,8 +973,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
             tick st.inst;
             ialu mtr;
             let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q
-              (slot_of_bool (i32_relop op (geti stk q) (geti stk (q + 1))));
+            setb stk q (i32_relop op (geti stk q) (geti stk (q + 1)));
             next)
     | IRelop (W64, op) ->
         let p = pops 2 1 in
@@ -856,9 +981,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
             tick st.inst;
             ialu mtr;
             let stk = st.stk and q = st.opbase + p in
-            let x = Xcode.i64_of_slot (Array.unsafe_get stk q) in
-            let y = Xcode.i64_of_slot (Array.unsafe_get stk (q + 1)) in
-            Array.unsafe_set stk q (slot_of_bool (Numerics.eval_irelop64 op x y));
+            setb stk q (i64_relop op (get64 stk q) (get64 stk (q + 1)));
             next)
     | FUnop (W32, op) ->
         let p = pops 1 1 in
@@ -866,7 +989,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
             tick st.inst;
             falu mtr;
             let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q (Values.to_f32 (f_unop op (Array.unsafe_get stk q)));
+            Array.unsafe_set stk q (to_f32 (f_unop op (Array.unsafe_get stk q)));
             next)
     | FUnop (W64, op) ->
         let p = pops 1 1 in
@@ -882,7 +1005,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
             tick st.inst;
             let stk = st.stk and q = st.opbase + p in
             Array.unsafe_set stk q
-              (Values.to_f32
+              (to_f32
                  (f_binop_m mtr op (Array.unsafe_get stk q)
                     (Array.unsafe_get stk (q + 1))));
             next)
@@ -901,17 +1024,14 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
             tick st.inst;
             falu mtr;
             let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q
-              (slot_of_bool
-                 (f_relop op (Array.unsafe_get stk q) (Array.unsafe_get stk (q + 1))));
+            setb stk q (f_relop op (Array.unsafe_get stk q) (Array.unsafe_get stk (q + 1)));
             next)
     | Cvtop op ->
         let p = pops 1 1 in
         put (fun st ->
             tick st.inst;
             mtr.cvt <- mtr.cvt + 1;
-            let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q (cvt op (Array.unsafe_get stk q));
+            cvt op st.stk (st.opbase + p);
             next)
     | Load (lty, pack, ma) ->
         let p = pops 1 1 in
@@ -931,25 +1051,23 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let p = pops 0 1 in
         put (fun st ->
             tick st.inst;
-            Array.unsafe_set st.stk (st.opbase + p)
-              (slot_of_idx (Memory.size_pages (gm st.inst)));
+            set_idx st.stk (st.opbase + p) (Memory.size_pages (gm st.inst));
             next)
     | MemoryGrow ->
         let p = pops 1 1 in
         put (fun st ->
             tick st.inst;
             let stk = st.stk and q = st.opbase + p in
-            let old = Rt.memory_grow st.inst (idx_of_slot (Array.unsafe_get stk q)) in
-            Array.unsafe_set stk q (slot_of_idx old);
+            set_idx stk q (Rt.memory_grow st.inst (idx_at stk q));
             next)
     | MemoryFill ->
         let p = pops 3 0 in
         put (fun st ->
             tick st.inst;
             let inst = st.inst and stk = st.stk and q = st.opbase + p in
-            let len = idx_of_slot (Array.unsafe_get stk (q + 2)) in
+            let len = idx_at stk (q + 2) in
             let v = geti stk (q + 1) in
-            let dst, dtag = resolve_bulk inst (Array.unsafe_get stk q) in
+            let dst, dtag = resolve_bulk inst stk q in
             mtr.bulk_fill <- mtr.bulk_fill + 1;
             Checked.fill inst (gm inst) ~addr:dst ~tag:dtag ~len v;
             next)
@@ -958,11 +1076,11 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         put (fun st ->
             tick st.inst;
             let inst = st.inst and stk = st.stk and q = st.opbase + p in
-            let len = idx_of_slot (Array.unsafe_get stk (q + 2)) in
+            let len = idx_at stk (q + 2) in
             (* the interpreter resolves source before destination:
                chaos draws must land in that order *)
-            let src, stag = resolve_bulk inst (Array.unsafe_get stk (q + 1)) in
-            let dst, dtag = resolve_bulk inst (Array.unsafe_get stk q) in
+            let src, stag = resolve_bulk inst stk (q + 1) in
+            let dst, dtag = resolve_bulk inst stk q in
             mtr.bulk_copy <- mtr.bulk_copy + 1;
             Checked.copy inst (gm inst) ~dst ~dtag ~src ~stag ~len;
             next)
@@ -972,19 +1090,15 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         put (fun st ->
             tick st.inst;
             let stk = st.stk and q = st.opbase + p in
-            let l = Xcode.i64_of_slot (Array.unsafe_get stk (q + 1)) in
-            let k = Xcode.i64_of_slot (Array.unsafe_get stk q) in
-            Array.unsafe_set stk q
-              (Xcode.slot_of_i64 (Rt.segment_new ~arena st.inst ~k ~l o));
+            let l = get64 stk (q + 1) and k = get64 stk q in
+            set64 stk q (Rt.segment_new ~arena st.inst ~k ~l o);
             next)
     | SegmentSetTag o ->
         let p = pops 3 0 in
         put (fun st ->
             tick st.inst;
             let stk = st.stk and q = st.opbase + p in
-            let l = Xcode.i64_of_slot (Array.unsafe_get stk (q + 2)) in
-            let t = Xcode.i64_of_slot (Array.unsafe_get stk (q + 1)) in
-            let k = Xcode.i64_of_slot (Array.unsafe_get stk q) in
+            let l = get64 stk (q + 2) and t = get64 stk (q + 1) and k = get64 stk q in
             Rt.segment_set_tag st.inst ~k ~t ~l o;
             next)
     | SegmentFree o ->
@@ -993,8 +1107,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         put (fun st ->
             tick st.inst;
             let stk = st.stk and q = st.opbase + p in
-            let l = Xcode.i64_of_slot (Array.unsafe_get stk (q + 1)) in
-            let k = Xcode.i64_of_slot (Array.unsafe_get stk q) in
+            let l = get64 stk (q + 1) and k = get64 stk q in
             Rt.segment_free ~arena st.inst ~k ~l o;
             next)
     | PointerSign | PointerAuth ->
@@ -1003,9 +1116,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         put (fun st ->
             tick st.inst;
             let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q
-              (Xcode.slot_of_i64
-                 (f st.inst (Xcode.i64_of_slot (Array.unsafe_get stk q))));
+            set64 stk q (f st.inst (get64 stk q));
             next)
     | Call fi ->
         let cty = Ast.func_type_at ix fi in
@@ -1121,7 +1232,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         | _ -> 0)
     | _ -> 0
   in
-  let try_fuse labels (body : Code.instr array) i : int =
+  let try_fuse (body : Code.instr array) i : int =
     let k = fuse_address body i in
     if k > 0 then k else
     let open Ast in
@@ -1138,7 +1249,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         Code.Basic (ITestop W32, _),
         Code.BrIf l ) ->
         ignore (shape ~peak:2 ~net:0);
-        let act = branch_action labels l in
+        let act = branch_action l in
         put (fun st ->
             let inst = st.inst and stk = st.stk in
             tick_n inst 5;
@@ -1375,13 +1486,13 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         _,
         _ ) ->
         let p = shape ~peak:0 ~net:(-1) - 1 in
-        let act = branch_action labels l in
+        let act = branch_action l in
         put (fun st ->
             let inst = st.inst in
             tick_n inst 2;
             ialu mtr;
             let z =
-              Int64.bits_of_float (Array.unsafe_get st.stk (st.opbase + p)) = 0L
+              get64 st.stk (st.opbase + p) = 0L
             in
             meter_br mtr inst;
             if z then act st else next);
@@ -1399,24 +1510,30 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         tick st.inst;
         next)
   in
-  let rec compile_seq labels (body : Code.instr array) : bool =
+  (* [body] under the new innermost label [fr] *)
+  let rec compile_in fr (body : Code.instr array) : bool =
+    Label_stack.push labels fr;
+    let live = compile_seq body in
+    ignore (Label_stack.pop labels);
+    live
+  and compile_seq (body : Code.instr array) : bool =
     let n = Array.length body in
     let live = ref true in
     let i = ref 0 in
     while !i < n do
       if not !live then incr i (* dead code: ids pre-assigned, skip *)
       else begin
-        let consumed = try_fuse labels body !i in
+        let consumed = try_fuse body !i in
         if consumed > 0 then i := !i + consumed
         else begin
-          live := compile_instr labels body.(!i);
+          live := compile_instr body.(!i);
           incr i
         end
       end
     done;
     !live
   (* Compile one instruction; false when control cannot fall through. *)
-  and compile_instr labels (ins : Code.instr) : bool =
+  and compile_instr (ins : Code.instr) : bool =
     incr n_instrs;
     match ins with
     | Code.Basic (b, id) ->
@@ -1428,7 +1545,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
             l_height = !h; l_reached = false }
         in
         enter ();
-        let ft = compile_seq (fr :: labels) inner in
+        let ft = compile_in fr inner in
         fr.l_target := !count;
         h := fr.l_height + arity;
         ft || fr.l_reached
@@ -1440,7 +1557,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
           { l_target = ref !count; l_loop = true; l_arity = 0;
             l_height = !h; l_reached = false }
         in
-        compile_seq (fr :: labels) inner
+        compile_in fr inner
     | Code.If (arity, then_, else_) ->
         decr h;
         let hcond = !h in
@@ -1453,20 +1570,20 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         put (fun st ->
             tick st.inst;
             meter_br mtr st.inst;
-            if Int64.bits_of_float (Array.unsafe_get st.stk (st.opbase + hcond)) <> 0L
+            if get64 st.stk (st.opbase + hcond) <> 0L
             then next
             else !else_ref);
-        let ft_then = compile_seq (fr :: labels) then_ in
+        let ft_then = compile_in fr then_ in
         (* jump over the else arm (no tick: synthetic control) *)
         if ft_then && Array.length else_ > 0 then put (fun _ -> !(fr.l_target));
         else_ref := !count;
         h := hcond;
-        let ft_else = compile_seq (fr :: labels) else_ in
+        let ft_else = compile_in fr else_ in
         fr.l_target := !count;
         h := hcond + arity;
         ft_then || ft_else || fr.l_reached
     | Code.Br l ->
-        let act = branch_action labels l in
+        let act = branch_action l in
         put (fun st ->
             tick st.inst;
             meter_br mtr st.inst;
@@ -1475,12 +1592,12 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
     | Code.BrIf l ->
         decr h;
         let hcond = !h in
-        let act = branch_action labels l in
+        let act = branch_action l in
         let next = !count + 1 in
         put (fun st ->
             tick st.inst;
             meter_br mtr st.inst;
-            if Int64.bits_of_float (Array.unsafe_get st.stk (st.opbase + hcond)) <> 0L
+            if get64 st.stk (st.opbase + hcond) <> 0L
             then act st
             else next);
         true
@@ -1488,8 +1605,8 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         decr h;
         let hidx = !h in
         let acts = Array.make (Array.length targets) unset_op in
-        Array.iteri (fun j l -> acts.(j) <- branch_action labels l) targets;
-        let default_act = branch_action labels default in
+        Array.iteri (fun j l -> acts.(j) <- branch_action l) targets;
+        let default_act = branch_action default in
         let nt = Array.length acts in
         put (fun st ->
             tick st.inst;
@@ -1500,10 +1617,8 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
             in
             act st);
         false
-    | Code.Return arity ->
-        let act =
-          branch_action labels { Code.depth = List.length labels - 1; arity }
-        in
+    | Code.Return _ ->
+        let act = branch_to (Label_stack.bottom labels) in
         put (fun st ->
             tick st.inst;
             mtr.return_ <- mtr.return_ + 1;
@@ -1519,7 +1634,7 @@ let compile ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
       l_height = 0; l_reached = false }
   in
   (* a validated body that falls through leaves exactly its results *)
-  ignore (compile_seq [ func_frame ] code.body);
+  ignore (compile_in func_frame code.body);
   exit_ref := !count;
   let stats =
     {
@@ -1555,13 +1670,14 @@ let compile_instance ix (inst : Instance.t) =
      increment is cheaper than a per-op option match, and the dummy is
      never observable (nothing else holds it). *)
   let mtr = match inst.meter with Some m -> m | None -> Meter.create () in
+  let labels = Label_stack.create no_frame in
   Array.iteri
     (fun i fi ->
       match fi with
       | Instance.Host_func _ -> ()
       | Instance.Wasm_func ({ func; ty; code; _ } as w) ->
           let xf, _stats =
-            compile ~m:inst.module_ ~ix
+            compile ~labels ~m:inst.module_ ~ix
               ~name:(Instance.func_name inst i)
               ~ty ~func ~code ~mtr
           in
@@ -1575,10 +1691,11 @@ let compile_instance ix (inst : Instance.t) =
 let module_stats ?elide ?belide ?arena (m : Ast.module_) : Xcode.stats list =
   let ix = Ast.index m in
   let codes = Code.prepare ?elide ?belide ?arena ix in
+  let labels = Label_stack.create no_frame in
   List.mapi
     (fun j (f : Ast.func) ->
       let name = Ast.func_name ix (Array.length ix.ix_imports + j) in
       snd
-        (compile ~m ~ix ~name ~ty:ix.ix_types.(f.ftype) ~func:f ~code:codes.(j)
+        (compile ~labels ~m ~ix ~name ~ty:ix.ix_types.(f.ftype) ~func:f ~code:codes.(j)
            ~mtr:(Meter.create ())))
     m.funcs

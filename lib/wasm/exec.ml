@@ -216,7 +216,7 @@ and eval_basic (inst : Instance.t) ~depth ~fn locals stack
       (match inst.table.(idx) with
       | None -> trap "uninitialized table element %d" idx
       | Some fi ->
-          let expected = List.nth inst.module_.types ti in
+          let expected = inst.types.(ti) in
           let actual = func_type inst.funcs.(fi) in
           if not (Types.func_type_equal expected actual) then
             trap "indirect call type mismatch";
@@ -529,6 +529,7 @@ let instantiate ?(config = Instance.default_config)
     {
       id;
       module_ = m;
+      types = ix.ix_types;
       funcs = [||];
       table;
       mem;

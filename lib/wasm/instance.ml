@@ -38,6 +38,7 @@ and func_inst =
 and t = {
   id : int;
   module_ : Ast.module_;
+  types : Types.func_type array;  (** the module's type index space *)
   funcs : func_inst array;
   table : int option array;  (** function indices, [| |] if no table *)
   mem : Memory.t option;

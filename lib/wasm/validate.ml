@@ -29,9 +29,11 @@ type frame = {
   mutable unreachable : bool;
 }
 
-(* Validation is linear in stack depth and module size: the operand
-   stack's height is kept beside it (never [List.length ops]), and every
-   type, function and global lookup reads the module's {!Ast.index}. *)
+(* Validation is linear in stack depth, label depth and module size:
+   the operand stack's height is kept beside it (never
+   [List.length ops]), a branch reads its label from a {!Label_stack},
+   and every type, function and global lookup reads the module's
+   {!Ast.index}. *)
 type ctx = {
   m : Ast.module_;
   ix : Ast.index;
@@ -40,8 +42,16 @@ type ctx = {
   ret : Types.val_type list;
   mutable ops : op list;
   mutable height : int;  (** [List.length ops] *)
-  mutable ctrls : frame list;
+  ctrls : frame Label_stack.t;
+  mutable top : frame;
+      (** the innermost frame ([no_frame] when there is none), kept
+          beside [ctrls] because every pop reads it *)
 }
+
+(* What the control stack's vacated cells hold. *)
+let no_frame = { label_types = []; end_types = []; height = 0; unreachable = false }
+
+let top ctx = if ctx.top == no_frame then error "control stack empty" else ctx.top
 
 let push ctx t =
   ctx.ops <- Known t :: ctx.ops;
@@ -52,20 +62,17 @@ let push_unknown ctx =
   ctx.height <- ctx.height + 1
 
 let pop_any ctx =
-  match ctx.ctrls with
-  | [] -> error "control stack empty"
-  | frame :: _ ->
-      if ctx.height = frame.height then
-        if frame.unreachable then Unknown
-        else error "operand stack underflow"
-      else begin
-        match ctx.ops with
-        | [] -> error "operand stack underflow"
-        | o :: rest ->
-            ctx.ops <- rest;
-            ctx.height <- ctx.height - 1;
-            o
-      end
+  let frame = top ctx in
+  if ctx.height = frame.height then
+    if frame.unreachable then Unknown else error "operand stack underflow"
+  else begin
+    match ctx.ops with
+    | [] -> error "operand stack underflow"
+    | o :: rest ->
+        ctx.ops <- rest;
+        ctx.height <- ctx.height - 1;
+        o
+  end
 
 let pop ctx t =
   match pop_any ctx with
@@ -80,36 +87,30 @@ let pop_list ctx ts = List.iter (pop ctx) (List.rev ts)
 let push_list ctx ts = List.iter (push ctx) ts
 
 let push_frame ctx ~label_types ~end_types =
-  ctx.ctrls <-
-    { label_types; end_types; height = ctx.height; unreachable = false }
-    :: ctx.ctrls
+  let frame = { label_types; end_types; height = ctx.height; unreachable = false } in
+  Label_stack.push ctx.ctrls frame;
+  ctx.top <- frame
 
 let pop_frame ctx =
-  match ctx.ctrls with
-  | [] -> error "control stack empty"
-  | frame :: rest ->
-      pop_list ctx frame.end_types;
-      if ctx.height <> frame.height then
-        error "values left on stack at end of block";
-      ctx.ctrls <- rest;
-      frame
+  let frame = top ctx in
+  pop_list ctx frame.end_types;
+  if ctx.height <> frame.height then error "values left on stack at end of block";
+  ctx.top <- Label_stack.pop ctx.ctrls;
+  frame
 
 let set_unreachable ctx =
-  match ctx.ctrls with
-  | [] -> error "control stack empty"
-  | frame :: _ ->
-      (* drop operands down to the frame height *)
-      let rec drop ops n = if n <= 0 then ops else
-          match ops with [] -> [] | _ :: tl -> drop tl (n - 1)
-      in
-      ctx.ops <- drop ctx.ops (ctx.height - frame.height);
-      ctx.height <- frame.height;
-      frame.unreachable <- true
+  let frame = top ctx in
+  (* drop operands down to the frame height *)
+  let rec drop ops n = if n <= 0 then ops else
+      match ops with [] -> [] | _ :: tl -> drop tl (n - 1)
+  in
+  ctx.ops <- drop ctx.ops (ctx.height - frame.height);
+  ctx.height <- frame.height;
+  frame.unreachable <- true
 
 let label_types ctx n =
-  match if n < 0 then None else List.nth_opt ctx.ctrls n with
-  | Some f -> f.label_types
-  | None -> error "branch depth %d out of range" n
+  let frame = Label_stack.nth ctx.ctrls n in
+  if frame == no_frame then error "branch depth %d out of range" n else frame.label_types
 
 let block_types : Ast.block_type -> Types.val_type list * Types.val_type list
     = function
@@ -377,7 +378,7 @@ let rec instr ctx (ins : Ast.instr) =
 
 and seq ctx = List.iter (instr ctx)
 
-let validate_func (m : Ast.module_) ix ~cage (f : Ast.func) =
+let validate_func (m : Ast.module_) ix ctrls ~cage (f : Ast.func) =
   let ft =
     if in_range ix.Ast.ix_types f.ftype then ix.ix_types.(f.ftype)
     else error "function type index %d out of range" f.ftype
@@ -391,7 +392,8 @@ let validate_func (m : Ast.module_) ix ~cage (f : Ast.func) =
       ret = ft.results;
       ops = [];
       height = 0;
-      ctrls = [];
+      ctrls;
+      top = no_frame;
     }
   in
   push_frame ctx ~label_types:ft.results ~end_types:ft.results;
@@ -448,7 +450,8 @@ let validate_module (m : Ast.module_) ~cage =
   Option.iter
     (fun i ->
       let ctx =
-        { m; ix; cage; locals = [||]; ret = []; ops = []; height = 0; ctrls = [] }
+        { m; ix; cage; locals = [||]; ret = []; ops = []; height = 0;
+          ctrls = Label_stack.create no_frame; top = no_frame }
       in
       let ft = type_of_func ctx i in
       if ft.params <> [] || ft.results <> [] then
@@ -473,7 +476,8 @@ let validate_module (m : Ast.module_) ~cage =
         error "duplicate export name %s" ex.ex_name;
       Hashtbl.add seen ex.ex_name ())
     m.exports;
-  List.iter (validate_func m ix ~cage) m.funcs
+  (* one control stack serves every body: each leaves it empty *)
+  List.iter (validate_func m ix (Label_stack.create no_frame) ~cage) m.funcs
 
 let check ?(cage = true) m = validate_module m ~cage
 

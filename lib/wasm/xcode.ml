@@ -29,7 +29,26 @@
     not canonicalise NaN payloads), typeless on write, and has the
     property that the all-zeroes slot is the default value of every
     type, so zeroing locals is one [Array.fill]. Unboxed float reads
-    and writes keep the hot loop allocation-free. *)
+    and writes keep the hot loop allocation-free.
+
+    The access rule: {!Compile} moves a slot's raw bits with one inline
+    8-byte load or store through a [Bytes.t] view of the array
+    ([Compile.get64]/[set64], with [geti]/[seti] for i32 values). Every
+    integer operand, result and address goes that way, and so does
+    every i64, f64 and packed memory access, which copies bits between
+    linear memory and the slot. Float arithmetic reads and writes the
+    array as floats, and only f32 rounding and the int/float
+    conversions still call C. The functions below cast with [Int64.bits_of_float] and
+    [float_of_bits], which OCaml 5.1 compiles to a C call on the C
+    stack (it has no inline bit-cast), so the engine uses them only at
+    its boundary: entry arguments and results, host calls, and
+    constants at lowering time. With every operand cast that way,
+    [Compile] held 262 call sites and a PolyBench pass made 0.74 casts
+    per metered op; now it holds none (CI counts them in
+    [wasm__Compile.o]). The view stays coherent with float accesses
+    because ocamlopt drops every available load at each store: a float
+    read after a view write reloads the slot, and so does a view read
+    after a float write. *)
 
 type 'inst state = {
   inst : 'inst;
@@ -71,9 +90,7 @@ type 'inst func = {
 (* ------------------------------------------------------------------ *)
 
 let[@inline] slot_of_i64 (v : int64) = Int64.float_of_bits v
-let[@inline] i64_of_slot (s : float) = Int64.bits_of_float s
 let[@inline] slot_of_i32 (v : int32) = Int64.float_of_bits (Int64.of_int32 v)
-let[@inline] i32_of_slot (s : float) = Int64.to_int32 (Int64.bits_of_float s)
 
 let slot_of_value : Values.t -> float = function
   | Values.I32 v -> slot_of_i32 v
@@ -82,8 +99,8 @@ let slot_of_value : Values.t -> float = function
 
 let value_of_slot (ty : Types.val_type) (s : float) : Values.t =
   match ty with
-  | Types.I32 -> Values.I32 (i32_of_slot s)
-  | Types.I64 -> Values.I64 (i64_of_slot s)
+  | Types.I32 -> Values.I32 (Int64.to_int32 (Int64.bits_of_float s))
+  | Types.I64 -> Values.I64 (Int64.bits_of_float s)
   | Types.F32 -> Values.F32 s
   | Types.F64 -> Values.F64 s
 

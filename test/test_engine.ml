@@ -540,6 +540,282 @@ let test_scan_no_allocation () =
         Alcotest.fail "a clean map drained a run")
 
 (* ------------------------------------------------------------------ *)
+(* The operator table allocates nothing                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Every numeric operator (each width's unops, binops, tests and
+   relops, and every conversion) with operands that do not trap:
+   (instruction, operand types, result type, arguments). *)
+let operator_cases =
+  let open Ast in
+  let i32 = Types.I32 and i64 = Types.I64 and f32 = Types.F32 and f64 = Types.F64 in
+  let x = function
+    | Types.I32 -> Values.I32 (-123_456_789l)
+    | Types.I64 -> Values.I64 (-0x1234_5678_9abc_def0L)
+    | Types.F32 -> Values.F32 (Values.to_f32 (-98765.25))
+    | Types.F64 -> Values.F64 12345.75
+  and y = function
+    | Types.I32 -> Values.I32 0x13l
+    | Types.I64 -> Values.I64 0x7_0000_0013L
+    | Types.F32 -> Values.F32 (-1.5)
+    | Types.F64 -> Values.F64 (-1.5)
+  in
+  let un t = fun ins -> (ins, [ t ], t, [ x t ])
+  and bin t res = fun ins -> (ins, [ t; t ], res, [ x t; y t ]) in
+  let int_ops w t =
+    List.map (fun op -> un t (IUnop (w, op))) [ Clz; Ctz; Popcnt ]
+    @ [ (ITestop w, [ t ], i32, [ x t ]) ]
+    @ List.map
+        (fun op -> bin t t (IBinop (w, op)))
+        [ Add; Sub; Mul; DivS; DivU; RemS; RemU; And; Or; Xor; Shl; ShrS; ShrU; Rotl; Rotr ]
+    @ List.map
+        (fun op -> bin t i32 (IRelop (w, op)))
+        [ Eq; Ne; LtS; LtU; GtS; GtU; LeS; LeU; GeS; GeU ]
+  and float_ops w t =
+    List.map (fun op -> un t (FUnop (w, op))) [ Neg; Abs; Sqrt; Ceil; Floor; Trunc; Nearest ]
+    @ List.map
+        (fun op -> bin t t (FBinop (w, op)))
+        [ FAdd; FSub; FMul; FDiv; FMin; FMax; Copysign ]
+    @ List.map (fun op -> bin t i32 (FRelop (w, op))) [ FEq; FNe; FLt; FGt; FLe; FGe ]
+  in
+  let cvt op src dst =
+    let v =
+      match op with
+      (* an unsigned truncation of a negative operand traps *)
+      | I32TruncF32U | I32TruncF64U | I64TruncF32U | I64TruncF64U -> (
+          match src with Types.F32 -> Values.F32 4096.5 | _ -> Values.F64 3e9)
+      | _ -> x src
+    in
+    (Cvtop op, [ src ], dst, [ v ])
+  in
+  int_ops W32 i32 @ int_ops W64 i64 @ float_ops W32 f32 @ float_ops W64 f64
+  @ [ (IUnop (W32, Clz), [ i32 ], i32, [ Values.I32 0l ]);
+      (IUnop (W64, Clz), [ i64 ], i64, [ Values.I64 0L ]) ]
+  (* signed zeros and a NaN payload through min, max and copysign *)
+  @ List.concat_map
+      (fun op ->
+        let z = Values.F64 (-0.0) and p = Values.F64 0.0 in
+        let q = Values.F64 (Int64.float_of_bits 0x7ff4_0000_0000_0123L) in
+        [ (FBinop (W64, op), [ f64; f64 ], f64, [ z; p ]);
+          (FBinop (W64, op), [ f64; f64 ], f64, [ p; z ]);
+          (FBinop (W64, op), [ f64; f64 ], f64, [ q; p ]) ])
+      [ FMin; FMax; Copysign ]
+  @ [ cvt I32WrapI64 i64 i32; cvt I64ExtendI32S i32 i64; cvt I64ExtendI32U i32 i64;
+      cvt I32TruncF32S f32 i32; cvt I32TruncF32U f32 i32; cvt I32TruncF64S f64 i32;
+      cvt I32TruncF64U f64 i32; cvt I64TruncF32S f32 i64; cvt I64TruncF32U f32 i64;
+      cvt I64TruncF64S f64 i64; cvt I64TruncF64U f64 i64; cvt F32ConvertI32S i32 f32;
+      cvt F32ConvertI32U i32 f32; cvt F32ConvertI64S i64 f32; cvt F32ConvertI64U i64 f32;
+      cvt F64ConvertI32S i32 f64; cvt F64ConvertI32U i32 f64; cvt F64ConvertI64S i64 f64;
+      cvt F64ConvertI64U i64 f64; cvt F32DemoteF64 f64 f32; cvt F64PromoteF32 f32 f64;
+      cvt I32ReinterpretF32 f32 i32; cvt I64ReinterpretF64 f64 i64;
+      cvt F32ReinterpretI32 i32 f32; cvt F64ReinterpretI64 i64 f64 ]
+
+(* Function [f<i>] runs case [i]'s instruction on its parameters, as a
+   singleton, as many times as its last parameter says, and returns the
+   last result. *)
+let operator_module () =
+  module_of ~memory:None
+    (List.map
+       (fun (ins, params, result, _) ->
+         let n = List.length params in
+         ( ft (params @ [ Types.I32 ]) [ result ],
+           [ result ],
+           [ Ast.Loop
+               ( Ast.ValBlock None,
+                 List.init n (fun j -> Ast.LocalGet j)
+                 @ [ ins; Ast.LocalSet (n + 1); Ast.LocalGet n; Ast.I32Const (-1l);
+                     Ast.IBinop (Ast.W32, Ast.Add); Ast.LocalTee n; Ast.BrIf 0 ] );
+             Ast.LocalGet (n + 1) ] ))
+       operator_cases)
+
+(* Minor words per execution of each operator on the threaded engine:
+   the difference between a run of 1,100 executions and one of 100, so
+   that what an invocation allocates cancels out. Each result must
+   match the interpreter's. *)
+let test_operators_no_allocation () =
+  let m = operator_module () in
+  let inst = Exec.instantiate m in
+  let over = ref [] in
+  List.iteri
+    (fun i (ins, _, _, args) ->
+      let f = Printf.sprintf "f%d" i in
+      let run n = Exec.invoke inst f (args @ [ Values.I32 (Int32.of_int n) ]) in
+      let words n =
+        let w0 = Gc.minor_words () in
+        ignore (run n);
+        Gc.minor_words () -. w0
+      in
+      ignore (words 100);
+      let w = (words 1100 -. words 100) /. 1000.0 in
+      let name = String.trim (Format.asprintf "%a" (Text.instr ~indent:0) ins) in
+      Printf.printf "%s: %.4f minor words per execution\n" name w;
+      if w <> 0.0 then over := Printf.sprintf "%s (%.3f)" name w :: !over;
+      check_both m f (args @ [ Values.I32 1l ]) (run 1))
+    operator_cases;
+  if !over <> [] then
+    Alcotest.failf "operators that allocate: %s" (String.concat ", " (List.rev !over))
+
+(* ------------------------------------------------------------------ *)
+(* Slot round trips                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Values whose bits a slot must carry unchanged: quiet and signalling
+   NaN payloads, -0.0, subnormals, the i64 extremes and i32 patterns
+   that sign-extend. An f32 value is the rounded double the interpreter
+   holds, so its NaNs are the ones [Int32.float_of_bits] makes. *)
+let slot_values =
+  let f64 b = Values.F64 (Int64.float_of_bits b)
+  and f32 b = Values.F32 (Int32.float_of_bits b) in
+  [ (Types.F64,
+     [ f64 0x7ff8_0000_dead_beefL; f64 0x7ff0_0000_0000_0001L;
+       f64 0xfff4_0000_0000_0123L; f64 Int64.min_int; f64 1L;
+       f64 0x000f_ffff_ffff_ffffL ]);
+    (Types.F32,
+     [ f32 0x7fc0_1234l; f32 0x7f80_0001l; f32 0xffc0_0001l; f32 Int32.min_int;
+       f32 1l; f32 0x007f_ffffl ]);
+    (Types.I64,
+     [ Values.I64 Int64.min_int; Values.I64 Int64.max_int; Values.I64 (-1L);
+       Values.I64 0x8000_0000L ]);
+    (Types.I32,
+     [ Values.I32 Int32.min_int; Values.I32 Int32.max_int; Values.I32 (-1l);
+       Values.I32 (-0x1234_5678l) ]) ]
+
+(* The ways a value of type [t] travels, as (name, params, locals, body,
+   arguments for value [v], whether the result is [v] itself). Function
+   [k] of the module is type [k]'s identity (the callee of "call") and
+   global [k] its mutable global. Memory forms take an address, the
+   value and an index, and read back what they stored, each once as
+   singletons ([Nop]s keep fusion off) and once fused: [lg.lg.store] and
+   [lg.load], [lg.store] and [load.ls], the address steps [add] and
+   [scale.add] into a store from a local and into a load, and for f64
+   the step into [load.f64.op]. *)
+let slot_routes idx k t =
+  let open Ast in
+  let w, const =
+    match idx with
+    | Types.Idx32 -> (W32, fun c -> I32Const (Int64.to_int32 c))
+    | Types.Idx64 -> (W64, fun c -> I64Const c)
+  in
+  let addr, index =
+    match idx with
+    | Types.Idx32 -> (Values.I32 64l, Values.I32 2l)
+    | Types.Idx64 -> (Values.I64 64L, Values.I64 2L)
+  in
+  let ma offset = { offset; align = 0 } in
+  let at = Types.addr_type idx and other = Values.default t in
+  let mem name locals body = (name, [ at; t; at ], locals, body, (fun v -> [ addr; v; index ]), true) in
+  let step = [ LocalGet 0; Nop; LocalGet 2; Nop; const 8L; IBinop (w, Mul); IBinop (w, Add) ] in
+  let add = [ LocalGet 0; Nop; const 24L; IBinop (w, Add) ] in
+  [ ("locals", [ t ], [ t; t ],
+     [ LocalGet 0; LocalSet 1; LocalGet 1; Nop; LocalSet 2; LocalGet 2; LocalTee 1; Nop;
+       LocalSet 2; LocalGet 2 ],
+     (fun v -> [ v ]), true);
+    ("select taken", [ t; t; Types.I32 ], [], [ LocalGet 0; LocalGet 1; LocalGet 2; Select ],
+     (fun v -> [ v; other; Values.I32 1l ]), true);
+    ("select not taken", [ t; t; Types.I32 ], [], [ LocalGet 0; LocalGet 1; LocalGet 2; Select ],
+     (fun v -> [ other; v; Values.I32 0l ]), true);
+    ("br", [ t ], [], [ Block (ValBlock (Some t), [ I32Const 5l; LocalGet 0; Br 0 ]) ],
+     (fun v -> [ v ]), true);
+    ("br_if", [ t ], [],
+     [ Block (ValBlock (Some t), [ LocalGet 0; LocalGet 0; I32Const 1l; BrIf 0; Drop ]) ],
+     (fun v -> [ v ]), true);
+    ("return", [ t ], [], [ I32Const 3l; LocalGet 0; Return ], (fun v -> [ v ]), true);
+    ("call", [ t ], [], [ LocalGet 0; Call k ], (fun v -> [ v ]), true);
+    ("global", [ t ], [], [ LocalGet 0; GlobalSet k; GlobalGet k ], (fun v -> [ v ]), true);
+    mem "store, load" []
+      [ LocalGet 0; Nop; LocalGet 1; Nop; Store (t, None, ma 0L); LocalGet 0; Nop;
+        Load (t, None, ma 0L) ];
+    mem "lg.lg.store, lg.load" []
+      [ LocalGet 0; LocalGet 1; Store (t, None, ma 8L); LocalGet 0; Load (t, None, ma 8L) ];
+    mem "lg.store, load.ls" [ t ]
+      [ LocalGet 0; Nop; LocalGet 1; Store (t, None, ma 16L); LocalGet 0; Nop;
+        Load (t, None, ma 16L); LocalSet 3; LocalGet 3 ];
+    mem "add.lg.store, add.load" []
+      (add @ [ LocalGet 1; Store (t, None, ma 0L) ] @ add @ [ Load (t, None, ma 0L) ]);
+    mem "scale.add.lg.store, scale.add.load" []
+      (step @ [ LocalGet 1; Store (t, None, ma 32L) ] @ step @ [ Load (t, None, ma 32L) ]) ]
+  @
+  if t <> Types.F64 then []
+  else
+    [ ( "scale.add.load.f64.op", [ at; t; at ], [],
+        step @ [ LocalGet 1; Store (t, None, ma 40L); F64Const 1.0 ] @ step
+        @ [ Load (t, None, ma 40L); FBinop (W64, FMul) ],
+        (fun v -> [ addr; v; index ]), false ) ]
+
+(* Every value through every route on both engines, in one instance
+   each: results, meters and the memory's bytes must be identical, and
+   a pure move must return its value bit for bit. *)
+let test_slot_round_trips () =
+  List.iter
+    (fun idx ->
+      let tys = List.map fst slot_values in
+      let routes = List.concat (List.mapi (fun k t -> List.map (fun r -> (t, r)) (slot_routes idx k t)) tys) in
+      let funcs =
+        List.map (fun t -> (ft [ t ] [ t ], [], [ Ast.LocalGet 0 ])) tys
+        @ List.map (fun (t, (_, params, locals, body, _, _)) -> (ft params [ t ], locals, body)) routes
+      in
+      let m =
+        { (module_of
+             ~memory:(Some { Types.mem_idx = idx;
+                             mem_limits = { Types.min = 1L; max = Some 1L } })
+             funcs)
+          with
+          Ast.globals =
+            List.map
+              (fun t -> { Ast.g_type = { Types.mut = true; g_type = t }; g_init = Values.default t })
+              tys }
+      in
+      let calls =
+        List.concat
+          (List.mapi
+             (fun j (t, (name, _, _, _, args, move)) ->
+               List.map
+                 (fun v -> (Printf.sprintf "f%d" (List.length tys + j), name, args v, v, move))
+                 (List.assoc t slot_values))
+             routes)
+      in
+      let run engine =
+        let meter = Meter.create () in
+        let inst =
+          Exec.instantiate ~config:{ Instance.default_config with engine; meter = Some meter } m
+        in
+        let outcomes =
+          List.map
+            (fun (f, _, args, _, _) ->
+              match Exec.invoke inst f args with
+              | vs -> Ok vs
+              | exception Instance.Trap msg -> Error msg)
+            calls
+        in
+        (outcomes, meter, Memory.to_string (Instance.memory inst))
+      in
+      (* the routes reach the fused forms they name *)
+      let idioms =
+        List.concat_map (fun (s : Xcode.stats) -> List.map fst s.st_idioms) (Compile.module_stats m)
+      and w = Types.string_of_idx_type idx in
+      List.iter
+        (fun name ->
+          if not (List.mem name idioms) then Alcotest.failf "%s memory: no route is fused as %s" w name)
+        ([ "lg.ls"; "lg.lg.store"; "lg.load"; "lg.store"; "load.ls"; w ^ ".scale.add.lg.store";
+           w ^ ".scale.add.load"; w ^ ".scale.add.load.f64.op" ]
+        @ if idx = Types.Idx64 then [ "i64.add.lg.store"; "i64.add.load" ] else []);
+      let o_i, m_i, b_i = run Instance.Interp and o_t, m_t, b_t = run Instance.Threaded in
+      List.iter2
+        (fun (_, name, _, v, move) (oi, ot) ->
+          let label =
+            Format.asprintf "%s memory, %s, %a" (Types.string_of_idx_type idx) name Values.pp v
+          in
+          match (oi, ot) with
+          | Ok ri, Ok rt ->
+              Alcotest.(check (list value)) (label ^ ": engines agree") ri rt;
+              if move then Alcotest.(check (list value)) (label ^ ": bits kept") [ v ] rt
+          | _ -> Alcotest.failf "%s trapped" label)
+        calls (List.combine o_i o_t);
+      Alcotest.(check bool) "meters bit-identical" true (m_i = m_t);
+      Alcotest.(check bool) "memory bytes identical" true (String.equal b_i b_t))
+    [ Types.Idx32; Types.Idx64 ]
+
+(* ------------------------------------------------------------------ *)
 (* Linear memory: grow limits and commit on first touch                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -779,6 +1055,16 @@ let () =
           Alcotest.test_case "no allocation" `Quick test_access_no_allocation;
           Alcotest.test_case "tag scan: no allocation" `Quick
             test_scan_no_allocation;
+        ] );
+      ( "operators",
+        [
+          Alcotest.test_case "numeric operators: no allocation" `Quick
+            test_operators_no_allocation;
+        ] );
+      ( "slots",
+        [
+          Alcotest.test_case "round trips keep every bit" `Quick
+            test_slot_round_trips;
         ] );
       ( "memory",
         [

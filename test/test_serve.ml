@@ -168,7 +168,7 @@ let apply_wop (inst : Instance.t) op =
           | _ -> (Compile.Sk_f64, Int64.float_of_bits v)
         in
         ignore (Memory.reach mem (a + [| 1; 2; 4; 8; 4; 8 |].(k mod 6)));
-        Compile.do_store kind mem a slot
+        Compile.do_store kind mem a [| slot |] 0
     | Store (k, a, v) -> (
         let addr = a64 a in
         match k mod 8 with

@@ -1295,7 +1295,10 @@ let chunk = 4096
 
 (* The threaded engine's raw store of an integer, on a committed
    address: the write, then the chunk's dirty mark. *)
-let store_raw kind m a v = Compile.do_store kind m a (Compile.slot_of_int v)
+let store_raw kind m a v =
+  let stk = [| 0.0 |] in
+  Compile.seti stk 0 v;
+  Compile.do_store kind m a stk 0
 
 let restored_exactly name m s =
   Alcotest.(check bool) name true
