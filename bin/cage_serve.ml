@@ -10,13 +10,7 @@
    - every well-behaved tenant keeps >= 80% of its chaos-off goodput
      while the malicious tenant crash-loops next door. *)
 
-let usage () =
-  prerr_endline
-    "usage: cage_serve [--requests N] [--seed N] [--smoke] [--json FILE] \
-     [--trace-requests FILE] [--slo-report]";
-  exit 2
-
-let int_flag = Flags.int_flag ~usage
+open Cmdliner
 
 let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b
 
@@ -138,14 +132,9 @@ let write_json path requests seed (cmp : Harness.Serve_bench.comparison)
   output_string oc (Buffer.contents b);
   close_out oc
 
-let () =
-  let argv = List.tl (Array.to_list Sys.argv) in
-  let smoke = List.mem "--smoke" argv in
-  let requests = int_flag argv "--requests" ~default:(if smoke then 4_000 else 100_000) in
-  let seed = int_flag argv "--seed" ~default:42 in
-  let json = Flags.str_flag argv "--json" ~default:(if smoke then "" else "BENCH_serve.json") in
-  let trace_path = Flags.str_flag argv "--trace-requests" ~default:"" in
-  let slo_report = List.mem "--slo-report" argv in
+let run smoke requests seed json trace_path slo_report =
+  let requests = Option.value requests ~default:(if smoke then 4_000 else 100_000) in
+  let json = Option.value json ~default:(if smoke then "" else "BENCH_serve.json") in
   let recorder =
     if trace_path <> "" then Some (Obs.Trace.create ()) else None
   in
@@ -222,4 +211,24 @@ let () =
       json cmp.Harness.Serve_bench.cmp_off_wall_s
       cmp.Harness.Serve_bench.cmp_on_wall_s
   end;
-  if not gate_pass then exit 1
+  if gate_pass then 0 else 1
+
+let cmd =
+  (* an option whose default depends on --smoke *)
+  let unset c name docv doc = Arg.(value & opt (some c) None & info [ name ] ~docv ~doc) in
+  Cmd.v
+    (Cmd.info "cage_serve" ~doc:"replay a seeded mixed-tenant request stream, chaos off then on")
+    Term.(
+      const run
+      $ Arg.(value & flag & info [ "smoke" ] ~doc:"The 4,000-request CI run, writing no JSON.")
+      $ unset Arg.int "requests" "N" "Requests to replay (100,000; 4,000 with --smoke)."
+      $ Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Seed of the request stream.")
+      $ unset Arg.string "json" "FILE"
+          "Write the JSON report to FILE, or none if FILE is empty \
+           (BENCH_serve.json; none with --smoke)."
+      $ Arg.(value & opt string "" & info [ "trace-requests" ] ~docv:"FILE"
+               ~doc:"Write the chaos-on request spans to FILE as Chrome trace JSON.")
+      $ Arg.(value & flag & info [ "slo-report" ]
+               ~doc:"Print the SLO burn rates, tail attribution and fault correlation."))
+
+let () = exit (Cmd.eval' cmd)

@@ -1,6 +1,5 @@
 (* The configuration flags the Cage executables share: a Table 3
-   variant by name, the elision-plan flags as one variant transform, and
-   the argv lookups of cage_chaos and cage_serve, which parse by hand. *)
+   variant by name and the elision-plan flags as one variant transform. *)
 
 open Cmdliner
 
@@ -57,18 +56,3 @@ let elision =
   Term.(
     const (fun elide bounds spec_safe -> plan ~elide ~bounds ~spec_safe)
     $ elide $ bounds $ spec_safe)
-
-(* [name]'s value in a hand-rolled argv, or [default]; [usage] when an
-   integer flag's value is not one. *)
-let str_flag argv name ~default =
-  let rec go = function
-    | [] -> default
-    | flag :: v :: _ when flag = name -> v
-    | _ :: rest -> go rest
-  in
-  go argv
-
-let int_flag ~usage argv name ~default =
-  match int_of_string_opt (str_flag argv name ~default:(string_of_int default)) with
-  | Some n -> n
-  | None -> usage ()

@@ -1,18 +1,12 @@
 (** WebAssembly binary format: encoder and decoder.
 
     Follows the wasm core binary format (LEB128 integers, sections in
-    index order) plus:
-
-    - the memory64 limits flag (bit 2) for 64-bit memories;
-    - the Cage extension instructions, encoded under the reserved
-      [0xfb] prefix with sub-opcodes 1-5 (mirroring how the artifact's
-      wasm-tools fork reserves an unused prefix):
-
-    {v
-    0xfb 0x01 o  segment.new       0xfb 0x04    i64.pointer_sign
-    0xfb 0x02 o  segment.set_tag   0xfb 0x05    i64.pointer_auth
-    0xfb 0x03 o  segment.free
-    v} *)
+    index order) plus the memory64 limits flag (bit 2) for 64-bit
+    memories and the Cage extension under the reserved [0xfb] prefix
+    (sub-opcodes 1-5, listed in binary.mli), mirroring how the
+    artifact's wasm-tools fork reserves an unused prefix. The opcode of
+    every instruction with no immediate but a memarg comes from
+    {!Opcode}. *)
 
 exception Decode_error of string
 
@@ -101,52 +95,12 @@ let encode_block_type b : Ast.block_type -> unit = function
   | Ast.ValBlock None -> E.byte b 0x40
   | Ast.ValBlock (Some t) -> encode_val_type b t
 
-let ibinop_base32 : Ast.ibinop -> int = function
-  | Ast.Add -> 0x6a | Sub -> 0x6b | Mul -> 0x6c | DivS -> 0x6d
-  | DivU -> 0x6e | RemS -> 0x6f | RemU -> 0x70 | And -> 0x71 | Or -> 0x72
-  | Xor -> 0x73 | Shl -> 0x74 | ShrS -> 0x75 | ShrU -> 0x76 | Rotl -> 0x77
-  | Rotr -> 0x78
-
-let irelop_base32 : Ast.irelop -> int = function
-  | Ast.Eq -> 0x46 | Ne -> 0x47 | LtS -> 0x48 | LtU -> 0x49 | GtS -> 0x4a
-  | GtU -> 0x4b | LeS -> 0x4c | LeU -> 0x4d | GeS -> 0x4e | GeU -> 0x4f
-
-let funop_base32 : Ast.funop -> int = function
-  | Ast.Abs -> 0x8b | Neg -> 0x8c | Ceil -> 0x8d | Floor -> 0x8e
-  | Trunc -> 0x8f | Nearest -> 0x90 | Sqrt -> 0x91
-
-let fbinop_base32 : Ast.fbinop -> int = function
-  | Ast.FAdd -> 0x92 | FSub -> 0x93 | FMul -> 0x94 | FDiv -> 0x95
-  | FMin -> 0x96 | FMax -> 0x97 | Copysign -> 0x98
-
-let frelop_base32 : Ast.frelop -> int = function
-  | Ast.FEq -> 0x5b | FNe -> 0x5c | FLt -> 0x5d | FGt -> 0x5e | FLe -> 0x5f
-  | FGe -> 0x60
-
-let cvtop_byte : Ast.cvtop -> int = function
-  | Ast.I32WrapI64 -> 0xa7
-  | I32TruncF32S -> 0xa8 | I32TruncF32U -> 0xa9
-  | I32TruncF64S -> 0xaa | I32TruncF64U -> 0xab
-  | I64ExtendI32S -> 0xac | I64ExtendI32U -> 0xad
-  | I64TruncF32S -> 0xae | I64TruncF32U -> 0xaf
-  | I64TruncF64S -> 0xb0 | I64TruncF64U -> 0xb1
-  | F32ConvertI32S -> 0xb2 | F32ConvertI32U -> 0xb3
-  | F32ConvertI64S -> 0xb4 | F32ConvertI64U -> 0xb5
-  | F32DemoteF64 -> 0xb6
-  | F64ConvertI32S -> 0xb7 | F64ConvertI32U -> 0xb8
-  | F64ConvertI64S -> 0xb9 | F64ConvertI64U -> 0xba
-  | F64PromoteF32 -> 0xbb
-  | I32ReinterpretF32 -> 0xbc | I64ReinterpretF64 -> 0xbd
-  | F32ReinterpretI32 -> 0xbe | F64ReinterpretI64 -> 0xbf
-
 let encode_memarg b (ma : Ast.memarg) =
   E.u32 b ma.align;
   E.u64 b ma.offset
 
 let rec encode_instr b (ins : Ast.instr) =
   match ins with
-  | Ast.Unreachable -> E.byte b 0x00
-  | Nop -> E.byte b 0x01
   | Block (bt, body) ->
       E.byte b 0x02;
       encode_block_type b bt;
@@ -172,89 +126,29 @@ let rec encode_instr b (ins : Ast.instr) =
       E.byte b 0x0e;
       E.vec b (fun b n -> E.u32 b n) targets;
       E.u32 b default
-  | Return -> E.byte b 0x0f
   | Call i -> E.byte b 0x10; E.u32 b i
   | CallIndirect ti ->
       E.byte b 0x11;
       E.u32 b ti;
       E.byte b 0x00
-  | Drop -> E.byte b 0x1a
-  | Select -> E.byte b 0x1b
   | LocalGet i -> E.byte b 0x20; E.u32 b i
   | LocalSet i -> E.byte b 0x21; E.u32 b i
   | LocalTee i -> E.byte b 0x22; E.u32 b i
   | GlobalGet i -> E.byte b 0x23; E.u32 b i
   | GlobalSet i -> E.byte b 0x24; E.u32 b i
-  | Load (ty, pack, ma) ->
-      let op =
-        match (ty, pack) with
-        | Types.I32, None -> 0x28
-        | Types.I64, None -> 0x29
-        | Types.F32, None -> 0x2a
-        | Types.F64, None -> 0x2b
-        | Types.I32, Some (Ast.Pack8, Ast.SX) -> 0x2c
-        | Types.I32, Some (Ast.Pack8, Ast.ZX) -> 0x2d
-        | Types.I32, Some (Ast.Pack16, Ast.SX) -> 0x2e
-        | Types.I32, Some (Ast.Pack16, Ast.ZX) -> 0x2f
-        | Types.I64, Some (Ast.Pack8, Ast.SX) -> 0x30
-        | Types.I64, Some (Ast.Pack8, Ast.ZX) -> 0x31
-        | Types.I64, Some (Ast.Pack16, Ast.SX) -> 0x32
-        | Types.I64, Some (Ast.Pack16, Ast.ZX) -> 0x33
-        | Types.I64, Some (Ast.Pack32, Ast.SX) -> 0x34
-        | Types.I64, Some (Ast.Pack32, Ast.ZX) -> 0x35
-        | _ -> fail "unencodable load"
-      in
-      E.byte b op;
-      encode_memarg b ma
-  | Store (ty, pack, ma) ->
-      let op =
-        match (ty, pack) with
-        | Types.I32, None -> 0x36
-        | Types.I64, None -> 0x37
-        | Types.F32, None -> 0x38
-        | Types.F64, None -> 0x39
-        | Types.I32, Some Ast.Pack8 -> 0x3a
-        | Types.I32, Some Ast.Pack16 -> 0x3b
-        | Types.I64, Some Ast.Pack8 -> 0x3c
-        | Types.I64, Some Ast.Pack16 -> 0x3d
-        | Types.I64, Some Ast.Pack32 -> 0x3e
-        | _ -> fail "unencodable store"
-      in
-      E.byte b op;
-      encode_memarg b ma
-  | MemorySize -> E.byte b 0x3f; E.byte b 0x00
-  | MemoryGrow -> E.byte b 0x40; E.byte b 0x00
-  | MemoryCopy -> E.byte b 0xfc; E.u32 b 0x0a; E.byte b 0x00; E.byte b 0x00
-  | MemoryFill -> E.byte b 0xfc; E.u32 b 0x0b; E.byte b 0x00
   | I32Const v -> E.byte b 0x41; E.s32 b v
   | I64Const v -> E.byte b 0x42; E.s64 b v
   | F32Const v -> E.byte b 0x43; E.f32 b v
   | F64Const v -> E.byte b 0x44; E.f64 b v
-  | ITestop Ast.W32 -> E.byte b 0x45
-  | ITestop Ast.W64 -> E.byte b 0x50
-  | IRelop (Ast.W32, op) -> E.byte b (irelop_base32 op)
-  | IRelop (Ast.W64, op) -> E.byte b (irelop_base32 op + 0x0b)
-  | IUnop (Ast.W32, op) ->
-      E.byte b
-        (match op with Ast.Clz -> 0x67 | Ctz -> 0x68 | Popcnt -> 0x69)
-  | IUnop (Ast.W64, op) ->
-      E.byte b
-        (match op with Ast.Clz -> 0x79 | Ctz -> 0x7a | Popcnt -> 0x7b)
-  | IBinop (Ast.W32, op) -> E.byte b (ibinop_base32 op)
-  | IBinop (Ast.W64, op) -> E.byte b (ibinop_base32 op + 0x12)
-  | FUnop (Ast.W32, op) -> E.byte b (funop_base32 op)
-  | FUnop (Ast.W64, op) -> E.byte b (funop_base32 op + 0x0e)
-  | FBinop (Ast.W32, op) -> E.byte b (fbinop_base32 op)
-  | FBinop (Ast.W64, op) -> E.byte b (fbinop_base32 op + 0x0e)
-  | FRelop (Ast.W32, op) -> E.byte b (frelop_base32 op)
-  | FRelop (Ast.W64, op) -> E.byte b (frelop_base32 op + 0x06)
-  | Cvtop op -> E.byte b (cvtop_byte op)
   (* Cage extension: 0xfb prefix *)
   | SegmentNew o -> E.byte b 0xfb; E.u32 b 0x01; E.u64 b o
   | SegmentSetTag o -> E.byte b 0xfb; E.u32 b 0x02; E.u64 b o
   | SegmentFree o -> E.byte b 0xfb; E.u32 b 0x03; E.u64 b o
-  | PointerSign -> E.byte b 0xfb; E.u32 b 0x04
-  | PointerAuth -> E.byte b 0xfb; E.u32 b 0x05
+  | ins ->
+      let { Opcode.prefix; op; zeros } = (Opcode.find ins).code in
+      (match prefix with None -> E.byte b op | Some p -> E.byte b p; E.u32 b op);
+      for _ = 1 to zeros do E.byte b 0x00 done;
+      (match ins with Load (_, _, ma) | Store (_, _, ma) -> encode_memarg b ma | _ -> ())
 
 let encode_func_type b (ft : Types.func_type) =
   E.byte b 0x60;
@@ -433,7 +327,10 @@ module D = struct
     in
     go 0 0L
 
-  let u32 d = Int64.to_int (u64 d)
+  let u32 d =
+    let v = u64 d in
+    if Int64.unsigned_compare v 0xffff_ffffL > 0 then fail "u32 out of range: %Lu" v;
+    Int64.to_int v
 
   let s64 d =
     let rec go shift acc =
@@ -463,17 +360,25 @@ module D = struct
     done;
     Int64.float_of_bits !bits
 
-  let name d =
+  (* a size or count read from the input: more than the bytes left is
+     malformed, as every entry of a vector takes at least one *)
+  let size d what =
     let n = u32 d in
-    if d.pos + n > String.length d.src then fail "name exceeds input";
+    if n > String.length d.src - d.pos then fail "%s of %d exceeds the input" what n;
+    n
+
+  let bytes d n =
     let s = String.sub d.src d.pos n in
     d.pos <- d.pos + n;
     s
 
-  let vec d f =
-    let n = u32 d in
-    List.init n (fun _ -> f d)
+  let name d = bytes d (size d "name")
+  let vec d f = List.init (size d "vector") (fun _ -> f d)
 end
+
+(* the most locals a function may declare, as in wasmtime, so that a few
+   bytes cannot ask for an unbounded list *)
+let max_locals = 50_000
 
 let decode_val_type d : Types.val_type =
   match D.byte d with
@@ -502,54 +407,18 @@ let decode_memarg d : Ast.memarg =
   let offset = D.u64 d in
   { Ast.align; offset }
 
-(* Reverse opcode tables for the grouped numeric ops. *)
-let irelop_of_code base code : Ast.irelop =
-  match code - base with
-  | 0 -> Ast.Eq | 1 -> Ne | 2 -> LtS | 3 -> LtU | 4 -> GtS | 5 -> GtU
-  | 6 -> LeS | 7 -> LeU | 8 -> GeS | 9 -> GeU
-  | _ -> fail "bad relop"
-
-let ibinop_of_code base code : Ast.ibinop =
-  match code - base with
-  | 0 -> Ast.Add | 1 -> Sub | 2 -> Mul | 3 -> DivS | 4 -> DivU | 5 -> RemS
-  | 6 -> RemU | 7 -> And | 8 -> Or | 9 -> Xor | 10 -> Shl | 11 -> ShrS
-  | 12 -> ShrU | 13 -> Rotl | 14 -> Rotr
-  | _ -> fail "bad ibinop"
-
-let funop_of_code base code : Ast.funop =
-  match code - base with
-  | 0 -> Ast.Abs | 1 -> Neg | 2 -> Ceil | 3 -> Floor | 4 -> Trunc
-  | 5 -> Nearest | 6 -> Sqrt
-  | _ -> fail "bad funop"
-
-let fbinop_of_code base code : Ast.fbinop =
-  match code - base with
-  | 0 -> Ast.FAdd | 1 -> FSub | 2 -> FMul | 3 -> FDiv | 4 -> FMin
-  | 5 -> FMax | 6 -> Copysign
-  | _ -> fail "bad fbinop"
-
-let frelop_of_code base code : Ast.frelop =
-  match code - base with
-  | 0 -> Ast.FEq | 1 -> FNe | 2 -> FLt | 3 -> FGt | 4 -> FLe | 5 -> FGe
-  | _ -> fail "bad frelop"
-
-let cvtop_of_code code : Ast.cvtop =
-  match code with
-  | 0xa7 -> Ast.I32WrapI64
-  | 0xa8 -> I32TruncF32S | 0xa9 -> I32TruncF32U
-  | 0xaa -> I32TruncF64S | 0xab -> I32TruncF64U
-  | 0xac -> I64ExtendI32S | 0xad -> I64ExtendI32U
-  | 0xae -> I64TruncF32S | 0xaf -> I64TruncF32U
-  | 0xb0 -> I64TruncF64S | 0xb1 -> I64TruncF64U
-  | 0xb2 -> F32ConvertI32S | 0xb3 -> F32ConvertI32U
-  | 0xb4 -> F32ConvertI64S | 0xb5 -> F32ConvertI64U
-  | 0xb6 -> F32DemoteF64
-  | 0xb7 -> F64ConvertI32S | 0xb8 -> F64ConvertI32U
-  | 0xb9 -> F64ConvertI64S | 0xba -> F64ConvertI64U
-  | 0xbb -> F64PromoteF32
-  | 0xbc -> I32ReinterpretF32 | 0xbd -> I64ReinterpretF64
-  | 0xbe -> F32ReinterpretI32 | 0xbf -> F64ReinterpretI64
-  | c -> fail "unknown conversion opcode 0x%02x" c
+(* an instruction with no immediate but a memarg, by its code *)
+let table_instr d prefix op =
+  match Opcode.of_code prefix op with
+  | None -> (
+      match prefix with
+      | None -> fail "unknown opcode 0x%02x" op
+      | Some p -> fail "unknown 0x%02x sub-opcode %d" p op)
+  | Some e -> (
+      for _ = 1 to e.code.zeros do ignore (D.byte d) done;
+      match e.instr with
+      | Load _ | Store _ -> Opcode.with_memarg (decode_memarg d) e.instr
+      | i -> i)
 
 (* Decode instructions until one of the [stops] bytes; the stop byte is
    consumed and returned. *)
@@ -567,8 +436,6 @@ let rec decode_instrs d ~stops =
 and decode_instr d : Ast.instr =
   let op = D.byte d in
   match op with
-  | 0x00 -> Ast.Unreachable
-  | 0x01 -> Ast.Nop
   | 0x02 ->
       let bt = decode_block_type d in
       let body, _ = decode_instrs d ~stops:[ 0x0b ] in
@@ -590,92 +457,30 @@ and decode_instr d : Ast.instr =
       let targets = D.vec d D.u32 in
       let default = D.u32 d in
       Ast.BrTable (targets, default)
-  | 0x0f -> Ast.Return
   | 0x10 -> Ast.Call (D.u32 d)
   | 0x11 ->
       let ti = D.u32 d in
       let tbl = D.byte d in
       if tbl <> 0 then fail "call_indirect: non-zero table";
       Ast.CallIndirect ti
-  | 0x1a -> Ast.Drop
-  | 0x1b -> Ast.Select
   | 0x20 -> Ast.LocalGet (D.u32 d)
   | 0x21 -> Ast.LocalSet (D.u32 d)
   | 0x22 -> Ast.LocalTee (D.u32 d)
   | 0x23 -> Ast.GlobalGet (D.u32 d)
   | 0x24 -> Ast.GlobalSet (D.u32 d)
-  | 0x28 -> Ast.Load (Types.I32, None, decode_memarg d)
-  | 0x29 -> Ast.Load (Types.I64, None, decode_memarg d)
-  | 0x2a -> Ast.Load (Types.F32, None, decode_memarg d)
-  | 0x2b -> Ast.Load (Types.F64, None, decode_memarg d)
-  | 0x2c -> Ast.Load (Types.I32, Some (Ast.Pack8, Ast.SX), decode_memarg d)
-  | 0x2d -> Ast.Load (Types.I32, Some (Ast.Pack8, Ast.ZX), decode_memarg d)
-  | 0x2e -> Ast.Load (Types.I32, Some (Ast.Pack16, Ast.SX), decode_memarg d)
-  | 0x2f -> Ast.Load (Types.I32, Some (Ast.Pack16, Ast.ZX), decode_memarg d)
-  | 0x30 -> Ast.Load (Types.I64, Some (Ast.Pack8, Ast.SX), decode_memarg d)
-  | 0x31 -> Ast.Load (Types.I64, Some (Ast.Pack8, Ast.ZX), decode_memarg d)
-  | 0x32 -> Ast.Load (Types.I64, Some (Ast.Pack16, Ast.SX), decode_memarg d)
-  | 0x33 -> Ast.Load (Types.I64, Some (Ast.Pack16, Ast.ZX), decode_memarg d)
-  | 0x34 -> Ast.Load (Types.I64, Some (Ast.Pack32, Ast.SX), decode_memarg d)
-  | 0x35 -> Ast.Load (Types.I64, Some (Ast.Pack32, Ast.ZX), decode_memarg d)
-  | 0x36 -> Ast.Store (Types.I32, None, decode_memarg d)
-  | 0x37 -> Ast.Store (Types.I64, None, decode_memarg d)
-  | 0x38 -> Ast.Store (Types.F32, None, decode_memarg d)
-  | 0x39 -> Ast.Store (Types.F64, None, decode_memarg d)
-  | 0x3a -> Ast.Store (Types.I32, Some Ast.Pack8, decode_memarg d)
-  | 0x3b -> Ast.Store (Types.I32, Some Ast.Pack16, decode_memarg d)
-  | 0x3c -> Ast.Store (Types.I64, Some Ast.Pack8, decode_memarg d)
-  | 0x3d -> Ast.Store (Types.I64, Some Ast.Pack16, decode_memarg d)
-  | 0x3e -> Ast.Store (Types.I64, Some Ast.Pack32, decode_memarg d)
-  | 0x3f ->
-      ignore (D.byte d);
-      Ast.MemorySize
-  | 0x40 ->
-      ignore (D.byte d);
-      Ast.MemoryGrow
   | 0x41 -> Ast.I32Const (D.s32 d)
   | 0x42 -> Ast.I64Const (D.s64 d)
   | 0x43 -> Ast.F32Const (D.f32 d)
   | 0x44 -> Ast.F64Const (D.f64 d)
-  | 0x45 -> Ast.ITestop Ast.W32
-  | 0x50 -> Ast.ITestop Ast.W64
-  | c when c >= 0x46 && c <= 0x4f -> Ast.IRelop (Ast.W32, irelop_of_code 0x46 c)
-  | c when c >= 0x51 && c <= 0x5a -> Ast.IRelop (Ast.W64, irelop_of_code 0x51 c)
-  | c when c >= 0x5b && c <= 0x60 -> Ast.FRelop (Ast.W32, frelop_of_code 0x5b c)
-  | c when c >= 0x61 && c <= 0x66 -> Ast.FRelop (Ast.W64, frelop_of_code 0x61 c)
-  | 0x67 -> Ast.IUnop (Ast.W32, Ast.Clz)
-  | 0x68 -> Ast.IUnop (Ast.W32, Ast.Ctz)
-  | 0x69 -> Ast.IUnop (Ast.W32, Ast.Popcnt)
-  | c when c >= 0x6a && c <= 0x78 -> Ast.IBinop (Ast.W32, ibinop_of_code 0x6a c)
-  | 0x79 -> Ast.IUnop (Ast.W64, Ast.Clz)
-  | 0x7a -> Ast.IUnop (Ast.W64, Ast.Ctz)
-  | 0x7b -> Ast.IUnop (Ast.W64, Ast.Popcnt)
-  | c when c >= 0x7c && c <= 0x8a -> Ast.IBinop (Ast.W64, ibinop_of_code 0x7c c)
-  | c when c >= 0x8b && c <= 0x91 -> Ast.FUnop (Ast.W32, funop_of_code 0x8b c)
-  | c when c >= 0x92 && c <= 0x98 -> Ast.FBinop (Ast.W32, fbinop_of_code 0x92 c)
-  | c when c >= 0x99 && c <= 0x9f -> Ast.FUnop (Ast.W64, funop_of_code 0x99 c)
-  | c when c >= 0xa0 && c <= 0xa6 -> Ast.FBinop (Ast.W64, fbinop_of_code 0xa0 c)
-  | c when c >= 0xa7 && c <= 0xbf -> Ast.Cvtop (cvtop_of_code c)
-  | 0xfc -> (
-      match D.u32 d with
-      | 0x0a ->
-          ignore (D.byte d);
-          ignore (D.byte d);
-          Ast.MemoryCopy
-      | 0x0b ->
-          ignore (D.byte d);
-          Ast.MemoryFill
-      | sub -> fail "unknown 0xfc sub-opcode %d" sub)
   | 0xfb -> (
       (* the Cage extension prefix *)
       match D.u32 d with
       | 0x01 -> Ast.SegmentNew (D.u64 d)
       | 0x02 -> Ast.SegmentSetTag (D.u64 d)
       | 0x03 -> Ast.SegmentFree (D.u64 d)
-      | 0x04 -> Ast.PointerSign
-      | 0x05 -> Ast.PointerAuth
-      | sub -> fail "unknown cage sub-opcode %d" sub)
-  | c -> fail "unknown opcode 0x%02x" c
+      | sub -> table_instr d (Some 0xfb) sub)
+  | 0xfc -> table_instr d (Some 0xfc) (D.u32 d)
+  | op -> table_instr d None op
 
 let decode_func_type d : Types.func_type =
   (match D.byte d with
@@ -706,7 +511,7 @@ let decode (bytes : string) : Ast.module_ =
   let bodies = ref [] in
   while not (D.eof d) do
     let id = D.byte d in
-    let size = D.u32 d in
+    let size = D.size d "section" in
     let section_end = d.D.pos + size in
     (match id with
     | 0 ->
@@ -787,13 +592,14 @@ let decode (bytes : string) : Ast.module_ =
         bodies :=
           D.vec d (fun d ->
               let _size = D.u32 d in
-              let locals =
-                List.concat
-                  (D.vec d (fun d ->
-                       let n = D.u32 d in
-                       let t = decode_val_type d in
-                       List.init n (fun _ -> t)))
+              let runs =
+                D.vec d (fun d ->
+                    let n = D.u32 d in
+                    (n, decode_val_type d))
               in
+              if List.fold_left (fun k (n, _) -> k + n) 0 runs > max_locals then
+                fail "a function declares more than %d locals" max_locals;
+              let locals = List.concat_map (fun (n, t) -> List.init n (fun _ -> t)) runs in
               let body, _ = decode_instrs d ~stops:[ 0x0b ] in
               (locals, body))
     | 11 ->
@@ -811,11 +617,7 @@ let decode (bytes : string) : Ast.module_ =
                     | Values.I64 v -> v
                     | _ -> fail "bad data offset"
                   in
-                  let n = D.u32 d in
-                  if d.D.pos + n > String.length bytes then
-                    fail "data segment exceeds input";
-                  let s = String.sub bytes d.D.pos n in
-                  d.D.pos <- d.D.pos + n;
+                  let s = D.bytes d (D.size d "data segment") in
                   { Ast.d_offset = offset; d_bytes = s }) }
     | id -> fail "unknown section id %d" id);
     if d.D.pos <> section_end then
@@ -823,6 +625,9 @@ let decode (bytes : string) : Ast.module_ =
         (d.D.pos - (section_end - size))
         size
   done;
+  if List.compare_lengths !func_types !bodies <> 0 then
+    fail "%d function types but %d bodies" (List.length !func_types)
+      (List.length !bodies);
   let funcs =
     List.map2
       (fun ftype (locals, body) ->

@@ -3,9 +3,10 @@
 
     The dialect is the flat (non-folded) instruction syntax, extended
     with the Cage instructions under their paper names ([segment.new],
-    [i64.pointer_sign], ...). The printer's output parses back to an
-    equal module, so [.wat] files are a first-class interchange format
-    for the toolchain ([cagec --emit-wat], [cage_run file.wat]). *)
+    ...). The printer's output parses back to an equal module, so
+    [.wat] files are a first-class interchange format for the toolchain
+    ([cagec --emit-wat], [cage_run file.wat]). The mnemonic of every
+    instruction with no immediate but a memarg comes from {!Opcode}. *)
 
 open Format
 
@@ -19,80 +20,10 @@ let memarg ppf (ma : Ast.memarg) =
   if ma.offset <> 0L then fprintf ppf " offset=%Lu" ma.offset;
   if ma.align <> 0 then fprintf ppf " align=%d" (1 lsl ma.align)
 
-let iunop = function Ast.Clz -> "clz" | Ctz -> "ctz" | Popcnt -> "popcnt"
-
-let ibinop = function
-  | Ast.Add -> "add" | Sub -> "sub" | Mul -> "mul" | DivS -> "div_s"
-  | DivU -> "div_u" | RemS -> "rem_s" | RemU -> "rem_u" | And -> "and"
-  | Or -> "or" | Xor -> "xor" | Shl -> "shl" | ShrS -> "shr_s"
-  | ShrU -> "shr_u" | Rotl -> "rotl" | Rotr -> "rotr"
-
-let irelop = function
-  | Ast.Eq -> "eq" | Ne -> "ne" | LtS -> "lt_s" | LtU -> "lt_u"
-  | GtS -> "gt_s" | GtU -> "gt_u" | LeS -> "le_s" | LeU -> "le_u"
-  | GeS -> "ge_s" | GeU -> "ge_u"
-
-let funop = function
-  | Ast.Neg -> "neg" | Abs -> "abs" | Ceil -> "ceil" | Floor -> "floor"
-  | Trunc -> "trunc" | Nearest -> "nearest" | Sqrt -> "sqrt"
-
-let fbinop = function
-  | Ast.FAdd -> "add" | FSub -> "sub" | FMul -> "mul" | FDiv -> "div"
-  | FMin -> "min" | FMax -> "max" | Copysign -> "copysign"
-
-let frelop = function
-  | Ast.FEq -> "eq" | FNe -> "ne" | FLt -> "lt" | FGt -> "gt" | FLe -> "le"
-  | FGe -> "ge"
-
-let width = function Ast.W32 -> "i32" | Ast.W64 -> "i64"
-let fwidth = function Ast.W32 -> "f32" | Ast.W64 -> "f64"
-
-let cvtop = function
-  | Ast.I32WrapI64 -> "i32.wrap_i64"
-  | I64ExtendI32S -> "i64.extend_i32_s"
-  | I64ExtendI32U -> "i64.extend_i32_u"
-  | I32TruncF32S -> "i32.trunc_f32_s" | I32TruncF32U -> "i32.trunc_f32_u"
-  | I32TruncF64S -> "i32.trunc_f64_s" | I32TruncF64U -> "i32.trunc_f64_u"
-  | I64TruncF32S -> "i64.trunc_f32_s" | I64TruncF32U -> "i64.trunc_f32_u"
-  | I64TruncF64S -> "i64.trunc_f64_s" | I64TruncF64U -> "i64.trunc_f64_u"
-  | F32ConvertI32S -> "f32.convert_i32_s"
-  | F32ConvertI32U -> "f32.convert_i32_u"
-  | F32ConvertI64S -> "f32.convert_i64_s"
-  | F32ConvertI64U -> "f32.convert_i64_u"
-  | F64ConvertI32S -> "f64.convert_i32_s"
-  | F64ConvertI32U -> "f64.convert_i32_u"
-  | F64ConvertI64S -> "f64.convert_i64_s"
-  | F64ConvertI64U -> "f64.convert_i64_u"
-  | F32DemoteF64 -> "f32.demote_f64"
-  | F64PromoteF32 -> "f64.promote_f32"
-  | I32ReinterpretF32 -> "i32.reinterpret_f32"
-  | I64ReinterpretF64 -> "i64.reinterpret_f64"
-  | F32ReinterpretI32 -> "f32.reinterpret_i32"
-  | F64ReinterpretI64 -> "f64.reinterpret_i64"
-
-let pack_suffix ty pack =
-  ignore ty;
-  match pack with
-  | None -> ""
-  | Some (Ast.Pack8, Ast.SX) -> "8_s"
-  | Some (Ast.Pack8, Ast.ZX) -> "8_u"
-  | Some (Ast.Pack16, Ast.SX) -> "16_s"
-  | Some (Ast.Pack16, Ast.ZX) -> "16_u"
-  | Some (Ast.Pack32, Ast.SX) -> "32_s"
-  | Some (Ast.Pack32, Ast.ZX) -> "32_u"
-
-let store_suffix = function
-  | None -> ""
-  | Some Ast.Pack8 -> "8"
-  | Some Ast.Pack16 -> "16"
-  | Some Ast.Pack32 -> "32"
-
 let rec instr ~indent ppf (ins : Ast.instr) =
   let pad = String.make indent ' ' in
   let line fmt = fprintf ppf ("%s" ^^ fmt ^^ "@.") pad in
   match ins with
-  | Ast.Unreachable -> line "unreachable"
-  | Nop -> line "nop"
   | Block (bt, body) ->
       fprintf ppf "%sblock%a@." pad block_type bt;
       List.iter (instr ~indent:(indent + 2) ppf) body;
@@ -115,11 +46,8 @@ let rec instr ~indent ppf (ins : Ast.instr) =
       line "br_table %s %d"
         (String.concat " " (List.map string_of_int ts))
         d
-  | Return -> line "return"
   | Call i -> line "call %d" i
   | CallIndirect ti -> line "call_indirect (type %d)" ti
-  | Drop -> line "drop"
-  | Select -> line "select"
   | LocalGet i -> line "local.get %d" i
   | LocalSet i -> line "local.set %d" i
   | LocalTee i -> line "local.tee %d" i
@@ -129,31 +57,11 @@ let rec instr ~indent ppf (ins : Ast.instr) =
   | I64Const v -> line "i64.const %Ld" v
   | F32Const v -> line "f32.const %h" v
   | F64Const v -> line "f64.const %h" v
-  | IUnop (w, op) -> line "%s.%s" (width w) (iunop op)
-  | IBinop (w, op) -> line "%s.%s" (width w) (ibinop op)
-  | ITestop w -> line "%s.eqz" (width w)
-  | IRelop (w, op) -> line "%s.%s" (width w) (irelop op)
-  | FUnop (w, op) -> line "%s.%s" (fwidth w) (funop op)
-  | FBinop (w, op) -> line "%s.%s" (fwidth w) (fbinop op)
-  | FRelop (w, op) -> line "%s.%s" (fwidth w) (frelop op)
-  | Cvtop op -> line "%s" (cvtop op)
-  | Load (ty, pack, ma) ->
-      fprintf ppf "%s%s.load%s%a@." pad
-        (Types.string_of_num_type ty)
-        (pack_suffix ty pack) memarg ma
-  | Store (ty, pack, ma) ->
-      fprintf ppf "%s%s.store%s%a@." pad
-        (Types.string_of_num_type ty)
-        (store_suffix pack) memarg ma
-  | MemorySize -> line "memory.size"
-  | MemoryGrow -> line "memory.grow"
-  | MemoryFill -> line "memory.fill"
-  | MemoryCopy -> line "memory.copy"
   | SegmentNew o -> line "segment.new offset=%Lu" o
   | SegmentSetTag o -> line "segment.set_tag offset=%Lu" o
   | SegmentFree o -> line "segment.free offset=%Lu" o
-  | PointerSign -> line "i64.pointer_sign"
-  | PointerAuth -> line "i64.pointer_auth"
+  | Load (_, _, ma) | Store (_, _, ma) -> line "%s%a" (Opcode.find ins).name memarg ma
+  | ins -> line "%s" (Opcode.find ins).name
 
 (** Render a whole module. *)
 let module_ ppf (m : Ast.module_) =
@@ -205,10 +113,8 @@ let module_ ppf (m : Ast.module_) =
         fprintf ppf "  (global (mut %s) (%s))@." ty const
       else fprintf ppf "  (global %s (%s))@." ty const)
     m.globals;
-  let _n_imports = List.length m.imports in
-  List.iteri
-    (fun i (f : Ast.func) ->
-      ignore i;
+  List.iter
+    (fun (f : Ast.func) ->
       fprintf ppf "  (func%s (type %d)"
         (match f.fname with Some n -> " $" ^ n | None -> "")
         f.ftype;
@@ -298,7 +204,9 @@ let tokenize src : tok list =
           | '\\' ->
               if !i + 2 >= n then perr "bad escape";
               let hex = String.sub src (!i + 1) 2 in
-              Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ hex)));
+              (match int_of_string_opt ("0x" ^ hex) with
+              | Some c -> Buffer.add_char buf (Char.chr c)
+              | None -> perr "bad escape \\%s" hex);
               i := !i + 3
           | c ->
               Buffer.add_char buf c;
@@ -333,13 +241,16 @@ let expect_kw p kw =
   let a = expect_atom p in
   if a <> kw then perr "expected %s, found %s" kw a
 
-let expect_int p =
-  let a = expect_atom p in
-  try int_of_string a with _ -> perr "expected integer, found %s" a
+(* every numeric atom is read through these, so a malformed number is a
+   Parse_error *)
+let number what read a =
+  match read a with Some v -> v | None -> perr "expected %s, found %s" what a
 
-let expect_i64 p =
-  let a = expect_atom p in
-  try Int64.of_string a with _ -> perr "expected integer, found %s" a
+let int_of_atom = number "integer" int_of_string_opt
+let i64_of_atom = number "integer" Int64.of_string_opt
+let expect_int p = int_of_atom (expect_atom p)
+let expect_i64 p = i64_of_atom (expect_atom p)
+let expect_float p = number "number" float_of_string_opt (expect_atom p)
 
 let val_type_of_atom = function
   | "i32" -> Types.I32
@@ -347,38 +258,6 @@ let val_type_of_atom = function
   | "f32" -> Types.F32
   | "f64" -> Types.F64
   | a -> perr "unknown value type %s" a
-
-(* reverse tables built from the printer's naming *)
-let rev_table names_of ops = List.map (fun op -> (names_of op, op)) ops
-
-let ibinops =
-  rev_table ibinop
-    [ Ast.Add; Sub; Mul; DivS; DivU; RemS; RemU; And; Or; Xor; Shl; ShrS;
-      ShrU; Rotl; Rotr ]
-
-let irelops =
-  rev_table irelop
-    [ Ast.Eq; Ne; LtS; LtU; GtS; GtU; LeS; LeU; GeS; GeU ]
-
-let iunops = rev_table iunop [ Ast.Clz; Ctz; Popcnt ]
-
-let fbinops =
-  rev_table fbinop [ Ast.FAdd; FSub; FMul; FDiv; FMin; FMax; Copysign ]
-
-let frelops = rev_table frelop [ Ast.FEq; FNe; FLt; FGt; FLe; FGe ]
-
-let funops =
-  rev_table funop [ Ast.Neg; Abs; Ceil; Floor; Trunc; Nearest; Sqrt ]
-
-let cvtops =
-  rev_table cvtop
-    [ Ast.I32WrapI64; I64ExtendI32S; I64ExtendI32U; I32TruncF32S;
-      I32TruncF32U; I32TruncF64S; I32TruncF64U; I64TruncF32S; I64TruncF32U;
-      I64TruncF64S; I64TruncF64U; F32ConvertI32S; F32ConvertI32U;
-      F32ConvertI64S; F32ConvertI64U; F64ConvertI32S; F64ConvertI32U;
-      F64ConvertI64S; F64ConvertI64U; F32DemoteF64; F64PromoteF32;
-      I32ReinterpretF32; I64ReinterpretF64; F32ReinterpretI32;
-      F64ReinterpretI64 ]
 
 (* optional "(result t)" annotation *)
 let parse_block_type p : Ast.block_type =
@@ -391,32 +270,27 @@ let parse_block_type p : Ast.block_type =
       Ast.ValBlock (Some t)
   | _ -> Ast.ValBlock None
 
-let parse_memarg p : Ast.memarg =
-  let offset = ref 0L in
-  let align = ref 0 in
-  let rec go () =
-    match peek_tok p with
-    | Some (Atom a) when String.length a > 7 && String.sub a 0 7 = "offset=" ->
-        ignore (next_tok p);
-        offset := Int64.of_string (String.sub a 7 (String.length a - 7));
-        go ()
-    | Some (Atom a) when String.length a > 6 && String.sub a 0 6 = "align=" ->
-        ignore (next_tok p);
-        let bytes = int_of_string (String.sub a 6 (String.length a - 6)) in
-        let rec log2 n acc = if n <= 1 then acc else log2 (n / 2) (acc + 1) in
-        align := log2 bytes 0;
-        go ()
-    | _ -> ()
-  in
-  go ();
-  { Ast.offset = !offset; align = !align }
-
-let parse_seg_offset p : int64 =
+(* the value of a [key=value] atom at the cursor, consumed *)
+let keyed p key =
+  let k = String.length key in
   match peek_tok p with
-  | Some (Atom a) when String.length a > 7 && String.sub a 0 7 = "offset=" ->
+  | Some (Atom a) when String.length a > k && String.starts_with ~prefix:key a ->
       ignore (next_tok p);
-      Int64.of_string (String.sub a 7 (String.length a - 7))
-  | _ -> 0L
+      Some (String.sub a k (String.length a - k))
+  | _ -> None
+
+let rec parse_memarg p (ma : Ast.memarg) =
+  match keyed p "offset=" with
+  | Some v -> parse_memarg p { ma with offset = i64_of_atom v }
+  | None -> (
+      match Option.map int_of_atom (keyed p "align=") with
+      | None -> ma
+      | Some n when n > 0 && n land (n - 1) = 0 ->
+          let rec log2 n = if n = 1 then 0 else 1 + log2 (n / 2) in
+          parse_memarg p { ma with align = log2 n }
+      | Some n -> perr "alignment %d is not a power of two" n)
+
+let parse_seg_offset p = Option.fold ~none:0L ~some:i64_of_atom (keyed p "offset=")
 
 let is_int_atom a =
   a <> "" && (match Int64.of_string_opt a with Some _ -> true | None -> false)
@@ -438,8 +312,6 @@ let rec parse_instrs p ~stops : Ast.instr list * string =
 and parse_instr p : Ast.instr =
   let a = expect_atom p in
   match a with
-  | "unreachable" -> Ast.Unreachable
-  | "nop" -> Ast.Nop
   | "block" ->
       let bt = parse_block_type p in
       let body, _ = parse_instrs p ~stops:[ "end" ] in
@@ -463,7 +335,7 @@ and parse_instr p : Ast.instr =
         match peek_tok p with
         | Some (Atom a) when is_int_atom a ->
             ignore (next_tok p);
-            nums (int_of_string a :: acc)
+            nums (int_of_atom a :: acc)
         | _ -> List.rev acc
       in
       (match nums [] with
@@ -478,7 +350,6 @@ and parse_instr p : Ast.instr =
           in
           let ts, d = split ns in
           Ast.BrTable (ts, d))
-  | "return" -> Ast.Return
   | "call" -> Ast.Call (expect_int p)
   | "call_indirect" ->
       expect_lp p;
@@ -486,95 +357,24 @@ and parse_instr p : Ast.instr =
       let ti = expect_int p in
       expect_rp p;
       Ast.CallIndirect ti
-  | "drop" -> Ast.Drop
-  | "select" -> Ast.Select
   | "local.get" -> Ast.LocalGet (expect_int p)
   | "local.set" -> Ast.LocalSet (expect_int p)
   | "local.tee" -> Ast.LocalTee (expect_int p)
   | "global.get" -> Ast.GlobalGet (expect_int p)
   | "global.set" -> Ast.GlobalSet (expect_int p)
-  | "memory.size" -> Ast.MemorySize
-  | "memory.grow" -> Ast.MemoryGrow
-  | "memory.fill" -> Ast.MemoryFill
-  | "memory.copy" -> Ast.MemoryCopy
   | "segment.new" -> Ast.SegmentNew (parse_seg_offset p)
   | "segment.set_tag" -> Ast.SegmentSetTag (parse_seg_offset p)
   | "segment.free" -> Ast.SegmentFree (parse_seg_offset p)
-  | "i64.pointer_sign" -> Ast.PointerSign
-  | "i64.pointer_auth" -> Ast.PointerAuth
   | "i32.const" -> Ast.I32Const (Int64.to_int32 (expect_i64 p))
   | "i64.const" -> Ast.I64Const (expect_i64 p)
-  | "f32.const" ->
-      Ast.F32Const (Values.to_f32 (float_of_string (expect_atom p)))
-  | "f64.const" -> Ast.F64Const (float_of_string (expect_atom p))
-  | a when List.assoc_opt a cvtops <> None ->
-      Ast.Cvtop (List.assoc a cvtops)
+  | "f32.const" -> Ast.F32Const (Values.to_f32 (expect_float p))
+  | "f64.const" -> Ast.F64Const (expect_float p)
   | a -> (
-      (* "<ty>.<op>" forms *)
-      match String.index_opt a '.' with
-      | None -> perr "unknown instruction %s" a
-      | Some dot -> (
-          let tys = String.sub a 0 dot in
-          let opn = String.sub a (dot + 1) (String.length a - dot - 1) in
-          let mem_ty () =
-            match tys with
-            | "i32" -> Types.I32
-            | "i64" -> Types.I64
-            | "f32" -> Types.F32
-            | "f64" -> Types.F64
-            | t -> perr "unknown type prefix %s" t
-          in
-          match (tys, opn) with
-          | ("i32" | "i64"), "eqz" ->
-              Ast.ITestop (if tys = "i32" then Ast.W32 else Ast.W64)
-          | ("i32" | "i64"), _ when List.mem_assoc opn ibinops ->
-              Ast.IBinop
-                ((if tys = "i32" then Ast.W32 else Ast.W64),
-                 List.assoc opn ibinops)
-          | ("i32" | "i64"), _ when List.mem_assoc opn irelops ->
-              Ast.IRelop
-                ((if tys = "i32" then Ast.W32 else Ast.W64),
-                 List.assoc opn irelops)
-          | ("i32" | "i64"), _ when List.mem_assoc opn iunops ->
-              Ast.IUnop
-                ((if tys = "i32" then Ast.W32 else Ast.W64),
-                 List.assoc opn iunops)
-          | ("f32" | "f64"), _ when List.mem_assoc opn fbinops ->
-              Ast.FBinop
-                ((if tys = "f32" then Ast.W32 else Ast.W64),
-                 List.assoc opn fbinops)
-          | ("f32" | "f64"), _ when List.mem_assoc opn frelops ->
-              Ast.FRelop
-                ((if tys = "f32" then Ast.W32 else Ast.W64),
-                 List.assoc opn frelops)
-          | ("f32" | "f64"), _ when List.mem_assoc opn funops ->
-              Ast.FUnop
-                ((if tys = "f32" then Ast.W32 else Ast.W64),
-                 List.assoc opn funops)
-          | _, _
-            when String.length opn >= 4 && String.sub opn 0 4 = "load" -> (
-              let suffix = String.sub opn 4 (String.length opn - 4) in
-              let ma = parse_memarg p in
-              match suffix with
-              | "" -> Ast.Load (mem_ty (), None, ma)
-              | "8_s" -> Ast.Load (mem_ty (), Some (Ast.Pack8, Ast.SX), ma)
-              | "8_u" -> Ast.Load (mem_ty (), Some (Ast.Pack8, Ast.ZX), ma)
-              | "16_s" -> Ast.Load (mem_ty (), Some (Ast.Pack16, Ast.SX), ma)
-              | "16_u" -> Ast.Load (mem_ty (), Some (Ast.Pack16, Ast.ZX), ma)
-              | "32_s" -> Ast.Load (mem_ty (), Some (Ast.Pack32, Ast.SX), ma)
-              | "32_u" -> Ast.Load (mem_ty (), Some (Ast.Pack32, Ast.ZX), ma)
-              | s -> perr "unknown load suffix %s" s)
-          | _, _
-            when String.length opn >= 5 && String.sub opn 0 5 = "store" -> (
-              let suffix = String.sub opn 5 (String.length opn - 5) in
-              let ma = parse_memarg p in
-              match suffix with
-              | "" -> Ast.Store (mem_ty (), None, ma)
-              | "8" -> Ast.Store (mem_ty (), Some Ast.Pack8, ma)
-              | "16" -> Ast.Store (mem_ty (), Some Ast.Pack16, ma)
-              | "32" -> Ast.Store (mem_ty (), Some Ast.Pack32, ma)
-              | s -> perr "unknown store suffix %s" s)
-          | _ -> perr "unknown instruction %s" a))
+      match Opcode.of_name a with
+      | Some { instr = (Load _ | Store _) as i; _ } ->
+          Opcode.with_memarg (parse_memarg p Opcode.no_memarg) i
+      | Some e -> e.instr
+      | None -> perr "unknown instruction %s" a)
 
 (* (type (func (param ...) (result ...))) — already past "(type" *)
 let parse_functype_body p : Types.func_type =
@@ -658,7 +458,7 @@ let parse (src : string) : Ast.module_ =
               match peek_tok p with
               | Some (Atom a) when is_int_atom a ->
                   ignore (next_tok p);
-                  Some (Int64.of_string a)
+                  Some (i64_of_atom a)
               | _ -> None
             in
             expect_rp p;
@@ -742,7 +542,7 @@ let parse (src : string) : Ast.module_ =
               match peek_tok p with
               | Some (Atom a) when is_int_atom a ->
                   ignore (next_tok p);
-                  idxs (int_of_string a :: acc)
+                  idxs (int_of_atom a :: acc)
               | _ -> List.rev acc
             in
             let fs = idxs [] in

@@ -23,6 +23,25 @@ grep -q "^invalid module: .*type mismatch" _build/ill_typed.out || {
   echo "FAIL: rejection not reported as an invalid module"; cat _build/ill_typed.out
   exit 1; }
 
+echo "== the door answers malformed input (a decode or parse error, exit 1, within 5 s)"
+# A custom section whose size decoded negative jumped back and looped for
+# ever; a function section longer than the code section escaped as an
+# uncaught Invalid_argument (exit 125); a non-numeric alignment escaped as
+# a bare Failure.
+printf '\000asm\001\000\000\000\000\001X\000\362\377\377\377\377\377\377\377\377\001' \
+  > _build/door_loop.wasm
+printf '\000asm\001\000\000\000\001\004\001\140\000\000\003\003\002\000\000\012\004\001\002\000\013' \
+  > _build/door_counts.wasm
+printf '(module\n  (type (func))\n  (memory i64 1)\n  (func (type 0)\n    i64.const 0\n    i64.load align=x\n    drop\n  )\n)\n' \
+  > _build/door_align.wat
+for case in door_loop.wasm:"decode error:" door_counts.wasm:"decode error:" \
+            door_align.wat:"wat parse error:"; do
+  file=${case%%:*}; want=${case#*:}; status=0
+  timeout 5 ./_build/default/bin/cage_run.exe "_build/$file" > _build/door.out 2>&1 || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q "^$want" _build/door.out; then
+    echo "FAIL: cage_run $file exited $status without '$want'"; cat _build/door.out; exit 1; fi
+done
+
 echo "== the door stays linear (a deep operand stack and 20,000 chained functions)"
 # One function stacks 100,000 i32.consts and drops them; 20,000 more call
 # one another in a ring that main never enters. Parsing, validation,
