@@ -1,5 +1,7 @@
-(** Byte maps: dirty-chunk maps for in-place snapshot restore, and the
-    scan kernel they share with the tag plane ({!Tag_memory}).
+(** Byte maps: dirty-chunk maps for in-place snapshot restore, the
+    scan kernel they share with the tag plane ({!Tag_memory}), and the
+    committed-prefix helpers of the two planes that back only a prefix
+    of their units ([Wasm.Memory] and {!Tag_memory}).
 
     A dirty map has one byte per [2^bits] units of some buffer (bytes of
     linear memory, granules of a tag plane); nonzero means the chunk may
@@ -63,3 +65,23 @@ let drain map ~bits ~f =
     c := scan map ~first:!c ~last:(n - 1) 0
   done;
   !total
+
+(* A plane backs a prefix of its units, and every unit past the prefix
+   is zero; a snapshot image stands for its bytes plus such a tail. *)
+
+(** A fresh copy of [b] followed by zeros up to [n] units
+    ([n >= Bytes.length b]): a committed prefix extended, or a prefix
+    written out at its logical length. *)
+let zero_extend b n =
+  let old = Bytes.length b in
+  let b = Bytes.extend b 0 (n - old) in
+  Bytes.fill b old (n - old) '\000';
+  b
+
+(** Rewrite units [\[lo, stop)] of a committed prefix [dst] from the
+    image [img], with zeros past the image's end: one dirty run's
+    restore. [lo <= stop <= Bytes.length dst]. *)
+let rewrite ~img dst lo stop =
+  let cut = max lo (min (Bytes.length img) stop) in
+  if cut > lo then Bytes.blit img lo dst lo (cut - lo);
+  Bytes.fill dst cut (stop - cut) '\000'

@@ -29,7 +29,7 @@ let pp_fault ppf f =
 
 type t = {
   mode : mode;
-  mutable tags : Tag_memory.t;
+  tags : Tag_memory.t;
   mutable pending : fault option;
   mutable checks : int;
   mutable chaos : Fault_inject.lane option;
@@ -41,7 +41,6 @@ let create ?(mode = Sync) tags =
 let arm t lane = t.chaos <- Some lane
 let mode t = t.mode
 let tag_memory t = t.tags
-let set_tag_memory t tags = t.tags <- tags
 
 type verdict = Allowed | Faulted of fault | Deferred of fault
 

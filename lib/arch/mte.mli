@@ -43,8 +43,6 @@ val arm : t -> Fault_inject.lane -> unit
 
 val mode : t -> mode
 val tag_memory : t -> Tag_memory.t
-val set_tag_memory : t -> Tag_memory.t -> unit
-(** Rebind after a [Tag_memory.grow]. *)
 
 type verdict =
   | Allowed                  (** Access proceeds; no fault recorded. *)

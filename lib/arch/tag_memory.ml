@@ -1,13 +1,19 @@
 let granule_bytes = 16
 
 type t = {
-  mutable tags : Bytes.t;  (* one byte per granule; low nibble is the tag *)
+  mutable tags : Bytes.t;
+      (* the committed prefix, one byte per granule (the low nibble is
+         the tag); every granule past it, up to [size], holds tag 0 *)
+  mutable covered : int;
+      (* [granule_bytes * Bytes.length tags]: the bytes of memory the
+         prefix covers, the one field a check's range test reads *)
   mutable size : int;
   mutable dirty : Bytes.t;
       (* one byte per 256 granules of [tags]; nonzero = retagged since
          [tags] last equalled [base] *)
   mutable base : Bytes.t option;
-      (* the snapshot image [dirty] is relative to, by identity *)
+      (* the snapshot image [dirty] is relative to, by identity; never
+         longer than [tags], and tag 0 past its own end *)
 }
 
 let granules_for size = (size + granule_bytes - 1) / granule_bytes
@@ -18,15 +24,11 @@ let chunk_bits = 8
 
 let create ~size_bytes =
   if size_bytes < 0 then invalid_arg "Tag_memory.create: negative size";
-  let granules = granules_for size_bytes in
-  {
-    tags = Bytes.make granules '\000';
-    size = size_bytes;
-    dirty = Dirty.create ~bits:chunk_bits ~dirty:false granules;
-    base = None;
-  }
+  { tags = Bytes.empty; covered = 0; size = size_bytes; dirty = Bytes.empty;
+    base = None }
 
 let size_bytes t = t.size
+let committed_granules t = Bytes.length t.tags
 let tag_storage_bytes t = (granules_for t.size + 1) / 2
 let is_aligned addr = Int64.rem addr 16L = 0L
 
@@ -37,10 +39,49 @@ let in_bounds t ~addr ~len =
 
 let granule_of_addr addr = Int64.to_int (Int64.div addr 16L)
 
+(* The one place [tags] is replaced, so [covered] never goes stale. *)
+let set_tags t tags =
+  t.tags <- tags;
+  t.covered <- granule_bytes * Bytes.length tags
+
+(* Commit on first retag, by [Wasm.Memory]'s rule counted in granules:
+   a retag that reaches past the prefix extends it to the largest of
+   the span's end, twice the prefix and 4,096 granules (the tags of
+   Memory's 64 KiB floor), rounded up to a dirty chunk and capped at
+   the whole granules inside the size. A retag never reaches a partial
+   last granule, so that one stays in the tag-0 tail. The committed
+   granules hold tag 0, as the tail did, and their chunks are clean:
+   the base image is never longer than the old prefix, so it reads
+   tag 0 there too. *)
+let commit_floor = 4096
+
+let commit t need =
+  let chunk = 1 lsl chunk_bits in
+  let n = max need (max commit_floor (2 * Bytes.length t.tags)) in
+  let n = min (t.size / granule_bytes) ((n + chunk - 1) land -chunk) in
+  set_tags t (Dirty.zero_extend t.tags n);
+  t.dirty <- Dirty.zero_extend t.dirty (Dirty.chunks ~bits:chunk_bits n)
+
+(* Reads never commit: a granule past the prefix reads tag 0. *)
+let granule_tag t g =
+  if g < Bytes.length t.tags then Char.code (Bytes.get t.tags g) else 0
+
+(* {!Dirty.scan} over the logical plane: the first granule in
+   [\[first, last\]] whose tag is not [want], or [last + 1]. The prefix
+   is scanned eight granules per load; the tail matches only tag 0. *)
+let scan t ~first ~last want =
+  let n = Bytes.length t.tags in
+  if last < n then Dirty.scan t.tags ~first ~last want
+  else
+    let g =
+      if first < n then Dirty.scan t.tags ~first ~last:(n - 1) want else first
+    in
+    if g < n || want <> 0 then g else last + 1
+
 let get t addr =
   if not (in_bounds t ~addr ~len:1L) then
     invalid_arg "Tag_memory.get: address out of bounds";
-  Tag.of_int (Char.code (Bytes.get t.tags (granule_of_addr addr)))
+  Tag.of_int (granule_tag t (granule_of_addr addr))
 
 let granule_range ~addr ~len =
   (* Granules overlapping [addr, addr+len), with len=0 meaning the single
@@ -56,9 +97,8 @@ let region_tag t ~addr ~len =
   if not (in_bounds t ~addr ~len:(Int64.max len 1L)) then
     invalid_arg "Tag_memory.region_tag: region out of bounds";
   let first, last = granule_range ~addr ~len in
-  let tag0 = Char.code (Bytes.get t.tags first) in
-  if Dirty.scan t.tags ~first:(first + 1) ~last tag0 > last then
-    Some (Tag.of_int tag0)
+  let tag0 = granule_tag t first in
+  if scan t ~first:(first + 1) ~last tag0 > last then Some (Tag.of_int tag0)
   else None
 
 (* The validity conditions of [set_region], without the write — the
@@ -73,24 +113,39 @@ let validate_region t ~addr ~len =
     Error "segment out of linear memory bounds"
   else Ok ()
 
+(* The plane's one writer and its one commit entry. *)
 let set_region t ~addr ~len tag =
   match validate_region t ~addr ~len with
   | Error _ as e -> e
   | Ok () ->
       let first = granule_of_addr addr in
       let count = Int64.to_int (Int64.div len 16L) in
-      Bytes.fill t.tags first count (Char.chr (Tag.to_int tag));
-      (* marked after the checked fill: a bad region never reaches here *)
-      Dirty.mark_range t.dirty ~bits:chunk_bits first count;
+      if count > 0 then begin
+        if first + count > Bytes.length t.tags then commit t (first + count);
+        Bytes.fill t.tags first count (Char.chr (Tag.to_int tag));
+        (* marked after the checked fill: a bad region never reaches here *)
+        Dirty.mark_range t.dirty ~bits:chunk_bits first count
+      end;
       Ok ()
 
-(* The access-check predicate, on native ints. [len <= t.size - addr]
-   cannot overflow, so a length too large for the plane is a mismatch
-   rather than a wrapped small span. A span of more than one granule
-   goes to the scan kernel ([Dirty.scan]), eight granules per load. *)
+(* A span at a negative address or one that ends past the prefix: it
+   matches if it lies in the plane and every granule of it holds
+   [want], the tail's included. *)
+let matches_past t ~addr ~len want =
+  if addr < 0 || len > t.size - addr then false
+  else
+    let last = (addr + len - 1) lsr 4 in
+    scan t ~first:(addr lsr 4) ~last want > last
+
+(* The access-check predicate, on native ints. [len <= t.covered - addr]
+   cannot overflow, so a length too large for the prefix takes the slow
+   path rather than wrapping into a small span. A span of more than one
+   granule goes to the scan kernel ([Dirty.scan]), eight granules per
+   load. *)
 let matches_native t ~addr ~len (tag : Tag.t) =
   let len = if len < 1 then 1 else len in
-  if addr < 0 || len > t.size - addr then false
+  if addr < 0 || len > t.covered - addr then
+    matches_past t ~addr ~len (tag :> int)
   else begin
     let first = addr lsr 4 and last = (addr + len - 1) lsr 4 in
     let want = (tag :> int) in
@@ -111,38 +166,30 @@ let first_mismatch t ~addr ~len tag =
   if len <= 0L || not (in_bounds t ~addr ~len) then None
   else
     let first, last = granule_range ~addr ~len in
-    let g = Dirty.scan t.tags ~first ~last (Tag.to_int tag) in
+    let g = scan t ~first ~last (Tag.to_int tag) in
     if g > last then None else Some (Int64.mul (Int64.of_int g) 16L)
 
-(** Extend the tag PA space in place. When the granule count is
-    unchanged (e.g. [memory.grow 0], or a sub-granule size bump) the
-    existing buffer is reused — no allocation, no copy. *)
+(** Extend the tag PA space in place: the new granules join the tag-0
+    tail, so nothing is allocated. *)
 let grow t ~new_size_bytes =
   if new_size_bytes < t.size then
     invalid_arg "Tag_memory.grow: cannot shrink";
-  let old_granules = Bytes.length t.tags in
-  let new_granules = granules_for new_size_bytes in
-  if new_granules > old_granules then begin
-    let tags = Bytes.make new_granules '\000' in
-    Bytes.blit t.tags 0 tags 0 old_granules;
-    t.tags <- tags;
-    t.dirty <- Dirty.create ~bits:chunk_bits ~dirty:true new_granules
-  end;
   t.size <- new_size_bytes;
   t
-
-let iteri t ~f =
-  Bytes.iteri (fun i c -> f i (Tag.of_int (Char.code c))) t.tags
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Same dirty-map discipline as [Wasm.Memory]: taking or restoring an
-   image makes it the base; restoring the base at the same granule count
-   copies back only the dirty chunks ([set_region] marks exactly the
-   granules it wrote, so there is no spill), anything else is one full
-   copy, and the map ends clear. *)
+(* Same discipline as [Wasm.Memory]: an image is the committed prefix,
+   standing for that prefix plus a tag-0 tail up to [snap_size].
+   Taking or restoring an image makes it the base; restoring the base
+   at the same granule count copies back only the dirty chunks
+   ([set_region] marks exactly the granules it wrote, so there is no
+   spill), from the image below its end and tag 0 past it; anything
+   else is one full copy, and the map ends clear. Counts are logical:
+   4 bits per granule of the whole plane, however much of it is
+   committed, as the eager plane counted them. *)
 
 type snapshot = { snap_tags : Bytes.t; snap_size : int }
 
@@ -157,23 +204,26 @@ let snapshot t =
 (* Restore in place — the [t] bound into an [Mte.t] keeps its identity
    (growth also mutates in place, so the binding never goes stale). *)
 let restore t s =
-  let img = s.snap_tags in
-  let len = Bytes.length img in
+  let img = s.snap_tags and len = granules_for s.snap_size in
+  let same_size = granules_for t.size = len in
   t.size <- s.snap_size;
   match t.base with
-  | Some b when b == img && Bytes.length t.tags = len ->
+  | Some b when b == img && same_size ->
+      let committed = Bytes.length t.tags in
       Dirty.drain t.dirty ~bits:chunk_bits ~f:(fun lo hi ->
           let hi = min len hi in
-          Bytes.blit img lo t.tags lo (hi - lo);
+          Dirty.rewrite ~img t.tags lo (min hi committed);
           storage_bytes (hi - lo))
   | _ ->
-      if Bytes.length t.tags = len then Bytes.blit img 0 t.tags 0 len
-      else t.tags <- Bytes.copy img;
-      t.dirty <- Dirty.clear t.dirty ~bits:chunk_bits len;
+      set_tags t (Bytes.copy img);
+      t.dirty <- Dirty.clear t.dirty ~bits:chunk_bits (Bytes.length img);
       t.base <- Some img;
       storage_bytes len
 
-let snapshot_bytes s = storage_bytes (Bytes.length s.snap_tags)
-let snapshot_to_string s = Bytes.to_string s.snap_tags
+let snapshot_bytes s = storage_bytes (granules_for s.snap_size)
 
-let to_string t = Bytes.to_string t.tags
+let snapshot_to_string s =
+  Bytes.unsafe_to_string (Dirty.zero_extend s.snap_tags (granules_for s.snap_size))
+
+let to_string t =
+  Bytes.unsafe_to_string (Dirty.zero_extend t.tags (granules_for t.size))

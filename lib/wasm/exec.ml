@@ -477,20 +477,44 @@ let instance_counter = ref 0
 let unresolved =
   Host_func { fn = (fun _ _ -> []); ty = { Types.params = []; results = [] }; name = "" }
 
+(* Caps on what one instance may declare, past what validation allows:
+   the memory cap is {!Memory.implementation_max_pages}, and a table
+   gets at most wasmtime's 10,000,000 elements. *)
+let max_table_elems = 10_000_000L
+
+let check_declared_sizes (m : Ast.module_) =
+  let over what n cap =
+    if n > cap then
+      raise
+        (Trap
+           (Printf.sprintf "%s of %Ld exceeds the implementation cap of %Ld"
+              what n cap))
+  in
+  Option.iter
+    (fun (mt : Types.mem_type) ->
+      over "initial memory pages" mt.mem_limits.min Memory.implementation_max_pages)
+    m.memory;
+  Option.iter
+    (fun (tt : Types.table_type) ->
+      over "initial table elements" tt.tbl_limits.min max_table_elems)
+    m.table
+
 (** Validate and instantiate a module. A module that fails validation
     raises {!Validate.Invalid} before any instance state exists (it
-    consumes no instance id). [imports] supplies host functions by
-    (module, name); missing imports raise {!Instance.Trap}. Data and
-    element segments are applied and the start function runs before the
-    instance is returned, as the spec requires. Under the [Threaded]
-    engine (the default) every local function is lowered to threaded
-    code here, once, before the start function runs — so element/data
-    segments, the start function, snapshots taken of this instance, and
-    every later invocation all execute compiled bodies. *)
+    consumes no instance id), and one that declares more than a cap
+    raises {!Instance.Trap} at the same point. [imports] supplies host
+    functions by (module, name); missing imports raise {!Instance.Trap}.
+    Data and element segments are applied and the start function runs
+    before the instance is returned, as the spec requires. Under the
+    [Threaded] engine (the default) every local function is lowered to
+    threaded code here, once, before the start function runs — so
+    element/data segments, the start function, snapshots taken of this
+    instance, and every later invocation all execute compiled bodies. *)
 let instantiate ?(config = Instance.default_config)
     ?(imports : (string * string * Instance.host_func) list = [])
     (m : Ast.module_) : Instance.t =
   Validate.check m;
+  check_declared_sizes m;
   incr instance_counter;
   let id = !instance_counter in
   let rng = Random.State.make [| config.seed; id |] in

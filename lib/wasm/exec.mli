@@ -25,12 +25,16 @@ val instantiate :
   Ast.module_ ->
   Instance.t
 (** Validate a module ({!Validate.check}), then instantiate it: resolve
-    imports by (module, name), create and zero the memory and its tag
-    space, apply data and element segments, and run the start function.
+    imports by (module, name), create the memory and its tag space
+    (committing neither), apply data and element segments, and run the
+    start function.
     @raise Validate.Invalid when the module is rejected, before any
     instance state exists.
-    @raise Instance.Trap on unresolved imports, segment range errors, or
-    a trapping start function. *)
+    @raise Instance.Trap on an initial memory above
+    {!Memory.implementation_max_pages} or an initial table above
+    10,000,000 elements (before any instance state exists, as for an
+    invalid module), on unresolved imports, segment range errors, or a
+    trapping start function. *)
 
 val invoke : Instance.t -> string -> Values.t list -> Values.t list
 (** Call an exported function by name.

@@ -69,18 +69,12 @@ let size_bytes t = Int64.mul t.pages page_size
    prefix, so it reads zero there too. *)
 let commit_floor = 65536
 
-let zero_extend b n =
-  let old = Bytes.length b in
-  let b = Bytes.extend b 0 (n - old) in
-  Bytes.fill b old (n - old) '\000';
-  b
-
 let commit t need =
   let chunk = 1 lsl chunk_bits in
   let n = max need (max commit_floor (2 * Bytes.length t.data)) in
   let n = min (Int64.to_int (size_bytes t)) ((n + chunk - 1) land -chunk) in
-  t.data <- zero_extend t.data n;
-  t.dirty <- zero_extend t.dirty (n lsr chunk_bits)
+  t.data <- Arch.Dirty.zero_extend t.data n;
+  t.dirty <- Arch.Dirty.zero_extend t.dirty (n lsr chunk_bits)
 
 (* The one commit rule: make the prefix cover every byte below [n], or
    fail if [n] is past the memory's size. An in-bounds span ending at
@@ -220,10 +214,7 @@ type snapshot = { snap_data : Bytes.t; snap_pages : int64 }
 let snapshot_bytes s = Int64.to_int (Int64.mul s.snap_pages page_size)
 
 (* [b] followed by zeros up to [len] bytes. *)
-let logical_string b len =
-  let s = Bytes.make len '\000' in
-  Bytes.blit b 0 s 0 (Bytes.length b);
-  Bytes.unsafe_to_string s
+let logical_string b len = Bytes.unsafe_to_string (Arch.Dirty.zero_extend b len)
 
 let snapshot t =
   let s = { snap_data = Bytes.copy t.data; snap_pages = t.pages } in
@@ -240,13 +231,10 @@ let restore t s =
       (* runs are at least one clean chunk apart, so a run's spill tail
          never overlaps the next run; a run counts its logical bytes,
          read from the image below its end and zero past it *)
-      let n = Bytes.length img and committed = Bytes.length t.data in
+      let committed = Bytes.length t.data in
       Arch.Dirty.drain t.dirty ~bits:chunk_bits ~f:(fun lo hi ->
           let hi = min len (hi + spill) in
-          let stop = min hi committed in
-          let cut = max lo (min n stop) in
-          if cut > lo then Bytes.blit img lo t.data lo (cut - lo);
-          Bytes.fill t.data cut (stop - cut) '\000';
+          Arch.Dirty.rewrite ~img t.data lo (min hi committed);
           hi - lo)
   | _ ->
       t.data <- Bytes.copy img;

@@ -276,9 +276,8 @@ let memory_grow (inst : Instance.t) delta =
   if old >= 0L && delta > 0L then
     Option.iter
       (fun mte ->
-        let tm = Arch.Mte.tag_memory mte in
-        Arch.Mte.set_tag_memory mte
-          (Arch.Tag_memory.grow tm
+        ignore
+          (Arch.Tag_memory.grow (Arch.Mte.tag_memory mte)
              ~new_size_bytes:(Int64.to_int (Memory.size_bytes mem))))
       inst.mte;
   if old >= 0L && Obs.Hook.enabled () then

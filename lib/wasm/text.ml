@@ -248,6 +248,15 @@ let number what read a =
 
 let int_of_atom = number "integer" int_of_string_opt
 let i64_of_atom = number "integer" Int64.of_string_opt
+
+(* memarg and segment offsets print unsigned ([%Lu]), so a decimal one
+   reads back unsigned, up to 2^64 - 1 *)
+let u64_of_atom =
+  number "integer" (fun a ->
+      match Int64.of_string_opt ("0u" ^ a) with
+      | Some _ as v -> v
+      | None -> Int64.of_string_opt a)
+
 let expect_int p = int_of_atom (expect_atom p)
 let expect_i64 p = i64_of_atom (expect_atom p)
 let expect_float p = number "number" float_of_string_opt (expect_atom p)
@@ -281,7 +290,7 @@ let keyed p key =
 
 let rec parse_memarg p (ma : Ast.memarg) =
   match keyed p "offset=" with
-  | Some v -> parse_memarg p { ma with offset = i64_of_atom v }
+  | Some v -> parse_memarg p { ma with offset = u64_of_atom v }
   | None -> (
       match Option.map int_of_atom (keyed p "align=") with
       | None -> ma
@@ -290,7 +299,7 @@ let rec parse_memarg p (ma : Ast.memarg) =
           parse_memarg p { ma with align = log2 n }
       | Some n -> perr "alignment %d is not a power of two" n)
 
-let parse_seg_offset p = Option.fold ~none:0L ~some:i64_of_atom (keyed p "offset=")
+let parse_seg_offset p = Option.fold ~none:0L ~some:u64_of_atom (keyed p "offset=")
 
 let is_int_atom a =
   a <> "" && (match Int64.of_string_opt a with Some _ -> true | None -> false)

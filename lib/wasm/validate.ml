@@ -329,6 +329,8 @@ let rec instr ctx (ins : Ast.instr) =
       (match pack with
       | Some _ when ty <> Types.I32 && ty <> Types.I64 ->
           error "packed load of float type"
+      | Some (p, _) when pack_bytes p >= num_size ty ->
+          error "packed load as wide as its type"
       | _ -> ());
       pop ctx (addr_ty ctx);
       push ctx ty
@@ -340,6 +342,8 @@ let rec instr ctx (ins : Ast.instr) =
       (match pack with
       | Some _ when ty <> Types.I32 && ty <> Types.I64 ->
           error "packed store of float type"
+      | Some p when pack_bytes p >= num_size ty ->
+          error "packed store as wide as its type"
       | _ -> ());
       pop ctx ty;
       pop ctx (addr_ty ctx)
@@ -417,6 +421,12 @@ let validate_module (m : Ast.module_) ~cage =
       if not (Types.limits_valid mt.mem_limits ~range) then
         error "invalid memory limits")
     m.memory;
+  (* table limits: the spec's u32 range *)
+  Option.iter
+    (fun (tt : Types.table_type) ->
+      if not (Types.limits_valid tt.tbl_limits ~range:0xffff_ffffL) then
+        error "invalid table limits")
+    m.table;
   (* globals *)
   List.iter
     (fun (g : Ast.global) ->

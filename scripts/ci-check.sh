@@ -23,19 +23,26 @@ grep -q "^invalid module: .*type mismatch" _build/ill_typed.out || {
   echo "FAIL: rejection not reported as an invalid module"; cat _build/ill_typed.out
   exit 1; }
 
-echo "== the door answers malformed input (a decode or parse error, exit 1, within 5 s)"
+echo "== the door answers malformed input (an error or a trap, exit 1, within 5 s)"
 # A custom section whose size decoded negative jumped back and looped for
 # ever; a function section longer than the code section escaped as an
 # uncaught Invalid_argument (exit 125); a non-numeric alignment escaped as
-# a bare Failure.
+# a bare Failure. A table minimum of 2^64 - 1 validated and escaped from
+# instantiation as Invalid_argument, and so did 20,000 wasm32 pages,
+# which the spec allows but the 16,384-page cap does not.
 printf '\000asm\001\000\000\000\000\001X\000\362\377\377\377\377\377\377\377\377\001' \
   > _build/door_loop.wasm
 printf '\000asm\001\000\000\000\001\004\001\140\000\000\003\003\002\000\000\012\004\001\002\000\013' \
   > _build/door_counts.wasm
 printf '(module\n  (type (func))\n  (memory i64 1)\n  (func (type 0)\n    i64.const 0\n    i64.load align=x\n    drop\n  )\n)\n' \
   > _build/door_align.wat
+printf '(module\n  (type (func (result i64)))\n  (table -1 funcref)\n  (func (type 0) i64.const 7)\n  (export "main" (func 0))\n)\n' \
+  > _build/door_table.wat
+printf '(module\n  (type (func (result i64)))\n  (memory i32 20000)\n  (func (type 0) i64.const 7)\n  (export "main" (func 0))\n)\n' \
+  > _build/door_memory.wat
 for case in door_loop.wasm:"decode error:" door_counts.wasm:"decode error:" \
-            door_align.wat:"wat parse error:"; do
+            door_align.wat:"wat parse error:" door_table.wat:"invalid module:" \
+            door_memory.wat:"trap:"; do
   file=${case%%:*}; want=${case#*:}; status=0
   timeout 5 ./_build/default/bin/cage_run.exe "_build/$file" > _build/door.out 2>&1 || status=$?
   if [ "$status" -ne 1 ] || ! grep -q "^$want" _build/door.out; then

@@ -469,6 +469,247 @@ let prop_drain_equals_byte_loop =
       = drained (Bytes.of_string body) ref_drain)
 
 (* ------------------------------------------------------------------ *)
+(* The lazy tag plane against the eager one                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The plane as it was before commit on first retag, one granule at a
+   time: every granule backed from creation, a grow that adds granules
+   marks every chunk dirty, and a restore of the base at the same
+   granule count copies back each maximal run of dirty 256-granule
+   chunks. [Tag_memory] must be indistinguishable from it. *)
+module Eager = struct
+  type t = {
+    mutable tags : Bytes.t;
+    mutable size : int;
+    mutable dirty : bool array;
+    mutable base : int;
+  }
+
+  type snap = { id : int; stags : Bytes.t; ssize : int }
+
+  let granules size = (size + 15) / 16
+  let chunks g = (g + 255) / 256
+
+  let create size =
+    let g = granules size in
+    { tags = Bytes.make g '\000'; size; dirty = Array.make (chunks g) false;
+      base = -1 }
+
+  let set_region t ~addr ~len tag =
+    let ok =
+      Int64.rem addr 16L = 0L && Int64.rem len 16L = 0L
+      && ref_in_bounds t.size ~addr ~len
+    in
+    if ok then
+      for g = Int64.to_int addr / 16 to (Int64.to_int (Int64.add addr len) / 16) - 1
+      do
+        Bytes.set t.tags g (Char.chr tag);
+        t.dirty.(g / 256) <- true
+      done;
+    ok
+
+  let grow t size =
+    let g = granules size and n = Bytes.length t.tags in
+    if g > n then begin
+      t.tags <- Bytes.cat t.tags (Bytes.make (g - n) '\000');
+      t.dirty <- Array.make (chunks g) true
+    end;
+    t.size <- size
+
+  let snapshot t id =
+    t.dirty <- Array.make (chunks (Bytes.length t.tags)) false;
+    t.base <- id;
+    { id; stags = Bytes.copy t.tags; ssize = t.size }
+
+  (* the tag storage copied, at 4 bits per granule *)
+  let restore t s =
+    let len = Bytes.length s.stags in
+    let same = Bytes.length t.tags = len in
+    t.size <- s.ssize;
+    if t.base = s.id && same then begin
+      let copied = ref 0 and c = ref 0 and n = Array.length t.dirty in
+      while !c < n do
+        if not t.dirty.(!c) then incr c
+        else begin
+          let lo = !c * 256 in
+          while !c < n && t.dirty.(!c) do
+            t.dirty.(!c) <- false;
+            incr c
+          done;
+          let hi = min len (!c * 256) in
+          Bytes.blit s.stags lo t.tags lo (hi - lo);
+          copied := !copied + ((hi - lo + 1) / 2)
+        end
+      done;
+      !copied
+    end
+    else begin
+      t.tags <- Bytes.copy s.stags;
+      t.dirty <- Array.make (chunks len) false;
+      t.base <- s.id;
+      (len + 1) / 2
+    end
+end
+
+(* A step of the property. A retag is placed relative to an anchor (the
+   plane's start, the committed prefix's end, or the size's end), so it
+   can straddle the prefix wherever it has reached; one in eight is
+   misaligned. A restore picks one of the images taken so far. *)
+type pstep =
+  | Retag of int * int * int * int  (* anchor, granule delta, granules, tag *)
+  | Grow of int                     (* bytes added *)
+  | Snap
+  | Restore of int
+
+let show_pstep = function
+  | Retag (a, d, n, t) -> Printf.sprintf "retag @%d%+d %dg tag %d" a d n t
+  | Grow b -> Printf.sprintf "grow +%d" b
+  | Snap -> "snap"
+  | Restore i -> Printf.sprintf "restore %d" i
+
+let lazy_plane_gen =
+  QCheck.Gen.(
+    let size =
+      frequency
+        [ (1, map2 (fun g s -> (g * 16) - s) (1 -- 300) (oneofl [ 0; 5 ]));
+          (3, map2 (fun g s -> (g * 16) - s) (4097 -- 6200) (oneofl [ 0; 0; 9 ]))
+        ]
+    in
+    let step =
+      frequency
+        [ ( 6,
+            map3
+              (fun (a, d) n t -> Retag (a, d, n, t))
+              (pair (0 -- 2) (-300 -- 300))
+              (frequency [ (5, 0 -- 600); (1, 2000 -- 6000) ])
+              (0 -- 15) );
+          (1, map (fun b -> Grow b) (frequency [ (3, 0 -- 40); (1, 1 -- 20_000) ]));
+          (2, return Snap);
+          (2, map (fun i -> Restore i) (0 -- 5)) ]
+    in
+    pair size (list_size (1 -- 12) step))
+
+let prop_lazy_plane_equals_eager =
+  QCheck.Test.make ~name:"lazy tag plane equals the eager plane" ~count:120
+    (QCheck.make
+       ~print:(fun (size, steps) ->
+         Printf.sprintf "size %d: %s" size
+           (String.concat "; " (List.map show_pstep steps)))
+       lazy_plane_gen)
+    (fun (size, steps) ->
+      let tm = Tag_memory.create ~size_bytes:size and e = Eager.create size in
+      let snaps = ref [] in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let compare_plane step =
+        let copy =
+          Array.init (Bytes.length e.tags) (fun g -> Char.code (Bytes.get e.tags g))
+        in
+        let size = e.size and p = 16 * Tag_memory.committed_granules tm in
+        if p > size then fail "%s: prefix %d past size %d" step p size;
+        if Tag_memory.to_string tm <> Bytes.to_string e.tags then
+          fail "%s: to_string" step;
+        List.iter
+          (fun (s, es) ->
+            let img = es.Eager.stags in
+            if Tag_memory.snapshot_to_string s <> Bytes.to_string img
+               || Tag_memory.snapshot_bytes s <> (Bytes.length img + 1) / 2
+            then fail "%s: image %d" step es.Eager.id)
+          !snaps;
+        let check64 addr len want =
+          let tag = Tag.of_int want in
+          let what f = fail "%s: %s addr %Ld len %Ld tag %d" step f addr len want in
+          if Tag_memory.matches tm ~addr ~len tag
+             <> ref_matches copy size ~addr ~len want
+          then what "matches";
+          if Tag_memory.first_mismatch tm ~addr ~len tag
+             <> ref_first_mismatch copy size ~addr ~len want
+          then what "first_mismatch";
+          let got =
+            match Tag_memory.region_tag tm ~addr ~len with
+            | r -> Ok (Option.map Tag.to_int r)
+            | exception Invalid_argument _ -> Error ()
+          in
+          if got <> ref_region_tag copy size ~addr ~len then what "region_tag";
+          let got =
+            match Tag_memory.get tm addr with
+            | t -> Some (Tag.to_int t)
+            | exception Invalid_argument _ -> None
+          in
+          let want_get =
+            if ref_in_bounds size ~addr ~len:1L then
+              Some copy.(Int64.to_int addr / 16)
+            else None
+          in
+          if got <> want_get then what "get"
+        in
+        let check addr len =
+          let wants =
+            if addr >= 0 && addr < size then
+              [ 0; copy.(addr / 16); (copy.(addr / 16) + 1) land 15 ]
+            else [ 0; 5 ]
+          in
+          List.iter
+            (fun want ->
+              if Tag_memory.matches_native tm ~addr ~len (Tag.of_int want)
+                 <> ref_matches_native copy size ~addr ~len want
+              then
+                fail "%s: matches_native addr %d len %d tag %d" step addr len
+                  want;
+              check64 (Int64.of_int addr) (Int64.of_int len) want)
+            wants
+        in
+        (* short spans at the plane's ends and around the prefix's end,
+           saturated lengths and negative addresses *)
+        let addrs =
+          [ min_int; -16; -1; 0; 1; 16; p - 17; p - 16; p - 1; p; p + 1; p + 16;
+            size - 17; size - 16; size - 1; size; size + 16; max_int ]
+        in
+        List.iter
+          (fun a ->
+            List.iter (check a) [ min_int; -1; 0; 1; 8; 16; 17; 32; max_int ])
+          addrs;
+        (* long spans: to and across the prefix's end, to the size *)
+        List.iter
+          (fun (a, l) -> check a l)
+          [ (0, p); (0, p + 16); (0, size); (16, size - 16); (p - 4096, 8192);
+            (p - 16, size - p + 16); (p, size - p); (size - 4111, 4111) ];
+        List.iter
+          (fun a ->
+            List.iter (fun l -> check64 a l 0) [ Int64.min_int; 0L; Int64.max_int ])
+          [ Int64.min_int; -16L; 0L; Int64.of_int p; Int64.max_int ]
+      in
+      compare_plane "create";
+      List.iteri
+        (fun i step ->
+          let name = Printf.sprintf "step %d (%s)" i (show_pstep step) in
+          (match step with
+          | Retag (anchor, d, n, t) ->
+              let g =
+                d + match anchor with
+                  | 0 -> 0
+                  | 1 -> Tag_memory.committed_granules tm
+                  | _ -> e.size / 16
+              in
+              let addr = Int64.of_int ((g * 16) + if n mod 8 = 7 then 8 else 0) in
+              let len = Int64.of_int (16 * n) in
+              let ok = Tag_memory.set_region tm ~addr ~len (Tag.of_int t) = Ok () in
+              if ok <> Eager.set_region e ~addr ~len t then fail "%s: verdict" name
+          | Grow b ->
+              ignore (Tag_memory.grow tm ~new_size_bytes:(e.size + b));
+              Eager.grow e (e.size + b)
+          | Snap -> snaps := (Tag_memory.snapshot tm, Eager.snapshot e i) :: !snaps
+          | Restore k -> (
+              match List.nth_opt !snaps (k mod max 1 (List.length !snaps)) with
+              | None -> ()
+              | Some (s, es) ->
+                  let got = Tag_memory.restore tm s and want = Eager.restore e es in
+                  if got <> want then
+                    fail "%s: restore copied %d, eager %d" name got want));
+          compare_plane name)
+        steps;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Mte                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -830,7 +1071,8 @@ let qtests =
       prop_irg_uniform_over_allowed; prop_next_allowed_never_excluded;
       prop_pac_field_roundtrip; prop_ptr_tag_roundtrip;
       prop_tagmem_set_then_matches; prop_span_checks_equal_granule_loop;
-      prop_drain_equals_byte_loop; prop_pac_roundtrip;
+      prop_drain_equals_byte_loop; prop_lazy_plane_equals_eager;
+      prop_pac_roundtrip;
       prop_pac_cross_key_rejected;
     ]
 

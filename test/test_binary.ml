@@ -187,7 +187,22 @@ let test_text_roundtrip_cases () =
             [ Ast.I32Const 1l;
               Ast.If (Ast.ValBlock (Some Types.I64),
                       [ Ast.I64Const 1L ], [ Ast.I64Const 2L ]);
-              Ast.Br 0 ]) ])
+              Ast.Br 0 ]) ]);
+  (* offsets print unsigned, so 2^63 and above must read back *)
+  let huge =
+    simple_module
+      [ Ast.I64Const 0L; Ast.Load (Types.I64, None, { Ast.offset = -1L; align = 3 });
+        Ast.Drop; Ast.I64Const 0L; Ast.I64Const 0L;
+        Ast.Store (Types.I64, None, { Ast.offset = Int64.min_int; align = 3 });
+        Ast.I64Const 0L; Ast.I64Const 16L; Ast.SegmentNew (-16L); Ast.Drop;
+        Ast.I64Const 0L; Ast.I64Const 0L; Ast.I64Const 16L;
+        Ast.SegmentSetTag Int64.min_int;
+        Ast.I64Const 0L; Ast.I64Const 16L; Ast.SegmentFree (-1L);
+        Ast.I64Const 0L ]
+  in
+  check_text_roundtrip "offsets of 2^63 and above" huge;
+  if roundtrip huge <> strip_names huge then
+    Alcotest.fail "offsets of 2^63 and above: binary roundtrip mismatch"
 
 let test_text_roundtrip_compiled () =
   let kernel =
@@ -365,6 +380,43 @@ let door_cases =
             | exception Text.Parse_error _ -> ()))
       malformed_texts
 
+(* Declared sizes that validation cannot bound below what this runtime
+   gives one instance: a table minimum of 2^64 - 1 is outside the
+   spec's u32 range and fails validation; 20,000 wasm32 pages are
+   inside the spec's range but above the 16,384-page cap, and
+   instantiation traps naming the cap. Either way no instance number is
+   consumed, and the module read from text and from its encoding agree. *)
+let oversized_declarations =
+  let src decl =
+    Printf.sprintf
+      "(module\n  (type (func (result i64)))\n  %s\n  (func (type 0) i64.const 7)\n  (export \"main\" (func 0))\n)\n"
+      decl
+  in
+  let id () = (Exec.instantiate (Text.parse (src ""))).Instance.id in
+  List.concat_map
+    (fun (name, decl, expect) ->
+      let m = Text.parse (src decl) in
+      List.map
+        (fun (form, m) ->
+          tc (Printf.sprintf "instantiate %s (%s)" name form) (fun () ->
+              let before = id () in
+              (match Exec.instantiate m with
+              | _ -> Alcotest.fail "instantiated"
+              | exception Validate.Invalid e -> expect (Error e)
+              | exception Instance.Trap e -> expect (Ok e));
+              Alcotest.(check int) "no instance id consumed" (before + 1) (id ())))
+        [ ("wat", m); ("wasm", Binary.decode (Binary.encode m)) ])
+    [ ("(table -1 funcref)", "(table -1 funcref)",
+       function
+       | Error e -> Alcotest.(check string) "invalid" "invalid table limits" e
+       | Ok e -> Alcotest.failf "trapped: %s" e);
+      ("(memory i32 20000)", "(memory i32 20000)",
+       function
+       | Ok e ->
+           Alcotest.(check string) "trap"
+             "initial memory pages of 20000 exceeds the implementation cap of 16384" e
+       | Error e -> Alcotest.failf "rejected: %s" e) ]
+
 (* Seeded byte mutants of modules compiled under CAGE, each changing one
    to three bytes to a random value, by one bit flip or by one: decoding
    returns or raises Decode_error, and validating what decodes returns or
@@ -428,7 +480,7 @@ let () =
           tc "rejects truncation" test_decode_truncated;
           tc "mutants raise only the door's errors" test_door_mutants;
         ]
-        @ door_cases );
+        @ door_cases @ oversized_declarations );
       ( "text",
         [
           tc "printer mentions cage" test_text_printer_mentions_cage;

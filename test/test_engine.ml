@@ -861,9 +861,11 @@ let test_empty_spans_past_prefix () =
   check_both m "f1" [] [ Values.I64 0L ]
 
 (* Every PolyBench kernel declares 80 pages (5 MiB) and runs in
-   128 KiB of them. Instantiation commits only the 64 KiB floor, and a
-   run stays within 256 KiB: an eager touch of the whole memory fails
-   here instead of quietly multiplying the cost of instantiation. *)
+   128 KiB of them. Instantiation commits only the 64 KiB floor of
+   memory and no tag granule, and a run stays within 256 KiB of memory
+   and 16,384 of the 327,680 tag granules: an eager touch of either
+   plane fails here instead of quietly multiplying the cost of
+   instantiation. *)
 let test_polybench_commits () =
   let cfg =
     Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.full)
@@ -878,14 +880,73 @@ let test_polybench_commits () =
           ~imports:(Libc.Wasi.imports (Libc.Wasi.create ())) m
       in
       let mem = Instance.memory inst in
+      let tm = Arch.Mte.tag_memory (Option.get inst.Instance.mte) in
       Alcotest.(check int) (k.k_name ^ ": instantiation commits the floor")
         0x10000 (Memory.length_bytes mem);
+      Alcotest.(check int) (k.k_name ^ ": and no tag granule") 0
+        (Arch.Tag_memory.committed_granules tm);
       ignore (Exec.invoke inst "main" []);
       let used = Memory.length_bytes mem in
       if used > 0x40000 then
         Alcotest.failf "%s commits %d of %Ld bytes" k.k_name used
-          (Memory.size_bytes mem))
+          (Memory.size_bytes mem);
+      let granules = Arch.Tag_memory.committed_granules tm in
+      if granules > 16384 then
+        Alcotest.failf "%s commits %d tag granules" k.k_name granules)
     Workloads.Polybench.all
+
+(* The tag plane commits on first retag, and reads never commit. A
+   16,384-page (1 GiB) CAGE module instantiates with nothing committed.
+   On both engines a checked load past the tag prefix passes with a
+   tag-0 pointer and traps with any other tag, reporting memory tag 0,
+   before and after a retag commits the first 4,096 granules. *)
+let test_tag_plane_past_prefix () =
+  let far = 0x40000L in
+  let load a = [ Ast.I64Const a; Ast.Load (Types.I64, None, memarg ()) ] in
+  let m =
+    module_of
+      ~memory:(Some { Types.mem_idx = Types.Idx64;
+                      mem_limits = { Types.min = 16384L; max = None } })
+      [ (ft [] [ Types.I64 ], [], load far);
+        (ft [] [ Types.I64 ], [], load (Int64.logor far 0x0300_0000_0000_0000L));
+        (ft [] [ Types.I64 ], [],
+         [ Ast.I64Const 0x400L; Ast.I64Const 64L; Ast.SegmentNew 0L; Ast.Drop;
+           Ast.I64Const 1L ]) ]
+  in
+  List.iter
+    (fun (label, engine) ->
+      let config =
+        { (Cage.Config.instance_config Cage.Config.full) with Instance.engine }
+      in
+      let inst = Exec.instantiate ~config m in
+      let tm = Arch.Mte.tag_memory (Option.get inst.Instance.mte) in
+      let committed what n =
+        Alcotest.(check int) (label ^ ": " ^ what) n
+          (Arch.Tag_memory.committed_granules tm)
+      in
+      committed "instantiation commits no tag granule" 0;
+      Alcotest.(check int) (label ^ ": nor a memory byte") 0
+        (Memory.length_bytes (Instance.memory inst));
+      let loads () =
+        Alcotest.(check (list value)) (label ^ ": tag-0 load passes")
+          [ Values.I64 0L ] (Exec.invoke inst "f0" []);
+        match Exec.invoke inst "f1" [] with
+        | _ -> Alcotest.failf "%s: a tag-3 load passed" label
+        | exception Instance.Trap msg ->
+            if not (Astring.String.is_infix ~affix:"with #3, memory #0" msg)
+            then Alcotest.failf "%s: trap %S" label msg;
+            Alcotest.(check (option int)) (label ^ ": memory tag 0") (Some 0)
+              (Option.bind inst.Instance.last_fault (fun f ->
+                   Option.map Arch.Tag.to_int f.Arch.Mte.mem_tag))
+      in
+      loads ();
+      committed "checks commit nothing" 0;
+      Alcotest.(check (list value)) (label ^ ": retag") [ Values.I64 1L ]
+        (Exec.invoke inst "f2" []);
+      committed "a retag commits the floor" 4096;
+      loads ();
+      committed "checks past the prefix commit nothing" 4096)
+    engines
 
 (* ------------------------------------------------------------------ *)
 (* Superinstruction coverage on PolyBench                               *)
@@ -1074,6 +1135,8 @@ let () =
             test_empty_spans_past_prefix;
           Alcotest.test_case "polybench commits at most 256 KiB" `Quick
             test_polybench_commits;
+          Alcotest.test_case "tag checks past the tag prefix" `Quick
+            test_tag_plane_past_prefix;
         ] );
       ( "fusion",
         [

@@ -298,6 +298,45 @@ let test_restore_past_image_prefix () =
     (8 * (Array.length inst.Instance.globals + Array.length inst.Instance.table))
     (Serve.Snapshot.restore_copied snap inst)
 
+(* The tag plane's image is its committed prefix too. A 2-page guest
+   whose init retags once (committing the 4,096-granule floor) serves a
+   request that retags across the image's end and the last granule of
+   memory, committing the whole plane. The restore rewrites those runs
+   from the image below its end and with tag 0 past it, and returns
+   the count the eager plane returned for the same writes: two dirty
+   runs in each plane, 8,199 + 4,096 bytes of memory and 256 + 128
+   bytes of tags. *)
+let test_restore_past_tag_prefix () =
+  let seg_new addr len =
+    [ Ast.I64Const addr; Ast.I64Const len; Ast.SegmentNew 0L; Ast.Drop ]
+  in
+  let m =
+    { (module_of
+         [ (ft [] [ Types.I32 ], [], seg_new 0x400L 64L @ [ Ast.I32Const 0l ]);
+           (ft [] [ Types.I32 ], [],
+            seg_new 65_520L 32L @ seg_new 131_056L 16L @ [ Ast.I32Const 0l ]) ])
+      with
+      Ast.memory =
+        Some { mem64 with Types.mem_limits = { Types.min = 2L; max = Some 4L } } }
+  in
+  let proc = Cage.Process.create ~config:Cage.Config.full ~seed:5 () in
+  let sup = Cage.Supervisor.create proc in
+  let inst = Cage.Supervisor.spawn sup m in
+  let tm = Arch.Mte.tag_memory (Option.get inst.Instance.mte) in
+  ignore (finished_of (Cage.Supervisor.run sup inst "f0" []));
+  let snap = Serve.Snapshot.capture inst in
+  Alcotest.(check int) "the image is the 4,096-granule prefix" 4096
+    (Arch.Tag_memory.committed_granules tm);
+  ignore (finished_of (Cage.Supervisor.run sup inst "f1" []));
+  Alcotest.(check int) "the request committed the whole plane" 8192
+    (Arch.Tag_memory.committed_granules tm);
+  Alcotest.(check int) "restore counts what the eager plane counted" 12679
+    (Serve.Snapshot.restore_copied snap inst);
+  Alcotest.(check bool) "and matches the image with its tag-0 tail" true
+    (Serve.Snapshot.matches snap inst);
+  Alcotest.(check int) "a second restore copies nothing" 0
+    (Serve.Snapshot.restore_copied snap inst)
+
 (* Chaos on, every fault site in turn: heap scribbles and tag flips
    write outside guest stores, and every restore must still reproduce
    the image exactly. *)
@@ -1081,6 +1120,8 @@ let () =
             test_restore_fallback_full_copy;
           Alcotest.test_case "restore past the image's prefix" `Quick
             test_restore_past_image_prefix;
+          Alcotest.test_case "restore past the tag image's prefix" `Quick
+            test_restore_past_tag_prefix;
           Alcotest.test_case "chaos restores match" `Quick
             test_chaos_restores_match;
           QCheck_alcotest.to_alcotest prop_dirty_restore_matches;

@@ -836,6 +836,26 @@ let test_instantiate_rejects_unvalidated () =
         bad)
     [ Instance.Interp; Instance.Threaded ]
 
+(* A pack at least as wide as its type has no encoding in either
+   format: [i32.load32_s], [i32.load32_u] and [i32.store32] must not
+   validate, so [Binary.encode] never meets them. *)
+let test_validate_wide_pack () =
+  let ma = { Ast.offset = 0L; align = 2 } in
+  List.iter
+    (fun (name, body) ->
+      match Validate.check (module_of [ (ft [] [], [], body) ]) with
+      | () -> Alcotest.failf "%s validated" name
+      | exception Validate.Invalid _ -> ())
+    [ ("i32.load32_s",
+       [ Ast.I64Const 0L; Ast.Load (Types.I32, Some (Ast.Pack32, Ast.SX), ma);
+         Ast.Drop ]);
+      ("i32.load32_u",
+       [ Ast.I64Const 0L; Ast.Load (Types.I32, Some (Ast.Pack32, Ast.ZX), ma);
+         Ast.Drop ]);
+      ("i32.store32",
+       [ Ast.I64Const 0L; Ast.I32Const 1l;
+         Ast.Store (Types.I32, Some Ast.Pack32, ma) ]) ]
+
 let test_duplicate_export_rejected () =
   (* two exports named [f0]: the core spec forbids it, and a lookup by
      name would silently find the first *)
@@ -1557,6 +1577,7 @@ let () =
           tc "instantiate rejects unvalidated"
             test_instantiate_rejects_unvalidated;
           tc "duplicate export names rejected" test_duplicate_export_rejected;
+          tc "pack as wide as its type" test_validate_wide_pack;
           tc "embedder boundary checked" test_embedder_boundary_checked;
         ] );
       ( "cage-extension",
