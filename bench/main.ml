@@ -681,16 +681,33 @@ let run_analysis () =
    where the wasm64 address idioms run. One compile per kernel; every
    timed run gets a fresh instance (instantiation — including
    threaded-code lowering — happens outside the timer, as a serving
-   pool would amortize it). Before timing, a metered verification pass
-   runs each kernel once per engine and asserts the checksum and every
-   meter counter agree, so the modeled cycle counts (Cage.Lowering
-   prices the meter, not the clock) are engine-invariant by
-   construction. The threaded verification run also counts the minor
+   pool would amortize it). The two engines run interleaved, [exec_reps]
+   times each, alternating which goes first, and each kernel reports
+   both engines' median and interquartile range: a best-of figure moved
+   the geomean by 10-15% between runs of one build, more than an engine
+   change shows, and a median beside its spread shows when a difference
+   is smaller than the noise. Before timing, a metered verification
+   pass runs each kernel once per engine and asserts the checksum and
+   every meter counter agree, so the modeled cycle counts
+   (Cage.Lowering prices the meter, not the clock) are engine-invariant
+   by construction. The threaded verification run also counts the minor
    words its invoke allocates: the column's words per memory access
    over all kernels is CI-gated, since an access that boxes shows up
    there first. *)
+let exec_reps = 11
+
+(* The median and the interquartile range of [l] (quartiles as the
+   medians of the halves below and above the median). *)
+let median_iqr l =
+  let a = Array.of_list (List.sort compare l) in
+  let med a lo hi =
+    let n = hi - lo in
+    (a.(lo + ((n - 1) / 2)) +. a.(lo + (n / 2))) /. 2.0
+  in
+  let n = Array.length a in
+  (med a 0 n, med a ((n + 1) / 2) n -. med a 0 (n / 2))
+
 let exec_column core (cfg : Cage.Config.t) =
-  let reps_interp = 3 and reps_threaded = 5 in
   let words = ref 0.0 and accesses = ref 0 in
   let rows =
     List.map
@@ -725,23 +742,32 @@ let exec_column core (cfg : Cage.Config.t) =
                "%s (%s): engines disagree on the meter (%d vs %d ops)"
                kernel.k_name cfg.name (Wasm.Meter.total m_i)
                (Wasm.Meter.total m_t));
-        let time engine reps =
-          best_of reps (fun () ->
-              let inst = fresh engine in
-              fun () -> Wasm.Exec.invoke inst "main" [])
+        let time engine =
+          let inst = fresh engine in
+          timed (fun () -> Wasm.Exec.invoke inst "main" [])
         in
-        let t_i = time Wasm.Instance.Interp reps_interp in
-        let t_t = time Wasm.Instance.Threaded reps_threaded in
+        let pairs =
+          List.init exec_reps (fun r ->
+              if r mod 2 = 0 then
+                let t_i = time Wasm.Instance.Interp in
+                (t_i, time Wasm.Instance.Threaded)
+              else
+                let t_t = time Wasm.Instance.Threaded in
+                (time Wasm.Instance.Interp, t_t))
+        in
+        let t_i = median_iqr (List.map fst pairs) in
+        let t_t = median_iqr (List.map snd pairs) in
         let modeled = Cage.Lowering.seconds core cfg m_t in
-        (kernel.k_name, t_i, t_t, t_i /. t_t, modeled))
+        (kernel.k_name, t_i, t_t, fst t_i /. fst t_t, modeled))
       Workloads.Polybench.all
   in
   Harness.Report.table (!ppf_ref)
-    ~header:[ "kernel"; "interp"; "threaded"; "speedup"; "modeled" ]
+    ~header:[ "kernel"; "interp (median)"; "IQR"; "threaded (median)"; "IQR"; "speedup"; "modeled" ]
     (List.map
-       (fun (name, t_i, t_t, s, modeled) ->
+       (fun (name, (t_i, q_i), (t_t, q_t), s, modeled) ->
          [
-           name; Harness.Report.seconds t_i; Harness.Report.seconds t_t;
+           name; Harness.Report.seconds t_i; Harness.Report.seconds q_i;
+           Harness.Report.seconds t_t; Harness.Report.seconds q_t;
            Printf.sprintf "%.2fx" s; Harness.Report.seconds modeled;
          ])
        rows);
@@ -752,10 +778,10 @@ let exec_column core (cfg : Cage.Config.t) =
   in
   let words_per_access = !words /. float_of_int !accesses in
   Format.fprintf (!ppf_ref)
-    "  %s: geomean speedup %.2fx over %d kernels (modeled cycles \
-     engine-invariant, meters bit-identical); threaded minor words per \
-     access %.3f@."
-    cfg.name geomean (List.length rows) words_per_access;
+    "  %s: geomean speedup %.2fx of medians over %d kernels, %d interleaved \
+     reps a side (modeled cycles engine-invariant, meters bit-identical); \
+     threaded minor words per access %.3f@."
+    cfg.name geomean (List.length rows) exec_reps words_per_access;
   (rows, geomean, words_per_access)
 
 let run_exec () =
@@ -769,19 +795,22 @@ let run_exec () =
   let cage_rows, cage_geomean, cage_words = exec_column core cage in
   let kernels oc indent rows =
     List.iteri
-      (fun i (name, t_i, t_t, s, modeled) ->
+      (fun i (name, (t_i, q_i), (t_t, q_t), s, modeled) ->
         Printf.fprintf oc
-          "%s{ \"name\": %S, \"interp_s\": %.9f, \"threaded_s\": %.9f, \
-           \"speedup\": %.3f, \"modeled_s\": %.9f }%s\n"
-          indent name t_i t_t s modeled
+          "%s{ \"name\": %S, \"interp_s\": %.9f, \"interp_iqr_s\": %.9f, \
+           \"threaded_s\": %.9f, \"threaded_iqr_s\": %.9f, \"speedup\": %.3f, \
+           \"modeled_s\": %.9f }%s\n"
+          indent name t_i q_i t_t q_t s modeled
           (if i = List.length rows - 1 then "" else ","))
       rows
   in
   (* the CAGE column sits under its own key, and its geomean is not
      named [geomean_speedup]: the CI gate greps for that key *)
   let oc = open_out "BENCH_exec.json" in
-  Printf.fprintf oc "{\n  \"config\": %S,\n  \"core\": %S,\n  \"kernels\": [\n"
-    cfg.name core.Arch.Cpu_model.name;
+  Printf.fprintf oc
+    "{\n  \"config\": %S,\n  \"core\": %S,\n  \"timing\": \"median and interquartile \
+     range of %d interleaved reps per engine\",\n  \"kernels\": [\n"
+    cfg.name core.Arch.Cpu_model.name exec_reps;
   kernels oc "    " rows;
   Printf.fprintf oc "  ],\n  \"geomean_speedup\": %.3f,\n" geomean;
   Printf.fprintf oc "  \"minor_words_per_access\": %.3f,\n" words;

@@ -70,8 +70,12 @@ let pp_injection ppf i =
 
 (* One lane = one victim identity. The PRNG is derived from
    (policy seed, lane), and budgets are tracked here, so a lane's
-   behaviour is independent of every other lane's draw history. *)
+   behaviour is independent of every other lane's draw history.
+   [ln_live] holds [ln_count < max_injections]: once it is clear no
+   draw can fire or roll the PRNG, so the hot paths test it inline
+   and skip the call. *)
 type lane = {
+  mutable ln_live : bool;
   ln_pol : policy;
   ln_lane : int;
   ln_rng : Random.State.t;
@@ -96,6 +100,7 @@ let lane t n =
   | None ->
       let l =
         {
+          ln_live = t.pol.max_injections > 0;
           ln_pol = t.pol;
           ln_lane = n;
           ln_rng = Random.State.make [| t.pol.seed; n |];
@@ -135,7 +140,7 @@ let draw ln site =
   (* both refusals are pure, so their order leaves the draw sequence
      alone: the one-compare budget test runs first, and a spent lane
      never scans the armed-site list *)
-  if ln.ln_count >= pol.max_injections then false
+  if not ln.ln_live then false
   else if not (List.memq site pol.sites) then false
   else if
     match List.assq_opt site pol.site_max with
@@ -150,6 +155,7 @@ let draw ln site =
     let fire = p >= 1.0 || Random.State.float ln.ln_rng 1.0 < p in
     if fire then begin
       ln.ln_count <- ln.ln_count + 1;
+      ln.ln_live <- ln.ln_count < pol.max_injections;
       ln.ln_site_counts <-
         (site,
          1

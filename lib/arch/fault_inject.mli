@@ -72,8 +72,22 @@ val pp_injection : Format.formatter -> injection -> unit
 type t
 (** An engine: a policy and the lanes armed from it. *)
 
-type lane
-(** One armed instance's chaos state. *)
+type lane = private {
+  mutable ln_live : bool;
+      (** the lane's budget is not spent: while it is clear, {!draw}
+          can never fire and never rolls the PRNG, so a hot path reads
+          this field inline and skips the call (an accessor would stay
+          an out-of-line call across modules) *)
+  ln_pol : policy;
+  ln_lane : int;
+  ln_rng : Random.State.t;
+  mutable ln_count : int;
+  mutable ln_site_counts : (site * int) list;
+  mutable ln_injected : injection list;
+  mutable ln_scribble : (int64 * injection) option;
+}
+(** One armed instance's chaos state, readable but not writable from
+    outside this module. *)
 
 val create : policy -> t
 

@@ -126,15 +126,15 @@ let mismatch t access ~addr ~len ptag =
 
 (* The one check. Everything before the verdict is native-int, so a
    passing check allocates nothing; the fault record, event and latch
-   are built only on a mismatch. Unarmed and unobserved, a passing
-   check tests the lane and the sink inline and calls out only to the
-   tag plane. *)
+   are built only on a mismatch. Unarmed or on a spent lane, and
+   unobserved, a passing check tests the lane and the sink inline and
+   calls out only to the tag plane. *)
 let check_native t access ~addr ~tag ~len =
   match t.mode with
   | Disabled -> Allowed
   | Sync | Async | Asymmetric ->
       t.checks <- t.checks + 1;
-      (match t.chaos with None -> () | Some ln -> chaos_tag_flip t ln addr);
+      (match t.chaos with Some ln when ln.ln_live -> chaos_tag_flip t ln addr | _ -> ());
       if Tag_memory.matches_native t.tags ~addr ~len tag then begin
         if !Obs.Hook.hook != None then note_near_miss t ~addr ~len tag;
         Allowed

@@ -591,7 +591,8 @@ let decode (bytes : string) : Ast.module_ =
     | 10 ->
         bodies :=
           D.vec d (fun d ->
-              let _size = D.u32 d in
+              let size = D.size d "function body" in
+              let body_end = d.D.pos + size in
               let runs =
                 D.vec d (fun d ->
                     let n = D.u32 d in
@@ -601,6 +602,9 @@ let decode (bytes : string) : Ast.module_ =
                 fail "a function declares more than %d locals" max_locals;
               let locals = List.concat_map (fun (n, t) -> List.init n (fun _ -> t)) runs in
               let body, _ = decode_instrs d ~stops:[ 0x0b ] in
+              if d.D.pos <> body_end then
+                fail "function body: decoded %d bytes, declared %d"
+                  (d.D.pos - (body_end - size)) size;
               (locals, body))
     | 11 ->
         m :=

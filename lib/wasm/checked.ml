@@ -68,13 +68,13 @@ and corrupt_tag ln (p : int64) =
 let resolve_addr_i64 (inst : Instance.t) (p : int64) (offset : int64) =
   let p =
     match inst.chaos with
-    | None -> p
-    | Some ln ->
+    | Some ln when ln.ln_live ->
         if Arch.Fault_inject.draw ln Arch.Fault_inject.Ptr_sig then
           corrupt_sig ln p
         else if Arch.Fault_inject.draw ln Arch.Fault_inject.Ptr_tag then
           corrupt_tag ln p
         else p
+    | _ -> p
   in
   if Int64.logand p noncanonical_mask <> 0L then
     trap "bounds: non-canonical address 0x%Lx" p;

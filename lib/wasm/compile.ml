@@ -8,7 +8,7 @@
     fault synchronization points. Everything the two engines share
     semantically lives in {!Rt}, {!Checked} and {!Numerics}; this module
     only decides {e when} those are called and bakes every decision that
-    the interpreter re-derives per execution — operand slots, branch
+    the interpreter re-derives per execution — operand registers, branch
     targets, elision bits, numeric specialisations — into closure
     environments at instantiation time. The one exception is the
     operator table, which restates {!Numerics}' bodies on unboxed
@@ -21,10 +21,37 @@
 
     {!Exec.instantiate} validates every module before it lowers it, so
     the compiler never meets an ill-typed body: operand types, label
-    indices and stack heights are guaranteed, and it tracks only the
-    static operand-stack {e height}, which fixes every slot index.
-    Every function of a [Threaded] instance is compiled; there is no
-    per-function interpreter fallback.
+    indices and stack heights are guaranteed, and it tracks only where
+    each operand of the static stack lives. Every function of a
+    [Threaded] instance is compiled; there is no per-function
+    interpreter fallback.
+
+    {2 Register operands}
+
+    A frame is one register file off [st.base]: the locals, the
+    function's constants, then its operand slots ({!Xcode.func}).
+    [local.get] and a constant emit nothing: they push the register the
+    value already lives in. Every op reads its operands where they live
+    and writes its result to its operand slot or, when a [local.set] or
+    [local.tee] follows, straight into that local. A comparison followed
+    by [[i32.eqz;] br_if] or [if] is one compare-and-branch op, and the
+    address step [[ext;] [const; mul;] add] folds into the access that
+    consumes it. A pending read of a local moves into its slot before
+    that local is written; so does every pending operand at a label that
+    a branch reaches (a block's end, an if's arms, a loop's head) and
+    below a branch's target height, and every call argument, since the
+    callee's frame begins at the caller's argument slots.
+
+    {2 Pending charges}
+
+    An instruction that emits nothing still ticks and meters. Its tick
+    and its meter count wait, and so do the tick and absorbed write of
+    every {e pure} op (one that can neither trap nor emit an event), until
+    an op that can: it pays them before its own effects. At a label a
+    branch reaches, a charge-only op pays what is pending. So every
+    event, trap, fuel burn and chaos draw sees the interpreter's tick
+    count and meter, and a run ends with the interpreter's totals; only
+    where a profiler sample falls within a run of pure ops moves.
 
     {2 Three shared pieces}
 
@@ -32,22 +59,21 @@
     successor index [next] is bound when the op is emitted. Memory
     accesses go through one access path ({!load}/{!store}), and
     arithmetic through one operator table ({!i32_binop_m}, {!f_binop_m},
-    ...), shared by singleton and fused ops. Both are closed [@inline]
-    functions: without flambda, a flag or operator an op captures is
-    tested on every execution, while a literal argument to an inlined
-    closed function is folded away. The access path therefore
-    takes its address width and check policy as literals, picked by one
-    emit-time [match]; operators stay captured and cost one switch.
+    ...). Both are closed [@inline] functions: without flambda, a flag
+    or operator an op captures is tested on every execution, while a
+    literal argument to an inlined closed function is folded away. The
+    access path therefore takes its address width and check policy as
+    literals, picked by one emit-time [match]; operators stay captured
+    and cost one switch.
 
     {2 Branches are jumps}
 
     A branch to a block carries the label's values to the block's entry
     height, dropping any operands the body left below them (the spec's
     semantics, which the interpreter implements by restoring its entry
-    stack). When nothing lies below the carried values — the shape every
-    branch in compiled MiniC has — the branch moves no values and
-    compiles to a bare [fun _ -> target]; otherwise it blits the top
-    [arity] slots down first. Loop labels carry nothing, and [return] is
+    stack). A carried value moves from the register it lives in to the
+    label's slot; when it is there already, the branch compiles to a
+    bare [fun _ -> target]. Loop labels carry nothing, and [return] is
     a branch to the function label, whose entry height is the operand
     base. *)
 
@@ -111,15 +137,66 @@ let[@inline] meter_br (m : Meter.t) inst =
   Rt.burn_fuel inst;
   m.branch <- m.branch + 1
 
-(* Where an access op finds its operands and leaves its result: an
-   operand-stack slot (relative to [opbase]) or a local (relative to
-   [base]), decided at compile time and resolved to an absolute slot
-   index by an inline match on a closure constant, so the access reads
-   and writes the slot itself and no value crosses a closure call. *)
-type slotref = Sop of int | Sloc of int
+(* Where an op finds an operand: a register of the frame's register
+   file off [st.base] ({!Xcode}'s frame layout), which holds the locals,
+   then the function's constants, then its operand slots. An op reads
+   each operand from the register it lives in and writes its result to
+   a register, so a constant or a local costs no op to bring to it. *)
+let[@inline] rd64 (st : Instance.t Xcode.state) r = get64 st.stk (st.base + r)
 
-let[@inline] slot (st : Instance.t Xcode.state) (r : slotref) =
-  match r with Sop h -> st.opbase + h | Sloc i -> st.base + i
+let[@inline] rdi st r = Int64.to_int (rd64 st r)
+
+let[@inline] rdf (st : Instance.t Xcode.state) r = Array.unsafe_get st.stk (st.base + r)
+
+let[@inline] wr64 (st : Instance.t Xcode.state) d v = set64 st.stk (st.base + d) v
+let[@inline] wri st d v = wr64 st d (Int64.of_int v)
+let[@inline] wrb st d b = wri st d (Bool.to_int b)
+let[@inline] wrf (st : Instance.t Xcode.state) d v = Array.unsafe_set st.stk (st.base + d) v
+
+(* What an op pays for the instructions it stands for. Before its own
+   effects: the ticks of its own instructions and of every instruction
+   that emitted nothing since the last op (folded operand reads and
+   constants, [nop], [drop], a block's entry), and the folded reads'
+   and constants' meter counts. After them: [c_post] ticks and [c_set]
+   local writes of what it absorbed past its own effect (a [local.set]
+   or [local.tee] its result went straight to, an f64 operator folded
+   after a load), when that effect may trap or emit an event. *)
+type charge = { c_ticks : int; c_locals : int; c_consts : int; c_post : int; c_set : int }
+
+let[@inline] pay (m : Meter.t) inst c =
+  tick_n inst c.c_ticks;
+  m.local_access <- m.local_access + c.c_locals;
+  m.const <- m.const + c.c_consts
+
+let[@inline] settle (m : Meter.t) inst c =
+  if c.c_post <> 0 then begin
+    tick_n inst c.c_post;
+    m.local_access <- m.local_access + c.c_set
+  end
+
+(* The charges small enough to share, made once at start-up, so that an
+   op captures one of them instead of a fresh record. *)
+let shared_charge t l k p s = (((((t * 4) + l) * 3 + k) * 3 + p) * 2) + s
+
+let charges =
+  let a = Array.make (shared_charge 8 0 0 0 0) { c_ticks = 0; c_locals = 0; c_consts = 0; c_post = 0; c_set = 0 } in
+  for t = 0 to 7 do
+    for l = 0 to 3 do
+      for k = 0 to 2 do
+        for p = 0 to 2 do
+          for s = 0 to 1 do
+            a.(shared_charge t l k p s) <-
+              { c_ticks = t; c_locals = l; c_consts = k; c_post = p; c_set = s }
+          done
+        done
+      done
+    done
+  done;
+  a
+
+let make_charge t l k p s =
+  if t < 8 && l < 4 && k < 3 && p < 3 && s < 2 then charges.(shared_charge t l k p s)
+  else { c_ticks = t; c_locals = l; c_consts = k; c_post = p; c_set = s }
 
 (* ------------------------------------------------------------------ *)
 (* The access path                                                     *)
@@ -184,22 +261,24 @@ let[@inline] pack64 (p : int64) (off : int) : int =
     Rt.trap "bounds: non-canonical address 0x%Lx" p;
   ((b land 0xffff_ffff_ffff) + off) lor (((b lsr 56) land 0xf) lsl 50)
 
-(* On an armed instance: [Checked.resolve_addr_i64]'s draws and
-   corruptions first. It reads its own slot, since an [int64] passed to
-   an out-of-line call would be boxed; beyond what a [draw] that rolls
-   the lane's PRNG allocates, it allocates only when one fires. *)
-let resolve64_chaos ln (st : Instance.t Xcode.state) src (off : int) : int =
-  let p = get64 st.stk (slot st src) in
+(* On an instance armed on a live lane: [Checked.resolve_addr_i64]'s
+   draws and corruptions first. It reads its own operand, since an
+   [int64] passed to an out-of-line call would be boxed; beyond what a
+   [draw] that rolls the lane's PRNG allocates, it allocates only when
+   one fires. A spent lane never draws, so it is tested inline, as an
+   unarmed instance is. *)
+let resolve64_chaos ln (st : Instance.t Xcode.state) a (off : int) : int =
+  let p = rd64 st a in
   if Arch.Fault_inject.draw ln Arch.Fault_inject.Ptr_sig then
     pack64 (Checked.corrupt_sig ln p) off
   else if Arch.Fault_inject.draw ln Arch.Fault_inject.Ptr_tag then
     pack64 (Checked.corrupt_tag ln p) off
   else pack64 p off
 
-let[@inline] resolve64p (st : Instance.t Xcode.state) src (off : int) : int =
+let[@inline] resolve64p (st : Instance.t Xcode.state) a (off : int) : int =
   match st.inst.chaos with
-  | None -> pack64 (get64 st.stk (slot st src)) off
-  | Some ln -> resolve64_chaos ln st src off
+  | Some ln when ln.ln_live -> resolve64_chaos ln st a off
+  | _ -> pack64 (rd64 st a) off
 
 let oob () = Rt.trap "bounds: out of bounds memory access"
 
@@ -215,7 +294,7 @@ let[@inline] note_span_elided (m : Meter.t) =
   m.elided_bounds <- m.elided_bounds + 1;
   if !Obs.Hook.hook != None then Obs.Hook.event Obs.Event.Bounds_elided
 
-(* Resolve the address operand [src] plus [off] and apply the check
+(* Resolve the address operand [a] plus [off] and apply the check
    policy to a [len]-byte access, in [Checked.check]'s event order; the
    result is the native effective address. [w32] selects the wasm32
    address path (zero-extend, tag zero), [te] elides the tag check and
@@ -228,11 +307,8 @@ let[@inline] note_span_elided (m : Meter.t) =
    check runs under [enforce_tags] only. Nothing here allocates
    unless a check fails or an injection fires. *)
 let[@inline] access w32 te be (m : Meter.t) (st : Instance.t Xcode.state)
-    (mem : Memory.t) acc len off src =
-  let pa =
-    if w32 then (geti st.stk (slot st src) land mask32) + off
-    else resolve64p st src off
-  in
+    (mem : Memory.t) acc len off a =
+  let pa = if w32 then (rdi st a land mask32) + off else resolve64p st a off in
   let addr = if w32 then pa else pa land tag_addr_mask in
   if be then begin
     if te then note_tag_elided m;
@@ -249,29 +325,29 @@ let[@inline] access w32 te be (m : Meter.t) (st : Instance.t Xcode.state)
       ~tag:(if w32 then Arch.Tag.zero else Arch.Tag.of_int (pa lsr 50));
   addr
 
-(* One scalar load or store through {!access}, metered after the
-   checks. With the span check elided the raw memory primitive is still
-   total (it raises past the committed prefix), so the access retries
-   once behind {!reach}: an in-bounds first touch commits, and an
-   analyzer bug degrades to the interpreter's own bounds trap rather
-   than a crash. *)
-let[@inline] load w32 te be (m : Meter.t) st len lk off src dst =
+(* One scalar load from address operand [a] into register [d], or store
+   of operand [v], through {!access}, metered after the checks. With the
+   span check elided the raw memory primitive is still total (it raises
+   past the committed prefix), so the access retries once behind
+   {!reach}: an in-bounds first touch commits, and an analyzer bug
+   degrades to the interpreter's own bounds trap rather than a crash. *)
+let[@inline] load w32 te be (m : Meter.t) st len lk off a d =
   let mem = gm st.inst in
-  let addr = access w32 te be m st mem Arch.Mte.Load len off src in
+  let addr = access w32 te be m st mem Arch.Mte.Load len off a in
   m.loads <- m.loads + 1;
   m.load_bytes <- m.load_bytes + len;
-  let stk = st.stk and i = slot st dst in
+  let stk = st.stk and i = st.base + d in
   if be then
     try do_load lk mem addr stk i
     with Invalid_argument _ -> (reach mem (addr + len); do_load lk mem addr stk i)
   else do_load lk mem addr stk i
 
-let[@inline] store w32 te be (m : Meter.t) st len sk off src vsrc =
+let[@inline] store w32 te be (m : Meter.t) st len sk off a v =
   let mem = gm st.inst in
-  let addr = access w32 te be m st mem Arch.Mte.Store len off src in
+  let addr = access w32 te be m st mem Arch.Mte.Store len off a in
   m.stores <- m.stores + 1;
   m.store_bytes <- m.store_bytes + len;
-  let stk = st.stk and i = slot st vsrc in
+  let stk = st.stk and i = st.base + v in
   if be then
     try do_store sk mem addr stk i
     with Invalid_argument _ -> (reach mem (addr + len); do_store sk mem addr stk i)
@@ -541,57 +617,96 @@ let[@inline] u64_to_float x =
   if x >= 0L then Int64.to_float x
   else Int64.to_float (Int64.shift_right_logical x 1) *. 2.0
 
-(* Conversion ops, in place on slot [q]. An i32 slot already holds the
-   sign-extended 64-bit pattern, and an f32 slot the rounded double, so
-   four conversions move no bits. *)
-let[@inline] cvt (op : Ast.cvtop) stk q =
+(* Conversion ops, from operand [a] into register [d]. An i32 slot
+   already holds the sign-extended 64-bit pattern, and an f32 slot the
+   rounded double, so four conversions only move bits. *)
+let[@inline] cvt (op : Ast.cvtop) st a d =
   match op with
-  | I64ExtendI32S | F64PromoteF32 | I64ReinterpretF64 | F64ReinterpretI64 -> ()
-  | I32WrapI64 -> seti stk q (norm32 (geti stk q))
-  | I64ExtendI32U -> seti stk q (geti stk q land mask32)
-  | I32TruncF32S | I32TruncF64S -> seti stk q (trunc32 true (Array.unsafe_get stk q))
-  | I32TruncF32U | I32TruncF64U -> seti stk q (trunc32 false (Array.unsafe_get stk q))
-  | I64TruncF32S | I64TruncF64S -> set64 stk q (trunc64 true (Array.unsafe_get stk q))
-  | I64TruncF32U | I64TruncF64U -> set64 stk q (trunc64 false (Array.unsafe_get stk q))
-  | F32ConvertI32S -> Array.unsafe_set stk q (to_f32 (float_of_int (geti stk q)))
-  | F32ConvertI32U -> Array.unsafe_set stk q (to_f32 (float_of_int (geti stk q land mask32)))
-  | F32ConvertI64S -> Array.unsafe_set stk q (to_f32 (Int64.to_float (get64 stk q)))
-  | F32ConvertI64U -> Array.unsafe_set stk q (to_f32 (u64_to_float (get64 stk q)))
-  | F64ConvertI32S -> Array.unsafe_set stk q (float_of_int (geti stk q))
-  | F64ConvertI32U -> Array.unsafe_set stk q (float_of_int (geti stk q land mask32))
-  | F64ConvertI64S -> Array.unsafe_set stk q (Int64.to_float (get64 stk q))
-  | F64ConvertI64U -> Array.unsafe_set stk q (u64_to_float (get64 stk q))
-  | F32DemoteF64 -> Array.unsafe_set stk q (to_f32 (Array.unsafe_get stk q))
-  | I32ReinterpretF32 ->
-      seti stk q (Int32.to_int (Int32.bits_of_float (Array.unsafe_get stk q)))
-  | F32ReinterpretI32 ->
-      Array.unsafe_set stk q (Int32.float_of_bits (Int32.of_int (geti stk q)))
+  | I64ExtendI32S | F64PromoteF32 | I64ReinterpretF64 | F64ReinterpretI64 -> wr64 st d (rd64 st a)
+  | I32WrapI64 -> wri st d (norm32 (rdi st a))
+  | I64ExtendI32U -> wri st d (rdi st a land mask32)
+  | I32TruncF32S | I32TruncF64S -> wri st d (trunc32 true (rdf st a))
+  | I32TruncF32U | I32TruncF64U -> wri st d (trunc32 false (rdf st a))
+  | I64TruncF32S | I64TruncF64S -> wr64 st d (trunc64 true (rdf st a))
+  | I64TruncF32U | I64TruncF64U -> wr64 st d (trunc64 false (rdf st a))
+  | F32ConvertI32S -> wrf st d (to_f32 (float_of_int (rdi st a)))
+  | F32ConvertI32U -> wrf st d (to_f32 (float_of_int (rdi st a land mask32)))
+  | F32ConvertI64S -> wrf st d (to_f32 (Int64.to_float (rd64 st a)))
+  | F32ConvertI64U -> wrf st d (to_f32 (u64_to_float (rd64 st a)))
+  | F64ConvertI32S -> wrf st d (float_of_int (rdi st a))
+  | F64ConvertI32U -> wrf st d (float_of_int (rdi st a land mask32))
+  | F64ConvertI64S -> wrf st d (Int64.to_float (rd64 st a))
+  | F64ConvertI64U -> wrf st d (u64_to_float (rd64 st a))
+  | F32DemoteF64 -> wrf st d (to_f32 (rdf st a))
+  | I32ReinterpretF32 -> wri st d (Int32.to_int (Int32.bits_of_float (rdf st a)))
+  | F32ReinterpretI32 -> wrf st d (Int32.float_of_bits (Int32.of_int (rdi st a)))
 
-(* The address step a fused access begins with, in the memory's index
-   width W: [[i64.extend_i32_s]; [iW.const c; iW.mul]; iW.add] of the
-   operand pair at [p], [p + 1] into [p], the slot the access reads (a
-   lone [iW.add] has [c = 1]). [cvts] and [scales], 0 or 1, bump exactly
-   the constituents' meters without a branch. *)
-type step = { w32 : bool; c : int64; cvts : int; scales : int }
+(* Conversions that may trap: their absorbed [local.set] is charged
+   after them. *)
+let cvt_traps : Ast.cvtop -> bool = function
+  | I32TruncF32S | I32TruncF64S | I32TruncF32U | I32TruncF64U | I64TruncF32S | I64TruncF64S
+  | I64TruncF32U | I64TruncF64U -> true
+  | _ -> false
 
-let[@inline] addr_step (m : Meter.t) s stk p =
+(* The address step an access begins with, in the memory's index width
+   W: [[i64.extend_i32_s]; [iW.const c; iW.mul]; iW.add] of the operands
+   [base] and [index] into register [addr], which the access reads
+   (a lone [iW.add] has [c = 1]). [cvts] and [scales], 0 or 1, bump
+   exactly the constituents' meters without a branch. *)
+type step = {
+  w32 : bool;
+  c : int64;
+  cvts : int;
+  scales : int;
+  base : int;
+  index : int;
+  addr : int;
+}
+
+let[@inline] addr_step (m : Meter.t) s st =
   m.cvt <- m.cvt + s.cvts;
   m.const <- m.const + s.scales;
   m.imul <- m.imul + s.scales;
   ialu m;
-  if s.w32 then seti stk p (norm32 (geti stk p + (geti stk (p + 1) * Int64.to_int s.c)))
-  else set64 stk p (Int64.add (get64 stk p) (Int64.mul (get64 stk (p + 1)) s.c))
+  if s.w32 then wri st s.addr (norm32 (rdi st s.base + (rdi st s.index * Int64.to_int s.c)))
+  else wr64 st s.addr (Int64.add (rd64 st s.base) (Int64.mul (rd64 st s.index) s.c))
+
+(* A load op whole: pay, the address step if any, the access into
+   register [d], what was absorbed past it, and for [fop = Some (op, x,
+   r)] the f64 operator on operand [x] and the loaded value into
+   register [r]. All but the policy flags are closure constants. *)
+let[@inline] load_op w32 te be (m : Meter.t) c sp len lk off a d fop (st : Instance.t Xcode.state) =
+  pay m st.inst c;
+  (match sp with None -> () | Some s -> addr_step m s st);
+  load w32 te be m st len lk off a d;
+  settle m st.inst c;
+  match fop with
+  | None -> ()
+  | Some (op, x, r) ->
+      wrf st r (f_binop_m m op (rdf st x) (Array.unsafe_get st.stk (st.base + d)))
+
+let[@inline] store_op w32 te be (m : Meter.t) c sp len sk off a v (st : Instance.t Xcode.state) =
+  pay m st.inst c;
+  (match sp with None -> () | Some s -> addr_step m s st);
+  store w32 te be m st len sk off a v
 
 (* ------------------------------------------------------------------ *)
 (* Calls                                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* The dispatch loop: run [ops] from op 0 until an op returns the
+   array's length, the function's exit. *)
+let run_ops (ops : Instance.t Xcode.op array) st =
+  let n = Array.length ops in
+  let rec go pc = if pc < n then go ((Array.unsafe_get ops pc) st) in
+  go 0
 
 (* The call protocol. Caller arguments occupy the top of the caller's
    operand area, at absolute slots [argp .. argp + nargs - 1]; the
    callee's frame starts exactly there (arguments become parameters in
    place, zero copies), and on return the results are blitted down to
    [argp], which is where the caller's next op statically expects them.
-   The caller's base/opbase/depth live on the OCaml stack across the
+   The caller's base and depth live on the OCaml stack across the
    nested dispatch loop. *)
 let call_function (st : Instance.t Xcode.state) fi argp
     (param_tys : Types.val_type array) =
@@ -608,18 +723,12 @@ let call_function (st : Instance.t Xcode.state) fi argp
         Obs.Hook.event
           (Obs.Event.Func_enter { idx = fi; name = Instance.func_name inst fi })
       end;
-      let save_base = st.base
-      and save_opbase = st.opbase
-      and save_depth = st.depth in
+      let save_base = st.base and save_depth = st.depth in
       Xcode.ensure st (argp + xf.frame_slots);
-      if xf.nlocals > 0 then Array.fill st.stk (argp + xf.nparams) xf.nlocals 0.0;
+      Xcode.enter xf st.stk argp;
       st.base <- argp;
-      st.opbase <- argp + xf.nparams + xf.nlocals;
       st.depth <- d;
-      let ops = xf.ops in
-      let n = Array.length ops in
-      let rec go pc = if pc < n then go ((Array.unsafe_get ops pc) st) in
-      go 0;
+      run_ops xf.ops st;
       (* Function return is a synchronization point (§4.2): deferred
          Async/Asymmetric faults are reported here, before the frame is
          popped — a trap leaves the frozen call stack as the crash
@@ -632,9 +741,8 @@ let call_function (st : Instance.t Xcode.state) fi argp
       | _ :: tl -> inst.call_stack <- tl
       | [] -> ());
       if xf.result_arity > 0 then
-        Array.blit st.stk st.opbase st.stk argp xf.result_arity;
+        Array.blit st.stk (argp + Xcode.operands xf) st.stk argp xf.result_arity;
       st.base <- save_base;
-      st.opbase <- save_opbase;
       st.depth <- save_depth
   | Instance.Wasm_func { xcode = None; _ } ->
       assert false (* every local function of a threaded instance is compiled *)
@@ -672,24 +780,21 @@ let run_body (inst : Instance.t) ~depth (xf : Instance.t Xcode.func)
       inst;
       stk = Array.make (max Xcode.initial_slots xf.frame_slots) 0.0;
       base = 0;
-      opbase = xf.nparams + xf.nlocals;
       depth;
     }
   in
   List.iteri (fun j v -> st.stk.(j) <- Xcode.slot_of_value v) args;
-  let ops = xf.ops in
-  let n = Array.length ops in
-  let rec go pc = if pc < n then go ((Array.unsafe_get ops pc) st) in
-  go 0;
+  Xcode.enter xf st.stk 0;
+  run_ops xf.ops st;
   List.init xf.result_arity (fun j ->
-      Xcode.value_of_slot xf.result_tys.(j) st.stk.(st.opbase + j))
+      Xcode.value_of_slot xf.result_tys.(j) st.stk.(Xcode.operands xf + j))
 
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The fusion window's one accessor: [body.(j)], or the static
-   {!Code.filler} past the end, so reading a window allocates nothing. *)
+(* The lookahead's one accessor: [body.(j)], or the static
+   {!Code.filler} past the end, so reading ahead allocates nothing. *)
 let instr_at (body : Code.instr array) j =
   if j < Array.length body then Array.unsafe_get body j else Code.filler
 
@@ -717,426 +822,939 @@ type frame = {
 let no_frame =
   { l_target = ref (-1); l_loop = false; l_arity = 0; l_height = 0; l_reached = false }
 
+(* A branch condition: an operand that is nonzero, or a comparison of
+   two, which a [relop [; i32.eqz]; br_if] or [if] folds into its
+   branch op. *)
+type cond =
+  | Nz of int
+  | Ci32 of Ast.irelop * int * int
+  | Ci64 of Ast.irelop * int * int
+  | Cf of Ast.frelop * int * int
+
+let[@inline] test (st : Instance.t Xcode.state) c =
+  match c with
+  | Nz a -> rd64 st a <> 0L
+  | Ci32 (op, a, b) -> i32_relop op (rdi st a) (rdi st b)
+  | Ci64 (op, a, b) -> i64_relop op (rd64 st a) (rd64 st b)
+  | Cf (op, a, b) -> f_relop op (rdf st a) (rdf st b)
+
+(* One idiom of a function: an op family, the kinds of the operands it
+   read, as base-3 digits after a leading 1, one per operand in stack
+   order (0 a slot, 1 a local, 2 a constant), what it absorbed past its
+   own instruction, and how often it was emitted. *)
+type idiom = { family : string; kinds : int; tail : string; mutable n : int }
+
+let rec count_idiom family kinds tail = function
+  | i :: rest ->
+      if i.kinds = kinds && String.equal i.family family && String.equal i.tail tail then begin
+        i.n <- i.n + 1;
+        true
+      end
+      else count_idiom family kinds tail rest
+  | [] -> false
+
+(* The spelling of each kinds code of up to three operands: [s] a slot,
+   [g] a local read, [k] a constant. *)
+let kinds_names =
+  Array.init 81 (fun c ->
+      let rec digits c acc = if c <= 1 then acc else digits (c / 3) ("sgk".[c mod 3] :: acc) in
+      match digits c [] with
+      | [] -> ""
+      | ds -> "." ^ String.of_seq (List.to_seq ds))
+
+let idiom_name i = (i.family ^ kinds_names.(i.kinds) ^ i.tail, i.n)
+
+(* The constant instructions of a prepared body. *)
+let rec constants (body : Code.instr array) =
+  Array.fold_left
+    (fun n (i : Code.instr) ->
+      match i with
+      | Basic ((I32Const _ | I64Const _ | F32Const _ | F64Const _), _) -> n + 1
+      | Basic _ | Br _ | BrIf _ | BrTable _ | Return _ -> n
+      | Block (_, b) | Loop (_, b) -> n + constants b
+      | If (_, t, e) -> n + constants t + constants e)
+    0 body
+
 (* [labels] is the caller's label stack, empty on entry and on return. *)
 let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
     ~(ty : Types.func_type) ~(func : Ast.func) ~(code : Code.func)
     ~(mtr : Meter.t) : Instance.t Xcode.func * Xcode.stats =
   let nparams = List.length ty.params in
   let nlocals = List.length func.locals in
+  let nloc = nparams + nlocals in
+  (* constant [j] is register [nloc + j], and operand slot [k] register
+     [opoff + k]; every constant instruction has a register of its own *)
+  let consts = Array.make (constants code.body) 0.0 in
+  let opoff = nloc + Array.length consts in
+  let nconst = ref 0 in
   let result_arity = code.result_arity in
   (* A validated module without a memory has no memory instructions, so
      the [None] default is never consulted. *)
   let w32 =
     match m.memory with Some mt -> mt.Types.mem_idx = Types.Idx32 | None -> true
   in
+  let iw = if w32 then Ast.W32 else Ast.W64 in
   (* Page counts and bulk lengths are unsigned in the memory's index
      type; bulk-op addresses resolve as [Checked.resolve_addr] does. *)
-  let idx_at stk i = if w32 then Int64.of_int (geti stk i land mask32) else get64 stk i in
-  let set_idx stk i v = if w32 then seti stk i (norm32 (Int64.to_int v)) else set64 stk i v in
-  let resolve_bulk inst stk i =
-    if w32 then (Checked.resolve_addr_i32 (Int32.of_int (geti stk i)) 0L, Arch.Tag.zero)
-    else Checked.resolve_addr_i64 inst (get64 stk i) 0L
+  let idx_of st a = if w32 then Int64.of_int (rdi st a land mask32) else rd64 st a in
+  let set_idx st d v = if w32 then wri st d (norm32 (Int64.to_int v)) else wr64 st d v in
+  let resolve_bulk inst st a =
+    if w32 then (Checked.resolve_addr_i32 (Int32.of_int (rdi st a)) 0L, Arch.Tag.zero)
+    else Checked.resolve_addr_i64 inst (rd64 st a) 0L
   in
-  (* --- static state: the operand-stack height --- *)
-  let h = ref 0 in
-  let max_h = ref 0 in
-  (* An op's static stack effect: it peaks [peak] slots above the
-     current height and moves the height by [net]. Returns the height
-     it started from. *)
-  let shape ~peak ~net =
-    let h0 = !h in
-    if h0 + peak > !max_h then max_h := h0 + peak;
-    h := h0 + net;
-    h0
-  in
-  (* A singleton that pops [n] operands, then pushes [k] results: the
-     slot of its first operand, which is also its first result's. *)
-  let pops n k =
-    h := !h - n;
-    shape ~peak:k ~net:k
-  in
+  (* ---------------------------------------------------------------- *)
+  (* The static operand stack: where each operand lives                *)
+  (* ---------------------------------------------------------------- *)
+  let stack = ref (Array.make 8 0) in
+  let h = ref 0 and max_h = ref 0 in
+  (* every operand below [low] is in its own slot *)
+  let low = ref 0 in
+  (* how many operands on the stack are pending reads of each local *)
+  let nreads = Array.make nloc 0 in
+  (* --- what the instructions that emitted nothing leave to pay --- *)
+  let pt = ref 0 and pl = ref 0 and pk = ref 0 in
   (* --- op builder: ops are emitted in order, so the op being emitted
      has index [!count] and falls through to [!count + 1] --- *)
   let rev_ops : Instance.t Xcode.op list ref = ref [] in
   let count = ref 0 in
-  let put (op : Instance.t Xcode.op) =
-    incr count;
-    rev_ops := op :: !rev_ops
-  in
+  (* an op that an instruction emits as its own, as opposed to a move or
+     charge the lowering adds *)
+  let n_owned = ref 0 in
   (* --- statistics --- *)
   let n_instrs = ref 0 in
-  let n_fused = ref 0 in
   let n_acc = ref 0 in
   let n_elided = ref 0 in
-  let idioms : (string * int ref) list ref = ref [] in
-  let fused idiom k =
-    n_instrs := !n_instrs + k;
-    n_fused := !n_fused + k;
-    (match List.assoc_opt idiom !idioms with
-    | Some r -> incr r
-    | None -> idioms := (idiom, ref 1) :: !idioms);
-    k
-  in
-  let arena_of id = Code.elidable code.arena id in
+  let idioms = ref [] in
+  (* what [result] leaves besides the register *)
+  let res_c = ref (make_charge 0 0 0 0 0) and res_set = ref 0 and res_tail = ref "" in
   (* ---------------------------------------------------------------- *)
-  (* Access emission (shared by singleton and fused forms)             *)
+  (* Lowering                                                          *)
+  (* ---------------------------------------------------------------- *)
+  (* whether control falls through the instruction just compiled *)
+  let falls = ref true in
+  let rec slot k = opoff + k
+  and is_own k o = o = opoff + k
+  and push o =
+    let k = !h in
+    if k = Array.length !stack then begin
+      let b = Array.make (2 * k) 0 in
+      Array.blit !stack 0 b 0 k;
+      stack := b
+    end;
+    !stack.(k) <- o;
+    if o < nloc then nreads.(o) <- nreads.(o) + 1;
+    h := k + 1;
+    if k + 1 > !max_h then max_h := k + 1;
+    if !low = k && is_own k o then low := k + 1
+  and pop () =
+    decr h;
+    let o = !stack.(!h) in
+    if o < nloc then nreads.(o) <- nreads.(o) - 1;
+    if !low > !h then low := !h;
+    o
+  (* The charge of an op that ticks [own] times and writes [la] locals
+     before its effects, [post] times and [set] locals after them, taking
+     what is pending. *)
+  and take own la post set =
+    let c = make_charge (!pt + own) (!pl + la) !pk post set in
+    pt := 0;
+    pl := 0;
+    pk := 0;
+    c
+  and charge own = take own 0 0 0
+  (* A pure op pays nothing itself: it can neither trap nor emit an
+     event, so its ticks and absorbed local write join what is pending,
+     and the next op that can pays them before its own effects. *)
+  and pend own la =
+    pt := !pt + own;
+    pl := !pl + la
+  and put (op : Instance.t Xcode.op) =
+    incr count;
+    rev_ops := op :: !rev_ops
+  and own_op op =
+    incr n_owned;
+    put op
+  and kind r = if r < nloc then 1 else if r < opoff then 2 else 0
+  and kinds1 a = 3 + kind a
+  and kinds2 a b = 9 + (3 * kind a) + kind b
+  and kinds3 a b c = 27 + (9 * kind a) + (3 * kind b) + kind c
+  (* An op is an idiom when it folded an operand or absorbed an
+     instruction past its own. *)
+  and note family kinds tail =
+    let rec slots_only c = c = 1 || (c mod 3 = 0 && slots_only (c / 3)) in
+    if (tail <> "" || not (slots_only kinds)) && not (count_idiom family kinds tail !idioms)
+    then idioms := { family; kinds; tail; n = 1 } :: !idioms
+  (* ---------------------------------------------------------------- *)
+  (* Materialisation                                                   *)
+  (* ---------------------------------------------------------------- *)
+  (* Move every operand at a height in [lo, hi) that is not in its own
+     slot into it, in one (pure) op. *)
+  and materialize_range lo hi =
+    let lo = max lo !low in
+    let n = ref 0 in
+    for k = lo to hi - 1 do
+      if not (is_own k !stack.(k)) then incr n
+    done;
+    if !n > 0 then begin
+      let srcs = Array.make !n 0 and dsts = Array.make !n 0 in
+      let j = ref 0 in
+      for k = lo to hi - 1 do
+        let o = !stack.(k) in
+        if not (is_own k o) then begin
+          srcs.(!j) <- o;
+          dsts.(!j) <- slot k;
+          incr j;
+          if o < nloc then nreads.(o) <- nreads.(o) - 1;
+          !stack.(k) <- slot k
+        end
+      done;
+      let next = !count + 1 in
+      if !n = 1 then begin
+        let o = srcs.(0) and d = dsts.(0) in
+        put (fun st ->
+            wrf st d (rdf st o);
+            next)
+      end
+      else
+        put (fun st ->
+            for j = 0 to Array.length srcs - 1 do
+              wrf st (Array.unsafe_get dsts j) (rdf st (Array.unsafe_get srcs j))
+            done;
+            next)
+    end;
+    if lo = !low then low := max lo hi
+  and materialize () = materialize_range 0 !h
+  (* before local [d] is written: its pending reads take their values *)
+  and take_reads d = if nreads.(d) > 0 then materialize ()
+  (* Before a label: every operand in its own slot, and what is pending
+     paid by a charge-only op if no move paid it. *)
+  and to_label () =
+    materialize ();
+    if !pt > 0 then begin
+      let c = charge 0 and next = !count + 1 in
+      put (fun st ->
+          pay mtr st.inst c;
+          next)
+    end
+  (* After a label at height [lh] that carries [hh - lh] values: the
+     arm's operands gone, the label's values in their slots. *)
+  and reset_to lh hh =
+    while !h > lh do
+      ignore (pop ())
+    done;
+    while !h < hh do
+      push (slot !h)
+    done
+  (* The register the one result of an op goes to, for an op that ticks
+     [own] times before its effects: a [local.set] or [local.tee] at
+     [body.(j)] is absorbed, its write going straight to the local; else
+     the result takes its own slot. A pure op's charges join what is
+     pending; an effectful one's go to [res_c], with the absorbed write
+     and the [post] ticks it owes after its effects. The instructions
+     absorbed and the idiom tail go to [res_set] and [res_tail]. *)
+  and result ?(pure = true) ?(post = 0) body j own =
+    match instr_at body j with
+    | Code.Basic (((Ast.LocalSet d | Ast.LocalTee d) as set), _) ->
+        take_reads d;
+        if pure then pend (own + 1) 1 else res_c := take own 0 (post + 1) 1;
+        res_set := 1;
+        (match set with
+        | Ast.LocalTee _ ->
+            res_tail := ".tee";
+            push d
+        | _ -> res_tail := ".set");
+        d
+    | _ ->
+        let d = slot !h in
+        push d;
+        if pure then pend own 0 else res_c := take own 0 post 0;
+        res_set := 0;
+        res_tail := "";
+        d
+  (* ---------------------------------------------------------------- *)
+  (* Access emission                                                   *)
   (* ---------------------------------------------------------------- *)
   (* The analysis verdicts of access [id], counted for the stats. *)
-  let policy id =
+  and policy id =
     let te = Code.elidable code.elide id in
     incr n_acc;
     if te then incr n_elided;
     (w32, te, Code.elidable code.belide id)
-  in
   (* Pick the access path's literal flags once, at emit time. *)
-  let load_body id lty pack (ma : Ast.memarg) ~src ~dst :
-      Instance.t Xcode.state -> unit =
-    let len, lk = load_kind lty pack and off = native_off ma.offset in
-    let m = mtr in
+  and load_body id lty pack (ma : Ast.memarg) c sp a d fop next : Instance.t Xcode.op =
+    let len, lk = load_kind lty pack and off = native_off ma.offset and m = mtr in
     match policy id with
-    | true, false, false -> fun st -> load true false false m st len lk off src dst
-    | true, true, false -> fun st -> load true true false m st len lk off src dst
-    | true, false, true -> fun st -> load true false true m st len lk off src dst
-    | true, true, true -> fun st -> load true true true m st len lk off src dst
-    | false, false, false -> fun st -> load false false false m st len lk off src dst
-    | false, true, false -> fun st -> load false true false m st len lk off src dst
-    | false, false, true -> fun st -> load false false true m st len lk off src dst
-    | false, true, true -> fun st -> load false true true m st len lk off src dst
-  in
-  let store_body id sty pack (ma : Ast.memarg) ~src ~vsrc :
-      Instance.t Xcode.state -> unit =
-    let len, sk = store_kind sty pack and off = native_off ma.offset in
-    let m = mtr in
+    | true, false, false -> fun st -> load_op true false false m c sp len lk off a d fop st; next
+    | true, true, false -> fun st -> load_op true true false m c sp len lk off a d fop st; next
+    | true, false, true -> fun st -> load_op true false true m c sp len lk off a d fop st; next
+    | true, true, true -> fun st -> load_op true true true m c sp len lk off a d fop st; next
+    | false, false, false -> fun st -> load_op false false false m c sp len lk off a d fop st; next
+    | false, true, false -> fun st -> load_op false true false m c sp len lk off a d fop st; next
+    | false, false, true -> fun st -> load_op false false true m c sp len lk off a d fop st; next
+    | false, true, true -> fun st -> load_op false true true m c sp len lk off a d fop st; next
+  and store_body id sty pack (ma : Ast.memarg) c sp a v next : Instance.t Xcode.op =
+    let len, sk = store_kind sty pack and off = native_off ma.offset and m = mtr in
     match policy id with
-    | true, false, false -> fun st -> store true false false m st len sk off src vsrc
-    | true, true, false -> fun st -> store true true false m st len sk off src vsrc
-    | true, false, true -> fun st -> store true false true m st len sk off src vsrc
-    | true, true, true -> fun st -> store true true true m st len sk off src vsrc
-    | false, false, false -> fun st -> store false false false m st len sk off src vsrc
-    | false, true, false -> fun st -> store false true false m st len sk off src vsrc
-    | false, false, true -> fun st -> store false false true m st len sk off src vsrc
-    | false, true, true -> fun st -> store false true true m st len sk off src vsrc
-  in
+    | true, false, false -> fun st -> store_op true false false m c sp len sk off a v st; next
+    | true, true, false -> fun st -> store_op true true false m c sp len sk off a v st; next
+    | true, false, true -> fun st -> store_op true false true m c sp len sk off a v st; next
+    | true, true, true -> fun st -> store_op true true true m c sp len sk off a v st; next
+    | false, false, false -> fun st -> store_op false false false m c sp len sk off a v st; next
+    | false, true, false -> fun st -> store_op false true false m c sp len sk off a v st; next
+    | false, false, true -> fun st -> store_op false false true m c sp len sk off a v st; next
+    | false, true, true -> fun st -> store_op false true true m c sp len sk off a v st; next
   (* ---------------------------------------------------------------- *)
   (* Branch actions                                                    *)
   (* ---------------------------------------------------------------- *)
   (* The runtime "take the branch" continuation for a branch to label
-     [fr] from the current static height. Loop back-edges pay the loop
+     [fr] from the current static stack. Loop back-edges pay the loop
      label's catch-clause [meter_br] on top of the branch's own (the
      interpreter's [Loop] handler re-meters on every iteration); any
-     other label's values are carried down to its entry height. *)
-  let branch_to fr : Instance.t Xcode.state -> int =
+     other label's values are moved from where they live to its entry
+     height (several values must be in their slots already). *)
+  and branch_to fr : Instance.t Xcode.state -> int =
     let tgt = fr.l_target in
     if fr.l_loop then fun st ->
       meter_br mtr st.inst;
       !tgt
     else begin
       fr.l_reached <- true;
-      let arity = fr.l_arity and dst = fr.l_height in
-      let k = !h - dst - arity in
-      if k = 0 || arity = 0 then fun _ -> !tgt
-      else if arity = 1 then fun st ->
-        let stk = st.stk in
-        Array.unsafe_set stk (st.opbase + dst)
-          (Array.unsafe_get stk (st.opbase + dst + k));
-        !tgt
-      else fun st ->
-        Array.blit st.stk (st.opbase + dst + k) st.stk (st.opbase + dst) arity;
-        !tgt
+      let arity = fr.l_arity and dst = slot fr.l_height in
+      if arity = 0 then fun _ -> !tgt
+      else if arity = 1 then
+        let o = !stack.(!h - 1) in
+        if o = dst then fun _ -> !tgt
+        else fun st ->
+          wrf st dst (rdf st o);
+          !tgt
+      else
+        let src = slot (!h - arity) in
+        if src = dst then fun _ -> !tgt
+        else fun st ->
+          Array.blit st.stk (st.base + src) st.stk (st.base + dst) arity;
+          !tgt
     end
-  in
-  let branch_action ({ depth; _ } : Code.label) = branch_to (Label_stack.nth labels depth) in
-  (* ---------------------------------------------------------------- *)
-  (* Singleton instruction compilation                                 *)
-  (* ---------------------------------------------------------------- *)
-  let compile_basic (ins : Ast.instr) (id : int) =
+  (* a branch carrying several values reads them from their slots *)
+  (* A branch to a label that is not a loop's: what lies below the
+     label's height into its slots, as on every path to the label (so
+     that the join agrees), and several carried values into theirs. *)
+  and carried fr =
+    if not fr.l_loop then
+      if fr.l_arity > 1 then materialize () else materialize_range 0 fr.l_height
+  and branch_action ({ depth; _ } : Code.label) =
+    let fr = Label_stack.nth labels depth in
+    carried fr;
+    branch_to fr
+  and top_kinds fr = if fr.l_arity = 1 && not fr.l_loop then kinds1 !stack.(!h - 1) else 1
+  and compile_in fr (body : Code.instr array) : bool =
+    Label_stack.push labels fr;
+    let live = compile_seq body in
+    ignore (Label_stack.pop labels);
+    live
+  and compile_seq (body : Code.instr array) : bool =
+    let n = Array.length body in
+    let i = ref 0 in
+    falls := true;
+    (* dead code after a branch emits nothing: ids are pre-assigned *)
+    while !falls && !i < n do
+      let k = compile_at body !i in
+      n_instrs := !n_instrs + k;
+      i := !i + k
+    done;
+    !falls
+  (* Compile from [body.(i)]; returns the instructions consumed. *)
+  and compile_at body i : int =
+    match body.(i) with
+    | Code.Basic (b, id) ->
+        let k = try_step body i in
+        if k > 0 then k else compile_basic body i b id
+    | Code.Block (arity, inner) ->
+        (* the block's entry tick rides on the next op *)
+        incr pt;
+        let fr =
+          { l_target = ref (-1); l_loop = false; l_arity = arity;
+            l_height = !h; l_reached = false }
+        in
+        let ft = compile_in fr inner in
+        (* a label no branch targets joins nothing: the fall-through
+           keeps its operands where they are and its charges pending *)
+        if fr.l_reached then begin
+          if ft then to_label ();
+          fr.l_target := !count;
+          reset_to fr.l_height (fr.l_height + arity)
+        end;
+        falls := ft || fr.l_reached;
+        1
+    | Code.Loop (_, inner) ->
+        materialize ();
+        (* back-edges land after the entry tick: the interpreter ticks a
+           Loop node once, not per iteration *)
+        let c = charge 1 and next = !count + 1 in
+        own_op (fun st ->
+            pay mtr st.inst c;
+            next);
+        let fr =
+          { l_target = ref !count; l_loop = true; l_arity = 0; l_height = !h;
+            l_reached = false }
+        in
+        falls := compile_in fr inner;
+        1
+    | Code.If (arity, then_, else_) ->
+        let a = pop () in
+        emit_if (Nz a) false 0 0 1 "if" (kinds1 a) "" arity then_ else_;
+        1
+    | Code.BrIf l ->
+        let a = pop () in
+        emit_brif (Nz a) false 0 0 1 "brif" (kinds1 a) "" l;
+        1
+    | Code.Br l ->
+        let fr = Label_stack.nth labels l.depth in
+        note "br" (top_kinds fr) "";
+        let act = branch_action l in
+        let c = charge 1 in
+        own_op (fun st ->
+            pay mtr st.inst c;
+            meter_br mtr st.inst;
+            act st);
+        falls := false;
+        1
+    | Code.BrTable (targets, default) ->
+        let io = pop () in
+        note "br_table" (kinds1 io) "";
+        let acts = Array.make (Array.length targets) unset_op in
+        Array.iteri (fun j l -> acts.(j) <- branch_action l) targets;
+        let default_act = branch_action default in
+        let nt = Array.length acts in
+        let c = charge 1 in
+        own_op (fun st ->
+            pay mtr st.inst c;
+            meter_br mtr st.inst;
+            let idx = rdi st io in
+            let act =
+              if idx >= 0 && idx < nt then Array.unsafe_get acts idx else default_act
+            in
+            act st);
+        falls := false;
+        1
+    | Code.Return _ ->
+        let fr = Label_stack.bottom labels in
+        note "return" (top_kinds fr) "";
+        carried fr;
+        let act = branch_to fr in
+        let c = charge 1 in
+        own_op (fun st ->
+            pay mtr st.inst c;
+            mtr.return_ <- mtr.return_ + 1;
+            act st);
+        falls := false;
+        1
+  (* A conditional branch on [cnd] (negated when [inv]) that bumps
+     [ialu] by [ia] and [falu] by [fa] for the comparison it folded and
+     ticks [own] times. *)
+  and emit_brif cnd inv ia fa own family kinds tail (l : Code.label) =
+    note family kinds tail;
+    let act = branch_action l in
+    let c = charge own and next = !count + 1 in
+    own_op (fun st ->
+        pay mtr st.inst c;
+        mtr.ialu <- mtr.ialu + ia;
+        mtr.falu <- mtr.falu + fa;
+        let b = test st cnd <> inv in
+        meter_br mtr st.inst;
+        if b then act st else next)
+  and emit_if cnd inv ia fa own family kinds tail arity then_ else_ =
+    note family kinds tail;
+    materialize ();
+    let hcond = !h in
+    let fr =
+      { l_target = ref (-1); l_loop = false; l_arity = arity; l_height = hcond;
+        l_reached = false }
+    in
+    let else_ref = ref (-1) in
+    let c = charge own and next = !count + 1 in
+    own_op (fun st ->
+        pay mtr st.inst c;
+        mtr.ialu <- mtr.ialu + ia;
+        mtr.falu <- mtr.falu + fa;
+        let b = test st cnd <> inv in
+        meter_br mtr st.inst;
+        if b then next else !else_ref);
+    let ft_then = compile_in fr then_ in
+    if ft_then && Array.length else_ > 0 then begin
+      (* jump over the else arm, paying what the then arm left pending
+         (no tick of its own: synthetic control) *)
+      materialize ();
+      let tgt = fr.l_target in
+      if !pt > 0 then begin
+        let c = charge 0 in
+        put (fun st ->
+            pay mtr st.inst c;
+            !tgt)
+      end
+      else put (fun _ -> !tgt)
+    end
+    else if ft_then then to_label ();
+    else_ref := !count;
+    reset_to hcond hcond;
+    let ft_else = compile_in fr else_ in
+    if ft_else then to_label ();
+    fr.l_target := !count;
+    reset_to hcond (hcond + arity);
+    falls := ft_then || ft_else || fr.l_reached
+  (* The address step [[ext;] [const c; mul;] add] at [body.(i)], on the
+     top two operands (base, index), fused into the access that consumes
+     it: a load, a load whose value an f64 binop folds into the operand
+     below, or a store of a local or a constant. With no consumer, a step
+     of two or more instructions is one op. Returns the instructions
+     consumed, 0 when [body.(i)] starts no step. *)
+  and try_step body i : int =
     let open Ast in
-    let next = !count + 1 in
+    let ext = match basic_at body i with Cvtop I64ExtendI32S -> 1 | _ -> 0 in
+    let j = i + ext in
+    match basic_at body j with
+    | IBinop (w, Add) when w = iw -> step_op body i ext 1L 0
+    | I32Const _ | I64Const _ -> (
+        (* the const and the add are as wide as the mul (validation) *)
+        match (basic_at body j, basic_at body (j + 1), basic_at body (j + 2)) with
+        | I32Const c, IBinop (w, Mul), IBinop (_, Add) when w = iw ->
+            step_op body i ext (Int64.of_int32 c) 1
+        | I64Const c, IBinop (w, Mul), IBinop (_, Add) when w = iw -> step_op body i ext c 1
+        | _ -> 0)
+    | _ -> 0
+  and step_op body i ext scale scales : int =
+    let open Ast in
+    let k = ext + 1 + (2 * scales) in
+    let family =
+      match (w32, ext, scales) with
+      | true, _, 0 -> "i32.add"
+      | true, _, _ -> "i32.scale.add"
+      | false, 0, 0 -> "i64.add"
+      | false, 0, _ -> "i64.scale.add"
+      | false, _, 0 -> "i64.ext.add"
+      | false, _, _ -> "i64.ext.scale.add"
+    in
+    let step base index addr =
+      Some { w32; c = scale; cvts = ext; scales; base; index; addr }
+    in
+    match (instr_at body (i + k), instr_at body (i + k + 1)) with
+    | ( Code.Basic (Load (Types.F64, None, ma), lid),
+        Code.Basic (FBinop (W64, ((FAdd | FSub | FMul | FDiv) as op)), _) ) ->
+        let index = pop () in
+        let base = pop () in
+        let x = pop () in
+        let addr = slot (!h + 1) in
+        let d = result ~pure:false ~post:1 body (i + k + 2) (k + 1) in
+        let c = !res_c and next = !count + 1 in
+        note family (kinds3 x base index) (".load.f64.op" ^ !res_tail);
+        own_op
+          (load_body lid Types.F64 None ma c (step base index addr) addr addr
+             (Some (op, x, d)) next);
+        k + 2 + !res_set
+    | Code.Basic (Load (lty, pack, ma), lid), _ ->
+        let index = pop () in
+        let base = pop () in
+        let addr = slot !h in
+        let d = result ~pure:false body (i + k + 1) (k + 1) in
+        let c = !res_c and next = !count + 1 in
+        note family (kinds2 base index) (".load" ^ !res_tail);
+        own_op
+          (load_body lid lty pack ma c (step base index addr) addr d None next);
+        k + 1 + !res_set
+    | ( Code.Basic ((LocalGet _ | I32Const _ | I64Const _ | F32Const _ | F64Const _) as vi, _),
+        Code.Basic (Store (sty, pack, ma), sid) ) ->
+        let index = pop () in
+        let base = pop () in
+        let addr = slot !h in
+        push_value vi;
+        let v = pop () in
+        let c = charge (k + 1) and next = !count + 1 in
+        note family (kinds3 base index v) ".store";
+        own_op
+          (store_body sid sty pack ma c (step base index addr) addr v next);
+        k + 2
+    | _ when k > 1 ->
+        let index = pop () in
+        let base = pop () in
+        let d = result body (i + k) k in
+        let next = !count + 1 in
+        let s = { w32; c = scale; cvts = ext; scales; base; index; addr = d } in
+        note family (kinds2 base index) !res_tail;
+        own_op (fun st ->
+            addr_step mtr s st;
+            next);
+        k + !res_set
+    | _ -> 0
+  (* An instruction that only pushes: a local read or a constant, which
+     emits nothing and leaves its charge pending. *)
+  and push_value (ins : Ast.instr) =
+    incr pt;
+    match ins with
+    | LocalGet r ->
+        incr pl;
+        push r
+    | I32Const v -> push_const (Int64.of_int32 v)
+    | I64Const v -> push_const v
+    | F32Const v -> push_float (to_f32 v)
+    | F64Const v -> push_float v
+    | _ -> assert false
+  (* a constant's bits go to its register in the frame's constant area *)
+  and push_const bits =
+    set64 consts !nconst bits;
+    next_const ()
+  and push_float x =
+    consts.(!nconst) <- x;
+    next_const ()
+  and next_const () =
+    incr pk;
+    push (nloc + !nconst);
+    incr nconst
+  (* One basic instruction, with what it absorbs; returns the
+     instructions consumed. Pure ops capture no charge. *)
+  and compile_basic body i (ins : Ast.instr) (id : int) : int =
+    let open Ast in
     match ins with
     | Block _ | Loop _ | If _ | Br _ | BrIf _ | BrTable _ | Return ->
         assert false (* control flow is resolved by Code.prepare *)
+    | LocalGet _ | I32Const _ | I64Const _ | F32Const _ | F64Const _ ->
+        push_value ins;
+        1
+    | Nop ->
+        incr pt;
+        1
+    | Drop ->
+        ignore (pop ());
+        incr pt;
+        1
     | Unreachable ->
-        put (fun st ->
-            tick st.inst;
-            Rt.trap "unreachable executed")
-    | Nop | Drop ->
-        if ins = Drop then decr h;
-        put (fun st ->
-            tick st.inst;
-            next)
-    | Select ->
-        let p = pops 3 1 in
-        put (fun st ->
-            tick st.inst;
-            mtr.select <- mtr.select + 1;
-            let stk = st.stk and q = st.opbase + p in
-            if get64 stk (q + 2) = 0L then
-              Array.unsafe_set stk q (Array.unsafe_get stk (q + 1));
-            next)
-    | LocalGet i ->
-        let p = pops 0 1 in
-        put (fun st ->
-            tick st.inst;
-            mtr.local_access <- mtr.local_access + 1;
-            let stk = st.stk in
-            Array.unsafe_set stk (st.opbase + p) (Array.unsafe_get stk (st.base + i));
-            next)
-    | LocalSet i | LocalTee i ->
-        let p = if ins = LocalSet i then pops 1 0 else pops 1 1 in
-        put (fun st ->
-            tick st.inst;
-            mtr.local_access <- mtr.local_access + 1;
-            let stk = st.stk in
-            Array.unsafe_set stk (st.base + i) (Array.unsafe_get stk (st.opbase + p));
-            next)
-    | GlobalGet i ->
-        let p = pops 0 1 in
-        put (fun st ->
-            tick st.inst;
+        let c = charge 1 in
+        own_op (fun st ->
+            pay mtr st.inst c;
+            Rt.trap "unreachable executed");
+        falls := false;
+        1
+    | LocalSet d | LocalTee d ->
+        let o = pop () in
+        take_reads d;
+        let tee = (match ins with LocalTee _ -> true | _ -> false) in
+        note (if tee then "tee" else "set") (kinds1 o) "";
+        pend 1 1;
+        let next = !count + 1 in
+        own_op (fun st ->
+            wrf st d (rdf st o);
+            next);
+        if tee then push d;
+        1
+    | GlobalGet g ->
+        let d = result body (i + 1) 1 in
+        let next = !count + 1 in
+        note "global.get" 1 !res_tail;
+        own_op (fun st ->
             mtr.global_access <- mtr.global_access + 1;
-            let stk = st.stk and q = st.opbase + p in
-            (match Array.unsafe_get st.inst.globals i with
-            | Values.I32 v -> seti stk q (Int32.to_int v)
-            | Values.I64 v -> set64 stk q v
-            | Values.F32 v | Values.F64 v -> Array.unsafe_set stk q v);
-            next)
-    | GlobalSet i ->
-        let gty = ix.ix_globals.(i).g_type.Types.g_type in
-        let p = pops 1 0 in
-        put (fun st ->
-            tick st.inst;
+            (match Array.unsafe_get st.inst.globals g with
+            | Values.I32 v -> wri st d (Int32.to_int v)
+            | Values.I64 v -> wr64 st d v
+            | Values.F32 v | Values.F64 v -> wrf st d v);
+            next);
+        1 + !res_set
+    | GlobalSet g ->
+        let gty = ix.ix_globals.(g).g_type.Types.g_type in
+        let o = pop () in
+        note "global.set" (kinds1 o) "";
+        pend 1 0;
+        let next = !count + 1 in
+        own_op (fun st ->
             mtr.global_access <- mtr.global_access + 1;
-            let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set st.inst.globals i
+            Array.unsafe_set st.inst.globals g
               (match gty with
-              | Types.I32 -> Values.I32 (Int32.of_int (geti stk q))
-              | Types.I64 -> Values.I64 (get64 stk q)
-              | Types.F32 -> Values.F32 (Array.unsafe_get stk q)
-              | Types.F64 -> Values.F64 (Array.unsafe_get stk q));
-            next)
-    | I32Const _ | I64Const _ | F32Const _ | F64Const _ ->
-        let sc =
-          match ins with
-          | I32Const v -> Xcode.slot_of_i32 v
-          | I64Const v -> Xcode.slot_of_i64 v
-          | F32Const v -> to_f32 v
-          | F64Const v -> v
-          | _ -> assert false
-        in
-        let p = pops 0 1 in
-        put (fun st ->
-            tick st.inst;
-            mtr.const <- mtr.const + 1;
-            Array.unsafe_set st.stk (st.opbase + p) sc;
-            next)
-    | IUnop (W32, op) ->
-        let p = pops 1 1 in
-        put (fun st ->
-            tick st.inst;
-            ialu mtr;
-            let stk = st.stk and q = st.opbase + p in
-            seti stk q (i32_unop op (geti stk q land mask32));
-            next)
-    | IUnop (W64, op) ->
-        let p = pops 1 1 in
-        put (fun st ->
-            tick st.inst;
-            ialu mtr;
-            let stk = st.stk and q = st.opbase + p in
-            seti stk q (i64_unop op (get64 stk q));
-            next)
-    | IBinop (W32, op) ->
-        let p = pops 2 1 in
-        put (fun st ->
-            tick st.inst;
-            let stk = st.stk and q = st.opbase + p in
-            seti stk q (i32_binop_m mtr op (geti stk q) (geti stk (q + 1)));
-            next)
-    | IBinop (W64, op) ->
-        let p = pops 2 1 in
-        put (fun st ->
-            tick st.inst;
-            let stk = st.stk and q = st.opbase + p in
-            set64 stk q (i64_binop_m mtr op (get64 stk q) (get64 stk (q + 1)));
-            next)
-    | ITestop _ ->
-        let p = pops 1 1 in
-        put (fun st ->
-            tick st.inst;
-            ialu mtr;
-            let stk = st.stk and q = st.opbase + p in
-            setb stk q (get64 stk q = 0L);
-            next)
-    | IRelop (W32, op) ->
-        let p = pops 2 1 in
-        put (fun st ->
-            tick st.inst;
-            ialu mtr;
-            let stk = st.stk and q = st.opbase + p in
-            setb stk q (i32_relop op (geti stk q) (geti stk (q + 1)));
-            next)
-    | IRelop (W64, op) ->
-        let p = pops 2 1 in
-        put (fun st ->
-            tick st.inst;
-            ialu mtr;
-            let stk = st.stk and q = st.opbase + p in
-            setb stk q (i64_relop op (get64 stk q) (get64 stk (q + 1)));
-            next)
-    | FUnop (W32, op) ->
-        let p = pops 1 1 in
-        put (fun st ->
-            tick st.inst;
-            falu mtr;
-            let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q (to_f32 (f_unop op (Array.unsafe_get stk q)));
-            next)
-    | FUnop (W64, op) ->
-        let p = pops 1 1 in
-        put (fun st ->
-            tick st.inst;
-            falu mtr;
-            let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q (f_unop op (Array.unsafe_get stk q));
-            next)
-    | FBinop (W32, op) ->
-        let p = pops 2 1 in
-        put (fun st ->
-            tick st.inst;
-            let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q
-              (to_f32
-                 (f_binop_m mtr op (Array.unsafe_get stk q)
-                    (Array.unsafe_get stk (q + 1))));
-            next)
-    | FBinop (W64, op) ->
-        let p = pops 2 1 in
-        put (fun st ->
-            tick st.inst;
-            let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q
-              (f_binop_m mtr op (Array.unsafe_get stk q)
-                 (Array.unsafe_get stk (q + 1)));
-            next)
-    | FRelop (_, op) ->
-        let p = pops 2 1 in
-        put (fun st ->
-            tick st.inst;
-            falu mtr;
-            let stk = st.stk and q = st.opbase + p in
-            setb stk q (f_relop op (Array.unsafe_get stk q) (Array.unsafe_get stk (q + 1)));
-            next)
+              | Types.I32 -> Values.I32 (Int32.of_int (rdi st o))
+              | Types.I64 -> Values.I64 (rd64 st o)
+              | Types.F32 -> Values.F32 (rdf st o)
+              | Types.F64 -> Values.F64 (rdf st o));
+            next);
+        1
+    | Select ->
+        let cnd = pop () in
+        let v2 = pop () in
+        let v1 = pop () in
+        let d = result body (i + 1) 1 in
+        let next = !count + 1 in
+        note "select" (kinds3 v1 v2 cnd) !res_tail;
+        own_op (fun st ->
+            mtr.select <- mtr.select + 1;
+            if rd64 st cnd <> 0L then wrf st d (rdf st v1) else wrf st d (rdf st v2);
+            next);
+        1 + !res_set
+    | IUnop (w, op) ->
+        let a = pop () in
+        let d = result body (i + 1) 1 in
+        let next = !count + 1 in
+        (match w with
+        | W32 ->
+            note "i32.unop" (kinds1 a) !res_tail;
+            own_op (fun st ->
+                ialu mtr;
+                wri st d (i32_unop op (rdi st a land mask32));
+                next)
+        | W64 ->
+            note "i64.unop" (kinds1 a) !res_tail;
+            own_op (fun st ->
+                ialu mtr;
+                wri st d (i64_unop op (rd64 st a));
+                next));
+        1 + !res_set
+    | IBinop (w, op) ->
+        let b = pop () in
+        let a = pop () in
+        let pure = match op with DivS | DivU | RemS | RemU -> false | _ -> true in
+        let d = result ~pure body (i + 1) 1 in
+        let c = !res_c and next = !count + 1 in
+        (match (w, pure) with
+        | W32, true ->
+            note "i32.op" (kinds2 a b) !res_tail;
+            own_op (fun st ->
+                wri st d (i32_binop_m mtr op (rdi st a) (rdi st b));
+                next)
+        | W64, true ->
+            note "i64.op" (kinds2 a b) !res_tail;
+            own_op (fun st ->
+                wr64 st d (i64_binop_m mtr op (rd64 st a) (rd64 st b));
+                next)
+        | W32, false ->
+            note "i32.div" (kinds2 a b) !res_tail;
+            own_op (fun st ->
+                pay mtr st.inst c;
+                wri st d (i32_binop_m mtr op (rdi st a) (rdi st b));
+                settle mtr st.inst c;
+                next)
+        | W64, false ->
+            note "i64.div" (kinds2 a b) !res_tail;
+            own_op (fun st ->
+                pay mtr st.inst c;
+                wr64 st d (i64_binop_m mtr op (rd64 st a) (rd64 st b));
+                settle mtr st.inst c;
+                next));
+        1 + !res_set
+    | ITestop w -> (
+        let family = match w with W32 -> "i32.eqz" | W64 -> "i64.eqz" in
+        let a = pop () in
+        match instr_at body (i + 1) with
+        | Code.BrIf l ->
+            emit_brif (Nz a) true 1 0 2 family (kinds1 a) ".brif" l;
+            2
+        | Code.If (arity, then_, else_) ->
+            emit_if (Nz a) true 1 0 2 family (kinds1 a) ".if" arity then_ else_;
+            2
+        | _ ->
+            let d = result body (i + 1) 1 in
+            let next = !count + 1 in
+            note family (kinds1 a) !res_tail;
+            own_op (fun st ->
+                ialu mtr;
+                wrb st d (rd64 st a = 0L);
+                next);
+            1 + !res_set)
+    | IRelop (w, op) -> (
+        let b = pop () in
+        let a = pop () in
+        match w with
+        | W32 -> compare_op body i "i32.relop" (Ci32 (op, a, b)) 1 0 (kinds2 a b)
+        | W64 -> compare_op body i "i64.relop" (Ci64 (op, a, b)) 1 0 (kinds2 a b))
+    | FRelop (w, op) ->
+        let b = pop () in
+        let a = pop () in
+        let family = match w with W32 -> "f32.relop" | W64 -> "f64.relop" in
+        compare_op body i family (Cf (op, a, b)) 0 1 (kinds2 a b)
+    | FUnop (w, op) ->
+        let a = pop () in
+        let d = result body (i + 1) 1 in
+        let next = !count + 1 in
+        (match w with
+        | W32 ->
+            note "f32.unop" (kinds1 a) !res_tail;
+            own_op (fun st ->
+                falu mtr;
+                wrf st d (to_f32 (f_unop op (rdf st a)));
+                next)
+        | W64 ->
+            note "f64.unop" (kinds1 a) !res_tail;
+            own_op (fun st ->
+                falu mtr;
+                wrf st d (f_unop op (rdf st a));
+                next));
+        1 + !res_set
+    | FBinop (w, op) ->
+        let b = pop () in
+        let a = pop () in
+        let d = result body (i + 1) 1 in
+        let next = !count + 1 in
+        (match w with
+        | W32 ->
+            note "f32.op" (kinds2 a b) !res_tail;
+            own_op (fun st ->
+                wrf st d (to_f32 (f_binop_m mtr op (rdf st a) (rdf st b)));
+                next)
+        | W64 ->
+            note "f64.op" (kinds2 a b) !res_tail;
+            own_op (fun st ->
+                wrf st d (f_binop_m mtr op (rdf st a) (rdf st b));
+                next));
+        1 + !res_set
     | Cvtop op ->
-        let p = pops 1 1 in
-        put (fun st ->
-            tick st.inst;
-            mtr.cvt <- mtr.cvt + 1;
-            cvt op st.stk (st.opbase + p);
-            next)
+        let a = pop () in
+        let pure = not (cvt_traps op) in
+        let d = result ~pure body (i + 1) 1 in
+        let c = !res_c and next = !count + 1 in
+        note "cvt" (kinds1 a) !res_tail;
+        if pure then
+          own_op (fun st ->
+              mtr.cvt <- mtr.cvt + 1;
+              cvt op st a d;
+              next)
+        else
+          own_op (fun st ->
+              pay mtr st.inst c;
+              mtr.cvt <- mtr.cvt + 1;
+              cvt op st a d;
+              settle mtr st.inst c;
+              next);
+        1 + !res_set
     | Load (lty, pack, ma) ->
-        let p = pops 1 1 in
-        let body = load_body id lty pack ma ~src:(Sop p) ~dst:(Sop p) in
-        put (fun st ->
-            tick st.inst;
-            body st;
-            next)
+        let a = pop () in
+        let d = result ~pure:false body (i + 1) 1 in
+        let c = !res_c and next = !count + 1 in
+        note "load" (kinds1 a) !res_tail;
+        own_op (load_body id lty pack ma c None a d None next);
+        1 + !res_set
     | Store (sty, pack, ma) ->
-        let p = pops 2 0 in
-        let body = store_body id sty pack ma ~src:(Sop p) ~vsrc:(Sop (p + 1)) in
-        put (fun st ->
-            tick st.inst;
-            body st;
-            next)
+        let v = pop () in
+        let a = pop () in
+        note "store" (kinds2 a v) "";
+        let c = charge 1 and next = !count + 1 in
+        own_op (store_body id sty pack ma c None a v next);
+        1
     | MemorySize ->
-        let p = pops 0 1 in
-        put (fun st ->
-            tick st.inst;
-            set_idx st.stk (st.opbase + p) (Memory.size_pages (gm st.inst));
-            next)
+        let d = result body (i + 1) 1 in
+        let next = !count + 1 in
+        note "memory.size" 1 !res_tail;
+        own_op (fun st ->
+            set_idx st d (Memory.size_pages (gm st.inst));
+            next);
+        1 + !res_set
     | MemoryGrow ->
-        let p = pops 1 1 in
-        put (fun st ->
-            tick st.inst;
-            let stk = st.stk and q = st.opbase + p in
-            set_idx stk q (Rt.memory_grow st.inst (idx_at stk q));
-            next)
+        let a = pop () in
+        let d = result ~pure:false body (i + 1) 1 in
+        let c = !res_c and next = !count + 1 in
+        note "memory.grow" (kinds1 a) !res_tail;
+        own_op (fun st ->
+            pay mtr st.inst c;
+            set_idx st d (Rt.memory_grow st.inst (idx_of st a));
+            settle mtr st.inst c;
+            next);
+        1 + !res_set
     | MemoryFill ->
-        let p = pops 3 0 in
-        put (fun st ->
-            tick st.inst;
-            let inst = st.inst and stk = st.stk and q = st.opbase + p in
-            let len = idx_at stk (q + 2) in
-            let v = geti stk (q + 1) in
-            let dst, dtag = resolve_bulk inst stk q in
+        let l = pop () in
+        let v = pop () in
+        let a = pop () in
+        note "memory.fill" (kinds3 a v l) "";
+        let c = charge 1 and next = !count + 1 in
+        own_op (fun st ->
+            pay mtr st.inst c;
+            let inst = st.inst in
+            let len = idx_of st l in
+            let x = rdi st v in
+            let dst, dtag = resolve_bulk inst st a in
             mtr.bulk_fill <- mtr.bulk_fill + 1;
-            Checked.fill inst (gm inst) ~addr:dst ~tag:dtag ~len v;
-            next)
+            Checked.fill inst (gm inst) ~addr:dst ~tag:dtag ~len x;
+            next);
+        1
     | MemoryCopy ->
-        let p = pops 3 0 in
-        put (fun st ->
-            tick st.inst;
-            let inst = st.inst and stk = st.stk and q = st.opbase + p in
-            let len = idx_at stk (q + 2) in
+        let l = pop () in
+        let s = pop () in
+        let a = pop () in
+        note "memory.copy" (kinds3 a s l) "";
+        let c = charge 1 and next = !count + 1 in
+        own_op (fun st ->
+            pay mtr st.inst c;
+            let inst = st.inst in
+            let len = idx_of st l in
             (* the interpreter resolves source before destination:
                chaos draws must land in that order *)
-            let src, stag = resolve_bulk inst stk (q + 1) in
-            let dst, dtag = resolve_bulk inst stk q in
+            let src, stag = resolve_bulk inst st s in
+            let dst, dtag = resolve_bulk inst st a in
             mtr.bulk_copy <- mtr.bulk_copy + 1;
             Checked.copy inst (gm inst) ~dst ~dtag ~src ~stag ~len;
-            next)
+            next);
+        1
     | SegmentNew o ->
-        let p = pops 2 1 in
-        let arena = arena_of id in
-        put (fun st ->
-            tick st.inst;
-            let stk = st.stk and q = st.opbase + p in
-            let l = get64 stk (q + 1) and k = get64 stk q in
-            set64 stk q (Rt.segment_new ~arena st.inst ~k ~l o);
-            next)
+        let l = pop () in
+        let k = pop () in
+        let arena = Code.elidable code.arena id in
+        let d = result ~pure:false body (i + 1) 1 in
+        let c = !res_c and next = !count + 1 in
+        note "segment.new" (kinds2 k l) !res_tail;
+        own_op (fun st ->
+            pay mtr st.inst c;
+            wr64 st d (Rt.segment_new ~arena st.inst ~k:(rd64 st k) ~l:(rd64 st l) o);
+            settle mtr st.inst c;
+            next);
+        1 + !res_set
     | SegmentSetTag o ->
-        let p = pops 3 0 in
-        put (fun st ->
-            tick st.inst;
-            let stk = st.stk and q = st.opbase + p in
-            let l = get64 stk (q + 2) and t = get64 stk (q + 1) and k = get64 stk q in
-            Rt.segment_set_tag st.inst ~k ~t ~l o;
-            next)
+        let l = pop () in
+        let t = pop () in
+        let k = pop () in
+        note "segment.set_tag" (kinds3 k t l) "";
+        let c = charge 1 and next = !count + 1 in
+        own_op (fun st ->
+            pay mtr st.inst c;
+            Rt.segment_set_tag st.inst ~k:(rd64 st k) ~t:(rd64 st t) ~l:(rd64 st l) o;
+            next);
+        1
     | SegmentFree o ->
-        let p = pops 2 0 in
-        let arena = arena_of id in
-        put (fun st ->
-            tick st.inst;
-            let stk = st.stk and q = st.opbase + p in
-            let l = get64 stk (q + 1) and k = get64 stk q in
-            Rt.segment_free ~arena st.inst ~k ~l o;
-            next)
+        let l = pop () in
+        let k = pop () in
+        let arena = Code.elidable code.arena id in
+        note "segment.free" (kinds2 k l) "";
+        let c = charge 1 and next = !count + 1 in
+        own_op (fun st ->
+            pay mtr st.inst c;
+            Rt.segment_free ~arena st.inst ~k:(rd64 st k) ~l:(rd64 st l) o;
+            next);
+        1
     | PointerSign | PointerAuth ->
-        let p = pops 1 1 in
+        let k = pop () in
         let f = if ins = PointerSign then Rt.pointer_sign else Rt.pointer_auth in
-        put (fun st ->
-            tick st.inst;
-            let stk = st.stk and q = st.opbase + p in
-            set64 stk q (f st.inst (get64 stk q));
-            next)
+        let d = result ~pure:false body (i + 1) 1 in
+        let c = !res_c and next = !count + 1 in
+        note (if ins = PointerSign then "pointer.sign" else "pointer.auth") (kinds1 k) !res_tail;
+        own_op (fun st ->
+            pay mtr st.inst c;
+            wr64 st d (f st.inst (rd64 st k));
+            settle mtr st.inst c;
+            next);
+        1 + !res_set
     | Call fi ->
         let cty = Ast.func_type_at ix fi in
-        let p = pops (List.length cty.params) (List.length cty.results) in
+        let p = call_args (List.length cty.params) in
         let param_tys = Array.of_list cty.params in
-        put (fun st ->
-            tick st.inst;
+        let c = charge 1 and next = !count + 1 in
+        own_op (fun st ->
+            pay mtr st.inst c;
             mtr.call <- mtr.call + 1;
-            call_function st fi (st.opbase + p) param_tys;
-            next)
+            call_function st fi (st.base + p) param_tys;
+            next);
+        call_results (List.length cty.results)
     | CallIndirect ti ->
         let ety = ix.ix_types.(ti) in
-        let nargs = List.length ety.params in
-        let p = pops (nargs + 1) (List.length ety.results) in
+        let io = pop () in
+        note "call_indirect" (kinds1 io) "";
+        let p = call_args (List.length ety.params) in
         let param_tys = Array.of_list ety.params in
-        put (fun st ->
-            tick st.inst;
+        let c = charge 1 and next = !count + 1 in
+        own_op (fun st ->
+            pay mtr st.inst c;
             let inst = st.inst in
             mtr.call_indirect <- mtr.call_indirect + 1;
-            let idx = geti st.stk (st.opbase + p + nargs) in
+            let idx = rdi st io in
             if idx < 0 || idx >= Array.length inst.table then
               Rt.trap "undefined element %d in table" idx;
             (match inst.table.(idx) with
@@ -1145,485 +1763,48 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
                 let actual = Instance.func_type inst.funcs.(fi) in
                 if not (Types.func_type_equal ety actual) then
                   Rt.trap "indirect call type mismatch";
-                call_function st fi (st.opbase + p) param_tys);
-            next)
-  in
-  (* ---------------------------------------------------------------- *)
-  (* Superinstruction fusion                                           *)
-  (* ---------------------------------------------------------------- *)
-  (* Try to absorb a run of consecutive instructions starting at
-     [body.(i)] into one op. Returns the number of source instructions
-     consumed (0 = no match). Constituent side effects — ticks, meter
-     bumps, elision decisions — are batched but numerically identical
-     to the singleton sequence, and each idiom states the static stack
-     effect of the run it replaces once, as a [shape]; operand slots are
-     named relative to the height the run starts at, which [shape]
-     returns. *)
-  (* The address step × consumer family, tried first. The step of [ext
-     + 1 + 2 × scales] instructions at [body.(i)] ({!addr_step}) is
-     MiniC's element address [base + index × size] in the memory's index
-     width, and it fuses into the access that consumes it: a load, a
-     load whose value an f64 binop folds into the operand below, or a
-     store from a local. With no consumer, a step of two or more
-     instructions becomes one op that leaves the address on the stack. *)
-  let iw = if w32 then Ast.W32 else Ast.W64 in
-  let fuse_step (body : Code.instr array) i ext c scales : int =
-    let open Ast in
-    let next = !count + 1 in
-    let s = { w32; c; cvts = ext; scales } and k = ext + 1 + (2 * scales) in
-    let name =
-      (if w32 then "i32" else "i64") ^ (if ext = 1 then ".ext" else "")
-      ^ if scales = 1 then ".scale.add" else ".add"
-    in
-    (* the step, then [lg] local reads and [body], the access on the
-       address the step leaves in slot [p] *)
-    let emit consumer n ~net ~lg body =
-      let p = shape ~peak:scales ~net - 2 in
-      let body = body p in
-      put (fun st ->
-          tick_n st.inst n;
-          addr_step mtr s st.stk (st.opbase + p);
-          mtr.local_access <- mtr.local_access + lg;
-          body st;
-          next);
-      fused (name ^ consumer) n
-    in
-    match (instr_at body (i + k), instr_at body (i + k + 1)) with
-    | ( Code.Basic (Load (Types.F64, None, ma), lid),
-        Code.Basic (FBinop (W64, ((FAdd | FSub | FMul | FDiv) as op)), _) ) ->
-        let p = shape ~peak:scales ~net:(-2) - 3 in
-        let body =
-          load_body lid Types.F64 None ma ~src:(Sop (p + 1)) ~dst:(Sop (p + 1))
-        in
-        let n = k + 2 in
-        put (fun st ->
-            tick_n st.inst n;
-            let stk = st.stk and q = st.opbase + p in
-            addr_step mtr s stk (q + 1);
-            body st;
-            Array.unsafe_set stk q
-              (f_binop_m mtr op (Array.unsafe_get stk q)
-                 (Array.unsafe_get stk (q + 1)));
+                call_function st fi (st.base + p) param_tys);
             next);
-        fused (name ^ ".load.f64.op") n
-    | Code.Basic (Load (lty, pack, ma), lid), _ ->
-        emit ".load" (k + 1) ~net:(-1) ~lg:0 (fun p ->
-            load_body lid lty pack ma ~src:(Sop p) ~dst:(Sop p))
-    | Code.Basic (LocalGet v, _), Code.Basic (Store (sty, pack, ma), sid) ->
-        emit ".lg.store" (k + 2) ~net:(-2) ~lg:1 (fun p ->
-            store_body sid sty pack ma ~src:(Sop p) ~vsrc:(Sloc v))
-    | _ when k > 1 -> emit "" k ~net:(-1) ~lg:0 (fun _ _ -> ())
-    | _ -> 0
-  in
-  (* Recognize the step; this runs at every position, so it allocates nothing. *)
-  let fuse_address (body : Code.instr array) i : int =
-    let open Ast in
-    let ext = match basic_at body i with Cvtop I64ExtendI32S -> 1 | _ -> 0 in
-    let j = i + ext in
-    match basic_at body j with
-    | IBinop (w, Add) when w = iw -> fuse_step body i ext 1L 0
-    | I32Const _ | I64Const _ -> (
-        (* the const and the add are as wide as the mul (validation) *)
-        match (basic_at body j, basic_at body (j + 1), basic_at body (j + 2)) with
-        | I32Const c, IBinop (w, Mul), IBinop (_, Add) when w = iw ->
-            fuse_step body i ext (Int64.of_int32 c) 1
-        | I64Const c, IBinop (w, Mul), IBinop (_, Add) when w = iw ->
-            fuse_step body i ext c 1
-        | _ -> 0)
-    | _ -> 0
-  in
-  let try_fuse (body : Code.instr array) i : int =
-    let k = fuse_address body i in
-    if k > 0 then k else
-    let open Ast in
-    let next = !count + 1 in
-    match
-      ( instr_at body i, instr_at body (i + 1), instr_at body (i + 2),
-        instr_at body (i + 3), instr_at body (i + 4) )
-    with
-    (* local.get a; local.get b; i32 relop; i32.eqz; br_if — the
-       inverted loop guard every structured while-loop compiles to *)
-    | ( Code.Basic (LocalGet a, _),
-        Code.Basic (LocalGet b, _),
-        Code.Basic (IRelop (W32, op), _),
-        Code.Basic (ITestop W32, _),
-        Code.BrIf l ) ->
-        ignore (shape ~peak:2 ~net:0);
-        let act = branch_action l in
-        put (fun st ->
-            let inst = st.inst and stk = st.stk in
-            tick_n inst 5;
-            mtr.local_access <- mtr.local_access + 2;
-            mtr.ialu <- mtr.ialu + 2;
-            let c = i32_relop op (geti stk (st.base + a)) (geti stk (st.base + b)) in
-            meter_br mtr inst;
-            if c then next else act st);
-        fused "i32.lg.lg.relop.eqz.brif" 5
-    (* local.get base; local.get a; local.get b; i32 binop — the head
-       of an address chain: the base pointer rides below the combined
-       index. *)
-    | ( Code.Basic (LocalGet v0, _),
-        Code.Basic (LocalGet a, _),
-        Code.Basic (LocalGet b, _),
-        Code.Basic (IBinop (W32, op), _),
-        _ )
-      when i32_binop_fusable op ->
-        let p = shape ~peak:3 ~net:2 in
-        put (fun st ->
-            tick_n st.inst 4;
-            mtr.local_access <- mtr.local_access + 3;
-            let stk = st.stk and bs = st.base and q = st.opbase + p in
-            Array.unsafe_set stk q (Array.unsafe_get stk (bs + v0));
-            seti stk (q + 1)
-              (i32_binop_m mtr op (geti stk (bs + a)) (geti stk (bs + b)));
-            next);
-        fused "i32.lg.lg.lg.op" 4
-    (* local.get a; local.get b; i32 binop *)
-    | ( Code.Basic (LocalGet a, _),
-        Code.Basic (LocalGet b, _),
-        Code.Basic (IBinop (W32, op), _),
-        _,
-        _ )
-      when i32_binop_fusable op ->
-        let p = shape ~peak:2 ~net:1 in
-        put (fun st ->
-            tick_n st.inst 3;
-            mtr.local_access <- mtr.local_access + 2;
-            let stk = st.stk and bs = st.base in
-            seti stk (st.opbase + p)
-              (i32_binop_m mtr op (geti stk (bs + a)) (geti stk (bs + b)));
-            next);
-        fused "i32.lg.lg.op" 3
-    (* local.get a; local.get b; f64 binop *)
-    | ( Code.Basic (LocalGet a, _),
-        Code.Basic (LocalGet b, _),
-        Code.Basic (FBinop (W64, op), _),
-        _,
-        _ ) ->
-        let p = shape ~peak:2 ~net:1 in
-        put (fun st ->
-            tick_n st.inst 3;
-            mtr.local_access <- mtr.local_access + 2;
-            let stk = st.stk and bs = st.base in
-            Array.unsafe_set stk (st.opbase + p)
-              (f_binop_m mtr op (Array.unsafe_get stk (bs + a))
-                 (Array.unsafe_get stk (bs + b)));
-            next);
-        fused "f64.lg.lg.op" 3
-    (* local.get addr; local.get v; store *)
-    | ( Code.Basic (LocalGet a, _),
-        Code.Basic (LocalGet b, _),
-        Code.Basic (Store (sty, pack, ma), sid),
-        _,
-        _ ) ->
-        ignore (shape ~peak:2 ~net:0);
-        let body = store_body sid sty pack ma ~src:(Sloc a) ~vsrc:(Sloc b) in
-        put (fun st ->
-            tick_n st.inst 3;
-            mtr.local_access <- mtr.local_access + 2;
-            body st;
-            next);
-        fused "lg.lg.store" 3
-    (* local.get; i32.const; i32 binop; local.set — the loop-counter
-       increment quad *)
-    | ( Code.Basic (LocalGet a, _),
-        Code.Basic (I32Const c, _),
-        Code.Basic (IBinop (W32, op), _),
-        Code.Basic (LocalSet d, _),
-        _ )
-      when i32_binop_fusable op ->
-        ignore (shape ~peak:2 ~net:0);
-        let y = norm32 (Int32.to_int c) in
-        put (fun st ->
-            tick_n st.inst 4;
-            mtr.local_access <- mtr.local_access + 2;
-            mtr.const <- mtr.const + 1;
-            let stk = st.stk and bs = st.base in
-            seti stk (bs + d) (i32_binop_m mtr op (geti stk (bs + a)) y);
-            next);
-        fused "i32.lg.const.op.ls" 4
-    (* local.get; i32.const; i32 binop *)
-    | ( Code.Basic (LocalGet a, _),
-        Code.Basic (I32Const c, _),
-        Code.Basic (IBinop (W32, op), _),
-        _,
-        _ )
-      when i32_binop_fusable op ->
-        let p = shape ~peak:2 ~net:1 in
-        let y = norm32 (Int32.to_int c) in
-        put (fun st ->
-            tick_n st.inst 3;
-            mtr.local_access <- mtr.local_access + 1;
-            mtr.const <- mtr.const + 1;
-            let stk = st.stk in
-            seti stk (st.opbase + p) (i32_binop_m mtr op (geti stk (st.base + a)) y);
-            next);
-        fused "i32.lg.const.op" 3
-    (* local.get addr; load *)
-    | ( Code.Basic (LocalGet a, _),
-        Code.Basic (Load (lty, pack, ma), lid),
-        _,
-        _,
-        _ ) ->
-        let p = shape ~peak:1 ~net:1 in
-        let body = load_body lid lty pack ma ~src:(Sloc a) ~dst:(Sop p) in
-        put (fun st ->
-            tick_n st.inst 2;
-            mtr.local_access <- mtr.local_access + 1;
-            body st;
-            next);
-        fused "lg.load" 2
-    (* local.get; local.set — a register-to-register move *)
-    | ( Code.Basic (LocalGet a, _),
-        Code.Basic (LocalSet d, _),
-        _,
-        _,
-        _ ) ->
-        ignore (shape ~peak:1 ~net:0);
-        put (fun st ->
-            tick_n st.inst 2;
-            mtr.local_access <- mtr.local_access + 2;
-            let stk = st.stk and bs = st.base in
-            Array.unsafe_set stk (bs + d) (Array.unsafe_get stk (bs + a));
-            next);
-        fused "lg.ls" 2
-    (* stack-top ⊕ local.get; i32 binop — index arithmetic ([i * n + j]) *)
-    | ( Code.Basic (LocalGet b, _),
-        Code.Basic (IBinop (W32, op), _),
-        _,
-        _,
-        _ )
-      when i32_binop_fusable op ->
-        let p = shape ~peak:1 ~net:0 - 1 in
-        put (fun st ->
-            tick_n st.inst 2;
-            mtr.local_access <- mtr.local_access + 1;
-            let stk = st.stk and q = st.opbase + p in
-            seti stk q (i32_binop_m mtr op (geti stk q) (geti stk (st.base + b)));
-            next);
-        fused "i32.lg.op" 2
-    (* stack-top ⊕ local.get; f64 binop *)
-    | ( Code.Basic (LocalGet b, _),
-        Code.Basic (FBinop (W64, op), _),
-        _,
-        _,
-        _ ) ->
-        let p = shape ~peak:1 ~net:0 - 1 in
-        put (fun st ->
-            tick_n st.inst 2;
-            mtr.local_access <- mtr.local_access + 1;
-            let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk q
-              (f_binop_m mtr op (Array.unsafe_get stk q)
-                 (Array.unsafe_get stk (st.base + b)));
-            next);
-        fused "f64.lg.op" 2
-    (* f64 binop; local.set — compute and park the result in a
-       register in one step *)
-    | ( Code.Basic (FBinop (W64, op), _),
-        Code.Basic (LocalSet v, _),
-        _,
-        _,
-        _ ) ->
-        let p = shape ~peak:0 ~net:(-2) - 2 in
-        put (fun st ->
-            tick_n st.inst 2;
-            let stk = st.stk and q = st.opbase + p in
-            Array.unsafe_set stk (st.base + v)
-              (f_binop_m mtr op (Array.unsafe_get stk q)
-                 (Array.unsafe_get stk (q + 1)));
-            mtr.local_access <- mtr.local_access + 1;
-            next);
-        fused "f64.op.ls" 2
-    (* local.get value; store — store straight from a register *)
-    | ( Code.Basic (LocalGet v, _),
-        Code.Basic (Store (sty, pack, ma), sid),
-        _,
-        _,
-        _ ) ->
-        let p = shape ~peak:1 ~net:(-1) - 1 in
-        let body = store_body sid sty pack ma ~src:(Sop p) ~vsrc:(Sloc v) in
-        put (fun st ->
-            tick_n st.inst 2;
-            mtr.local_access <- mtr.local_access + 1;
-            body st;
-            next);
-        fused "lg.store" 2
-    (* load; local.set *)
-    | ( Code.Basic (Load (lty, pack, ma), lid),
-        Code.Basic (LocalSet j, _),
-        _,
-        _,
-        _ ) ->
-        let p = shape ~peak:0 ~net:(-1) - 1 in
-        let body = load_body lid lty pack ma ~src:(Sop p) ~dst:(Sloc j) in
-        put (fun st ->
-            tick_n st.inst 2;
-            body st;
-            mtr.local_access <- mtr.local_access + 1;
-            next);
-        fused "load.ls" 2
-    (* i32.const; i32 binop — constant-folded RHS on the stack top *)
-    | ( Code.Basic (I32Const c, _),
-        Code.Basic (IBinop (W32, op), _),
-        _,
-        _,
-        _ )
-      when i32_binop_fusable op ->
-        let p = shape ~peak:1 ~net:0 - 1 in
-        let y = norm32 (Int32.to_int c) in
-        put (fun st ->
-            tick_n st.inst 2;
-            mtr.const <- mtr.const + 1;
-            let stk = st.stk and q = st.opbase + p in
-            seti stk q (i32_binop_m mtr op (geti stk q) y);
-            next);
-        fused "i32.const.op" 2
-    (* i32.eqz; br_if — branch on zero *)
-    | ( Code.Basic (ITestop W32, _),
-        Code.BrIf l,
-        _,
-        _,
-        _ ) ->
-        let p = shape ~peak:0 ~net:(-1) - 1 in
-        let act = branch_action l in
-        put (fun st ->
-            let inst = st.inst in
-            tick_n inst 2;
-            ialu mtr;
-            let z =
-              get64 st.stk (st.opbase + p) = 0L
-            in
-            meter_br mtr inst;
-            if z then act st else next);
-        fused "i32.eqz.brif" 2
-    | _ -> 0
-  in
-  (* ---------------------------------------------------------------- *)
-  (* Control-flow compilation                                          *)
-  (* ---------------------------------------------------------------- *)
-  (* The op a structured block or loop node leaves at its entry: the
-     interpreter ticks the node once when it is entered. *)
-  let enter () =
-    let next = !count + 1 in
-    put (fun st ->
-        tick st.inst;
-        next)
-  in
-  (* [body] under the new innermost label [fr] *)
-  let rec compile_in fr (body : Code.instr array) : bool =
-    Label_stack.push labels fr;
-    let live = compile_seq body in
-    ignore (Label_stack.pop labels);
-    live
-  and compile_seq (body : Code.instr array) : bool =
-    let n = Array.length body in
-    let live = ref true in
-    let i = ref 0 in
-    while !i < n do
-      if not !live then incr i (* dead code: ids pre-assigned, skip *)
-      else begin
-        let consumed = try_fuse body !i in
-        if consumed > 0 then i := !i + consumed
-        else begin
-          live := compile_instr body.(!i);
-          incr i
-        end
-      end
+        call_results (List.length ety.results)
+  (* A call's arguments go into their slots, where the callee's frame
+     begins; returns the first one's register. *)
+  and call_args nargs =
+    materialize_range (!h - nargs) !h;
+    for _ = 1 to nargs do
+      ignore (pop ())
     done;
-    !live
-  (* Compile one instruction; false when control cannot fall through. *)
-  and compile_instr (ins : Code.instr) : bool =
-    incr n_instrs;
-    match ins with
-    | Code.Basic (b, id) ->
-        compile_basic b id;
-        b <> Ast.Unreachable
-    | Code.Block (arity, inner) ->
-        let fr =
-          { l_target = ref (-1); l_loop = false; l_arity = arity;
-            l_height = !h; l_reached = false }
-        in
-        enter ();
-        let ft = compile_in fr inner in
-        fr.l_target := !count;
-        h := fr.l_height + arity;
-        ft || fr.l_reached
-    | Code.Loop (_, inner) ->
-        enter ();
-        (* back-edges land after the entry tick: the interpreter ticks a
-           Loop node once, not per iteration *)
-        let fr =
-          { l_target = ref !count; l_loop = true; l_arity = 0;
-            l_height = !h; l_reached = false }
-        in
-        compile_in fr inner
-    | Code.If (arity, then_, else_) ->
-        decr h;
-        let hcond = !h in
-        let fr =
-          { l_target = ref (-1); l_loop = false; l_arity = arity;
-            l_height = hcond; l_reached = false }
-        in
-        let else_ref = ref (-1) in
+    slot !h
+  and call_results nres =
+    for _ = 1 to nres do
+      push (slot !h)
+    done;
+    1
+  (* A comparison of [cnd] at [body.(i)]: folded with [[i32.eqz;] br_if]
+     or [[i32.eqz;] if] into one branch op, else a value. *)
+  and compare_op body i family cnd ia fa kinds =
+    match (instr_at body (i + 1), instr_at body (i + 2)) with
+    | Code.Basic (Ast.ITestop Ast.W32, _), Code.BrIf l ->
+        emit_brif cnd true (ia + 1) fa 3 family kinds ".eqz.brif" l;
+        3
+    | Code.Basic (Ast.ITestop Ast.W32, _), Code.If (arity, then_, else_) ->
+        emit_if cnd true (ia + 1) fa 3 family kinds ".eqz.if" arity then_ else_;
+        3
+    | Code.BrIf l, _ ->
+        emit_brif cnd false ia fa 2 family kinds ".brif" l;
+        2
+    | Code.If (arity, then_, else_), _ ->
+        emit_if cnd false ia fa 2 family kinds ".if" arity then_ else_;
+        2
+    | _ ->
+        let d = result body (i + 1) 1 in
         let next = !count + 1 in
-        put (fun st ->
-            tick st.inst;
-            meter_br mtr st.inst;
-            if get64 st.stk (st.opbase + hcond) <> 0L
-            then next
-            else !else_ref);
-        let ft_then = compile_in fr then_ in
-        (* jump over the else arm (no tick: synthetic control) *)
-        if ft_then && Array.length else_ > 0 then put (fun _ -> !(fr.l_target));
-        else_ref := !count;
-        h := hcond;
-        let ft_else = compile_in fr else_ in
-        fr.l_target := !count;
-        h := hcond + arity;
-        ft_then || ft_else || fr.l_reached
-    | Code.Br l ->
-        let act = branch_action l in
-        put (fun st ->
-            tick st.inst;
-            meter_br mtr st.inst;
-            act st);
-        false
-    | Code.BrIf l ->
-        decr h;
-        let hcond = !h in
-        let act = branch_action l in
-        let next = !count + 1 in
-        put (fun st ->
-            tick st.inst;
-            meter_br mtr st.inst;
-            if get64 st.stk (st.opbase + hcond) <> 0L
-            then act st
-            else next);
-        true
-    | Code.BrTable (targets, default) ->
-        decr h;
-        let hidx = !h in
-        let acts = Array.make (Array.length targets) unset_op in
-        Array.iteri (fun j l -> acts.(j) <- branch_action l) targets;
-        let default_act = branch_action default in
-        let nt = Array.length acts in
-        put (fun st ->
-            tick st.inst;
-            meter_br mtr st.inst;
-            let idx = geti st.stk (st.opbase + hidx) in
-            let act =
-              if idx >= 0 && idx < nt then Array.unsafe_get acts idx else default_act
-            in
-            act st);
-        false
-    | Code.Return _ ->
-        let act = branch_to (Label_stack.bottom labels) in
-        put (fun st ->
-            tick st.inst;
-            mtr.return_ <- mtr.return_ + 1;
-            act st);
-        false
+        note family kinds !res_tail;
+        own_op (fun st ->
+            mtr.ialu <- mtr.ialu + ia;
+            mtr.falu <- mtr.falu + fa;
+            wrb st d (test st cnd);
+            next);
+        1 + !res_set
   in
   (* ---------------------------------------------------------------- *)
   (* Drive it                                                          *)
@@ -1634,14 +1815,15 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
       l_height = 0; l_reached = false }
   in
   (* a validated body that falls through leaves exactly its results *)
-  ignore (compile_in func_frame code.body);
+  if compile_in func_frame code.body then to_label ();
   exit_ref := !count;
   let stats =
     {
       st_name = name;
       st_instrs = !n_instrs;
-      st_fused = !n_fused;
-      st_idioms = List.map (fun (k, r) -> (k, !r)) !idioms;
+      st_fused = !n_instrs - !n_owned;
+      st_ops = !count;
+      st_idioms = List.map idiom_name !idioms;
       st_accesses = !n_acc;
       st_elided = !n_elided;
     }
@@ -1655,7 +1837,8 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
       nlocals;
       result_arity;
       result_tys = Array.of_list ty.results;
-      frame_slots = nparams + nlocals + !max_h;
+      consts;
+      frame_slots = opoff + !max_h;
       stats;
     },
     stats )

@@ -41,38 +41,71 @@
     conversions still call C. The functions below cast with [Int64.bits_of_float] and
     [float_of_bits], which OCaml 5.1 compiles to a C call on the C
     stack (it has no inline bit-cast), so the engine uses them only at
-    its boundary: entry arguments and results, host calls, and
-    constants at lowering time. With every operand cast that way,
+    its boundary: entry arguments and results, and host calls. With
+    every operand cast that way,
     [Compile] held 262 call sites and a PolyBench pass made 0.74 casts
     per metered op; now it holds none (CI counts them in
     [wasm__Compile.o]). The view stays coherent with float accesses
     because ocamlopt drops every available load at each store: a float
     read after a view write reloads the slot, and so does a view read
-    after a float write. *)
+    after a float write.
+
+    {2 Register operands}
+
+    A frame is one register file: its parameters, its other locals, one
+    register per constant instruction of the function, and its operand
+    slots ({!func}). An operand is a register, so [local.get] and a
+    constant emit no op: the lowerer pushes the register the value lives
+    in, and the op that consumes it reads it there. An op writes its
+    result to its operand slot, or straight into the local a following
+    [local.set] or [local.tee] names. A pending read of a local moves
+    into its slot before the local is written, and pending operands move
+    into their slots at every label a branch reaches, below every
+    branch's target height, and as a call's arguments.
+
+    {2 Pending charges}
+
+    The ticks and meter counts of instructions that emit nothing — a
+    folded [local.get] or constant, [nop], [drop], a block's entry —
+    and the ticks of pure ops (ops that can neither trap nor emit an
+    event) ride on the next op that can: it pays them before its own
+    effects, and what it absorbed past its own effect after them. Where
+    a reached label intervenes, a charge-only op pays instead. Results,
+    meters, tick counts, trap texts, fuel and chaos draws therefore
+    match the interpreter's wherever they can be observed. *)
 
 type 'inst state = {
   inst : 'inst;
-  mutable stk : float array;  (** shared locals + operand slots for the
-                                  whole call chain; grown on demand *)
-  mutable base : int;    (** current frame: first local slot *)
-  mutable opbase : int;  (** current frame: first operand slot *)
+  mutable stk : float array;  (** every frame's registers, for the whole
+                                  call chain; grown on demand *)
+  mutable base : int;  (** current frame's first register *)
   mutable depth : int;   (** call depth of the current frame (top = 0) *)
 }
 
 (** One threaded op: advances the state, returns the next op index. *)
 type 'inst op = 'inst state -> int
 
-(** Per-function superinstruction/elision statistics, gathered at
+(** Per-function lowering and elision statistics, gathered at
     compile time (the [cagec --Wfusion] report). *)
 type stats = {
   st_name : string;
-  st_instrs : int;      (** basic (non-control) source instructions *)
-  st_fused : int;       (** of which folded into superinstructions *)
+  st_instrs : int;      (** source instructions lowered, control included *)
+  st_fused : int;
+      (** of which emitted no op of their own: folded into another op
+          (an operand read, a constant, an absorbed [local.set], a
+          comparison folded into its branch, an address step), or riding
+          on one ([nop], [drop], a block's entry tick) *)
+  st_ops : int;         (** ops emitted: what a run dispatches *)
   st_idioms : (string * int) list;  (** idiom name -> times matched *)
   st_accesses : int;    (** scalar loads/stores compiled *)
   st_elided : int;      (** of which compiled check-free (baked elision) *)
 }
 
+(** A frame is one register file off [base]: the parameters, the other
+    locals, the function's constants, then its operand slots. A call's
+    arguments are the caller's top operand slots, and the callee's frame
+    begins there, so the constants sit below every frame a call makes
+    and stay put. *)
 type 'inst func = {
   ops : 'inst op array;
   nparams : int;
@@ -80,10 +113,23 @@ type 'inst func = {
   result_arity : int;
   result_tys : Types.val_type array;  (** declared result types, for
                                           boxing at the entry boundary *)
-  frame_slots : int;   (** params + locals + max operand height: what a
-                           frame needs below [stk]'s end before running *)
+  consts : float array;
+      (** the slot bits of each constant instruction, which a frame's
+          constant registers take at entry *)
+  frame_slots : int;   (** registers + max operand height: what a frame
+                           needs below [stk]'s end before running *)
   stats : stats;
 }
+
+(** The first operand slot's register. *)
+let operands f = f.nparams + f.nlocals + Array.length f.consts
+
+(** Set up the frame of [f] at [base] of [stk], whose parameters are in
+    place: the other locals zeroed, the constants written. *)
+let enter f stk base =
+  if f.nlocals > 0 then Array.fill stk (base + f.nparams) f.nlocals 0.0;
+  let n = Array.length f.consts in
+  if n > 0 then Array.blit f.consts 0 stk (base + f.nparams + f.nlocals) n
 
 (* ------------------------------------------------------------------ *)
 (* Slot encoding                                                       *)
@@ -128,9 +174,9 @@ let ensure (st : 'inst state) need =
 let pp_stats ppf (s : stats) =
   let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b in
   Format.fprintf ppf
-    "@[<v2>%s: %d instrs, %d fused (%.1f%%), %d accesses, %d check-free \
-     (%.1f%%)"
-    s.st_name s.st_instrs s.st_fused
+    "@[<v2>%s: %d instrs, %d ops, %d fused (%.1f%%), %d accesses, %d \
+     check-free (%.1f%%)"
+    s.st_name s.st_instrs s.st_ops s.st_fused
     (pct s.st_fused s.st_instrs)
     s.st_accesses s.st_elided
     (pct s.st_elided s.st_accesses);

@@ -29,11 +29,15 @@ echo "== the door answers malformed input (an error or a trap, exit 1, within 5 
 # uncaught Invalid_argument (exit 125); a non-numeric alignment escaped as
 # a bare Failure. A table minimum of 2^64 - 1 validated and escaped from
 # instantiation as Invalid_argument, and so did 20,000 wasm32 pages,
-# which the spec allows but the 16,384-page cap does not.
+# which the spec allows but the 16,384-page cap does not. Two function
+# bodies whose declared sizes trade one byte decoded, because only the
+# code section's total was read.
 printf '\000asm\001\000\000\000\000\001X\000\362\377\377\377\377\377\377\377\377\001' \
   > _build/door_loop.wasm
 printf '\000asm\001\000\000\000\001\004\001\140\000\000\003\003\002\000\000\012\004\001\002\000\013' \
   > _build/door_counts.wasm
+printf '\000asm\001\000\000\000\001\004\001\140\000\000\003\003\002\000\000\012\010\002\003\000\013\002\000\001\013' \
+  > _build/door_sizes.wasm
 printf '(module\n  (type (func))\n  (memory i64 1)\n  (func (type 0)\n    i64.const 0\n    i64.load align=x\n    drop\n  )\n)\n' \
   > _build/door_align.wat
 printf '(module\n  (type (func (result i64)))\n  (table -1 funcref)\n  (func (type 0) i64.const 7)\n  (export "main" (func 0))\n)\n' \
@@ -41,7 +45,7 @@ printf '(module\n  (type (func (result i64)))\n  (table -1 funcref)\n  (func (ty
 printf '(module\n  (type (func (result i64)))\n  (memory i32 20000)\n  (func (type 0) i64.const 7)\n  (export "main" (func 0))\n)\n' \
   > _build/door_memory.wat
 for case in door_loop.wasm:"decode error:" door_counts.wasm:"decode error:" \
-            door_align.wat:"wat parse error:" door_table.wat:"invalid module:" \
+            door_sizes.wasm:"decode error:" door_align.wat:"wat parse error:" door_table.wat:"invalid module:" \
             door_memory.wat:"trap:"; do
   file=${case%%:*}; want=${case#*:}; status=0
   timeout 5 ./_build/default/bin/cage_run.exe "_build/$file" > _build/door.out 2>&1 || status=$?

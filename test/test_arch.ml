@@ -875,6 +875,97 @@ let test_mte_two_entries () =
     [ Mte.Disabled; Mte.Sync; Mte.Async; Mte.Asymmetric ]
 
 (* ------------------------------------------------------------------ *)
+(* Fault_inject                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A lane's live bit clears with its budget. With probability 1 and a
+   budget of k, the lane is live through its k-th firing and dead
+   after it; a spent lane never fires again and never rolls its PRNG.
+   An instance armed on a spent lane behaves as an unarmed one, on both
+   engines: the same outcome (a load's value, and a deterministic tag
+   fault through a tag-3 pointer to untagged memory), meter and MTE
+   check count, and an empty [injections ~since] slice. A fresh lane of
+   the same policy does fire on that module, so the comparison bites. *)
+let test_spent_lane_is_unarmed () =
+  let sure = Fault_inject.policy ~seed:5 ~max_injections:3 Fault_inject.all_sites in
+  let ln = Fault_inject.lane (Fault_inject.create sure) 0 in
+  for i = 1 to 3 do
+    Alcotest.(check bool) (Printf.sprintf "live before firing %d" i) true ln.ln_live;
+    Alcotest.(check bool) (Printf.sprintf "firing %d" i) true
+      (Fault_inject.draw ln Fault_inject.Ptr_tag)
+  done;
+  Alcotest.(check bool) "dead after the 3rd firing" false ln.ln_live;
+  let coin =
+    Fault_inject.lane
+      (Fault_inject.create
+         (Fault_inject.policy ~seed:5 ~probability:0.5 Fault_inject.all_sites))
+      0
+  in
+  while not (Fault_inject.draw coin Fault_inject.Tag_flip) do () done;
+  let next () = Random.State.bits (Random.State.copy coin.ln_rng) in
+  let before = next () in
+  for _ = 1 to 50 do
+    if Fault_inject.draw coin Fault_inject.Tag_flip then
+      Alcotest.fail "a spent lane fired"
+  done;
+  Alcotest.(check bool) "a spent lane keeps its PRNG" true (before = next ());
+  let open Wasm in
+  let ma = { Ast.offset = 0L; align = 3 } in
+  let i64 = Types.I64 in
+  let m =
+    { Ast.empty_module with
+      types = [ { Types.params = []; results = [ i64 ] } ];
+      funcs =
+        List.map
+          (fun body -> { Ast.ftype = 0; locals = []; body; fname = None })
+          [ [ Ast.I64Const 64L; Ast.I64Const 7L; Ast.Store (i64, None, ma);
+              Ast.I64Const 64L; Ast.Load (i64, None, ma) ];
+            [ Ast.I64Const 0x0300_0000_0000_0040L; Ast.Load (i64, None, ma) ] ];
+      memory =
+        Some { Types.mem_idx = Types.Idx64;
+               mem_limits = { Types.min = 1L; max = Some 1L } };
+      exports =
+        [ { Ast.ex_name = "f0"; ex_desc = Ast.Func_export 0 };
+          { Ast.ex_name = "f1"; ex_desc = Ast.Func_export 1 } ] }
+  in
+  let run engine lane =
+    let meter = Meter.create () in
+    let inst =
+      Exec.instantiate
+        ~config:{ Instance.default_config with engine; meter = Some meter } m
+    in
+    Option.iter (Instance.arm inst) lane;
+    let since = Option.map Fault_inject.lane_count lane in
+    let outcomes =
+      List.map
+        (fun f ->
+          match Exec.invoke inst f [] with
+          | vs -> Ok vs
+          | exception Instance.Trap msg -> Error msg)
+        [ "f0"; "f1" ]
+    in
+    let injected =
+      match (lane, since) with
+      | Some ln, Some since -> Fault_inject.injections ~since ln
+      | _ -> []
+    in
+    (outcomes, meter, Mte.checks_performed (Instance.mte inst), injected)
+  in
+  List.iter
+    (fun (label, engine) ->
+      let ((outcomes, _, _, _) as unarmed) = run engine None in
+      (match outcomes with
+      | [ Ok [ Values.I64 7L ]; Error msg ]
+        when Astring.String.is_infix ~affix:"tag fault" msg -> ()
+      | _ -> Alcotest.failf "%s: unexpected unarmed outcomes" label);
+      Alcotest.(check bool) (label ^ ": spent lane = unarmed") true
+        (run engine (Some ln) = unarmed);
+      let fresh = Fault_inject.lane (Fault_inject.create sure) 0 in
+      let _, _, _, injected = run engine (Some fresh) in
+      Alcotest.(check bool) (label ^ ": a live lane injects") true (injected <> []))
+    [ ("interp", Instance.Interp); ("threaded", Instance.Threaded) ]
+
+(* ------------------------------------------------------------------ *)
 (* Pac                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1142,6 +1233,11 @@ let () =
             test_mte_take_pending_drains;
           Alcotest.test_case "tag grow preserves and reuses" `Quick
             test_tag_memory_grow_preserves_and_reuses;
+        ] );
+      ( "fault-inject",
+        [
+          Alcotest.test_case "a spent lane is unarmed" `Quick
+            test_spent_lane_is_unarmed;
         ] );
       ( "pac",
         [

@@ -348,7 +348,12 @@ let malformed_binaries =
      header ^ one_func_type ^ "\x0a\x0a\x01\x08\x01\xff\xff\xff\xff\x0f\x7f\x0b");
     ("60,000 locals in two runs",
      header ^ one_func_type
-     ^ "\x0a\x0c\x01\x0a\x02\xb0\xea\x01\x7f\xb0\xea\x01\x7e\x0b") ]
+     ^ "\x0a\x0c\x01\x0a\x02\xb0\xea\x01\x7f\xb0\xea\x01\x7e\x0b");
+    (* bodies of 2 and 3 bytes declared as 3 and 2: the section's total
+       still matches *)
+    ("one byte of body size moved to the next body",
+     header
+     ^ "\x01\x04\x01\x60\x00\x00\x03\x03\x02\x00\x00\x0a\x08\x02\x03\x00\x0b\x02\x00\x01\x0b") ]
 
 let wat body =
   Printf.sprintf

@@ -254,9 +254,11 @@ let policies =
    the element-address step [[i64.extend_i32_s]; iW.const 8; iW.mul;
    iW.add] (the extension only for an i32 index on wasm64). [addr] is
    the address operand; [chain] is the same as an address chain whose
-   final add fuses into the access that follows it. The [Nop]s keep
-   other idioms from claiming the step's operands, so every access kind
-   is reached through each fused form and through the bare step. *)
+   final add fuses into the access that follows it. A [Nop] emits
+   nothing, but one between a step and its access keeps the access from
+   absorbing the step, so every access kind is reached through each
+   fused form and after the bare step, which leaves the address in its
+   slot. *)
 let access_module ?index idx =
   let i32 = Types.I32 and i64 = Types.I64 and f64 = Types.F64 in
   let ma offset = { Ast.offset; align = 0 } in
@@ -416,14 +418,17 @@ let test_elided_bounds_wraps_48_bits () =
 (* A threaded access allocates nothing unless a fault or an injection
    fires: the tag check rides along with the access, as MTE's does.
    [f0] loops [n] times over every load kind and store width at the
-   address in parameter 0, each once fused with its operand reads and
-   once as a singleton (the [Nop]s keep fusion off). *)
+   address in parameter 0, each once on operands read from locals and
+   once on operands in their slots (a value a branch carries out of a
+   block lands in its slot). *)
 let alloc_module idx =
   let open Ast in
   let i32 = Types.I32 and i64 = Types.I64 and f32 = Types.F32 and f64 = Types.F64 in
   let ma = { offset = 8L; align = 0 } in
   (* the value locals, one per type *)
   let v ty = List.assoc ty [ (i32, 2); (i64, 3); (f32, 4); (f64, 5) ] in
+  let in_slot ty i = Block (ValBlock (Some ty), [ LocalGet i; Br 0 ]) in
+  let at = Types.addr_type idx in
   let loads =
     [ (i32, None); (i64, None); (f32, None); (f64, None) ]
     @ List.concat_map
@@ -437,12 +442,12 @@ let alloc_module idx =
     List.concat_map
       (fun (ty, pack) ->
         [ LocalGet 0; Load (ty, pack, ma); LocalSet (v ty);
-          LocalGet 0; Nop; Load (ty, pack, ma); Drop ])
+          in_slot at 0; Load (ty, pack, ma); Drop ])
       loads
     @ List.concat_map
         (fun (ty, pack) ->
           [ LocalGet 0; LocalGet (v ty); Store (ty, pack, ma);
-            LocalGet 0; Nop; LocalGet (v ty); Nop; Store (ty, pack, ma) ])
+            in_slot at 0; in_slot ty (v ty); Store (ty, pack, ma) ])
         stores
   in
   module_of
@@ -684,11 +689,13 @@ let slot_values =
    arguments for value [v], whether the result is [v] itself). Function
    [k] of the module is type [k]'s identity (the callee of "call") and
    global [k] its mutable global. Memory forms take an address, the
-   value and an index, and read back what they stored, each once as
-   singletons ([Nop]s keep fusion off) and once fused: [lg.lg.store] and
-   [lg.load], [lg.store] and [load.ls], the address steps [add] and
-   [scale.add] into a store from a local and into a load, and for f64
-   the step into [load.f64.op]. *)
+   value and an index, and read back what they stored, each once with
+   every operand in its slot (a value a branch carries out of a block
+   lands in its slot) and once
+   on operands read where they live: [store.gg] and [load.g] from
+   locals, [store.sg] and [load.s.set] (into a local), the address steps
+   [add] and [scale.add] into a store of a local and into a load, and
+   for f64 the step into [load.f64.op]. *)
 let slot_routes idx k t =
   let open Ast in
   let w, const =
@@ -706,9 +713,10 @@ let slot_routes idx k t =
   let mem name locals body = (name, [ at; t; at ], locals, body, (fun v -> [ addr; v; index ]), true) in
   let step = [ LocalGet 0; Nop; LocalGet 2; Nop; const 8L; IBinop (w, Mul); IBinop (w, Add) ] in
   let add = [ LocalGet 0; Nop; const 24L; IBinop (w, Add) ] in
+  let in_slot ty i = Block (ValBlock (Some ty), [ LocalGet i; Br 0 ]) in
   [ ("locals", [ t ], [ t; t ],
      [ LocalGet 0; LocalSet 1; LocalGet 1; Nop; LocalSet 2; LocalGet 2; LocalTee 1; Nop;
-       LocalSet 2; LocalGet 2 ],
+       LocalSet 2; in_slot t 2; LocalSet 1; LocalGet 1 ],
      (fun v -> [ v ]), true);
     ("select taken", [ t; t; Types.I32 ], [], [ LocalGet 0; LocalGet 1; LocalGet 2; Select ],
      (fun v -> [ v; other; Values.I32 1l ]), true);
@@ -723,12 +731,11 @@ let slot_routes idx k t =
     ("call", [ t ], [], [ LocalGet 0; Call k ], (fun v -> [ v ]), true);
     ("global", [ t ], [], [ LocalGet 0; GlobalSet k; GlobalGet k ], (fun v -> [ v ]), true);
     mem "store, load" []
-      [ LocalGet 0; Nop; LocalGet 1; Nop; Store (t, None, ma 0L); LocalGet 0; Nop;
-        Load (t, None, ma 0L) ];
-    mem "lg.lg.store, lg.load" []
+      [ in_slot at 0; in_slot t 1; Store (t, None, ma 0L); in_slot at 0; Load (t, None, ma 0L) ];
+    mem "store.gg, load.g" []
       [ LocalGet 0; LocalGet 1; Store (t, None, ma 8L); LocalGet 0; Load (t, None, ma 8L) ];
-    mem "lg.store, load.ls" [ t ]
-      [ LocalGet 0; Nop; LocalGet 1; Store (t, None, ma 16L); LocalGet 0; Nop;
+    mem "store.sg, load.s.set" [ t ]
+      [ in_slot at 0; LocalGet 1; Store (t, None, ma 16L); in_slot at 0;
         Load (t, None, ma 16L); LocalSet 3; LocalGet 3 ];
     mem "add.lg.store, add.load" []
       (add @ [ LocalGet 1; Store (t, None, ma 0L) ] @ add @ [ Load (t, None, ma 0L) ]);
@@ -796,9 +803,9 @@ let test_slot_round_trips () =
       List.iter
         (fun name ->
           if not (List.mem name idioms) then Alcotest.failf "%s memory: no route is fused as %s" w name)
-        ([ "lg.ls"; "lg.lg.store"; "lg.load"; "lg.store"; "load.ls"; w ^ ".scale.add.lg.store";
-           w ^ ".scale.add.load"; w ^ ".scale.add.load.f64.op" ]
-        @ if idx = Types.Idx64 then [ "i64.add.lg.store"; "i64.add.load" ] else []);
+        [ "set.g"; "tee.g"; "select.ggg"; "br.g"; "brif.k"; "return.g"; "global.set.g";
+          "store.gg"; "load.g"; "store.sg"; "load.s.set"; w ^ ".add.gkg.store"; w ^ ".add.gk.load";
+          w ^ ".scale.add.ggg.store"; w ^ ".scale.add.gg.load"; w ^ ".scale.add.kgg.load.f64.op" ];
       let o_i, m_i, b_i = run Instance.Interp and o_t, m_t, b_t = run Instance.Threaded in
       List.iter2
         (fun (_, name, _, v, move) (oi, ot) ->
@@ -949,17 +956,19 @@ let test_tag_plane_past_prefix () =
     engines
 
 (* ------------------------------------------------------------------ *)
-(* Superinstruction coverage on PolyBench                               *)
+(* Lowering coverage on PolyBench and the serving tenants               *)
 (* ------------------------------------------------------------------ *)
 
 (* Lowering statistics summed over [modules] as [cfg] instantiates
-   them: how many instructions, accesses and elided accesses the
-   compiler saw, and how often each fused idiom matched. Pinned so that
-   a change to the lowerer cannot silently lose a superinstruction or
-   an elision. *)
+   them: how many instructions, of which how many emitted no op of
+   their own, accesses, elided accesses and emitted ops, and how often
+   each idiom (an op that read a local or a constant where it lives, or
+   absorbed an instruction past its own) was emitted. Pinned so that a
+   change to the lowerer cannot silently lose a folded operand, a fused
+   access or an elision. *)
 let fusion (cfg : Cage.Config.t) modules =
   let idioms = Hashtbl.create 32 in
-  let totals = [| 0; 0; 0; 0 |] in
+  let totals = [| 0; 0; 0; 0; 0 |] in
   List.iter
     (fun m ->
       let c = Cage.Config.instance_config ~m cfg in
@@ -971,7 +980,7 @@ let fusion (cfg : Cage.Config.t) modules =
         (fun (s : Xcode.stats) ->
           List.iteri
             (fun i n -> totals.(i) <- totals.(i) + n)
-            [ s.st_instrs; s.st_fused; s.st_accesses; s.st_elided ];
+            [ s.st_instrs; s.st_fused; s.st_accesses; s.st_elided; s.st_ops ];
           List.iter
             (fun (name, n) ->
               Hashtbl.replace idioms name
@@ -983,7 +992,7 @@ let fusion (cfg : Cage.Config.t) modules =
 
 let check_fusion name cfg modules totals idioms =
   let t, i = fusion cfg modules in
-  Alcotest.(check (list int)) (name ^ ": instrs, fused, accesses, elided") totals t;
+  Alcotest.(check (list int)) (name ^ ": instrs, fused, accesses, elided, ops") totals t;
   Alcotest.(check (list (pair string int))) (name ^ ": idiom matches") idioms i
 
 let test_fusion_pinned () =
@@ -995,31 +1004,78 @@ let test_fusion_pinned () =
   in
   let pb_wasm32 = Cage.Config.baseline_wasm32 in
   check_fusion "PolyBench, baseline wasm32" pb_wasm32 (polybench pb_wasm32)
-    [ 25065; 10748; 1441; 0 ]
-    [ ("f64.lg.lg.op", 30); ("f64.lg.op", 35); ("f64.op.ls", 140);
-      ("i32.add.lg.store", 156); ("i32.add.load", 388);
-      ("i32.add.load.f64.op", 19); ("i32.const.op", 27);
-      ("i32.eqz.brif", 205); ("i32.lg.const.op", 158);
-      ("i32.lg.const.op.ls", 181); ("i32.lg.lg.lg.op", 231);
-      ("i32.lg.lg.op", 35); ("i32.lg.lg.relop.eqz.brif", 150);
-      ("i32.lg.op", 298); ("i32.scale.add.lg.store", 102);
-      ("i32.scale.add.load", 102); ("i32.scale.add.load.f64.op", 72);
-      ("lg.lg.store", 184); ("lg.load", 106); ("lg.ls", 1230);
-      ("lg.store", 130); ("load.ls", 104) ];
+    [ 25065; 15146; 1441; 0; 10431 ]
+    [ ("cvt.g", 981); ("cvt.g.set", 81); ("cvt.s.set", 156); ("f64.op.gg", 4);
+      ("f64.op.gg.set", 26); ("f64.op.gk", 26); ("f64.op.gk.set", 26); ("f64.op.gs", 2);
+      ("f64.op.gs.set", 7); ("f64.op.kg.set", 27); ("f64.op.ks", 4);
+      ("f64.op.ks.set", 10); ("f64.op.sg", 2); ("f64.op.sg.set", 6); ("f64.op.sk", 13);
+      ("f64.op.sk.set", 45); ("f64.op.ss.set", 52); ("f64.relop.gg.if", 26);
+      ("f64.relop.gk.eqz.brif", 26); ("f64.relop.gk.if", 28); ("global.set.g", 1);
+      ("i32.add.gs.load", 312); ("i32.add.gs.load.set", 52); ("i32.add.gsg.store", 104);
+      ("i32.div.gk", 8); ("i32.div.sk", 32); ("i32.eqz.g", 52); ("i32.eqz.s.if", 52);
+      ("i32.op.gg", 262); ("i32.op.gg.set", 4); ("i32.op.gk", 62);
+      ("i32.op.gk.set", 181); ("i32.op.gs", 4); ("i32.op.kg", 2); ("i32.op.sg", 296);
+      ("i32.op.sk", 26); ("i32.op.sk.tee", 1); ("i32.relop.gg.eqz.brif", 150);
+      ("i32.relop.gg.if", 2); ("i32.relop.gk.eqz.brif", 3); ("i32.relop.gk.if", 104);
+      ("i32.relop.gs.eqz.brif", 20); ("i32.relop.sk.eqz.brif", 52);
+      ("i32.relop.sk.if", 26); ("i32.relop.sk.set", 26); ("i32.relop.ss.if", 27);
+      ("i32.relop.ss.set", 26); ("i32.scale.add.gg.load", 21);
+      ("i32.scale.add.gg.load.set", 3); ("i32.scale.add.ggg.load.f64.op", 2);
+      ("i32.scale.add.ggg.load.f64.op.set", 1); ("i32.scale.add.ggg.store", 52);
+      ("i32.scale.add.ggs.load.f64.op", 12); ("i32.scale.add.ggs.load.f64.op.set", 1);
+      ("i32.scale.add.gs.load", 71); ("i32.scale.add.gs.load.set", 31);
+      ("i32.scale.add.gsg.store", 102); ("i32.scale.add.sg", 1);
+      ("i32.scale.add.sgg.load.f64.op", 14); ("i32.scale.add.sgg.load.f64.op.set", 2);
+      ("i32.scale.add.sgs.load.f64.op", 51); ("i32.scale.add.sgs.load.f64.op.set", 8);
+      ("i64.div.gk", 27); ("i64.op.gg", 156); ("i64.op.gg.set", 26); ("i64.op.gk", 182);
+      ("i64.op.gk.set", 208); ("i64.op.gs.set", 1); ("i64.op.sk", 1);
+      ("i64.op.sk.set", 78); ("i64.op.ss.set", 2); ("i64.relop.gg.eqz.brif", 78);
+      ("i64.relop.gg.if", 78); ("i64.relop.gk.eqz.brif", 26); ("i64.relop.gk.if", 78);
+      ("i64.relop.gs.if", 1); ("i64.relop.sk.if", 52); ("i64.relop.ss.if", 26);
+      ("load.g", 2); ("load.g.set", 104); ("load.k", 78); ("load.k.set", 104);
+      ("memory.fill.sgs", 26); ("memory.fill.sks", 26); ("return.g", 313);
+      ("return.k", 106); ("set.g", 1230); ("set.k", 634); ("store.gg", 184);
+      ("store.kg", 130) ];
   let pb_cage =
     Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.full)
   in
   check_fusion "PolyBench, CAGE, full plan" pb_cage (polybench pb_cage)
-    [ 24384; 11099; 1467; 372 ]
-    [ ("f64.lg.lg.op", 30); ("f64.lg.op", 35); ("f64.op.ls", 140);
-      ("i32.const.op", 26); ("i32.eqz.brif", 205); ("i32.lg.const.op", 62);
-      ("i32.lg.const.op.ls", 181); ("i32.lg.lg.lg.op", 231);
-      ("i32.lg.lg.op", 35); ("i32.lg.lg.relop.eqz.brif", 150);
-      ("i32.lg.op", 298); ("i64.add.lg.store", 104); ("i64.add.load", 364);
-      ("i64.ext.add", 1); ("i64.ext.scale.add.lg.store", 154);
-      ("i64.ext.scale.add.load", 100); ("i64.ext.scale.add.load.f64.op", 91);
-      ("i64.scale.add.load", 26); ("lg.lg.store", 184); ("lg.load", 132);
-      ("lg.ls", 1256); ("lg.store", 130); ("load.ls", 104) ]
+    [ 24384; 15526; 1467; 372; 9370 ]
+    [ ("cvt.g", 226); ("cvt.g.set", 3); ("cvt.s.set", 26); ("f64.op.gg", 4);
+      ("f64.op.gg.set", 26); ("f64.op.gk", 26); ("f64.op.gk.set", 26); ("f64.op.gs", 2);
+      ("f64.op.gs.set", 7); ("f64.op.kg.set", 27); ("f64.op.ks", 4);
+      ("f64.op.ks.set", 10); ("f64.op.sg", 2); ("f64.op.sg.set", 6); ("f64.op.sk", 13);
+      ("f64.op.sk.set", 45); ("f64.op.ss.set", 52); ("f64.relop.gg.if", 26);
+      ("f64.relop.gk.eqz.brif", 26); ("f64.relop.gk.if", 28); ("global.set.g", 1);
+      ("i32.div.gk", 8); ("i32.div.sk", 32); ("i32.eqz.g", 52); ("i32.eqz.s.if", 52);
+      ("i32.op.gg", 262); ("i32.op.gg.set", 4); ("i32.op.gk", 62);
+      ("i32.op.gk.set", 181); ("i32.op.gs", 4); ("i32.op.kg", 2); ("i32.op.sg", 296);
+      ("i32.op.sk", 26); ("i32.relop.gg.eqz.brif", 150); ("i32.relop.gg.if", 2);
+      ("i32.relop.gk.eqz.brif", 3); ("i32.relop.gs.eqz.brif", 20);
+      ("i32.relop.sk.eqz.brif", 52); ("i32.relop.sk.if", 26); ("i32.relop.sk.set", 26);
+      ("i32.relop.ss.if", 27); ("i32.relop.ss.set", 26); ("i64.add.gg.load", 312);
+      ("i64.add.gg.load.set", 52); ("i64.add.ggg.store", 104); ("i64.div.gk", 27);
+      ("i64.ext.add.sg.set", 1); ("i64.ext.scale.add.gg.load", 21);
+      ("i64.ext.scale.add.gg.load.set", 3); ("i64.ext.scale.add.ggg.load.f64.op", 2);
+      ("i64.ext.scale.add.ggg.load.f64.op.set", 1); ("i64.ext.scale.add.ggg.store", 52);
+      ("i64.ext.scale.add.ggs.load.f64.op", 12);
+      ("i64.ext.scale.add.ggs.load.f64.op.set", 1); ("i64.ext.scale.add.gs.load", 71);
+      ("i64.ext.scale.add.gs.load.set", 5); ("i64.ext.scale.add.gsg.store", 102);
+      ("i64.ext.scale.add.sgg.load.f64.op", 14);
+      ("i64.ext.scale.add.sgg.load.f64.op.set", 2);
+      ("i64.ext.scale.add.sgs.load.f64.op", 51);
+      ("i64.ext.scale.add.sgs.load.f64.op.set", 8); ("i64.op.gg", 130);
+      ("i64.op.gg.set", 26); ("i64.op.gk", 56); ("i64.op.gk.set", 390);
+      ("i64.op.gs.set", 1); ("i64.op.sk", 1); ("i64.op.sk.set", 78);
+      ("i64.op.sk.tee", 1); ("i64.op.ss.set", 1); ("i64.relop.gg.eqz.brif", 78);
+      ("i64.relop.gg.if", 78); ("i64.relop.gk.eqz.brif", 26); ("i64.relop.gk.if", 156);
+      ("i64.relop.gs.if", 1); ("i64.relop.sk.if", 52); ("i64.relop.ss.if", 26);
+      ("i64.scale.add.gg.load.set", 26); ("load.g", 2); ("load.g.set", 130);
+      ("load.k", 78); ("load.k.set", 104); ("memory.copy.ggg", 52);
+      ("memory.fill.ggg", 26); ("return.g", 339); ("return.k", 106);
+      ("segment.free.gg", 26); ("segment.new.gg.set", 26); ("segment.new.sk.set", 1);
+      ("segment.set_tag.ssk", 1); ("set.g", 1256); ("set.k", 634); ("store.gg", 184);
+      ("store.kg", 130) ]
 
 (* The three stock serving tenants (compute, fuzz, malicious), as the
    serving benchmark and the CI smoke run compile them. *)
@@ -1028,13 +1084,165 @@ let test_fusion_tenants_pinned () =
     (List.map
        (fun (t : Serve.Pool.tenant) -> t.tn_module)
        (Harness.Serve_bench.tenants ~seed:1 ()))
-    [ 2394; 801; 169; 0 ]
-    [ ("i32.eqz.brif", 22); ("i32.lg.const.op", 5); ("i32.lg.const.op.ls", 8);
-      ("i32.lg.lg.relop.eqz.brif", 1); ("i32.lg.op", 5);
-      ("i64.add.lg.store", 12); ("i64.add.load", 42);
-      ("i64.ext.add.lg.store", 1); ("i64.ext.scale.add.lg.store", 9);
-      ("i64.ext.scale.add.load", 31); ("lg.lg.store", 22); ("lg.load", 16);
-      ("lg.ls", 105); ("lg.store", 15); ("load.ls", 12) ]
+    [ 2394; 1506; 169; 0; 936 ]
+    [ ("cvt.g.set", 1); ("cvt.s.set", 2); ("global.set.g", 1); ("i32.eqz.g", 6);
+      ("i32.eqz.s.if", 6); ("i32.op.gk", 5); ("i32.op.gk.set", 8); ("i32.op.kg", 1);
+      ("i32.op.sg", 4); ("i32.relop.gg.eqz.brif", 1); ("i32.relop.gk.eqz.brif", 7);
+      ("i32.relop.sk.eqz.brif", 6); ("i32.relop.sk.if", 3); ("i32.relop.sk.set", 3);
+      ("i32.relop.ss.if", 3); ("i32.relop.ss.set", 3); ("i64.add.gg.load", 36);
+      ("i64.add.gg.load.set", 6); ("i64.add.ggg.store", 12); ("i64.div.gk", 3);
+      ("i64.div.kk", 27); ("i64.div.kk.set", 1); ("i64.div.ks", 2); ("i64.div.sk", 3);
+      ("i64.div.sk.set", 1); ("i64.ext.add.ggg.store", 1);
+      ("i64.ext.scale.add.gg.load", 2); ("i64.ext.scale.add.ggg.store", 4);
+      ("i64.ext.scale.add.gs.load", 29); ("i64.ext.scale.add.gsg.store", 5);
+      ("i64.op.gg", 20); ("i64.op.gg.set", 3); ("i64.op.gk", 20); ("i64.op.gk.set", 42);
+      ("i64.op.gs", 6); ("i64.op.kg", 3); ("i64.op.ks", 7); ("i64.op.ks.set", 1);
+      ("i64.op.sg", 4); ("i64.op.sg.set", 3); ("i64.op.sk", 30); ("i64.op.sk.set", 10);
+      ("i64.op.sk.tee", 1); ("i64.op.ss.set", 8); ("i64.relop.gg.eqz.brif", 6);
+      ("i64.relop.gg.if", 9); ("i64.relop.gk.eqz.brif", 3); ("i64.relop.gk.if", 18);
+      ("i64.relop.sk", 1); ("i64.relop.sk.if", 7); ("i64.relop.ss.if", 3);
+      ("load.g", 1); ("load.g.set", 15); ("load.k", 9); ("load.k.set", 12);
+      ("memory.copy.ggg", 6); ("memory.fill.ggg", 3); ("return.g", 33);
+      ("return.k", 12); ("segment.free.gg", 3); ("segment.new.gg.set", 3);
+      ("segment.new.sk.set", 1); ("segment.set_tag.ssk", 1); ("select.kss", 1);
+      ("set.g", 105); ("set.k", 54); ("store.gg", 22); ("store.kg", 15) ]
+
+(* ------------------------------------------------------------------ *)
+(* Lowering parity: register operands and pending charges               *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [name] on both engines, with fuel, under a sink whose trace
+   advances one tick per instruction: the outcome (values, or the trap
+   text), the meter, the fuel left, the memory's bytes, the tick count
+   and the timestamped events must be identical. The threaded engine
+   reads a folded local or constant where it lives and charges the
+   folded instructions' ticks and counts on a later op, so these are
+   the shapes where a stale read or a misplaced charge would show.
+   Returns the outcome. *)
+let lowering_parity ?(fuel = 10_000) m name args =
+  let run engine =
+    let meter = Meter.create () in
+    let inst =
+      Exec.instantiate
+        ~config:{ Instance.default_config with engine; meter = Some meter; fuel }
+        m
+    in
+    let tr = Obs.Trace.create () in
+    let outcome =
+      Obs.Hook.with_sink (Obs.Hook.make ~trace:tr ()) (fun () ->
+          match Exec.invoke inst name args with
+          | vs -> Ok vs
+          | exception Instance.Trap msg -> Error (mask_tags msg))
+    in
+    let events =
+      List.map (fun (r : Obs.Trace.record) -> (r.ts, r.payload)) (Obs.Trace.records tr)
+    in
+    ( outcome, meter, inst.Instance.fuel, Memory.to_string (Instance.memory inst),
+      Obs.Trace.clock tr, events )
+  in
+  let o_i, m_i, f_i, b_i, t_i, e_i = run Instance.Interp in
+  let o_t, m_t, f_t, b_t, t_t, e_t = run Instance.Threaded in
+  let label what = Printf.sprintf "%s: %s" name what in
+  Alcotest.(check bool) (label "outcomes identical") true (o_i = o_t);
+  Alcotest.(check bool) (label "meters identical") true (m_i = m_t);
+  Alcotest.(check int) (label "fuel identical") f_i f_t;
+  Alcotest.(check bool) (label "memory identical") true (String.equal b_i b_t);
+  Alcotest.(check int) (label "ticks identical") t_i t_t;
+  Alcotest.(check bool) (label "events identical") true (e_i = e_t);
+  o_i
+
+let lowering_returns m name args expected =
+  match lowering_parity m name args with
+  | Ok vs -> Alcotest.(check (list value)) name expected vs
+  | Error msg -> Alcotest.failf "%s trapped: %s" name msg
+
+let lowering_traps ?fuel m name args substring =
+  match lowering_parity ?fuel m name args with
+  | Ok _ -> Alcotest.failf "%s: expected a trap containing %S" name substring
+  | Error msg ->
+      if not (Astring.String.is_infix ~affix:substring msg) then
+        Alcotest.failf "%s: trap %S does not mention %S" name msg substring
+
+let lowering_module =
+  let open Ast in
+  let i32 = Types.I32 and i64 = Types.I64 in
+  let ma = { offset = 0L; align = 0 } in
+  let add = IBinop (W32, Add) in
+  module_of
+    [ (* f0: local 0 is read, then written while the read is pending *)
+      ( ft [ i32; i32 ] [ i32 ], [],
+        [ LocalGet 0; LocalGet 0; LocalGet 1; LocalSet 0; IBinop (W32, Mul); LocalGet 0;
+          add ] );
+      (* f1: local.tee of a local whose earlier read is pending *)
+      ( ft [ i32; i32 ] [ i32 ], [],
+        [ LocalGet 1; LocalGet 0; LocalTee 1; IBinop (W32, Sub); LocalGet 1;
+          IBinop (W32, Mul) ] );
+      (* f2: values carried out of block and if results, and by br_table
+         and br_if, with folded operands below and on top *)
+      ( ft [ i32; i32 ] [ i32 ], [],
+        [ I32Const 1000l;
+          Block
+            ( ValBlock (Some i32),
+              [ Block
+                  (ValBlock (Some i32), [ LocalGet 0; LocalGet 1; BrTable ([ 0; 1 ], 1) ]);
+                I32Const 100l; add ] );
+          Block
+            (ValBlock (Some i32), [ LocalGet 0; LocalGet 1; BrIf 0; Drop; I32Const 7l ]);
+          add;
+          LocalGet 1;
+          If (ValBlock (Some i32), [ LocalGet 0 ], [ I32Const 11l ]);
+          add; add ] );
+      (* f3: select on locals and constants *)
+      ( ft [ i32; i32 ] [ i32 ], [],
+        [ LocalGet 0; I32Const 9l; LocalGet 1; Select; I32Const 4l; LocalGet 1; I32Const 0l;
+          Select; add ] );
+      (* f4: a call with local and constant arguments *)
+      ( ft [ i32; i32 ] [ i32 ], [],
+        [ LocalGet 0; I32Const 7l; LocalGet 1; Call 5; LocalGet 0; add ] );
+      (* f5: 100a + 10b + c *)
+      ( ft [ i32; i32; i32 ] [ i32 ], [],
+        [ LocalGet 0; I32Const 100l; IBinop (W32, Mul); LocalGet 1; I32Const 10l;
+          IBinop (W32, Mul); add; LocalGet 2; add ] );
+      (* f6: a division by a zero local, with folded operands pending *)
+      ( ft [ i32; i32 ] [ i32 ], [],
+        [ I32Const 1l; LocalGet 0; LocalGet 1; IBinop (W32, DivS); add ] );
+      (* f7: a store and a load through local addresses; out of bounds,
+         the load traps with its operands folded *)
+      ( ft [ i64; i32 ] [ i32 ], [],
+        [ I64Const 16L; LocalGet 1; Store (i32, None, ma); LocalGet 0;
+          Load (i32, None, ma); LocalGet 1; add ] );
+      (* f8: a loop whose back-edge runs out of fuel *)
+      ( ft [ i32 ] [], [],
+        [ Loop (ValBlock None, [ LocalGet 0; I32Const 1l; add; LocalSet 0; Br 0 ]) ] ) ]
+
+let test_lowering_pending_write () =
+  (* the old local 0 squared, plus the new local 0 *)
+  lowering_returns lowering_module "f0" [ Values.I32 3l; Values.I32 4l ] [ Values.I32 13l ]
+
+let test_lowering_tee () =
+  (* (old local 1 - local 0) times the new local 1 *)
+  lowering_returns lowering_module "f1" [ Values.I32 3l; Values.I32 7l ] [ Values.I32 12l ]
+
+let test_lowering_carried () =
+  List.iter
+    (fun (b, expected) ->
+      lowering_returns lowering_module "f2" [ Values.I32 5l; Values.I32 b ] [ Values.I32 expected ])
+    [ (0l, 1123l); (1l, 1015l); (2l, 1015l) ]
+
+let test_lowering_select () =
+  lowering_returns lowering_module "f3" [ Values.I32 5l; Values.I32 1l ] [ Values.I32 6l ];
+  lowering_returns lowering_module "f3" [ Values.I32 5l; Values.I32 0l ] [ Values.I32 9l ]
+
+let test_lowering_call () =
+  lowering_returns lowering_module "f4" [ Values.I32 2l; Values.I32 3l ] [ Values.I32 275l ]
+
+let test_lowering_traps () =
+  lowering_returns lowering_module "f6" [ Values.I32 6l; Values.I32 3l ] [ Values.I32 3l ];
+  lowering_traps lowering_module "f6" [ Values.I32 6l; Values.I32 0l ] "integer divide by zero";
+  lowering_returns lowering_module "f7" [ Values.I64 16L; Values.I32 21l ] [ Values.I32 42l ];
+  lowering_traps lowering_module "f7" [ Values.I64 0x10_0000L; Values.I32 21l ]
+    "bounds: out of bounds";
+  lowering_traps ~fuel:100 lowering_module "f8" [ Values.I32 0l ] "fuel"
 
 (* ------------------------------------------------------------------ *)
 (* Fuel watchdog parity                                                 *)
@@ -1137,6 +1345,19 @@ let () =
             test_polybench_commits;
           Alcotest.test_case "tag checks past the tag prefix" `Quick
             test_tag_plane_past_prefix;
+        ] );
+      ( "lowering",
+        [
+          Alcotest.test_case "a pending read of a written local" `Quick
+            test_lowering_pending_write;
+          Alcotest.test_case "local.tee of a pending local" `Quick test_lowering_tee;
+          Alcotest.test_case "values carried by blocks and branches" `Quick
+            test_lowering_carried;
+          Alcotest.test_case "select on locals and constants" `Quick test_lowering_select;
+          Alcotest.test_case "a call with local and constant arguments" `Quick
+            test_lowering_call;
+          Alcotest.test_case "traps with folded operands pending" `Quick
+            test_lowering_traps;
         ] );
       ( "fusion",
         [
