@@ -41,22 +41,28 @@ let served seed bounds =
   Harness.Serve_bench.render_served ~seed Format.std_formatter rows;
   if Harness.Serve_bench.served_violations rows <> [] then 1 else 0
 
-let differential pairs count seed0 =
+let differential sources pairs =
   let reports =
-    List.map
-      (fun pair ->
-        let r = Harness.Differential.run ~count ~seed0 pair in
-        Format.printf "%a@." Harness.Differential.pp r;
-        List.iter print_endline r.Harness.Differential.df_failures;
-        r)
-      pairs
+    List.concat_map
+      (fun source ->
+        List.map
+          (fun pair ->
+            let r = Harness.Differential.run source pair in
+            Format.printf "%a@." Harness.Differential.pp r;
+            List.iter print_endline r.Harness.Differential.df_failures;
+            r)
+          pairs)
+      sources
   in
   if List.for_all Harness.Differential.ok reports then 0 else 1
+
+let fuzzgen pairs count seed0 =
+  differential [ Harness.Differential.fuzzgen ~count ~seed0 () ] pairs
 
 (* --full arms bounds elision and arena lowering on the elided side, so
    the differential covers the whole analysis pipeline *)
 let elidediff full =
-  differential
+  fuzzgen
     [ Harness.Differential.elision_pair
         (Flags.plan ~elide:true ~bounds:full ~spec_safe:false) ]
 
@@ -78,7 +84,12 @@ let cmd =
               $ switch "full" "Elide bounds and lower arenas on the elided side."
               $ count $ seed 0);
       sub "enginediff" "Differential of the interpreter against the threaded engine."
-        Term.(const (differential Harness.Differential.engine_pairs) $ count $ seed 0);
+        Term.(const (fuzzgen Harness.Differential.engine_pairs) $ count $ seed 0);
+      sub "benchdiff"
+        "Differential of the interpreter against the threaded engine over the \
+         PolyBench kernels and the serving tenants."
+        Term.(const (differential Harness.Differential.[ polybench; tenants ])
+              $ const Harness.Differential.engine_pairs);
     ]
 
 let () = exit (Cmd.eval' cmd)

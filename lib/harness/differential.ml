@@ -1,13 +1,14 @@
-(** Differential fuzzing over configuration pairs.
+(** Differential testing over configuration pairs.
 
-    For each seed, a random Fuzzgen program runs under side A and side
-    B of a pair (a side is a variant and the engine that drives it),
-    and the two runs must agree on everything a program's result
-    depends on: the outcome (value or trap message, including the
-    trap-prefix taxonomy), the final linear-memory digest, and the
-    load/store access counts (elision skips a check, never the access).
-    Side A must also match the Fuzzgen reference evaluator and never
-    trap, which anchors both sides to the semantics.
+    A sweep runs every program of a {!source} under side A and side B
+    of a pair (a side is a variant and the engine that drives it), and
+    the two runs must agree on everything a program's result depends
+    on: the outcome (value or trap message, including the trap-prefix
+    taxonomy), the final linear-memory digest (after a trap too), and
+    the load/store access counts (elision skips a check, never the
+    access). Where a source knows a program's result independently of
+    the compiler (the Fuzzgen reference evaluator), side A must match
+    it and never trap, which anchors both sides to the semantics.
 
     The rest follows from the pair itself:
     - sides that differ only in engine must agree on every meter
@@ -16,15 +17,78 @@
       across the sweep — and one span check when bounds elision is on —
       otherwise the gate is testing nothing.
 
-    [cage_chaos enginediff] runs {!engine_pairs}; [cage_chaos elidediff
-    [--full]] runs {!elision_pair}. *)
+    Both sides of a program start from the same instance ordinal, so
+    they draw the same allocation tags.
+
+    [cage_chaos enginediff] runs {!engine_pairs} over {!fuzzgen},
+    [cage_chaos benchdiff] over {!polybench} and {!tenants}, and
+    [cage_chaos elidediff [--full]] runs {!elision_pair} over
+    {!fuzzgen}. *)
 
 type side = Cage.Config.t * Wasm.Instance.engine
+
+(** One program: a MiniC [int main()] with its compile sizes, the seed
+    its instances draw tags from, and its result when known
+    independently of the compiler. *)
+type case = {
+  c_name : string;
+  c_source : string;
+  c_mem_pages : int64 option;
+  c_stack_bytes : int option;
+  c_seed : int;
+  c_expected : int32 option;
+}
+
+(** A named list of programs, made when a sweep starts. *)
+type source = { src_name : string; src_cases : unit -> case list }
+
+let case ?mem_pages ?stack_bytes ?(seed = 0) ?expected name source =
+  { c_name = name; c_source = source; c_mem_pages = mem_pages; c_stack_bytes = stack_bytes;
+    c_seed = seed; c_expected = expected }
+
+(** [count] Fuzzgen programs from seed [seed0] on, each checked against
+    the reference evaluator. *)
+let fuzzgen ?(count = 200) ?(seed0 = 0) () =
+  { src_name = "fuzzgen";
+    src_cases =
+      (fun () ->
+        List.init count (fun i ->
+            let seed = seed0 + i in
+            let prog = Workloads.Fuzzgen.generate ~seed in
+            case ~seed ~expected:(Workloads.Fuzzgen.reference prog)
+              (Printf.sprintf "seed %d" seed)
+              (Workloads.Fuzzgen.render prog))) }
+
+(** The 26 PolyBench kernels. *)
+let polybench =
+  { src_name = "polybench";
+    src_cases =
+      (fun () ->
+        List.map
+          (fun (k : Workloads.Polybench.kernel) -> case k.k_name k.k_source)
+          Workloads.Polybench.all) }
+
+(** The three serving tenants' programs, at the sizes the pool runs
+    them: compute, fuzz and the always-faulting malicious one. *)
+let tenants =
+  { src_name = "tenants";
+    src_cases =
+      (fun () ->
+        let tenant name =
+          case ~mem_pages:Serve_bench.serve_mem_pages
+            ~stack_bytes:Serve_bench.serve_stack_bytes name
+        in
+        [ tenant "compute" Serve_bench.compute_source;
+          tenant "fuzz"
+            (Workloads.Fuzzgen.render
+               (Workloads.Fuzzgen.generate ~seed:Serve_bench.fuzz_seed));
+          tenant "malicious" Serve_bench.malicious_source ]) }
 
 type report = {
   df_a : side;
   df_b : side;
-  df_seeds : int;
+  df_source : string;
+  df_cases : int;
   df_failures : string list;  (** one line per divergence, oldest first *)
   df_elided : int;            (** granule checks side B skipped *)
   df_bounds_elided : int;     (** span checks side B skipped *)
@@ -37,70 +101,81 @@ let outcome_to_string = function
   | Value v -> Printf.sprintf "%ld" v
   | Trap m -> Printf.sprintf "trap(%s)" m
 
-(* A trap unwinds out of [Libc.Run.run] before the instance surfaces,
-   so the memory digest exists only for completed runs; trap identity
-   is compared through the outcome. *)
-let run_once (cfg, engine) ~seed source =
+(* [c]'s main on a fresh instance of [cfg] driven by [engine]: its
+   outcome, meter and final memory digest ([None] when instantiation
+   trapped). *)
+let run_once (cfg, engine) (c : case) =
   let meter = Wasm.Meter.create () in
-  try
-    let r = Libc.Run.run ~cfg ~engine ~meter ~seed source in
-    let digest =
-      Digest.to_hex
-        (Digest.string
-           (Wasm.Memory.to_string
-              (Wasm.Instance.memory r.Libc.Run.instance)))
-    in
-    (Value (Libc.Run.ret_i32 r), meter, Some digest)
-  with Wasm.Instance.Trap msg -> (Trap msg, meter, None)
+  let compiled =
+    Libc.Run.compile ?mem_pages:c.c_mem_pages ?stack_bytes:c.c_stack_bytes cfg c.c_source
+  in
+  let m = compiled.Minic.Driver.co_module in
+  let wasi = Libc.Wasi.create () in
+  let config =
+    { (Cage.Config.instance_config ~meter ~seed:c.c_seed ~m cfg) with Wasm.Instance.engine }
+  in
+  match Wasm.Exec.instantiate ~config ~imports:(Libc.Wasi.imports wasi) m with
+  | exception Wasm.Instance.Trap msg -> (Trap msg, meter, None)
+  | inst ->
+      let outcome =
+        match Wasm.Exec.invoke inst "main" [] with
+        | [ Wasm.Values.I32 v ] -> Value v
+        | _ -> Trap "main did not return one i32"
+        | exception Libc.Wasi.Proc_exit code -> Value (Int32.of_int code)
+        | exception Wasm.Instance.Trap msg -> Trap msg
+      in
+      let memory = Wasm.Memory.to_string (Wasm.Instance.memory inst) in
+      (outcome, meter, Some (Digest.to_hex (Digest.string memory)))
 
-let run ?(count = 200) ?(seed0 = 0) ((a : side), (b : side)) =
+let run (src : source) ((a : side), (b : side)) =
   let failures = ref [] in
   let elided = ref 0 and belided = ref 0 and tag_writes = ref 0 in
-  let fail seed fmt =
-    Printf.ksprintf
-      (fun m -> failures := Printf.sprintf "seed %d: %s" seed m :: !failures)
-      fmt
-  in
+  let cases = src.src_cases () in
   let engine_only = fst a = fst b in
-  for i = 0 to count - 1 do
-    let seed = seed0 + i in
-    let prog = Workloads.Fuzzgen.generate ~seed in
-    let source = Workloads.Fuzzgen.render prog in
-    let expected = Workloads.Fuzzgen.reference prog in
-    let o_a, m_a, d_a = run_once a ~seed source in
-    let o_b, m_b, d_b = run_once b ~seed source in
-    (match o_a with
-    | Value v when v <> expected ->
-        fail seed "side A diverged from the reference: %ld <> %ld" v expected
-    | Trap m -> fail seed "side A trapped: %s" m
-    | Value _ -> ());
-    if o_a <> o_b then
-      fail seed "sides disagree on the outcome: %s <> %s"
-        (outcome_to_string o_a) (outcome_to_string o_b);
-    if d_a <> d_b then fail seed "sides disagree on the final memory";
-    if m_a.Wasm.Meter.loads <> m_b.Wasm.Meter.loads
-       || m_a.Wasm.Meter.stores <> m_b.Wasm.Meter.stores
-    then
-      fail seed "sides disagree on access counts: %d/%d <> %d/%d"
-        m_a.Wasm.Meter.loads m_a.Wasm.Meter.stores m_b.Wasm.Meter.loads
-        m_b.Wasm.Meter.stores;
-    (* The meter is a flat record of counters, so structural equality
-       is exactly "every counter identical". *)
-    if engine_only && m_a <> m_b then
-      fail seed "engines disagree on meter totals: %d <> %d ops"
-        (Wasm.Meter.total m_a) (Wasm.Meter.total m_b);
-    elided := !elided + m_b.Wasm.Meter.elided_checks;
-    belided := !belided + m_b.Wasm.Meter.elided_bounds;
-    tag_writes :=
-      !tag_writes + m_b.Wasm.Meter.arena_new_granules
-      + m_b.Wasm.Meter.arena_free_granules
-  done;
+  List.iter
+    (fun (c : case) ->
+      let fail fmt =
+        Printf.ksprintf
+          (fun m -> failures := Printf.sprintf "%s: %s" c.c_name m :: !failures)
+          fmt
+      in
+      let ordinal = !Wasm.Exec.instance_counter in
+      let o_a, m_a, d_a = run_once a c in
+      Wasm.Exec.instance_counter := ordinal;
+      let o_b, m_b, d_b = run_once b c in
+      (match (c.c_expected, o_a) with
+      | Some e, Value v when v <> e ->
+          fail "side A diverged from the reference: %ld <> %ld" v e
+      | Some _, Trap m -> fail "side A trapped: %s" m
+      | _ -> ());
+      if o_a <> o_b then
+        fail "sides disagree on the outcome: %s <> %s"
+          (outcome_to_string o_a) (outcome_to_string o_b);
+      if d_a <> d_b then fail "sides disagree on the final memory";
+      if m_a.Wasm.Meter.loads <> m_b.Wasm.Meter.loads
+         || m_a.Wasm.Meter.stores <> m_b.Wasm.Meter.stores
+      then
+        fail "sides disagree on access counts: %d/%d <> %d/%d"
+          m_a.Wasm.Meter.loads m_a.Wasm.Meter.stores m_b.Wasm.Meter.loads
+          m_b.Wasm.Meter.stores;
+      (* The meter is a flat record of counters, so structural equality
+         is exactly "every counter identical". *)
+      if engine_only && m_a <> m_b then
+        fail "engines disagree on meter totals: %d <> %d ops"
+          (Wasm.Meter.total m_a) (Wasm.Meter.total m_b);
+      elided := !elided + m_b.Wasm.Meter.elided_checks;
+      belided := !belided + m_b.Wasm.Meter.elided_bounds;
+      tag_writes :=
+        !tag_writes + m_b.Wasm.Meter.arena_new_granules
+        + m_b.Wasm.Meter.arena_free_granules)
+    cases;
   let b_cfg = fst b in
   if b_cfg.elide_checks && !elided = 0 then
     failures := "no granule check was elided across the sweep" :: !failures;
   if b_cfg.elide_bounds && !belided = 0 then
     failures := "no span check was elided across the sweep" :: !failures;
-  { df_a = a; df_b = b; df_seeds = count; df_failures = List.rev !failures;
+  { df_a = a; df_b = b; df_source = src.src_name; df_cases = List.length cases;
+    df_failures = List.rev !failures;
     df_elided = !elided; df_bounds_elided = !belided;
     df_tag_writes = !tag_writes }
 
@@ -136,7 +211,7 @@ let describe ((c : Cage.Config.t), engine) =
          @ if c.arena then [ "arena" ] else []))
 
 let pp ppf r =
-  Format.fprintf ppf "@[<v>differential: %d seeds, %s vs %s: %s" r.df_seeds
+  Format.fprintf ppf "@[<v>differential: %s, %d programs, %s vs %s: %s" r.df_source r.df_cases
     (describe r.df_a) (describe r.df_b)
     (if ok r then "identical"
      else Printf.sprintf "%d FAILURES" (List.length r.df_failures));

@@ -59,9 +59,10 @@ let fuzz_seed = 0xF5EED
 (* Serving tenants run tiny memories: the snapshot payload is restored
    per request, so image size is the dominant per-request cost. *)
 let serve_mem_pages = 4L
+let serve_stack_bytes = 16384
 
 let compile cfg source =
-  (Libc.Run.compile ~mem_pages:serve_mem_pages ~stack_bytes:16384 cfg source)
+  (Libc.Run.compile ~mem_pages:serve_mem_pages ~stack_bytes:serve_stack_bytes cfg source)
     .Minic.Driver.co_module
 
 let wasi_imports () =

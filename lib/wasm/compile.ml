@@ -36,7 +36,12 @@
     [local.tee] follows, straight into that local. A comparison followed
     by [[i32.eqz;] br_if] or [if] is one compare-and-branch op, and the
     address step [[ext;] [const; mul;] add] folds into the access that
-    consumes it. A pending read of a local moves into its slot before
+    consumes it, with a row-major [x; y; i32.mul; z; i32.add] in front
+    of it. A [br] back to a loop whose first op is a conditional branch
+    runs that guard too. A single-use temporary (one [local.set], one
+    [local.get]) of a local or a constant is never written: its read
+    reads the source, unless a write of the source, a label or a branch
+    comes first. A pending read of a local moves into its slot before
     that local is written; so does every pending operand at a label that
     a branch reaches (a block's end, an if's arms, a loop's head) and
     below a branch's target height, and every call argument, since the
@@ -176,15 +181,15 @@ let[@inline] settle (m : Meter.t) inst c =
 
 (* The charges small enough to share, made once at start-up, so that an
    op captures one of them instead of a fresh record. *)
-let shared_charge t l k p s = (((((t * 4) + l) * 3 + k) * 3 + p) * 2) + s
+let shared_charge t l k p s = (((((t * 4) + l) * 3 + k) * 5 + p) * 4) + s
 
 let charges =
   let a = Array.make (shared_charge 8 0 0 0 0) { c_ticks = 0; c_locals = 0; c_consts = 0; c_post = 0; c_set = 0 } in
   for t = 0 to 7 do
     for l = 0 to 3 do
       for k = 0 to 2 do
-        for p = 0 to 2 do
-          for s = 0 to 1 do
+        for p = 0 to 4 do
+          for s = 0 to 3 do
             a.(shared_charge t l k p s) <-
               { c_ticks = t; c_locals = l; c_consts = k; c_post = p; c_set = s }
           done
@@ -195,7 +200,7 @@ let charges =
   a
 
 let make_charge t l k p s =
-  if t < 8 && l < 4 && k < 3 && p < 3 && s < 2 then charges.(shared_charge t l k p s)
+  if t < 8 && l < 4 && k < 3 && p < 5 && s < 4 then charges.(shared_charge t l k p s)
   else { c_ticks = t; c_locals = l; c_consts = k; c_post = p; c_set = s }
 
 (* ------------------------------------------------------------------ *)
@@ -443,12 +448,6 @@ let[@inline] i32_binop_m (m : Meter.t) (op : Ast.ibinop) (x : int) (y : int) =
   | Rotl -> ialu m; rotl32 x (y land 31)
   | Rotr -> ialu m; rotl32 x (-y land 31)
 
-(* Whether a fused group may absorb this ibinop (no trapping paths, so
-   the group has a single observable failure order). *)
-let i32_binop_fusable : Ast.ibinop -> bool = function
-  | Add | Sub | Mul | And | Or | Xor | Shl | ShrS | ShrU -> true
-  | DivS | DivU | RemS | RemU | Rotl | Rotr -> false
-
 (* The i64 operators restate [Numerics]' bodies (trap texts and order
    included) on [Int64] primitives, which inline unboxed: a call to
    [Numerics] would box both operands and the result across the
@@ -651,13 +650,19 @@ let cvt_traps : Ast.cvtop -> bool = function
 (* The address step an access begins with, in the memory's index width
    W: [[i64.extend_i32_s]; [iW.const c; iW.mul]; iW.add] of the operands
    [base] and [index] into register [addr], which the access reads
-   (a lone [iW.add] has [c = 1]). [cvts] and [scales], 0 or 1, bump
-   exactly the constituents' meters without a branch. *)
+   (a lone [iW.add] has [c = 1]). With [rows = 1] the index is a
+   row-major [x; y; i32.mul; z; i32.add] of registers [x], [y] and
+   [index] (z), computed in 32 bits. [cvts], [scales] and [rows], 0 or
+   1, bump exactly the constituents' meters without a branch. A
+   plain index is read whole: an i64 index keeps its top bit. *)
 type step = {
   w32 : bool;
   c : int64;
   cvts : int;
   scales : int;
+  rows : int;
+  x : int;
+  y : int;
   base : int;
   index : int;
   addr : int;
@@ -666,9 +671,14 @@ type step = {
 let[@inline] addr_step (m : Meter.t) s st =
   m.cvt <- m.cvt + s.cvts;
   m.const <- m.const + s.scales;
-  m.imul <- m.imul + s.scales;
-  ialu m;
-  if s.w32 then wri st s.addr (norm32 (rdi st s.base + (rdi st s.index * Int64.to_int s.c)))
+  m.imul <- m.imul + s.scales + s.rows;
+  m.ialu <- m.ialu + 1 + s.rows;
+  if s.rows <> 0 then begin
+    let i = norm32 (norm32 (rdi st s.x * rdi st s.y) + rdi st s.index) in
+    if s.w32 then wri st s.addr (norm32 (rdi st s.base + (i * Int64.to_int s.c)))
+    else wr64 st s.addr (Int64.add (rd64 st s.base) (Int64.mul (Int64.of_int i) s.c))
+  end
+  else if s.w32 then wri st s.addr (norm32 (rdi st s.base + (rdi st s.index * Int64.to_int s.c)))
   else wr64 st s.addr (Int64.add (rd64 st s.base) (Int64.mul (rd64 st s.index) s.c))
 
 (* A load op whole: pay, the address step if any, the access into
@@ -808,20 +818,6 @@ let basic_at body j =
    closure. Every slot is overwritten before the array is used. *)
 let unset_op (_ : Instance.t Xcode.state) = -1
 
-type frame = {
-  l_target : int ref;  (** op index branches to this label jump to *)
-  l_loop : bool;       (** a loop label: branches go back, carrying nothing *)
-  l_arity : int;
-  l_height : int;      (** static operand height at the label's entry *)
-  mutable l_reached : bool;
-      (** a branch targets this (non-loop) label, so its end is live
-          even when the body's fall-through is not *)
-}
-
-(* What the label stack's vacated cells hold: made once, at start-up. *)
-let no_frame =
-  { l_target = ref (-1); l_loop = false; l_arity = 0; l_height = 0; l_reached = false }
-
 (* A branch condition: an operand that is nonzero, or a comparison of
    two, which a [relop [; i32.eqz]; br_if] or [if] folds into its
    branch op. *)
@@ -838,53 +834,241 @@ let[@inline] test (st : Instance.t Xcode.state) c =
   | Ci64 (op, a, b) -> i64_relop op (rd64 st a) (rd64 st b)
   | Cf (op, a, b) -> f_relop op (rdf st a) (rdf st b)
 
-(* One idiom of a function: an op family, the kinds of the operands it
-   read, as base-3 digits after a leading 1, one per operand in stack
-   order (0 a slot, 1 a local, 2 a constant), what it absorbed past its
-   own instruction, and how often it was emitted. *)
-type idiom = { family : string; kinds : int; tail : string; mutable n : int }
+(* A conditional branch on [cnd] (negated when [inv]) whole: pay, bump
+   [ialu] by [ia] and [falu] by [fa] for the comparison it folded, test,
+   meter, and go to [act]'s target or to [next]. *)
+let[@inline] brif_op (m : Meter.t) c ia fa cnd inv act next (st : Instance.t Xcode.state) =
+  pay m st.inst c;
+  m.ialu <- m.ialu + ia;
+  m.falu <- m.falu + fa;
+  let b = test st cnd <> inv in
+  meter_br m st.inst;
+  if b then act st else next
 
-let rec count_idiom family kinds tail = function
-  | i :: rest ->
-      if i.kinds = kinds && String.equal i.family family && String.equal i.tail tail then begin
-        i.n <- i.n + 1;
-        true
-      end
-      else count_idiom family kinds tail rest
-  | [] -> false
+(* The conditional branch that is a loop's first op, which a [br] back
+   to the loop runs in its own op: {!brif_op}'s arguments. *)
+type guard = {
+  g_c : charge;
+  g_ia : int;
+  g_fa : int;
+  g_cnd : cond;
+  g_inv : bool;
+  g_act : Instance.t Xcode.op;
+  g_next : int;
+}
 
-(* The spelling of each kinds code of up to three operands: [s] a slot,
-   [g] a local read, [k] a constant. *)
+type frame = {
+  l_target : int ref;  (** op index branches to this label jump to *)
+  l_loop : bool;       (** a loop label: branches go back, carrying nothing *)
+  l_arity : int;
+  l_height : int;      (** static operand height at the label's entry *)
+  mutable l_reached : bool;
+      (** a branch targets this (non-loop) label, so its end is live
+          even when the body's fall-through is not *)
+  mutable l_guard : guard option;  (** a loop's guard, once emitted *)
+}
+
+(* What the label stack's vacated cells hold: made once, at start-up. *)
+let no_frame =
+  { l_target = ref (-1); l_loop = false; l_arity = 0; l_height = 0; l_reached = false;
+    l_guard = None }
+
+(* ------------------------------------------------------------------ *)
+(* Idioms                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* An idiom is an op family, the kinds of the operands the op read and
+   what it absorbed past its own instruction, keyed by one int. A
+   family is numbered when it is made, at start-up, in any order. *)
+let family_names = Array.make 64 ""
+let n_families = ref 0
+
+let family name =
+  let f = !n_families in
+  family_names.(f) <- name;
+  n_families := f + 1;
+  f
+
+let f_set = family "set" and f_tee = family "tee" and f_br = family "br"
+let f_br_table = family "br_table" and f_return = family "return" and f_brif = family "brif"
+let f_if = family "if" and f_global_get = family "global.get"
+let f_global_set = family "global.set" and f_select = family "select"
+let f_i32_unop = family "i32.unop" and f_i64_unop = family "i64.unop"
+let f_i32_op = family "i32.op" and f_i64_op = family "i64.op"
+let f_i32_div = family "i32.div" and f_i64_div = family "i64.div"
+let f_i32_eqz = family "i32.eqz" and f_i64_eqz = family "i64.eqz"
+let f_i32_relop = family "i32.relop" and f_i64_relop = family "i64.relop"
+let f_f32_relop = family "f32.relop" and f_f64_relop = family "f64.relop"
+let f_f32_unop = family "f32.unop" and f_f64_unop = family "f64.unop"
+let f_f32_op = family "f32.op" and f_f64_op = family "f64.op" and f_cvt = family "cvt"
+let f_load = family "load" and f_store = family "store"
+let f_memory_size = family "memory.size" and f_memory_grow = family "memory.grow"
+let f_memory_fill = family "memory.fill" and f_memory_copy = family "memory.copy"
+let f_segment_new = family "segment.new" and f_segment_set_tag = family "segment.set_tag"
+let f_segment_free = family "segment.free" and f_pointer_sign = family "pointer.sign"
+let f_pointer_auth = family "pointer.auth" and f_call_indirect = family "call_indirect"
+
+(* The address steps, [f_step.(rows).(shape * 2 + scales)]: shape 0 an
+   i32 index, 1 an i64 one, 2 an i32 one extended under i64. *)
+let f_step =
+  Array.map (Array.map family)
+    [| [| "i32.add"; "i32.scale.add"; "i64.add"; "i64.scale.add"; "i64.ext.add";
+          "i64.ext.scale.add" |];
+       [| "i32.row.add"; "i32.row.scale.add"; "i64.row.add"; "i64.row.scale.add";
+          "i64.ext.row.add"; "i64.ext.row.scale.add" |] |]
+
+(* What an op absorbed past its own instruction: a consumer, times 4,
+   plus where its result went ({!result}: [r_set] a [local.set], [r_tee]
+   a [local.tee], [r_via] a single-use temporary's set and get and the
+   [local.set] after them). *)
+let t_brif = 4 and t_eqz_brif = 8 and t_if = 12 and t_eqz_if = 16
+let t_load = 20 and t_load_fop = 24 and t_store = 28 and t_guard = 32
+let r_set = 1 and r_tee = 2 and r_via = 3
+
+let tail_names =
+  let consumers =
+    [| ""; ".brif"; ".eqz.brif"; ".if"; ".eqz.if"; ".load"; ".load.f64.op"; ".store"; ".guard" |]
+  and results = [| ""; ".set"; ".tee"; ".set.get.set" |] in
+  Array.init (4 * Array.length consumers) (fun t -> consumers.(t / 4) ^ results.(t mod 4))
+
+(* The kinds of up to five operands, as base-3 digits after a leading 1,
+   one per operand in stack order: [s] a slot, [g] a local, [k] a
+   constant. *)
+let n_kinds = 729
+
 let kinds_names =
-  Array.init 81 (fun c ->
+  Array.init n_kinds (fun c ->
       let rec digits c acc = if c <= 1 then acc else digits (c / 3) ("sgk".[c mod 3] :: acc) in
       match digits c [] with
       | [] -> ""
       | ds -> "." ^ String.of_seq (List.to_seq ds))
 
-let idiom_name i = (i.family ^ kinds_names.(i.kinds) ^ i.tail, i.n)
+let rec slots_only c = c = 1 || (c mod 3 = 0 && slots_only (c / 3))
 
-(* The constant instructions of a prepared body. *)
-let rec constants (body : Code.instr array) =
-  Array.fold_left
-    (fun n (i : Code.instr) ->
-      match i with
-      | Basic ((I32Const _ | I64Const _ | F32Const _ | F64Const _), _) -> n + 1
-      | Basic _ | Br _ | BrIf _ | BrTable _ | Return _ -> n
-      | Block (_, b) | Loop (_, b) -> n + constants b
-      | If (_, t, e) -> n + constants t + constants e)
-    0 body
+let idiom_key family kinds tail = (((family * 64) + tail) * n_kinds) + kinds
 
-(* [labels] is the caller's label stack, empty on entry and on return. *)
-let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
+let idiom_name key =
+  let rest = key / n_kinds in
+  family_names.(rest / 64) ^ kinds_names.(key mod n_kinds) ^ tail_names.(rest mod 64)
+
+(* A function's idiom counts: an open-addressed table of keys (-1 where
+   empty), so that a note is one multiply and a probe. [used] lists the
+   slots taken, so that emptying the table costs what filling it did. *)
+type tally = {
+  mutable keys : int array;
+  mutable counts : int array;
+  mutable used : int array;
+  mutable n : int;
+}
+
+let tally () = { keys = Array.make 32 (-1); counts = Array.make 32 0; used = Array.make 16 0; n = 0 }
+
+let rec probe keys key mask i =
+  let k = Array.unsafe_get keys i in
+  if k = key || k < 0 then i else probe keys key mask ((i + 1) land mask)
+
+let rec tally_add t key n =
+  let mask = Array.length t.keys - 1 in
+  let i = probe t.keys key mask (((key * 0x9E3779B1) lsr 11) land mask) in
+  if t.keys.(i) = key then t.counts.(i) <- t.counts.(i) + n
+  else if 2 * (t.n + 1) <= mask then begin
+    t.keys.(i) <- key;
+    t.counts.(i) <- n;
+    t.used.(t.n) <- i;
+    t.n <- t.n + 1
+  end
+  else begin
+    let keys = t.keys and counts = t.counts and used = t.used and m = t.n in
+    t.keys <- Array.make (2 * (mask + 1)) (-1);
+    t.counts <- Array.make (2 * (mask + 1)) 0;
+    t.used <- Array.make (mask + 1) 0;
+    t.n <- 0;
+    for j = 0 to m - 1 do
+      tally_add t keys.(used.(j)) counts.(used.(j))
+    done;
+    tally_add t key n
+  end
+
+(* The idioms counted, by name, each name made once into [names]; the
+   table is left empty. *)
+let tally_take names t =
+  let name key =
+    match Hashtbl.find names key with
+    | s -> s
+    | exception Not_found ->
+        let s = idiom_name key in
+        Hashtbl.add names key s;
+        s
+  in
+  let l = ref [] in
+  for j = 0 to t.n - 1 do
+    let i = t.used.(j) in
+    l := (name t.keys.(i), t.counts.(i)) :: !l;
+    t.keys.(i) <- -1;
+    t.counts.(i) <- 0
+  done;
+  t.n <- 0;
+  !l
+
+(* What lowering the functions of a module reuses from one function to
+   the next: the label stack, empty between functions; the idiom table,
+   emptied as each function's statistics are taken, and the idiom names
+   made so far; the static operand stack; and three arrays over the
+   locals, cleared as a function starts (see {!compile}). *)
+type workspace = {
+  labels : frame Label_stack.t;
+  idioms : tally;
+  names : (int, string) Hashtbl.t;
+  mutable stack : int array;
+  mutable nreads : int array;
+  mutable alias : int array;
+  mutable nalias : int array;
+}
+
+let workspace () =
+  { labels = Label_stack.create no_frame;
+    idioms = tally ();
+    names = Hashtbl.create 64;
+    stack = Array.make 16 0; nreads = Array.make 16 0; alias = Array.make 16 (-1);
+    nalias = Array.make 16 0 }
+
+(* Count a use of local [r] in [uses] (see {!scan}), [unit] its field's
+   lowest bit: each field stops at 2, for more than one. *)
+let use uses r unit =
+  let v = Char.code (Bytes.unsafe_get uses r) in
+  if (v / unit) land 3 < 2 then Bytes.unsafe_set uses r (Char.unsafe_chr (v + unit))
+
+(* [n] plus the constant instructions of a prepared body from [body.(j)]
+   on; each local's [local.get]s (bits 0-1), [local.set]s (bits 2-3)
+   and [local.tee]s (bits 4-5) go into [uses]. *)
+let rec scan uses n (body : Code.instr array) j =
+  if j = Array.length body then n
+  else
+    match Array.unsafe_get body j with
+    | Basic ((I32Const _ | I64Const _ | F32Const _ | F64Const _), _) -> scan uses (n + 1) body (j + 1)
+    | Basic (LocalGet r, _) -> use uses r 1; scan uses n body (j + 1)
+    | Basic (LocalSet r, _) -> use uses r 4; scan uses n body (j + 1)
+    | Basic (LocalTee r, _) -> use uses r 16; scan uses n body (j + 1)
+    | Basic _ | Br _ | BrIf _ | BrTable _ | Return _ -> scan uses n body (j + 1)
+    | Block (_, b) | Loop (_, b) -> scan uses (scan uses n b 0) body (j + 1)
+    | If (_, t, e) -> scan uses (scan uses (scan uses n t 0) e 0) body (j + 1)
+
+(* The [uses] entry of a local with one [local.get], one [local.set] and
+   no [local.tee]. *)
+let once = '\005'
+
+(* [ws] is the caller's {!workspace}, its label stack empty on entry and
+   on return. *)
+let compile ~ws ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
     ~(ty : Types.func_type) ~(func : Ast.func) ~(code : Code.func)
     ~(mtr : Meter.t) : Instance.t Xcode.func * Xcode.stats =
   let nparams = List.length ty.params in
   let nlocals = List.length func.locals in
   let nloc = nparams + nlocals in
+  let uses = Bytes.make nloc '\000' in
   (* constant [j] is register [nloc + j], and operand slot [k] register
      [opoff + k]; every constant instruction has a register of its own *)
-  let consts = Array.make (constants code.body) 0.0 in
+  let consts = Array.make (scan uses 0 code.body 0) 0.0 in
   let opoff = nloc + Array.length consts in
   let nconst = ref 0 in
   let result_arity = code.result_arity in
@@ -905,12 +1089,29 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
   (* ---------------------------------------------------------------- *)
   (* The static operand stack: where each operand lives                *)
   (* ---------------------------------------------------------------- *)
-  let stack = ref (Array.make 8 0) in
   let h = ref 0 and max_h = ref 0 in
   (* every operand below [low] is in its own slot *)
   let low = ref 0 in
-  (* how many operands on the stack are pending reads of each local *)
-  let nreads = Array.make nloc 0 in
+  (* [nreads.(r)]: how many operands on the stack are pending reads of
+     local [r]. Single-use temporaries: [alias.(t)] is the register whose
+     value temporary [t] stands for, -1 when [t] holds its own, and
+     [nalias.(r)] counts the live aliases of local [r]; [live] lists the
+     temporaries aliased since the last flush, [n_live] the live ones. *)
+  if Array.length ws.nreads < nloc then begin
+    let n = max nloc (2 * Array.length ws.nreads) in
+    ws.nreads <- Array.make n 0;
+    ws.alias <- Array.make n (-1);
+    ws.nalias <- Array.make n 0
+  end
+  else begin
+    Array.fill ws.nreads 0 nloc 0;
+    Array.fill ws.alias 0 nloc (-1);
+    Array.fill ws.nalias 0 nloc 0
+  end;
+  let labels = ws.labels and nreads = ws.nreads and alias = ws.alias and nalias = ws.nalias in
+  let live = ref [] and n_live = ref 0 in
+  (* the loop whose head op was the last op emitted, if any *)
+  let head = ref no_frame in
   (* --- what the instructions that emitted nothing leave to pay --- *)
   let pt = ref 0 and pl = ref 0 and pk = ref 0 in
   (* --- op builder: ops are emitted in order, so the op being emitted
@@ -924,31 +1125,31 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
   let n_instrs = ref 0 in
   let n_acc = ref 0 in
   let n_elided = ref 0 in
-  let idioms = ref [] in
   (* what [result] leaves besides the register *)
-  let res_c = ref (make_charge 0 0 0 0 0) and res_set = ref 0 and res_tail = ref "" in
+  let res_c = ref (make_charge 0 0 0 0 0) and res_set = ref 0 and res_tail = ref 0 in
   (* ---------------------------------------------------------------- *)
   (* Lowering                                                          *)
   (* ---------------------------------------------------------------- *)
   (* whether control falls through the instruction just compiled *)
   let falls = ref true in
+  let single_use t = t >= nparams && Bytes.unsafe_get uses t = once in
   let rec slot k = opoff + k
   and is_own k o = o = opoff + k
   and push o =
     let k = !h in
-    if k = Array.length !stack then begin
+    if k = Array.length ws.stack then begin
       let b = Array.make (2 * k) 0 in
-      Array.blit !stack 0 b 0 k;
-      stack := b
+      Array.blit ws.stack 0 b 0 k;
+      ws.stack <- b
     end;
-    !stack.(k) <- o;
+    ws.stack.(k) <- o;
     if o < nloc then nreads.(o) <- nreads.(o) + 1;
     h := k + 1;
     if k + 1 > !max_h then max_h := k + 1;
     if !low = k && is_own k o then low := k + 1
   and pop () =
     decr h;
-    let o = !stack.(!h) in
+    let o = ws.stack.(!h) in
     if o < nloc then nreads.(o) <- nreads.(o) - 1;
     if !low > !h then low := !h;
     o
@@ -970,6 +1171,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
     pl := !pl + la
   and put (op : Instance.t Xcode.op) =
     incr count;
+    head := no_frame;
     rev_ops := op :: !rev_ops
   and own_op op =
     incr n_owned;
@@ -981,55 +1183,99 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
   (* An op is an idiom when it folded an operand or absorbed an
      instruction past its own. *)
   and note family kinds tail =
-    let rec slots_only c = c = 1 || (c mod 3 = 0 && slots_only (c / 3)) in
-    if (tail <> "" || not (slots_only kinds)) && not (count_idiom family kinds tail !idioms)
-    then idioms := { family; kinds; tail; n = 1 } :: !idioms
+    if tail <> 0 || not (slots_only kinds) then tally_add ws.idioms (idiom_key family kinds tail) 1
   (* ---------------------------------------------------------------- *)
   (* Materialisation                                                   *)
   (* ---------------------------------------------------------------- *)
+  (* One (pure) op that moves register [srcs.(j)] to [dsts.(j)], for
+     every [j]. *)
+  and moves srcs dsts =
+    let next = !count + 1 in
+    if Array.length srcs = 1 then begin
+      let o = srcs.(0) and d = dsts.(0) in
+      put (fun st ->
+          wrf st d (rdf st o);
+          next)
+    end
+    else
+      put (fun st ->
+          for j = 0 to Array.length srcs - 1 do
+            wrf st (Array.unsafe_get dsts j) (rdf st (Array.unsafe_get srcs j))
+          done;
+          next)
   (* Move every operand at a height in [lo, hi) that is not in its own
-     slot into it, in one (pure) op. *)
+     slot into it. *)
   and materialize_range lo hi =
     let lo = max lo !low in
     let n = ref 0 in
     for k = lo to hi - 1 do
-      if not (is_own k !stack.(k)) then incr n
+      if not (is_own k ws.stack.(k)) then incr n
     done;
     if !n > 0 then begin
       let srcs = Array.make !n 0 and dsts = Array.make !n 0 in
       let j = ref 0 in
       for k = lo to hi - 1 do
-        let o = !stack.(k) in
+        let o = ws.stack.(k) in
         if not (is_own k o) then begin
           srcs.(!j) <- o;
           dsts.(!j) <- slot k;
           incr j;
           if o < nloc then nreads.(o) <- nreads.(o) - 1;
-          !stack.(k) <- slot k
+          ws.stack.(k) <- slot k
         end
       done;
-      let next = !count + 1 in
-      if !n = 1 then begin
-        let o = srcs.(0) and d = dsts.(0) in
-        put (fun st ->
-            wrf st d (rdf st o);
-            next)
-      end
-      else
-        put (fun st ->
-            for j = 0 to Array.length srcs - 1 do
-              wrf st (Array.unsafe_get dsts j) (rdf st (Array.unsafe_get srcs j))
-            done;
-            next)
+      moves srcs dsts
     end;
     if lo = !low then low := max lo hi
   and materialize () = materialize_range 0 !h
-  (* before local [d] is written: its pending reads take their values *)
-  and take_reads d = if nreads.(d) > 0 then materialize ()
-  (* Before a label: every operand in its own slot, and what is pending
-     paid by a charge-only op if no move paid it. *)
+  (* before local [d] is written: its pending reads take their values,
+     and so do the temporaries that stand for it *)
+  and take_reads d =
+    if nreads.(d) > 0 then materialize ();
+    if nalias.(d) > 0 then flush ()
+  (* ---------------------------------------------------------------- *)
+  (* Single-use temporaries                                            *)
+  (* ---------------------------------------------------------------- *)
+  (* [local.set t] of a local or constant register [a], for a single-use
+     temporary [t]: no op, and [t]'s one read reads [a]. *)
+  and make_alias t a =
+    alias.(t) <- a;
+    if a < nloc then nalias.(a) <- nalias.(a) + 1;
+    incr n_live;
+    live := t :: !live
+  and unalias t =
+    let a = alias.(t) in
+    alias.(t) <- -1;
+    if a < nloc then nalias.(a) <- nalias.(a) - 1;
+    decr n_live
+  (* Before a write of an aliased register, a label or a branch: every
+     live alias's value moves into its temporary, in one (pure) op. *)
+  and flush () =
+    if !n_live > 0 then begin
+      let srcs = Array.make !n_live 0 and dsts = Array.make !n_live 0 in
+      let j = ref 0 in
+      List.iter
+        (fun t ->
+          if alias.(t) >= 0 then begin
+            srcs.(!j) <- alias.(t);
+            dsts.(!j) <- t;
+            incr j;
+            unalias t
+          end)
+        !live;
+      moves srcs dsts
+    end;
+    live := []
+  (* Where control does not fall through, aliases die unread. *)
+  and forget () =
+    List.iter (fun t -> if alias.(t) >= 0 then unalias t) !live;
+    live := []
+  (* Before a label: every operand in its own slot, every temporary
+     holding its value, and what is pending paid by a charge-only op if
+     no move paid it. *)
   and to_label () =
     materialize ();
+    flush ();
     if !pt > 0 then begin
       let c = charge 0 and next = !count + 1 in
       put (fun st ->
@@ -1037,8 +1283,10 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
           next)
     end
   (* After a label at height [lh] that carries [hh - lh] values: the
-     arm's operands gone, the label's values in their slots. *)
+     arm's operands gone, the label's values in their slots, and no
+     alias live (an arm that fell through flushed them). *)
   and reset_to lh hh =
+    forget ();
     while !h > lh do
       ignore (pop ())
     done;
@@ -1047,29 +1295,39 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
     done
   (* The register the one result of an op goes to, for an op that ticks
      [own] times before its effects: a [local.set] or [local.tee] at
-     [body.(j)] is absorbed, its write going straight to the local; else
-     the result takes its own slot. A pure op's charges join what is
-     pending; an effectful one's go to [res_c], with the absorbed write
-     and the [post] ticks it owes after its effects. The instructions
-     absorbed and the idiom tail go to [res_set] and [res_tail]. *)
+     [body.(j)] is absorbed, its write going straight to the local, and
+     [local.set t; local.get t; local.set d] of a single-use temporary
+     [t] writes [d]; else the result takes its own slot. A pure op's
+     charges join what is pending; an effectful one's go to [res_c], with
+     the absorbed writes and the [post] ticks it owes after its effects.
+     The instructions absorbed and the idiom tail go to [res_set] and
+     [res_tail]. *)
   and result ?(pure = true) ?(post = 0) body j own =
     match instr_at body j with
-    | Code.Basic (((Ast.LocalSet d | Ast.LocalTee d) as set), _) ->
+    | Code.Basic (((Ast.LocalSet t | Ast.LocalTee t) as set), _) ->
+        let via =
+          match (set, instr_at body (j + 1), instr_at body (j + 2)) with
+          | Ast.LocalSet _, Code.Basic (Ast.LocalGet t', _), Code.Basic (Ast.LocalSet d, _)
+            when t' = t && single_use t ->
+              d
+          | _ -> -1
+        in
+        let d = if via >= 0 then via else t and n = if via >= 0 then 3 else 1 in
         take_reads d;
-        if pure then pend (own + 1) 1 else res_c := take own 0 (post + 1) 1;
-        res_set := 1;
+        if pure then pend (own + n) n else res_c := take own 0 (post + n) n;
+        res_set := n;
         (match set with
         | Ast.LocalTee _ ->
-            res_tail := ".tee";
+            res_tail := r_tee;
             push d
-        | _ -> res_tail := ".set");
+        | _ -> res_tail := if via >= 0 then r_via else r_set);
         d
     | _ ->
         let d = slot !h in
         push d;
         if pure then pend own 0 else res_c := take own 0 post 0;
         res_set := 0;
-        res_tail := "";
+        res_tail := 0;
         d
   (* ---------------------------------------------------------------- *)
   (* Access emission                                                   *)
@@ -1122,7 +1380,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
       let arity = fr.l_arity and dst = slot fr.l_height in
       if arity = 0 then fun _ -> !tgt
       else if arity = 1 then
-        let o = !stack.(!h - 1) in
+        let o = ws.stack.(!h - 1) in
         if o = dst then fun _ -> !tgt
         else fun st ->
           wrf st dst (rdf st o);
@@ -1141,11 +1399,13 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
   and carried fr =
     if not fr.l_loop then
       if fr.l_arity > 1 then materialize () else materialize_range 0 fr.l_height
+  (* a branch's target may read any temporary: every alias flushed *)
   and branch_action ({ depth; _ } : Code.label) =
     let fr = Label_stack.nth labels depth in
     carried fr;
+    flush ();
     branch_to fr
-  and top_kinds fr = if fr.l_arity = 1 && not fr.l_loop then kinds1 !stack.(!h - 1) else 1
+  and top_kinds fr = if fr.l_arity = 1 && not fr.l_loop then kinds1 ws.stack.(!h - 1) else 1
   and compile_in fr (body : Code.instr array) : bool =
     Label_stack.push labels fr;
     let live = compile_seq body in
@@ -1173,7 +1433,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         incr pt;
         let fr =
           { l_target = ref (-1); l_loop = false; l_arity = arity;
-            l_height = !h; l_reached = false }
+            l_height = !h; l_reached = false; l_guard = None }
         in
         let ft = compile_in fr inner in
         (* a label no branch targets joins nothing: the fall-through
@@ -1187,6 +1447,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         1
     | Code.Loop (_, inner) ->
         materialize ();
+        flush ();
         (* back-edges land after the entry tick: the interpreter ticks a
            Loop node once, not per iteration *)
         let c = charge 1 and next = !count + 1 in
@@ -1195,32 +1456,44 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
             next);
         let fr =
           { l_target = ref !count; l_loop = true; l_arity = 0; l_height = !h;
-            l_reached = false }
+            l_reached = false; l_guard = None }
         in
+        head := fr;
         falls := compile_in fr inner;
         1
     | Code.If (arity, then_, else_) ->
         let a = pop () in
-        emit_if (Nz a) false 0 0 1 "if" (kinds1 a) "" arity then_ else_;
+        emit_if (Nz a) false 0 0 1 f_if (kinds1 a) 0 arity then_ else_;
         1
     | Code.BrIf l ->
         let a = pop () in
-        emit_brif (Nz a) false 0 0 1 "brif" (kinds1 a) "" l;
+        emit_brif (Nz a) false 0 0 1 f_brif (kinds1 a) 0 l;
         1
     | Code.Br l ->
         let fr = Label_stack.nth labels l.depth in
-        note "br" (top_kinds fr) "";
         let act = branch_action l in
         let c = charge 1 in
-        own_op (fun st ->
-            pay mtr st.inst c;
-            meter_br mtr st.inst;
-            act st);
+        (match fr.l_guard with
+        | Some { g_c; g_ia; g_fa; g_cnd; g_inv; g_act; g_next } ->
+            (* a back-edge to a guarded loop: the branch, the loop's
+               re-entry, then its guard, in one op *)
+            note f_br (top_kinds fr) t_guard;
+            own_op (fun st ->
+                pay mtr st.inst c;
+                meter_br mtr st.inst;
+                meter_br mtr st.inst;
+                brif_op mtr g_c g_ia g_fa g_cnd g_inv g_act g_next st)
+        | None ->
+            note f_br (top_kinds fr) 0;
+            own_op (fun st ->
+                pay mtr st.inst c;
+                meter_br mtr st.inst;
+                act st));
         falls := false;
         1
     | Code.BrTable (targets, default) ->
         let io = pop () in
-        note "br_table" (kinds1 io) "";
+        note f_br_table (kinds1 io) 0;
         let acts = Array.make (Array.length targets) unset_op in
         Array.iteri (fun j l -> acts.(j) <- branch_action l) targets;
         let default_act = branch_action default in
@@ -1238,7 +1511,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         1
     | Code.Return _ ->
         let fr = Label_stack.bottom labels in
-        note "return" (top_kinds fr) "";
+        note f_return (top_kinds fr) 0;
         carried fr;
         let act = branch_to fr in
         let c = charge 1 in
@@ -1255,20 +1528,20 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
     note family kinds tail;
     let act = branch_action l in
     let c = charge own and next = !count + 1 in
-    own_op (fun st ->
-        pay mtr st.inst c;
-        mtr.ialu <- mtr.ialu + ia;
-        mtr.falu <- mtr.falu + fa;
-        let b = test st cnd <> inv in
-        meter_br mtr st.inst;
-        if b then act st else next)
+    (* the first op of a loop is its guard, which back-edges run *)
+    let fr = !head in
+    if fr != no_frame then
+      fr.l_guard <-
+        Some { g_c = c; g_ia = ia; g_fa = fa; g_cnd = cnd; g_inv = inv; g_act = act; g_next = next };
+    own_op (fun st -> brif_op mtr c ia fa cnd inv act next st)
   and emit_if cnd inv ia fa own family kinds tail arity then_ else_ =
     note family kinds tail;
     materialize ();
+    flush ();
     let hcond = !h in
     let fr =
       { l_target = ref (-1); l_loop = false; l_arity = arity; l_height = hcond;
-        l_reached = false }
+        l_reached = false; l_guard = None }
     in
     let else_ref = ref (-1) in
     let c = charge own and next = !count + 1 in
@@ -1284,6 +1557,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
       (* jump over the else arm, paying what the then arm left pending
          (no tick of its own: synthetic control) *)
       materialize ();
+      flush ();
       let tgt = fr.l_target in
       if !pt > 0 then begin
         let c = charge 0 in
@@ -1304,86 +1578,95 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
   (* The address step [[ext;] [const c; mul;] add] at [body.(i)], on the
      top two operands (base, index), fused into the access that consumes
      it: a load, a load whose value an f64 binop folds into the operand
-     below, or a store of a local or a constant. With no consumer, a step
-     of two or more instructions is one op. Returns the instructions
-     consumed, 0 when [body.(i)] starts no step. *)
+     below, or a store of a local or a constant. An access's step also
+     absorbs a row-major index [x; y; i32.mul; z; i32.add] in front of
+     it, [z] a local or a constant. With no consumer, a plain step of two
+     or more instructions is one op. Returns the instructions consumed,
+     0 when [body.(i)] starts no step. *)
   and try_step body i : int =
     let open Ast in
-    let ext = match basic_at body i with Cvtop I64ExtendI32S -> 1 | _ -> 0 in
-    let j = i + ext in
+    let k =
+      match (basic_at body i, basic_at body (i + 1), basic_at body (i + 2)) with
+      | IBinop (W32, Mul), (LocalGet _ | I32Const _), IBinop (W32, Add) -> step_at body i 1
+      | _ -> 0
+    in
+    if k > 0 then k else step_at body i 0
+  (* the step after [rows] (0 or 1) row-major indexes at [body.(i)] *)
+  and step_at body i rows : int =
+    let open Ast in
+    let ext = match basic_at body (i + (3 * rows)) with Cvtop I64ExtendI32S -> 1 | _ -> 0 in
+    let j = i + (3 * rows) + ext in
     match basic_at body j with
-    | IBinop (w, Add) when w = iw -> step_op body i ext 1L 0
+    | IBinop (w, Add) when w = iw -> step_op body i rows ext 1L 0
     | I32Const _ | I64Const _ -> (
         (* the const and the add are as wide as the mul (validation) *)
         match (basic_at body j, basic_at body (j + 1), basic_at body (j + 2)) with
         | I32Const c, IBinop (w, Mul), IBinop (_, Add) when w = iw ->
-            step_op body i ext (Int64.of_int32 c) 1
-        | I64Const c, IBinop (w, Mul), IBinop (_, Add) when w = iw -> step_op body i ext c 1
+            step_op body i rows ext (Int64.of_int32 c) 1
+        | I64Const c, IBinop (w, Mul), IBinop (_, Add) when w = iw ->
+            step_op body i rows ext c 1
         | _ -> 0)
     | _ -> 0
-  and step_op body i ext scale scales : int =
+  and step_op body i rows ext scale scales : int =
     let open Ast in
-    let k = ext + 1 + (2 * scales) in
-    let family =
-      match (w32, ext, scales) with
-      | true, _, 0 -> "i32.add"
-      | true, _, _ -> "i32.scale.add"
-      | false, 0, 0 -> "i64.add"
-      | false, 0, _ -> "i64.scale.add"
-      | false, _, 0 -> "i64.ext.add"
-      | false, _, _ -> "i64.ext.scale.add"
-    in
-    let step base index addr =
-      Some { w32; c = scale; cvts = ext; scales; base; index; addr }
-    in
+    let k = (3 * rows) + ext + 1 + (2 * scales) in
+    (* the op ticks for the step, but a row's [z], which ticks as it is
+       pushed, and for the access *)
+    let own = k - rows + 1 in
+    let family = f_step.(rows).((2 * if w32 then 0 else 1 + ext) + scales) in
     match (instr_at body (i + k), instr_at body (i + k + 1)) with
     | ( Code.Basic (Load (Types.F64, None, ma), lid),
         Code.Basic (FBinop (W64, ((FAdd | FSub | FMul | FDiv) as op)), _) ) ->
-        let index = pop () in
-        let base = pop () in
+        let s = step_operands body i rows ext scale scales in
         let x = pop () in
-        let addr = slot (!h + 1) in
-        let d = result ~pure:false ~post:1 body (i + k + 2) (k + 1) in
+        let d = result ~pure:false ~post:1 body (i + k + 2) own in
         let c = !res_c and next = !count + 1 in
-        note family (kinds3 x base index) (".load.f64.op" ^ !res_tail);
+        note family (step_kinds (kinds1 x) s) (t_load_fop + !res_tail);
         own_op
-          (load_body lid Types.F64 None ma c (step base index addr) addr addr
-             (Some (op, x, d)) next);
+          (load_body lid Types.F64 None ma c (Some s) s.addr s.addr (Some (op, x, d)) next);
         k + 2 + !res_set
     | Code.Basic (Load (lty, pack, ma), lid), _ ->
-        let index = pop () in
-        let base = pop () in
-        let addr = slot !h in
-        let d = result ~pure:false body (i + k + 1) (k + 1) in
+        let s = step_operands body i rows ext scale scales in
+        let d = result ~pure:false body (i + k + 1) own in
         let c = !res_c and next = !count + 1 in
-        note family (kinds2 base index) (".load" ^ !res_tail);
-        own_op
-          (load_body lid lty pack ma c (step base index addr) addr d None next);
+        note family (step_kinds 1 s) (t_load + !res_tail);
+        own_op (load_body lid lty pack ma c (Some s) s.addr d None next);
         k + 1 + !res_set
     | ( Code.Basic ((LocalGet _ | I32Const _ | I64Const _ | F32Const _ | F64Const _) as vi, _),
         Code.Basic (Store (sty, pack, ma), sid) ) ->
-        let index = pop () in
-        let base = pop () in
-        let addr = slot !h in
+        let s = step_operands body i rows ext scale scales in
         push_value vi;
         let v = pop () in
-        let c = charge (k + 1) and next = !count + 1 in
-        note family (kinds3 base index v) ".store";
-        own_op
-          (store_body sid sty pack ma c (step base index addr) addr v next);
+        let c = charge own and next = !count + 1 in
+        note family ((3 * step_kinds 1 s) + kind v) t_store;
+        own_op (store_body sid sty pack ma c (Some s) s.addr v next);
         k + 2
-    | _ when k > 1 ->
-        let index = pop () in
-        let base = pop () in
+    | _ when k > 1 && rows = 0 ->
+        let s = step_operands body i rows ext scale scales in
         let d = result body (i + k) k in
+        let s = { s with addr = d } in
         let next = !count + 1 in
-        let s = { w32; c = scale; cvts = ext; scales; base; index; addr = d } in
-        note family (kinds2 base index) !res_tail;
+        note family (step_kinds 1 s) !res_tail;
         own_op (fun st ->
             addr_step mtr s st;
             next);
         k + !res_set
     | _ -> 0
+  (* A step's operands, popped: the base and the index, or a row's [x]
+     and [y] and its [z], which is pushed here. The address goes to the
+     slot the base leaves. *)
+  and step_operands body i rows ext scale scales =
+    let y = if rows > 0 then pop () else -1 in
+    let x = if rows > 0 then pop () else -1 in
+    if rows > 0 then push_value (basic_at body (i + 1));
+    let index = pop () in
+    let base = pop () in
+    { w32; c = scale; cvts = ext; scales; rows; x; y; base; index; addr = slot !h }
+  (* [pre]'s kinds code followed by a step's operands' kinds *)
+  and step_kinds pre s =
+    let k = (3 * pre) + kind s.base in
+    if s.rows = 0 then (3 * k) + kind s.index
+    else (27 * k) + (9 * kind s.x) + (3 * kind s.y) + kind s.index
   (* An instruction that only pushes: a local read or a constant, which
      emits nothing and leaves its charge pending. *)
   and push_value (ins : Ast.instr) =
@@ -1391,7 +1674,12 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
     match ins with
     | LocalGet r ->
         incr pl;
-        push r
+        if alias.(r) >= 0 then begin
+          let a = alias.(r) in
+          unalias r;
+          push a
+        end
+        else push r
     | I32Const v -> push_const (Int64.of_int32 v)
     | I64Const v -> push_const v
     | F32Const v -> push_float (to_f32 v)
@@ -1435,19 +1723,22 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
     | LocalSet d | LocalTee d ->
         let o = pop () in
         take_reads d;
-        let tee = (match ins with LocalTee _ -> true | _ -> false) in
-        note (if tee then "tee" else "set") (kinds1 o) "";
         pend 1 1;
-        let next = !count + 1 in
-        own_op (fun st ->
-            wrf st d (rdf st o);
-            next);
-        if tee then push d;
+        if o < opoff && o <> d && single_use d then make_alias d o
+        else begin
+          let tee = (match ins with LocalTee _ -> true | _ -> false) in
+          note (if tee then f_tee else f_set) (kinds1 o) 0;
+          let next = !count + 1 in
+          own_op (fun st ->
+              wrf st d (rdf st o);
+              next);
+          if tee then push d
+        end;
         1
     | GlobalGet g ->
         let d = result body (i + 1) 1 in
         let next = !count + 1 in
-        note "global.get" 1 !res_tail;
+        note f_global_get 1 !res_tail;
         own_op (fun st ->
             mtr.global_access <- mtr.global_access + 1;
             (match Array.unsafe_get st.inst.globals g with
@@ -1459,7 +1750,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
     | GlobalSet g ->
         let gty = ix.ix_globals.(g).g_type.Types.g_type in
         let o = pop () in
-        note "global.set" (kinds1 o) "";
+        note f_global_set (kinds1 o) 0;
         pend 1 0;
         let next = !count + 1 in
         own_op (fun st ->
@@ -1478,7 +1769,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let v1 = pop () in
         let d = result body (i + 1) 1 in
         let next = !count + 1 in
-        note "select" (kinds3 v1 v2 cnd) !res_tail;
+        note f_select (kinds3 v1 v2 cnd) !res_tail;
         own_op (fun st ->
             mtr.select <- mtr.select + 1;
             if rd64 st cnd <> 0L then wrf st d (rdf st v1) else wrf st d (rdf st v2);
@@ -1490,13 +1781,13 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let next = !count + 1 in
         (match w with
         | W32 ->
-            note "i32.unop" (kinds1 a) !res_tail;
+            note f_i32_unop (kinds1 a) !res_tail;
             own_op (fun st ->
                 ialu mtr;
                 wri st d (i32_unop op (rdi st a land mask32));
                 next)
         | W64 ->
-            note "i64.unop" (kinds1 a) !res_tail;
+            note f_i64_unop (kinds1 a) !res_tail;
             own_op (fun st ->
                 ialu mtr;
                 wri st d (i64_unop op (rd64 st a));
@@ -1510,24 +1801,24 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let c = !res_c and next = !count + 1 in
         (match (w, pure) with
         | W32, true ->
-            note "i32.op" (kinds2 a b) !res_tail;
+            note f_i32_op (kinds2 a b) !res_tail;
             own_op (fun st ->
                 wri st d (i32_binop_m mtr op (rdi st a) (rdi st b));
                 next)
         | W64, true ->
-            note "i64.op" (kinds2 a b) !res_tail;
+            note f_i64_op (kinds2 a b) !res_tail;
             own_op (fun st ->
                 wr64 st d (i64_binop_m mtr op (rd64 st a) (rd64 st b));
                 next)
         | W32, false ->
-            note "i32.div" (kinds2 a b) !res_tail;
+            note f_i32_div (kinds2 a b) !res_tail;
             own_op (fun st ->
                 pay mtr st.inst c;
                 wri st d (i32_binop_m mtr op (rdi st a) (rdi st b));
                 settle mtr st.inst c;
                 next)
         | W64, false ->
-            note "i64.div" (kinds2 a b) !res_tail;
+            note f_i64_div (kinds2 a b) !res_tail;
             own_op (fun st ->
                 pay mtr st.inst c;
                 wr64 st d (i64_binop_m mtr op (rd64 st a) (rd64 st b));
@@ -1535,14 +1826,14 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
                 next));
         1 + !res_set
     | ITestop w -> (
-        let family = match w with W32 -> "i32.eqz" | W64 -> "i64.eqz" in
+        let family = match w with W32 -> f_i32_eqz | W64 -> f_i64_eqz in
         let a = pop () in
         match instr_at body (i + 1) with
         | Code.BrIf l ->
-            emit_brif (Nz a) true 1 0 2 family (kinds1 a) ".brif" l;
+            emit_brif (Nz a) true 1 0 2 family (kinds1 a) t_brif l;
             2
         | Code.If (arity, then_, else_) ->
-            emit_if (Nz a) true 1 0 2 family (kinds1 a) ".if" arity then_ else_;
+            emit_if (Nz a) true 1 0 2 family (kinds1 a) t_if arity then_ else_;
             2
         | _ ->
             let d = result body (i + 1) 1 in
@@ -1557,12 +1848,12 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let b = pop () in
         let a = pop () in
         match w with
-        | W32 -> compare_op body i "i32.relop" (Ci32 (op, a, b)) 1 0 (kinds2 a b)
-        | W64 -> compare_op body i "i64.relop" (Ci64 (op, a, b)) 1 0 (kinds2 a b))
+        | W32 -> compare_op body i f_i32_relop (Ci32 (op, a, b)) 1 0 (kinds2 a b)
+        | W64 -> compare_op body i f_i64_relop (Ci64 (op, a, b)) 1 0 (kinds2 a b))
     | FRelop (w, op) ->
         let b = pop () in
         let a = pop () in
-        let family = match w with W32 -> "f32.relop" | W64 -> "f64.relop" in
+        let family = match w with W32 -> f_f32_relop | W64 -> f_f64_relop in
         compare_op body i family (Cf (op, a, b)) 0 1 (kinds2 a b)
     | FUnop (w, op) ->
         let a = pop () in
@@ -1570,13 +1861,13 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let next = !count + 1 in
         (match w with
         | W32 ->
-            note "f32.unop" (kinds1 a) !res_tail;
+            note f_f32_unop (kinds1 a) !res_tail;
             own_op (fun st ->
                 falu mtr;
                 wrf st d (to_f32 (f_unop op (rdf st a)));
                 next)
         | W64 ->
-            note "f64.unop" (kinds1 a) !res_tail;
+            note f_f64_unop (kinds1 a) !res_tail;
             own_op (fun st ->
                 falu mtr;
                 wrf st d (f_unop op (rdf st a));
@@ -1589,12 +1880,12 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let next = !count + 1 in
         (match w with
         | W32 ->
-            note "f32.op" (kinds2 a b) !res_tail;
+            note f_f32_op (kinds2 a b) !res_tail;
             own_op (fun st ->
                 wrf st d (to_f32 (f_binop_m mtr op (rdf st a) (rdf st b)));
                 next)
         | W64 ->
-            note "f64.op" (kinds2 a b) !res_tail;
+            note f_f64_op (kinds2 a b) !res_tail;
             own_op (fun st ->
                 wrf st d (f_binop_m mtr op (rdf st a) (rdf st b));
                 next));
@@ -1604,7 +1895,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let pure = not (cvt_traps op) in
         let d = result ~pure body (i + 1) 1 in
         let c = !res_c and next = !count + 1 in
-        note "cvt" (kinds1 a) !res_tail;
+        note f_cvt (kinds1 a) !res_tail;
         if pure then
           own_op (fun st ->
               mtr.cvt <- mtr.cvt + 1;
@@ -1622,20 +1913,20 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let a = pop () in
         let d = result ~pure:false body (i + 1) 1 in
         let c = !res_c and next = !count + 1 in
-        note "load" (kinds1 a) !res_tail;
+        note f_load (kinds1 a) !res_tail;
         own_op (load_body id lty pack ma c None a d None next);
         1 + !res_set
     | Store (sty, pack, ma) ->
         let v = pop () in
         let a = pop () in
-        note "store" (kinds2 a v) "";
+        note f_store (kinds2 a v) 0;
         let c = charge 1 and next = !count + 1 in
         own_op (store_body id sty pack ma c None a v next);
         1
     | MemorySize ->
         let d = result body (i + 1) 1 in
         let next = !count + 1 in
-        note "memory.size" 1 !res_tail;
+        note f_memory_size 1 !res_tail;
         own_op (fun st ->
             set_idx st d (Memory.size_pages (gm st.inst));
             next);
@@ -1644,7 +1935,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let a = pop () in
         let d = result ~pure:false body (i + 1) 1 in
         let c = !res_c and next = !count + 1 in
-        note "memory.grow" (kinds1 a) !res_tail;
+        note f_memory_grow (kinds1 a) !res_tail;
         own_op (fun st ->
             pay mtr st.inst c;
             set_idx st d (Rt.memory_grow st.inst (idx_of st a));
@@ -1655,7 +1946,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let l = pop () in
         let v = pop () in
         let a = pop () in
-        note "memory.fill" (kinds3 a v l) "";
+        note f_memory_fill (kinds3 a v l) 0;
         let c = charge 1 and next = !count + 1 in
         own_op (fun st ->
             pay mtr st.inst c;
@@ -1671,7 +1962,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let l = pop () in
         let s = pop () in
         let a = pop () in
-        note "memory.copy" (kinds3 a s l) "";
+        note f_memory_copy (kinds3 a s l) 0;
         let c = charge 1 and next = !count + 1 in
         own_op (fun st ->
             pay mtr st.inst c;
@@ -1691,7 +1982,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let arena = Code.elidable code.arena id in
         let d = result ~pure:false body (i + 1) 1 in
         let c = !res_c and next = !count + 1 in
-        note "segment.new" (kinds2 k l) !res_tail;
+        note f_segment_new (kinds2 k l) !res_tail;
         own_op (fun st ->
             pay mtr st.inst c;
             wr64 st d (Rt.segment_new ~arena st.inst ~k:(rd64 st k) ~l:(rd64 st l) o);
@@ -1702,7 +1993,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let l = pop () in
         let t = pop () in
         let k = pop () in
-        note "segment.set_tag" (kinds3 k t l) "";
+        note f_segment_set_tag (kinds3 k t l) 0;
         let c = charge 1 and next = !count + 1 in
         own_op (fun st ->
             pay mtr st.inst c;
@@ -1713,7 +2004,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let l = pop () in
         let k = pop () in
         let arena = Code.elidable code.arena id in
-        note "segment.free" (kinds2 k l) "";
+        note f_segment_free (kinds2 k l) 0;
         let c = charge 1 and next = !count + 1 in
         own_op (fun st ->
             pay mtr st.inst c;
@@ -1725,7 +2016,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
         let f = if ins = PointerSign then Rt.pointer_sign else Rt.pointer_auth in
         let d = result ~pure:false body (i + 1) 1 in
         let c = !res_c and next = !count + 1 in
-        note (if ins = PointerSign then "pointer.sign" else "pointer.auth") (kinds1 k) !res_tail;
+        note (if ins = PointerSign then f_pointer_sign else f_pointer_auth) (kinds1 k) !res_tail;
         own_op (fun st ->
             pay mtr st.inst c;
             wr64 st d (f st.inst (rd64 st k));
@@ -1746,7 +2037,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
     | CallIndirect ti ->
         let ety = ix.ix_types.(ti) in
         let io = pop () in
-        note "call_indirect" (kinds1 io) "";
+        note f_call_indirect (kinds1 io) 0;
         let p = call_args (List.length ety.params) in
         let param_tys = Array.of_list ety.params in
         let c = charge 1 and next = !count + 1 in
@@ -1784,16 +2075,16 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
   and compare_op body i family cnd ia fa kinds =
     match (instr_at body (i + 1), instr_at body (i + 2)) with
     | Code.Basic (Ast.ITestop Ast.W32, _), Code.BrIf l ->
-        emit_brif cnd true (ia + 1) fa 3 family kinds ".eqz.brif" l;
+        emit_brif cnd true (ia + 1) fa 3 family kinds t_eqz_brif l;
         3
     | Code.Basic (Ast.ITestop Ast.W32, _), Code.If (arity, then_, else_) ->
-        emit_if cnd true (ia + 1) fa 3 family kinds ".eqz.if" arity then_ else_;
+        emit_if cnd true (ia + 1) fa 3 family kinds t_eqz_if arity then_ else_;
         3
     | Code.BrIf l, _ ->
-        emit_brif cnd false ia fa 2 family kinds ".brif" l;
+        emit_brif cnd false ia fa 2 family kinds t_brif l;
         2
     | Code.If (arity, then_, else_), _ ->
-        emit_if cnd false ia fa 2 family kinds ".if" arity then_ else_;
+        emit_if cnd false ia fa 2 family kinds t_if arity then_ else_;
         2
     | _ ->
         let d = result body (i + 1) 1 in
@@ -1812,10 +2103,14 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
   let exit_ref = ref (-1) in
   let func_frame =
     { l_target = exit_ref; l_loop = false; l_arity = result_arity;
-      l_height = 0; l_reached = false }
+      l_height = 0; l_reached = false; l_guard = None }
   in
-  (* a validated body that falls through leaves exactly its results *)
-  if compile_in func_frame code.body then to_label ();
+  (* a validated body that falls through leaves exactly its results;
+     its temporaries die with it *)
+  if compile_in func_frame code.body then begin
+    forget ();
+    to_label ()
+  end;
   exit_ref := !count;
   let stats =
     {
@@ -1823,7 +2118,7 @@ let compile ~labels ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
       st_instrs = !n_instrs;
       st_fused = !n_instrs - !n_owned;
       st_ops = !count;
-      st_idioms = List.map idiom_name !idioms;
+      st_idioms = tally_take ws.names ws.idioms;
       st_accesses = !n_acc;
       st_elided = !n_elided;
     }
@@ -1853,14 +2148,14 @@ let compile_instance ix (inst : Instance.t) =
      increment is cheaper than a per-op option match, and the dummy is
      never observable (nothing else holds it). *)
   let mtr = match inst.meter with Some m -> m | None -> Meter.create () in
-  let labels = Label_stack.create no_frame in
+  let ws = workspace () in
   Array.iteri
     (fun i fi ->
       match fi with
       | Instance.Host_func _ -> ()
       | Instance.Wasm_func ({ func; ty; code; _ } as w) ->
           let xf, _stats =
-            compile ~labels ~m:inst.module_ ~ix
+            compile ~ws ~m:inst.module_ ~ix
               ~name:(Instance.func_name inst i)
               ~ty ~func ~code ~mtr
           in
@@ -1874,11 +2169,11 @@ let compile_instance ix (inst : Instance.t) =
 let module_stats ?elide ?belide ?arena (m : Ast.module_) : Xcode.stats list =
   let ix = Ast.index m in
   let codes = Code.prepare ?elide ?belide ?arena ix in
-  let labels = Label_stack.create no_frame in
+  let ws = workspace () in
   List.mapi
     (fun j (f : Ast.func) ->
       let name = Ast.func_name ix (Array.length ix.ix_imports + j) in
       snd
-        (compile ~labels ~m ~ix ~name ~ty:ix.ix_types.(f.ftype) ~func:f ~code:codes.(j)
+        (compile ~ws ~m ~ix ~name ~ty:ix.ix_types.(f.ftype) ~func:f ~code:codes.(j)
            ~mtr:(Meter.create ())))
     m.funcs

@@ -19,6 +19,11 @@ val max_call_depth : int
 (** Call-stack limit; exceeding it traps with "call stack exhausted".
     (Alias of {!Rt.max_call_depth}, which both engines enforce.) *)
 
+val instance_counter : int ref
+(** The instances made so far in this process. An instance's number
+    and its config's seed seed its RNG, so its allocation tags depend
+    on how many instances the process made before it. *)
+
 val instantiate :
   ?config:Instance.config ->
   ?imports:(string * string * Instance.host_func) list ->

@@ -235,6 +235,13 @@ dune exec bin/cage_chaos.exe -- elidediff --count 200 --full
 echo "== engine differential (200 seeded programs x 3 configurations, interp vs threaded)"
 dune exec bin/cage_chaos.exe -- enginediff --count 200
 
+echo "== engine differential over the benchmark programs (26 PolyBench kernels + 3 serving tenants x 3 configurations)"
+# Fuzzgen has no row-major x * y + z index and few counted loops; the
+# kernels and tenants exercise the threaded engine's index, back-edge
+# and temporary rules. Outcome or trap text, memory digest and every
+# meter counter must match; about 5 s on a 2-core x86-64 VM.
+dune exec bin/cage_chaos.exe -- benchdiff
+
 echo "== detection matrix with elision (must match the golden byte-for-byte)"
 dune exec bin/cage_chaos.exe -- matrix --seed 7 --elide > _build/detection_matrix_elide.out
 diff test/golden/detection_matrix.golden _build/detection_matrix_elide.out

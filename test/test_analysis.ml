@@ -543,7 +543,8 @@ let test_lower_allocation () =
 let test_elide_differential () =
   (* a small in-process slice of the 200-seed CI gate *)
   let r =
-    Harness.Differential.run ~count:8 ~seed0:3000
+    Harness.Differential.run
+      (Harness.Differential.fuzzgen ~count:8 ~seed0:3000 ())
       (Harness.Differential.elision_pair Cage.Config.with_elision)
   in
   if not (Harness.Differential.ok r) then

@@ -1004,77 +1004,103 @@ let test_fusion_pinned () =
   in
   let pb_wasm32 = Cage.Config.baseline_wasm32 in
   check_fusion "PolyBench, baseline wasm32" pb_wasm32 (polybench pb_wasm32)
-    [ 25065; 15146; 1441; 0; 10431 ]
-    [ ("cvt.g", 981); ("cvt.g.set", 81); ("cvt.s.set", 156); ("f64.op.gg", 4);
-      ("f64.op.gg.set", 26); ("f64.op.gk", 26); ("f64.op.gk.set", 26); ("f64.op.gs", 2);
-      ("f64.op.gs.set", 7); ("f64.op.kg.set", 27); ("f64.op.ks", 4);
-      ("f64.op.ks.set", 10); ("f64.op.sg", 2); ("f64.op.sg.set", 6); ("f64.op.sk", 13);
+    [ 25065; 16671; 1441; 0; 8919 ]
+    [ ("br.guard", 283); ("cvt.g", 981); ("cvt.g.set", 81); ("cvt.s.set", 156);
+      ("f64.op.gg", 4); ("f64.op.gg.set.get.set", 26); ("f64.op.gk", 26);
+      ("f64.op.gk.set.get.set", 26); ("f64.op.gs", 2); ("f64.op.gs.set.get.set", 7);
+      ("f64.op.kg.set", 1); ("f64.op.kg.set.get.set", 26); ("f64.op.ks", 4);
+      ("f64.op.ks.set", 7); ("f64.op.ks.set.get.set", 3); ("f64.op.sg", 2);
+      ("f64.op.sg.set", 5); ("f64.op.sg.set.get.set", 1); ("f64.op.sk", 13);
       ("f64.op.sk.set", 45); ("f64.op.ss.set", 52); ("f64.relop.gg.if", 26);
       ("f64.relop.gk.eqz.brif", 26); ("f64.relop.gk.if", 28); ("global.set.g", 1);
-      ("i32.add.gs.load", 312); ("i32.add.gs.load.set", 52); ("i32.add.gsg.store", 104);
-      ("i32.div.gk", 8); ("i32.div.sk", 32); ("i32.eqz.g", 52); ("i32.eqz.s.if", 52);
-      ("i32.op.gg", 262); ("i32.op.gg.set", 4); ("i32.op.gk", 62);
-      ("i32.op.gk.set", 181); ("i32.op.gs", 4); ("i32.op.kg", 2); ("i32.op.sg", 296);
-      ("i32.op.sk", 26); ("i32.op.sk.tee", 1); ("i32.relop.gg.eqz.brif", 150);
-      ("i32.relop.gg.if", 2); ("i32.relop.gk.eqz.brif", 3); ("i32.relop.gk.if", 104);
+      ("i32.add.gs.load", 312); ("i32.add.gs.load.set", 52); ("i32.add.gsg.store", 52);
+      ("i32.add.gsk.store", 52); ("i32.div.gk", 8); ("i32.div.sk", 32); ("i32.eqz.g", 52);
+      ("i32.eqz.s.if", 52); ("i32.op.gg", 60); ("i32.op.gg.set", 4); ("i32.op.gk", 62);
+      ("i32.op.gk.set", 7); ("i32.op.gk.set.get.set", 173); ("i32.op.gs", 4);
+      ("i32.op.kg", 2); ("i32.op.kk.set", 1); ("i32.op.sg", 48); ("i32.op.sk", 26);
+      ("i32.op.sk.tee", 1); ("i32.relop.gg.eqz.brif", 150); ("i32.relop.gg.if", 2);
+      ("i32.relop.gk.eqz.brif", 3); ("i32.relop.gk.if", 104);
       ("i32.relop.gs.eqz.brif", 20); ("i32.relop.sk.eqz.brif", 52);
       ("i32.relop.sk.if", 26); ("i32.relop.sk.set", 26); ("i32.relop.ss.if", 27);
-      ("i32.relop.ss.set", 26); ("i32.scale.add.gg.load", 21);
+      ("i32.relop.ss.set", 26); ("i32.row.scale.add.gggg.load", 57);
+      ("i32.row.scale.add.gggg.load.set", 4); ("i32.row.scale.add.ggggg.load.f64.op", 11);
+      ("i32.row.scale.add.ggggg.store", 86); ("i32.row.scale.add.ggggk.store", 8);
+      ("i32.row.scale.add.gsgg.load", 5); ("i32.row.scale.add.gsgg.load.set", 1);
+      ("i32.row.scale.add.gsggg.store", 5); ("i32.row.scale.add.gsggk.store", 2);
+      ("i32.row.scale.add.sgggg.load.f64.op", 30);
+      ("i32.row.scale.add.sgggg.load.f64.op.set", 6);
+      ("i32.row.scale.add.sgsgg.load.f64.op", 9);
+      ("i32.row.scale.add.sgsgg.load.f64.op.set", 1); ("i32.scale.add.gg.load", 21);
       ("i32.scale.add.gg.load.set", 3); ("i32.scale.add.ggg.load.f64.op", 2);
-      ("i32.scale.add.ggg.load.f64.op.set", 1); ("i32.scale.add.ggg.store", 52);
-      ("i32.scale.add.ggs.load.f64.op", 12); ("i32.scale.add.ggs.load.f64.op.set", 1);
-      ("i32.scale.add.gs.load", 71); ("i32.scale.add.gs.load.set", 31);
-      ("i32.scale.add.gsg.store", 102); ("i32.scale.add.sg", 1);
-      ("i32.scale.add.sgg.load.f64.op", 14); ("i32.scale.add.sgg.load.f64.op.set", 2);
-      ("i32.scale.add.sgs.load.f64.op", 51); ("i32.scale.add.sgs.load.f64.op.set", 8);
-      ("i64.div.gk", 27); ("i64.op.gg", 156); ("i64.op.gg.set", 26); ("i64.op.gk", 182);
-      ("i64.op.gk.set", 208); ("i64.op.gs.set", 1); ("i64.op.sk", 1);
+      ("i32.scale.add.ggg.load.f64.op.set", 1); ("i32.scale.add.ggg.store", 42);
+      ("i32.scale.add.ggk.store", 10); ("i32.scale.add.ggs.load.f64.op", 1);
+      ("i32.scale.add.ggs.load.f64.op.set.get.set", 1); ("i32.scale.add.gs.load", 9);
+      ("i32.scale.add.gs.load.set", 26); ("i32.scale.add.gsg.store", 1);
+      ("i32.scale.add.sg", 1); ("i32.scale.add.sgg.load.f64.op", 14);
+      ("i32.scale.add.sgg.load.f64.op.set", 2); ("i32.scale.add.sgs.load.f64.op", 12);
+      ("i32.scale.add.sgs.load.f64.op.set", 1); ("i64.div.gk", 27); ("i64.op.gg", 156);
+      ("i64.op.gg.set", 26); ("i64.op.gk", 182); ("i64.op.gk.set", 26);
+      ("i64.op.gk.set.get.set", 182); ("i64.op.gs.set.get.set", 1); ("i64.op.sk", 1);
       ("i64.op.sk.set", 78); ("i64.op.ss.set", 2); ("i64.relop.gg.eqz.brif", 78);
       ("i64.relop.gg.if", 78); ("i64.relop.gk.eqz.brif", 26); ("i64.relop.gk.if", 78);
       ("i64.relop.gs.if", 1); ("i64.relop.sk.if", 52); ("i64.relop.ss.if", 26);
-      ("load.g", 2); ("load.g.set", 104); ("load.k", 78); ("load.k.set", 104);
-      ("memory.fill.sgs", 26); ("memory.fill.sks", 26); ("return.g", 313);
-      ("return.k", 106); ("set.g", 1230); ("set.k", 634); ("store.gg", 184);
-      ("store.kg", 130) ];
+      ("load.g", 2); ("load.g.set", 78); ("load.g.set.get.set", 26); ("load.k", 78);
+      ("load.k.set", 104); ("memory.fill.sgs", 26); ("memory.fill.sks", 26);
+      ("return.g", 313); ("return.k", 106); ("set.g", 272); ("set.k", 517);
+      ("store.gg", 158); ("store.gk", 26); ("store.kg", 130) ];
   let pb_cage =
     Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.full)
   in
   check_fusion "PolyBench, CAGE, full plan" pb_cage (polybench pb_cage)
-    [ 24384; 15526; 1467; 372; 9370 ]
-    [ ("cvt.g", 226); ("cvt.g.set", 3); ("cvt.s.set", 26); ("f64.op.gg", 4);
-      ("f64.op.gg.set", 26); ("f64.op.gk", 26); ("f64.op.gk.set", 26); ("f64.op.gs", 2);
-      ("f64.op.gs.set", 7); ("f64.op.kg.set", 27); ("f64.op.ks", 4);
-      ("f64.op.ks.set", 10); ("f64.op.sg", 2); ("f64.op.sg.set", 6); ("f64.op.sk", 13);
+    [ 24384; 17051; 1467; 372; 7858 ]
+    [ ("br.guard", 283); ("cvt.g", 226); ("cvt.g.set", 3); ("cvt.s.set", 26);
+      ("f64.op.gg", 4); ("f64.op.gg.set.get.set", 26); ("f64.op.gk", 26);
+      ("f64.op.gk.set.get.set", 26); ("f64.op.gs", 2); ("f64.op.gs.set.get.set", 7);
+      ("f64.op.kg.set", 1); ("f64.op.kg.set.get.set", 26); ("f64.op.ks", 4);
+      ("f64.op.ks.set", 7); ("f64.op.ks.set.get.set", 3); ("f64.op.sg", 2);
+      ("f64.op.sg.set", 5); ("f64.op.sg.set.get.set", 1); ("f64.op.sk", 13);
       ("f64.op.sk.set", 45); ("f64.op.ss.set", 52); ("f64.relop.gg.if", 26);
       ("f64.relop.gk.eqz.brif", 26); ("f64.relop.gk.if", 28); ("global.set.g", 1);
       ("i32.div.gk", 8); ("i32.div.sk", 32); ("i32.eqz.g", 52); ("i32.eqz.s.if", 52);
-      ("i32.op.gg", 262); ("i32.op.gg.set", 4); ("i32.op.gk", 62);
-      ("i32.op.gk.set", 181); ("i32.op.gs", 4); ("i32.op.kg", 2); ("i32.op.sg", 296);
-      ("i32.op.sk", 26); ("i32.relop.gg.eqz.brif", 150); ("i32.relop.gg.if", 2);
-      ("i32.relop.gk.eqz.brif", 3); ("i32.relop.gs.eqz.brif", 20);
-      ("i32.relop.sk.eqz.brif", 52); ("i32.relop.sk.if", 26); ("i32.relop.sk.set", 26);
-      ("i32.relop.ss.if", 27); ("i32.relop.ss.set", 26); ("i64.add.gg.load", 312);
-      ("i64.add.gg.load.set", 52); ("i64.add.ggg.store", 104); ("i64.div.gk", 27);
-      ("i64.ext.add.sg.set", 1); ("i64.ext.scale.add.gg.load", 21);
-      ("i64.ext.scale.add.gg.load.set", 3); ("i64.ext.scale.add.ggg.load.f64.op", 2);
-      ("i64.ext.scale.add.ggg.load.f64.op.set", 1); ("i64.ext.scale.add.ggg.store", 52);
-      ("i64.ext.scale.add.ggs.load.f64.op", 12);
-      ("i64.ext.scale.add.ggs.load.f64.op.set", 1); ("i64.ext.scale.add.gs.load", 71);
-      ("i64.ext.scale.add.gs.load.set", 5); ("i64.ext.scale.add.gsg.store", 102);
+      ("i32.op.gg", 60); ("i32.op.gg.set", 4); ("i32.op.gk", 62); ("i32.op.gk.set", 7);
+      ("i32.op.gk.set.get.set", 173); ("i32.op.gs", 4); ("i32.op.kg", 2);
+      ("i32.op.kk.set", 1); ("i32.op.sg", 48); ("i32.op.sk", 26);
+      ("i32.relop.gg.eqz.brif", 150); ("i32.relop.gg.if", 2); ("i32.relop.gk.eqz.brif", 3);
+      ("i32.relop.gs.eqz.brif", 20); ("i32.relop.sk.eqz.brif", 52);
+      ("i32.relop.sk.if", 26); ("i32.relop.sk.set", 26); ("i32.relop.ss.if", 27);
+      ("i32.relop.ss.set", 26); ("i64.add.gg.load", 312); ("i64.add.gg.load.set", 52);
+      ("i64.add.ggg.store", 52); ("i64.add.ggk.store", 52); ("i64.div.gk", 27);
+      ("i64.ext.add.sg.set", 1); ("i64.ext.row.scale.add.gggg.load", 57);
+      ("i64.ext.row.scale.add.gggg.load.set", 4);
+      ("i64.ext.row.scale.add.ggggg.load.f64.op", 11);
+      ("i64.ext.row.scale.add.ggggg.store", 86); ("i64.ext.row.scale.add.ggggk.store", 8);
+      ("i64.ext.row.scale.add.gsgg.load", 5); ("i64.ext.row.scale.add.gsgg.load.set", 1);
+      ("i64.ext.row.scale.add.gsggg.store", 5); ("i64.ext.row.scale.add.gsggk.store", 2);
+      ("i64.ext.row.scale.add.sgggg.load.f64.op", 30);
+      ("i64.ext.row.scale.add.sgggg.load.f64.op.set", 6);
+      ("i64.ext.row.scale.add.sgsgg.load.f64.op", 9);
+      ("i64.ext.row.scale.add.sgsgg.load.f64.op.set", 1);
+      ("i64.ext.scale.add.gg.load", 21); ("i64.ext.scale.add.gg.load.set", 3);
+      ("i64.ext.scale.add.ggg.load.f64.op", 2);
+      ("i64.ext.scale.add.ggg.load.f64.op.set", 1); ("i64.ext.scale.add.ggg.store", 42);
+      ("i64.ext.scale.add.ggk.store", 10); ("i64.ext.scale.add.ggs.load.f64.op", 1);
+      ("i64.ext.scale.add.ggs.load.f64.op.set.get.set", 1);
+      ("i64.ext.scale.add.gs.load", 9); ("i64.ext.scale.add.gsg.store", 1);
       ("i64.ext.scale.add.sgg.load.f64.op", 14);
       ("i64.ext.scale.add.sgg.load.f64.op.set", 2);
-      ("i64.ext.scale.add.sgs.load.f64.op", 51);
-      ("i64.ext.scale.add.sgs.load.f64.op.set", 8); ("i64.op.gg", 130);
-      ("i64.op.gg.set", 26); ("i64.op.gk", 56); ("i64.op.gk.set", 390);
-      ("i64.op.gs.set", 1); ("i64.op.sk", 1); ("i64.op.sk.set", 78);
-      ("i64.op.sk.tee", 1); ("i64.op.ss.set", 1); ("i64.relop.gg.eqz.brif", 78);
-      ("i64.relop.gg.if", 78); ("i64.relop.gk.eqz.brif", 26); ("i64.relop.gk.if", 156);
-      ("i64.relop.gs.if", 1); ("i64.relop.sk.if", 52); ("i64.relop.ss.if", 26);
-      ("i64.scale.add.gg.load.set", 26); ("load.g", 2); ("load.g.set", 130);
-      ("load.k", 78); ("load.k.set", 104); ("memory.copy.ggg", 52);
-      ("memory.fill.ggg", 26); ("return.g", 339); ("return.k", 106);
-      ("segment.free.gg", 26); ("segment.new.gg.set", 26); ("segment.new.sk.set", 1);
-      ("segment.set_tag.ssk", 1); ("set.g", 1256); ("set.k", 634); ("store.gg", 184);
+      ("i64.ext.scale.add.sgs.load.f64.op", 12);
+      ("i64.ext.scale.add.sgs.load.f64.op.set", 1); ("i64.op.gg", 130);
+      ("i64.op.gg.set", 26); ("i64.op.gk", 56); ("i64.op.gk.set", 208);
+      ("i64.op.gk.set.get.set", 182); ("i64.op.gs.set.get.set", 1); ("i64.op.sk", 1);
+      ("i64.op.sk.set", 78); ("i64.op.sk.tee", 1); ("i64.op.ss.set", 1);
+      ("i64.relop.gg.eqz.brif", 78); ("i64.relop.gg.if", 78);
+      ("i64.relop.gk.eqz.brif", 26); ("i64.relop.gk.if", 156); ("i64.relop.gs.if", 1);
+      ("i64.relop.sk.if", 52); ("i64.relop.ss.if", 26); ("i64.scale.add.gg.load.set", 26);
+      ("load.g", 2); ("load.g.set", 104); ("load.g.set.get.set", 26); ("load.k", 78);
+      ("load.k.set", 104); ("memory.copy.ggg", 52); ("memory.fill.ggg", 26);
+      ("return.g", 339); ("return.k", 106); ("segment.free.gg", 26);
+      ("segment.new.gg.set", 26); ("segment.new.sk.set", 1); ("segment.set_tag.ssk", 1);
+      ("set.g", 298); ("set.k", 517); ("store.gg", 158); ("store.gk", 26);
       ("store.kg", 130) ]
 
 (* The three stock serving tenants (compute, fuzz, malicious), as the
@@ -1084,28 +1110,33 @@ let test_fusion_tenants_pinned () =
     (List.map
        (fun (t : Serve.Pool.tenant) -> t.tn_module)
        (Harness.Serve_bench.tenants ~seed:1 ()))
-    [ 2394; 1506; 169; 0; 936 ]
-    [ ("cvt.g.set", 1); ("cvt.s.set", 2); ("global.set.g", 1); ("i32.eqz.g", 6);
-      ("i32.eqz.s.if", 6); ("i32.op.gk", 5); ("i32.op.gk.set", 8); ("i32.op.kg", 1);
-      ("i32.op.sg", 4); ("i32.relop.gg.eqz.brif", 1); ("i32.relop.gk.eqz.brif", 7);
-      ("i32.relop.sk.eqz.brif", 6); ("i32.relop.sk.if", 3); ("i32.relop.sk.set", 3);
-      ("i32.relop.ss.if", 3); ("i32.relop.ss.set", 3); ("i64.add.gg.load", 36);
-      ("i64.add.gg.load.set", 6); ("i64.add.ggg.store", 12); ("i64.div.gk", 3);
-      ("i64.div.kk", 27); ("i64.div.kk.set", 1); ("i64.div.ks", 2); ("i64.div.sk", 3);
-      ("i64.div.sk.set", 1); ("i64.ext.add.ggg.store", 1);
-      ("i64.ext.scale.add.gg.load", 2); ("i64.ext.scale.add.ggg.store", 4);
-      ("i64.ext.scale.add.gs.load", 29); ("i64.ext.scale.add.gsg.store", 5);
-      ("i64.op.gg", 20); ("i64.op.gg.set", 3); ("i64.op.gk", 20); ("i64.op.gk.set", 42);
-      ("i64.op.gs", 6); ("i64.op.kg", 3); ("i64.op.ks", 7); ("i64.op.ks.set", 1);
-      ("i64.op.sg", 4); ("i64.op.sg.set", 3); ("i64.op.sk", 30); ("i64.op.sk.set", 10);
-      ("i64.op.sk.tee", 1); ("i64.op.ss.set", 8); ("i64.relop.gg.eqz.brif", 6);
-      ("i64.relop.gg.if", 9); ("i64.relop.gk.eqz.brif", 3); ("i64.relop.gk.if", 18);
-      ("i64.relop.sk", 1); ("i64.relop.sk.if", 7); ("i64.relop.ss.if", 3);
-      ("load.g", 1); ("load.g.set", 15); ("load.k", 9); ("load.k.set", 12);
-      ("memory.copy.ggg", 6); ("memory.fill.ggg", 3); ("return.g", 33);
-      ("return.k", 12); ("segment.free.gg", 3); ("segment.new.gg.set", 3);
-      ("segment.new.sk.set", 1); ("segment.set_tag.ssk", 1); ("select.kss", 1);
-      ("set.g", 105); ("set.k", 54); ("store.gg", 22); ("store.kg", 15) ]
+    [ 2394; 1605; 169; 0; 838 ]
+    [ ("br.guard", 17); ("cvt.g.set", 1); ("cvt.s.set", 2); ("global.set.g", 1);
+      ("i32.eqz.g", 6); ("i32.eqz.s.if", 6); ("i32.op.gk", 1);
+      ("i32.op.gk.set.get.set", 8); ("i32.op.kg", 1); ("i32.relop.gg.eqz.brif", 1);
+      ("i32.relop.gk.eqz.brif", 7); ("i32.relop.sk.eqz.brif", 6); ("i32.relop.sk.if", 3);
+      ("i32.relop.sk.set", 3); ("i32.relop.ss.if", 3); ("i32.relop.ss.set", 3);
+      ("i64.add.gg.load", 36); ("i64.add.gg.load.set", 6); ("i64.add.ggg.store", 6);
+      ("i64.add.ggk.store", 6); ("i64.div.gk", 3); ("i64.div.kk", 27);
+      ("i64.div.kk.set.get.set", 1); ("i64.div.ks", 2); ("i64.div.sk", 3);
+      ("i64.div.sk.set", 1); ("i64.ext.add.ggk.store", 1);
+      ("i64.ext.row.scale.add.ggkg.load", 3); ("i64.ext.row.scale.add.ggkgg.store", 1);
+      ("i64.ext.scale.add.gg.load", 2); ("i64.ext.scale.add.ggg.store", 3);
+      ("i64.ext.scale.add.ggk.store", 1); ("i64.ext.scale.add.gs.load", 26);
+      ("i64.ext.scale.add.gsg.store", 3); ("i64.ext.scale.add.gsk.store", 1);
+      ("i64.op.gg", 20); ("i64.op.gg.set", 3); ("i64.op.gk", 20); ("i64.op.gk.set", 24);
+      ("i64.op.gk.set.get.set", 18); ("i64.op.gs", 6); ("i64.op.kg", 3); ("i64.op.ks", 7);
+      ("i64.op.ks.set.get.set", 1); ("i64.op.sg", 4); ("i64.op.sg.set.get.set", 3);
+      ("i64.op.sk", 30); ("i64.op.sk.set", 9); ("i64.op.sk.set.get.set", 1);
+      ("i64.op.sk.tee", 1); ("i64.op.ss.set", 3); ("i64.op.ss.set.get.set", 5);
+      ("i64.relop.gg.eqz.brif", 6); ("i64.relop.gg.if", 9); ("i64.relop.gk.eqz.brif", 3);
+      ("i64.relop.gk.if", 18); ("i64.relop.sk", 1); ("i64.relop.sk.if", 7);
+      ("i64.relop.ss.if", 3); ("load.g", 1); ("load.g.set", 12); ("load.g.set.get.set", 3);
+      ("load.k", 9); ("load.k.set", 12); ("memory.copy.ggg", 6); ("memory.fill.ggg", 3);
+      ("return.g", 33); ("return.k", 12); ("segment.free.gg", 3);
+      ("segment.new.gg.set", 3); ("segment.new.sk.set", 1); ("segment.set_tag.ssk", 1);
+      ("select.kss", 1); ("set.g", 28); ("set.k", 40); ("store.gg", 18); ("store.gk", 4);
+      ("store.kg", 15) ]
 
 (* ------------------------------------------------------------------ *)
 (* Lowering parity: register operands and pending charges               *)
@@ -1119,13 +1150,11 @@ let test_fusion_tenants_pinned () =
    folded instructions' ticks and counts on a later op, so these are
    the shapes where a stale read or a misplaced charge would show.
    Returns the outcome. *)
-let lowering_parity ?(fuel = 10_000) m name args =
+let lowering_parity ?(config = Instance.default_config) ?(fuel = 10_000) m name args =
   let run engine =
     let meter = Meter.create () in
     let inst =
-      Exec.instantiate
-        ~config:{ Instance.default_config with engine; meter = Some meter; fuel }
-        m
+      Exec.instantiate ~config:{ config with engine; meter = Some meter; fuel } m
     in
     let tr = Obs.Trace.create () in
     let outcome =
@@ -1151,13 +1180,13 @@ let lowering_parity ?(fuel = 10_000) m name args =
   Alcotest.(check bool) (label "events identical") true (e_i = e_t);
   o_i
 
-let lowering_returns m name args expected =
-  match lowering_parity m name args with
+let lowering_returns ?config m name args expected =
+  match lowering_parity ?config m name args with
   | Ok vs -> Alcotest.(check (list value)) name expected vs
   | Error msg -> Alcotest.failf "%s trapped: %s" name msg
 
-let lowering_traps ?fuel m name args substring =
-  match lowering_parity ?fuel m name args with
+let lowering_traps ?config ?fuel m name args substring =
+  match lowering_parity ?config ?fuel m name args with
   | Ok _ -> Alcotest.failf "%s: expected a trap containing %S" name substring
   | Error msg ->
       if not (Astring.String.is_infix ~affix:substring msg) then
@@ -1243,6 +1272,227 @@ let test_lowering_traps () =
   lowering_traps lowering_module "f7" [ Values.I64 0x10_0000L; Values.I32 21l ]
     "bounds: out of bounds";
   lowering_traps ~fuel:100 lowering_module "f8" [ Values.I32 0l ] "fuel"
+
+(* The idioms [m]'s functions are lowered as include [names]: the
+   shapes a test builds reach the rule it tests. *)
+let lowered_as m names =
+  let idioms =
+    List.concat_map (fun (s : Xcode.stats) -> List.map fst s.st_idioms) (Compile.module_stats m)
+  in
+  List.iter
+    (fun name -> if not (List.mem name idioms) then Alcotest.failf "no op is lowered as %s" name)
+    names
+
+let mem32 = { mem64 with Types.mem_idx = Types.Idx32 }
+
+(* Row-major accesses [base + (x * y + z) * 8] in the memory's index
+   width, whose address step absorbs [x; y; i32.mul; z; i32.add].
+   Parameters: base, i, j; locals: n (set to 5), k (i * n + j, computed
+   apart) and t. Each function first stores through [k]'s address, the
+   plain step, and reads or writes the same word through the row. *)
+let row_module idx =
+  let open Ast in
+  let w, konst, ext, addr_ty, memory =
+    match idx with
+    | Types.Idx32 -> (W32, (fun c -> I32Const (Int64.to_int32 c)), [], Types.I32, mem32)
+    | Types.Idx64 -> (W64, (fun c -> I64Const c), [ Cvtop I64ExtendI32S ], Types.I64, mem64)
+  in
+  let i32 = Types.I32 and i64 = Types.I64 and f64 = Types.F64 in
+  let ld ty = Load (ty, None, { offset = 0L; align = 0 }) in
+  let st ty = Store (ty, None, { offset = 0L; align = 0 }) in
+  let step = ext @ [ konst 8L; IBinop (w, Mul); IBinop (w, Add) ] in
+  (* base + (x * y + z) * 8 *)
+  let row x y z = (LocalGet 0 :: x) @ y @ [ IBinop (W32, Mul) ] @ z @ [ IBinop (W32, Add) ] @ step in
+  let ij = row [ LocalGet 1 ] [ LocalGet 3 ] [ LocalGet 2 ] in
+  (* n = 5, k = i * n + j, then [v] stored through k *)
+  let at_k v =
+    [ I32Const 5l; LocalSet 3; LocalGet 1; LocalGet 3; IBinop (W32, Mul); LocalGet 2;
+      IBinop (W32, Add); LocalSet 4; LocalGet 0; LocalGet 4 ]
+    @ step @ v
+  in
+  let f results body = (ft [ addr_ty; i32; i32 ] results, [ i32; i32; i32 ], body) in
+  module_of ~memory:(Some memory)
+    [ (* f0: a load *)
+      f [ i64 ] (at_k [ I64Const 7007L; st i64 ] @ ij @ [ ld i64 ]);
+      (* f1: a load whose value an f64 add folds into a constant *)
+      f [ f64 ] (at_k [ F64Const 2.5; st f64 ] @ [ F64Const 0.25 ] @ ij @ [ ld f64; FBinop (W64, FAdd) ]);
+      (* f2: a store of a constant, read back through k *)
+      f [ i64 ] ([ I32Const 5l; LocalSet 3 ] @ ij @ [ I64Const 99L; st i64 ] @ at_k [ ld i64 ]);
+      (* f3: x a slot (i + 1), z a constant: the word at (i + 1) * n + 3,
+         which is k for j = n + 3 *)
+      f [ i64 ]
+        (at_k [ I64Const 1L; st i64 ]
+        @ row [ LocalGet 1; I32Const 1l; IBinop (W32, Add) ] [ LocalGet 3 ] [ I32Const 3l ]
+        @ [ ld i64 ]);
+      (* f4: a load through the row alone, for indexes out of bounds *)
+      f [ i64 ] ([ I32Const 5l; LocalSet 3 ] @ ij @ [ ld i64 ]);
+      (* f5-f7: the loaded value written to x, y or z, then i + n + j *)
+      f [ i32 ] (at_k [ I64Const 7007L; st i64 ] @ ij @ [ ld i32; LocalSet 1; LocalGet 1; LocalGet 3; IBinop (W32, Add); LocalGet 2; IBinop (W32, Add) ]);
+      f [ i32 ] (at_k [ I64Const 7007L; st i64 ] @ ij @ [ ld i32; LocalSet 3; LocalGet 1; LocalGet 3; IBinop (W32, Add); LocalGet 2; IBinop (W32, Add) ]);
+      f [ i32 ] (at_k [ I64Const 7007L; st i64 ] @ ij @ [ ld i32; LocalSet 2; LocalGet 1; LocalGet 3; IBinop (W32, Add); LocalGet 2; IBinop (W32, Add) ]);
+      (* f8: the loaded value written to x through a single-use
+         temporary, then i + n + j *)
+      f [ i32 ]
+        (at_k [ I64Const 7007L; st i64 ] @ ij
+        @ [ ld i32; LocalSet 5; LocalGet 5; LocalSet 1; LocalGet 1; LocalGet 3; IBinop (W32, Add);
+            LocalGet 2; IBinop (W32, Add) ]) ]
+
+let test_lowering_row_index () =
+  let cage = Cage.Config.instance_config Cage.Config.full in
+  List.iter
+    (fun (idx, config, base) ->
+      let m = row_module idx in
+      let w = match idx with Types.Idx32 -> "i32.row" | Types.Idx64 -> "i64.ext.row" in
+      lowered_as m
+        [ w ^ ".scale.add.gggg.load"; w ^ ".scale.add.kgggg.load.f64.op";
+          w ^ ".scale.add.ggggk.store"; w ^ ".scale.add.gsgk.load"; w ^ ".scale.add.gggg.load.set";
+          w ^ ".scale.add.gggg.load.set.get.set" ];
+      let args i j = [ base; Values.I32 i; Values.I32 j ] in
+      let returns ?(i = 1l) ?(j = 2l) f v = lowering_returns ?config m f (args i j) [ v ] in
+      returns "f0" (Values.I64 7007L);
+      returns ~i:(-1l) ~j:9l "f0" (Values.I64 7007L);
+      returns "f1" (Values.F64 2.75);
+      returns "f2" (Values.I64 99L);
+      returns ~j:8l "f3" (Values.I64 1L);
+      lowering_traps ?config m "f4" (args 100_000l 2l) "out of bounds";
+      lowering_traps ?config m "f4" (args (-100l) 0l) "bounds:";
+      returns "f5" (Values.I32 7014l);
+      returns "f6" (Values.I32 7010l);
+      returns "f7" (Values.I32 7013l);
+      returns "f8" (Values.I32 7014l))
+    [ (Types.Idx32, None, Values.I32 64l); (Types.Idx64, None, Values.I64 64L);
+      (Types.Idx64, Some cage, Values.I64 64L) ]
+
+(* A counting loop whose first op is its guard, [i >= n; br_if 1]: the
+   back-edge runs the guard in its own op. Fuel is burned at the call,
+   the guard, and then per iteration at the [br], the loop's re-entry
+   and the guard again; budgets of 11, 12 and 13 run out at each of
+   the three. *)
+let test_lowering_guarded_loop () =
+  let open Ast in
+  let m =
+    module_of
+      [ ( ft [ Types.I32 ] [ Types.I32 ], [ Types.I32; Types.I32 ],
+          [ Block
+              ( ValBlock None,
+                [ Loop
+                    ( ValBlock None,
+                      [ LocalGet 1; LocalGet 0; IRelop (W32, GeS); BrIf 1; LocalGet 2; LocalGet 1;
+                        IBinop (W32, Add); LocalSet 2; LocalGet 1; I32Const 1l; IBinop (W32, Add);
+                        LocalSet 1; Br 0 ] ) ] );
+            LocalGet 2 ] ) ]
+  in
+  lowered_as m [ "br.guard"; "i32.relop.gg.brif" ];
+  lowering_returns m "f0" [ Values.I32 10l ] [ Values.I32 45l ];
+  lowering_returns m "f0" [ Values.I32 0l ] [ Values.I32 0l ];
+  List.iter
+    (fun fuel -> lowering_traps ~fuel m "f0" [ Values.I32 100l ] "fuel")
+    [ 11; 12; 13 ]
+
+(* Single-use temporaries: [local.get a; local.set t] emits nothing and
+   [t]'s read reads [a], unless [a] is written, a label intervenes or a
+   branch leaves first; then [t] takes its value. Locals past the
+   parameters are the temporaries. *)
+let test_lowering_temporaries () =
+  let open Ast in
+  let i32 = Types.I32 in
+  let gt0 = [ LocalGet 0; I32Const 0l; IRelop (W32, GtS) ] in
+  let m =
+    module_of
+      [ (* f0: a write of the source: 2a + 1 *)
+        ( ft [ i32 ] [ i32 ], [ i32 ],
+          [ LocalGet 0; LocalSet 1; LocalGet 0; I32Const 1l; IBinop (W32, Add); LocalSet 0;
+            LocalGet 1; LocalGet 0; IBinop (W32, Add) ] );
+        (* f1: a compare-folded br_if to a block's end: a *)
+        ( ft [ i32 ] [ i32 ], [ i32 ],
+          [ LocalGet 0; LocalSet 1; Block (ValBlock None, gt0 @ [ BrIf 0; Nop ]); LocalGet 1 ] );
+        (* f2: a compare-folded if: a *)
+        ( ft [ i32 ] [ i32 ], [ i32 ],
+          [ LocalGet 0; LocalSet 1 ] @ gt0 @ [ If (ValBlock None, [ Nop ], [ Nop ]); LocalGet 1 ] );
+        (* f3: a block's end that a branch reaches: b ? 0 : a *)
+        ( ft [ i32; i32 ] [ i32 ], [ i32 ],
+          [ Block (ValBlock None, [ LocalGet 1; BrIf 0; LocalGet 0; LocalSet 2 ]); LocalGet 2 ] );
+        (* f4: a back-edge: the sum of t over n iterations, t = 0 and then
+           k, so (n - 1) * k *)
+        ( ft [ i32; i32 ] [ i32 ], [ i32; i32; i32 ],
+          [ Block
+              ( ValBlock None,
+                [ Loop
+                    ( ValBlock None,
+                      [ LocalGet 2; LocalGet 0; IRelop (W32, GeS); BrIf 1; LocalGet 4; LocalGet 3;
+                        IBinop (W32, Add); LocalSet 4; LocalGet 2; I32Const 1l; IBinop (W32, Add);
+                        LocalSet 2; LocalGet 1; LocalSet 3; Br 0 ] ) ] );
+            LocalGet 4 ] );
+        (* f5: a result written through a temporary to one of the op's
+           own operands: (a - b) * 10 + b *)
+        ( ft [ i32; i32 ] [ i32 ], [ i32 ],
+          [ LocalGet 0; LocalGet 1; IBinop (W32, Sub); LocalSet 2; LocalGet 2; LocalSet 0;
+            LocalGet 0; I32Const 10l; IBinop (W32, Mul); LocalGet 1; IBinop (W32, Add) ] );
+        (* f6: a constant's temporary: a + 7 *)
+        ( ft [ i32 ] [ i32 ], [ i32 ],
+          [ I32Const 7l; LocalSet 1; LocalGet 0; LocalGet 1; IBinop (W32, Add) ] );
+        (* f7: a loop's head, with the source written in the loop: the
+           sum of t = a over n iterations, n * a *)
+        ( ft [ i32; i32 ] [ i32 ], [ i32; i32; i32 ],
+          [ LocalGet 0; LocalSet 2;
+            Block
+              ( ValBlock None,
+                [ Loop
+                    ( ValBlock None,
+                      [ LocalGet 3; LocalGet 1; IRelop (W32, GeS); BrIf 1; LocalGet 4; LocalGet 2;
+                        IBinop (W32, Add); LocalSet 4; LocalGet 0; I32Const 1l; IBinop (W32, Add);
+                        LocalSet 0; LocalGet 3; I32Const 1l; IBinop (W32, Add); LocalSet 3; Br 0 ] ) ] );
+            LocalGet 4 ] );
+        (* f8: the end of an if's then arm, which jumps over the else
+           arm: c ? a : 0 *)
+        ( ft [ i32; i32 ] [ i32 ], [ i32 ],
+          [ LocalGet 0; If (ValBlock None, [ LocalGet 1; LocalSet 2 ], [ Nop ]); LocalGet 2 ] ) ]
+  in
+  lowered_as m [ "i32.op.gg.set.get.set"; "i32.op.gk" ];
+  (match List.concat_map (fun (s : Xcode.stats) -> s.st_idioms) (Compile.module_stats m) with
+  | idioms when List.mem_assoc "set.g" idioms || List.mem_assoc "set.k" idioms ->
+      Alcotest.fail "a temporary's local.set was lowered to a move"
+  | _ -> ());
+  let returns f args v = lowering_returns m f (List.map (fun a -> Values.I32 a) args) [ Values.I32 v ] in
+  returns "f0" [ 20l ] 41l;
+  returns "f1" [ 5l ] 5l;
+  returns "f1" [ -5l ] (-5l);
+  returns "f2" [ 5l ] 5l;
+  returns "f2" [ -5l ] (-5l);
+  returns "f3" [ 9l; 1l ] 0l;
+  returns "f3" [ 9l; 0l ] 9l;
+  returns "f4" [ 4l; 10l ] 30l;
+  returns "f5" [ 7l; 3l ] 43l;
+  returns "f6" [ 5l ] 12l;
+  returns "f7" [ 5l; 3l ] 15l;
+  returns "f8" [ 1l; 9l ] 9l;
+  returns "f8" [ 0l; 9l ] 0l
+
+(* An i64 address step [a + b * c] reads its index whole: with bits 62
+   and 63 of the operands unequal, a 63-bit index would change the
+   step's value, or the address a non-canonical trap reports. *)
+let test_lowering_i64_step () =
+  let open Ast in
+  let i64 = Types.I64 in
+  let m =
+    module_of
+      [ ( ft [ i64; i64 ] [ i64 ], [],
+          [ LocalGet 0; LocalGet 1; I64Const 3L; IBinop (W64, Mul); IBinop (W64, Add) ] );
+        ( ft [ i64; i64 ] [ i64 ], [],
+          [ LocalGet 0; LocalGet 1; I64Const 8L; IBinop (W64, Mul); IBinop (W64, Add);
+            Load (i64, None, { offset = 0L; align = 0 }) ] ) ]
+  in
+  lowered_as m [ "i64.scale.add.gg"; "i64.scale.add.gg.load" ];
+  List.iter
+    (fun (a, b) ->
+      lowering_returns m "f0" [ Values.I64 a; Values.I64 b ] [ Values.I64 Int64.(add a (mul b 3L)) ];
+      let p = Int64.(add a (mul b 8L)) in
+      if Int64.logand p 0x00ff_0000_0000_0000L <> 0L then
+        lowering_traps m "f1" [ Values.I64 a; Values.I64 b ]
+          (Printf.sprintf "bounds: non-canonical address 0x%Lx" p))
+    [ (0x4000_0000_0000_0010L, 0x8800_2000_0000_0000L);
+      (0x7fff_ffff_ffff_ffffL, 0x4000_0000_0000_0001L);
+      (0x8000_0000_0000_0000L, 0x4001_0000_0000_0000L) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fuel watchdog parity                                                 *)
@@ -1358,6 +1608,13 @@ let () =
             test_lowering_call;
           Alcotest.test_case "traps with folded operands pending" `Quick
             test_lowering_traps;
+          Alcotest.test_case "row-major indexes in the address step" `Quick
+            test_lowering_row_index;
+          Alcotest.test_case "a back-edge runs its loop's guard" `Quick
+            test_lowering_guarded_loop;
+          Alcotest.test_case "single-use temporaries" `Quick test_lowering_temporaries;
+          Alcotest.test_case "an i64 step reads its index whole" `Quick
+            test_lowering_i64_step;
         ] );
       ( "fusion",
         [
