@@ -48,20 +48,24 @@ let lint_source ~label ~cfg ~prelude ~wspectre ~json source =
   | exception Minic.Driver.Compile_error msg ->
       Printf.eprintf "cage_lint: %s: %s\n" label msg;
       false
-  | compiled ->
-      let t = Analysis.Lint.run ~wspectre compiled.Minic.Driver.co_module in
-      if json then begin
-        Format.printf "{\"program\": \"%s\", \"config\": \"%s\", \"report\": "
-          (String.escaped label) cfg.Cage.Config.name;
-        Format.printf "%s}@." (String.trim (Analysis.Lint.to_json t))
-      end
-      else begin
-        Format.printf "cage-lint: %s (%s)@." label cfg.Cage.Config.name;
-        List.iter
-          (fun l -> Format.printf "  %s@." l)
-          (Analysis.Lint.to_lines t)
-      end;
-      true
+  | compiled -> (
+      match Analysis.Lint.run ~wspectre compiled.Minic.Driver.co_module with
+      | exception Wasm.Validate.Invalid msg ->
+          Printf.eprintf "cage_lint: %s: invalid module: %s\n" label msg;
+          false
+      | t ->
+          if json then begin
+            Format.printf "{\"program\": \"%s\", \"config\": \"%s\", \"report\": "
+              (String.escaped label) cfg.Cage.Config.name;
+            Format.printf "%s}@." (String.trim (Analysis.Lint.to_json t))
+          end
+          else begin
+            Format.printf "cage-lint: %s (%s)@." label cfg.Cage.Config.name;
+            List.iter
+              (fun l -> Format.printf "  %s@." l)
+              (Analysis.Lint.to_lines t)
+          end;
+          true)
 
 let run input config cve_suite polybench no_libc wspectre json =
   let prelude =

@@ -71,8 +71,6 @@ let run input config plan entry args show_meter trace_out show_metrics
                 (In_channel.with_open_text input In_channel.input_all)
             else Wasm.Binary.read_file input
           in
-          (* the analyzer plans only validated modules *)
-          Wasm.Validate.check m;
           let iconfig = Cage.Config.instance_config ~meter ~seed ~m config in
           let inst =
             Wasm.Exec.instantiate ~config:iconfig

@@ -58,6 +58,13 @@ let run input output config plan emit_wat no_libc instrument_all stats wstack
       Printf.eprintf "cagec: %s\n" msg;
       exit 1
   | compiled ->
+      (* cagec writes a module it does not run: the door is the
+         compiler's one check of its own output *)
+      (match Wasm.Validate.validate ~cage:true compiled.co_module with
+      | Ok () -> ()
+      | Error e ->
+          Printf.eprintf "cagec: internal error: generated invalid wasm: %s\n" e;
+          exit 1);
       if stats then
         Format.eprintf "sanitizer: %a@." Minic.Stack_sanitizer.pp_stats
           compiled.co_sanitizer;

@@ -1,8 +1,9 @@
 (** Whole-module abstract interpretation over Cage wasm.
 
-    The analyzer walks the prepared body ({!Wasm.Code.prepare}, the
-    form both engines run) of every function reachable from the module
-    entry point, tracking for each abstract value
+    The analyzer walks the prepared body (the {!Wasm.Code} form the
+    door, {!Wasm.Validate.prepare}, builds and both engines run) of
+    every function reachable from the module entry point, tracking for
+    each abstract value
     (locals + operand stack, fixpoint joins at control-flow merges):
 
     - {e segment provenance} — which [segment.new]/[segment.set_tag]
@@ -19,9 +20,11 @@
     the caller's abstract arguments, so `malloc(64)` inside the analyzed
     libc yields an exact segment size. Recursion, excessive depth and
     [call_indirect] fall back to the callee's {!Summary}. The module is
-    read through one {!Wasm.Ast.index}, built with its prepared bodies
-    and summaries once per module ({!view}) and shared by the
-    architectural and the speculative run ({!analyze_both}).
+    read through the door, once per module ({!view}): its
+    {!Wasm.Ast.index} and prepared bodies, with the summaries built
+    over them, are shared by the architectural and the speculative run
+    ({!analyze_both}). An invalid module raises
+    {!Wasm.Validate.Invalid} before anything is analyzed.
 
     Loops run a widening fixpoint with diagnostics deferred; the pass
     that finds the head stable is also the recording pass unless a site
@@ -1655,8 +1658,7 @@ let entry_func (m : Ast.module_) =
   | None -> ( match exported "_start" with Some i -> Some i | None -> m.start)
 
 let view (m : Ast.module_) =
-  let ix = Ast.index m in
-  let code = Code.prepare ix in
+  let ix, code = Wasm.Validate.prepare m in
   let cg = Callgraph.build m ix code in
   let summaries = Summary.compute cg in
   {

@@ -1,8 +1,8 @@
 (** Call graph and per-function syntactic facts over a validated module,
     the interprocedural substrate for {!Summary}.
 
-    {!build} walks each prepared body ({!Wasm.Code.prepare}, the form the
-    engines run and {!Absint} evaluates) once. Per function it collects
+    {!build} walks each prepared body (the door's {!Wasm.Code} form,
+    which the engines run and {!Absint} evaluates) once. Per function it collects
     the direct-call targets, the type of each [call_indirect], and the
     facts a summary starts from: which parameters the body reads and
     whether it stores, touches memory or frees. Types,

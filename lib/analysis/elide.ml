@@ -1,5 +1,6 @@
 (** Check-elision planning: turn {!Absint} verdicts into the
-    per-function bitsets {!Wasm.Code.prepare} consumes.
+    per-function bitsets {!Wasm.Code.with_plan} attaches to the door's
+    bodies.
 
     A tag bit is set only for verdict 1 — an access proven in-bounds on
     a definitely-live, single-allocation segment in {e every} analyzed

@@ -108,4 +108,7 @@ val instance_config :
     [m] to instantiate, an eliding variant also carries [m]'s whole
     elision plan (tag checks; span checks under [elide_bounds]; arena
     sites under [arena]; speculation-safe proofs only under
-    [spec_safe_only]) — the one place a plan becomes instance bits. *)
+    [spec_safe_only]) — the one place a plan becomes instance bits.
+    Planning reads [m] through the door, so for an eliding variant an
+    invalid [m] raises {!Wasm.Validate.Invalid}, as instantiation
+    would. *)

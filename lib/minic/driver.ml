@@ -125,9 +125,5 @@ let compile ?(opts = default_options) ?(prelude = "") source : compiled =
     with Codegen.Codegen_error msg ->
       raise (Compile_error ("codegen: " ^ msg))
   in
-  (match Wasm.Validate.validate ~cage:true m with
-  | Ok () -> ()
-  | Error e ->
-      raise (Compile_error ("internal error: generated invalid wasm: " ^ e)));
   { co_module = m; co_ir = ir;
     co_sanitizer = Stack_sanitizer.add u.u_stats stats; co_options = opts }

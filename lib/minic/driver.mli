@@ -24,7 +24,7 @@ val options_of_config : Cage.Config.t -> options
 (** Compile options matching a Table 3 runtime configuration. *)
 
 type compiled = {
-  co_module : Wasm.Ast.module_;   (** validated output module *)
+  co_module : Wasm.Ast.module_;   (** output module *)
   co_ir : Ir.program;             (** post-pass IR (for inspection) *)
   co_sanitizer : Stack_sanitizer.stats;
   co_options : options;
@@ -36,8 +36,10 @@ exception Compile_error of string
 
 val compile : ?opts:options -> ?prelude:string -> string -> compiled
 (** Compile MiniC source text linked against [prelude] (the libc), as
-    wasi-sdk links a prebuilt wasi-libc. The result module has passed
-    {!Wasm.Validate.validate}.
+    wasi-sdk links a prebuilt wasi-libc. The result module is not
+    validated here: every consumer reads it through the door
+    ({!Wasm.Validate.prepare}), which answers a code generation bug
+    with {!Wasm.Validate.Invalid}.
 
     The prelude is compiled once into a {e unit}: the environment after
     its declarations and bodies (structs, signatures, globals, data

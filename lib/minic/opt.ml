@@ -141,19 +141,6 @@ let rec fold_exp (e : exp) : exp =
           Const (Wasm.Values.I32 (if c then 1l else 0l))
       | _ -> Bin (op, ty, a, b))
 
-and fold_exp_not (e : exp) : exp =
-  (* negate a relational expression *)
-  let open Wasm.Ast in
-  match e with
-  | Bin (Irel rel, ty, a, b) ->
-      let neg =
-        match rel with
-        | Eq -> Ne | Ne -> Eq | LtS -> GeS | GeS -> LtS | GtS -> LeS
-        | LeS -> GtS | LtU -> GeU | GeU -> LtU | GtU -> LeU | LeU -> GtU
-      in
-      Bin (Irel neg, ty, a, b)
-  | e -> Eqz (I32, e)
-
 (** Fold constants throughout a function, simplifying branches on
     constant conditions. *)
 let fold_func (f : func) =

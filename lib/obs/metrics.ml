@@ -94,32 +94,6 @@ let render_prometheus ppf t =
 
 let prometheus_string t = Format.asprintf "%a" render_prometheus t
 
-let to_json t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_string b ",\n";
-      match m with
-      | Counter c ->
-          Buffer.add_string b (Printf.sprintf "  \"%s\": %d" c.c_name c.c_value)
-      | Histogram h ->
-          Buffer.add_string b
-            (Printf.sprintf "  \"%s\": {\"buckets\": [" h.h_name);
-          Array.iteri
-            (fun i bound ->
-              if i > 0 then Buffer.add_string b ", ";
-              Buffer.add_string b
-                (Printf.sprintf "[%s, %d]" (num bound) h.h_counts.(i)))
-            h.h_bounds;
-          Buffer.add_string b
-            (Printf.sprintf "], \"overflow\": %d, \"sum\": %s, \"count\": %d}"
-               h.h_counts.(Array.length h.h_bounds)
-               (num h.h_sum) h.h_count))
-    (metrics t);
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b
-
 (* ------------------------------------------------------------------ *)
 (* The standard Cage metric set                                        *)
 (* ------------------------------------------------------------------ *)

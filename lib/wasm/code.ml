@@ -1,7 +1,7 @@
 (** Prepared (pre-compiled) function bodies: the one program form that
-    both engines and the static analyzer walk. {!prepare} reads the
-    module through the {!Ast.index} its caller built ({!Exec.instantiate},
-    {!Compile.module_stats}, [Analysis.Absint.analyze]) and builds none.
+    both engines and the static analyzer walk. {!Validate.prepare}, the
+    door, builds it in the walk that type-checks each body; nothing else
+    does.
 
     The interpreter used to carry a [int list] of label arities at run
     time and look branch targets up with [List.nth] on every
@@ -9,17 +9,18 @@
     the hottest control-flow path, with a silent [with _ -> 0] fallback
     that let malformed label indices corrupt the operand stack.
 
-    This module resolves all of that once: every branch carries its
+    This form resolves all of that once: every branch carries its
     target depth {e and} the label's arity; br_table target lists become
-    arrays (O(1) selection). Bodies are validated before they are
-    prepared, so every label index names an enclosing block.
+    arrays (O(1) selection). A body is prepared only once it has type
+    checked, so every label index names an enclosing block.
     Non-control instructions are embedded unchanged as {!Basic}, so the
     numeric/memory dispatch in the interpreter is untouched.
 
-    {!prepare} is the only place instruction ids are assigned, and this
+    The door is the only place instruction ids are assigned, and this
     module owns the layout of the analyzer's plan rows: {!bitset}
-    writes them and {!elidable} reads them, so a static proof for id
-    [n] in {!Analysis} skips the check of exactly [Basic (_, n)]. *)
+    writes them, {!with_plan} attaches them and {!elidable} reads them,
+    so a static proof for id [n] in {!Analysis} skips the check of
+    exactly [Basic (_, n)]. *)
 
 type label = { depth : int; arity : int }
 
@@ -59,52 +60,10 @@ type func = {
           (and, for free, the matches-check) entirely. *)
 }
 
-let block_arity : Ast.block_type -> int = function
-  | Ast.ValBlock None -> 0
-  | Ast.ValBlock (Some _) -> 1
-
-(* [arities] is the static label stack ({!Label_stack}), innermost on
-   top; its bottom entry is the function's result arity (the
-   function-body label). *)
-let resolve arities n = { depth = n; arity = Label_stack.nth arities n }
-
 (* What a prepared array starts out holding ({!Ast.array_mapi}); also the
    lowerer's instruction past the end of a body. It is a static
    constant, never young, and no fusion pattern matches [Nop]. *)
 let filler = Basic (Ast.Nop, -1)
-
-(* [Ast.array_mapi] stores left to right: the id counter in [next] makes
-   the traversal order part of the numbering contract. *)
-let rec prepare_block next arities (instrs : Ast.instr list) : instr array =
-  Ast.array_mapi filler (fun _ i -> prepare_instr next arities i) instrs
-
-(* [body] under a new innermost label of arity [a] *)
-and prepare_in next arities a body =
-  Label_stack.push arities a;
-  let b = prepare_block next arities body in
-  ignore (Label_stack.pop arities);
-  b
-
-and prepare_instr next arities : Ast.instr -> instr = function
-  | Ast.Block (bt, body) ->
-      let a = block_arity bt in
-      Block (a, prepare_in next arities a body)
-  | Ast.Loop (bt, body) -> Loop (block_arity bt, prepare_in next arities 0 body)
-  | Ast.If (bt, then_, else_) ->
-      let a = block_arity bt in
-      let then_ = prepare_in next arities a then_ in
-      If (a, then_, prepare_in next arities a else_)
-  | Ast.Br n -> Br (resolve arities n)
-  | Ast.BrIf n -> BrIf (resolve arities n)
-  | Ast.BrTable (targets, default) ->
-      BrTable
-        (Ast.array_mapi { depth = 0; arity = 0 } (fun _ n -> resolve arities n) targets,
-         resolve arities default)
-  | Ast.Return -> Return (Label_stack.bottom arities)
-  | i ->
-      let id = !next in
-      incr next;
-      Basic (i, id)
 
 (** True when basic-instruction id [id] is marked in plan row [row]. *)
 let elidable row id =
@@ -134,23 +93,18 @@ let unprepared =
   { body = [||]; result_arity = 0; nbasic = 0; elide = Bytes.empty;
     belide = Bytes.empty; arena = Bytes.empty }
 
-(** Prepare every local function of a validated module, in function
-    index order (imports excluded), from the index its caller built.
-    [elide]/[belide]/[arena], when given, are the static analyzer's plan
-    rows, indexed the same way; a function past the end of an array gets
-    no row. *)
-let prepare ?(elide = [||]) ?(belide = [||]) ?(arena = [||]) (ix : Ast.index) :
-    func array =
-  let row plan j = if j < Array.length plan then plan.(j) else Bytes.empty in
-  let codes = Array.make (Array.length ix.ix_funcs) unprepared in
-  let arities = Label_stack.create 0 in
-  Array.iteri
-    (fun j (f : Ast.func) ->
-      let result_arity = List.length ix.ix_types.(f.ftype).Types.results in
-      let next = ref 0 in
-      let body = prepare_in next arities result_arity f.body in
-      codes.(j) <-
-        { body; result_arity; nbasic = !next; elide = row elide j;
-          belide = row belide j; arena = row arena j })
-    ix.ix_funcs;
-  codes
+(** [codes] with the static analyzer's plan rows attached: [elide],
+    [belide] and [arena] are indexed like [codes] (local functions in
+    function index order), and a function past the end of an array gets
+    no row. With no row given, [codes] itself. *)
+let with_plan ?(elide = [||]) ?(belide = [||]) ?(arena = [||]) codes =
+  if Array.length elide + Array.length belide + Array.length arena = 0 then codes
+  else
+    let row plan j = if j < Array.length plan then plan.(j) else Bytes.empty in
+    let planned = Array.make (Array.length codes) unprepared in
+    Array.iteri
+      (fun j c ->
+        planned.(j) <-
+          { c with elide = row elide j; belide = row belide j; arena = row arena j })
+      codes;
+    planned

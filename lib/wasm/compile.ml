@@ -19,10 +19,11 @@
 
     {2 Lowering is total}
 
-    {!Exec.instantiate} validates every module before it lowers it, so
-    the compiler never meets an ill-typed body: operand types, label
-    indices and stack heights are guaranteed, and it tracks only where
-    each operand of the static stack lives. Every function of a
+    The compiler lowers only bodies the door ({!Validate.prepare})
+    produced, for {!Exec.instantiate} and {!module_stats} alike, so it
+    never meets an ill-typed body: operand types, label indices and
+    stack heights are guaranteed, and it tracks only where each operand
+    of the static stack lives. Every function of a
     [Threaded] instance is compiled; there is no per-function
     interpreter fallback.
 
@@ -123,7 +124,6 @@ let () =
    truncation and encode a widening — no Int32 boxing on the ALU path. *)
 let[@inline] geti stk i = Int64.to_int (get64 stk i)
 let[@inline] seti stk i v = set64 stk i (Int64.of_int v)
-let[@inline] setb stk i b = seti stk i (Bool.to_int b)
 
 (* Sign-extend from bit 31 on a 63-bit native int. *)
 let[@inline] norm32 v = (v lsl 31) asr 31
@@ -1702,7 +1702,7 @@ let compile ~ws ~(m : Ast.module_) ~(ix : Ast.index) ~(name : string)
     let open Ast in
     match ins with
     | Block _ | Loop _ | If _ | Br _ | BrIf _ | BrTable _ | Return ->
-        assert false (* control flow is resolved by Code.prepare *)
+        assert false (* control flow is resolved by the door *)
     | LocalGet _ | I32Const _ | I64Const _ | F32Const _ | F64Const _ ->
         push_value ins;
         1
@@ -2163,12 +2163,13 @@ let compile_instance ix (inst : Instance.t) =
     inst.funcs
 
 (** Compile all functions of a module without instantiating it — the
-    [cagec --Wfusion] entry point. Returns per-function stats in
-    function-index order (local functions only). [elide] is the static
-    analyzer's bitset array, as passed to instantiation. *)
+    [cagec --Wfusion] entry point. The module goes through the door, so
+    an invalid one raises {!Validate.Invalid}. Returns per-function
+    stats in function-index order (local functions only). [elide] is the
+    static analyzer's bitset array, as passed to instantiation. *)
 let module_stats ?elide ?belide ?arena (m : Ast.module_) : Xcode.stats list =
-  let ix = Ast.index m in
-  let codes = Code.prepare ?elide ?belide ?arena ix in
+  let ix, codes = Validate.prepare m in
+  let codes = Code.with_plan ?elide ?belide ?arena codes in
   let ws = workspace () in
   List.mapi
     (fun j (f : Ast.func) ->

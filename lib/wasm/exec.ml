@@ -9,10 +9,11 @@
     tree walker below remains the reference semantics the threaded
     engine is differentially tested against.
 
-    Instantiation validates the module first ({!Validate}), so every
-    body the interpreter walks is well typed: operand types and stack
-    heights are guaranteed statically, and the [assert false] arms
-    below are unreachable.
+    Instantiation reads the module through the door
+    ({!Validate.prepare}), so every body the interpreter walks is the
+    prepared form of a well-typed one: operand types and stack heights
+    are guaranteed statically, and the [assert false] arms below are
+    unreachable.
 
     Loads and stores check allocation tags when the instance was
     instantiated with [enforce_tags] (Eqs. 1-4); the five Cage
@@ -203,7 +204,7 @@ and eval_basic (inst : Instance.t) ~depth ~fn locals stack
   | Unreachable -> trap "unreachable executed"
   | Nop -> ()
   | Block _ | Loop _ | If _ | Br _ | BrIf _ | BrTable _ | Return ->
-      (* control flow is compiled away by [Code.prepare] *)
+      (* control flow is prepared away by the door ([Validate.prepare]) *)
       assert false
   | Call i ->
       meter (fun m -> m.call <- m.call + 1);
@@ -499,9 +500,10 @@ let check_declared_sizes (m : Ast.module_) =
       over "initial table elements" tt.tbl_limits.min max_table_elems)
     m.table
 
-(** Validate and instantiate a module. A module that fails validation
-    raises {!Validate.Invalid} before any instance state exists (it
-    consumes no instance id), and one that declares more than a cap
+(** Validate and instantiate a module. The door ({!Validate.prepare})
+    is its one pass over the bodies: a module that fails it raises
+    {!Validate.Invalid} before any instance state exists (it consumes
+    no instance id), and one that declares more than a cap
     raises {!Instance.Trap} at the same point. [imports] supplies host
     functions by (module, name); missing imports raise {!Instance.Trap}.
     Data and element segments are applied and the start function runs
@@ -513,12 +515,11 @@ let check_declared_sizes (m : Ast.module_) =
 let instantiate ?(config = Instance.default_config)
     ?(imports : (string * string * Instance.host_func) list = [])
     (m : Ast.module_) : Instance.t =
-  Validate.check m;
+  let ix, codes = Validate.prepare m in
   check_declared_sizes m;
   incr instance_counter;
   let id = !instance_counter in
   let rng = Random.State.make [| config.seed; id |] in
-  let ix = Ast.index m in
   let resolve (im : Ast.import) =
     match
       List.find_opt
@@ -579,7 +580,7 @@ let instantiate ?(config = Instance.default_config)
   in
   let n_imports = Array.length ix.ix_imports in
   let codes =
-    Code.prepare ~elide:config.elide ~belide:config.belide ~arena:config.arena ix
+    Code.with_plan ~elide:config.elide ~belide:config.belide ~arena:config.arena codes
   in
   let funcs = Array.make (n_imports + Array.length codes) unresolved in
   Array.iteri (fun i im -> funcs.(i) <- resolve im) ix.ix_imports;

@@ -29,7 +29,8 @@ val instantiate :
   ?imports:(string * string * Instance.host_func) list ->
   Ast.module_ ->
   Instance.t
-(** Validate a module ({!Validate.check}), then instantiate it: resolve
+(** Validate and prepare a module ({!Validate.prepare}), attach the
+    config's plan rows ({!Code.with_plan}), then instantiate it: resolve
     imports by (module, name), create the memory and its tag space
     (committing neither), apply data and element segments, and run the
     start function.

@@ -1,5 +1,5 @@
 (** A stack that reads any depth in O(1): the label stacks of
-    validation ({!Validate}), preparation ({!Code}), lowering
+    validation, which prepares as it checks ({!Validate}), lowering
     ({!Compile}) and the analyzer, where a branch names its target by
     its depth below the innermost label. A list would make each such
     lookup O(depth), and a body of D nested blocks whose branches reach

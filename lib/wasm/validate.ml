@@ -1,4 +1,5 @@
-(** Module validation.
+(** Module validation, and the door every consumer of a module goes
+    through.
 
     Implements the standard WebAssembly validation algorithm (operand
     stack of possibly-unknown types plus a control-frame stack), extended
@@ -14,13 +15,30 @@
 
     Cage instructions are rejected unless the [cage] feature is enabled,
     and additionally require the module's memory to use 64-bit indices
-    (the extension builds on memory64, §4.2). *)
+    (the extension builds on memory64, §4.2).
+
+    The walk that type-checks a body also builds its prepared form
+    ({!Code.func}): each block body becomes an array, each branch carries
+    the depth and arity of the frame it checked against, and each basic
+    instruction takes the next id as the walk reaches it. {!prepare} is
+    the only producer of that form, so nothing plans, lowers or
+    instantiates a body this walk has not passed. *)
 
 exception Invalid of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt
 
-type op = Known of Types.val_type | Unknown
+(* An operand's type is an int code, [unknown] for the bottom of an
+   unreachable frame, so a push stores an int and allocates nothing. *)
+let unknown = 4
+
+let code : Types.val_type -> int = function
+  | Types.I32 -> 0
+  | Types.I64 -> 1
+  | Types.F32 -> 2
+  | Types.F64 -> 3
+
+let type_of_code = [| Types.I32; Types.I64; Types.F32; Types.F64 |]
 
 type frame = {
   label_types : Types.val_type list;  (** types br to this label expects *)
@@ -29,23 +47,24 @@ type frame = {
   mutable unreachable : bool;
 }
 
-(* Validation is linear in stack depth, label depth and module size:
-   the operand stack's height is kept beside it (never
-   [List.length ops]), a branch reads its label from a {!Label_stack},
-   and every type, function and global lookup reads the module's
-   {!Ast.index}. *)
+(* Validation is linear in stack depth, label depth and module size: a
+   branch reads its label from a {!Label_stack}, and every type,
+   function and global lookup reads the module's {!Ast.index}. One
+   workspace serves every body of a module; each leaves its operand and
+   control stacks empty. *)
 type ctx = {
   m : Ast.module_;
   ix : Ast.index;
   cage : bool;
-  locals : Types.val_type array;
-  ret : Types.val_type list;
-  mutable ops : op list;
-  mutable height : int;  (** [List.length ops] *)
+  mutable locals : Types.val_type array;
+  mutable ret : Types.val_type list;
+  mutable ops : int array;  (** operand type codes, [height] of them live *)
+  mutable height : int;
   ctrls : frame Label_stack.t;
   mutable top : frame;
       (** the innermost frame ([no_frame] when there is none), kept
           beside [ctrls] because every pop reads it *)
+  mutable next : int;  (** the id the next basic instruction takes *)
 }
 
 (* What the control stack's vacated cells hold. *)
@@ -53,38 +72,45 @@ let no_frame = { label_types = []; end_types = []; height = 0; unreachable = fal
 
 let top ctx = if ctx.top == no_frame then error "control stack empty" else ctx.top
 
-let push ctx t =
-  ctx.ops <- Known t :: ctx.ops;
+let push_code ctx c =
+  if ctx.height = Array.length ctx.ops then begin
+    let a = Array.make (2 * ctx.height) unknown in
+    Array.blit ctx.ops 0 a 0 ctx.height;
+    ctx.ops <- a
+  end;
+  Array.unsafe_set ctx.ops ctx.height c;
   ctx.height <- ctx.height + 1
 
-let push_unknown ctx =
-  ctx.ops <- Unknown :: ctx.ops;
-  ctx.height <- ctx.height + 1
+let push ctx t = push_code ctx (code t)
 
 let pop_any ctx =
   let frame = top ctx in
   if ctx.height = frame.height then
-    if frame.unreachable then Unknown else error "operand stack underflow"
+    if frame.unreachable then unknown else error "operand stack underflow"
   else begin
-    match ctx.ops with
-    | [] -> error "operand stack underflow"
-    | o :: rest ->
-        ctx.ops <- rest;
-        ctx.height <- ctx.height - 1;
-        o
+    ctx.height <- ctx.height - 1;
+    Array.unsafe_get ctx.ops ctx.height
   end
 
 let pop ctx t =
-  match pop_any ctx with
-  | Unknown -> ()
-  | Known t' ->
-      if t' <> t then
-        error "type mismatch: expected %s, got %s"
-          (Types.string_of_num_type t)
-          (Types.string_of_num_type t')
+  let c = pop_any ctx in
+  if c <> unknown && c <> code t then
+    error "type mismatch: expected %s, got %s"
+      (Types.string_of_num_type t)
+      (Types.string_of_num_type type_of_code.(c))
 
-let pop_list ctx ts = List.iter (pop ctx) (List.rev ts)
-let push_list ctx ts = List.iter (push ctx) ts
+(* Label and result lists hold at most one type but for a multi-value
+   function's results: pop and push the short ones without a closure or
+   a reversed copy. *)
+let pop_list ctx = function
+  | [] -> ()
+  | [ t ] -> pop ctx t
+  | ts -> List.iter (pop ctx) (List.rev ts)
+
+let push_list ctx = function
+  | [] -> ()
+  | [ t ] -> push ctx t
+  | ts -> List.iter (push ctx) ts
 
 let push_frame ctx ~label_types ~end_types =
   let frame = { label_types; end_types; height = ctx.height; unreachable = false } in
@@ -95,27 +121,29 @@ let pop_frame ctx =
   let frame = top ctx in
   pop_list ctx frame.end_types;
   if ctx.height <> frame.height then error "values left on stack at end of block";
-  ctx.top <- Label_stack.pop ctx.ctrls;
-  frame
+  ctx.top <- Label_stack.pop ctx.ctrls
 
 let set_unreachable ctx =
   let frame = top ctx in
   (* drop operands down to the frame height *)
-  let rec drop ops n = if n <= 0 then ops else
-      match ops with [] -> [] | _ :: tl -> drop tl (n - 1)
-  in
-  ctx.ops <- drop ctx.ops (ctx.height - frame.height);
   ctx.height <- frame.height;
   frame.unreachable <- true
 
-let label_types ctx n =
+(* Branch [n]'s frame, and the prepared label it resolves to. *)
+let label ctx n =
   let frame = Label_stack.nth ctx.ctrls n in
-  if frame == no_frame then error "branch depth %d out of range" n else frame.label_types
+  if frame == no_frame then error "branch depth %d out of range" n else frame
 
-let block_types : Ast.block_type -> Types.val_type list * Types.val_type list
-    = function
-  | Ast.ValBlock None -> ([], [])
-  | Ast.ValBlock (Some t) -> ([], [ t ])
+let resolve n frame = { Code.depth = n; arity = List.length frame.label_types }
+
+(* A block's result types (MVP block types take no parameters), as
+   static lists, so that checking a typed block allocates none. *)
+let block_types : Ast.block_type -> Types.val_type list = function
+  | Ast.ValBlock None -> []
+  | Ast.ValBlock (Some Types.I32) -> [ Types.I32 ]
+  | Ast.ValBlock (Some Types.I64) -> [ Types.I64 ]
+  | Ast.ValBlock (Some Types.F32) -> [ Types.F32 ]
+  | Ast.ValBlock (Some Types.F64) -> [ Types.F64 ]
 
 let memory ctx =
   match ctx.m.memory with
@@ -205,61 +233,14 @@ let global_ty ctx i =
   if in_range ctx.ix.ix_globals i then ctx.ix.ix_globals.(i).g_type
   else error "global index %d out of range" i
 
-let rec instr ctx (ins : Ast.instr) =
+(* The checks of an instruction with no intra-function control flow;
+   {!instr} handles the others. *)
+let basic ctx (ins : Ast.instr) =
   match ins with
+  | Block _ | Loop _ | If _ | Br _ | BrIf _ | BrTable _ | Return ->
+      assert false (* [instr]'s own arms *)
   | Unreachable -> set_unreachable ctx
   | Nop -> ()
-  | Block (bt, body) ->
-      let ins_t, outs = block_types bt in
-      pop_list ctx ins_t;
-      push_frame ctx ~label_types:outs ~end_types:outs;
-      push_list ctx ins_t;
-      seq ctx body;
-      let f = pop_frame ctx in
-      push_list ctx f.end_types
-  | Loop (bt, body) ->
-      let ins_t, outs = block_types bt in
-      pop_list ctx ins_t;
-      (* br to a loop jumps to its start: label types are the inputs *)
-      push_frame ctx ~label_types:ins_t ~end_types:outs;
-      push_list ctx ins_t;
-      seq ctx body;
-      let f = pop_frame ctx in
-      push_list ctx f.end_types
-  | If (bt, then_, else_) ->
-      pop ctx Types.I32;
-      let ins_t, outs = block_types bt in
-      pop_list ctx ins_t;
-      push_frame ctx ~label_types:outs ~end_types:outs;
-      push_list ctx ins_t;
-      seq ctx then_;
-      let f = pop_frame ctx in
-      push_frame ctx ~label_types:outs ~end_types:outs;
-      push_list ctx ins_t;
-      seq ctx else_;
-      ignore (pop_frame ctx);
-      push_list ctx f.end_types
-  | Br n ->
-      pop_list ctx (label_types ctx n);
-      set_unreachable ctx
-  | BrIf n ->
-      pop ctx Types.I32;
-      let ts = label_types ctx n in
-      pop_list ctx ts;
-      push_list ctx ts
-  | BrTable (ns, default) ->
-      pop ctx Types.I32;
-      let ts = label_types ctx default in
-      List.iter
-        (fun n ->
-          if label_types ctx n <> ts then
-            error "br_table label type mismatch")
-        ns;
-      pop_list ctx ts;
-      set_unreachable ctx
-  | Return ->
-      pop_list ctx ctx.ret;
-      set_unreachable ctx
   | Call i ->
       let ft = type_of_func ctx i in
       pop_list ctx ft.params;
@@ -271,14 +252,12 @@ let rec instr ctx (ins : Ast.instr) =
       pop_list ctx ft.params;
       push_list ctx ft.results
   | Drop -> ignore (pop_any ctx)
-  | Select -> (
+  | Select ->
       pop ctx Types.I32;
       let a = pop_any ctx in
       let b = pop_any ctx in
-      match (a, b) with
-      | Known x, Known y when x <> y -> error "select type mismatch"
-      | Known x, _ | _, Known x -> push ctx x
-      | Unknown, Unknown -> push_unknown ctx)
+      if a <> unknown && b <> unknown && a <> b then error "select type mismatch";
+      push_code ctx (if a <> unknown then a else b)
   | LocalGet i -> push ctx (local_ty ctx i)
   | LocalSet i -> pop ctx (local_ty ctx i)
   | LocalTee i ->
@@ -380,36 +359,101 @@ let rec instr ctx (ins : Ast.instr) =
       pop ctx Types.I64;
       push ctx Types.I64
 
-and seq ctx = List.iter (instr ctx)
+(* One instruction, checked, in its prepared form. *)
+let rec instr ctx (ins : Ast.instr) : Code.instr =
+  match ins with
+  | Block (bt, body) ->
+      let outs = block_types bt in
+      let body = arm ctx ~label_types:outs ~end_types:outs body in
+      push_list ctx outs;
+      Code.Block (List.length outs, body)
+  | Loop (bt, body) ->
+      let outs = block_types bt in
+      (* br to a loop jumps to its start: label types are the inputs *)
+      let body = arm ctx ~label_types:[] ~end_types:outs body in
+      push_list ctx outs;
+      Code.Loop (List.length outs, body)
+  | If (bt, then_, else_) ->
+      pop ctx Types.I32;
+      let outs = block_types bt in
+      let then_ = arm ctx ~label_types:outs ~end_types:outs then_ in
+      let else_ = arm ctx ~label_types:outs ~end_types:outs else_ in
+      push_list ctx outs;
+      Code.If (List.length outs, then_, else_)
+  | Br n ->
+      let f = label ctx n in
+      pop_list ctx f.label_types;
+      set_unreachable ctx;
+      Code.Br (resolve n f)
+  | BrIf n ->
+      pop ctx Types.I32;
+      let f = label ctx n in
+      pop_list ctx f.label_types;
+      push_list ctx f.label_types;
+      Code.BrIf (resolve n f)
+  | BrTable (ns, default) ->
+      pop ctx Types.I32;
+      let d = label ctx default in
+      let targets =
+        Ast.array_mapi { Code.depth = 0; arity = 0 }
+          (fun _ n ->
+            let f = label ctx n in
+            if f.label_types <> d.label_types then
+              error "br_table label type mismatch";
+            resolve n f)
+          ns
+      in
+      pop_list ctx d.label_types;
+      set_unreachable ctx;
+      Code.BrTable (targets, resolve default d)
+  | Return ->
+      pop_list ctx ctx.ret;
+      set_unreachable ctx;
+      Code.Return (List.length ctx.ret)
+  | _ ->
+      basic ctx ins;
+      let id = ctx.next in
+      ctx.next <- id + 1;
+      Code.Basic (ins, id)
 
-let validate_func (m : Ast.module_) ix ctrls ~cage (f : Ast.func) =
+(* [body] under a new innermost frame, which it leaves with the frame's
+   end types popped. [Ast.array_mapi] stores left to right, so ids run
+   in preorder, a then arm's before its else arm's. *)
+and arm ctx ~label_types ~end_types body =
+  push_frame ctx ~label_types ~end_types;
+  let b = seq ctx body in
+  pop_frame ctx;
+  b
+
+and seq ctx body = Ast.array_mapi Code.filler (fun _ i -> instr ctx i) body
+
+let func ctx (f : Ast.func) : Code.func =
   let ft =
-    if in_range ix.Ast.ix_types f.ftype then ix.ix_types.(f.ftype)
+    if in_range ctx.ix.ix_types f.ftype then ctx.ix.ix_types.(f.ftype)
     else error "function type index %d out of range" f.ftype
   in
-  let ctx =
-    {
-      m;
-      ix;
-      cage;
-      locals = Array.of_list (ft.params @ f.locals);
-      ret = ft.results;
-      ops = [];
-      height = 0;
-      ctrls;
-      top = no_frame;
-    }
-  in
+  ctx.locals <- Array.of_list (ft.params @ f.locals);
+  ctx.ret <- ft.results;
+  ctx.next <- 0;
   push_frame ctx ~label_types:ft.results ~end_types:ft.results;
-  (try seq ctx f.body
-   with Invalid msg ->
-     error "in function %s: %s"
-       (Option.value f.fname ~default:"<anon>")
-       msg);
-  ignore (pop_frame ctx)
+  let body =
+    try seq ctx f.body
+    with Invalid msg ->
+      error "in function %s: %s"
+        (Option.value f.fname ~default:"<anon>")
+        msg
+  in
+  pop_frame ctx;
+  { Code.unprepared with
+    body; result_arity = List.length ft.results; nbasic = ctx.next }
 
-let validate_module (m : Ast.module_) ~cage =
+let prepare ?(cage = true) (m : Ast.module_) =
   let ix = Ast.index m in
+  let ctx =
+    { m; ix; cage; locals = [||]; ret = []; ops = Array.make 16 unknown;
+      height = 0; ctrls = Label_stack.create no_frame; top = no_frame;
+      next = 0 }
+  in
   (* memory limits *)
   Option.iter
     (fun (mt : Types.mem_type) ->
@@ -459,10 +503,6 @@ let validate_module (m : Ast.module_) ~cage =
   (* start function *)
   Option.iter
     (fun i ->
-      let ctx =
-        { m; ix; cage; locals = [||]; ret = []; ops = []; height = 0;
-          ctrls = Label_stack.create no_frame; top = no_frame }
-      in
       let ft = type_of_func ctx i in
       if ft.params <> [] || ft.results <> [] then
         error "start function must have type [] -> []")
@@ -486,10 +526,9 @@ let validate_module (m : Ast.module_) ~cage =
         error "duplicate export name %s" ex.ex_name;
       Hashtbl.add seen ex.ex_name ())
     m.exports;
-  (* one control stack serves every body: each leaves it empty *)
-  List.iter (validate_func m ix (Label_stack.create no_frame) ~cage) m.funcs
+  (ix, Ast.array_mapi Code.unprepared (fun _ f -> func ctx f) m.funcs)
 
-let check ?(cage = true) m = validate_module m ~cage
+let check ?cage m = ignore (prepare ?cage m)
 
 let validate ?cage m =
   match check ?cage m with () -> Ok () | exception Invalid msg -> Error msg

@@ -52,6 +52,17 @@ for case in door_loop.wasm:"decode error:" door_counts.wasm:"decode error:" \
   if [ "$status" -ne 1 ] || ! grep -q "^$want" _build/door.out; then
     echo "FAIL: cage_run $file exited $status without '$want'"; cat _build/door.out; exit 1; fi
 done
+# The analyzer reads a module only through the door, so planning answers
+# a call to a function that does not exist as an invalid module (it
+# escaped as Invalid_argument when planning ran on unvalidated bodies).
+printf '(module\n  (type (func (result i64)))\n  (memory i64 1)\n  (func (type 0) call 9 i64.const 7)\n  (export "main" (func 0))\n)\n' \
+  > _build/door_plan.wat
+status=0
+timeout 5 ./_build/default/bin/cage_run.exe _build/door_plan.wat --config CAGE --elide-checks \
+  > _build/door.out 2>&1 || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "^invalid module:" _build/door.out; then
+  echo "FAIL: cage_run --elide-checks door_plan.wat exited $status without 'invalid module:'"
+  cat _build/door.out; exit 1; fi
 
 echo "== the door stays linear (a deep operand stack and 20,000 chained functions)"
 # One function stacks 100,000 i32.consts and drops them; 20,000 more call

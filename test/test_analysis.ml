@@ -201,7 +201,7 @@ let plan_digests =
    tag and span bits sit on scalar loads/stores, every tag bit has its
    span bit, and arena bits sit on segment.new/segment.free. The rows
    are read back through the bodies the engines run, so a numbering
-   drift between the analyzer and [Code.prepare] fails here. What the
+   drift between the analyzer and the door fails here. What the
    analysis concluded is pinned by [plan_digests]. *)
 let test_plan_bits_name_instructions () =
   let cfg =
@@ -226,9 +226,9 @@ let test_plan_bits_name_instructions () =
     Buffer.add_string fp (analysis_fingerprint m);
     let c = Cage.Config.instance_config ~m cfg in
     let codes =
-      Wasm.Code.prepare ~elide:c.Wasm.Instance.elide
+      Wasm.Code.with_plan ~elide:c.Wasm.Instance.elide
         ~belide:c.Wasm.Instance.belide ~arena:c.Wasm.Instance.arena
-        (Wasm.Ast.index m)
+        (snd (Wasm.Validate.prepare m))
     in
     Array.iteri
       (fun f (code : Wasm.Code.func) ->
@@ -504,7 +504,8 @@ let test_module_path_collections () =
           let elide = c.elide and belide = c.belide and arena = c.arena in
           prepare :=
             !prepare
-            + forced (fun () -> Wasm.Code.prepare ~elide ~belide ~arena (Wasm.Ast.index m));
+            + forced (fun () ->
+                  Wasm.Code.with_plan ~elide ~belide ~arena (snd (Wasm.Validate.prepare m)));
           lower :=
             !lower + forced (fun () -> Wasm.Compile.module_stats ~elide ~belide ~arena m);
           instantiate :=
@@ -518,7 +519,7 @@ let test_module_path_collections () =
     (Lazy.force allocation_corpora)
 
 (* Minor words per lowered instruction of [Compile.module_stats]
-   (preparation included), bounded at 1.1x the reading when the fusion
+   (the door included), bounded at 1.1x the reading when the fusion
    window stopped allocating (PolyBench 22.24, Fuzzgen 18.76; 40.42 and
    38.71 before). *)
 let test_lower_allocation () =
@@ -633,8 +634,8 @@ let test_mutual_recursion_scc () =
         }
       |}
   in
-  let ix = Wasm.Ast.index m in
-  let cg = Analysis.Callgraph.build m ix (Wasm.Code.prepare ix) in
+  let ix, code = Wasm.Validate.prepare m in
+  let cg = Analysis.Callgraph.build m ix code in
   let e = fidx_of m "even" and o = fidx_of m "odd" in
   Alcotest.(check bool) "even and odd share an SCC" true
     (List.exists
@@ -870,6 +871,66 @@ let test_no_spec_elide_runtime () =
   Alcotest.(check bool) "spec-safe mode retains checks" true
     (m_spec.Wasm.Meter.elided_checks < m_full.Wasm.Meter.elided_checks)
 
+(* ------------------------------------------------------------------ *)
+(* The door                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every consumer of a module reads it through the door, so each answers
+   an invalid one with [Validate.check]'s own rejection, before it plans,
+   lowers, numbers or runs anything. *)
+let test_door_rejects_invalid () =
+  let wat func =
+    Printf.sprintf
+      "(module\n  (type (func (result i32)))\n  (memory i64 1)\n  %s\n  \
+       (export \"main\" (func 0))\n)\n"
+      func
+  in
+  let modules =
+    [ ("call 9", wat "(func (type 0) call 9 i32.const 0)");
+      ("type 4", wat "(func (type 4) i32.const 0)");
+      ("i64.add on an empty stack", wat "(func (type 0) i64.add drop i32.const 0)");
+      ("br 3 under one label", wat "(func (type 0) br 3)");
+      ("global.get 3 with no globals", wat "(func (type 0) global.get 3 drop i32.const 0)");
+      (* lowering reads a local's register unchecked: before the door, this
+         module crashed [Compile.module_stats] with a segmentation fault *)
+      ("local.get 2070143 with no locals", wat "(func (type 0) local.get 2070143)") ]
+  in
+  let config = Cage.Config.with_elision Cage.Config.full in
+  let consumers =
+    [ ("Elide.plan", fun m -> ignore (Analysis.Elide.plan m));
+      ("Absint.analyze ~spec:true", fun m -> ignore (Analysis.Absint.analyze ~spec:true m));
+      ("Compile.module_stats", fun m -> ignore (Wasm.Compile.module_stats m));
+      ("Config.instance_config ~m", fun m -> ignore (Cage.Config.instance_config ~m config));
+      ( "Supervisor.spawn",
+        fun m ->
+          let sup = Cage.Supervisor.create (Cage.Process.create ~config ()) in
+          ignore (Cage.Supervisor.spawn sup m) );
+      ( "Pool.create",
+        fun m ->
+          ignore
+            (Serve.Pool.create ~lane_base:0 ~size:1 ~seed:0 ~policy:Serve.Policy.default
+               (Serve.Pool.tenant ~config ~entry:"main" ~args:[] "invalid" m)) );
+      ("Exec.instantiate", fun m -> ignore (Wasm.Exec.instantiate m)) ]
+  in
+  List.iter
+    (fun (what, src) ->
+      let m = Wasm.Text.parse src in
+      let want =
+        match Wasm.Validate.check m with
+        | () -> Alcotest.failf "%s: the module validates" what
+        | exception Wasm.Validate.Invalid e -> e
+      in
+      List.iter
+        (fun (consumer, run) ->
+          match run m with
+          | () -> Alcotest.failf "%s: %s returned" what consumer
+          | exception Wasm.Validate.Invalid e when e = want -> ()
+          | exception e ->
+              Alcotest.failf "%s: %s raised %s, not Invalid %S" what consumer
+                (Printexc.to_string e) want)
+        consumers)
+    modules
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -919,4 +980,5 @@ let () =
           tc "trap preserved" test_elide_preserves_trap;
           tc "supervised full plan" test_supervised_full_plan;
         ] );
+      ("door", [ tc "every consumer rejects an invalid module" test_door_rejects_invalid ]);
     ]
