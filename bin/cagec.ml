@@ -100,30 +100,35 @@ let run input output config plan emit_wat no_libc instrument_all stats wstack
                   && String.sub line 0 10 = "cage_stack"
                then Format.eprintf "%s@." line)
       end;
-      if config.Cage.Config.elide_checks then begin
-        let plan =
-          Analysis.Elide.plan ~spec_safe:config.spec_safe_only
-            ~arena:config.arena compiled.co_module
-        in
-        Format.eprintf
-          "elision: %d of %d checked accesses proven safe@."
-          plan.Analysis.Elide.proven plan.Analysis.Elide.considered;
-        if config.elide_bounds then
+      (* One plan serves the report and [--Wfusion]'s lowering. *)
+      let plan =
+        if config.Cage.Config.elide_checks then
+          Some
+            (Analysis.Elide.plan ~spec_safe:config.spec_safe_only
+               ~arena:config.arena compiled.co_module)
+        else None
+      in
+      Option.iter
+        (fun (plan : Analysis.Elide.plan) ->
           Format.eprintf
-            "elision: %d span checks proven redundant; %d allocation sites \
-             arena-lowered (%d segment.new, %d segment.free)@."
-            plan.Analysis.Elide.bproven plan.Analysis.Elide.arena_sites
-            plan.Analysis.Elide.arena_news plan.Analysis.Elide.arena_frees;
-        if config.spec_safe_only then
-          Format.eprintf
-            "elision: %d architecturally-provable elisions withheld \
-             (speculation-unsafe)@."
-            plan.Analysis.Elide.spec_unsafe
-      end;
+            "elision: %d of %d checked accesses proven safe@."
+            plan.Analysis.Elide.proven plan.Analysis.Elide.considered;
+          if config.elide_bounds then
+            Format.eprintf
+              "elision: %d span checks proven redundant; %d allocation sites \
+               arena-lowered (%d segment.new, %d segment.free)@."
+              plan.Analysis.Elide.bproven plan.Analysis.Elide.arena_sites
+              plan.Analysis.Elide.arena_news plan.Analysis.Elide.arena_frees;
+          if config.spec_safe_only then
+            Format.eprintf
+              "elision: %d architecturally-provable elisions withheld \
+               (speculation-unsafe)@."
+              plan.Analysis.Elide.spec_unsafe)
+        plan;
       if wfusion then begin
         (* Lower every function exactly as instantiation would (same
            elision plan when requested) and report what fused. *)
-        let c = Cage.Config.instance_config ~m:compiled.co_module config in
+        let c = Cage.Config.instance_config ?plan config in
         let fstats =
           Wasm.Compile.module_stats ~elide:c.Wasm.Instance.elide
             ~belide:c.Wasm.Instance.belide ~arena:c.Wasm.Instance.arena

@@ -10,15 +10,33 @@
     write, so the index is always in range, and {!drain} hands back each
     maximal dirty run for copying. *)
 
+(* The bits in which the word at [j] differs from [pat]. Top-level and
+   inlined: a local closure would box [pat] and allocate per call. *)
+let[@inline] diff map j pat = Int64.logxor (Bytes.get_int64_ne map j) pat
+
 (** The first index in [\[first, last\]] whose byte is not [want] (a
-    byte value), or [last + 1]; [first <= last + 1]. Eight bytes per
-    bounds-checked 64-bit load against [want] copied into every byte,
-    then the tail a byte at a time. Each loaded word is compared where
-    it is read and never leaves this function, so the scan allocates
-    nothing. *)
+    byte value), or [last + 1]; [first <= last + 1]. Bounds-checked
+    64-bit loads against [want] copied into every byte: each step ORs
+    the XORs of eight consecutive words and tests the result once, then
+    a word at a time finds the word that differs, then the tail goes a
+    byte at a time. Each loaded word is combined where it is read and
+    never leaves this function, so the scan allocates nothing. *)
 let scan map ~first ~last want =
   let pat = Int64.mul (Int64.of_int want) 0x0101_0101_0101_0101L in
   let i = ref first in
+  while
+    !i + 63 <= last
+    && Int64.logor
+         (Int64.logor
+            (Int64.logor (diff map !i pat) (diff map (!i + 8) pat))
+            (Int64.logor (diff map (!i + 16) pat) (diff map (!i + 24) pat)))
+         (Int64.logor
+            (Int64.logor (diff map (!i + 32) pat) (diff map (!i + 40) pat))
+            (Int64.logor (diff map (!i + 48) pat) (diff map (!i + 56) pat)))
+       = 0L
+  do
+    i := !i + 64
+  done;
   while !i + 7 <= last && Bytes.get_int64_ne map !i = pat do
     i := !i + 8
   done;
@@ -52,8 +70,8 @@ let clear map ~bits len =
 
 (** Clear every maximal run of dirty chunks, calling [f lo hi] with its
     unit range [\[lo, hi)] ([hi] is not clamped to the buffer); returns
-    the sum of [f]'s results. Clean chunks are skipped by {!scan}, eight
-    to a load. *)
+    the sum of [f]'s results. Clean chunks are skipped by {!scan}, 64
+    to a step. *)
 let drain map ~bits ~f =
   let n = Bytes.length map in
   let total = ref 0 and c = ref (scan map ~first:0 ~last:(n - 1) 0) in

@@ -68,7 +68,7 @@ let granule_tag t g =
 
 (* {!Dirty.scan} over the logical plane: the first granule in
    [\[first, last\]] whose tag is not [want], or [last + 1]. The prefix
-   is scanned eight granules per load; the tail matches only tag 0. *)
+   is scanned 64 granules per step; the tail matches only tag 0. *)
 let scan t ~first ~last want =
   let n = Bytes.length t.tags in
   if last < n then Dirty.scan t.tags ~first ~last want
@@ -140,8 +140,8 @@ let matches_past t ~addr ~len want =
 (* The access-check predicate, on native ints. [len <= t.covered - addr]
    cannot overflow, so a length too large for the prefix takes the slow
    path rather than wrapping into a small span. A span of more than one
-   granule goes to the scan kernel ([Dirty.scan]), eight granules per
-   load. *)
+   granule goes to the scan kernel ([Dirty.scan]), 64 granules per
+   step. *)
 let matches_native t ~addr ~len (tag : Tag.t) =
   let len = if len < 1 then 1 else len in
   if addr < 0 || len > t.covered - addr then

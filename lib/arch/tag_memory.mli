@@ -69,8 +69,8 @@ val matches : t -> addr:int64 -> len:int64 -> Tag.t -> bool
     given tag — the access-check predicate. Out-of-bounds regions never
     match. [len <= 0] is treated as a 1-byte access. A span within one
     committed granule is one compare; a longer one, like
-    {!first_mismatch} and {!region_tag}, is scanned eight granules per
-    load ({!Dirty.scan}). A span that reaches past the committed prefix
+    {!first_mismatch} and {!region_tag}, is scanned 64 granules per
+    step ({!Dirty.scan}). A span that reaches past the committed prefix
     takes a slow path, where the tail matches only tag 0. *)
 
 val matches_native : t -> addr:int -> len:int -> Tag.t -> bool

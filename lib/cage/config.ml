@@ -143,11 +143,11 @@ let max_sandboxes t =
   | _ -> max_int
 
 (** Instance configuration implementing this variant. Given the module
-    [m] to instantiate, an eliding variant also carries [m]'s elision
-    plan: tag-check bitsets, span-check bitsets under [elide_bounds],
-    arena sites under [arena], all restricted to speculation-safe
-    proofs under [spec_safe_only]. *)
-let instance_config ?meter ?(seed = 0) ?m t =
+    [m] to instantiate, or its [plan] already made, an eliding variant
+    also carries the elision plan: tag-check bitsets, span-check bitsets
+    under [elide_bounds], arena sites under [arena], all restricted to
+    speculation-safe proofs under [spec_safe_only]. *)
+let instance_config ?meter ?(seed = 0) ?m ?plan t =
   let c =
     {
       Wasm.Instance.default_config with
@@ -158,11 +158,14 @@ let instance_config ?meter ?(seed = 0) ?m t =
       meter;
     }
   in
-  match m with
-  | Some m when t.elide_checks ->
-      let p =
-        Analysis.Elide.plan ~spec_safe:t.spec_safe_only ~arena:t.arena m
-      in
+  let plan =
+    match (plan, m) with
+    | None, Some m when t.elide_checks ->
+        Some (Analysis.Elide.plan ~spec_safe:t.spec_safe_only ~arena:t.arena m)
+    | _ -> plan
+  in
+  match plan with
+  | Some p when t.elide_checks ->
       { c with
         elide = p.Analysis.Elide.bitsets;
         belide = (if t.elide_bounds then p.Analysis.Elide.bbitsets else [||]);

@@ -102,8 +102,8 @@ val max_sandboxes : t -> int
     sandboxing, 1 in combined mode, unbounded otherwise (§6.4). *)
 
 val instance_config :
-  ?meter:Wasm.Meter.t -> ?seed:int -> ?m:Wasm.Ast.module_ -> t ->
-  Wasm.Instance.config
+  ?meter:Wasm.Meter.t -> ?seed:int -> ?m:Wasm.Ast.module_ ->
+  ?plan:Analysis.Elide.plan -> t -> Wasm.Instance.config
 (** Instance configuration implementing this variant. Given the module
     [m] to instantiate, an eliding variant also carries [m]'s whole
     elision plan (tag checks; span checks under [elide_bounds]; arena
@@ -111,4 +111,6 @@ val instance_config :
     [spec_safe_only]) — the one place a plan becomes instance bits.
     Planning reads [m] through the door, so for an eliding variant an
     invalid [m] raises {!Wasm.Validate.Invalid}, as instantiation
-    would. *)
+    would. A caller that already holds the plan passes it as [plan]
+    (made with [~spec_safe:spec_safe_only ~arena]), and [m] is not
+    planned again. *)

@@ -35,8 +35,8 @@ let implementation_max_pages = 16384L
    engine's raw stores ([Compile.do_store]) follow the same rule on
    [data] and [dirty] directly. A scalar store (at most 8 bytes) can
    spill at most 7 bytes into the next chunk; [restore] copies that
-   tail along with every dirty run. Bulk writes mark every chunk they
-   cover. *)
+   tail along with every dirty run, and a zero [fill] rewrites it. Bulk
+   writes mark every chunk they cover. *)
 let chunk_bits = 12
 let spill = 7
 
@@ -181,11 +181,43 @@ let store_f32 t addr v = store_i32 t addr (Int32.bits_of_float v)
 let load_f64 t addr = Int64.float_of_bits (load_i64 t addr)
 let store_f64 t addr v = store_i64 t addr (Int64.bits_of_float v)
 
+(* A zero fill of [\[a, stop)] that skips what is zero already. Past
+   the base image's end (0 with no base; images copy the committed
+   prefix, so it is chunk-aligned) a clean chunk holds only zeros:
+   commits append clean zero chunks, and a restore zeroes every dirty
+   run there with its spill tail. The one write that reaches a clean
+   chunk is a scalar store straddling in from a dirty one, at most
+   [spill] bytes. So the span is written below the image's end, over
+   every dirty chunk, and over the first [spill] bytes of each clean
+   chunk whose predecessor is dirty; the map is read before the fill
+   marks it. The walk starts a chunk before the cut, since a dirty run
+   that ends there spills past it. *)
+let zero t a stop =
+  let img = match t.base with Some b -> Bytes.length b | None -> 0 in
+  let cut = min stop (max a img) in
+  Bytes.fill t.data a (cut - a) '\000';
+  let write lo hi =
+    let lo = max lo cut and hi = min hi stop in
+    if hi > lo then Bytes.fill t.data lo (hi - lo) '\000'
+  in
+  if cut < stop then begin
+    let last = (stop - 1) lsr chunk_bits in
+    let c = ref (max 0 ((cut lsr chunk_bits) - 1)) in
+    while !c <= last do
+      let d = Arch.Dirty.scan t.dirty ~first:!c ~last 0 in
+      let e = ref d in
+      while !e <= last && Bytes.unsafe_get t.dirty !e <> '\000' do incr e done;
+      write (d lsl chunk_bits) ((!e lsl chunk_bits) + spill);
+      c := !e + 1
+    done
+  end
+
 let fill t ~addr ~len v =
   if not (in_bounds64 t ~addr ~len) then raise (Out_of_bounds (addr, 0));
   let a = Int64.to_int addr and n = Int64.to_int len in
   ignore (reach t (a + n));
-  Bytes.fill t.data a n (Char.chr (v land 0xff));
+  if v land 0xff = 0 then zero t a (a + n)
+  else Bytes.fill t.data a n (Char.chr (v land 0xff));
   mark_range t a n
 
 let copy t ~dst ~src ~len =

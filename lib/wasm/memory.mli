@@ -104,7 +104,8 @@ val store_f64 : t -> int64 -> float -> unit
     {!reach}, and reading [data] again after it); the [Bytes] primitives
     keep their own range test as a backstop, raising [Invalid_argument].
     A raw write marks its chunk in [dirty] after the range-checked
-    write, as every write entry point of this module does. *)
+    write, as every write entry point of this module does; a zero
+    {!fill} relies on it to skip clean chunks. *)
 
 val chunk_bits : int
 (** [dirty] tracks chunks of [2^chunk_bits] bytes (4 KiB). *)
@@ -121,7 +122,11 @@ val reach : t -> int -> bool
     point. *)
 
 val fill : t -> addr:int64 -> len:int64 -> int -> unit
-(** [memory.fill]: set [len] bytes to the given byte value. *)
+(** [memory.fill]: set [len] bytes to the given byte value. A zero fill
+    writes only what the dirty map does not prove zero already: it
+    skips each clean chunk past the base image's end, except the at
+    most 7 bytes a straddling store can spill into one from a dirty
+    predecessor. Either way every chunk of the span is marked. *)
 
 val copy : t -> dst:int64 -> src:int64 -> len:int64 -> unit
 (** [memory.copy]: overlapping-safe. *)

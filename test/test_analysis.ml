@@ -931,6 +931,38 @@ let test_door_rejects_invalid () =
         consumers)
     modules
 
+(* A caller that already holds the plan ([cagec] reports it, then
+   lowers with it) hands it in and gets the instance bits that
+   planning [m] inside [instance_config] gives, with and without
+   speculation-unsafe proofs, on PolyBench and the CVE programs. *)
+let test_instance_config_plan () =
+  let sources =
+    List.map
+      (fun (k : Workloads.Polybench.kernel) -> (k.k_name, k.k_source))
+      Workloads.Polybench.all
+    @ List.map
+        (fun (e : Workloads.Cve_suite.entry) -> (e.cve, e.source))
+        Workloads.Cve_suite.entries
+  in
+  let bits (c : Wasm.Instance.config) =
+    (c.Wasm.Instance.elide, c.Wasm.Instance.belide, c.Wasm.Instance.arena)
+  in
+  List.iter
+    (fun (cfg : Cage.Config.t) ->
+      List.iter
+        (fun (name, source) ->
+          let m = compile ~cfg source in
+          let plan =
+            Analysis.Elide.plan ~spec_safe:cfg.spec_safe_only ~arena:cfg.arena m
+          in
+          if bits (Cage.Config.instance_config ~plan cfg)
+             <> bits (Cage.Config.instance_config ~m cfg)
+          then
+            Alcotest.failf "%s%s: the plan handed in gives other bits" name
+              (if cfg.spec_safe_only then " (spec-safe)" else ""))
+        sources)
+    [ full_plan; Cage.Config.with_spec_safe_only full_plan ]
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -979,6 +1011,7 @@ let () =
           tc "differential slice" test_elide_differential;
           tc "trap preserved" test_elide_preserves_trap;
           tc "supervised full plan" test_supervised_full_plan;
+          tc "instance config takes a plan" test_instance_config_plan;
         ] );
       ("door", [ tc "every consumer rejects an invalid module" test_door_rejects_invalid ]);
     ]

@@ -228,10 +228,12 @@ let prop_tagmem_set_then_matches =
 (* The scan kernel against byte-at-a-time references                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The span checks and [Dirty.drain] scan eight bytes per load. Each is
-   compared here with a byte-at-a-time reference over the test's own
-   copy of the plane or map: spans at every start granule mod 8, of
-   0-40 granules and of 1 MiB, spans that end on the plane's last
+(* The span checks and [Dirty.drain] scan eight 8-byte words per step,
+   then a word, then a byte at a time. Each is compared here with a
+   byte-at-a-time reference over the test's own copy of the plane or
+   map: spans at every start granule mod 8, of 0-40 granules, of 41-200
+   granules (one to three steps and their tails) with a mismatch at
+   every granule, and of 1 MiB, spans that end on the plane's last
    granule, and spans that start below or reach past the plane. *)
 
 (* The first granule in [first, last] whose tag is not [want], or
@@ -409,6 +411,57 @@ let prop_span_checks_equal_granule_loop =
         edges64;
       true)
 
+(* Spans of 41-200 granules at every start mod 8 over a plane of one
+   tag with at most one odd granule, placed in turn at every granule
+   the spans reach: inside each word of a step, in the word loop and
+   in the byte tail, and just past the span. *)
+let test_span_checks_across_steps () =
+  let n = 256 and t = 5 in
+  let size = n * 16 in
+  let tm = Tag_memory.create ~size_bytes:size and copy = Array.make n t in
+  let retag g tag =
+    (match
+       Tag_memory.set_region tm ~addr:(Int64.of_int (g * 16)) ~len:16L
+         (Tag.of_int tag)
+     with
+    | Ok () -> ()
+    | Error e -> failwith e);
+    copy.(g) <- tag
+  in
+  for g = 0 to n - 1 do retag g t done;
+  for odd = -1 to 215 do
+    if odd >= 0 then retag odd (t + 1);
+    for g = 0 to 7 do
+      for k = 41 to 200 do
+        let addr = g * 16 and len = k * 16 in
+        let a64 = Int64.of_int addr and l64 = Int64.of_int len in
+        List.iter
+          (fun want ->
+            let tag = Tag.of_int want in
+            let fail what =
+              Alcotest.failf "%s: granules [%d, %d), odd granule %d, tag %d"
+                what g (g + k) odd want
+            in
+            if Tag_memory.matches_native tm ~addr ~len tag
+               <> ref_matches_native copy size ~addr ~len want
+            then fail "matches_native";
+            if Tag_memory.matches tm ~addr:a64 ~len:l64 tag
+               <> ref_matches copy size ~addr:a64 ~len:l64 want
+            then fail "matches";
+            if Tag_memory.first_mismatch tm ~addr:a64 ~len:l64 tag
+               <> ref_first_mismatch copy size ~addr:a64 ~len:l64 want
+            then fail "first_mismatch")
+          [ t; t + 1 ];
+        if Option.map Tag.to_int (Tag_memory.region_tag tm ~addr:a64 ~len:l64)
+           <> Result.get_ok (ref_region_tag copy size ~addr:a64 ~len:l64)
+        then
+          Alcotest.failf "region_tag: granules [%d, %d), odd granule %d" g
+            (g + k) odd
+      done
+    done;
+    if odd >= 0 then retag odd t
+  done
+
 (* The byte-at-a-time drain: every maximal nonzero run, in order. *)
 let ref_drain map ~bits ~f =
   let n = Bytes.length map in
@@ -423,6 +476,17 @@ let ref_drain map ~bits ~f =
     end
   done;
   !total
+
+(* [map] drained by [drain]: the runs it reported, the sum of [f]'s
+   results, and the map it left. *)
+let drained ~bits map drain =
+  let calls = ref [] in
+  let total =
+    drain map ~bits ~f:(fun lo hi ->
+        calls := (lo, hi) :: !calls;
+        ((hi - lo) * 3) + (lo mod 5))
+  in
+  (List.rev !calls, total, Bytes.to_string map)
 
 (* Maps of clean and dirty runs (dirty bytes 1, or any nonzero byte),
    up to a few thousand chunks and never a multiple of 8 long. *)
@@ -456,17 +520,30 @@ let prop_drain_equals_byte_loop =
         ^ String.make ((pad - (String.length body mod 8) + 8) mod 8)
             (Char.chr (pad land 1))
       in
-      let drained map drain =
-        let calls = ref [] in
-        let total =
-          drain map ~bits ~f:(fun lo hi ->
-              calls := (lo, hi) :: !calls;
-              ((hi - lo) * 3) + (lo mod 5))
-        in
-        (List.rev !calls, total, Bytes.to_string map)
-      in
-      drained (Bytes.of_string body) Dirty.drain
-      = drained (Bytes.of_string body) ref_drain)
+      drained ~bits (Bytes.of_string body) Dirty.drain
+      = drained ~bits (Bytes.of_string body) ref_drain)
+
+(* Clean maps of 1-200 bytes with one dirty byte at every position, and
+   200-byte maps with two, so that dirty bytes sit inside each word of
+   a step, in the word loop and in the byte tail. *)
+let test_drain_inside_steps () =
+  let check dirty n =
+    let map () =
+      let m = Bytes.make n '\000' in
+      List.iter (fun (p, v) -> Bytes.set m p (Char.chr v)) dirty;
+      m
+    in
+    if drained ~bits:12 (map ()) Dirty.drain <> drained ~bits:12 (map ()) ref_drain
+    then
+      Alcotest.failf "drain of %d bytes dirty at [%s]" n
+        (String.concat "; " (List.map (fun (p, _) -> string_of_int p) dirty))
+  in
+  for n = 1 to 200 do
+    for p = 0 to n - 1 do check [ (p, if p land 1 = 0 then 1 else 255) ] n done
+  done;
+  for p = 0 to 199 do
+    for q = p + 1 to 199 do check [ (p, 1); (q, 1) ] 200 done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* The lazy tag plane against the eager one                            *)
@@ -1215,6 +1292,9 @@ let () =
           Alcotest.test_case "grow preserves" `Quick test_tagmem_grow_preserves;
           Alcotest.test_case "storage overhead 1/32" `Quick
             test_tagmem_storage_overhead;
+          Alcotest.test_case "span checks across steps" `Quick
+            test_span_checks_across_steps;
+          Alcotest.test_case "drain inside steps" `Quick test_drain_inside_steps;
         ] );
       ( "mte",
         [

@@ -230,6 +230,120 @@ let prop_dirty_restore_matches =
           && copied <= Serve.Snapshot.bytes snap)
         rounds)
 
+(* Memory contents after every write. A restore rewrites every marked
+   chunk, so a byte a write left wrong in a chunk it marked never shows
+   after one: this property compares the whole memory with a plain
+   [Bytes] model after every single step, snapshots and restores
+   included. Zero fills are weighted up, since [Memory.fill] with 0
+   skips chunks the dirty map proves zero, and some follow a store
+   that straddles a chunk edge, through either engine's store path,
+   over the chunk its spill reached, mostly past the image's end. *)
+type step = Op of wop | Snap | Restore
+
+let show_step = function
+  | Op w -> show_wop w
+  | Snap -> "snapshot"
+  | Restore -> "restore"
+
+(* The bytes a store writes: its width and little-endian bits. *)
+let stored_bytes = function
+  | Set (k, _, v) -> (
+      match k mod 6 with
+      | 0 -> (1, v)
+      | 1 -> (2, v)
+      | 2 -> (4, v)
+      | 4 -> (4, Int64.of_int32 (Int32.bits_of_float (Int64.to_float v)))
+      | _ -> (8, v))
+  | Store (k, _, v) -> (
+      match k mod 8 with
+      | 0 -> (1, v)
+      | 1 -> (4, v)
+      | 3 -> (4, Int64.of_int32 (Int32.bits_of_float (Int64.to_float v)))
+      | 2 | 4 -> (8, v)
+      | k -> (1 lsl (k - 4), v))
+  | _ -> invalid_arg "stored_bytes"
+
+(* [op] applied to the model [b] of a memory of [Bytes.length b] bytes;
+   an out-of-bounds op changes nothing. *)
+let model_wop b op =
+  let fits a n = a >= 0 && n >= 0 && a + n <= Bytes.length b in
+  match op with
+  | Set (_, a, _) | Store (_, a, _) ->
+      let w, v = stored_bytes op in
+      if fits a w then
+        for i = 0 to w - 1 do
+          Bytes.set b (a + i)
+            (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
+        done
+  | Fill (a, n, v) -> if fits a n then Bytes.fill b a n (Char.chr (v land 0xff))
+  | Copy (d, s, n) -> if fits d n && fits s n then Bytes.blit b s b d n
+  | Write (a, str) ->
+      if fits a (String.length str) then
+        Bytes.blit_string str 0 b a (String.length str)
+  | Retag _ | Grow -> ()
+
+let gen_steps =
+  let open QCheck.Gen in
+  let edge = map2 (fun k d -> (k * 4096) - d) (1 -- 64) (0 -- 8) in
+  let zero_fill = map2 (fun a n -> Fill (a, n, 0)) edge (0 -- 12_000) in
+  (* an 8-byte store 1-7 bytes below the edge of chunk [k], then a zero
+     fill over chunk [k] from at most [spill] bytes into it; chunks 16
+     and up lie past a 64 KiB image *)
+  let straddle_then_fill =
+    map
+      (fun (((k, d), (eng, v)), (o, n)) ->
+        let e = k * 4096 in
+        [ Op (if eng then Set (3, e - d, v) else Store (7, e - d, v));
+          Op (Fill (e + o, n, 0)) ])
+      (pair
+         (pair (pair (frequency [ (1, 1 -- 15); (3, 16 -- 63) ]) (1 -- 7))
+            (pair bool ui64))
+         (pair (0 -- 7) (1 -- 9_000)))
+  in
+  let one g = map (fun x -> [ x ]) g in
+  map List.concat
+    (list_size (10 -- 40)
+       (frequency
+          [ (6, one (map (fun w -> Op w) gen_wop));
+            (3, one (map (fun w -> Op w) zero_fill));
+            (3, straddle_then_fill);
+            (1, return [ Snap ]);
+            (2, return [ Restore ]) ]))
+
+let prop_memory_matches_model =
+  QCheck.Test.make ~name:"memory equals its model after every write"
+    ~count:200
+    (QCheck.make
+       ~print:(fun steps -> String.concat "; " (List.map show_step steps))
+       gen_steps)
+    (fun steps ->
+      let inst = dirty_guest () in
+      let mem = Option.get inst.Instance.mem in
+      let model = ref (Bytes.of_string (Memory.to_string mem)) in
+      let snap = ref None in
+      List.iteri
+        (fun i step ->
+          (match step with
+          | Op w ->
+              apply_wop inst w;
+              model_wop !model w;
+              let size = Int64.to_int (Memory.size_bytes mem) in
+              if size > Bytes.length !model then
+                model := Bytes.cat !model (Bytes.make (size - Bytes.length !model) '\000')
+          | Snap ->
+              snap := Some (Serve.Snapshot.capture inst, Bytes.copy !model)
+          | Restore ->
+              Option.iter
+                (fun (s, image) ->
+                  ignore (Serve.Snapshot.restore_copied s inst);
+                  model := Bytes.copy image)
+                !snap);
+          if Memory.to_string mem <> Bytes.to_string !model then
+            QCheck.Test.fail_reportf "memory differs from its model after step %d (%s)"
+              i (show_step step))
+        steps;
+      true)
+
 let test_restore_fallback_full_copy () =
   let a = dirty_guest ~seed:1 () and b = dirty_guest ~seed:2 () in
   apply_wop b (Set (3, 4090, 0x1122334455667788L));
@@ -1125,6 +1239,8 @@ let () =
           Alcotest.test_case "chaos restores match" `Quick
             test_chaos_restores_match;
           QCheck_alcotest.to_alcotest prop_dirty_restore_matches;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 38 |])
+            prop_memory_matches_model;
         ] );
       ( "lanes",
         [
